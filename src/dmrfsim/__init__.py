@@ -30,6 +30,7 @@ from .model import (
     Confidence,
     FeedbackKind,
     FeedbackMessage,
+    InvariantError,
     NodeId,
     NodeState,
     Packet,

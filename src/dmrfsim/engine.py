@@ -21,6 +21,7 @@ from .config import CONTROL_FRAME_BITS, DMRF, ScenarioConfig
 from .model import (
     FeedbackKind,
     FeedbackMessage,
+    InvariantError,
     NodeId,
     NodeState,
     Packet,
@@ -201,12 +202,12 @@ class _NodeRuntime:
         "is_sink",
         "table",
         "static_candidates",
+        "probe_links",
         "relay_queue",
         "app_queue",
         "buffer_used",
         "busy",
         "pending",
-        "upstream",
         "arrival_ewma",
         "last_arrival",
         "cong_notified",
@@ -219,12 +220,13 @@ class _NodeRuntime:
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
         self.static_candidates: list[tuple[NodeId, float]] = []
+        # (candidate, its runtime, joules per control frame), for probing
+        self.probe_links: list[tuple[NodeId, _NodeRuntime, float]] = []
         self.relay_queue: deque[Packet] = deque()
         self.app_queue: deque[Packet] = deque()
         self.buffer_used = 0.0
         self.busy = False
         self.pending: tuple[Packet, NodeId, bool] | None = None
-        self.upstream: NodeId | None = None
         self.arrival_ewma = 0.0
         self.last_arrival: float | None = None
         self.cong_notified: set[NodeId] = set()
@@ -251,7 +253,9 @@ class Simulation:
 
         self._heap: list[tuple[float, int, int, object, object]] = []
         self._seq = 0
+        self._round_seq = 0  # seq of the probe round being traced
         self.now = 0.0
+        self._control_j: dict[tuple[NodeId, NodeId], float] = {}
 
         self.rate_mult = {
             RateClass.LOW: scenario.rate_multipliers["low"],
@@ -322,12 +326,17 @@ class Simulation:
             self._schedule(0.0, FAULT_ONSET, sorted(dead), None)
 
         if self.dmrf is not None:
+            probers = []
             for nid in topo.ids():
                 node = self.nodes[nid]
-                if node.is_sink or node.table is None:
-                    continue
-                if node.table.fcs.members:
-                    self._schedule(0.0, PROBE, nid, None)
+                if node.table is not None and node.table.fcs.members:
+                    node.probe_links = [
+                        (e.candidate, self.nodes[e.candidate], self._control_cost(nid, e.candidate))
+                        for e in node.table.fcs.members
+                    ]
+                    probers.append((nid, None))
+            if probers:
+                self._schedule(0.0, PROBE, probers, None)
 
         for i in range(scenario.packet_count):
             self._schedule(i * scenario.injection_period_ms, PACKET_INJECT, i, None)
@@ -352,7 +361,9 @@ class Simulation:
             node = self.topo.source
             packet = a
         elif kind in (PROBE, PROBE_TIMEOUT):
-            node = a
+            # a probe round traces one line per member as it runs it
+            self._round_seq = seq
+            return
         elif kind == FEEDBACK_DELIVERY:
             node = a[2]
         elif kind == DEADLINE_CHECK:
@@ -383,11 +394,16 @@ class Simulation:
             )
         )
 
+    def _control_cost(self, sender: NodeId, receiver: NodeId) -> float:
+        joules = self._control_j.get((sender, receiver))
+        if joules is None:
+            joules = self._control_j[(sender, receiver)] = energy_cost(
+                self.radio, self.topo.distance(sender, receiver), CONTROL_FRAME_BITS
+            )
+        return joules
+
     def _charge_control(self, sender: NodeId, receiver: NodeId) -> None:
-        distance = self.topo.distance(sender, receiver)
-        self.metrics.energy_total_j += energy_cost(
-            self.radio, distance, CONTROL_FRAME_BITS
-        )
+        self.metrics.energy_total_j += self._control_cost(sender, receiver)
 
     def _send_feedbacks(
         self, node: _NodeRuntime, feedbacks: list[FeedbackMessage], now: float
@@ -602,7 +618,6 @@ class Simulation:
 
         if receiver.table is not None:
             receiver.table.upstream = sender_id
-        receiver.upstream = sender_id
 
         if now > packet.deadline:
             # arrived past its deadline at a relay: dead on arrival
@@ -638,40 +653,66 @@ class Simulation:
         )
         self._charge_control(node.id, sender_id)
 
-    def _on_probe(self, node_id: NodeId, now: float) -> None:
-        node = self.nodes[node_id]
-        if not node.alive:
+    def _trace_member(self, kind: int, node_id: NodeId) -> None:
+        if self.trace is not None:
+            self.trace.append(
+                Event(time=self.now, seq=self._round_seq, kind=EVENT_KINDS[kind], node=node_id)
+            )
+
+    def _on_probe_round(
+        self, members: list[tuple[NodeId, tuple | None]], now: float
+    ) -> None:
+        """Every member probes, in id order, at the place in the event order
+        that the first member's own PROBE event would hold.
+
+        When a timeout falls on the next probe instant, per-node events
+        would run each node's timeout just before its probe; the payload
+        then rides in the next round, which runs it there."""
+        period_at = now + self.cfg.probe_period_ms
+        timeout_at = now + self.cfg.probe_timeout_ms
+        merged = timeout_at == period_at
+        count = self.cfg.count_probes_as_control
+        metrics = self.metrics
+        radio, rng = self.radio, self.rng
+        next_round, timeouts = [], []
+        for nid, payload in members:
+            if payload is not None:
+                self._on_probe_timeout(nid, payload, now)
+            self._trace_member(PROBE, nid)
+            node = self.nodes[nid]
+            if not node.alive:
+                continue
+            if count:
+                metrics.control_packets += len(node.probe_links)
+            results, samples, states = {}, {}, {}
+            energy = metrics.energy_total_j  # same additions, same order
+            for target, peer, joules in node.probe_links:
+                energy += joules
+                results[target] = peer.alive
+                if peer.alive:
+                    samples[target] = sample_delay(radio, rng)
+                    # the reply reports the replier's own current state
+                    states[target] = (
+                        peer.table.state if peer.table is not None else NodeState.NORMAL
+                    )
+            metrics.energy_total_j = energy
+            payload = (results, samples, states)
+            next_round.append((nid, payload if merged else None))
+            timeouts.append((nid, payload))
+        if not next_round:
             return
-        members = node.table.fcs.members
-        if not members:
-            return
-        results: dict[NodeId, bool] = {}
-        samples: dict[NodeId, float] = {}
-        states: dict[NodeId, NodeState] = {}
-        for entry in members:
-            target = entry.candidate
-            if self.cfg.count_probes_as_control:
-                self.metrics.control_packets += 1
-            self._charge_control(node_id, target)
-            peer = self.nodes[target]
-            results[target] = peer.alive
-            if peer.alive:
-                samples[target] = sample_delay(self.radio, self.rng)
-                # the reply reports the replier's own current state
-                states[target] = (
-                    peer.table.state if peer.table is not None else NodeState.NORMAL
-                )
-        self._schedule(
-            now + self.cfg.probe_timeout_ms,
-            PROBE_TIMEOUT,
-            node_id,
-            (results, samples, states),
-        )
-        self._schedule(now + self.cfg.probe_period_ms, PROBE, node_id, None)
+        if not merged:
+            self._schedule(timeout_at, PROBE_TIMEOUT, timeouts, None)
+        self._schedule(period_at, PROBE, next_round, None)
+
+    def _on_timeout_round(self, timeouts: list[tuple[NodeId, tuple]], now: float) -> None:
+        for nid, payload in timeouts:
+            self._on_probe_timeout(nid, payload, now)
 
     def _on_probe_timeout(
         self, node_id: NodeId, payload: tuple[dict, dict, dict], now: float
     ) -> None:
+        self._trace_member(PROBE_TIMEOUT, node_id)
         node = self.nodes[node_id]
         if not node.alive:
             return
@@ -724,6 +765,7 @@ class Simulation:
             if table is not None and table.state is not NodeState.FAULTY:
                 self.transitions.append((now, nid, table.state, NodeState.FAULTY))
                 table.state = NodeState.FAULTY
+                table.dirty = True
 
     def _on_deadline(self, packet: Packet, now: float) -> None:
         status, where = self._status[packet.id]
@@ -744,8 +786,8 @@ class Simulation:
         handlers = {
             PACKET_ARRIVAL: lambda a, b, t: self._on_arrival(a, t),
             PACKET_INJECT: lambda a, b, t: self._on_inject(a, t),
-            PROBE: lambda a, b, t: self._on_probe(a, t),
-            PROBE_TIMEOUT: lambda a, b, t: self._on_probe_timeout(a, b, t),
+            PROBE: lambda a, b, t: self._on_probe_round(a, t),
+            PROBE_TIMEOUT: lambda a, b, t: self._on_timeout_round(a, t),
             FEEDBACK_DELIVERY: lambda a, b, t: self._on_feedback(a, t),
             FAULT_ONSET: lambda a, b, t: self._on_fault_onset(a, t),
             DEADLINE_CHECK: lambda a, b, t: self._on_deadline(a, t),
@@ -785,10 +827,11 @@ class Simulation:
             rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
             self.metrics.p95_delay_ms = ordered[rank]
         self.metrics.per_node_tx = dict(sorted(self._tx.items()))
-        assert self.metrics.terminal_total == self.metrics.injected, (
-            "packet conservation violated: "
-            f"{self.metrics.terminal_total} terminal vs {self.metrics.injected} injected"
-        )
+        if self.metrics.terminal_total != self.metrics.injected:
+            raise InvariantError(
+                "packet conservation violated: "
+                f"{self.metrics.terminal_total} terminal vs {self.metrics.injected} injected"
+            )
         self.outcomes.sort(key=lambda o: o.packet_id)
         return RunResult(
             metrics=self.metrics,

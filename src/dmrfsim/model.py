@@ -13,6 +13,10 @@ from enum import Enum
 NodeId = int
 
 
+class InvariantError(RuntimeError):
+    """A simulation broke one of its own invariants; the run is invalid."""
+
+
 class NodeState(Enum):
     NORMAL = "NORMAL"
     FAULTY = "FAULTY"

@@ -19,6 +19,7 @@ from .model import (
     Confidence,
     FeedbackKind,
     FeedbackMessage,
+    InvariantError,
     NodeId,
     NodeState,
     Packet,
@@ -95,14 +96,20 @@ class RoutingTable:
     sink_in_range: bool
     state: NodeState = NodeState.NORMAL
     own_congested: bool = False
+    #: set when an input of _reevaluate changes: a member's cached_state,
+    #: own_congested or state; cleared by _reevaluate
+    dirty: bool = True
     upstream: NodeId | None = None
     jump_ids: list[NodeId] | None = None  # materialized on first jump
-    last_feedback_seen: dict[NodeId, tuple[FeedbackKind, float]] = field(
-        default_factory=dict
-    )
     transition_log: list[tuple[float, NodeState, NodeState]] = field(
         default_factory=list
     )
+
+
+def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
+    if entry.cached_state is not state:
+        entry.cached_state = state
+        table.dirty = True
 
 
 def compute_lambda(remaining: float, needed: float) -> float:
@@ -278,11 +285,7 @@ class DmrfProtocol:
         owner = table.owner
         d_self = topo.distance(owner, topo.sink)
         ids = []
-        for other in topo.ids():
-            if other == owner:
-                continue
-            if topo.distance(owner, other) > topo.max_tx_distance:
-                continue
+        for other in topo.within(owner, topo.max_tx_distance):
             if topo.distance(other, topo.sink) >= d_self:
                 continue
             ids.append(other)
@@ -321,15 +324,15 @@ class DmrfProtocol:
             if probe_results[cand]:
                 entry.confidence.reset()
                 if state_reports and cand in state_reports:
-                    entry.cached_state = state_reports[cand]
+                    _cache_state(table, entry, state_reports[cand])
                 elif entry.cached_state is NodeState.FAULTY:
-                    entry.cached_state = NodeState.NORMAL
+                    _cache_state(table, entry, NodeState.NORMAL)
                 if delay_samples and cand in delay_samples:
                     entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay_samples[cand]
             else:
                 entry.confidence.penalize(self.confidence_step)
                 if entry.confidence.faulty:
-                    entry.cached_state = NodeState.FAULTY
+                    _cache_state(table, entry, NodeState.FAULTY)
         return self._reevaluate(table, now)
 
     def detect_congestion(
@@ -348,17 +351,25 @@ class DmrfProtocol:
             arrival_rate_ewma * self.cong_horizon_ms * self.packet_bytes
         ) / buffer_capacity
         if not table.own_congested and predicted >= self.theta_cong:
-            table.own_congested = True
+            table.own_congested = table.dirty = True
         elif table.own_congested and predicted < self.theta_cong - self.cong_hysteresis:
             table.own_congested = False
+            table.dirty = True
         return self._reevaluate(table, now)
 
     def detect_void(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
+        # evaluates unconditionally, for callers that edit entries in place
+        table.dirty = True
         return self._reevaluate(table, now)
 
     def _reevaluate(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
         """Derive the node's state from its own buffer flag and the cached
-        candidate states, emitting feedback on every transition."""
+        candidate states, emitting feedback on every transition. Those are
+        its only inputs, so while table.dirty is clear the state is current.
+        """
+        if not table.dirty:
+            return []
+        table.dirty = False
         states = [e.cached_state for e in table.fcs.members]
         if not states or all(s is NodeState.VOID for s in states):
             target = NodeState.VOID
@@ -392,9 +403,10 @@ class DmrfProtocol:
         for nxt in steps:
             if nxt is table.state:
                 continue
-            assert legal_transition(table.state, nxt, states), (
-                f"illegal transition {table.state} -> {nxt} at node {table.owner}"
-            )
+            if not legal_transition(table.state, nxt, states):
+                raise InvariantError(
+                    f"illegal transition {table.state} -> {nxt} at node {table.owner}"
+                )
             table.transition_log.append((now, table.state, nxt))
             table.state = nxt
             messages.append(
@@ -474,11 +486,11 @@ class DmrfProtocol:
         if success:
             entry.confidence.reset()
             if entry.cached_state is NodeState.FAULTY:
-                entry.cached_state = NodeState.NORMAL
+                _cache_state(table, entry, NodeState.NORMAL)
             return []
         entry.confidence.penalize(self.confidence_step)
         if entry.confidence.faulty:
-            entry.cached_state = NodeState.FAULTY
+            _cache_state(table, entry, NodeState.FAULTY)
         return self._reevaluate(table, now)
 
     def on_jump_result(
@@ -497,12 +509,12 @@ class DmrfProtocol:
             entry.suc = entry.successes / entry.attempts
             entry.confidence.reset()
             if entry.cached_state is NodeState.FAULTY:
-                entry.cached_state = NodeState.NORMAL
+                _cache_state(table, entry, NodeState.NORMAL)
         else:
             entry.suc = max(0, entry.successes - 1) / entry.attempts
             entry.confidence.penalize(self.confidence_step)
             if entry.confidence.faulty:
-                entry.cached_state = NodeState.FAULTY
+                _cache_state(table, entry, NodeState.FAULTY)
             feedbacks.append(
                 FeedbackMessage(
                     kind=FeedbackKind.JUMP_FAIL, origin=table.owner, subject=target
@@ -526,7 +538,6 @@ class DmrfProtocol:
         Returns (message to re-forward upstream or None, fresh feedback from
         any state change the update triggered).
         """
-        table.last_feedback_seen[msg.subject] = (msg.kind, now)
         if msg.kind is FeedbackKind.JUMP_FAIL:
             # distrust the direction the bad news came from
             entry = table.entries.get(from_node)
@@ -554,10 +565,10 @@ class DmrfProtocol:
         if entry is not None:
             # every non-jump kind is self-reported by the subject, which is
             # proof of life; latest report wins
-            entry.cached_state = {
+            _cache_state(table, entry, {
                 FeedbackKind.FAULT: NodeState.FAULTY,
                 FeedbackKind.CONG: NodeState.CONG,
                 FeedbackKind.RECOVER: NodeState.NORMAL,
                 FeedbackKind.VOID: NodeState.VOID,
-            }[msg.kind]
+            }[msg.kind])
         return None, self._reevaluate(table, now)

@@ -151,17 +151,27 @@ def _point_tasks(spec: SweepSpec) -> list[tuple]:
     return tasks
 
 
+def worker_count(requested: int | None, task_count: int) -> int:
+    """Pool size for a sweep: the request, else DMRFSIM_WORKERS, else 1,
+    clamped to the number of tasks and of CPUs."""
+    raw = os.environ.get("DMRFSIM_WORKERS", "1") if requested is None else requested
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ConfigError(f"DMRFSIM_WORKERS: expected an integer, got {raw!r}") from None
+    return max(1, min(requested, task_count, os.cpu_count() or 1))
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
     """Run the whole grid, in order (value, protocol, repetition).
 
-    Any failing run aborts the sweep. Worker count comes from the
-    DMRFSIM_WORKERS environment variable unless given explicitly; results
-    are identical either way because every point is independently seeded.
+    Any failing run aborts the sweep. Worker count comes from
+    worker_count(); results are identical however many run, because every
+    point is independently seeded.
     """
     tasks = _point_tasks(spec)
-    if workers is None:
-        workers = int(os.environ.get("DMRFSIM_WORKERS", "1"))
-    if workers > 1 and len(tasks) > 1:
+    workers = worker_count(workers, len(tasks))
+    if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:

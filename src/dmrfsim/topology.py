@@ -23,6 +23,10 @@ Position = tuple[float, float]
 #: sentinel for "no path to the sink"
 UNREACHABLE = math.inf
 
+#: query boxes grow by this many cells per side, so that a node whose distance
+#: rounds onto the radius at a cell edge is scanned (exact below 1e8 cells)
+_CELL_SLACK = 1e-6
+
 
 @dataclass
 class Topology:
@@ -39,6 +43,10 @@ class Topology:
     source: NodeId
     sink: NodeId
     _pos: dict[NodeId, Position] = field(init=False, repr=False)
+    # comm_radius grid cell -> [(id, x, y)], built by the first radius query
+    _cells: dict[tuple[int, int], list] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.comm_radius > self.max_tx_distance:
@@ -60,24 +68,27 @@ class Topology:
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """All nodes within comm_radius, sorted by id."""
-        r = self.comm_radius
+        return self.within(node, self.comm_radius)
+
+    def within(self, node: NodeId, radius: float) -> list[NodeId]:
+        """All other nodes whose distance() from `node` is at most `radius`,
+        sorted by id; only the grid cells the query box touches are scanned."""
+        side = self.comm_radius
+        if self._cells is None:
+            self._cells = {}
+            for other, (ox, oy) in self._pos.items():
+                key = (math.floor(ox / side), math.floor(oy / side))
+                self._cells.setdefault(key, []).append((other, ox, oy))
         x, y = self._pos[node]
+        reach = radius / side + _CELL_SLACK
         out = []
-        for other, (ox, oy) in self._pos.items():
-            if other != node and math.hypot(x - ox, y - oy) <= r:
-                out.append(other)
+        for cx in range(math.floor(x / side - reach), math.floor(x / side + reach) + 1):
+            for cy in range(math.floor(y / side - reach), math.floor(y / side + reach) + 1):
+                for other, ox, oy in self._cells.get((cx, cy), ()):
+                    if other != node and math.hypot(x - ox, y - oy) <= radius:
+                        out.append(other)
         out.sort()
         return out
-
-    def with_radii(self, comm_radius: float, max_tx_distance: float) -> Topology:
-        return Topology(
-            nodes=list(self.nodes),
-            region=self.region,
-            comm_radius=comm_radius,
-            max_tx_distance=max_tx_distance,
-            source=self.source,
-            sink=self.sink,
-        )
 
     def with_endpoints(self, source: NodeId, sink: NodeId) -> Topology:
         return Topology(

@@ -119,6 +119,15 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["summarize", "--in", str(empty)]) == 1
 
 
+def test_non_integer_worker_count_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DMRFSIM_WORKERS", "2.5")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", tiny_config, "--preset", "fig6",
+                 "--out", str(out)]) == 1
+    assert "DMRFSIM_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failures_exit_two(tiny_config, capsys):
     code = main(["run", "--config", tiny_config, "--out",
                  "/nonexistent-dir/run.csv"])

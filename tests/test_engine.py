@@ -1,9 +1,16 @@
 """Unit tests for the event engine: radio model, fault/congestion staging,
 packet accounting, and determinism."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dmrfsim
 
 from dmrfsim.config import (
     DMRF,
@@ -264,3 +271,68 @@ def test_probe_control_counting_is_switchable():
         topo, DMRF, small_cfg(count_probes_as_control=False), seed=7
     )
     assert without.metrics.control_packets < with_probes.metrics.control_packets
+
+
+# ----------------------------------------------------------------------
+# invariants are real checks, not asserts: they hold under python -O
+
+_SRC = str(Path(dmrfsim.__file__).resolve().parent.parent)
+
+_ILLEGAL_TRANSITION = """
+from dmrfsim.model import InvariantError, NodeState
+from dmrfsim.protocol import DmrfProtocol
+from dmrfsim.topology import Topology
+
+assert False, "asserts are still on"
+topo = Topology(nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (2.0, 0.0))],
+                region=(2.0, 1.0), comm_radius=1.5, max_tx_distance=30.0,
+                source=0, sink=2)
+proto = DmrfProtocol(topo, mu=1.28)
+table = proto.build_tables()[0]
+table.state = NodeState.FAULTY  # crashed nodes never recover
+try:
+    proto.detect_void(table, now=1.0)
+except InvariantError as exc:
+    print(exc)
+"""
+
+_LOST_PACKET = """
+import sys
+from dmrfsim import engine
+from dmrfsim.cli import main
+
+finalize = engine.Simulation._finalize
+
+def lossy(self, packet, outcome, now):
+    finalize(self, packet, outcome, now)
+    if packet.id == 0:
+        self.metrics.delivered -= 1  # the packet vanishes from the books
+
+engine.Simulation._finalize = lossy
+sys.exit(main(["run", "--config", sys.argv[1]]))
+"""
+
+
+def run_optimized(script, *args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC if not path else _SRC + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_illegal_transition_raises_under_optimization():
+    proc = run_optimized(_ILLEGAL_TRANSITION)
+    assert proc.returncode == 0, proc.stderr
+    assert "illegal transition NodeState.FAULTY -> NodeState.NORMAL" in proc.stdout
+
+
+def test_conservation_violation_exits_two_under_optimization(tmp_path):
+    config = tmp_path / "line.json"
+    config.write_text(json.dumps(
+        {"node_count": 3, "region": [2.0, 1.0], "packet_count": 5}
+    ))
+    proc = run_optimized(_LOST_PACKET, str(config))
+    assert proc.returncode == 2, proc.stderr
+    assert "packet conservation violated: 4 terminal vs 5 injected" in proc.stderr

@@ -23,6 +23,7 @@ from dmrfsim.sweeps import (
     read_csv,
     rows_to_csv_text,
     run_sweep,
+    worker_count,
     summarize,
     write_csv,
 )
@@ -114,6 +115,27 @@ def test_run_sweep_row_grid():
 def test_run_sweep_parallel_matches_sequential():
     spec = tiny_spec(repetitions=1)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+
+
+def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(64, 100) == 4
+    assert worker_count(8, 3) == 3
+    assert worker_count(2, 100) == 2
+    assert worker_count(0, 100) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
+
+
+def test_worker_count_reads_the_environment(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.delenv("DMRFSIM_WORKERS", raising=False)
+    assert worker_count(None, 100) == 1
+    monkeypatch.setenv("DMRFSIM_WORKERS", "1000")
+    assert worker_count(None, 100) == 4
+    monkeypatch.setenv("DMRFSIM_WORKERS", "two")
+    with pytest.raises(ConfigError, match="DMRFSIM_WORKERS"):
+        worker_count(None, 100)
 
 
 def test_csv_round_trip_restores_types():

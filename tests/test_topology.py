@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrfsim.topology import (
     RANDOM,
@@ -172,3 +174,77 @@ def test_select_k_prefers_lowest_delay():
     assert chosen.paths[chosen.chosen_k[0]] == [0, 1, 3]
     with pytest.raises(ValueError):
         select_k(ps, 0)
+
+
+# ----------------------------------------------------------------------
+# the cell index behind neighbors() against a brute-force scan
+
+
+def brute_within(topo, node, radius):
+    return [o for o in topo.ids() if o != node and topo.distance(node, o) <= radius]
+
+
+def assert_index_matches_scan(topo):
+    for node in topo.ids():
+        assert topo.neighbors(node) == brute_within(topo, node, topo.comm_radius)
+        assert topo.within(node, topo.max_tx_distance) == brute_within(
+            topo, node, topo.max_tx_distance
+        )
+
+
+_oracle = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_oracle
+@given(
+    count=st.integers(2, 120),
+    width=st.floats(0.5, 40.0),
+    height=st.floats(0.5, 40.0),
+    comm_radius=st.floats(0.05, 6.0),
+    reach=st.floats(1.0, 8.0),
+    seed=st.integers(0, 2**32),
+)
+def test_index_matches_scan_on_random_deployments(
+    count, width, height, comm_radius, reach, seed
+):
+    topo = deploy(count, (width, height), RANDOM, seed, comm_radius, comm_radius * reach)
+    assert_index_matches_scan(topo)
+
+
+@_oracle
+@given(
+    count=st.integers(2, 120),
+    width=st.floats(0.5, 40.0),
+    height=st.floats(0.5, 40.0),
+    cells_per_radius=st.sampled_from([1, 2, 3]),
+    reach=st.integers(1, 6),
+)
+def test_index_matches_scan_on_grids_spaced_at_the_radius(
+    count, width, height, cells_per_radius, reach
+):
+    # comm_radius is a whole number of lattice spacings, so every node sits
+    # on a cell edge and many pairs lie at exactly the radius
+    spacing = width / (math.ceil(math.sqrt(count)) - 1)  # as deploy() lays it out
+    comm_radius = spacing * cells_per_radius
+    topo = deploy(count, (width, height), UNIFORM_GRID, 1, comm_radius, comm_radius * reach)
+    assert_index_matches_scan(topo)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.3, 1.0 / 3.0, 1.5, 20.0 / 19.0, 7.5])
+def test_index_matches_scan_one_ulp_around_cell_edges(radius):
+    coords = []
+    for k in range(-3, 4):
+        edge = k * radius
+        coords += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    nodes = [
+        (i, (x, y)) for i, (x, y) in enumerate((x, y) for x in coords for y in coords[::4])
+    ]
+    topo = Topology(
+        nodes=nodes,
+        region=(1.0, 1.0),
+        comm_radius=radius,
+        max_tx_distance=2 * radius,
+        source=0,
+        sink=len(nodes) - 1,
+    )
+    assert_index_matches_scan(topo)

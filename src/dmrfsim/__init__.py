@@ -34,7 +34,6 @@ from .model import (
     NodeId,
     NodeState,
     Packet,
-    PacketMode,
     RateClass,
     legal_transition,
     make_packet,

@@ -19,15 +19,16 @@ from heapq import heappop, heappush
 from . import baselines
 from .config import CONTROL_FRAME_BITS, DMRF, ScenarioConfig
 from .model import (
+    CandidateEntry,
     FeedbackKind,
     FeedbackMessage,
     InvariantError,
     NodeId,
     NodeState,
     Packet,
-    PacketMode,
     RateClass,
     make_packet,
+    running_sum,
 )
 from .protocol import (
     Decision,
@@ -101,14 +102,30 @@ def radio_from_config(cfg: ScenarioConfig) -> RadioModel:
     )
 
 
+#: the Kinderman-Monahan acceptance constant, computed as `random` computes it
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+
+
 def sample_delay(radio: RadioModel, rng: random.Random) -> float:
     """One transmission delay; resamples the far-left normal tail so the
-    delay can never be non-positive or absurdly small."""
-    floor = radio.mu / 10.0
+    delay can never be non-positive or absurdly small.
+
+    The normal draw is `random.Random.normalvariate`'s Kinderman-Monahan loop
+    written out: the same `rng.random()` calls and float operations, so the
+    stream and every value match it bit for bit. `Simulation._on_probe_round`
+    inlines this same loop for its per-link draws.
+    """
+    mu, sigma = radio.mu, radio.sigma
+    floor = mu / 10.0
+    draw, log = rng.random, math.log
     while True:
-        value = rng.normalvariate(radio.mu, radio.sigma)
-        if value >= floor:
-            return value
+        u1 = draw()
+        u2 = 1.0 - draw()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -log(u2):
+            value = mu + z * sigma
+            if value >= floor:
+                return value
 
 
 def energy_cost(radio: RadioModel, distance: float, bits: float) -> float:
@@ -220,8 +237,9 @@ class _NodeRuntime:
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
         self.static_candidates: list[tuple[NodeId, float]] = []
-        # (candidate, its runtime, joules per control frame), for probing
-        self.probe_links: list[tuple[NodeId, _NodeRuntime, float]] = []
+        # (FCS member entry, its candidate's runtime, joules per control
+        # frame), in FCS (id) order, for probing
+        self.probe_links: list[tuple[CandidateEntry, _NodeRuntime, float]] = []
         self.relay_queue: deque[Packet] = deque()
         self.app_queue: deque[Packet] = deque()
         self.buffer_used = 0.0
@@ -256,6 +274,7 @@ class Simulation:
         self._round_seq = 0  # seq of the probe round being traced
         self.now = 0.0
         self._control_j: dict[tuple[NodeId, NodeId], float] = {}
+        self._buffer_capacity = float(scenario.buffer_bytes)
 
         self.rate_mult = {
             RateClass.LOW: scenario.rate_multipliers["low"],
@@ -331,7 +350,7 @@ class Simulation:
                 node = self.nodes[nid]
                 if node.table is not None and node.table.fcs.members:
                     node.probe_links = [
-                        (e.candidate, self.nodes[e.candidate], self._control_cost(nid, e.candidate))
+                        (e, self.nodes[e.candidate], self._control_cost(nid, e.candidate))
                         for e in node.table.fcs.members
                     ]
                     probers.append((nid, None))
@@ -489,14 +508,12 @@ class Simulation:
                 target = decision.next
                 is_jump = False
                 packet.rate_class = decision.rate
-                packet.mode = PacketMode.HOP_BY_HOP
                 multiplier = self.rate_mult[decision.rate]
                 if node.table is not None:
                     node.table.entries[target].tx_count += 1
             else:
                 target = decision.next
                 is_jump = True
-                packet.mode = PacketMode.JUMP
                 multiplier = 1.0
             service = stall + sample_delay(self.radio, self.rng) * multiplier
             self.metrics.energy_total_j += energy_cost(
@@ -567,7 +584,7 @@ class Simulation:
                     fbs = self.dmrf.detect_congestion(
                         receiver.table,
                         receiver.buffer_used,
-                        float(self.cfg.buffer_bytes),
+                        self._buffer_capacity,
                         receiver.arrival_ewma,
                         now,
                     )
@@ -654,83 +671,101 @@ class Simulation:
         self._charge_control(node.id, sender_id)
 
     def _trace_member(self, kind: int, node_id: NodeId) -> None:
-        if self.trace is not None:
-            self.trace.append(
-                Event(time=self.now, seq=self._round_seq, kind=EVENT_KINDS[kind], node=node_id)
-            )
+        self.trace.append(
+            Event(time=self.now, seq=self._round_seq, kind=EVENT_KINDS[kind], node=node_id)
+        )
 
     def _on_probe_round(
-        self, members: list[tuple[NodeId, tuple | None]], now: float
+        self, members: list[tuple[NodeId, list | None]], now: float
     ) -> None:
         """Every member probes, in id order, at the place in the event order
         that the first member's own PROBE event would hold.
 
+        A member's probe yields one reply record per link, in FCS (id)
+        order: entry, delay sample and the peer's state at probe time from a
+        live peer, entry, None, None from a silent one. The records are laid
+        end to end in one flat list per member: a tuple per link would be one
+        more object for the cyclic garbage collector to track while the
+        replies wait for their timeout, which made collection a large share
+        of the loop.
+
         When a timeout falls on the next probe instant, per-node events
-        would run each node's timeout just before its probe; the payload
-        then rides in the next round, which runs it there."""
+        would run each node's timeout just before its probe; the replies
+        then ride in the next round, which runs them there."""
         period_at = now + self.cfg.probe_period_ms
         timeout_at = now + self.cfg.probe_timeout_ms
         merged = timeout_at == period_at
         count = self.cfg.count_probes_as_control
-        metrics = self.metrics
-        radio, rng = self.radio, self.rng
+        metrics, nodes, trace = self.metrics, self.nodes, self.trace
+        # sample_delay's loop, inlined: same draws, same float operations
+        draw, log = self.rng.random, math.log
+        mu, sigma = self.radio.mu, self.radio.sigma
+        floor = mu / 10.0
+        normal = NodeState.NORMAL
         next_round, timeouts = [], []
-        for nid, payload in members:
-            if payload is not None:
-                self._on_probe_timeout(nid, payload, now)
-            self._trace_member(PROBE, nid)
-            node = self.nodes[nid]
+        for nid, due in members:
+            if due is not None:
+                self._on_probe_timeout(nid, due, now)
+            if trace is not None:
+                self._trace_member(PROBE, nid)
+            node = nodes[nid]
             if not node.alive:
                 continue
+            links = node.probe_links
             if count:
-                metrics.control_packets += len(node.probe_links)
-            results, samples, states = {}, {}, {}
+                metrics.control_packets += len(links)
+            replies = []
             energy = metrics.energy_total_j  # same additions, same order
-            for target, peer, joules in node.probe_links:
+            for entry, peer, joules in links:
                 energy += joules
-                results[target] = peer.alive
-                if peer.alive:
-                    samples[target] = sample_delay(radio, rng)
-                    # the reply reports the replier's own current state
-                    states[target] = (
-                        peer.table.state if peer.table is not None else NodeState.NORMAL
-                    )
+                if not peer.alive:
+                    replies += (entry, None, None)
+                    continue
+                while True:
+                    u1 = draw()
+                    u2 = 1.0 - draw()
+                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        delay = mu + z * sigma
+                        if delay >= floor:
+                            break
+                # the reply reports the replier's own current state
+                table = peer.table
+                replies += (entry, delay, table.state if table is not None else normal)
             metrics.energy_total_j = energy
-            payload = (results, samples, states)
-            next_round.append((nid, payload if merged else None))
-            timeouts.append((nid, payload))
+            if merged:
+                next_round.append((nid, replies))
+            else:
+                next_round.append((nid, None))
+                timeouts.append((nid, replies))
         if not next_round:
             return
         if not merged:
             self._schedule(timeout_at, PROBE_TIMEOUT, timeouts, None)
         self._schedule(period_at, PROBE, next_round, None)
 
-    def _on_timeout_round(self, timeouts: list[tuple[NodeId, tuple]], now: float) -> None:
-        for nid, payload in timeouts:
-            self._on_probe_timeout(nid, payload, now)
+    def _on_timeout_round(self, timeouts: list[tuple[NodeId, list]], now: float) -> None:
+        for nid, replies in timeouts:
+            self._on_probe_timeout(nid, replies, now)
 
-    def _on_probe_timeout(
-        self, node_id: NodeId, payload: tuple[dict, dict, dict], now: float
-    ) -> None:
-        self._trace_member(PROBE_TIMEOUT, node_id)
+    def _on_probe_timeout(self, node_id: NodeId, replies: list, now: float) -> None:
+        if self.trace is not None:
+            self._trace_member(PROBE_TIMEOUT, node_id)
         node = self.nodes[node_id]
         if not node.alive:
             return
-        results, samples, states = payload
         table = node.table
         mark = len(table.transition_log)
-        fbs = self.dmrf.detect_faulty(table, results, now, samples, states)
+        fbs = self.dmrf.detect_faulty(table, replies, now)
         if node.last_arrival is None or now - node.last_arrival >= self.cfg.probe_period_ms:
             node.arrival_ewma *= 0.5
         fbs += self.dmrf.detect_congestion(
-            table,
-            node.buffer_used,
-            float(self.cfg.buffer_bytes),
-            node.arrival_ewma,
-            now,
+            table, node.buffer_used, self._buffer_capacity, node.arrival_ewma, now
         )
-        self._record_transitions(table, mark)
-        self._send_feedbacks(node, fbs, now)
+        if len(table.transition_log) != mark:
+            self._record_transitions(table, mark)
+        if fbs:
+            self._send_feedbacks(node, fbs, now)
 
     def _on_feedback(
         self, payload: tuple[FeedbackMessage, NodeId, NodeId], now: float
@@ -823,7 +858,7 @@ class Simulation:
 
         if self._delays:
             ordered = sorted(self._delays)
-            self.metrics.mean_delay_ms = sum(ordered) / len(ordered)
+            self.metrics.mean_delay_ms = running_sum(ordered) / len(ordered)
             rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
             self.metrics.p95_delay_ms = ordered[rank]
         self.metrics.per_node_tx = dict(sorted(self._tx.items()))

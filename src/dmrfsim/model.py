@@ -7,6 +7,7 @@ engine loop.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,11 +33,6 @@ class RateClass(Enum):
     HIGH = "HIGH"
 
 
-class PacketMode(Enum):
-    HOP_BY_HOP = "HOP_BY_HOP"
-    JUMP = "JUMP"
-
-
 class FeedbackKind(Enum):
     FAULT = "FAULT"
     CONG = "CONG"
@@ -60,7 +56,6 @@ class Packet:
     deadline: float
     rate_class: RateClass = RateClass.LOW
     hop_trace: list[NodeId] = field(default_factory=list)
-    mode: PacketMode = PacketMode.HOP_BY_HOP
 
 
 @dataclass
@@ -129,8 +124,16 @@ def make_packet(
         deadline=now + lifetime,
         rate_class=RateClass.LOW,
         hop_trace=[source],
-        mode=PacketMode.HOP_BY_HOP,
     )
+
+
+def running_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum. The built-in `sum` compensates rounding
+    from Python 3.12 on, which would tie results to the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def remaining_time(packet: Packet, now: float) -> float:

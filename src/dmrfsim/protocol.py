@@ -26,6 +26,7 @@ from .model import (
     RateClass,
     legal_transition,
     remaining_time,
+    running_sum,
 )
 from .topology import FCS, Topology, UNREACHABLE, build_fcs, shortest_delay_map
 
@@ -172,7 +173,7 @@ def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
 def jump_probabilities(entries: list[CandidateEntry]) -> list[CandidateEntry]:
     """Normalize success ratios into jump probabilities; uniform when no
     candidate has any recorded success mass."""
-    total = sum(e.suc for e in entries)
+    total = running_sum(e.suc for e in entries)
     if total <= 0.0:
         uniform = 1.0 / len(entries)
         for e in entries:
@@ -305,34 +306,33 @@ class DmrfProtocol:
     def detect_faulty(
         self,
         table: RoutingTable,
-        probe_results: dict[NodeId, bool],
+        replies: list,
         now: float,
-        delay_samples: dict[NodeId, float] | None = None,
-        state_reports: dict[NodeId, NodeState] | None = None,
     ) -> list[FeedbackMessage]:
         """Account one probe round: silent candidates lose confidence and
         eventually get cached FAULTY; responders reset to full trust and
         refresh their delay estimate.
 
-        A probe reply carries the replier's own state, so the cached state
-        of a responder is whatever it reported rather than a guess.
+        `replies` holds one record per probed candidate, laid end to end:
+        its CandidateEntry, the delay sample and the reported state. A delay
+        of None means the candidate stayed silent. A probe reply carries the
+        replier's own state, so the cached state of a responder is whatever
+        it reported rather than a guess; a state of None means no report.
         """
-        for cand in sorted(probe_results):
-            entry = table.entries.get(cand)
-            if entry is None:
-                continue
-            if probe_results[cand]:
-                entry.confidence.reset()
-                if state_reports and cand in state_reports:
-                    _cache_state(table, entry, state_reports[cand])
-                elif entry.cached_state is NodeState.FAULTY:
-                    _cache_state(table, entry, NodeState.NORMAL)
-                if delay_samples and cand in delay_samples:
-                    entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay_samples[cand]
-            else:
+        records = iter(replies)
+        for entry, delay, state in zip(records, records, records):
+            if delay is None:
                 entry.confidence.penalize(self.confidence_step)
                 if entry.confidence.faulty:
                     _cache_state(table, entry, NodeState.FAULTY)
+                continue
+            entry.confidence.reset()
+            if state is not None:
+                if entry.cached_state is not state:  # the usual reply repeats it
+                    _cache_state(table, entry, state)
+            elif entry.cached_state is NodeState.FAULTY:
+                _cache_state(table, entry, NodeState.NORMAL)
+            entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
         return self._reevaluate(table, now)
 
     def detect_congestion(

@@ -317,7 +317,8 @@ def summarize(rows: list[dict]) -> str:
             "n": len(members),
             "ratio_mean": mean(ratios),
             "ratio_std": stdev(ratios) if len(ratios) > 1 else 0.0,
-            "delay_mean": mean(delays) if delays else 0.0,
+            # a point that delivered nothing has no delay to average
+            "delay_mean": mean(delays) if delays else None,
             "control_mean": mean(controls),
             "energy_mean": mean(energies),
         }
@@ -326,7 +327,8 @@ def summarize(rows: list[dict]) -> str:
         lines.append(
             f"{parameter} {value} {protocol} {entry['n']} "
             f"{_fmt(entry['ratio_mean'])}+/-{_fmt(entry['ratio_std'])} "
-            f"{_fmt(entry['delay_mean'])} {_fmt(entry['control_mean'])} "
+            f"{'n/a' if entry['delay_mean'] is None else _fmt(entry['delay_mean'])} "
+            f"{_fmt(entry['control_mean'])} "
             f"{_fmt(entry['energy_mean'])}"
         )
 

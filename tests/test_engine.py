@@ -25,6 +25,7 @@ from dmrfsim.engine import (
     EVENT_KINDS,
     EXPIRED,
     RadioModel,
+    Simulation,
     energy_cost,
     inject_faults,
     preload_buffers,
@@ -90,6 +91,55 @@ def test_sample_delay_is_seed_deterministic():
     a = [sample_delay(radio, random.Random(3)) for _ in range(5)]
     b = [sample_delay(radio, random.Random(3)) for _ in range(5)]
     assert a == b
+
+
+def _normalvariate_delay(radio, rng, below_floor):
+    """The delay as drawn through the stdlib: normalvariate, resampled
+    while under the mu / 10 floor."""
+    while True:
+        value = rng.normalvariate(radio.mu, radio.sigma)
+        if value >= radio.mu / 10.0:
+            return value
+        below_floor.append(value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("sigma_factor", [0.15, 1.0])
+def test_sample_delay_matches_normalvariate_bit_for_bit(seed, sigma_factor):
+    radio = radio_from_config(ScenarioConfig(sigma_factor=sigma_factor))
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    below_floor = []
+    for _ in range(10_000):
+        assert sample_delay(radio, ours) == _normalvariate_delay(radio, stdlib, below_floor)
+    assert ours.getstate() == stdlib.getstate()
+    if sigma_factor == 1.0:
+        # sigma = mu puts about a fifth of raw draws under the floor
+        assert len(below_floor) > 1000
+
+
+def test_probe_round_draws_match_normalvariate():
+    """The probe round writes the draw out inline; its samples must be the
+    stdlib's, floor resample included, drawn in prober id and FCS order."""
+    cfg = validate(ScenarioConfig(
+        node_count=25, comm_radius=7.5, sigma_factor=1.0, packet_count=1, horizon_ms=3.0))
+    topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+    sim = Simulation(topo, DMRF, cfg, seed=5)
+    radio = radio_from_config(cfg)
+    stdlib = random.Random()
+    stdlib.setstate(sim.rng.getstate())
+    below_floor = []
+    samples = {}
+    for nid in sorted(sim.nodes):
+        table = sim.nodes[nid].table
+        for entry in table.fcs.members if table is not None else ():
+            samples[nid, entry.candidate] = _normalvariate_delay(radio, stdlib, below_floor)
+    # the round at t = 0 draws before anything else; its 2 ms timeout is the
+    # only one before the 3 ms horizon
+    sim.run()
+    assert below_floor
+    for (nid, candidate), sample in samples.items():
+        entry = sim.nodes[nid].table.entries[candidate]
+        assert entry.delay_est == 0.7 * radio.mu + 0.3 * sample
 
 
 def test_energy_cost_first_order_model():

@@ -6,7 +6,6 @@ from dmrfsim.model import (
     Confidence,
     NodeState,
     RateClass,
-    PacketMode,
     legal_transition,
     make_packet,
     remaining_time,
@@ -22,7 +21,6 @@ def test_make_packet_sets_absolute_deadline_and_trace():
     assert p.created_at == 10.0
     assert p.hop_trace == [3]
     assert p.rate_class is RateClass.LOW
-    assert p.mode is PacketMode.HOP_BY_HOP
 
 
 @pytest.mark.parametrize("lifetime", [0.0, -1.0, -100.0])

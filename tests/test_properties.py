@@ -1,0 +1,121 @@
+"""Property tests: engine invariants over random valid small scenarios.
+
+Every protocol, faults, voids, standing buffer fill, and probe timeouts both
+on and off the probe instants. Each run is checked for packet conservation,
+no late delivery, buffer occupancy within [0, buffer_bytes] and equal to
+the preload plus the queued relay packets between every pair of events,
+legal and chained state transitions, and a trace whose time never goes back.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmrfsim.config import PROTOCOLS, from_dict
+from dmrfsim.engine import DELIVERED, Simulation, preload_buffers
+from dmrfsim.model import NodeState, legal_transition
+from dmrfsim.topology import DISTRIBUTIONS, deploy
+
+
+class CheckedSimulation(Simulation):
+    """A traced run that checks buffers and transitions before each event;
+    `check` is called once more after the run."""
+
+    def __init__(self, topo, protocol, cfg, seed) -> None:
+        super().__init__(topo, protocol, cfg, seed, collect_trace=True)
+        self.preload = preload_buffers(topo, cfg.buffer_fill, cfg.buffer_bytes)
+        self.checked = 0
+        self.last_state: dict[int, NodeState] = {}
+        self.events = 0
+
+    def _trace_event(self, time, seq, kind, a) -> None:
+        self.events += 1
+        self.check()
+        for node in self.nodes.values():
+            # the standing preload plus every queued relay packet, including
+            # one in flight; the horizon cut after the loop leaves this be
+            queued = sum(p.size_bits / 8 for p in node.relay_queue)
+            expected = self.preload.get(node.id, 0.0) + queued
+            assert math.isclose(node.buffer_used, expected, abs_tol=1e-9), node.id
+        super()._trace_event(time, seq, kind, a)
+
+    def check(self) -> None:
+        capacity = self.cfg.buffer_bytes
+        for node in self.nodes.values():
+            assert 0.0 <= node.buffer_used <= capacity, (node.id, node.buffer_used)
+        # a node's candidate states do not change later in the event that
+        # moved it, so the states seen now are the ones the move was made on
+        for _t, nid, old, new in self.transitions[self.checked:]:
+            assert old is self.last_state.get(nid, NodeState.NORMAL)
+            table = self.nodes[nid].table
+            states = [e.cached_state for e in table.fcs.members] if table else []
+            assert legal_transition(old, new, states), (nid, old, new, states)
+            self.last_state[nid] = new
+        self.checked = len(self.transitions)
+
+
+def _value(draw, low: float, high: float) -> float:
+    return draw(st.floats(low, high, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def scenarios(draw):
+    count = draw(st.integers(2, 30))
+    side = _value(draw, 1.0, 12.0)
+    spacing = side / (math.ceil(math.sqrt(count)) - 1)
+    period = draw(st.sampled_from([1.0, 2.0, 5.0, 10.0]))
+    if draw(st.booleans()):
+        timeout = period  # every timeout lands on the next probe instant
+    else:
+        timeout = draw(st.sampled_from([t for t in (0.5, 2.0, 3.0, 15.0, 20.0) if t != period]))
+    raw = {
+        "preset": "table2",
+        "node_count": count,
+        "region": [side, side],
+        "distribution": draw(st.sampled_from(DISTRIBUTIONS)),
+        "comm_radius": spacing * _value(draw, 0.9, 3.0),
+        "packet_count": draw(st.integers(1, 15)),
+        "packet_lifetime_ms": _value(draw, 2.0, 150.0),
+        "injection_period_ms": _value(draw, 0.5, 10.0),
+        "buffer_bytes": draw(st.sampled_from([32, 64, 100, 200])),
+        "fault_ratio": _value(draw, 0.0, 0.6),
+        "buffer_fill": _value(draw, 0.0, 1.0),
+        "void_radius": draw(st.one_of(st.just(0.0), st.floats(0.1, side / 2))),
+        "void_center": [_value(draw, 0.0, side), _value(draw, 0.0, side)],
+        "probe_period_ms": period,
+        "probe_timeout_ms": timeout,
+        "sigma_factor": _value(draw, 0.0, 1.0),
+        "count_probes_as_control": draw(st.booleans()),
+    }
+    return from_dict(raw), draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=scenarios())
+def test_engine_invariants_hold_over_small_scenarios(case):
+    cfg, seed = case
+    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, rng_seed=seed,
+                  comm_radius=cfg.comm_radius, max_tx_distance=cfg.max_tx_distance)
+    for protocol in PROTOCOLS:
+        check_run(CheckedSimulation(topo, protocol, cfg, seed), cfg)
+
+
+def check_run(sim: CheckedSimulation, cfg) -> None:
+    result = sim.run()
+    sim.check()
+
+    m = result.metrics
+    assert m.injected == cfg.packet_count
+    assert len(result.packets) == m.injected
+    assert m.delivered + m.expired + m.dropped_no_route + m.buffer_drops == m.injected
+    for outcome in result.packets:
+        if outcome.outcome == DELIVERED:
+            assert outcome.finished_at <= outcome.created_at + cfg.packet_lifetime_ms
+
+    times = [event.time for event in result.trace]
+    assert times == sorted(times)
+    # the per-event checks ran once per event (a probe round's lines share a seq)
+    assert sim.events == len({event.seq for event in result.trace})

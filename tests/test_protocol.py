@@ -220,8 +220,13 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
 
 
 def probe_all(proto, table, replies, now=0.0, states=None):
-    results = {e.candidate: (e.candidate in replies) for e in table.fcs.members}
-    return proto.detect_faulty(table, results, now, state_reports=states)
+    records = []
+    for e in table.fcs.members:
+        if e.candidate in replies:
+            records += (e, e.delay_est, (states or {}).get(e.candidate))
+        else:
+            records += (e, None, None)
+    return proto.detect_faulty(table, records, now)
 
 
 def test_three_missed_probes_mark_faulty():
@@ -259,7 +264,7 @@ def test_probe_reply_state_report_overrides_cache():
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty(table, {1: True}, 0.0, delay_samples={1: 2.0})
+    proto.detect_faulty(table, [table.entries[1], 2.0, None], 0.0)
     assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 

@@ -223,6 +223,19 @@ def test_summarize_aggregates_and_flags_ordering():
     assert "PASS: DMRF delivery >= GREEDY_MIN_DELAY at every fault_ratio" in text
 
 
+def test_summarize_prints_na_delay_for_a_point_that_delivered_nothing():
+    rows = [
+        result_row("void_radius", 5.0, BYPASS, 0, delay=0.0),
+        result_row("void_radius", 5.0, BYPASS, 0, delay=0.0),
+        result_row("void_radius", 5.0, DMRF, 90, delay=12.5),
+        result_row("void_radius", 5.0, DMRF, 0, delay=0.0),
+    ]
+    lines = summarize(rows).splitlines()
+    assert lines[1] == "void_radius 5.0 BYPASS 2 0+/-0 n/a 1000 0.5"
+    # runs that delivered nothing are left out of the mean, not averaged as 0
+    assert lines[2] == "void_radius 5.0 DMRF 2 0.45+/-0.636396 12.5 1000 0.5"
+
+
 def test_summarize_flags_failures():
     rows = [
         result_row("fault_ratio", 0.0, DMRF, 70),

@@ -71,7 +71,6 @@ from .topology import (
     carve_void,
     deploy,
     disjoint_paths,
-    select_k,
     shortest_delay,
     shortest_delay_map,
 )

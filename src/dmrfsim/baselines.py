@@ -22,56 +22,57 @@ BYPASS = "BYPASS"
 BASELINES = (GREEDY_MIN_DELAY, GREEDY_MAX_RATE, BYPASS)
 
 
-def _progress(topo: Topology, node: NodeId, candidate: NodeId) -> float:
-    return topo.distance(node, topo.sink) - topo.distance(candidate, topo.sink)
+def rank_candidates(
+    topo: Topology,
+    node: NodeId,
+    candidates: list[tuple[NodeId, float]],
+    by_rate: bool = False,
+) -> list[NodeId]:
+    """Candidate ids, best first. candidates is a list of (id, delay_estimate).
+
+    The default order is ascending (delay, -progress, id): the smallest delay
+    estimate, then the most geographic progress toward the sink, then the
+    lowest id. With by_rate it is descending (progress / delay, -id): the most
+    progress per unit of delay, then the lowest id. A node's candidates and
+    their delays never change during a run, so each node ranks them once.
+    """
+    d_node = topo.distance(node, topo.sink)
+    scored = [
+        (c, delay, d_node - topo.distance(c, topo.sink)) for c, delay in candidates
+    ]
+    if by_rate:
+        scored.sort(key=lambda s: (s[2] / s[1], -s[0]), reverse=True)
+    else:
+        scored.sort(key=lambda s: (s[1], -s[2], s[0]))
+    return [c for c, _delay, _progress in scored]
 
 
 def greedy_min_delay(
     topo: Topology,
     node: NodeId,
-    candidates: list[tuple[NodeId, float]],
+    ranked: list[NodeId],
     packet: Packet,
     now: float,
 ) -> Decision:
-    """Forward to the candidate with the smallest delay estimate.
+    """Forward to the first of the node's ranked candidates.
 
-    Ties break toward the candidate making the most geographic progress,
-    then the lowest id. candidates is a list of (id, delay_estimate).
+    This is both greedy variants: GREEDY_MIN_DELAY ranks by delay,
+    GREEDY_MAX_RATE by progress per unit of delay (`rank_candidates`).
     """
     if remaining_time(packet, now) <= 0:
         return Drop(DropReason.EXPIRED)
-    if not candidates:
+    if not ranked:
         return Drop(DropReason.NO_ROUTE)
-    best = min(
-        candidates, key=lambda c: (c[1], -_progress(topo, node, c[0]), c[0])
-    )
-    return Forward(next=best[0], rate=RateClass.MEDIUM)
+    return Forward(next=ranked[0], rate=RateClass.MEDIUM)
 
 
-def greedy_max_rate(
-    topo: Topology,
-    node: NodeId,
-    candidates: list[tuple[NodeId, float]],
-    packet: Packet,
-    now: float,
-) -> Decision:
-    """Forward to the candidate maximizing progress per unit of estimated
-    delay; ties break toward the lowest id."""
-    if remaining_time(packet, now) <= 0:
-        return Drop(DropReason.EXPIRED)
-    if not candidates:
-        return Drop(DropReason.NO_ROUTE)
-    best = max(
-        candidates,
-        key=lambda c: (_progress(topo, node, c[0]) / c[1], -c[0]),
-    )
-    return Forward(next=best[0], rate=RateClass.MEDIUM)
+greedy_max_rate = greedy_min_delay
 
 
 def bypass_next_hop(
     topo: Topology,
     node: NodeId,
-    candidates: list[tuple[NodeId, float]],
+    ranked: list[NodeId],
     packet: Packet,
     now: float,
     live: set[NodeId],
@@ -79,17 +80,17 @@ def bypass_next_hop(
     """Greedy forwarding with perimeter routing around voids.
 
     Unlike the blind greedy variants this one knows which of its neighbors
-    are alive (perimeter routing requires local void awareness). When no
-    live candidate makes progress, it sidesteps to the live neighbor whose
-    bearing deviates least clockwise from the sink bearing, refusing nodes
-    already on the packet's trace to avoid orbiting the void forever.
+    are alive (perimeter routing requires local void awareness): it takes the
+    first live candidate in the delay ranking. When no live candidate makes
+    progress, it sidesteps to the live neighbor whose bearing deviates least
+    clockwise from the sink bearing, refusing nodes already on the packet's
+    trace to avoid orbiting the void forever.
     """
     if remaining_time(packet, now) <= 0:
         return Drop(DropReason.EXPIRED)
-    alive = [(c, d) for c, d in candidates if c in live]
-    if alive:
-        best = min(alive, key=lambda c: (c[1], -_progress(topo, node, c[0]), c[0]))
-        return Forward(next=best[0], rate=RateClass.MEDIUM)
+    for candidate in ranked:
+        if candidate in live:
+            return Forward(next=candidate, rate=RateClass.MEDIUM)
     x, y = topo.position(node)
     sx, sy = topo.position(topo.sink)
     alpha = math.atan2(sy - y, sx - x)

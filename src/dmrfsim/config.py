@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .topology import DISTRIBUTIONS, UNIFORM_GRID
@@ -117,6 +118,19 @@ _NON_NEGATIVE_FLOAT = (
     "energy_amp_j_per_bit_m2",
 )
 _UNIT_INTERVAL = ("fault_ratio", "buffer_fill")
+#: the only float fields that may be infinite, and never both at once: without
+#: a horizon a run ends when its last packet has expired, and packets that
+#: never expire are cut at the horizon
+_MAY_BE_INFINITE = ("horizon_ms", "packet_lifetime_ms")
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v: object) -> bool:
+    # an int is finite however large, and too large for math.isfinite
+    return _is_number(v) and (isinstance(v, int) or math.isfinite(v))
 
 
 def _check(cond: bool, key: str, message: str) -> None:
@@ -132,23 +146,27 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                f"expected a positive integer, got {v!r}")
     for key in _POSITIVE_FLOAT:
         v = getattr(cfg, key)
-        _check(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0,
-               key, f"expected a positive number, got {v!r}")
+        if key in _MAY_BE_INFINITE:
+            _check(_is_number(v) and v > 0, key, f"expected a positive number, got {v!r}")
+        else:
+            _check(_is_finite(v) and v > 0, key,
+                   f"expected a finite positive number, got {v!r}")
+    _check(math.isfinite(cfg.horizon_ms) or math.isfinite(cfg.packet_lifetime_ms),
+           "horizon_ms", "horizon_ms and packet_lifetime_ms cannot both be infinite")
     for key in _NON_NEGATIVE_FLOAT:
         v = getattr(cfg, key)
-        _check(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0,
-               key, f"expected a non-negative number, got {v!r}")
+        _check(_is_finite(v) and v >= 0, key,
+               f"expected a finite non-negative number, got {v!r}")
     for key in _UNIT_INTERVAL:
         v = getattr(cfg, key)
-        _check(isinstance(v, (int, float)) and not isinstance(v, bool)
-               and 0.0 <= v <= 1.0, key, f"expected a value in [0, 1], got {v!r}")
+        _check(_is_number(v) and 0.0 <= v <= 1.0, key,
+               f"expected a value in [0, 1], got {v!r}")
     _check(cfg.node_count >= 2, "node_count", "needs at least a source and a sink")
     for key in ("region", "void_center"):
         v = getattr(cfg, key)
         _check(
-            isinstance(v, (tuple, list)) and len(v) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v),
-            key, f"expected a pair of numbers, got {v!r}")
+            isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_finite, v)),
+            key, f"expected a pair of finite numbers, got {v!r}")
     _check(cfg.region[0] > 0 and cfg.region[1] > 0, "region",
            "both extents must be positive")
     _check(cfg.distribution in DISTRIBUTIONS, "distribution",
@@ -174,9 +192,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     rm = cfg.rate_multipliers
     _check(isinstance(rm, dict) and set(rm) == {"low", "medium", "high"},
            "rate_multipliers", "expected exactly the keys low, medium, high")
-    _check(all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-               for v in rm.values()),
-           "rate_multipliers", "multipliers must be positive numbers")
+    _check(all(_is_finite(v) and v > 0 for v in rm.values()),
+           "rate_multipliers", "multipliers must be finite positive numbers")
     _check(rm["low"] >= rm["medium"] >= rm["high"], "rate_multipliers",
            "expected low >= medium >= high (lower urgency sends slower)")
     _check(isinstance(cfg.count_probes_as_control, bool),

@@ -38,6 +38,7 @@ from .protocol import (
     Forward,
     Jump,
     RoutingTable,
+    Transition,
 )
 from .topology import Topology, build_fcs, carve_void
 
@@ -207,7 +208,7 @@ class PacketOutcome:
 class RunResult:
     metrics: MetricsRecord
     packets: list[PacketOutcome]
-    transitions: list[tuple[float, NodeId, NodeState, NodeState]]
+    transitions: list[Transition]
     trace: list[Event] | None = None
 
 
@@ -219,6 +220,7 @@ class _NodeRuntime:
         "is_sink",
         "table",
         "static_candidates",
+        "ranked",
         "probe_links",
         "relay_queue",
         "app_queue",
@@ -237,6 +239,8 @@ class _NodeRuntime:
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
         self.static_candidates: list[tuple[NodeId, float]] = []
+        # static_candidates in a baseline's order, ranked at the first decision
+        self.ranked: list[NodeId] | None = None
         # (FCS member entry, its candidate's runtime, joules per control
         # frame), in FCS (id) order, for probing
         self.probe_links: list[tuple[CandidateEntry, _NodeRuntime, float]] = []
@@ -269,22 +273,21 @@ class Simulation:
         self.collect_trace = collect_trace
         self.trace: list[Event] | None = [] if collect_trace else None
 
-        self._heap: list[tuple[float, int, int, object, object]] = []
+        self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
         self._round_seq = 0  # seq of the probe round being traced
         self.now = 0.0
         self._control_j: dict[tuple[NodeId, NodeId], float] = {}
         self._buffer_capacity = float(scenario.buffer_bytes)
 
-        self.rate_mult = {
-            RateClass.LOW: scenario.rate_multipliers["low"],
-            RateClass.MEDIUM: scenario.rate_multipliers["medium"],
-            RateClass.HIGH: scenario.rate_multipliers["high"],
-        }
+        # service-time multipliers, read by identity rather than hashing a
+        # RateClass per hop
+        self._low_mult = scenario.rate_multipliers["low"]
+        self._medium_mult = scenario.rate_multipliers["medium"]
+        self._high_mult = scenario.rate_multipliers["high"]
 
         self.metrics = MetricsRecord()
         self.outcomes: list[PacketOutcome] = []
-        self.transitions: list[tuple[float, NodeId, NodeState, NodeState]] = []
         self._delays: list[float] = []
         self._tx: dict[NodeId, int] = {}
         # packet id -> ("APP"|"QUEUED"|"FLIGHT"|"DONE", node id)
@@ -304,6 +307,11 @@ class Simulation:
                 confidence_threshold=scenario.confidence_threshold,
                 packet_bytes=scenario.packet_bytes,
             )
+        # every state transition of the run, in order: the protocol's own
+        # list, which _on_fault_onset appends to as well
+        self.transitions: list[Transition] = (
+            self.dmrf.transitions if self.dmrf is not None else []
+        )
 
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for nid in topo.ids():
@@ -317,8 +325,6 @@ class Simulation:
         if self.dmrf is not None:
             for nid, table in self.dmrf.build_tables().items():
                 self.nodes[nid].table = table
-                for t, old, new in table.transition_log:
-                    self.transitions.append((t, nid, old, new))
         else:
             for nid in topo.ids():
                 if nid == topo.sink:
@@ -342,7 +348,7 @@ class Simulation:
         for nid, _onset in inject_faults(fault_pool, scenario.fault_ratio, self.rng):
             dead.add(nid)
         if dead:
-            self._schedule(0.0, FAULT_ONSET, sorted(dead), None)
+            self._schedule(0.0, FAULT_ONSET, sorted(dead))
 
         if self.dmrf is not None:
             probers = []
@@ -355,17 +361,17 @@ class Simulation:
                     ]
                     probers.append((nid, None))
             if probers:
-                self._schedule(0.0, PROBE, probers, None)
+                self._schedule(0.0, PROBE, probers)
 
         for i in range(scenario.packet_count):
-            self._schedule(i * scenario.injection_period_ms, PACKET_INJECT, i, None)
+            self._schedule(i * scenario.injection_period_ms, PACKET_INJECT, i)
         self._injected_target = scenario.packet_count
 
     # ------------------------------------------------------------------
     # plumbing
 
-    def _schedule(self, time: float, kind: int, a: object, b: object) -> None:
-        heappush(self._heap, (time, self._seq, kind, a, b))
+    def _schedule(self, time: float, kind: int, a: object) -> None:
+        heappush(self._heap, (time, self._seq, kind, a))
         self._seq += 1
 
     def _trace_event(self, time: float, seq: int, kind: int, a: object) -> None:
@@ -449,37 +455,32 @@ class Simulation:
                     now + self.cfg.feedback_delay_ms,
                     FEEDBACK_DELIVERY,
                     (fb, node.id, dest),
-                    None,
                 )
                 self._charge_control(node.id, dest)
                 if fb.kind is FeedbackKind.CONG:
                     node.cong_notified.add(dest)
 
-    def _record_transitions(self, table: RoutingTable, mark: int) -> int:
-        for t, old, new in table.transition_log[mark:]:
-            self.transitions.append((t, table.owner, old, new))
-        return len(table.transition_log)
-
     # ------------------------------------------------------------------
     # decisions and service
 
     def _decide(self, node: _NodeRuntime, packet: Packet, now: float) -> Decision:
-        name = self.protocol_name
         if self.dmrf is not None:
-            mark = len(node.table.transition_log)
-            decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
-            self._record_transitions(node.table, mark)
-            return decision
+            return self.dmrf.select_next_hop(node.table, packet, now, self.rng)
+        name = self.protocol_name
+        ranked = node.ranked
+        if ranked is None:
+            ranked = node.ranked = baselines.rank_candidates(
+                self.topo,
+                node.id,
+                node.static_candidates,
+                by_rate=name == baselines.GREEDY_MAX_RATE,
+            )
         if name == baselines.GREEDY_MIN_DELAY:
-            return baselines.greedy_min_delay(
-                self.topo, node.id, node.static_candidates, packet, now
-            )
+            return baselines.greedy_min_delay(self.topo, node.id, ranked, packet, now)
         if name == baselines.GREEDY_MAX_RATE:
-            return baselines.greedy_max_rate(
-                self.topo, node.id, node.static_candidates, packet, now
-            )
+            return baselines.greedy_max_rate(self.topo, node.id, ranked, packet, now)
         return baselines.bypass_next_hop(
-            self.topo, node.id, node.static_candidates, packet, now, self._live
+            self.topo, node.id, ranked, packet, now, self._live
         )
 
     def _try_start(self, node: _NodeRuntime, now: float, stall: float = 0.0) -> None:
@@ -507,8 +508,13 @@ class Simulation:
             if isinstance(decision, Forward):
                 target = decision.next
                 is_jump = False
-                packet.rate_class = decision.rate
-                multiplier = self.rate_mult[decision.rate]
+                rate = packet.rate_class = decision.rate
+                if rate is RateClass.MEDIUM:
+                    multiplier = self._medium_mult
+                elif rate is RateClass.LOW:
+                    multiplier = self._low_mult
+                else:
+                    multiplier = self._high_mult
                 if node.table is not None:
                     node.table.entries[target].tx_count += 1
             else:
@@ -523,7 +529,7 @@ class Simulation:
             node.busy = True
             node.pending = (packet, target, is_jump)
             self._status[packet.id] = ("FLIGHT", node.id)
-            self._schedule(now + service, PACKET_ARRIVAL, node.id, None)
+            self._schedule(now + service, PACKET_ARRIVAL, node.id)
             return
 
     # ------------------------------------------------------------------
@@ -541,7 +547,7 @@ class Simulation:
         self._status[packet.id] = ("APP", self.topo.source)
         source = self.nodes[self.topo.source]
         source.app_queue.append(packet)
-        self._schedule(packet.deadline, DEADLINE_CHECK, packet, None)
+        self._schedule(packet.deadline, DEADLINE_CHECK, packet)
         self._try_start(source, now)
 
     def _pop_in_service(self, sender: _NodeRuntime, packet: Packet) -> None:
@@ -580,7 +586,6 @@ class Simulation:
                                 0.5 * receiver.arrival_ewma + 0.5 / gap
                             )
                     receiver.last_arrival = now
-                    mark = len(receiver.table.transition_log)
                     fbs = self.dmrf.detect_congestion(
                         receiver.table,
                         receiver.buffer_used,
@@ -588,8 +593,8 @@ class Simulation:
                         receiver.arrival_ewma,
                         now,
                     )
-                    self._record_transitions(receiver.table, mark)
-                    self._send_feedbacks(receiver, fbs, now)
+                    if fbs:
+                        self._send_feedbacks(receiver, fbs, now)
                 size_bytes = packet.size_bits / 8
                 accepted = (
                     receiver.buffer_used + size_bytes <= self.cfg.buffer_bytes
@@ -599,13 +604,12 @@ class Simulation:
             if receiver.alive:
                 self._notify_congestion(receiver, sender_id, now)
             if sender.table is not None:
-                mark = len(sender.table.transition_log)
                 if is_jump:
                     fbs = self.dmrf.on_jump_result(sender.table, target, False, now)
                 else:
                     fbs = self.dmrf.on_forward_result(sender.table, target, False, now)
-                self._record_transitions(sender.table, mark)
-                self._send_feedbacks(sender, fbs, now)
+                if fbs:
+                    self._send_feedbacks(sender, fbs, now)
                 # the packet stays at the head of the queue; the retry's
                 # service time absorbs the acknowledgment timeout
                 self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
@@ -617,13 +621,12 @@ class Simulation:
             return
 
         if sender.table is not None:
-            mark = len(sender.table.transition_log)
             if is_jump:
                 fbs = self.dmrf.on_jump_result(sender.table, target, True, now)
             else:
                 fbs = self.dmrf.on_forward_result(sender.table, target, True, now)
-            self._record_transitions(sender.table, mark)
-            self._send_feedbacks(sender, fbs, now)
+            if fbs:
+                self._send_feedbacks(sender, fbs, now)
 
         self._pop_in_service(sender, packet)
 
@@ -666,7 +669,7 @@ class Simulation:
             kind=FeedbackKind.CONG, origin=node.id, subject=node.id
         )
         self._schedule(
-            now + self.cfg.feedback_delay_ms, FEEDBACK_DELIVERY, (fb, node.id, sender_id), None
+            now + self.cfg.feedback_delay_ms, FEEDBACK_DELIVERY, (fb, node.id, sender_id)
         )
         self._charge_control(node.id, sender_id)
 
@@ -741,8 +744,8 @@ class Simulation:
         if not next_round:
             return
         if not merged:
-            self._schedule(timeout_at, PROBE_TIMEOUT, timeouts, None)
-        self._schedule(period_at, PROBE, next_round, None)
+            self._schedule(timeout_at, PROBE_TIMEOUT, timeouts)
+        self._schedule(period_at, PROBE, next_round)
 
     def _on_timeout_round(self, timeouts: list[tuple[NodeId, list]], now: float) -> None:
         for nid, replies in timeouts:
@@ -755,15 +758,12 @@ class Simulation:
         if not node.alive:
             return
         table = node.table
-        mark = len(table.transition_log)
         fbs = self.dmrf.detect_faulty(table, replies, now)
         if node.last_arrival is None or now - node.last_arrival >= self.cfg.probe_period_ms:
             node.arrival_ewma *= 0.5
         fbs += self.dmrf.detect_congestion(
             table, node.buffer_used, self._buffer_capacity, node.arrival_ewma, now
         )
-        if len(table.transition_log) != mark:
-            self._record_transitions(table, mark)
         if fbs:
             self._send_feedbacks(node, fbs, now)
 
@@ -776,9 +776,7 @@ class Simulation:
         if not receiver.alive or receiver.table is None:
             return
         table = receiver.table
-        mark = len(table.transition_log)
         reforward, fbs = self.dmrf.on_feedback(table, msg, sender_id, now, self.rng)
-        self._record_transitions(table, mark)
         if reforward is not None and table.upstream is not None:
             dest = table.upstream
             if self.nodes[dest].alive:
@@ -786,10 +784,10 @@ class Simulation:
                     now + self.cfg.feedback_delay_ms,
                     FEEDBACK_DELIVERY,
                     (reforward, receiver_id, dest),
-                    None,
                 )
                 self._charge_control(receiver_id, dest)
-        self._send_feedbacks(receiver, fbs, now)
+        if fbs:
+            self._send_feedbacks(receiver, fbs, now)
 
     def _on_fault_onset(self, node_ids: list[NodeId], now: float) -> None:
         for nid in node_ids:
@@ -818,15 +816,16 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        handlers = {
-            PACKET_ARRIVAL: lambda a, b, t: self._on_arrival(a, t),
-            PACKET_INJECT: lambda a, b, t: self._on_inject(a, t),
-            PROBE: lambda a, b, t: self._on_probe_round(a, t),
-            PROBE_TIMEOUT: lambda a, b, t: self._on_timeout_round(a, t),
-            FEEDBACK_DELIVERY: lambda a, b, t: self._on_feedback(a, t),
-            FAULT_ONSET: lambda a, b, t: self._on_fault_onset(a, t),
-            DEADLINE_CHECK: lambda a, b, t: self._on_deadline(a, t),
-        }
+        # indexed by event kind
+        handlers = (
+            self._on_arrival,
+            self._on_inject,
+            self._on_probe_round,
+            self._on_timeout_round,
+            self._on_feedback,
+            self._on_fault_onset,
+            self._on_deadline,
+        )
         heap = self._heap
         horizon = self.cfg.horizon_ms
         while heap:
@@ -835,13 +834,13 @@ class Simulation:
                 and self.metrics.injected == self._injected_target
             ):
                 break
-            time, seq, kind, a, b = heappop(heap)
+            time, seq, kind, a = heappop(heap)
             if time > horizon:
                 break
             self.now = time
             if self.collect_trace:
                 self._trace_event(time, seq, kind, a)
-            handlers[kind](a, b, time)
+            handlers[kind](a, time)
 
         # horizon cut: anything still alive in the network expires
         for node in self.nodes.values():

@@ -10,8 +10,9 @@ run; the engine serializes all calls.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
@@ -26,15 +27,12 @@ from .model import (
     RateClass,
     legal_transition,
     remaining_time,
-    running_sum,
 )
 from .topology import FCS, Topology, UNREACHABLE, build_fcs, shortest_delay_map
 
 #: omega is clamped into (OMEGA_FLOOR, 1] so the band ordering never inverts
 OMEGA_FLOOR = 1e-3
 
-_DEAD = (NodeState.FAULTY, NodeState.JFAULTY)
-_CONGESTED = (NodeState.CONG, NodeState.JCONG)
 #: cached states that disqualify a candidate from receiving traffic
 KNOWN_BAD = (
     NodeState.FAULTY,
@@ -46,6 +44,24 @@ KNOWN_BAD = (
 
 #: states in which a node stops hop-by-hop forwarding entirely
 JUMP_STATES = (NodeState.JFAULTY, NodeState.VOID, NodeState.JCONG)
+
+#: the feedback a node sends on entering each state
+FEEDBACK_ON_ENTRY = {
+    NodeState.JFAULTY: FeedbackKind.FAULT,
+    NodeState.VOID: FeedbackKind.VOID,
+    NodeState.JCONG: FeedbackKind.CONG,
+    NodeState.CONG: FeedbackKind.CONG,
+    NodeState.NORMAL: FeedbackKind.RECOVER,
+}
+#: the state a self-reported feedback says its subject is in
+REPORTED_STATE = {
+    FeedbackKind.FAULT: NodeState.FAULTY,
+    FeedbackKind.CONG: NodeState.CONG,
+    FeedbackKind.RECOVER: NodeState.NORMAL,
+    FeedbackKind.VOID: NodeState.VOID,
+}
+
+Transition = tuple[float, NodeId, NodeState, NodeState]
 
 
 class NoRouteError(Exception):
@@ -102,9 +118,6 @@ class RoutingTable:
     dirty: bool = True
     upstream: NodeId | None = None
     jump_ids: list[NodeId] | None = None  # materialized on first jump
-    transition_log: list[tuple[float, NodeState, NodeState]] = field(
-        default_factory=list
-    )
 
 
 def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
@@ -166,14 +179,20 @@ def classify_rate(lam: float, thresholds: Thresholds) -> RateClass:
 
 def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
     """A packet never swings LOW<->HIGH in a single hop."""
-    swing = {previous, computed} == {RateClass.LOW, RateClass.HIGH}
-    return RateClass.MEDIUM if swing else computed
+    if (previous is RateClass.LOW and computed is RateClass.HIGH) or (
+        previous is RateClass.HIGH and computed is RateClass.LOW
+    ):
+        return RateClass.MEDIUM
+    return computed
 
 
 def jump_probabilities(entries: list[CandidateEntry]) -> list[CandidateEntry]:
     """Normalize success ratios into jump probabilities; uniform when no
-    candidate has any recorded success mass."""
-    total = running_sum(e.suc for e in entries)
+    candidate has any recorded success mass. The total adds left to right,
+    as `model.running_sum` does."""
+    total = 0.0
+    for e in entries:
+        total += e.suc
     if total <= 0.0:
         uniform = 1.0 / len(entries)
         for e in entries:
@@ -213,7 +232,9 @@ class DmrfProtocol:
     """The protocol brain: pure decision logic over RoutingTables.
 
     Bound to one (full) topology per run; the engine owns event timing,
-    buffers, and feedback transport.
+    buffers, and feedback transport. Every state transition of the run's
+    tables is appended to `transitions` as (time, node, old, new) when it
+    happens.
     """
 
     def __init__(
@@ -237,6 +258,7 @@ class DmrfProtocol:
         self.confidence_step = confidence_step
         self.confidence_threshold = confidence_threshold
         self.packet_bytes = packet_bytes
+        self.transitions: list[Transition] = []
 
     # ------------------------------------------------------------------
     # setup
@@ -269,7 +291,7 @@ class DmrfProtocol:
             if not fcs.members:
                 # a node born without forward candidates is void from the start
                 table.state = NodeState.VOID
-                table.transition_log.append((0.0, NodeState.NORMAL, NodeState.VOID))
+                self.transitions.append((0.0, node, NodeState.NORMAL, NodeState.VOID))
             tables[node] = table
         return tables
 
@@ -370,12 +392,24 @@ class DmrfProtocol:
         if not table.dirty:
             return []
         table.dirty = False
-        states = [e.cached_state for e in table.fcs.members]
-        if not states or all(s is NodeState.VOID for s in states):
+        # one pass: does every member sit in VOID, in a dead state, in a
+        # congested state? Stops at the first member that rules out all three
+        void = dead = cong = True
+        for e in table.fcs.members:
+            state = e.cached_state
+            if state is not NodeState.VOID:
+                void = False
+            if state is not NodeState.FAULTY and state is not NodeState.JFAULTY:
+                dead = False
+            if state is not NodeState.CONG and state is not NodeState.JCONG:
+                cong = False
+            if not (void or dead or cong):
+                break
+        if void:  # also when the set is empty
             target = NodeState.VOID
-        elif all(s in _DEAD for s in states):
+        elif dead:
             target = NodeState.JFAULTY
-        elif all(s in _CONGESTED for s in states):
+        elif cong:
             target = NodeState.JCONG
         elif table.own_congested:
             target = NodeState.CONG
@@ -392,13 +426,7 @@ class DmrfProtocol:
             steps = [NodeState.NORMAL, NodeState.CONG]
         else:
             steps = [target]
-        kinds = {
-            NodeState.JFAULTY: FeedbackKind.FAULT,
-            NodeState.VOID: FeedbackKind.VOID,
-            NodeState.JCONG: FeedbackKind.CONG,
-            NodeState.CONG: FeedbackKind.CONG,
-            NodeState.NORMAL: FeedbackKind.RECOVER,
-        }
+        states = [e.cached_state for e in table.fcs.members]
         messages = []
         for nxt in steps:
             if nxt is table.state:
@@ -407,11 +435,11 @@ class DmrfProtocol:
                 raise InvariantError(
                     f"illegal transition {table.state} -> {nxt} at node {table.owner}"
                 )
-            table.transition_log.append((now, table.state, nxt))
+            self.transitions.append((now, table.owner, table.state, nxt))
             table.state = nxt
             messages.append(
                 FeedbackMessage(
-                    kind=kinds[nxt], origin=table.owner, subject=table.owner
+                    kind=FEEDBACK_ON_ENTRY[nxt], origin=table.owner, subject=table.owner
                 )
             )
         return messages
@@ -437,7 +465,23 @@ class DmrfProtocol:
         if not members:
             return self._jump(table, rng)
         lam = compute_lambda(remaining, table.needed_time)
-        max_fcs_delay = max(e.delay_est for e in members)
+        # one pass over the id-sorted members: the largest delay estimate,
+        # and the forward target, the least-used NORMAL member whose estimate
+        # fits the remaining time, then the slowest, then the lowest id: fast
+        # links are held in reserve for packets that will actually need them
+        max_fcs_delay = -math.inf
+        best = None
+        for e in members:
+            delay = e.delay_est
+            if delay > max_fcs_delay:
+                max_fcs_delay = delay
+            if e.cached_state is NodeState.NORMAL and delay <= remaining:
+                if (
+                    best is None
+                    or e.tx_count < best_tx
+                    or (e.tx_count == best_tx and delay > best_delay)
+                ):
+                    best, best_tx, best_delay = e, e.tx_count, delay
         thresholds = compute_thresholds(
             table.theta_jump,
             table.needed_time,
@@ -449,16 +493,8 @@ class DmrfProtocol:
         if lam <= thresholds.theta_jump:
             return self._jump(table, rng)
         rate = pin_rate_continuity(packet.rate_class, classify_rate(lam, thresholds))
-        eligible = [
-            e
-            for e in members
-            if e.cached_state is NodeState.NORMAL and e.delay_est <= remaining
-        ]
-        if not eligible:
+        if best is None:
             return self._jump(table, rng)
-        # least-used first, then the slowest feasible link: fast links are
-        # held in reserve for packets that will actually need them
-        best = min(eligible, key=lambda e: (e.tx_count, -e.delay_est, e.candidate))
         return Forward(next=best.candidate, rate=rate)
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
@@ -565,10 +601,5 @@ class DmrfProtocol:
         if entry is not None:
             # every non-jump kind is self-reported by the subject, which is
             # proof of life; latest report wins
-            _cache_state(table, entry, {
-                FeedbackKind.FAULT: NodeState.FAULTY,
-                FeedbackKind.CONG: NodeState.CONG,
-                FeedbackKind.RECOVER: NodeState.NORMAL,
-                FeedbackKind.VOID: NodeState.VOID,
-            }[msg.kind])
+            _cache_state(table, entry, REPORTED_STATE[msg.kind])
         return None, self._reevaluate(table, now)

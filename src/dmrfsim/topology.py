@@ -115,7 +115,6 @@ class PathSet:
 
     paths: list[list[NodeId]]
     delays: list[float]
-    chosen_k: list[int] = field(default_factory=list)
 
 
 def deploy(
@@ -324,19 +323,3 @@ def disjoint_paths(topo: Topology, m: int, mean_hop_delay: float = 1.28) -> Path
 
     delays = [(len(p) - 1) * mean_hop_delay for p in paths]
     return PathSet(paths=paths, delays=delays)
-
-
-def select_k(pathset: PathSet, k: int) -> PathSet:
-    """Mark the k lowest-delay paths as chosen; ties break lexicographically
-    on the node sequence. Unchosen paths stay available as alternatives."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    order = sorted(
-        range(len(pathset.paths)),
-        key=lambda i: (pathset.delays[i], pathset.paths[i]),
-    )
-    return PathSet(
-        paths=pathset.paths,
-        delays=pathset.delays,
-        chosen_k=sorted(order[: min(k, len(order))]),
-    )

@@ -1,8 +1,14 @@
 """Unit tests for the greedy reference strategies."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmrfsim.baselines import bypass_next_hop, greedy_max_rate, greedy_min_delay
+from dmrfsim.baselines import (
+    bypass_next_hop,
+    greedy_max_rate,
+    greedy_min_delay,
+    rank_candidates,
+)
 from dmrfsim.model import RateClass, make_packet
 from dmrfsim.protocol import Drop, DropReason, Forward
 from dmrfsim.topology import Topology
@@ -26,47 +32,55 @@ def fresh_packet():
 
 def test_min_delay_picks_fastest_candidate():
     topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
-    d = greedy_min_delay(topo, 0, [(1, 2.0), (2, 1.0)], fresh_packet(), 0.0)
+    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
+    d = greedy_min_delay(topo, 0, ranked, fresh_packet(), 0.0)
     assert d == Forward(next=2, rate=RateClass.MEDIUM)
 
 
 def test_min_delay_ties_break_on_progress_then_id():
     # 1 and 2 tie on delay; 2 is closer to the sink
     topo = topo_of([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (2.0, 0.0)], sink=3)
-    d = greedy_min_delay(topo, 0, [(1, 1.0), (2, 1.0)], fresh_packet(), 0.0)
+    ranked = rank_candidates(topo, 0, [(1, 1.0), (2, 1.0)])
+    d = greedy_min_delay(topo, 0, ranked, fresh_packet(), 0.0)
     assert d.next == 2
 
 
 def test_min_delay_drops_expired_and_empty():
     topo = topo_of([(0.0, 0.0), (1.0, 0.0)])
     packet = fresh_packet()
-    d = greedy_min_delay(topo, 0, [(1, 1.0)], packet, now=200.0)
+    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    d = greedy_min_delay(topo, 0, ranked, packet, now=200.0)
     assert isinstance(d, Drop) and d.reason is DropReason.EXPIRED
-    d = greedy_min_delay(topo, 0, [], packet, now=0.0)
+    d = greedy_min_delay(topo, 0, rank_candidates(topo, 0, []), packet, now=0.0)
     assert isinstance(d, Drop) and d.reason is DropReason.NO_ROUTE
 
 
 def test_max_rate_divides_progress_by_delay():
     topo = topo_of([(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (2.0, 0.0)], sink=3)
     # 1 advances 1.0 m in 2 ms (0.5 m/ms); 2 advances 0.5 m in 0.5 ms (1 m/ms)
-    d = greedy_max_rate(topo, 0, [(1, 2.0), (2, 0.5)], fresh_packet(), 0.0)
+    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 0.5)], by_rate=True)
+    d = greedy_max_rate(topo, 0, ranked, fresh_packet(), 0.0)
     assert d.next == 2
 
 
 def test_max_rate_drops_expired_and_empty():
     topo = topo_of([(0.0, 0.0), (1.0, 0.0)])
     packet = fresh_packet()
-    assert isinstance(greedy_max_rate(topo, 0, [(1, 1.0)], packet, 200.0), Drop)
-    assert isinstance(greedy_max_rate(topo, 0, [], packet, 0.0), Drop)
+    ranked = rank_candidates(topo, 0, [(1, 1.0)], by_rate=True)
+    assert isinstance(greedy_max_rate(topo, 0, ranked, packet, 200.0), Drop)
+    ranked = rank_candidates(topo, 0, [], by_rate=True)
+    assert isinstance(greedy_max_rate(topo, 0, ranked, packet, 0.0), Drop)
 
 
 def test_bypass_uses_greedy_while_candidates_live():
     topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
     live = {0, 1, 2, 3}
-    d = bypass_next_hop(topo, 0, [(1, 2.0), (2, 1.0)], fresh_packet(), 0.0, live)
+    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, live)
     assert d.next == 2
     # candidate 2 dies: greedy shifts to 1
-    d = bypass_next_hop(topo, 0, [(1, 2.0), (2, 1.0)], fresh_packet(), 0.0, {0, 1, 3})
+    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, {0, 1, 3})
     assert d.next == 1
 
 
@@ -77,7 +91,8 @@ def test_bypass_sidesteps_around_a_dead_frontier():
         [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0)], comm_radius=1.2, sink=2
     )
     live = {0, 2, 3}
-    d = bypass_next_hop(topo, 0, [(1, 1.0)], fresh_packet(), 0.0, live)
+    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, live)
     assert isinstance(d, Forward)
     assert d.next == 3
 
@@ -89,7 +104,8 @@ def test_bypass_refuses_nodes_already_on_the_trace():
     live = {0, 2, 3}
     packet = fresh_packet()
     packet.hop_trace.append(3)  # already visited the sidestep
-    d = bypass_next_hop(topo, 0, [(1, 1.0)], packet, 0.0, live)
+    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    d = bypass_next_hop(topo, 0, ranked, packet, 0.0, live)
     assert isinstance(d, Drop) and d.reason is DropReason.NO_ROUTE
 
 
@@ -102,5 +118,60 @@ def test_bypass_prefers_smallest_clockwise_deviation():
         sink=2,
     )
     live = {0, 2, 3, 4}
-    d = bypass_next_hop(topo, 0, [(1, 1.0)], fresh_packet(), 0.0, live)
+    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, live)
     assert d.next == 4
+
+
+# ----------------------------------------------------------------------
+# ranking once against choosing per call with the original keys
+
+
+def _progress(topo, node, candidate):
+    return topo.distance(node, topo.sink) - topo.distance(candidate, topo.sink)
+
+
+@st.composite
+def candidate_sets(draw):
+    count = draw(st.integers(3, 10))
+    # a coarse lattice of coordinates, so equal delays and equal progress occur
+    coord = st.integers(-4, 4).map(lambda v: v * 0.5)
+    positions = [(draw(coord), draw(coord)) for _ in range(count)]
+    # node 0 decides, the last node is the sink, any others are candidates
+    chosen = draw(st.lists(st.integers(1, count - 2), unique=True))
+    delay = st.sampled_from([0.5, 1.0, 1.28, 2.0, 3.0])
+    candidates = [(c, draw(delay)) for c in chosen]
+    live = set(draw(st.lists(st.integers(0, count - 1), unique=True)))
+    return topo_of(positions, comm_radius=10.0), candidates, live
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=candidate_sets())
+def test_ranked_choice_equals_the_per_call_keys(case):
+    topo, candidates, live = case
+    packet = fresh_packet()
+
+    def min_delay_key(c):
+        return (c[1], -_progress(topo, 0, c[0]), c[0])
+
+    def max_rate_key(c):
+        return (_progress(topo, 0, c[0]) / c[1], -c[0])
+
+    d = greedy_min_delay(topo, 0, rank_candidates(topo, 0, candidates), packet, 0.0)
+    r = greedy_max_rate(
+        topo, 0, rank_candidates(topo, 0, candidates, by_rate=True), packet, 0.0
+    )
+    b = bypass_next_hop(
+        topo, 0, rank_candidates(topo, 0, candidates), packet, 0.0, live
+    )
+    if not candidates:
+        assert d == r == Drop(DropReason.NO_ROUTE)
+    else:
+        assert d.next == min(candidates, key=min_delay_key)[0]
+        assert r.next == max(candidates, key=max_rate_key)[0]
+    alive = [c for c in candidates if c[0] in live]
+    if alive:
+        assert b == Forward(next=min(alive, key=min_delay_key)[0], rate=RateClass.MEDIUM)
+    else:
+        # nothing live makes progress: the sidestep decides, as before
+        assert b == bypass_next_hop(topo, 0, [], packet, 0.0, live)

@@ -119,6 +119,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["summarize", "--in", str(empty)]) == 1
 
 
+def test_infinite_injection_period_exits_one(tmp_path, capsys):
+    # JSON's Infinity literal: packet 0 would be injected at 0 * inf = NaN ms
+    path = tmp_path / "inf.json"
+    path.write_text('{"preset": "table2", "packet_count": 3, "injection_period_ms": Infinity}')
+    assert main(["run", "--config", str(path)]) == 1
+    assert "injection_period_ms" in capsys.readouterr().err
+
+
 def test_non_integer_worker_count_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DMRFSIM_WORKERS", "2.5")
     out = tmp_path / "sweep.csv"

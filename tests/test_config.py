@@ -59,6 +59,42 @@ def test_validation_rejects_bad_values_naming_the_key(field, value):
     assert field in str(err.value)
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("injection_period_ms", INF),
+        ("comm_radius", INF),
+        ("bandwidth_kbps", INF),
+        ("probe_period_ms", INF),
+        ("probe_timeout_ms", INF),
+        ("ack_timeout_ms", INF),
+        ("cong_horizon_ms", INF),
+        ("void_radius", INF),
+        ("sigma_factor", INF),
+        ("energy_amp_j_per_bit_m2", INF),
+        ("void_radius", float("nan")),
+        ("horizon_ms", float("nan")),
+        ("region", (INF, 20.0)),
+        ("void_center", (10.0, float("nan"))),
+        ("rate_multipliers", {"low": INF, "medium": 1.0, "high": 0.7}),
+    ],
+)
+def test_validation_rejects_non_finite_values_naming_the_key(field, value):
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**{field: value}))
+    assert str(err.value).startswith(f"{field}:")
+
+
+def test_horizon_or_lifetime_may_be_infinite_but_not_both():
+    validate(ScenarioConfig(horizon_ms=INF))
+    validate(ScenarioConfig(packet_lifetime_ms=INF))
+    with pytest.raises(ConfigError, match="horizon_ms"):
+        validate(ScenarioConfig(horizon_ms=INF, packet_lifetime_ms=INF))
+
+
 def test_validation_cross_field_rules():
     with pytest.raises(ConfigError, match="comm_radius"):
         validate(ScenarioConfig(comm_radius=50.0, max_tx_distance=30.0))

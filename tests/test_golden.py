@@ -1,12 +1,18 @@
-"""Golden-CSV regression test: the byte-exact result rows of a small scenario
-matrix, pinned in tests/golden/matrix.csv.
+"""Golden regression tests: the byte-exact result rows of a small scenario
+matrix, pinned in tests/golden/matrix.csv, and digests of what those rows
+cannot show, pinned in tests/golden/digests.txt.
 
 The matrix is every protocol on a 25-node grid (clean, 20% faults, a void of
 radius 7, 60% standing buffer fill) and on 200 random nodes, plus DMRF probe
 timings whose timeouts land on probe instants: timeout equal to the period,
 twice the period, and three times it.
 
-Regenerate the fixture only in a change that means to alter simulated output,
+The digests cover every state transition of a run, in order, and every
+packet's outcome, times and hop trace: all four protocols on the congested
+heavy-traffic geometry, DMRF and BYPASS around a void, and DMRF where nodes
+are born VOID and where candidate sets fail.
+
+Regenerate the fixtures only in a change that means to alter simulated output,
 and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -15,13 +21,15 @@ and say so in CHANGES.md:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
-from dmrfsim.config import PROTOCOLS, DMRF, ScenarioConfig, validate
+from dmrfsim.config import BYPASS, PROTOCOLS, DMRF, ScenarioConfig, validate
 from dmrfsim.sweeps import _result_row, execute_scenario, rows_to_csv_text
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "matrix.csv"
+DIGESTS = FIXTURE.parent / "digests.txt"
 
 #: 25 nodes 5 m apart over the default 20 m region; 7.5 m reaches diagonals
 GRID25 = ScenarioConfig(node_count=25, comm_radius=7.5)
@@ -71,6 +79,61 @@ CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
 ]
 
 
+#: the perfbench heavy-traffic geometry (N = 100 around a central void, a
+#: packet every 1.5 ms) at 200 packets: DMRF congests and recovers here
+HEAVY = ScenarioConfig(
+    node_count=100,
+    region=(10.0, 10.0),
+    comm_radius=1.6,
+    void_center=(5.0, 5.0),
+    void_radius=2.5,
+    packet_count=200,
+    injection_period_ms=1.5,
+)
+
+_MATRIX = {name: base for name, base, _protocols in CASES}
+DIGEST_CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
+    ("heavy200", HEAVY, PROTOCOLS),
+    ("grid25-void7", _MATRIX["grid25-void7"], (DMRF, BYPASS)),
+    # nodes born VOID, and jumps
+    ("random200", _MATRIX["random200"], (DMRF,)),
+    # JFAULTY entered and left under 30% faults
+    (
+        "table2-fault0.3-timeout10-period10",
+        _MATRIX["table2-fault0.3-timeout10-period10"],
+        (DMRF,),
+    ),
+]
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def digests_text() -> str:
+    """One line per run: transition count and digest, packet count and
+    digest. Floats enter by repr, so equal digests mean equal bits."""
+    out = []
+    for name, base, protocols in DIGEST_CASES:
+        for protocol in protocols:
+            cfg = validate(dataclasses.replace(base, protocol=protocol))
+            result = execute_scenario(cfg, cfg.seed)
+            transitions = [
+                f"{t!r} {node} {old.name} {new.name}"
+                for t, node, old, new in result.transitions
+            ]
+            packets = [
+                f"{p.packet_id} {p.outcome} {p.created_at!r} {p.finished_at!r} "
+                + ",".join(map(str, p.hop_trace))
+                for p in result.packets
+            ]
+            out.append(
+                f"{name} {protocol} transitions {len(transitions)} {_sha(transitions)}"
+                f" packets {len(packets)} {_sha(packets)}"
+            )
+    return "\n".join(out) + "\n"
+
+
 def matrix_csv() -> str:
     rows = []
     for name, base, protocols in CASES:
@@ -89,9 +152,18 @@ def test_golden_matrix_is_byte_identical():
     assert actual == expected
 
 
+def test_transitions_and_packet_outcomes_are_identical():
+    expected = DIGESTS.read_text(encoding="utf-8")
+    actual = digests_text()
+    for want, got in zip(expected.splitlines(), actual.splitlines()):
+        assert got == want
+    assert actual == expected
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(matrix_csv(), encoding="utf-8")
-    print(f"wrote {FIXTURE}")
+    DIGESTS.write_text(digests_text(), encoding="utf-8")
+    print(f"wrote {FIXTURE} and {DIGESTS}")

@@ -8,6 +8,8 @@ refactoring artifact.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrfsim.model import (
     CandidateEntry,
@@ -46,6 +48,11 @@ class FixedRng:
 
     def random(self):
         return self.values.pop(0)
+
+
+def log_of(proto, owner):
+    """(time, old, new) of every transition the protocol recorded for owner."""
+    return [(t, old, new) for t, node, old, new in proto.transitions if node == owner]
 
 
 def grid_protocol(positions, comm_radius=1.5, max_tx=30.0, sink=None, **kwargs):
@@ -198,7 +205,7 @@ def test_build_tables_marks_born_void_nodes():
     )
     tables = proto.build_tables()
     assert tables[1].state is N.VOID
-    assert tables[1].transition_log == [(0.0, N.NORMAL, N.VOID)]
+    assert log_of(proto, 1) == [(0.0, N.NORMAL, N.VOID)]
 
 
 def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
@@ -360,7 +367,7 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
     fbs = proto.detect_void(table, now=2.0)
     assert table.state is N.CONG
     assert [f.kind for f in fbs] == [FeedbackKind.RECOVER, FeedbackKind.CONG]
-    assert table.transition_log[-2:] == [
+    assert log_of(proto, table.owner)[-2:] == [
         (2.0, N.JFAULTY, N.NORMAL),
         (2.0, N.NORMAL, N.CONG),
     ]
@@ -400,6 +407,50 @@ def test_select_skips_candidates_cached_bad():
         assert isinstance(d, Forward)
         assert d.next == 2
         table.entries[2].tx_count += 1
+
+
+@st.composite
+def member_tables(draw):
+    """Node 0 with up to six forward candidates, each with a random use
+    count, delay estimate and cached state, and a packet's remaining time."""
+    count = draw(st.integers(1, 6))
+    ys = [-0.6 + 1.2 * i / max(1, count - 1) for i in range(count)]
+    positions = [(0.0, 0.0)] + [(1.0, y) for y in ys] + [(2.0, 0.0)]
+    proto, _ = grid_protocol(positions, comm_radius=1.6, sink=count + 1)
+    table = proto.build_tables()[0]
+    assert len(table.fcs.members) == count
+    states = st.sampled_from([N.NORMAL, N.NORMAL, N.NORMAL, N.CONG, N.FAULTY, N.VOID])
+    for e in table.fcs.members:
+        e.tx_count = draw(st.integers(0, 2))
+        e.delay_est = draw(st.sampled_from([0.5, 1.0, 1.28, 2.0, 4.0]))
+        e.cached_state = draw(states)
+    previous = draw(st.sampled_from(list(RateClass)))
+    return proto, table, draw(st.floats(0.1, 200.0)), previous
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=member_tables())
+def test_select_forward_target_and_rate_match_the_defining_keys(case):
+    proto, table, lifetime, previous = case
+    packet = make_packet(0, 256, now=0.0, lifetime=lifetime)
+    packet.rate_class = previous
+    d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
+    members = table.fcs.members
+    eligible = [
+        e for e in members if e.cached_state is N.NORMAL and e.delay_est <= lifetime
+    ]
+    lam = compute_lambda(lifetime, table.needed_time)
+    worst = max(e.delay_est for e in members)
+    th = compute_thresholds(
+        table.theta_jump, table.needed_time, worst, worst, MU, lifetime
+    )
+    if not eligible or lam <= th.theta_jump:
+        assert isinstance(d, Jump)
+        return
+    best = min(eligible, key=lambda e: (e.tx_count, -e.delay_est, e.candidate))
+    assert d == Forward(
+        next=best.candidate, rate=pin_rate_continuity(previous, classify_rate(lam, th))
+    )
 
 
 def test_select_jumps_when_all_candidates_are_bad():

@@ -15,7 +15,6 @@ from dmrfsim.topology import (
     carve_void,
     deploy,
     disjoint_paths,
-    select_k,
     shortest_delay,
     shortest_delay_map,
 )
@@ -159,21 +158,6 @@ def test_disjoint_paths_bottleneck_limits_count():
     topo = line_topology([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], comm_radius=1.1)
     ps = disjoint_paths(topo, 4)
     assert ps.paths == [[0, 1, 2]]
-
-
-def test_select_k_prefers_lowest_delay():
-    ps = disjoint_paths(
-        line_topology(
-            [(0.0, 0.0), (1.0, 0.7), (1.0, -0.7), (2.0, 0.0)], comm_radius=1.3
-        ),
-        4,
-    )
-    chosen = select_k(ps, 1)
-    assert len(chosen.chosen_k) == 1
-    # equal delays: the lexicographically smaller node sequence wins
-    assert chosen.paths[chosen.chosen_k[0]] == [0, 1, 3]
-    with pytest.raises(ValueError):
-        select_k(ps, 0)
 
 
 # ----------------------------------------------------------------------

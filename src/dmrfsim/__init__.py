@@ -16,7 +16,6 @@ from .engine import (
     EVENT_KINDS,
     Event,
     MetricsRecord,
-    RadioModel,
     RunResult,
     Simulation,
     energy_cost,

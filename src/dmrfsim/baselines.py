@@ -15,12 +15,6 @@ from .model import NodeId, Packet, RateClass, remaining_time
 from .protocol import Decision, Drop, DropReason, Forward
 from .topology import Topology
 
-GREEDY_MIN_DELAY = "GREEDY_MIN_DELAY"
-GREEDY_MAX_RATE = "GREEDY_MAX_RATE"
-BYPASS = "BYPASS"
-
-BASELINES = (GREEDY_MIN_DELAY, GREEDY_MAX_RATE, BYPASS)
-
 
 def rank_candidates(
     topo: Topology,

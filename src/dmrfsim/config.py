@@ -52,8 +52,6 @@ class ScenarioConfig:
     buffer_fill: float = 0.0
     void_center: tuple[float, float] = (10.0, 10.0)
     void_radius: float = 0.0
-    m_paths: int = 4
-    k_paths: int = 2
     theta_jump: float = 0.2
     theta_cong: float = 0.8
     cong_horizon_ms: float = 5.0
@@ -72,7 +70,6 @@ class ScenarioConfig:
     horizon_ms: float = 10_000.0
     count_probes_as_control: bool = True
     seed: int = 1
-    repetitions: int = 1
 
     @property
     def packet_bits(self) -> int:
@@ -94,9 +91,6 @@ _POSITIVE_INT = (
     "buffer_bytes",
     "packet_bytes",
     "packet_count",
-    "m_paths",
-    "k_paths",
-    "repetitions",
 )
 _POSITIVE_FLOAT = (
     "comm_radius",
@@ -200,7 +194,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
            "count_probes_as_control", "expected a boolean")
     _check(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool), "seed",
            f"expected an integer, got {cfg.seed!r}")
-    _check(cfg.k_paths <= cfg.m_paths, "k_paths", "must not exceed m_paths")
     return cfg
 
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from . import baselines
-from .config import CONTROL_FRAME_BITS, DMRF, ScenarioConfig
+from .config import (
+    CONTROL_FRAME_BITS,
+    DMRF,
+    GREEDY_MAX_RATE,
+    GREEDY_MIN_DELAY,
+    ScenarioConfig,
+)
 from .model import (
     CandidateEntry,
     FeedbackKind,
@@ -77,46 +83,20 @@ class Event:
     packet: int | None = None
 
 
-@dataclass
-class RadioModel:
-    """First-order radio: service time is a truncated normal around the
-    packet serialization delay, energy follows the classic distance-squared
-    amplifier model."""
-
-    bandwidth_bits_per_ms: float
-    mu: float
-    sigma: float
-    max_tx_distance: float
-    e_elec_j_per_bit: float
-    e_amp_j_per_bit_m2: float
-
-
-def radio_from_config(cfg: ScenarioConfig) -> RadioModel:
-    mu = cfg.mean_hop_delay_ms
-    return RadioModel(
-        bandwidth_bits_per_ms=cfg.bandwidth_kbps,
-        mu=mu,
-        sigma=cfg.sigma_factor * mu,
-        max_tx_distance=cfg.max_tx_distance,
-        e_elec_j_per_bit=cfg.energy_elec_j_per_bit,
-        e_amp_j_per_bit_m2=cfg.energy_amp_j_per_bit_m2,
-    )
-
-
 #: the Kinderman-Monahan acceptance constant, computed as `random` computes it
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
-def sample_delay(radio: RadioModel, rng: random.Random) -> float:
-    """One transmission delay; resamples the far-left normal tail so the
-    delay can never be non-positive or absurdly small.
+def sample_delay(mu: float, sigma: float, rng: random.Random) -> float:
+    """One transmission delay, a normal draw around the packet serialization
+    delay `mu`; resamples the far-left tail so the delay can never be
+    non-positive or absurdly small.
 
     The normal draw is `random.Random.normalvariate`'s Kinderman-Monahan loop
     written out: the same `rng.random()` calls and float operations, so the
     stream and every value match it bit for bit. `Simulation._on_probe_round`
     inlines this same loop for its per-link draws.
     """
-    mu, sigma = radio.mu, radio.sigma
     floor = mu / 10.0
     draw, log = rng.random, math.log
     while True:
@@ -129,13 +109,14 @@ def sample_delay(radio: RadioModel, rng: random.Random) -> float:
                 return value
 
 
-def energy_cost(radio: RadioModel, distance: float, bits: float) -> float:
-    """Joules to push `bits` over `distance` meters."""
-    if distance > radio.max_tx_distance:
+def energy_cost(cfg: ScenarioConfig, distance: float, bits: float) -> float:
+    """Joules to push `bits` over `distance` meters, by the first-order
+    distance-squared amplifier model."""
+    if distance > cfg.max_tx_distance:
         raise ValueError(
-            f"distance {distance} exceeds maximum range {radio.max_tx_distance}"
+            f"distance {distance} exceeds maximum range {cfg.max_tx_distance}"
         )
-    return bits * (radio.e_elec_j_per_bit + radio.e_amp_j_per_bit_m2 * distance**2)
+    return bits * (cfg.energy_elec_j_per_bit + cfg.energy_amp_j_per_bit_m2 * distance**2)
 
 
 def inject_faults(
@@ -216,7 +197,6 @@ class _NodeRuntime:
     __slots__ = (
         "id",
         "alive",
-        "is_source",
         "is_sink",
         "table",
         "static_candidates",
@@ -232,10 +212,9 @@ class _NodeRuntime:
         "cong_notified",
     )
 
-    def __init__(self, node_id: NodeId, is_source: bool, is_sink: bool) -> None:
+    def __init__(self, node_id: NodeId, is_sink: bool) -> None:
         self.id = node_id
         self.alive = True
-        self.is_source = is_source
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
         self.static_candidates: list[tuple[NodeId, float]] = []
@@ -269,8 +248,9 @@ class Simulation:
         self.protocol_name = protocol
         self.cfg = scenario
         self.rng = random.Random(seed)
-        self.radio = radio_from_config(scenario)
-        self.collect_trace = collect_trace
+        # the hop-delay distribution: mean serialization delay and spread
+        self.mu = scenario.mean_hop_delay_ms
+        self.sigma = scenario.sigma_factor * self.mu
         self.trace: list[Event] | None = [] if collect_trace else None
 
         self._heap: list[tuple[float, int, int, object]] = []
@@ -294,19 +274,7 @@ class Simulation:
         self._status: dict[int, tuple[str, NodeId]] = {}
         self._terminal = 0
 
-        self.dmrf: DmrfProtocol | None = None
-        if protocol == DMRF:
-            self.dmrf = DmrfProtocol(
-                topo,
-                mu=self.radio.mu,
-                theta_jump=scenario.theta_jump,
-                theta_cong=scenario.theta_cong,
-                cong_horizon_ms=scenario.cong_horizon_ms,
-                cong_hysteresis=scenario.cong_hysteresis,
-                confidence_step=scenario.confidence_step,
-                confidence_threshold=scenario.confidence_threshold,
-                packet_bytes=scenario.packet_bytes,
-            )
+        self.dmrf = DmrfProtocol(topo, scenario) if protocol == DMRF else None
         # every state transition of the run, in order: the protocol's own
         # list, which _on_fault_onset appends to as well
         self.transitions: list[Transition] = (
@@ -315,9 +283,7 @@ class Simulation:
 
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for nid in topo.ids():
-            self.nodes[nid] = _NodeRuntime(
-                nid, is_source=nid == topo.source, is_sink=nid == topo.sink
-            )
+            self.nodes[nid] = _NodeRuntime(nid, is_sink=nid == topo.sink)
         self._live: set[NodeId] = set(self.nodes)
 
         # routing memory is built on the full deployment; the void carved and
@@ -331,7 +297,7 @@ class Simulation:
                     continue
                 fcs = build_fcs(topo, nid)
                 self.nodes[nid].static_candidates = [
-                    (e.candidate, self.radio.mu) for e in fcs.members
+                    (e.candidate, self.mu) for e in fcs.members
                 ]
 
         preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
@@ -365,7 +331,6 @@ class Simulation:
 
         for i in range(scenario.packet_count):
             self._schedule(i * scenario.injection_period_ms, PACKET_INJECT, i)
-        self._injected_target = scenario.packet_count
 
     # ------------------------------------------------------------------
     # plumbing
@@ -423,7 +388,7 @@ class Simulation:
         joules = self._control_j.get((sender, receiver))
         if joules is None:
             joules = self._control_j[(sender, receiver)] = energy_cost(
-                self.radio, self.topo.distance(sender, receiver), CONTROL_FRAME_BITS
+                self.cfg, self.topo.distance(sender, receiver), CONTROL_FRAME_BITS
             )
         return joules
 
@@ -473,11 +438,11 @@ class Simulation:
                 self.topo,
                 node.id,
                 node.static_candidates,
-                by_rate=name == baselines.GREEDY_MAX_RATE,
+                by_rate=name == GREEDY_MAX_RATE,
             )
-        if name == baselines.GREEDY_MIN_DELAY:
+        if name == GREEDY_MIN_DELAY:
             return baselines.greedy_min_delay(self.topo, node.id, ranked, packet, now)
-        if name == baselines.GREEDY_MAX_RATE:
+        if name == GREEDY_MAX_RATE:
             return baselines.greedy_max_rate(self.topo, node.id, ranked, packet, now)
         return baselines.bypass_next_hop(
             self.topo, node.id, ranked, packet, now, self._live
@@ -521,9 +486,9 @@ class Simulation:
                 target = decision.next
                 is_jump = True
                 multiplier = 1.0
-            service = stall + sample_delay(self.radio, self.rng) * multiplier
+            service = stall + sample_delay(self.mu, self.sigma, self.rng) * multiplier
             self.metrics.energy_total_j += energy_cost(
-                self.radio, self.topo.distance(node.id, target), packet.size_bits
+                self.cfg, self.topo.distance(node.id, target), packet.size_bits
             )
             self._tx[node.id] = self._tx.get(node.id, 0) + 1
             node.busy = True
@@ -702,7 +667,7 @@ class Simulation:
         metrics, nodes, trace = self.metrics, self.nodes, self.trace
         # sample_delay's loop, inlined: same draws, same float operations
         draw, log = self.rng.random, math.log
-        mu, sigma = self.radio.mu, self.radio.sigma
+        mu, sigma = self.mu, self.sigma
         floor = mu / 10.0
         normal = NodeState.NORMAL
         next_round, timeouts = [], []
@@ -826,19 +791,16 @@ class Simulation:
             self._on_fault_onset,
             self._on_deadline,
         )
-        heap = self._heap
-        horizon = self.cfg.horizon_ms
+        heap, trace = self._heap, self.trace
+        horizon, target = self.cfg.horizon_ms, self.cfg.packet_count
         while heap:
-            if (
-                self._terminal == self._injected_target
-                and self.metrics.injected == self._injected_target
-            ):
+            if self._terminal == target and self.metrics.injected == target:
                 break
             time, seq, kind, a = heappop(heap)
             if time > horizon:
                 break
             self.now = time
-            if self.collect_trace:
+            if trace is not None:
                 self._trace_event(time, seq, kind, a)
             handlers[kind](a, time)
 

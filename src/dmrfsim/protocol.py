@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from .config import ScenarioConfig
 from .model import (
     CandidateEntry,
     Confidence,
@@ -108,7 +109,6 @@ class RoutingTable:
     owner: NodeId
     fcs: FCS
     entries: dict[NodeId, CandidateEntry]
-    theta_jump: float
     needed_time: float
     sink_in_range: bool
     state: NodeState = NodeState.NORMAL
@@ -232,32 +232,16 @@ class DmrfProtocol:
     """The protocol brain: pure decision logic over RoutingTables.
 
     Bound to one (full) topology per run; the engine owns event timing,
-    buffers, and feedback transport. Every state transition of the run's
+    buffers, and feedback transport. Every parameter is read from the run's
+    `cfg`; `mu` is its mean hop delay. Every state transition of the run's
     tables is appended to `transitions` as (time, node, old, new) when it
     happens.
     """
 
-    def __init__(
-        self,
-        topo: Topology,
-        mu: float,
-        theta_jump: float = 0.2,
-        theta_cong: float = 0.8,
-        cong_horizon_ms: float = 5.0,
-        cong_hysteresis: float = 0.1,
-        confidence_step: int = 25,
-        confidence_threshold: int = 50,
-        packet_bytes: int = 32,
-    ) -> None:
+    def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
         self.topo = topo
-        self.mu = mu
-        self.theta_jump = theta_jump
-        self.theta_cong = theta_cong
-        self.cong_horizon_ms = cong_horizon_ms
-        self.cong_hysteresis = cong_hysteresis
-        self.confidence_step = confidence_step
-        self.confidence_threshold = confidence_threshold
-        self.packet_bytes = packet_bytes
+        self.cfg = cfg
+        self.mu = cfg.mean_hop_delay_ms
         self.transitions: list[Transition] = []
 
     # ------------------------------------------------------------------
@@ -277,13 +261,12 @@ class DmrfProtocol:
             entries: dict[NodeId, CandidateEntry] = {}
             for e in fcs.members:
                 e.delay_est = self.mu
-                e.confidence = Confidence(threshold=self.confidence_threshold)
+                e.confidence = Confidence(threshold=self.cfg.confidence_threshold)
                 entries[e.candidate] = e
             table = RoutingTable(
                 owner=node,
                 fcs=fcs,
                 entries=entries,
-                theta_jump=self.theta_jump,
                 needed_time=needed[node],
                 sink_in_range=topo.distance(node, topo.sink)
                 <= topo.max_tx_distance,
@@ -316,7 +299,7 @@ class DmrfProtocol:
                 table.entries[other] = CandidateEntry(
                     candidate=other,
                     delay_est=self.mu,
-                    confidence=Confidence(threshold=self.confidence_threshold),
+                    confidence=Confidence(threshold=self.cfg.confidence_threshold),
                 )
         table.jump_ids = ids
         if ids:
@@ -344,7 +327,7 @@ class DmrfProtocol:
         records = iter(replies)
         for entry, delay, state in zip(records, records, records):
             if delay is None:
-                entry.confidence.penalize(self.confidence_step)
+                entry.confidence.penalize(self.cfg.confidence_step)
                 if entry.confidence.faulty:
                     _cache_state(table, entry, NodeState.FAULTY)
                 continue
@@ -368,13 +351,14 @@ class DmrfProtocol:
         """Predictive occupancy check with hysteresis on the way down."""
         if buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
+        cfg = self.cfg
         occupancy = buffer_used / buffer_capacity
         predicted = occupancy + (
-            arrival_rate_ewma * self.cong_horizon_ms * self.packet_bytes
+            arrival_rate_ewma * cfg.cong_horizon_ms * cfg.packet_bytes
         ) / buffer_capacity
-        if not table.own_congested and predicted >= self.theta_cong:
+        if not table.own_congested and predicted >= cfg.theta_cong:
             table.own_congested = table.dirty = True
-        elif table.own_congested and predicted < self.theta_cong - self.cong_hysteresis:
+        elif table.own_congested and predicted < cfg.theta_cong - cfg.cong_hysteresis:
             table.own_congested = False
             table.dirty = True
         return self._reevaluate(table, now)
@@ -483,7 +467,7 @@ class DmrfProtocol:
                 ):
                     best, best_tx, best_delay = e, e.tx_count, delay
         thresholds = compute_thresholds(
-            table.theta_jump,
+            self.cfg.theta_jump,
             table.needed_time,
             max_fcs_delay,
             max_fcs_delay,
@@ -524,7 +508,7 @@ class DmrfProtocol:
             if entry.cached_state is NodeState.FAULTY:
                 _cache_state(table, entry, NodeState.NORMAL)
             return []
-        entry.confidence.penalize(self.confidence_step)
+        entry.confidence.penalize(self.cfg.confidence_step)
         if entry.confidence.faulty:
             _cache_state(table, entry, NodeState.FAULTY)
         return self._reevaluate(table, now)
@@ -548,7 +532,7 @@ class DmrfProtocol:
                 _cache_state(table, entry, NodeState.NORMAL)
         else:
             entry.suc = max(0, entry.successes - 1) / entry.attempts
-            entry.confidence.penalize(self.confidence_step)
+            entry.confidence.penalize(self.cfg.confidence_step)
             if entry.confidence.faulty:
                 _cache_state(table, entry, NodeState.FAULTY)
             feedbacks.append(
@@ -579,13 +563,8 @@ class DmrfProtocol:
             entry = table.entries.get(from_node)
             if entry is not None:
                 entry.suc *= rng.random()
-                pool = (
-                    [table.entries[i] for i in table.jump_ids]
-                    if table.jump_ids is not None
-                    else [e for e in table.fcs.members]
-                )
-                if pool:
-                    jump_probabilities(pool)
+                if table.jump_ids:
+                    jump_probabilities([table.entries[i] for i in table.jump_ids])
             if msg.hop_limit > 1:
                 return (
                     FeedbackMessage(

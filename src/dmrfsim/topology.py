@@ -182,10 +182,6 @@ def build_fcs(topo: Topology, node: NodeId) -> FCS:
     for nb in topo.neighbors(node):
         if topo.distance(nb, topo.sink) < d_self:
             members.append(CandidateEntry(candidate=nb))
-    if members:
-        uniform = 1.0 / len(members)
-        for entry in members:
-            entry.jump_p = uniform
     return FCS(owner=node, members=members)
 
 

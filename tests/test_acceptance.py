@@ -233,7 +233,7 @@ def test_criterion_07_jump_probability_convergence():
         source=0,
         sink=3,
     )
-    proto = DmrfProtocol(topo, mu=1.28)
+    proto = DmrfProtocol(topo, ScenarioConfig())
     table = proto.build_tables()[0]
     proto.ensure_jump_entries(table)
     good, bad = 1, 2

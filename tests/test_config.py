@@ -1,6 +1,9 @@
 """Unit tests for the scenario schema, validation, and JSON loading."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +52,6 @@ def test_derived_timing_properties():
         ("confidence_threshold", 0),
         ("confidence_step", 101),
         ("seed", "one"),
-        ("repetitions", 0),
     ],
 )
 def test_validation_rejects_bad_values_naming_the_key(field, value):
@@ -100,8 +102,6 @@ def test_validation_cross_field_rules():
         validate(ScenarioConfig(comm_radius=50.0, max_tx_distance=30.0))
     with pytest.raises(ConfigError, match="packet_bytes"):
         validate(ScenarioConfig(packet_bytes=200, buffer_bytes=100))
-    with pytest.raises(ConfigError, match="k_paths"):
-        validate(ScenarioConfig(m_paths=2, k_paths=3))
     with pytest.raises(ConfigError, match="cong_hysteresis"):
         validate(ScenarioConfig(theta_cong=0.5, cong_hysteresis=0.6))
     with pytest.raises(ConfigError, match="rate_multipliers"):
@@ -115,6 +115,24 @@ def test_validation_cross_field_rules():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown key: packet_sizes"):
         from_dict({"packet_sizes": 32})
+
+
+@pytest.mark.parametrize("key", ["m_paths", "k_paths", "repetitions"])
+def test_from_dict_rejects_removed_keys(key):
+    # these keys changed no run and are gone from the schema
+    with pytest.raises(ConfigError, match=f"unknown key: {key}"):
+        from_dict({key: 1})
+
+
+def test_readme_config_table_names_exactly_the_schema_fields():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Scenario configuration", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert documented == {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def test_from_dict_rejects_non_object_root():

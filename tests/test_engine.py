@@ -1,4 +1,4 @@
-"""Unit tests for the event engine: radio model, fault/congestion staging,
+"""Unit tests for the event engine: hop delay and energy, fault/congestion staging,
 packet accounting, and determinism."""
 
 import json
@@ -24,12 +24,10 @@ from dmrfsim.engine import (
     DROPPED_NO_ROUTE,
     EVENT_KINDS,
     EXPIRED,
-    RadioModel,
     Simulation,
     energy_cost,
     inject_faults,
     preload_buffers,
-    radio_from_config,
     run,
     sample_delay,
 )
@@ -61,44 +59,34 @@ def small_cfg(**overrides):
 
 
 # ----------------------------------------------------------------------
-# radio model
+# hop delay and energy
 
 
-def test_radio_from_config_scales_sigma():
-    radio = radio_from_config(ScenarioConfig())
-    assert radio.mu == pytest.approx(1.28)
-    assert radio.sigma == pytest.approx(0.15 * 1.28)
-    assert radio.max_tx_distance == 30.0
+def test_simulation_scales_sigma_from_config():
+    sim = Simulation(line_topo(3), DMRF, small_cfg(), seed=1)
+    assert sim.mu == pytest.approx(1.28)
+    assert sim.sigma == pytest.approx(0.15 * sim.mu)
 
 
 def test_sample_delay_respects_floor_and_mean():
-    radio = RadioModel(
-        bandwidth_bits_per_ms=200.0,
-        mu=1.28,
-        sigma=0.192,
-        max_tx_distance=30.0,
-        e_elec_j_per_bit=50e-9,
-        e_amp_j_per_bit_m2=100e-12,
-    )
     rng = random.Random(7)
-    samples = [sample_delay(radio, rng) for _ in range(20000)]
+    samples = [sample_delay(1.28, 0.192, rng) for _ in range(20000)]
     assert min(samples) >= 1.28 / 10
     assert sum(samples) / len(samples) == pytest.approx(1.28, abs=0.01)
 
 
 def test_sample_delay_is_seed_deterministic():
-    radio = radio_from_config(ScenarioConfig())
-    a = [sample_delay(radio, random.Random(3)) for _ in range(5)]
-    b = [sample_delay(radio, random.Random(3)) for _ in range(5)]
+    a = [sample_delay(1.28, 0.192, random.Random(3)) for _ in range(5)]
+    b = [sample_delay(1.28, 0.192, random.Random(3)) for _ in range(5)]
     assert a == b
 
 
-def _normalvariate_delay(radio, rng, below_floor):
+def _normalvariate_delay(mu, sigma, rng, below_floor):
     """The delay as drawn through the stdlib: normalvariate, resampled
     while under the mu / 10 floor."""
     while True:
-        value = rng.normalvariate(radio.mu, radio.sigma)
-        if value >= radio.mu / 10.0:
+        value = rng.normalvariate(mu, sigma)
+        if value >= mu / 10.0:
             return value
         below_floor.append(value)
 
@@ -106,11 +94,13 @@ def _normalvariate_delay(radio, rng, below_floor):
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 @pytest.mark.parametrize("sigma_factor", [0.15, 1.0])
 def test_sample_delay_matches_normalvariate_bit_for_bit(seed, sigma_factor):
-    radio = radio_from_config(ScenarioConfig(sigma_factor=sigma_factor))
+    mu = 1.28
+    sigma = sigma_factor * mu
     ours, stdlib = random.Random(seed), random.Random(seed)
     below_floor = []
     for _ in range(10_000):
-        assert sample_delay(radio, ours) == _normalvariate_delay(radio, stdlib, below_floor)
+        assert sample_delay(mu, sigma, ours) == _normalvariate_delay(
+            mu, sigma, stdlib, below_floor)
     assert ours.getstate() == stdlib.getstate()
     if sigma_factor == 1.0:
         # sigma = mu puts about a fifth of raw draws under the floor
@@ -124,7 +114,6 @@ def test_probe_round_draws_match_normalvariate():
         node_count=25, comm_radius=7.5, sigma_factor=1.0, packet_count=1, horizon_ms=3.0))
     topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
     sim = Simulation(topo, DMRF, cfg, seed=5)
-    radio = radio_from_config(cfg)
     stdlib = random.Random()
     stdlib.setstate(sim.rng.getstate())
     below_floor = []
@@ -132,27 +121,27 @@ def test_probe_round_draws_match_normalvariate():
     for nid in sorted(sim.nodes):
         table = sim.nodes[nid].table
         for entry in table.fcs.members if table is not None else ():
-            samples[nid, entry.candidate] = _normalvariate_delay(radio, stdlib, below_floor)
+            samples[nid, entry.candidate] = _normalvariate_delay(
+                sim.mu, sim.sigma, stdlib, below_floor)
     # the round at t = 0 draws before anything else; its 2 ms timeout is the
     # only one before the 3 ms horizon
     sim.run()
     assert below_floor
     for (nid, candidate), sample in samples.items():
         entry = sim.nodes[nid].table.entries[candidate]
-        assert entry.delay_est == 0.7 * radio.mu + 0.3 * sample
+        assert entry.delay_est == 0.7 * sim.mu + 0.3 * sample
 
 
 def test_energy_cost_first_order_model():
-    radio = radio_from_config(ScenarioConfig())
+    cfg = ScenarioConfig()
     # 256 bits over 10 m: 256 * (50e-9 + 100e-12 * 100) J
-    assert energy_cost(radio, 10.0, 256) == pytest.approx(1.536e-5)
-    assert energy_cost(radio, 0.0, 256) == pytest.approx(256 * 50e-9)
+    assert energy_cost(cfg, 10.0, 256) == pytest.approx(1.536e-5)
+    assert energy_cost(cfg, 0.0, 256) == pytest.approx(256 * 50e-9)
 
 
 def test_energy_cost_rejects_out_of_range_links():
-    radio = radio_from_config(ScenarioConfig())
     with pytest.raises(ValueError):
-        energy_cost(radio, 31.0, 256)
+        energy_cost(ScenarioConfig(), 31.0, 256)
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +318,7 @@ def test_probe_control_counting_is_switchable():
 _SRC = str(Path(dmrfsim.__file__).resolve().parent.parent)
 
 _ILLEGAL_TRANSITION = """
+from dmrfsim.config import ScenarioConfig
 from dmrfsim.model import InvariantError, NodeState
 from dmrfsim.protocol import DmrfProtocol
 from dmrfsim.topology import Topology
@@ -337,7 +327,7 @@ assert False, "asserts are still on"
 topo = Topology(nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (2.0, 0.0))],
                 region=(2.0, 1.0), comm_radius=1.5, max_tx_distance=30.0,
                 source=0, sink=2)
-proto = DmrfProtocol(topo, mu=1.28)
+proto = DmrfProtocol(topo, ScenarioConfig())
 table = proto.build_tables()[0]
 table.state = NodeState.FAULTY  # crashed nodes never recover
 try:

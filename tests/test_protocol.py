@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmrfsim.config import ScenarioConfig
 from dmrfsim.model import (
     CandidateEntry,
     FeedbackKind,
@@ -68,7 +69,7 @@ def grid_protocol(positions, comm_radius=1.5, max_tx=30.0, sink=None, **kwargs):
         source=0,
         sink=len(positions) - 1 if sink is None else sink,
     )
-    return DmrfProtocol(topo, mu=MU, **kwargs), topo
+    return DmrfProtocol(topo, ScenarioConfig(**kwargs)), topo
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +443,7 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
     lam = compute_lambda(lifetime, table.needed_time)
     worst = max(e.delay_est for e in members)
     th = compute_thresholds(
-        table.theta_jump, table.needed_time, worst, worst, MU, lifetime
+        proto.cfg.theta_jump, table.needed_time, worst, worst, MU, lifetime
     )
     if not eligible or lam <= th.theta_jump:
         assert isinstance(d, Jump)

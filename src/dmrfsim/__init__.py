@@ -26,7 +26,6 @@ from .engine import (
 )
 from .model import (
     CandidateEntry,
-    Confidence,
     FeedbackKind,
     FeedbackMessage,
     InvariantError,
@@ -62,7 +61,6 @@ from .sweeps import (
     summarize,
 )
 from .topology import (
-    FCS,
     PathSet,
     Topology,
     UNREACHABLE,

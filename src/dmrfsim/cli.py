@@ -73,8 +73,7 @@ def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
-    result = execute_scenario(cfg, cfg.seed)
-    rows = [_result_row("", "", cfg.protocol, 0, cfg.seed, result)]
+    rows = [_result_row("", "", 0, cfg, execute_scenario(cfg))]
     if args.out is None:
         write_csv(rows, sys.stdout)
     else:
@@ -107,7 +106,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
-    result = execute_scenario(cfg, cfg.seed, collect_trace=True)
+    result = execute_scenario(cfg, collect_trace=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         for event in result.trace:
             fh.write(

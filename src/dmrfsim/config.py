@@ -68,7 +68,6 @@ class ScenarioConfig:
     energy_amp_j_per_bit_m2: float = 100e-12
     sigma_factor: float = 0.15
     horizon_ms: float = 10_000.0
-    count_probes_as_control: bool = True
     seed: int = 1
 
     @property
@@ -190,8 +189,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
            "rate_multipliers", "multipliers must be finite positive numbers")
     _check(rm["low"] >= rm["medium"] >= rm["high"], "rate_multipliers",
            "expected low >= medium >= high (lower urgency sends slower)")
-    _check(isinstance(cfg.count_probes_as_control, bool),
-           "count_probes_as_control", "expected a boolean")
     _check(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool), "seed",
            f"expected an integer, got {cfg.seed!r}")
     return cfg

@@ -237,17 +237,11 @@ class Simulation:
     """One seeded run of one protocol over one topology."""
 
     def __init__(
-        self,
-        topo: Topology,
-        protocol: str,
-        scenario: ScenarioConfig,
-        seed: int,
-        collect_trace: bool = False,
+        self, topo: Topology, scenario: ScenarioConfig, collect_trace: bool = False
     ) -> None:
         self.topo = topo
-        self.protocol_name = protocol
         self.cfg = scenario
-        self.rng = random.Random(seed)
+        self.rng = random.Random(scenario.seed)
         # the hop-delay distribution: mean serialization delay and spread
         self.mu = scenario.mean_hop_delay_ms
         self.sigma = scenario.sigma_factor * self.mu
@@ -274,7 +268,7 @@ class Simulation:
         self._status: dict[int, tuple[str, NodeId]] = {}
         self._terminal = 0
 
-        self.dmrf = DmrfProtocol(topo, scenario) if protocol == DMRF else None
+        self.dmrf = DmrfProtocol(topo, scenario) if scenario.protocol == DMRF else None
         # every state transition of the run, in order: the protocol's own
         # list, which _on_fault_onset appends to as well
         self.transitions: list[Transition] = (
@@ -295,9 +289,8 @@ class Simulation:
             for nid in topo.ids():
                 if nid == topo.sink:
                     continue
-                fcs = build_fcs(topo, nid)
                 self.nodes[nid].static_candidates = [
-                    (e.candidate, self.mu) for e in fcs.members
+                    (c, self.mu) for c in build_fcs(topo, nid)
                 ]
 
         preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
@@ -320,10 +313,10 @@ class Simulation:
             probers = []
             for nid in topo.ids():
                 node = self.nodes[nid]
-                if node.table is not None and node.table.fcs.members:
+                if node.table is not None and node.table.members:
                     node.probe_links = [
                         (e, self.nodes[e.candidate], self._control_cost(nid, e.candidate))
-                        for e in node.table.fcs.members
+                        for e in node.table.members
                     ]
                     probers.append((nid, None))
             if probers:
@@ -431,7 +424,7 @@ class Simulation:
     def _decide(self, node: _NodeRuntime, packet: Packet, now: float) -> Decision:
         if self.dmrf is not None:
             return self.dmrf.select_next_hop(node.table, packet, now, self.rng)
-        name = self.protocol_name
+        name = self.cfg.protocol
         ranked = node.ranked
         if ranked is None:
             ranked = node.ranked = baselines.rank_candidates(
@@ -663,7 +656,6 @@ class Simulation:
         period_at = now + self.cfg.probe_period_ms
         timeout_at = now + self.cfg.probe_timeout_ms
         merged = timeout_at == period_at
-        count = self.cfg.count_probes_as_control
         metrics, nodes, trace = self.metrics, self.nodes, self.trace
         # sample_delay's loop, inlined: same draws, same float operations
         draw, log = self.rng.random, math.log
@@ -680,8 +672,7 @@ class Simulation:
             if not node.alive:
                 continue
             links = node.probe_links
-            if count:
-                metrics.control_packets += len(links)
+            metrics.control_packets += len(links)
             replies = []
             energy = metrics.energy_total_j  # same additions, same order
             for entry, peer, joules in links:
@@ -838,11 +829,7 @@ class Simulation:
 
 
 def run(
-    topo: Topology,
-    protocol: str,
-    scenario: ScenarioConfig,
-    seed: int,
-    collect_trace: bool = False,
+    topo: Topology, scenario: ScenarioConfig, collect_trace: bool = False
 ) -> RunResult:
     """Simulate one scenario to completion and return its results."""
-    return Simulation(topo, protocol, scenario, seed, collect_trace).run()
+    return Simulation(topo, scenario, collect_trace).run()

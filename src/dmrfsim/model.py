@@ -59,29 +59,6 @@ class Packet:
 
 
 @dataclass
-class Confidence:
-    """Per-candidate reliability counter.
-
-    c only ever moves down in steps (missed probe / failed transmission)
-    until an explicit reset on any successful reply.
-    """
-
-    c: int = 100
-    threshold: int = 50
-
-    def penalize(self, step: int) -> None:
-        self.c = max(0, self.c - step)
-
-    def reset(self) -> None:
-        self.c = 100
-
-    @property
-    def faulty(self) -> bool:
-        # strict comparison: 100 -> 75 -> 50 is still trusted at f=50
-        return self.c < self.threshold
-
-
-@dataclass
 class CandidateEntry:
     """Per-candidate routing statistics kept by the owning node."""
 
@@ -93,7 +70,9 @@ class CandidateEntry:
     delay_est: float = 0.0
     cached_state: NodeState = NodeState.NORMAL
     tx_count: int = 0
-    confidence: Confidence = field(default_factory=Confidence)
+    #: trust in the candidate: drops a step per missed probe or failed
+    #: transmission, back to 100 on any reply or acknowledgment
+    confidence: int = 100
 
 
 @dataclass

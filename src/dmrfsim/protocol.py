@@ -18,7 +18,6 @@ from enum import Enum
 from .config import ScenarioConfig
 from .model import (
     CandidateEntry,
-    Confidence,
     FeedbackKind,
     FeedbackMessage,
     InvariantError,
@@ -29,7 +28,7 @@ from .model import (
     legal_transition,
     remaining_time,
 )
-from .topology import FCS, Topology, UNREACHABLE, build_fcs, shortest_delay_map
+from .topology import Topology, UNREACHABLE, build_fcs, shortest_delay_map
 
 #: omega is clamped into (OMEGA_FLOOR, 1] so the band ordering never inverts
 OMEGA_FLOOR = 1e-3
@@ -103,11 +102,13 @@ class Thresholds:
 
 @dataclass
 class RoutingTable:
-    """A node's routing memory: candidate entries, cached peer states,
-    learned jump statistics, and its own detection state."""
+    """A node's routing memory: one entry per candidate, holding its cached
+    state and learned statistics, and the node's own detection state."""
 
     owner: NodeId
-    fcs: FCS
+    #: the forwarding candidate set, in id order
+    members: list[CandidateEntry]
+    #: every entry by candidate id: the members and the jump pool
     entries: dict[NodeId, CandidateEntry]
     needed_time: float
     sink_in_range: bool
@@ -117,7 +118,8 @@ class RoutingTable:
     #: own_congested or state; cleared by _reevaluate
     dirty: bool = True
     upstream: NodeId | None = None
-    jump_ids: list[NodeId] | None = None  # materialized on first jump
+    #: the long-range candidates in id order, materialized on first jump
+    jump_pool: list[CandidateEntry] | None = None
 
 
 def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
@@ -257,21 +259,19 @@ class DmrfProtocol:
         for node in topo.ids():
             if node == topo.sink:
                 continue
-            fcs = build_fcs(topo, node)
-            entries: dict[NodeId, CandidateEntry] = {}
-            for e in fcs.members:
-                e.delay_est = self.mu
-                e.confidence = Confidence(threshold=self.cfg.confidence_threshold)
-                entries[e.candidate] = e
+            members = [
+                CandidateEntry(candidate=c, delay_est=self.mu)
+                for c in build_fcs(topo, node)
+            ]
             table = RoutingTable(
                 owner=node,
-                fcs=fcs,
-                entries=entries,
+                members=members,
+                entries={e.candidate: e for e in members},
                 needed_time=needed[node],
                 sink_in_range=topo.distance(node, topo.sink)
                 <= topo.max_tx_distance,
             )
-            if not fcs.members:
+            if not members:
                 # a node born without forward candidates is void from the start
                 table.state = NodeState.VOID
                 self.transitions.append((0.0, node, NodeState.NORMAL, NodeState.VOID))
@@ -285,25 +285,24 @@ class DmrfProtocol:
         that have since failed or been carved out; those are weeded out by
         the success statistics, never by oracle knowledge.
         """
-        if table.jump_ids is not None:
+        if table.jump_pool is not None:
             return
         topo = self.topo
         owner = table.owner
+        entries = table.entries
         d_self = topo.distance(owner, topo.sink)
-        ids = []
+        pool = []
         for other in topo.within(owner, topo.max_tx_distance):
             if topo.distance(other, topo.sink) >= d_self:
                 continue
-            ids.append(other)
-            if other not in table.entries:
-                table.entries[other] = CandidateEntry(
-                    candidate=other,
-                    delay_est=self.mu,
-                    confidence=Confidence(threshold=self.cfg.confidence_threshold),
-                )
-        table.jump_ids = ids
-        if ids:
-            jump_probabilities([table.entries[i] for i in ids])
+            entry = entries.get(other)
+            if entry is None:
+                entry = CandidateEntry(candidate=other, delay_est=self.mu)
+                entries[other] = entry
+            pool.append(entry)
+        table.jump_pool = pool
+        if pool:
+            jump_probabilities(pool)
 
     # ------------------------------------------------------------------
     # detection pipeline
@@ -327,11 +326,9 @@ class DmrfProtocol:
         records = iter(replies)
         for entry, delay, state in zip(records, records, records):
             if delay is None:
-                entry.confidence.penalize(self.cfg.confidence_step)
-                if entry.confidence.faulty:
-                    _cache_state(table, entry, NodeState.FAULTY)
+                self._distrust(table, entry)
                 continue
-            entry.confidence.reset()
+            entry.confidence = 100
             if state is not None:
                 if entry.cached_state is not state:  # the usual reply repeats it
                     _cache_state(table, entry, state)
@@ -339,6 +336,21 @@ class DmrfProtocol:
                 _cache_state(table, entry, NodeState.NORMAL)
             entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
         return self._reevaluate(table, now)
+
+    def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
+        """An acknowledgment: full trust again, and a cached FAULTY heals."""
+        entry.confidence = 100
+        if entry.cached_state is NodeState.FAULTY:
+            _cache_state(table, entry, NodeState.NORMAL)
+
+    def _distrust(self, table: RoutingTable, entry: CandidateEntry) -> None:
+        """A missed probe or a failed transmission: one step less trust, and
+        the candidate is cached FAULTY once its trust falls below the
+        threshold."""
+        entry.confidence = max(0, entry.confidence - self.cfg.confidence_step)
+        # strict comparison: 100 -> 75 -> 50 is still trusted at threshold 50
+        if entry.confidence < self.cfg.confidence_threshold:
+            _cache_state(table, entry, NodeState.FAULTY)
 
     def detect_congestion(
         self,
@@ -379,7 +391,7 @@ class DmrfProtocol:
         # one pass: does every member sit in VOID, in a dead state, in a
         # congested state? Stops at the first member that rules out all three
         void = dead = cong = True
-        for e in table.fcs.members:
+        for e in table.members:
             state = e.cached_state
             if state is not NodeState.VOID:
                 void = False
@@ -410,7 +422,7 @@ class DmrfProtocol:
             steps = [NodeState.NORMAL, NodeState.CONG]
         else:
             steps = [target]
-        states = [e.cached_state for e in table.fcs.members]
+        states = [e.cached_state for e in table.members]
         messages = []
         for nxt in steps:
             if nxt is table.state:
@@ -445,7 +457,7 @@ class DmrfProtocol:
             return self._jump(table, rng)
         if table.needed_time == UNREACHABLE:
             return self._jump(table, rng)
-        members = table.fcs.members
+        members = table.members
         if not members:
             return self._jump(table, rng)
         lam = compute_lambda(remaining, table.needed_time)
@@ -483,9 +495,8 @@ class DmrfProtocol:
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
         self.ensure_jump_entries(table)
-        entries = [table.entries[i] for i in table.jump_ids]
         target = choose_jump_target(
-            entries, rng, sink=self.topo.sink, sink_in_range=table.sink_in_range
+            table.jump_pool, rng, sink=self.topo.sink, sink_in_range=table.sink_in_range
         )
         if target is None:
             return Drop(DropReason.NO_ROUTE)
@@ -504,13 +515,9 @@ class DmrfProtocol:
         """
         entry = table.entries[target]
         if success:
-            entry.confidence.reset()
-            if entry.cached_state is NodeState.FAULTY:
-                _cache_state(table, entry, NodeState.NORMAL)
+            self._trust(table, entry)
             return []
-        entry.confidence.penalize(self.cfg.confidence_step)
-        if entry.confidence.faulty:
-            _cache_state(table, entry, NodeState.FAULTY)
+        self._distrust(table, entry)
         return self._reevaluate(table, now)
 
     def on_jump_result(
@@ -527,22 +534,18 @@ class DmrfProtocol:
         if success:
             entry.successes += 1
             entry.suc = entry.successes / entry.attempts
-            entry.confidence.reset()
-            if entry.cached_state is NodeState.FAULTY:
-                _cache_state(table, entry, NodeState.NORMAL)
+            self._trust(table, entry)
         else:
             entry.suc = max(0, entry.successes - 1) / entry.attempts
-            entry.confidence.penalize(self.cfg.confidence_step)
-            if entry.confidence.faulty:
-                _cache_state(table, entry, NodeState.FAULTY)
+            self._distrust(table, entry)
             feedbacks.append(
                 FeedbackMessage(
                     kind=FeedbackKind.JUMP_FAIL, origin=table.owner, subject=target
                 )
             )
             feedbacks.extend(self._reevaluate(table, now))
-        if table.jump_ids is not None:
-            jump_probabilities([table.entries[i] for i in table.jump_ids])
+        if table.jump_pool is not None:
+            jump_probabilities(table.jump_pool)
         return feedbacks
 
     def on_feedback(
@@ -563,8 +566,8 @@ class DmrfProtocol:
             entry = table.entries.get(from_node)
             if entry is not None:
                 entry.suc *= rng.random()
-                if table.jump_ids:
-                    jump_probabilities([table.entries[i] for i in table.jump_ids])
+                if table.jump_pool:
+                    jump_probabilities(table.jump_pool)
             if msg.hop_limit > 1:
                 return (
                     FeedbackMessage(

@@ -84,37 +84,31 @@ def point_seed(base_seed: int, value_index: int, rep_index: int) -> int:
     return h
 
 
-def execute_scenario(
-    cfg: ScenarioConfig, seed: int, collect_trace: bool = False
-) -> RunResult:
-    """Deploy the scenario's topology and run it once with the given seed."""
+def execute_scenario(cfg: ScenarioConfig, collect_trace: bool = False) -> RunResult:
+    """Deploy the scenario's topology and run it once, both seeded by
+    `cfg.seed`."""
     topo = deploy(
         cfg.node_count,
         cfg.region,
         cfg.distribution,
-        rng_seed=seed,
+        rng_seed=cfg.seed,
         comm_radius=cfg.comm_radius,
         max_tx_distance=cfg.max_tx_distance,
     )
-    return run(topo, cfg.protocol, cfg, seed, collect_trace=collect_trace)
+    return run(topo, cfg, collect_trace=collect_trace)
 
 
 def _result_row(
-    parameter: str,
-    value,
-    protocol: str,
-    repetition: int,
-    seed: int,
-    result: RunResult,
+    parameter: str, value, repetition: int, cfg: ScenarioConfig, result: RunResult
 ) -> dict:
     m = result.metrics
     tx_values = list(m.per_node_tx.values())
     return {
         "parameter": parameter,
         "value": value,
-        "protocol": protocol,
+        "protocol": cfg.protocol,
         "repetition": repetition,
-        "seed": seed,
+        "seed": cfg.seed,
         "injected": m.injected,
         "delivered": m.delivered,
         "expired": m.expired,
@@ -130,9 +124,8 @@ def _result_row(
 
 
 def _execute_point(task: tuple) -> dict:
-    parameter, value, protocol, repetition, seed, cfg = task
-    result = execute_scenario(cfg, seed)
-    return _result_row(parameter, value, protocol, repetition, seed, result)
+    parameter, value, repetition, cfg = task
+    return _result_row(parameter, value, repetition, cfg, execute_scenario(cfg))
 
 
 def _point_tasks(spec: SweepSpec) -> list[tuple]:
@@ -147,7 +140,7 @@ def _point_tasks(spec: SweepSpec) -> list[tuple]:
                     spec.base, protocol=protocol, seed=seed, **fields
                 )
                 validate(cfg)
-                tasks.append((spec.parameter, value, protocol, rep, seed, cfg))
+                tasks.append((spec.parameter, value, rep, cfg))
     return tasks
 
 

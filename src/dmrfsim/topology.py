@@ -1,5 +1,5 @@
 """Node deployments, forwarding candidate sets, delay oracles, void
-carving, and the node-disjoint initial paths used by route setup.
+carving, and node-disjoint source-to-sink paths.
 
 All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns a new Topology rather than mutating.
@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .model import CandidateEntry, NodeId
+from .model import NodeId
 
 UNIFORM_GRID = "UNIFORM_GRID"
 RANDOM = "RANDOM"
@@ -102,14 +102,6 @@ class Topology:
 
 
 @dataclass
-class FCS:
-    """Forwarding candidate set: neighbors strictly closer to the sink."""
-
-    owner: NodeId
-    members: list[CandidateEntry]
-
-
-@dataclass
 class PathSet:
     """Node-disjoint source->sink paths with per-path delay estimates."""
 
@@ -169,20 +161,19 @@ def deploy(
     )
 
 
-def build_fcs(topo: Topology, node: NodeId) -> FCS:
-    """Fresh candidate entries for every neighbor with positive progress.
+def build_fcs(topo: Topology, node: NodeId) -> list[NodeId]:
+    """The forwarding candidate set: the ids of the neighbors strictly closer
+    to the sink, sorted.
 
-    An empty member list is a valid return and is exactly the void
-    indication the detection pipeline consumes.
+    An empty list is a valid return and is exactly the void indication the
+    detection pipeline consumes.
     """
     if not topo.has_node(node):
         raise ValueError(f"unknown node {node}")
     d_self = topo.distance(node, topo.sink)
-    members = []
-    for nb in topo.neighbors(node):
-        if topo.distance(nb, topo.sink) < d_self:
-            members.append(CandidateEntry(candidate=nb))
-    return FCS(owner=node, members=members)
+    return [
+        nb for nb in topo.neighbors(node) if topo.distance(nb, topo.sink) < d_self
+    ]
 
 
 def carve_void(topo: Topology, center: Position, radius: float) -> Topology:

@@ -1,6 +1,7 @@
 """Unit tests for the event engine: hop delay and energy, fault/congestion staging,
 packet accounting, and determinism."""
 
+import dataclasses
 import json
 import os
 import random
@@ -12,12 +13,7 @@ import pytest
 
 import dmrfsim
 
-from dmrfsim.config import (
-    DMRF,
-    GREEDY_MIN_DELAY,
-    ScenarioConfig,
-    validate,
-)
+from dmrfsim.config import GREEDY_MIN_DELAY, ScenarioConfig, validate
 from dmrfsim.engine import (
     BUFFER_DROP,
     DELIVERED,
@@ -63,7 +59,7 @@ def small_cfg(**overrides):
 
 
 def test_simulation_scales_sigma_from_config():
-    sim = Simulation(line_topo(3), DMRF, small_cfg(), seed=1)
+    sim = Simulation(line_topo(3), small_cfg(seed=1))
     assert sim.mu == pytest.approx(1.28)
     assert sim.sigma == pytest.approx(0.15 * sim.mu)
 
@@ -111,16 +107,17 @@ def test_probe_round_draws_match_normalvariate():
     """The probe round writes the draw out inline; its samples must be the
     stdlib's, floor resample included, drawn in prober id and FCS order."""
     cfg = validate(ScenarioConfig(
-        node_count=25, comm_radius=7.5, sigma_factor=1.0, packet_count=1, horizon_ms=3.0))
+        node_count=25, comm_radius=7.5, sigma_factor=1.0, packet_count=1, horizon_ms=3.0,
+        seed=5))
     topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
-    sim = Simulation(topo, DMRF, cfg, seed=5)
+    sim = Simulation(topo, cfg)
     stdlib = random.Random()
     stdlib.setstate(sim.rng.getstate())
     below_floor = []
     samples = {}
     for nid in sorted(sim.nodes):
         table = sim.nodes[nid].table
-        for entry in table.fcs.members if table is not None else ():
+        for entry in table.members if table is not None else ():
             samples[nid, entry.candidate] = _normalvariate_delay(
                 sim.mu, sim.sigma, stdlib, below_floor)
     # the round at t = 0 draws before anything else; its 2 ms timeout is the
@@ -182,7 +179,7 @@ def test_preload_buffers_fills_relays_only():
 
 def test_line_run_delivers_everything():
     topo = line_topo(3)
-    result = run(topo, DMRF, small_cfg(), seed=1)
+    result = run(topo, small_cfg(seed=1))
     m = result.metrics
     assert m.injected == 5
     assert m.delivered == 5
@@ -198,9 +195,9 @@ def test_line_run_delivers_everything():
 def test_runs_are_seed_reproducible():
     topo = line_topo(5)
     cfg = small_cfg(node_count=5, region=(4.0, 1.0))
-    a = run(topo, DMRF, cfg, seed=11)
-    b = run(topo, DMRF, cfg, seed=11)
-    c = run(topo, DMRF, cfg, seed=12)
+    a = run(topo, dataclasses.replace(cfg, seed=11))
+    b = run(topo, dataclasses.replace(cfg, seed=11))
+    c = run(topo, dataclasses.replace(cfg, seed=12))
     assert a.metrics == b.metrics
     assert a.packets == b.packets
     assert a.metrics != c.metrics
@@ -209,16 +206,16 @@ def test_runs_are_seed_reproducible():
 def test_unreachable_sink_without_jump_range_drops_no_route():
     # 40 m gap: no neighbors, and the sink is beyond the 30 m jump range
     topo = line_topo(2, spacing=40.0)
-    cfg = small_cfg(node_count=2, region=(40.0, 1.0), packet_count=3)
-    result = run(topo, DMRF, cfg, seed=1)
+    cfg = small_cfg(node_count=2, region=(40.0, 1.0), packet_count=3, seed=1)
+    result = run(topo, cfg)
     assert result.metrics.dropped_no_route == 3
     assert result.metrics.terminal_total == 3
 
 
 def test_tight_lifetime_expires_packets():
     topo = line_topo(3)
-    cfg = small_cfg(packet_count=3, packet_lifetime_ms=1.0)
-    result = run(topo, DMRF, cfg, seed=2)
+    cfg = small_cfg(packet_count=3, packet_lifetime_ms=1.0, seed=2)
+    result = run(topo, cfg)
     m = result.metrics
     assert m.delivered == 0
     assert m.expired == 3
@@ -227,8 +224,8 @@ def test_tight_lifetime_expires_packets():
 
 def test_horizon_cut_expires_in_flight_packets():
     topo = line_topo(3)
-    cfg = small_cfg(packet_count=3, horizon_ms=0.5)
-    result = run(topo, DMRF, cfg, seed=3)
+    cfg = small_cfg(packet_count=3, horizon_ms=0.5, seed=3)
+    result = run(topo, cfg)
     m = result.metrics
     # only the first injection fires before the horizon
     assert m.injected == 1
@@ -243,8 +240,9 @@ def test_full_relay_buffer_drops_blind_sender_packets():
         buffer_fill=1.0,
         buffer_bytes=32,
         packet_count=4,
+        seed=4,
     )
-    result = run(topo, GREEDY_MIN_DELAY, cfg, seed=4)
+    result = run(topo, cfg)
     m = result.metrics
     assert m.buffer_drops == 4
     assert m.delivered == 0
@@ -254,8 +252,8 @@ def test_full_relay_buffer_is_routed_around_by_retry():
     # same scenario: the acknowledging protocol keeps the packet, learns the
     # relay is congested, and jumps past it
     topo = line_topo(3)
-    cfg = small_cfg(buffer_fill=1.0, buffer_bytes=32, packet_count=4)
-    result = run(topo, DMRF, cfg, seed=4)
+    cfg = small_cfg(buffer_fill=1.0, buffer_bytes=32, packet_count=4, seed=4)
+    result = run(topo, cfg)
     m = result.metrics
     assert m.buffer_drops == 0
     assert m.delivered == 4
@@ -273,8 +271,8 @@ def test_dead_relay_is_routed_around():
         source=0,
         sink=3,
     )
-    cfg = small_cfg(node_count=6, region=(3.0, 1.0), fault_ratio=0.0)
-    baseline = run(topo, DMRF, cfg, seed=5)
+    cfg = small_cfg(node_count=6, region=(3.0, 1.0), fault_ratio=0.0, seed=5)
+    baseline = run(topo, cfg)
     assert baseline.metrics.delivered == 5
 
     # kill the straight-line relays via a thin void over (1.5, 0)
@@ -283,8 +281,9 @@ def test_dead_relay_is_routed_around():
         region=(3.0, 1.0),
         void_center=(1.5, 0.0),
         void_radius=0.75,
+        seed=5,
     )
-    result = run(topo, DMRF, cfg_void, seed=5)
+    result = run(topo, cfg_void)
     assert result.metrics.delivered == 5
     for outcome in result.packets:
         assert 1 not in outcome.hop_trace[1:] or outcome.hop_trace[-1] == topo.sink
@@ -294,22 +293,13 @@ def test_dead_relay_is_routed_around():
 
 def test_trace_collection_orders_events():
     topo = line_topo(3)
-    result = run(topo, DMRF, small_cfg(), seed=6, collect_trace=True)
+    result = run(topo, small_cfg(seed=6), collect_trace=True)
     assert result.trace, "expected a non-empty event trace"
     times = [e.time for e in result.trace]
     assert times == sorted(times)
     assert all(e.kind in EVENT_KINDS for e in result.trace)
     kinds = {e.kind for e in result.trace}
     assert {"PACKET_INJECT", "PACKET_ARRIVAL", "PROBE"} <= kinds
-
-
-def test_probe_control_counting_is_switchable():
-    topo = line_topo(3)
-    with_probes = run(topo, DMRF, small_cfg(), seed=7)
-    without = run(
-        topo, DMRF, small_cfg(count_probes_as_control=False), seed=7
-    )
-    assert without.metrics.control_packets < with_probes.metrics.control_packets
 
 
 # ----------------------------------------------------------------------

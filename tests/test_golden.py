@@ -117,7 +117,7 @@ def digests_text() -> str:
     for name, base, protocols in DIGEST_CASES:
         for protocol in protocols:
             cfg = validate(dataclasses.replace(base, protocol=protocol))
-            result = execute_scenario(cfg, cfg.seed)
+            result = execute_scenario(cfg)
             transitions = [
                 f"{t!r} {node} {old.name} {new.name}"
                 for t, node, old, new in result.transitions
@@ -139,8 +139,7 @@ def matrix_csv() -> str:
     for name, base, protocols in CASES:
         for protocol in protocols:
             cfg = validate(dataclasses.replace(base, protocol=protocol))
-            result = execute_scenario(cfg, cfg.seed)
-            rows.append(_result_row(name, "", protocol, 0, cfg.seed, result))
+            rows.append(_result_row(name, "", 0, cfg, execute_scenario(cfg)))
     return rows_to_csv_text(rows)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from dmrfsim.model import (
-    Confidence,
     NodeState,
     RateClass,
     legal_transition,
@@ -34,27 +33,6 @@ def test_remaining_time_counts_down_and_goes_negative():
     assert remaining_time(p, 5.0) == 20.0
     assert remaining_time(p, 20.0) == 5.0
     assert remaining_time(p, 30.0) == -5.0
-
-
-def test_confidence_three_strikes():
-    c = Confidence()
-    assert c.c == 100 and not c.faulty
-    c.penalize(25)
-    assert c.c == 75 and not c.faulty
-    c.penalize(25)
-    # 50 is still trusted: the comparison is strict
-    assert c.c == 50 and not c.faulty
-    c.penalize(25)
-    assert c.c == 25 and c.faulty
-    c.reset()
-    assert c.c == 100 and not c.faulty
-
-
-def test_confidence_clamps_at_zero():
-    c = Confidence()
-    for _ in range(10):
-        c.penalize(30)
-    assert c.c == 0
 
 
 def test_same_state_is_always_legal():

@@ -9,6 +9,7 @@ legal and chained state transitions, and a trace whose time never goes back.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ class CheckedSimulation(Simulation):
     """A traced run that checks buffers and transitions before each event;
     `check` is called once more after the run."""
 
-    def __init__(self, topo, protocol, cfg, seed) -> None:
-        super().__init__(topo, protocol, cfg, seed, collect_trace=True)
+    def __init__(self, topo, cfg) -> None:
+        super().__init__(topo, cfg, collect_trace=True)
         self.preload = preload_buffers(topo, cfg.buffer_fill, cfg.buffer_bytes)
         self.checked = 0
         self.last_state: dict[int, NodeState] = {}
@@ -51,7 +52,7 @@ class CheckedSimulation(Simulation):
         for _t, nid, old, new in self.transitions[self.checked:]:
             assert old is self.last_state.get(nid, NodeState.NORMAL)
             table = self.nodes[nid].table
-            states = [e.cached_state for e in table.fcs.members] if table else []
+            states = [e.cached_state for e in table.members] if table else []
             assert legal_transition(old, new, states), (nid, old, new, states)
             self.last_state[nid] = new
         self.checked = len(self.transitions)
@@ -88,19 +89,18 @@ def scenarios(draw):
         "probe_period_ms": period,
         "probe_timeout_ms": timeout,
         "sigma_factor": _value(draw, 0.0, 1.0),
-        "count_probes_as_control": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**31 - 1)),
     }
-    return from_dict(raw), draw(st.integers(0, 2**31 - 1))
+    return from_dict(raw)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=scenarios())
-def test_engine_invariants_hold_over_small_scenarios(case):
-    cfg, seed = case
-    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, rng_seed=seed,
+@given(cfg=scenarios())
+def test_engine_invariants_hold_over_small_scenarios(cfg):
+    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, rng_seed=cfg.seed,
                   comm_radius=cfg.comm_radius, max_tx_distance=cfg.max_tx_distance)
     for protocol in PROTOCOLS:
-        check_run(CheckedSimulation(topo, protocol, cfg, seed), cfg)
+        check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
 
 
 def check_run(sim: CheckedSimulation, cfg) -> None:

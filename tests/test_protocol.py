@@ -192,7 +192,7 @@ def test_build_tables_initializes_fcs_entries():
     tables = proto.build_tables()
     assert set(tables) == {0, 1}  # the sink keeps no table
     t0 = tables[0]
-    assert [e.candidate for e in t0.fcs.members] == [1]
+    assert [e.candidate for e in t0.members] == [1]
     assert t0.entries[1].delay_est == MU
     assert t0.needed_time == pytest.approx(2 * MU)
     assert t0.sink_in_range  # 2 m < 30 m
@@ -216,11 +216,12 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
     proto.ensure_jump_entries(table)
     # 4 is out of the jump question twice over: beyond max_tx and farther
     # from the sink than the owner
-    assert table.jump_ids == [1, 2, 3]
-    assert all(i in table.entries for i in table.jump_ids)
+    pool = table.jump_pool
+    assert [e.candidate for e in pool] == [1, 2, 3]
+    assert all(table.entries[e.candidate] is e for e in pool)
     # materialization is idempotent
     proto.ensure_jump_entries(table)
-    assert table.jump_ids == [1, 2, 3]
+    assert table.jump_pool is pool
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +230,7 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
 
 def probe_all(proto, table, replies, now=0.0, states=None):
     records = []
-    for e in table.fcs.members:
+    for e in table.members:
         if e.candidate in replies:
             records += (e, e.delay_est, (states or {}).get(e.candidate))
         else:
@@ -257,7 +258,60 @@ def test_reply_resets_confidence_and_heals_faulty_cache():
     assert entry.cached_state is N.FAULTY
     probe_all(proto, table, replies={1})
     assert entry.cached_state is N.NORMAL
-    assert entry.confidence.c == 100
+    assert entry.confidence == 100
+
+
+def test_confidence_three_strikes():
+    # step 25, threshold 50: 50 is still trusted, as the comparison is strict
+    proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    table = proto.build_tables()[0]
+    entry = table.entries[1]
+    assert (entry.confidence, entry.cached_state) == (100, N.NORMAL)
+    seen = []
+    for _ in range(3):
+        probe_all(proto, table, replies=set())
+        seen.append((entry.confidence, entry.cached_state))
+    assert seen == [(75, N.NORMAL), (50, N.NORMAL), (25, N.FAULTY)]
+    probe_all(proto, table, replies={1})
+    assert (entry.confidence, entry.cached_state) == (100, N.NORMAL)
+
+
+def test_confidence_clamps_at_zero():
+    proto, table = two_candidate_table(confidence_step=30)
+    entry = table.entries[1]
+    for i in range(10):
+        proto.on_forward_result(table, 1, False, now=float(i))
+    assert (entry.confidence, entry.cached_state) == (0, N.FAULTY)
+    proto.on_forward_result(table, 1, True, now=10.0)
+    assert (entry.confidence, entry.cached_state) == (100, N.NORMAL)
+
+
+def _misses_until_faulty(proto, table, miss):
+    entry = table.entries[1]
+    for count in range(1, 101):
+        miss(proto, table, float(count))
+        if entry.cached_state is N.FAULTY:
+            return count
+    raise AssertionError("never cached FAULTY")
+
+
+@pytest.mark.parametrize(
+    "threshold, step, misses",
+    [(50, 25, 3), (60, 40, 2), (100, 1, 1), (10, 25, 4), (50, 10, 6)],
+)
+def test_confidence_threshold_and_step_come_from_config(threshold, step, misses):
+    # every way of missing a candidate turns it FAULTY once its trust,
+    # 100 - misses * step, falls below the configured threshold
+    ways = {
+        "probe": lambda proto, table, now: probe_all(proto, table, set(), now),
+        "forward": lambda proto, table, now: proto.on_forward_result(
+            table, 1, False, now),
+        "jump": lambda proto, table, now: proto.on_jump_result(table, 1, False, now),
+    }
+    for name, miss in ways.items():
+        proto, table = two_candidate_table(
+            confidence_threshold=threshold, confidence_step=step)
+        assert _misses_until_faulty(proto, table, miss) == misses, name
 
 
 def test_probe_reply_state_report_overrides_cache():
@@ -419,9 +473,9 @@ def member_tables(draw):
     positions = [(0.0, 0.0)] + [(1.0, y) for y in ys] + [(2.0, 0.0)]
     proto, _ = grid_protocol(positions, comm_radius=1.6, sink=count + 1)
     table = proto.build_tables()[0]
-    assert len(table.fcs.members) == count
+    assert len(table.members) == count
     states = st.sampled_from([N.NORMAL, N.NORMAL, N.NORMAL, N.CONG, N.FAULTY, N.VOID])
-    for e in table.fcs.members:
+    for e in table.members:
         e.tx_count = draw(st.integers(0, 2))
         e.delay_est = draw(st.sampled_from([0.5, 1.0, 1.28, 2.0, 4.0]))
         e.cached_state = draw(states)
@@ -436,7 +490,7 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
     packet = make_packet(0, 256, now=0.0, lifetime=lifetime)
     packet.rate_class = previous
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
-    members = table.fcs.members
+    members = table.members
     eligible = [
         e for e in members if e.cached_state is N.NORMAL and e.delay_est <= lifetime
     ]
@@ -511,7 +565,7 @@ def test_forward_failures_erode_confidence():
     assert table.entries[1].cached_state is N.FAULTY
     proto.on_forward_result(table, 1, True, now=4.0)
     assert table.entries[1].cached_state is N.NORMAL
-    assert table.entries[1].confidence.c == 100
+    assert table.entries[1].confidence == 100
 
 
 def test_jump_success_ratio_arithmetic():
@@ -536,7 +590,7 @@ def test_first_jump_failure_zeroes_the_candidate():
     proto.on_jump_result(table, 1, False, now=0.0)
     assert table.entries[1].suc == 0.0
     # and the pool is renormalized away from it
-    others = [table.entries[i] for i in table.jump_ids if i != 1]
+    others = [e for e in table.jump_pool if e.candidate != 1]
     assert table.entries[1].jump_p == 0.0
     assert sum(e.jump_p for e in others) == pytest.approx(1.0)
 

@@ -69,8 +69,8 @@ def test_point_seed_is_stable_and_sensitive():
 def test_matched_pairs_share_seeds_across_protocols():
     tasks = _point_tasks(tiny_spec())
     by_protocol = {}
-    for parameter, value, protocol, rep, seed, cfg in tasks:
-        by_protocol.setdefault(protocol, []).append((value, rep, seed))
+    for parameter, value, rep, cfg in tasks:
+        by_protocol.setdefault(cfg.protocol, []).append((value, rep, cfg.seed))
     assert by_protocol[DMRF] == by_protocol[GREEDY_MIN_DELAY]
 
 
@@ -84,10 +84,10 @@ def test_point_tasks_order_and_overrides():
         overrides={1: {"region": (8.0, 8.0)}},
     )
     tasks = _point_tasks(spec)
-    assert [(t[1], t[3]) for t in tasks] == [(9, 0), (16, 0)]
-    assert tasks[0][5].region == (5.0, 5.0)
-    assert tasks[1][5].region == (8.0, 8.0)
-    assert tasks[1][5].node_count == 16
+    assert [(t[1], t[2]) for t in tasks] == [(9, 0), (16, 0)]
+    assert tasks[0][3].region == (5.0, 5.0)
+    assert tasks[1][3].region == (8.0, 8.0)
+    assert tasks[1][3].node_count == 16
 
 
 # ----------------------------------------------------------------------

@@ -82,11 +82,9 @@ def test_comm_radius_may_not_exceed_max_tx():
 def test_fcs_members_are_strictly_closer_neighbors():
     # 0 -- 1 -- 2(sink), unit spacing
     topo = line_topology([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    fcs = build_fcs(topo, 1)
-    assert [e.candidate for e in fcs.members] == [2]
+    assert build_fcs(topo, 1) == [2]
     # the sink-adjacent node never lists the node behind it
-    fcs0 = build_fcs(topo, 0)
-    assert [e.candidate for e in fcs0.members] == [1]
+    assert build_fcs(topo, 0) == [1]
 
 
 def test_fcs_empty_for_local_minimum():
@@ -94,8 +92,7 @@ def test_fcs_empty_for_local_minimum():
     topo = line_topology(
         [(-1.0, 0.0), (0.0, 0.0), (5.0, 0.0)], comm_radius=1.2, sink=2
     )
-    fcs = build_fcs(topo, 1)
-    assert fcs.members == []
+    assert build_fcs(topo, 1) == []
 
 
 def test_fcs_unknown_node_raises():

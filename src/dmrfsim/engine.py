@@ -202,6 +202,7 @@ class _NodeRuntime:
         "static_candidates",
         "ranked",
         "probe_links",
+        "data_j",
         "relay_queue",
         "app_queue",
         "buffer_used",
@@ -223,6 +224,8 @@ class _NodeRuntime:
         # (FCS member entry, its candidate's runtime, joules per control
         # frame), in FCS (id) order, for probing
         self.probe_links: list[tuple[CandidateEntry, _NodeRuntime, float]] = []
+        # receiver id -> joules per data frame; every packet is cfg.packet_bits
+        self.data_j: dict[NodeId, float] = {}
         self.relay_queue: deque[Packet] = deque()
         self.app_queue: deque[Packet] = deque()
         self.buffer_used = 0.0
@@ -480,9 +483,12 @@ class Simulation:
                 is_jump = True
                 multiplier = 1.0
             service = stall + sample_delay(self.mu, self.sigma, self.rng) * multiplier
-            self.metrics.energy_total_j += energy_cost(
-                self.cfg, self.topo.distance(node.id, target), packet.size_bits
-            )
+            joules = node.data_j.get(target)
+            if joules is None:
+                joules = node.data_j[target] = energy_cost(
+                    self.cfg, self.topo.distance(node.id, target), self.cfg.packet_bits
+                )
+            self.metrics.energy_total_j += joules
             self._tx[node.id] = self._tx.get(node.id, 0) + 1
             node.busy = True
             node.pending = (packet, target, is_jump)
@@ -665,7 +671,7 @@ class Simulation:
         next_round, timeouts = [], []
         for nid, due in members:
             if due is not None:
-                self._on_probe_timeout(nid, due, now)
+                self._on_timeout_round(((nid, due),), now)
             if trace is not None:
                 self._trace_member(PROBE, nid)
             node = nodes[nid]
@@ -704,24 +710,24 @@ class Simulation:
         self._schedule(period_at, PROBE, next_round)
 
     def _on_timeout_round(self, timeouts: list[tuple[NodeId, list]], now: float) -> None:
+        """Each member, in id order, accounts its probe replies and then
+        checks its own buffer."""
+        nodes, trace, capacity = self.nodes, self.trace, self._buffer_capacity
+        detect_faulty, detect_congestion = self.dmrf.detect_faulty, self.dmrf.detect_congestion
+        period = self.cfg.probe_period_ms
         for nid, replies in timeouts:
-            self._on_probe_timeout(nid, replies, now)
-
-    def _on_probe_timeout(self, node_id: NodeId, replies: list, now: float) -> None:
-        if self.trace is not None:
-            self._trace_member(PROBE_TIMEOUT, node_id)
-        node = self.nodes[node_id]
-        if not node.alive:
-            return
-        table = node.table
-        fbs = self.dmrf.detect_faulty(table, replies, now)
-        if node.last_arrival is None or now - node.last_arrival >= self.cfg.probe_period_ms:
-            node.arrival_ewma *= 0.5
-        fbs += self.dmrf.detect_congestion(
-            table, node.buffer_used, self._buffer_capacity, node.arrival_ewma, now
-        )
-        if fbs:
-            self._send_feedbacks(node, fbs, now)
+            if trace is not None:
+                self._trace_member(PROBE_TIMEOUT, nid)
+            node = nodes[nid]
+            if not node.alive:
+                continue
+            table = node.table
+            fbs = detect_faulty(table, replies, now)
+            if node.last_arrival is None or now - node.last_arrival >= period:
+                node.arrival_ewma *= 0.5
+            fbs += detect_congestion(table, node.buffer_used, capacity, node.arrival_ewma, now)
+            if fbs:
+                self._send_feedbacks(node, fbs, now)
 
     def _on_feedback(
         self, payload: tuple[FeedbackMessage, NodeId, NodeId], now: float

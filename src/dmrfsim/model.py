@@ -41,7 +41,7 @@ class FeedbackKind(Enum):
     JUMP_FAIL = "JUMP_FAIL"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """The unit of delivery.
 
@@ -58,7 +58,7 @@ class Packet:
     hop_trace: list[NodeId] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateEntry:
     """Per-candidate routing statistics kept by the owning node."""
 
@@ -75,7 +75,7 @@ class CandidateEntry:
     confidence: int = 100
 
 
-@dataclass
+@dataclass(slots=True)
 class FeedbackMessage:
     """Typed upstream control message; counted as a control packet."""
 

@@ -33,15 +33,6 @@ from .topology import Topology, UNREACHABLE, build_fcs, shortest_delay_map
 #: omega is clamped into (OMEGA_FLOOR, 1] so the band ordering never inverts
 OMEGA_FLOOR = 1e-3
 
-#: cached states that disqualify a candidate from receiving traffic
-KNOWN_BAD = (
-    NodeState.FAULTY,
-    NodeState.JFAULTY,
-    NodeState.CONG,
-    NodeState.JCONG,
-    NodeState.VOID,
-)
-
 #: states in which a node stops hop-by-hop forwarding entirely
 JUMP_STATES = (NodeState.JFAULTY, NodeState.VOID, NodeState.JCONG)
 
@@ -73,18 +64,18 @@ class DropReason(Enum):
     NO_ROUTE = "NO_ROUTE"
 
 
-@dataclass
+@dataclass(slots=True)
 class Forward:
     next: NodeId
     rate: RateClass
 
 
-@dataclass
+@dataclass(slots=True)
 class Jump:
     next: NodeId
 
 
-@dataclass
+@dataclass(slots=True)
 class Drop:
     reason: DropReason
 
@@ -92,7 +83,7 @@ class Drop:
 Decision = Forward | Jump | Drop
 
 
-@dataclass
+@dataclass(slots=True)
 class Thresholds:
     theta_low: float
     theta_high: float
@@ -100,7 +91,7 @@ class Thresholds:
     omega: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingTable:
     """A node's routing memory: one entry per candidate, holding its cached
     state and learned statistics, and the node's own detection state."""
@@ -211,22 +202,31 @@ def choose_jump_target(
     sink: NodeId,
     sink_in_range: bool,
 ) -> NodeId | None:
-    """Sample a jump target proportional to jump probability.
-
-    Candidates cached in any known-bad state are excluded and the remaining
-    probabilities renormalized. With nothing left, fall back to direct
-    transmission to the sink when it is inside the maximum range.
+    """Sample a jump target by the `jump_probabilities` of the candidates
+    cached NORMAL, summed as it computes them but written nowhere. With none
+    viable, fall back to direct transmission to the sink when it is inside
+    the maximum range.
     """
-    viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
+    normal = NodeState.NORMAL
+    viable = [e for e in entries if e.cached_state is normal]
     if not viable:
         return sink if sink_in_range else None
-    jump_probabilities(viable)
+    total = 0.0
+    for e in viable:
+        total += e.suc
     r = rng.random()
     acc = 0.0
-    for e in viable:
-        acc += e.jump_p
-        if r < acc:
-            return e.candidate
+    if total <= 0.0:
+        uniform = 1.0 / len(viable)
+        for e in viable:
+            acc += uniform
+            if r < acc:
+                return e.candidate
+    else:
+        for e in viable:
+            acc += e.suc / total
+            if r < acc:
+                return e.candidate
     return viable[-1].candidate  # guard against float shortfall
 
 
@@ -255,6 +255,7 @@ class DmrfProtocol:
         reflected here: staleness is discovered at runtime."""
         topo = self.topo
         needed = shortest_delay_map(topo, self.mu)
+        to_sink = topo.sink_distances()
         tables: dict[NodeId, RoutingTable] = {}
         for node in topo.ids():
             if node == topo.sink:
@@ -268,8 +269,7 @@ class DmrfProtocol:
                 members=members,
                 entries={e.candidate: e for e in members},
                 needed_time=needed[node],
-                sink_in_range=topo.distance(node, topo.sink)
-                <= topo.max_tx_distance,
+                sink_in_range=to_sink[node] <= topo.max_tx_distance,
             )
             if not members:
                 # a node born without forward candidates is void from the start
@@ -290,10 +290,11 @@ class DmrfProtocol:
         topo = self.topo
         owner = table.owner
         entries = table.entries
-        d_self = topo.distance(owner, topo.sink)
+        to_sink = topo.sink_distances()
+        d_self = to_sink[owner]
         pool = []
         for other in topo.within(owner, topo.max_tx_distance):
-            if topo.distance(other, topo.sink) >= d_self:
+            if to_sink[other] >= d_self:
                 continue
             entry = entries.get(other)
             if entry is None:
@@ -335,7 +336,7 @@ class DmrfProtocol:
             elif entry.cached_state is NodeState.FAULTY:
                 _cache_state(table, entry, NodeState.NORMAL)
             entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
-        return self._reevaluate(table, now)
+        return self._reevaluate(table, now) if table.dirty else []
 
     def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
         """An acknowledgment: full trust again, and a cached FAULTY heals."""
@@ -373,7 +374,7 @@ class DmrfProtocol:
         elif table.own_congested and predicted < cfg.theta_cong - cfg.cong_hysteresis:
             table.own_congested = False
             table.dirty = True
-        return self._reevaluate(table, now)
+        return self._reevaluate(table, now) if table.dirty else []
 
     def detect_void(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
         # evaluates unconditionally, for callers that edit entries in place

@@ -43,8 +43,13 @@ class Topology:
     source: NodeId
     sink: NodeId
     _pos: dict[NodeId, Position] = field(init=False, repr=False)
-    # comm_radius grid cell -> [(id, x, y)], built by the first radius query
+    # comm_radius grid cell -> [(id, x, y)], built by the first radius query,
+    # and the (low x, high x, low y, high y) cell span the nodes occupy
     _cells: dict[tuple[int, int], list] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _span: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _to_sink: dict[NodeId, float] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -66,24 +71,38 @@ class Topology:
         (ax, ay), (bx, by) = self._pos[a], self._pos[b]
         return math.hypot(ax - bx, ay - by)
 
+    def sink_distances(self) -> dict[NodeId, float]:
+        """Every node's distance() to the sink, computed on first use; a
+        topology's positions and sink never change."""
+        if self._to_sink is None:
+            sx, sy = self._pos[self.sink]
+            self._to_sink = {n: math.hypot(x - sx, y - sy) for n, (x, y) in self._pos.items()}
+        return self._to_sink
+
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """All nodes within comm_radius, sorted by id."""
         return self.within(node, self.comm_radius)
 
     def within(self, node: NodeId, radius: float) -> list[NodeId]:
         """All other nodes whose distance() from `node` is at most `radius`,
-        sorted by id; only the grid cells the query box touches are scanned."""
+        sorted by id; only the grid cells where the query box overlaps the
+        occupied span are scanned."""
         side = self.comm_radius
         if self._cells is None:
             self._cells = {}
             for other, (ox, oy) in self._pos.items():
                 key = (math.floor(ox / side), math.floor(oy / side))
                 self._cells.setdefault(key, []).append((other, ox, oy))
+            xs, ys = [cx for cx, _ in self._cells], [cy for _, cy in self._cells]
+            self._span = (min(xs), max(xs), min(ys), max(ys))
         x, y = self._pos[node]
         reach = radius / side + _CELL_SLACK
+        lo_x, hi_x, lo_y, hi_y = self._span
+        x0, x1 = max(lo_x, math.floor(x / side - reach)), min(hi_x, math.floor(x / side + reach))
+        y0, y1 = max(lo_y, math.floor(y / side - reach)), min(hi_y, math.floor(y / side + reach))
         out = []
-        for cx in range(math.floor(x / side - reach), math.floor(x / side + reach) + 1):
-            for cy in range(math.floor(y / side - reach), math.floor(y / side + reach) + 1):
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
                 for other, ox, oy in self._cells.get((cx, cy), ()):
                     if other != node and math.hypot(x - ox, y - oy) <= radius:
                         out.append(other)
@@ -170,10 +189,9 @@ def build_fcs(topo: Topology, node: NodeId) -> list[NodeId]:
     """
     if not topo.has_node(node):
         raise ValueError(f"unknown node {node}")
-    d_self = topo.distance(node, topo.sink)
-    return [
-        nb for nb in topo.neighbors(node) if topo.distance(nb, topo.sink) < d_self
-    ]
+    to_sink = topo.sink_distances()
+    d_self = to_sink[node]
+    return [nb for nb in topo.neighbors(node) if to_sink[nb] < d_self]
 
 
 def carve_void(topo: Topology, center: Position, radius: float) -> Topology:

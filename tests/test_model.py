@@ -3,12 +3,16 @@
 import pytest
 
 from dmrfsim.model import (
+    CandidateEntry,
+    FeedbackKind,
+    FeedbackMessage,
     NodeState,
     RateClass,
     legal_transition,
     make_packet,
     remaining_time,
 )
+from dmrfsim.protocol import Drop, DropReason, Forward, Jump, RoutingTable, Thresholds
 
 N = NodeState
 
@@ -33,6 +37,29 @@ def test_remaining_time_counts_down_and_goes_negative():
     assert remaining_time(p, 5.0) == 20.0
     assert remaining_time(p, 20.0) == 5.0
     assert remaining_time(p, 30.0) == -5.0
+
+
+@pytest.mark.parametrize(
+    "record, typo",
+    [
+        (make_packet(source=0, size_bits=256, now=0.0, lifetime=1.0), "dedline"),
+        (CandidateEntry(candidate=1), "confidance"),
+        (FeedbackMessage(kind=FeedbackKind.FAULT, origin=1, subject=1), "hop_limt"),
+        (Forward(next=1, rate=RateClass.LOW), "rat"),
+        (Jump(next=1), "nxt"),
+        (Drop(reason=DropReason.EXPIRED), "reasn"),
+        (Thresholds(theta_low=2.0, theta_high=1.0, theta_jump=0.1, omega=1.0), "omgea"),
+        (
+            RoutingTable(owner=0, members=[], entries={}, needed_time=1.0, sink_in_range=False),
+            "stat",
+        ),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+)
+def test_misspelled_field_of_a_per_hop_record_raises(record, typo):
+    # the records are slotted: a typo cannot quietly create new state
+    with pytest.raises(AttributeError):
+        setattr(record, typo, 0)
 
 
 def test_same_state_is_always_legal():

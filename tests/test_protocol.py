@@ -5,6 +5,7 @@ and are frozen: a change in any of them is a behavior change, not a
 refactoring artifact.
 """
 
+import math
 import random
 
 import pytest
@@ -181,6 +182,83 @@ def test_choose_jump_target_falls_back_to_sink_in_range():
     assert choose_jump_target([a], FixedRng([0.5]), sink=9, sink_in_range=True) == 9
     assert choose_jump_target([a], FixedRng([0.5]), sink=9, sink_in_range=False) is None
     assert choose_jump_target([], FixedRng([0.5]), sink=9, sink_in_range=True) == 9
+
+
+KNOWN_BAD = (N.FAULTY, N.JFAULTY, N.CONG, N.JCONG, N.VOID)
+
+
+def reference_jump_target(entries, rng, sink, sink_in_range):
+    """The draw written out as normalize, then accumulate: known-bad
+    candidates excluded, `jump_probabilities` over the rest, one draw."""
+    viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
+    if not viable:
+        return sink if sink_in_range else None
+    jump_probabilities(viable)
+    r = rng.random()
+    acc = 0.0
+    for e in viable:
+        acc += e.jump_p
+        if r < acc:
+            return e.candidate
+    return viable[-1].candidate
+
+
+class PinnedRandom(random.Random):
+    """A seeded generator whose draws advance its state as usual; with
+    `value` set, each draw returns it instead, to land on a share's edge."""
+
+    value = None
+
+    def random(self):
+        draw = super().random()
+        return draw if self.value is None else self.value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pool=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.sampled_from(N)),
+        max_size=60,
+    ),
+    all_zero=st.booleans(),
+    sink_in_range=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    pin=st.sampled_from(["draw", "zero", "edge", "below-edge"]),
+    edge=st.integers(0, 59),
+)
+def test_choose_jump_target_matches_normalize_then_accumulate(
+    pool, all_zero, sink_in_range, seed, pin, edge
+):
+    def entries():
+        return [
+            CandidateEntry(candidate=i, suc=0.0 if all_zero else suc, cached_state=state)
+            for i, (suc, state) in enumerate(pool)
+        ]
+
+    # the running sums of the reference's shares are where the two rules
+    # could part, so some draws are pinned onto them or one ulp below
+    viable = [e for e in entries() if e.cached_state not in KNOWN_BAD]
+    edges, acc = [], 0.0
+    for e in jump_probabilities(viable) if viable else []:
+        acc += e.jump_p
+        edges.append(acc)
+    value = {
+        "draw": None,
+        "zero": 0.0,
+        "edge": edges[edge % len(edges)] if edges else None,
+        "below-edge": math.nextafter(edges[edge % len(edges)], 0.0) if edges else None,
+    }[pin]
+    if value is not None and value >= 1.0:
+        value = None  # random() never returns 1.0
+
+    expected_rng, actual_rng = PinnedRandom(seed), PinnedRandom(seed)
+    expected_rng.value = actual_rng.value = value
+    expected = reference_jump_target(entries(), expected_rng, 99, sink_in_range)
+    subject = entries()
+    actual = choose_jump_target(subject, actual_rng, 99, sink_in_range)
+    assert actual == expected
+    assert actual_rng.getstate() == expected_rng.getstate()
+    assert all(e.jump_p == 0.0 for e in subject)  # the draw writes no probability
 
 
 # ----------------------------------------------------------------------

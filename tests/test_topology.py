@@ -211,8 +211,9 @@ def test_index_matches_scan_on_grids_spaced_at_the_radius(
     assert_index_matches_scan(topo)
 
 
-@pytest.mark.parametrize("radius", [0.1, 0.3, 1.0 / 3.0, 1.5, 20.0 / 19.0, 7.5])
-def test_index_matches_scan_one_ulp_around_cell_edges(radius):
+def one_ulp_layout(radius, max_tx):
+    """Nodes on and one ulp either side of the cell edges k * radius for k in
+    -3..3: negative cell indices, and distances that round onto the radius."""
     coords = []
     for k in range(-3, 4):
         edge = k * radius
@@ -220,12 +221,54 @@ def test_index_matches_scan_one_ulp_around_cell_edges(radius):
     nodes = [
         (i, (x, y)) for i, (x, y) in enumerate((x, y) for x in coords for y in coords[::4])
     ]
-    topo = Topology(
+    return Topology(
         nodes=nodes,
         region=(1.0, 1.0),
         comm_radius=radius,
-        max_tx_distance=2 * radius,
+        max_tx_distance=max_tx,
         source=0,
         sink=len(nodes) - 1,
     )
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.3, 1.0 / 3.0, 1.5, 20.0 / 19.0, 7.5])
+def test_index_matches_scan_one_ulp_around_cell_edges(radius):
+    assert_index_matches_scan(one_ulp_layout(radius, 2 * radius))
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        deploy(400, (20.0, 20.0), UNIFORM_GRID, 1),  # table2: 30 m reach, 20 m grid
+        one_ulp_layout(1.0 / 3.0, 20.0),
+        one_ulp_layout(7.5, 100.0),
+    ],
+    ids=["table2", "one-ulp-third", "one-ulp-7.5"],
+)
+def test_within_matches_scan_when_the_query_box_outgrows_the_deployment(topo):
+    # every query box overhangs the occupied cells on both sides of both axes
     assert_index_matches_scan(topo)
+
+
+# ----------------------------------------------------------------------
+# the sink-distance table
+
+
+def assert_sink_table_exact(topo):
+    table = topo.sink_distances()
+    assert sorted(table) == topo.ids()
+    for node in topo.ids():
+        assert table[node] == topo.distance(node, topo.sink)
+
+
+@pytest.mark.parametrize("mode", [UNIFORM_GRID, RANDOM])
+def test_sink_distances_equal_distance_bit_for_bit(mode):
+    topo = deploy(150, (11.0, 7.0), mode, rng_seed=5)
+    assert_sink_table_exact(topo)
+    carved = carve_void(topo, (5.0, 3.5), 2.5)
+    assert len(carved.ids()) < len(topo.ids())
+    assert_sink_table_exact(carved)
+    moved = topo.with_endpoints(topo.sink, topo.source)
+    assert moved.sink != topo.sink
+    assert_sink_table_exact(moved)
+    assert moved.sink_distances()[topo.sink] > 0.0

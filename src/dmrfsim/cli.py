@@ -96,7 +96,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8", newline="") as fh:
             rows = read_csv(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.infile}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{args.infile} holds no result rows")

@@ -119,10 +119,9 @@ def energy_cost(cfg: ScenarioConfig, distance: float, bits: float) -> float:
     return bits * (cfg.energy_elec_j_per_bit + cfg.energy_amp_j_per_bit_m2 * distance**2)
 
 
-def inject_faults(
-    topo: Topology, fault_ratio: float, rng: random.Random
-) -> list[tuple[NodeId, float]]:
-    """Pick floor(ratio * (N – 2)) victims uniformly among the relay nodes.
+def inject_faults(topo: Topology, fault_ratio: float, rng: random.Random) -> list[NodeId]:
+    """Pick floor(ratio * (N – 2)) victims uniformly among the relay nodes
+    and return their ids, sorted.
 
     Source and sink are never faulted. All onsets are at time zero and the
     victims fail silently: nothing in the network is told.
@@ -131,7 +130,7 @@ def inject_faults(
         raise ValueError(f"fault_ratio must be in [0, 1], got {fault_ratio}")
     candidates = [n for n in topo.ids() if n not in (topo.source, topo.sink)]
     count = math.floor(fault_ratio * len(candidates))
-    return [(node, 0.0) for node in sorted(rng.sample(candidates, count))]
+    return sorted(rng.sample(candidates, count))
 
 
 def preload_buffers(
@@ -307,8 +306,7 @@ class Simulation:
             fault_pool = carved
         else:
             fault_pool = topo
-        for nid, _onset in inject_faults(fault_pool, scenario.fault_ratio, self.rng):
-            dead.add(nid)
+        dead.update(inject_faults(fault_pool, scenario.fault_ratio, self.rng))
         if dead:
             self._schedule(0.0, FAULT_ONSET, sorted(dead))
 
@@ -388,8 +386,19 @@ class Simulation:
             )
         return joules
 
-    def _charge_control(self, sender: NodeId, receiver: NodeId) -> None:
+    def _send_control(
+        self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId, now: float
+    ) -> bool:
+        """Send one control frame: delivered after the feedback delay and
+        charged to the sender at once. A dead receiver gets nothing, and the
+        send is reported as not made."""
+        if not self.nodes[receiver].alive:
+            return False
+        self._schedule(
+            now + self.cfg.feedback_delay_ms, FEEDBACK_DELIVERY, (msg, sender, receiver)
+        )
         self.metrics.energy_total_j += self._control_cost(sender, receiver)
+        return True
 
     def _send_feedbacks(
         self, node: _NodeRuntime, feedbacks: list[FeedbackMessage], now: float
@@ -399,26 +408,15 @@ class Simulation:
         Recovery is fanned out to every sender that was warned during the
         congestion episode, so nobody is left avoiding a healthy node.
         """
-        table = node.table
+        upstream = node.table.upstream
         for fb in feedbacks:
-            upstream = table.upstream if table is not None else None
+            dests = {upstream} if upstream is not None else set()
             if fb.kind is FeedbackKind.RECOVER:
-                dests = set(node.cong_notified)
-                if upstream is not None:
-                    dests.add(upstream)
+                dests |= node.cong_notified
                 node.cong_notified.clear()
-            else:
-                dests = {upstream} if upstream is not None else set()
             for dest in sorted(dests):
-                if not self.nodes[dest].alive:
-                    continue
-                self._schedule(
-                    now + self.cfg.feedback_delay_ms,
-                    FEEDBACK_DELIVERY,
-                    (fb, node.id, dest),
-                )
-                self._charge_control(node.id, dest)
-                if fb.kind is FeedbackKind.CONG:
+                sent = self._send_control(fb, node.id, dest, now)
+                if sent and fb.kind is FeedbackKind.CONG:
                     node.cong_notified.add(dest)
 
     # ------------------------------------------------------------------
@@ -455,9 +453,7 @@ class Simulation:
             packet = queue[0]
             decision = self._decide(node, packet, now)
             if isinstance(decision, Drop):
-                queue.popleft()
-                if queue is node.relay_queue:
-                    node.buffer_used -= packet.size_bits / 8
+                self._pop_in_service(node, packet)
                 outcome = (
                     EXPIRED
                     if decision.reason is DropReason.EXPIRED
@@ -535,45 +531,36 @@ class Simulation:
         sender.busy = False
         receiver = self.nodes[target]
 
-        accepted = False
-        if receiver.alive:
-            if receiver.is_sink:
-                accepted = True
-            else:
-                if self.dmrf is not None:
-                    # the offered arrival counts toward the rate estimate
-                    # whether or not the packet fits
-                    if receiver.last_arrival is not None:
-                        gap = now - receiver.last_arrival
-                        if gap > 0:
-                            receiver.arrival_ewma = (
-                                0.5 * receiver.arrival_ewma + 0.5 / gap
-                            )
-                    receiver.last_arrival = now
-                    fbs = self.dmrf.detect_congestion(
-                        receiver.table,
-                        receiver.buffer_used,
-                        self._buffer_capacity,
-                        receiver.arrival_ewma,
-                        now,
-                    )
-                    if fbs:
-                        self._send_feedbacks(receiver, fbs, now)
-                size_bytes = packet.size_bits / 8
-                accepted = (
-                    receiver.buffer_used + size_bytes <= self.cfg.buffer_bytes
+        accepted = receiver.alive
+        if accepted and not receiver.is_sink:
+            if self.dmrf is not None:
+                # the offered arrival counts toward the rate estimate whether
+                # or not the packet fits
+                if receiver.last_arrival is not None:
+                    gap = now - receiver.last_arrival
+                    if gap > 0:
+                        receiver.arrival_ewma = 0.5 * receiver.arrival_ewma + 0.5 / gap
+                receiver.last_arrival = now
+                fbs = self.dmrf.detect_congestion(
+                    receiver.table,
+                    receiver.buffer_used,
+                    self._buffer_capacity,
+                    receiver.arrival_ewma,
+                    now,
                 )
-
-        if not accepted:
-            if receiver.alive:
-                self._notify_congestion(receiver, sender_id, now)
-            if sender.table is not None:
-                if is_jump:
-                    fbs = self.dmrf.on_jump_result(sender.table, target, False, now)
-                else:
-                    fbs = self.dmrf.on_forward_result(sender.table, target, False, now)
                 if fbs:
-                    self._send_feedbacks(sender, fbs, now)
+                    self._send_feedbacks(receiver, fbs, now)
+            accepted = receiver.buffer_used + packet.size_bits / 8 <= self.cfg.buffer_bytes
+
+        if not accepted and receiver.alive:
+            self._notify_congestion(receiver, sender_id, now)
+        if sender.table is not None:
+            on_result = self.dmrf.on_jump_result if is_jump else self.dmrf.on_forward_result
+            fbs = on_result(sender.table, target, accepted, now)
+            if fbs:
+                self._send_feedbacks(sender, fbs, now)
+        if not accepted:
+            if sender.table is not None:
                 # the packet stays at the head of the queue; the retry's
                 # service time absorbs the acknowledgment timeout
                 self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
@@ -583,14 +570,6 @@ class Simulation:
                 self._finalize(packet, outcome, now)
                 self._try_start(sender, now)
             return
-
-        if sender.table is not None:
-            if is_jump:
-                fbs = self.dmrf.on_jump_result(sender.table, target, True, now)
-            else:
-                fbs = self.dmrf.on_forward_result(sender.table, target, True, now)
-            if fbs:
-                self._send_feedbacks(sender, fbs, now)
 
         self._pop_in_service(sender, packet)
 
@@ -626,16 +605,9 @@ class Simulation:
         once per sender per congestion episode."""
         if self.dmrf is None or sender_id in node.cong_notified:
             return
-        if not self.nodes[sender_id].alive:
-            return
-        node.cong_notified.add(sender_id)
-        fb = FeedbackMessage(
-            kind=FeedbackKind.CONG, origin=node.id, subject=node.id
-        )
-        self._schedule(
-            now + self.cfg.feedback_delay_ms, FEEDBACK_DELIVERY, (fb, node.id, sender_id)
-        )
-        self._charge_control(node.id, sender_id)
+        fb = FeedbackMessage(kind=FeedbackKind.CONG, origin=node.id, subject=node.id)
+        if self._send_control(fb, node.id, sender_id, now):
+            node.cong_notified.add(sender_id)
 
     def _trace_member(self, kind: int, node_id: NodeId) -> None:
         self.trace.append(
@@ -740,14 +712,7 @@ class Simulation:
         table = receiver.table
         reforward, fbs = self.dmrf.on_feedback(table, msg, sender_id, now, self.rng)
         if reforward is not None and table.upstream is not None:
-            dest = table.upstream
-            if self.nodes[dest].alive:
-                self._schedule(
-                    now + self.cfg.feedback_delay_ms,
-                    FEEDBACK_DELIVERY,
-                    (reforward, receiver_id, dest),
-                )
-                self._charge_control(receiver_id, dest)
+            self._send_control(reforward, receiver_id, table.upstream, now)
         if fbs:
             self._send_feedbacks(receiver, fbs, now)
 

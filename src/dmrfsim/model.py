@@ -66,7 +66,6 @@ class CandidateEntry:
     attempts: int = 0
     successes: int = 0
     suc: float = 1.0  # optimistic prior: fresh candidates get probability mass
-    jump_p: float = 0.0
     delay_est: float = 0.0
     cached_state: NodeState = NodeState.NORMAL
     tx_count: int = 0

@@ -179,21 +179,16 @@ def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
     return computed
 
 
-def jump_probabilities(entries: list[CandidateEntry]) -> list[CandidateEntry]:
-    """Normalize success ratios into jump probabilities; uniform when no
-    candidate has any recorded success mass. The total adds left to right,
-    as `model.running_sum` does."""
+def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
+    """The jump probability of each entry, in entry order: its share of the
+    success ratios, uniform when no entry has any success mass. The total
+    adds left to right, as `model.running_sum` does."""
     total = 0.0
     for e in entries:
         total += e.suc
     if total <= 0.0:
-        uniform = 1.0 / len(entries)
-        for e in entries:
-            e.jump_p = uniform
-    else:
-        for e in entries:
-            e.jump_p = e.suc / total
-    return entries
+        return [1.0 / len(entries)] * len(entries)
+    return [e.suc / total for e in entries]
 
 
 def choose_jump_target(
@@ -203,9 +198,9 @@ def choose_jump_target(
     sink_in_range: bool,
 ) -> NodeId | None:
     """Sample a jump target by the `jump_probabilities` of the candidates
-    cached NORMAL, summed as it computes them but written nowhere. With none
-    viable, fall back to direct transmission to the sink when it is inside
-    the maximum range.
+    cached NORMAL, each share computed and accumulated in one pass. With
+    none viable, fall back to direct transmission to the sink when it is
+    inside the maximum range.
     """
     normal = NodeState.NORMAL
     viable = [e for e in entries if e.cached_state is normal]
@@ -302,8 +297,6 @@ class DmrfProtocol:
                 entries[other] = entry
             pool.append(entry)
         table.jump_pool = pool
-        if pool:
-            jump_probabilities(pool)
 
     # ------------------------------------------------------------------
     # detection pipeline
@@ -545,8 +538,6 @@ class DmrfProtocol:
                 )
             )
             feedbacks.extend(self._reevaluate(table, now))
-        if table.jump_pool is not None:
-            jump_probabilities(table.jump_pool)
         return feedbacks
 
     def on_feedback(
@@ -567,8 +558,6 @@ class DmrfProtocol:
             entry = table.entries.get(from_node)
             if entry is not None:
                 entry.suc *= rng.random()
-                if table.jump_pool:
-                    jump_probabilities(table.jump_pool)
             if msg.hop_limit > 1:
                 return (
                     FeedbackMessage(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import os
 from dataclasses import dataclass, field
 from statistics import mean, stdev
@@ -184,17 +185,48 @@ def rows_to_csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+#: the numeric CSV columns and the type each is read back as
+_NUMBER_COLUMNS = {
+    **dict.fromkeys(("repetition", "seed", "injected", "delivered", "expired",
+                     "dropped_no_route", "buffer_drops", "control_packets",
+                     "tx_total", "tx_max"), int),
+    **dict.fromkeys(("mean_delay_ms", "p95_delay_ms", "energy_total_j"), float),
+}
+
+
 def read_csv(fh) -> list[dict]:
-    """Inverse of write_csv, restoring numeric types."""
+    """Inverse of write_csv, restoring numeric types.
+
+    A missing column, a count that is not an integer, a number that is not
+    finite, or a row that injected nothing raises ConfigError naming the
+    line and the column.
+    """
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None:
+        return []
+    for key in CSV_COLUMNS:
+        if key not in reader.fieldnames:
+            raise ConfigError(f"line 1, column {key}: missing from the header")
     rows = []
-    for raw in csv.DictReader(fh):
+    for raw in reader:
         row = dict(raw)
-        for key in ("repetition", "seed", "injected", "delivered", "expired",
-                    "dropped_no_route", "buffer_drops", "control_packets",
-                    "tx_total", "tx_max"):
-            row[key] = int(row[key])
-        for key in ("mean_delay_ms", "p95_delay_ms", "energy_total_j"):
-            row[key] = float(row[key])
+        for key, parse in _NUMBER_COLUMNS.items():
+            where = f"line {reader.line_num}, column {key}"
+            text = row[key]
+            if text is None:
+                raise ConfigError(f"{where}: missing")
+            try:
+                row[key] = parse(text)
+            except ValueError:
+                expected = "an integer" if parse is int else "a number"
+                raise ConfigError(f"{where}: expected {expected}, got {text!r}") from None
+            if not math.isfinite(row[key]):
+                raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+        if row["injected"] < 1:
+            raise ConfigError(
+                f"line {reader.line_num}, column injected: expected at least 1, "
+                f"got {row['injected']}"
+            )
         try:
             row["value"] = int(row["value"])
         except ValueError:

@@ -261,8 +261,9 @@ def test_criterion_07_jump_probability_convergence():
     expected_p = {c: (suc[c] / total if total > 0 else 0.5) for c in (good, bad)}
 
     suc_err = max(abs(table.entries[c].suc - suc[c]) for c in (good, bad))
-    p_err = max(abs(table.entries[c].jump_p - expected_p[c]) for c in (good, bad))
-    mass_on_bad = table.entries[bad].jump_p
+    p = dict(zip((good, bad), jump_probabilities(table.jump_pool)))
+    p_err = max(abs(p[c] - expected_p[c]) for c in (good, bad))
+    mass_on_bad = p[bad]
     ok = mass_on_bad < 0.05 and suc_err <= 1e-12 and p_err <= 1e-12
     verdict(
         7,
@@ -290,10 +291,10 @@ def test_criterion_08_probability_normalization():
                 t = rng.randint(0, 20)
                 s = rng.randint(0, t) / t if t else 0.0
             entries.append(CandidateEntry(candidate=c, suc=s))
-        jump_probabilities(entries)
-        total = sum(e.jump_p for e in entries)
+        shares = jump_probabilities(entries)
+        total = sum(shares)
         worst = max(worst, abs(total - 1.0))
-        assert all(0.0 <= e.jump_p <= 1.0 for e in entries)
+        assert all(0.0 <= p <= 1.0 for p in shares)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
     verdict(

@@ -119,6 +119,41 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["summarize", "--in", str(empty)]) == 1
 
 
+_HEADER = ("parameter,value,protocol,repetition,seed,injected,delivered,expired,"
+           "dropped_no_route,buffer_drops,control_packets,mean_delay_ms,"
+           "p95_delay_ms,energy_total_j,tx_total,tx_max")
+_ROW = "fault_ratio,0.1,DMRF,0,7,10,9,1,0,0,500,12.5,20.0,0.01,40,8"
+
+
+def _without_injected(line):
+    fields = line.split(",")
+    del fields[5]
+    return ",".join(fields)
+
+
+def _csv(header=_HEADER, row=_ROW):
+    return f"{header}\n{row}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (_csv(_without_injected(_HEADER), _without_injected(_ROW)), "injected"),
+        (_csv(row=_ROW.replace(",10,9,", ",abc,9,")), "injected"),
+        (_csv(row=_ROW.replace(",10,9,", ",0,0,")), "injected"),
+        (_csv(row=_ROW.replace(",12.5,", ",nan,")), "mean_delay_ms"),
+        (_csv().replace(b"DMRF", b"\xff\xfe"), "utf-8"),
+        (_csv(row=_ROW.rsplit(",", 3)[0]), "tx_total"),
+    ],
+    ids=["missing-column", "non-integer", "nothing-injected", "nan", "not-utf8", "short-row"],
+)
+def test_malformed_sweep_csv_exits_one(tmp_path, capsys, content, named):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main(["summarize", "--in", str(path)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_infinite_injection_period_exits_one(tmp_path, capsys):
     # JSON's Infinity literal: packet 0 would be injected at 0 * inf = NaN ms
     path = tmp_path / "inf.json"

@@ -20,6 +20,7 @@ from dmrfsim.engine import (
     DROPPED_NO_ROUTE,
     EVENT_KINDS,
     EXPIRED,
+    FEEDBACK_DELIVERY,
     Simulation,
     energy_cost,
     inject_faults,
@@ -27,6 +28,7 @@ from dmrfsim.engine import (
     run,
     sample_delay,
 )
+from dmrfsim.model import FeedbackKind, FeedbackMessage
 from dmrfsim.topology import UNIFORM_GRID, Topology, deploy
 
 
@@ -147,12 +149,10 @@ def test_energy_cost_rejects_out_of_range_links():
 
 def test_inject_faults_count_and_endpoint_protection():
     topo = deploy(400, (20.0, 20.0), UNIFORM_GRID, rng_seed=1)
-    victims = inject_faults(topo, 0.2, random.Random(5))
+    ids = inject_faults(topo, 0.2, random.Random(5))
     # floor(0.2 * 398) relay victims
-    assert len(victims) == 79
-    ids = [v for v, _ in victims]
+    assert len(ids) == 79
     assert topo.source not in ids and topo.sink not in ids
-    assert all(t == 0.0 for _, t in victims)
     assert ids == sorted(ids)
 
 
@@ -300,6 +300,92 @@ def test_trace_collection_orders_events():
     assert all(e.kind in EVENT_KINDS for e in result.trace)
     kinds = {e.kind for e in result.trace}
     assert {"PACKET_INJECT", "PACKET_ARRIVAL", "PROBE"} <= kinds
+
+
+# ----------------------------------------------------------------------
+# control frames: feedback, congestion notices and JUMP_FAIL re-forwards
+
+
+def control_sim():
+    """A DMRF run on the 0 - 1 - ... - 5 line, set up but not started."""
+    return Simulation(line_topo(6), small_cfg(node_count=6, region=(5.0, 1.0), seed=1))
+
+
+def frames_since(sim, seq):
+    """(sender, receiver, kind) of each control frame scheduled at or after
+    sequence number `seq`, in the order they were scheduled."""
+    frames = [e for e in sim._heap if e[1] >= seq and e[2] == FEEDBACK_DELIVERY]
+    frames.sort(key=lambda e: e[1])
+    return [(a[1], a[2], a[0].kind) for _, _, _, a in frames]
+
+
+def feedback_upstream(sim, node, receiver):
+    node.table.upstream = receiver
+    fb = FeedbackMessage(kind=FeedbackKind.CONG, origin=node.id, subject=node.id)
+    sim._send_feedbacks(node, [fb], 0.0)
+
+
+def congestion_notice(sim, node, receiver):
+    sim._notify_congestion(node, receiver, 0.0)
+
+
+def jump_fail_reforward(sim, node, receiver):
+    node.table.upstream = receiver
+    fb = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, origin=4, subject=4)
+    sim._on_feedback((fb, node.id + 1, node.id), 0.0)
+
+
+CONTROL_SENDERS = [feedback_upstream, congestion_notice, jump_fail_reforward]
+
+
+@pytest.mark.parametrize("send", CONTROL_SENDERS, ids=lambda f: f.__name__)
+def test_no_control_frame_goes_to_a_dead_receiver(send):
+    sim = control_sim()
+    sim._on_fault_onset([1], 0.0)
+    node = sim.nodes[2]
+    seq, energy = sim._seq, sim.metrics.energy_total_j
+    send(sim, node, 1)
+    assert frames_since(sim, seq) == []
+    assert sim.metrics.energy_total_j == energy
+    assert node.cong_notified == set()
+
+
+@pytest.mark.parametrize("send", CONTROL_SENDERS, ids=lambda f: f.__name__)
+def test_a_live_receiver_gets_one_charged_frame(send):
+    sim = control_sim()
+    node = sim.nodes[2]
+    seq, energy = sim._seq, sim.metrics.energy_total_j
+    send(sim, node, 1)
+    assert [(s, r) for s, r, _ in frames_since(sim, seq)] == [(2, 1)]
+    assert sim.metrics.energy_total_j == energy + sim._control_cost(2, 1)
+    # only a CONG frame that went out marks its receiver as warned
+    assert node.cong_notified == (set() if send is jump_fail_reforward else {1})
+
+
+def test_congestion_notice_goes_once_per_sender_per_episode():
+    sim = control_sim()
+    node = sim.nodes[2]
+    seq = sim._seq
+    for _ in range(3):
+        sim._notify_congestion(node, 1, 0.0)
+    sim._notify_congestion(node, 0, 0.0)
+    assert frames_since(sim, seq) == [
+        (2, 1, FeedbackKind.CONG),
+        (2, 0, FeedbackKind.CONG),
+    ]
+    assert node.cong_notified == {0, 1}
+
+
+def test_recovery_reaches_every_warned_sender_and_the_upstream():
+    sim = control_sim()
+    node = sim.nodes[2]
+    node.cong_notified.update({4, 1, 0})
+    node.table.upstream = 1
+    seq = sim._seq
+    fb = FeedbackMessage(kind=FeedbackKind.RECOVER, origin=2, subject=2)
+    sim._send_feedbacks(node, [fb], 0.0)
+    assert frames_since(sim, seq) == [(2, r, FeedbackKind.RECOVER) for r in (0, 1, 4)]
+    assert node.cong_notified == set()
 
 
 # ----------------------------------------------------------------------

@@ -151,15 +151,14 @@ def test_rate_continuity_pins_low_high_swings_to_medium():
 def test_jump_probabilities_normalize_success_ratios():
     a = CandidateEntry(candidate=1, suc=0.75)
     b = CandidateEntry(candidate=2, suc=0.5)
-    jump_probabilities([a, b])
-    assert a.jump_p == pytest.approx(0.6)
-    assert b.jump_p == pytest.approx(0.4)
+    p_a, p_b = jump_probabilities([a, b])
+    assert p_a == pytest.approx(0.6)
+    assert p_b == pytest.approx(0.4)
 
 
 def test_jump_probabilities_uniform_when_all_zero():
     entries = [CandidateEntry(candidate=i, suc=0.0) for i in range(4)]
-    jump_probabilities(entries)
-    assert all(e.jump_p == pytest.approx(0.25) for e in entries)
+    assert all(p == pytest.approx(0.25) for p in jump_probabilities(entries))
 
 
 def test_choose_jump_target_samples_cumulatively():
@@ -193,11 +192,10 @@ def reference_jump_target(entries, rng, sink, sink_in_range):
     viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
     if not viable:
         return sink if sink_in_range else None
-    jump_probabilities(viable)
     r = rng.random()
     acc = 0.0
-    for e in viable:
-        acc += e.jump_p
+    for e, p in zip(viable, jump_probabilities(viable)):
+        acc += p
         if r < acc:
             return e.candidate
     return viable[-1].candidate
@@ -239,8 +237,8 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     # could part, so some draws are pinned onto them or one ulp below
     viable = [e for e in entries() if e.cached_state not in KNOWN_BAD]
     edges, acc = [], 0.0
-    for e in jump_probabilities(viable) if viable else []:
-        acc += e.jump_p
+    for p in jump_probabilities(viable) if viable else []:
+        acc += p
         edges.append(acc)
     value = {
         "draw": None,
@@ -258,7 +256,6 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     actual = choose_jump_target(subject, actual_rng, 99, sink_in_range)
     assert actual == expected
     assert actual_rng.getstate() == expected_rng.getstate()
-    assert all(e.jump_p == 0.0 for e in subject)  # the draw writes no probability
 
 
 # ----------------------------------------------------------------------
@@ -667,10 +664,11 @@ def test_first_jump_failure_zeroes_the_candidate():
     proto.ensure_jump_entries(table)
     proto.on_jump_result(table, 1, False, now=0.0)
     assert table.entries[1].suc == 0.0
-    # and the pool is renormalized away from it
-    others = [e for e in table.jump_pool if e.candidate != 1]
-    assert table.entries[1].jump_p == 0.0
-    assert sum(e.jump_p for e in others) == pytest.approx(1.0)
+    # and the pool's probability mass moves away from it
+    shares = dict(zip([e.candidate for e in table.jump_pool],
+                      jump_probabilities(table.jump_pool)))
+    assert shares[1] == 0.0
+    assert sum(p for c, p in shares.items() if c != 1) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------

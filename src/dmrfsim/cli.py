@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from collections.abc import Iterable
 
 from .config import ConfigError, ScenarioConfig, load, validate
 from .sweeps import (
@@ -22,6 +24,7 @@ from .sweeps import (
     execute_scenario,
     make_preset,
     read_csv,
+    rows_to_csv_text,
     run_sweep,
     summarize,
     write_csv,
@@ -71,14 +74,30 @@ def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
     return cfg
 
 
+def _check_out(path: str) -> None:
+    """An `--out` that cannot be written is a configuration error, found
+    before any simulation runs and without creating the file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: {directory} is not a writable directory")
+
+
+def _write_out(path: str, chunks: Iterable[str], newline: str | None) -> None:
+    """Write the text chunks to `path`; an OSError is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
     rows = [_result_row("", "", 0, cfg, execute_scenario(cfg))]
     if args.out is None:
         write_csv(rows, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(rows, fh)
+        _write_out(args.out, [rows_to_csv_text(rows)], newline="")
     return 0
 
 
@@ -86,8 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args.config, None)
     spec = make_preset(args.preset, base)
     rows = run_sweep(spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_csv(rows, fh)
+    _write_out(args.out, [rows_to_csv_text(rows)], newline="")
     print(f"{len(rows)} runs -> {args.out}")
     return 0
 
@@ -107,20 +125,20 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, args.seed)
     result = execute_scenario(cfg, collect_trace=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for event in result.trace:
-            fh.write(
-                json.dumps(
-                    {
-                        "t": event.time,
-                        "seq": event.seq,
-                        "kind": event.kind,
-                        "node": event.node,
-                        "packet": event.packet,
-                    }
-                )
-            )
-            fh.write("\n")
+    lines = (
+        json.dumps(
+            {
+                "t": event.time,
+                "seq": event.seq,
+                "kind": event.kind,
+                "node": event.node,
+                "packet": event.packet,
+            }
+        )
+        + "\n"
+        for event in result.trace
+    )
+    _write_out(args.out, lines, newline=None)
     print(f"{len(result.trace)} events -> {args.out}")
     return 0
 
@@ -138,6 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
     }
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return commands[args.command](args)
     except ConfigError as exc:
         print(f"dmrfsim: error: {exc}", file=sys.stderr)

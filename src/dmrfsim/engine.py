@@ -41,7 +41,6 @@ from .protocol import (
     DmrfProtocol,
     Drop,
     DropReason,
-    Forward,
     Jump,
     RoutingTable,
     Transition,
@@ -198,14 +197,12 @@ class _NodeRuntime:
         "alive",
         "is_sink",
         "table",
-        "static_candidates",
         "ranked",
         "probe_links",
         "data_j",
         "relay_queue",
         "app_queue",
         "buffer_used",
-        "busy",
         "pending",
         "arrival_ewma",
         "last_arrival",
@@ -217,8 +214,8 @@ class _NodeRuntime:
         self.alive = True
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
-        self.static_candidates: list[tuple[NodeId, float]] = []
-        # static_candidates in a baseline's order, ranked at the first decision
+        # a baseline's candidate set on the full deployment, every link at the
+        # mean hop delay, in the baseline's order; built at the first decision
         self.ranked: list[NodeId] | None = None
         # (FCS member entry, its candidate's runtime, joules per control
         # frame), in FCS (id) order, for probing
@@ -228,7 +225,6 @@ class _NodeRuntime:
         self.relay_queue: deque[Packet] = deque()
         self.app_queue: deque[Packet] = deque()
         self.buffer_used = 0.0
-        self.busy = False
         self.pending: tuple[Packet, NodeId, bool] | None = None
         self.arrival_ewma = 0.0
         self.last_arrival: float | None = None
@@ -264,11 +260,10 @@ class Simulation:
 
         self.metrics = MetricsRecord()
         self.outcomes: list[PacketOutcome] = []
-        self._delays: list[float] = []
         self._tx: dict[NodeId, int] = {}
-        # packet id -> ("APP"|"QUEUED"|"FLIGHT"|"DONE", node id)
-        self._status: dict[int, tuple[str, NodeId]] = {}
-        self._terminal = 0
+        # injected packets not yet finished: id -> (packet, "APP" | "QUEUED" |
+        # "FLIGHT", the node whose queue or pending send holds it)
+        self._open: dict[int, tuple[Packet, str, NodeId]] = {}
 
         self.dmrf = DmrfProtocol(topo, scenario) if scenario.protocol == DMRF else None
         # every state transition of the run, in order: the protocol's own
@@ -287,13 +282,6 @@ class Simulation:
         if self.dmrf is not None:
             for nid, table in self.dmrf.build_tables().items():
                 self.nodes[nid].table = table
-        else:
-            for nid in topo.ids():
-                if nid == topo.sink:
-                    continue
-                self.nodes[nid].static_candidates = [
-                    (c, self.mu) for c in build_fcs(topo, nid)
-                ]
 
         preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
         for nid, used in preload.items():
@@ -357,11 +345,10 @@ class Simulation:
         )
 
     def _finalize(self, packet: Packet, outcome: str, now: float) -> None:
-        self._status[packet.id] = ("DONE", -1)
-        self._terminal += 1
+        if self._open.pop(packet.id, None) is None:
+            raise InvariantError(f"packet {packet.id} finished twice")
         if outcome == DELIVERED:
             self.metrics.delivered += 1
-            self._delays.append(now - packet.created_at)
         elif outcome == EXPIRED:
             self.metrics.expired += 1
         elif outcome == DROPPED_NO_ROUTE:
@@ -431,7 +418,7 @@ class Simulation:
             ranked = node.ranked = baselines.rank_candidates(
                 self.topo,
                 node.id,
-                node.static_candidates,
+                [(c, self.mu) for c in build_fcs(self.topo, node.id)],
                 by_rate=name == GREEDY_MAX_RATE,
             )
         if name == GREEDY_MIN_DELAY:
@@ -443,7 +430,7 @@ class Simulation:
         )
 
     def _try_start(self, node: _NodeRuntime, now: float, stall: float = 0.0) -> None:
-        while not node.busy:
+        while node.pending is None:
             if node.relay_queue:
                 queue = node.relay_queue
             elif node.app_queue:
@@ -462,9 +449,11 @@ class Simulation:
                 self._finalize(packet, outcome, now)
                 stall = 0.0
                 continue
-            if isinstance(decision, Forward):
-                target = decision.next
-                is_jump = False
+            target = decision.next
+            is_jump = isinstance(decision, Jump)
+            if is_jump:
+                multiplier = 1.0
+            else:
                 rate = packet.rate_class = decision.rate
                 if rate is RateClass.MEDIUM:
                     multiplier = self._medium_mult
@@ -474,10 +463,6 @@ class Simulation:
                     multiplier = self._high_mult
                 if node.table is not None:
                     node.table.entries[target].tx_count += 1
-            else:
-                target = decision.next
-                is_jump = True
-                multiplier = 1.0
             service = stall + sample_delay(self.mu, self.sigma, self.rng) * multiplier
             joules = node.data_j.get(target)
             if joules is None:
@@ -486,9 +471,8 @@ class Simulation:
                 )
             self.metrics.energy_total_j += joules
             self._tx[node.id] = self._tx.get(node.id, 0) + 1
-            node.busy = True
             node.pending = (packet, target, is_jump)
-            self._status[packet.id] = ("FLIGHT", node.id)
+            self._open[packet.id] = (packet, "FLIGHT", node.id)
             self._schedule(now + service, PACKET_ARRIVAL, node.id)
             return
 
@@ -504,7 +488,7 @@ class Simulation:
             packet_id=index,
         )
         self.metrics.injected += 1
-        self._status[packet.id] = ("APP", self.topo.source)
+        self._open[packet.id] = (packet, "APP", self.topo.source)
         source = self.nodes[self.topo.source]
         source.app_queue.append(packet)
         self._schedule(packet.deadline, DEADLINE_CHECK, packet)
@@ -528,7 +512,6 @@ class Simulation:
         sender = self.nodes[sender_id]
         packet, target, is_jump = sender.pending
         sender.pending = None
-        sender.busy = False
         receiver = self.nodes[target]
 
         accepted = receiver.alive
@@ -589,7 +572,7 @@ class Simulation:
             receiver.buffer_used += packet.size_bits / 8
             packet.hop_trace.append(receiver.id)
             receiver.relay_queue.append(packet)
-            self._status[packet.id] = ("QUEUED", receiver.id)
+            self._open[packet.id] = (packet, "QUEUED", receiver.id)
             if (
                 self.dmrf is not None
                 and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
@@ -605,7 +588,7 @@ class Simulation:
         once per sender per congestion episode."""
         if self.dmrf is None or sender_id in node.cong_notified:
             return
-        fb = FeedbackMessage(kind=FeedbackKind.CONG, origin=node.id, subject=node.id)
+        fb = FeedbackMessage(kind=FeedbackKind.CONG)
         if self._send_control(fb, node.id, sender_id, now):
             node.cong_notified.add(sender_id)
 
@@ -728,10 +711,11 @@ class Simulation:
                 table.dirty = True
 
     def _on_deadline(self, packet: Packet, now: float) -> None:
-        status, where = self._status[packet.id]
-        if status == "DONE" or status == "FLIGHT":
-            # in-flight packets are judged when the transmission resolves
+        entry = self._open.get(packet.id)
+        if entry is None or entry[1] == "FLIGHT":
+            # finished, or in flight: judged when the transmission resolves
             return
+        _, status, where = entry
         node = self.nodes[where]
         if status == "APP":
             node.app_queue.remove(packet)
@@ -756,7 +740,7 @@ class Simulation:
         heap, trace = self._heap, self.trace
         horizon, target = self.cfg.horizon_ms, self.cfg.packet_count
         while heap:
-            if self._terminal == target and self.metrics.injected == target:
+            if not self._open and self.metrics.injected == target:
                 break
             time, seq, kind, a = heappop(heap)
             if time > horizon:
@@ -767,20 +751,11 @@ class Simulation:
             handlers[kind](a, time)
 
         # horizon cut: anything still alive in the network expires
-        for node in self.nodes.values():
-            for queue in (node.relay_queue, node.app_queue):
-                while queue:
-                    leftover = queue.popleft()
-                    if self._status[leftover.id][0] != "DONE":
-                        self._finalize(leftover, EXPIRED, self.now)
-            if node.pending is not None:
-                leftover = node.pending[0]
-                if self._status[leftover.id][0] != "DONE":
-                    self._finalize(leftover, EXPIRED, self.now)
-                node.pending = None
+        for leftover, _, _ in list(self._open.values()):
+            self._finalize(leftover, EXPIRED, self.now)
 
-        if self._delays:
-            ordered = sorted(self._delays)
+        ordered = sorted(o.delay_ms for o in self.outcomes if o.outcome == DELIVERED)
+        if ordered:
             self.metrics.mean_delay_ms = running_sum(ordered) / len(ordered)
             rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
             self.metrics.p95_delay_ms = ordered[rank]

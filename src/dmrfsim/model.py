@@ -50,7 +50,6 @@ class Packet:
     """
 
     id: int
-    source: NodeId
     size_bits: int
     created_at: float
     deadline: float
@@ -76,11 +75,10 @@ class CandidateEntry:
 
 @dataclass(slots=True)
 class FeedbackMessage:
-    """Typed upstream control message; counted as a control packet."""
+    """Typed upstream control message, counted as a control packet. Every
+    kind but JUMP_FAIL reports the state of the node that sends it."""
 
     kind: FeedbackKind
-    origin: NodeId
-    subject: NodeId
     hop_limit: int = 64
 
 
@@ -96,11 +94,9 @@ def make_packet(
         raise ValueError(f"packet lifetime must be positive, got {lifetime}")
     return Packet(
         id=packet_id,
-        source=source,
         size_bits=size_bits,
         created_at=now,
         deadline=now + lifetime,
-        rate_class=RateClass.LOW,
         hop_trace=[source],
     )
 

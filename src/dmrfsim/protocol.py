@@ -44,7 +44,7 @@ FEEDBACK_ON_ENTRY = {
     NodeState.CONG: FeedbackKind.CONG,
     NodeState.NORMAL: FeedbackKind.RECOVER,
 }
-#: the state a self-reported feedback says its subject is in
+#: the state a self-reported feedback says its sender is in
 REPORTED_STATE = {
     FeedbackKind.FAULT: NodeState.FAULTY,
     FeedbackKind.CONG: NodeState.CONG,
@@ -427,11 +427,7 @@ class DmrfProtocol:
                 )
             self.transitions.append((now, table.owner, table.state, nxt))
             table.state = nxt
-            messages.append(
-                FeedbackMessage(
-                    kind=FEEDBACK_ON_ENTRY[nxt], origin=table.owner, subject=table.owner
-                )
-            )
+            messages.append(FeedbackMessage(kind=FEEDBACK_ON_ENTRY[nxt]))
         return messages
 
     # ------------------------------------------------------------------
@@ -532,11 +528,7 @@ class DmrfProtocol:
         else:
             entry.suc = max(0, entry.successes - 1) / entry.attempts
             self._distrust(table, entry)
-            feedbacks.append(
-                FeedbackMessage(
-                    kind=FeedbackKind.JUMP_FAIL, origin=table.owner, subject=target
-                )
-            )
+            feedbacks.append(FeedbackMessage(kind=FeedbackKind.JUMP_FAIL))
             feedbacks.extend(self._reevaluate(table, now))
         return feedbacks
 
@@ -559,19 +551,11 @@ class DmrfProtocol:
             if entry is not None:
                 entry.suc *= rng.random()
             if msg.hop_limit > 1:
-                return (
-                    FeedbackMessage(
-                        kind=msg.kind,
-                        origin=msg.origin,
-                        subject=msg.subject,
-                        hop_limit=msg.hop_limit - 1,
-                    ),
-                    [],
-                )
+                return FeedbackMessage(kind=msg.kind, hop_limit=msg.hop_limit - 1), []
             return None, []
-        entry = table.entries.get(msg.subject)
+        entry = table.entries.get(from_node)
         if entry is not None:
-            # every non-jump kind is self-reported by the subject, which is
+            # every non-jump kind reports its sender's own state, which is
             # proof of life; latest report wins
             _cache_state(table, entry, REPORTED_STATE[msg.kind])
         return None, self._reevaluate(table, now)

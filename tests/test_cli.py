@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dmrfsim import cli
 from dmrfsim.cli import main
 from dmrfsim.engine import EVENT_KINDS
 from dmrfsim.sweeps import read_csv
@@ -171,8 +172,33 @@ def test_non_integer_worker_count_exits_one(tiny_config, tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-def test_runtime_failures_exit_two(tiny_config, capsys):
-    code = main(["run", "--config", tiny_config, "--out",
-                 "/nonexistent-dir/run.csv"])
+def _must_not_simulate(*args, **kwargs):
+    raise AssertionError("simulated although --out cannot be written")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "trace"])
+def test_unwritable_out_exits_one_before_simulating(command, tiny_config, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr(cli, "execute_scenario", _must_not_simulate)
+    monkeypatch.setattr(cli, "run_sweep", _must_not_simulate)
+    out = tmp_path / "missing" / "out.txt"
+    preset = ["--preset", "fig6"] if command == "sweep" else []
+    assert main([command, "--config", tiny_config, *preset, "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_write_of_out_exits_one(tiny_config, tmp_path, capsys):
+    # the directory check passes; opening a directory as the file fails
+    assert main(["run", "--config", tiny_config, "--out", str(tmp_path)]) == 1
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+
+def test_runtime_failures_exit_two(tiny_config, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("the engine broke")
+
+    monkeypatch.setattr(cli, "execute_scenario", broken)
+    code = main(["run", "--config", tiny_config])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err

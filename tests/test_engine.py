@@ -1,6 +1,7 @@
 """Unit tests for the event engine: hop delay and energy, fault/congestion staging,
 packet accounting, and determinism."""
 
+import collections
 import dataclasses
 import json
 import os
@@ -28,7 +29,7 @@ from dmrfsim.engine import (
     run,
     sample_delay,
 )
-from dmrfsim.model import FeedbackKind, FeedbackMessage
+from dmrfsim.model import FeedbackKind, FeedbackMessage, InvariantError
 from dmrfsim.topology import UNIFORM_GRID, Topology, deploy
 
 
@@ -233,6 +234,37 @@ def test_horizon_cut_expires_in_flight_packets():
     assert m.terminal_total == m.injected
 
 
+def test_horizon_cut_expires_queued_and_in_flight_packets_once():
+    # a hop takes about 1.28 ms: at the 0.5 ms horizon packet 0 is still on
+    # its first hop and packets 1 and 2 wait in the source's queue
+    topo = line_topo(3)
+    cfg = small_cfg(packet_count=3, injection_period_ms=0.1, horizon_ms=0.5, seed=3)
+    result = run(topo, cfg, collect_trace=True)
+    kinds = [e.kind for e in result.trace]
+    assert kinds.count("PACKET_INJECT") == 3
+    assert "PACKET_ARRIVAL" not in kinds
+    assert [(o.packet_id, o.outcome) for o in result.packets] == [
+        (0, EXPIRED), (1, EXPIRED), (2, EXPIRED)
+    ]
+    assert {o.finished_at for o in result.packets} == {result.trace[-1].time}
+    m = result.metrics
+    tally = collections.Counter(o.outcome for o in result.packets)
+    assert (m.delivered, m.expired, m.dropped_no_route, m.buffer_drops) == (
+        tally[DELIVERED], tally[EXPIRED], tally[DROPPED_NO_ROUTE], tally[BUFFER_DROP]
+    )
+    assert m.terminal_total == m.injected == 3
+    assert m.mean_delay_ms == 0.0
+
+
+def test_finishing_a_packet_twice_raises():
+    sim = Simulation(line_topo(3), small_cfg(seed=1))
+    sim._on_inject(0, 0.0)
+    packet = sim.nodes[0].pending[0]
+    sim._finalize(packet, EXPIRED, 0.0)
+    with pytest.raises(InvariantError, match="packet 0 finished twice"):
+        sim._finalize(packet, EXPIRED, 0.0)
+
+
 def test_full_relay_buffer_drops_blind_sender_packets():
     topo = line_topo(3)
     cfg = small_cfg(
@@ -321,7 +353,7 @@ def frames_since(sim, seq):
 
 def feedback_upstream(sim, node, receiver):
     node.table.upstream = receiver
-    fb = FeedbackMessage(kind=FeedbackKind.CONG, origin=node.id, subject=node.id)
+    fb = FeedbackMessage(kind=FeedbackKind.CONG)
     sim._send_feedbacks(node, [fb], 0.0)
 
 
@@ -331,7 +363,7 @@ def congestion_notice(sim, node, receiver):
 
 def jump_fail_reforward(sim, node, receiver):
     node.table.upstream = receiver
-    fb = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, origin=4, subject=4)
+    fb = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL)
     sim._on_feedback((fb, node.id + 1, node.id), 0.0)
 
 
@@ -382,7 +414,7 @@ def test_recovery_reaches_every_warned_sender_and_the_upstream():
     node.cong_notified.update({4, 1, 0})
     node.table.upstream = 1
     seq = sim._seq
-    fb = FeedbackMessage(kind=FeedbackKind.RECOVER, origin=2, subject=2)
+    fb = FeedbackMessage(kind=FeedbackKind.RECOVER)
     sim._send_feedbacks(node, [fb], 0.0)
     assert frames_since(sim, seq) == [(2, r, FeedbackKind.RECOVER) for r in (0, 1, 4)]
     assert node.cong_notified == set()

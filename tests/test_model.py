@@ -43,9 +43,12 @@ def test_remaining_time_counts_down_and_goes_negative():
     "record, typo",
     [
         (make_packet(source=0, size_bits=256, now=0.0, lifetime=1.0), "dedline"),
+        (make_packet(source=0, size_bits=256, now=0.0, lifetime=1.0), "source"),
         (CandidateEntry(candidate=1), "confidance"),
         (CandidateEntry(candidate=1), "jump_p"),
-        (FeedbackMessage(kind=FeedbackKind.FAULT, origin=1, subject=1), "hop_limt"),
+        (FeedbackMessage(kind=FeedbackKind.FAULT), "hop_limt"),
+        (FeedbackMessage(kind=FeedbackKind.FAULT), "origin"),
+        (FeedbackMessage(kind=FeedbackKind.FAULT), "subject"),
         (Forward(next=1, rate=RateClass.LOW), "rat"),
         (Jump(next=1), "nxt"),
         (Drop(reason=DropReason.EXPIRED), "reasn"),

@@ -656,7 +656,6 @@ def test_jump_success_ratio_arithmetic():
     assert (entry.successes, entry.attempts) == (3, 4)
     assert entry.suc == pytest.approx(0.5)
     assert fbs[0].kind is FeedbackKind.JUMP_FAIL
-    assert fbs[0].subject == 1
 
 
 def test_first_jump_failure_zeroes_the_candidate():
@@ -684,7 +683,7 @@ def test_feedback_caches_subject_state_by_kind():
         (FeedbackKind.RECOVER, N.NORMAL),
     ]
     for kind, expected in cases:
-        msg = FeedbackMessage(kind=kind, origin=1, subject=1)
+        msg = FeedbackMessage(kind=kind)
         reforward, _ = proto.on_feedback(table, msg, from_node=1, now=1.0,
                                          rng=random.Random(1))
         assert reforward is None
@@ -693,9 +692,9 @@ def test_feedback_caches_subject_state_by_kind():
 
 def test_feedback_drives_derived_state():
     proto, table = two_candidate_table()
-    for subject in (1, 2):
-        msg = FeedbackMessage(kind=FeedbackKind.CONG, origin=subject, subject=subject)
-        _, fbs = proto.on_feedback(table, msg, from_node=subject, now=1.0,
+    for sender in (1, 2):
+        msg = FeedbackMessage(kind=FeedbackKind.CONG)
+        _, fbs = proto.on_feedback(table, msg, from_node=sender, now=1.0,
                                    rng=random.Random(1))
     assert table.state is N.JCONG
     assert [f.kind for f in fbs] == [FeedbackKind.CONG]
@@ -706,21 +705,18 @@ def test_jump_fail_feedback_scales_suc_and_reforwards():
     proto.ensure_jump_entries(table)
     entry = table.entries[1]
     entry.suc = 0.8
-    msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, origin=5, subject=5,
-                          hop_limit=3)
+    msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, hop_limit=3)
     reforward, fbs = proto.on_feedback(table, msg, from_node=1, now=1.0,
                                        rng=FixedRng([0.25]))
     assert entry.suc == pytest.approx(0.8 * 0.25)
     assert fbs == []
     assert reforward is not None
     assert reforward.hop_limit == 2
-    assert reforward.subject == 5
 
 
 def test_jump_fail_feedback_stops_at_hop_limit():
     proto, table = two_candidate_table()
-    msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, origin=5, subject=5,
-                          hop_limit=1)
+    msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, hop_limit=1)
     reforward, _ = proto.on_feedback(table, msg, from_node=1, now=1.0,
                                      rng=FixedRng([0.25]))
     assert reforward is None

@@ -25,7 +25,6 @@ from .config import (
     ScenarioConfig,
 )
 from .model import (
-    CandidateEntry,
     FeedbackKind,
     FeedbackMessage,
     InvariantError,
@@ -200,6 +199,8 @@ class _NodeRuntime:
         "ranked",
         "probe_links",
         "data_j",
+        "control_j",
+        "tx",
         "relay_queue",
         "app_queue",
         "buffer_used",
@@ -217,11 +218,14 @@ class _NodeRuntime:
         # a baseline's candidate set on the full deployment, every link at the
         # mean hop delay, in the baseline's order; built at the first decision
         self.ranked: list[NodeId] | None = None
-        # (FCS member entry, its candidate's runtime, joules per control
-        # frame), in FCS (id) order, for probing
-        self.probe_links: list[tuple[CandidateEntry, _NodeRuntime, float]] = []
+        # (candidate's runtime, joules per control frame), in the order of
+        # table.members, for probing
+        self.probe_links: list[tuple[_NodeRuntime, float]] = []
         # receiver id -> joules per data frame; every packet is cfg.packet_bits
         self.data_j: dict[NodeId, float] = {}
+        # receiver id -> joules per control frame
+        self.control_j: dict[NodeId, float] = {}
+        self.tx = 0  # data transmissions started
         self.relay_queue: deque[Packet] = deque()
         self.app_queue: deque[Packet] = deque()
         self.buffer_used = 0.0
@@ -249,8 +253,8 @@ class Simulation:
         self._seq = 0
         self._round_seq = 0  # seq of the probe round being traced
         self.now = 0.0
-        self._control_j: dict[tuple[NodeId, NodeId], float] = {}
         self._buffer_capacity = float(scenario.buffer_bytes)
+        self._packet_bytes = float(scenario.packet_bytes)
 
         # service-time multipliers, read by identity rather than hashing a
         # RateClass per hop
@@ -260,7 +264,6 @@ class Simulation:
 
         self.metrics = MetricsRecord()
         self.outcomes: list[PacketOutcome] = []
-        self._tx: dict[NodeId, int] = {}
         # injected packets not yet finished: id -> (packet, "APP" | "QUEUED" |
         # "FLIGHT", the node whose queue or pending send holds it)
         self._open: dict[int, tuple[Packet, str, NodeId]] = {}
@@ -304,10 +307,10 @@ class Simulation:
                 node = self.nodes[nid]
                 if node.table is not None and node.table.members:
                     node.probe_links = [
-                        (e, self.nodes[e.candidate], self._control_cost(nid, e.candidate))
+                        (self.nodes[e.candidate], self._control_cost(nid, e.candidate))
                         for e in node.table.members
                     ]
-                    probers.append((nid, None))
+                    probers.append((node, None))
             if probers:
                 self._schedule(0.0, PROBE, probers)
 
@@ -366,9 +369,10 @@ class Simulation:
         )
 
     def _control_cost(self, sender: NodeId, receiver: NodeId) -> float:
-        joules = self._control_j.get((sender, receiver))
+        cache = self.nodes[sender].control_j
+        joules = cache.get(receiver)
         if joules is None:
-            joules = self._control_j[(sender, receiver)] = energy_cost(
+            joules = cache[receiver] = energy_cost(
                 self.cfg, self.topo.distance(sender, receiver), CONTROL_FRAME_BITS
             )
         return joules
@@ -470,7 +474,7 @@ class Simulation:
                     self.cfg, self.topo.distance(node.id, target), self.cfg.packet_bits
                 )
             self.metrics.energy_total_j += joules
-            self._tx[node.id] = self._tx.get(node.id, 0) + 1
+            node.tx += 1
             node.pending = (packet, target, is_jump)
             self._open[packet.id] = (packet, "FLIGHT", node.id)
             self._schedule(now + service, PACKET_ARRIVAL, node.id)
@@ -482,7 +486,6 @@ class Simulation:
     def _on_inject(self, index: int, now: float) -> None:
         packet = make_packet(
             source=self.topo.source,
-            size_bits=self.cfg.packet_bits,
             now=now,
             lifetime=self.cfg.packet_lifetime_ms,
             packet_id=index,
@@ -497,7 +500,7 @@ class Simulation:
     def _pop_in_service(self, sender: _NodeRuntime, packet: Packet) -> None:
         if sender.relay_queue and sender.relay_queue[0] is packet:
             sender.relay_queue.popleft()
-            sender.buffer_used -= packet.size_bits / 8
+            sender.buffer_used -= self._packet_bytes
         else:
             sender.app_queue.popleft()
 
@@ -533,7 +536,7 @@ class Simulation:
                 )
                 if fbs:
                     self._send_feedbacks(receiver, fbs, now)
-            accepted = receiver.buffer_used + packet.size_bits / 8 <= self.cfg.buffer_bytes
+            accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
 
         if not accepted and receiver.alive:
             self._notify_congestion(receiver, sender_id, now)
@@ -569,7 +572,7 @@ class Simulation:
             # arrived past its deadline at a relay: dead on arrival
             self._finalize(packet, EXPIRED, now)
         else:
-            receiver.buffer_used += packet.size_bits / 8
+            receiver.buffer_used += self._packet_bytes
             packet.hop_trace.append(receiver.id)
             receiver.relay_queue.append(packet)
             self._open[packet.id] = (packet, "QUEUED", receiver.id)
@@ -598,18 +601,18 @@ class Simulation:
         )
 
     def _on_probe_round(
-        self, members: list[tuple[NodeId, list | None]], now: float
+        self, members: list[tuple[_NodeRuntime, list | None]], now: float
     ) -> None:
         """Every member probes, in id order, at the place in the event order
         that the first member's own PROBE event would hold.
 
-        A member's probe yields one reply record per link, in FCS (id)
-        order: entry, delay sample and the peer's state at probe time from a
-        live peer, entry, None, None from a silent one. The records are laid
-        end to end in one flat list per member: a tuple per link would be one
-        more object for the cyclic garbage collector to track while the
-        replies wait for their timeout, which made collection a large share
-        of the loop.
+        A member's probe yields one reply record per link, in the order of
+        its `table.members`: the delay sample and the peer's state at probe
+        time from a live peer, None, None from a silent one. The records are
+        laid end to end in one flat list per member: a tuple per link would
+        be one more object for the cyclic garbage collector to track while
+        the replies wait for their timeout, which made collection a large
+        share of the loop.
 
         When a timeout falls on the next probe instant, per-node events
         would run each node's timeout just before its probe; the replies
@@ -617,29 +620,33 @@ class Simulation:
         period_at = now + self.cfg.probe_period_ms
         timeout_at = now + self.cfg.probe_timeout_ms
         merged = timeout_at == period_at
-        metrics, nodes, trace = self.metrics, self.nodes, self.trace
+        metrics, trace = self.metrics, self.trace
         # sample_delay's loop, inlined: same draws, same float operations
         draw, log = self.rng.random, math.log
         mu, sigma = self.mu, self.sigma
         floor = mu / 10.0
         normal = NodeState.NORMAL
+        # the round's counters; a merged timeout charges its feedback to
+        # metrics, so they go through metrics around it, in the same order
+        control, energy = metrics.control_packets, metrics.energy_total_j
         next_round, timeouts = [], []
-        for nid, due in members:
+        for member in members:
+            node, due = member
             if due is not None:
-                self._on_timeout_round(((nid, due),), now)
+                metrics.control_packets, metrics.energy_total_j = control, energy
+                self._on_timeout_round((member,), now)
+                control, energy = metrics.control_packets, metrics.energy_total_j
             if trace is not None:
-                self._trace_member(PROBE, nid)
-            node = nodes[nid]
+                self._trace_member(PROBE, node.id)
             if not node.alive:
                 continue
             links = node.probe_links
-            metrics.control_packets += len(links)
+            control += len(links)
             replies = []
-            energy = metrics.energy_total_j  # same additions, same order
-            for entry, peer, joules in links:
+            for peer, joules in links:
                 energy += joules
                 if not peer.alive:
-                    replies += (entry, None, None)
+                    replies += (None, None)
                     continue
                 while True:
                     u1 = draw()
@@ -651,36 +658,42 @@ class Simulation:
                             break
                 # the reply reports the replier's own current state
                 table = peer.table
-                replies += (entry, delay, table.state if table is not None else normal)
-            metrics.energy_total_j = energy
+                replies += (delay, table.state if table is not None else normal)
             if merged:
-                next_round.append((nid, replies))
+                next_round.append((node, replies))
             else:
-                next_round.append((nid, None))
-                timeouts.append((nid, replies))
+                next_round.append(member)
+                timeouts.append((node, replies))
+        metrics.control_packets, metrics.energy_total_j = control, energy
         if not next_round:
             return
         if not merged:
             self._schedule(timeout_at, PROBE_TIMEOUT, timeouts)
         self._schedule(period_at, PROBE, next_round)
 
-    def _on_timeout_round(self, timeouts: list[tuple[NodeId, list]], now: float) -> None:
+    def _on_timeout_round(self, timeouts: list[tuple[_NodeRuntime, list]], now: float) -> None:
         """Each member, in id order, accounts its probe replies and then
-        checks its own buffer."""
-        nodes, trace, capacity = self.nodes, self.trace, self._buffer_capacity
+        checks its own buffer. One never offered a packet checks it at its
+        first timeout only: its inputs, the standing preload and an arrival
+        EWMA of 0.0, never change, and `detect_faulty` leaves its table clean."""
+        trace, capacity = self.trace, self._buffer_capacity
         detect_faulty, detect_congestion = self.dmrf.detect_faulty, self.dmrf.detect_congestion
         period = self.cfg.probe_period_ms
-        for nid, replies in timeouts:
+        first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
+        for node, replies in timeouts:
             if trace is not None:
-                self._trace_member(PROBE_TIMEOUT, nid)
-            node = nodes[nid]
+                self._trace_member(PROBE_TIMEOUT, node.id)
             if not node.alive:
                 continue
             table = node.table
             fbs = detect_faulty(table, replies, now)
-            if node.last_arrival is None or now - node.last_arrival >= period:
+            last = node.last_arrival
+            if last is not None and now - last >= period:
                 node.arrival_ewma *= 0.5
-            fbs += detect_congestion(table, node.buffer_used, capacity, node.arrival_ewma, now)
+            if last is not None or first_timeout:
+                fbs += detect_congestion(
+                    table, node.buffer_used, capacity, node.arrival_ewma, now
+                )
             if fbs:
                 self._send_feedbacks(node, fbs, now)
 
@@ -721,7 +734,7 @@ class Simulation:
             node.app_queue.remove(packet)
         else:
             node.relay_queue.remove(packet)
-            node.buffer_used -= packet.size_bits / 8
+            node.buffer_used -= self._packet_bytes
         self._finalize(packet, EXPIRED, now)
 
     # ------------------------------------------------------------------
@@ -759,7 +772,7 @@ class Simulation:
             self.metrics.mean_delay_ms = running_sum(ordered) / len(ordered)
             rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
             self.metrics.p95_delay_ms = ordered[rank]
-        self.metrics.per_node_tx = dict(sorted(self._tx.items()))
+        self.metrics.per_node_tx = {nid: n.tx for nid, n in self.nodes.items() if n.tx}
         if self.metrics.terminal_total != self.metrics.injected:
             raise InvariantError(
                 "packet conservation violated: "

@@ -50,7 +50,6 @@ class Packet:
     """
 
     id: int
-    size_bits: int
     created_at: float
     deadline: float
     rate_class: RateClass = RateClass.LOW
@@ -84,7 +83,6 @@ class FeedbackMessage:
 
 def make_packet(
     source: NodeId,
-    size_bits: int,
     now: float,
     lifetime: float,
     packet_id: int = 0,
@@ -94,7 +92,6 @@ def make_packet(
         raise ValueError(f"packet lifetime must be positive, got {lifetime}")
     return Packet(
         id=packet_id,
-        size_bits=size_bits,
         created_at=now,
         deadline=now + lifetime,
         hop_trace=[source],

@@ -311,14 +311,16 @@ class DmrfProtocol:
         eventually get cached FAULTY; responders reset to full trust and
         refresh their delay estimate.
 
-        `replies` holds one record per probed candidate, laid end to end:
-        its CandidateEntry, the delay sample and the reported state. A delay
-        of None means the candidate stayed silent. A probe reply carries the
-        replier's own state, so the cached state of a responder is whatever
-        it reported rather than a guess; a state of None means no report.
+        `replies` holds one record per member of `table.members`, in that
+        order, laid end to end: the delay sample and the reported state. A
+        delay of None means the candidate stayed silent. A probe reply
+        carries the replier's own state, so the cached state of a responder
+        is whatever it reported rather than a guess; a state of None means
+        no report. A record list that does not match the members raises
+        ValueError.
         """
         records = iter(replies)
-        for entry, delay, state in zip(records, records, records):
+        for entry, delay, state in zip(table.members, records, records, strict=True):
             if delay is None:
                 self._distrust(table, entry)
                 continue

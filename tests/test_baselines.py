@@ -27,7 +27,7 @@ def topo_of(positions, comm_radius=1.5, sink=None):
 
 
 def fresh_packet():
-    return make_packet(0, 256, now=0.0, lifetime=100.0)
+    return make_packet(0, now=0.0, lifetime=100.0)
 
 
 def test_min_delay_picks_fastest_candidate():

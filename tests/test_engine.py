@@ -334,6 +334,53 @@ def test_trace_collection_orders_events():
     assert {"PACKET_INJECT", "PACKET_ARRIVAL", "PROBE"} <= kinds
 
 
+@pytest.mark.parametrize("timeout", [8.0, 10.0], ids=["own-event", "merged"])
+def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
+    """A timeout checks a prober's buffer only if the prober has been offered
+    a packet, or if it is the prober's first timeout: without arrivals the
+    check's inputs never change."""
+    sim = Simulation(line_topo(6), small_cfg(
+        node_count=6, region=(5.0, 1.0), seed=1, packet_count=10,
+        probe_timeout_ms=timeout, probe_period_ms=10.0))
+    timeouts, checks = collections.Counter(), collections.Counter()
+    first_offer = {}
+    in_timeout = False
+    faulty, congestion = sim.dmrf.detect_faulty, sim.dmrf.detect_congestion
+    timeout_round = sim._on_timeout_round
+
+    def counting_round(members, now):
+        nonlocal in_timeout
+        in_timeout = True
+        try:
+            timeout_round(members, now)
+        finally:
+            in_timeout = False
+
+    def counting_faulty(table, replies, now):
+        timeouts[table.owner] += 1
+        return faulty(table, replies, now)
+
+    def counting_congestion(table, used, capacity, ewma, now):
+        if in_timeout:
+            checks[table.owner] += 1
+        else:
+            first_offer.setdefault(table.owner, now)
+        return congestion(table, used, capacity, ewma, now)
+
+    sim._on_timeout_round = counting_round
+    sim.dmrf.detect_faulty = counting_faulty
+    sim.dmrf.detect_congestion = counting_congestion
+    result = sim.run()
+    assert result.metrics.delivered == 10
+    assert set(timeouts) == {0, 1, 2, 3, 4}
+    assert min(timeouts.values()) >= 4
+    # the source is never offered a packet; every relay gets its first
+    # before its first timeout
+    assert set(first_offer) == {1, 2, 3, 4}
+    assert max(first_offer.values()) < timeout
+    assert checks == {0: 1, **{n: timeouts[n] for n in (1, 2, 3, 4)}}
+
+
 # ----------------------------------------------------------------------
 # control frames: feedback, congestion notices and JUMP_FAIL re-forwards
 

@@ -5,12 +5,13 @@ cannot show, pinned in tests/golden/digests.txt.
 The matrix is every protocol on a 25-node grid (clean, 20% faults, a void of
 radius 7, 60% standing buffer fill) and on 200 random nodes, plus DMRF probe
 timings whose timeouts land on probe instants: timeout equal to the period,
-twice the period, and three times it.
+twice the period, and three times it, and DMRF on table2 with a standing
+buffer fill equal to theta_cong.
 
 The digests cover every state transition of a run, in order, and every
 packet's outcome, times and hop trace: all four protocols on the congested
 heavy-traffic geometry, DMRF and BYPASS around a void, and DMRF where nodes
-are born VOID and where candidate sets fail.
+are born VOID, where candidate sets fail, and where every relay is congested.
 
 Regenerate the fixtures only in a change that means to alter simulated output,
 and say so in CHANGES.md:
@@ -76,6 +77,9 @@ CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
         ),
         (DMRF,),
     ),
+    # the standing fill equals theta_cong: every relay turns CONG at its
+    # first probe timeout and refuses every packet offered to it
+    ("table2-fill0.8", dataclasses.replace(TABLE2, buffer_fill=0.8), (DMRF,)),
 ]
 
 
@@ -103,6 +107,8 @@ DIGEST_CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
         _MATRIX["table2-fault0.3-timeout10-period10"],
         (DMRF,),
     ),
+    # every relay CONG from its first timeout on
+    ("table2-fill0.8", _MATRIX["table2-fill0.8"], (DMRF,)),
 ]
 
 

@@ -18,7 +18,7 @@ N = NodeState
 
 
 def test_make_packet_sets_absolute_deadline_and_trace():
-    p = make_packet(source=3, size_bits=256, now=10.0, lifetime=100.0, packet_id=7)
+    p = make_packet(source=3, now=10.0, lifetime=100.0, packet_id=7)
     assert p.id == 7
     assert p.deadline == 110.0
     assert p.created_at == 10.0
@@ -29,11 +29,11 @@ def test_make_packet_sets_absolute_deadline_and_trace():
 @pytest.mark.parametrize("lifetime", [0.0, -1.0, -100.0])
 def test_make_packet_rejects_non_positive_lifetime(lifetime):
     with pytest.raises(ValueError):
-        make_packet(source=0, size_bits=256, now=0.0, lifetime=lifetime)
+        make_packet(source=0, now=0.0, lifetime=lifetime)
 
 
 def test_remaining_time_counts_down_and_goes_negative():
-    p = make_packet(source=0, size_bits=256, now=5.0, lifetime=20.0)
+    p = make_packet(source=0, now=5.0, lifetime=20.0)
     assert remaining_time(p, 5.0) == 20.0
     assert remaining_time(p, 20.0) == 5.0
     assert remaining_time(p, 30.0) == -5.0
@@ -42,8 +42,9 @@ def test_remaining_time_counts_down_and_goes_negative():
 @pytest.mark.parametrize(
     "record, typo",
     [
-        (make_packet(source=0, size_bits=256, now=0.0, lifetime=1.0), "dedline"),
-        (make_packet(source=0, size_bits=256, now=0.0, lifetime=1.0), "source"),
+        (make_packet(source=0, now=0.0, lifetime=1.0), "dedline"),
+        (make_packet(source=0, now=0.0, lifetime=1.0), "source"),
+        (make_packet(source=0, now=0.0, lifetime=1.0), "size_bits"),
         (CandidateEntry(candidate=1), "confidance"),
         (CandidateEntry(candidate=1), "jump_p"),
         (FeedbackMessage(kind=FeedbackKind.FAULT), "hop_limt"),

@@ -38,7 +38,7 @@ class CheckedSimulation(Simulation):
         for node in self.nodes.values():
             # the standing preload plus every queued relay packet, including
             # one in flight; the horizon cut after the loop leaves this be
-            queued = sum(p.size_bits / 8 for p in node.relay_queue)
+            queued = len(node.relay_queue) * self.cfg.packet_bytes
             expected = self.preload.get(node.id, 0.0) + queued
             assert math.isclose(node.buffer_used, expected, abs_tol=1e-9), node.id
         super()._trace_event(time, seq, kind, a)

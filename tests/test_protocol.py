@@ -307,9 +307,9 @@ def probe_all(proto, table, replies, now=0.0, states=None):
     records = []
     for e in table.members:
         if e.candidate in replies:
-            records += (e, e.delay_est, (states or {}).get(e.candidate))
+            records += (e.delay_est, (states or {}).get(e.candidate))
         else:
-            records += (e, None, None)
+            records += (None, None)
     return proto.detect_faulty(table, records, now)
 
 
@@ -401,8 +401,20 @@ def test_probe_reply_state_report_overrides_cache():
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty(table, [table.entries[1], 2.0, None], 0.0)
+    proto.detect_faulty(table, [2.0, None], 0.0)
     assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
+
+
+@pytest.mark.parametrize(
+    "records", [[], [2.0], [2.0, None, 2.0], [2.0, None, None, None]]
+)
+def test_probe_records_must_match_the_candidate_set(records):
+    # one (delay, state) pair per member, in member order, and no more
+    proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    table = proto.build_tables()[0]
+    assert len(table.members) == 1
+    with pytest.raises(ValueError):
+        proto.detect_faulty(table, records, 0.0)
 
 
 def test_congestion_predictor_and_hysteresis():
@@ -509,7 +521,7 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
 
 def test_select_drops_expired_packets():
     proto, table = two_candidate_table()
-    packet = make_packet(0, 256, now=0.0, lifetime=10.0)
+    packet = make_packet(0, now=0.0, lifetime=10.0)
     decision = proto.select_next_hop(table, packet, now=20.0, rng=random.Random(1))
     assert isinstance(decision, Drop)
     assert decision.reason is DropReason.EXPIRED
@@ -517,7 +529,7 @@ def test_select_drops_expired_packets():
 
 def test_select_forwards_least_used_then_slowest():
     proto, table = two_candidate_table()
-    packet = make_packet(0, 256, now=0.0, lifetime=100.0)
+    packet = make_packet(0, now=0.0, lifetime=100.0)
     d1 = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d1, Forward)
     first = d1.next
@@ -530,7 +542,7 @@ def test_select_forwards_least_used_then_slowest():
 
 def test_select_skips_candidates_cached_bad():
     proto, table = two_candidate_table()
-    packet = make_packet(0, 256, now=0.0, lifetime=100.0)
+    packet = make_packet(0, now=0.0, lifetime=100.0)
     table.entries[1].cached_state = N.CONG
     for _ in range(4):
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
@@ -562,7 +574,7 @@ def member_tables(draw):
 @given(case=member_tables())
 def test_select_forward_target_and_rate_match_the_defining_keys(case):
     proto, table, lifetime, previous = case
-    packet = make_packet(0, 256, now=0.0, lifetime=lifetime)
+    packet = make_packet(0, now=0.0, lifetime=lifetime)
     packet.rate_class = previous
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     members = table.members
@@ -585,7 +597,7 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
 
 def test_select_jumps_when_all_candidates_are_bad():
     proto, table = two_candidate_table()
-    packet = make_packet(0, 256, now=0.0, lifetime=100.0)
+    packet = make_packet(0, now=0.0, lifetime=100.0)
     table.entries[1].cached_state = N.CONG
     table.entries[2].cached_state = N.FAULTY
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
@@ -594,7 +606,7 @@ def test_select_jumps_when_all_candidates_are_bad():
 
 def test_select_jumps_in_propagated_states():
     proto, table = two_candidate_table()
-    packet = make_packet(0, 256, now=0.0, lifetime=100.0)
+    packet = make_packet(0, now=0.0, lifetime=100.0)
     for state in (N.JFAULTY, N.JCONG, N.VOID):
         table.state = state
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
@@ -605,17 +617,17 @@ def test_select_jumps_on_exhausted_slack():
     proto, table = two_candidate_table()
     # lifetime so short that lambda <= theta_jump: needed 2*mu = 2.56,
     # remaining 0.5 -> lambda 0.195 < 0.2
-    packet = make_packet(0, 256, now=0.0, lifetime=0.5)
+    packet = make_packet(0, now=0.0, lifetime=0.5)
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d, Jump)
 
 
 def test_low_slack_packets_get_high_rate():
     proto, table = two_candidate_table()
-    packet = make_packet(0, 256, now=0.0, lifetime=100.0)
+    packet = make_packet(0, now=0.0, lifetime=100.0)
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert d.rate is RateClass.LOW  # lambda = 100 / 2.56 >> theta_low
-    tight = make_packet(0, 256, now=0.0, lifetime=1.5)
+    tight = make_packet(0, now=0.0, lifetime=1.5)
     # lambda = 1.5 / 2.56 = 0.59, theta_high = 0.2 + 1.28 / 2.56 = 0.7:
     # the HIGH band, and the 1.28 ms hop still fits the remaining 1.5 ms
     d = proto.select_next_hop(table, tight, now=0.0, rng=random.Random(1))

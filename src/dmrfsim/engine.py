@@ -255,6 +255,7 @@ class Simulation:
         self.now = 0.0
         self._buffer_capacity = float(scenario.buffer_bytes)
         self._packet_bytes = float(scenario.packet_bytes)
+        self._feedback_delay_ms = scenario.feedback_delay_ms
 
         # service-time multipliers, read by identity rather than hashing a
         # RateClass per hop
@@ -314,8 +315,13 @@ class Simulation:
             if probers:
                 self._schedule(0.0, PROBE, probers)
 
-        for i in range(scenario.packet_count):
-            self._schedule(i * scenario.injection_period_ms, PACKET_INJECT, i)
+        # injection i takes seq _inject_seq + i, the seq it would take if all
+        # were scheduled here, but each injection schedules the next: the heap
+        # holds work in flight, not the whole injection plan
+        self._inject_seq = self._seq
+        if scenario.packet_count > 0:
+            self._schedule(0.0, PACKET_INJECT, 0)
+        self._seq = self._inject_seq + scenario.packet_count
 
     # ------------------------------------------------------------------
     # plumbing
@@ -386,7 +392,7 @@ class Simulation:
         if not self.nodes[receiver].alive:
             return False
         self._schedule(
-            now + self.cfg.feedback_delay_ms, FEEDBACK_DELIVERY, (msg, sender, receiver)
+            now + self._feedback_delay_ms, FEEDBACK_DELIVERY, (msg, sender, receiver)
         )
         self.metrics.energy_total_j += self._control_cost(sender, receiver)
         return True
@@ -401,14 +407,17 @@ class Simulation:
         """
         upstream = node.table.upstream
         for fb in feedbacks:
-            dests = {upstream} if upstream is not None else set()
             if fb.kind is FeedbackKind.RECOVER:
-                dests |= node.cong_notified
-                node.cong_notified.clear()
-            for dest in sorted(dests):
-                sent = self._send_control(fb, node.id, dest, now)
+                dests = node.cong_notified
+                node.cong_notified = set()
+                if upstream is not None:
+                    dests.add(upstream)
+                for dest in sorted(dests):
+                    self._send_control(fb, node.id, dest, now)
+            elif upstream is not None:
+                sent = self._send_control(fb, node.id, upstream, now)
                 if sent and fb.kind is FeedbackKind.CONG:
-                    node.cong_notified.add(dest)
+                    node.cong_notified.add(upstream)
 
     # ------------------------------------------------------------------
     # decisions and service
@@ -434,6 +443,9 @@ class Simulation:
         )
 
     def _try_start(self, node: _NodeRuntime, now: float, stall: float = 0.0) -> None:
+        """Start the node's next transmission, dropping the head packets it
+        cannot send. Callers skip a node that is busy or has nothing queued,
+        the common case under load, rather than pay for the call."""
         while node.pending is None:
             if node.relay_queue:
                 queue = node.relay_queue
@@ -484,6 +496,11 @@ class Simulation:
     # event handlers
 
     def _on_inject(self, index: int, now: float) -> None:
+        following = index + 1
+        if following < self.cfg.packet_count:
+            at = following * self.cfg.injection_period_ms
+            seq = self._inject_seq + following  # reserved at set-up
+            heappush(self._heap, (at, seq, PACKET_INJECT, following))
         packet = make_packet(
             source=self.topo.source,
             now=now,
@@ -495,7 +512,8 @@ class Simulation:
         source = self.nodes[self.topo.source]
         source.app_queue.append(packet)
         self._schedule(packet.deadline, DEADLINE_CHECK, packet)
-        self._try_start(source, now)
+        if source.pending is None:
+            self._try_start(source, now)
 
     def _pop_in_service(self, sender: _NodeRuntime, packet: Packet) -> None:
         if sender.relay_queue and sender.relay_queue[0] is packet:
@@ -554,7 +572,8 @@ class Simulation:
                 self._pop_in_service(sender, packet)
                 outcome = BUFFER_DROP if receiver.alive else DROPPED_NO_ROUTE
                 self._finalize(packet, outcome, now)
-                self._try_start(sender, now)
+                if sender.relay_queue or sender.app_queue:
+                    self._try_start(sender, now)
             return
 
         self._pop_in_service(sender, packet)
@@ -562,7 +581,8 @@ class Simulation:
         if receiver.is_sink:
             packet.hop_trace.append(receiver.id)
             self._finalize(packet, DELIVERED if now <= packet.deadline else EXPIRED, now)
-            self._try_start(sender, now)
+            if sender.relay_queue or sender.app_queue:
+                self._try_start(sender, now)
             return
 
         if receiver.table is not None:
@@ -581,8 +601,10 @@ class Simulation:
                 and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
             ):
                 self._notify_congestion(receiver, sender_id, now)
-            self._try_start(receiver, now)
-        self._try_start(sender, now)
+            if receiver.pending is None:
+                self._try_start(receiver, now)
+        if sender.relay_queue or sender.app_queue:
+            self._try_start(sender, now)
 
     def _notify_congestion(
         self, node: _NodeRuntime, sender_id: NodeId, now: float
@@ -750,10 +772,10 @@ class Simulation:
             self._on_fault_onset,
             self._on_deadline,
         )
-        heap, trace = self._heap, self.trace
+        heap, trace, open_, metrics = self._heap, self.trace, self._open, self.metrics
         horizon, target = self.cfg.horizon_ms, self.cfg.packet_count
         while heap:
-            if not self._open and self.metrics.injected == target:
+            if not open_ and metrics.injected == target:
                 break
             time, seq, kind, a = heappop(heap)
             if time > horizon:

@@ -19,6 +19,10 @@ class InvariantError(RuntimeError):
 
 
 class NodeState(Enum):
+    # members are singletons, so identity is a valid hash; Enum's own
+    # __hash__ is a Python-level call on every state-keyed dict lookup
+    __hash__ = object.__hash__
+
     NORMAL = "NORMAL"
     FAULTY = "FAULTY"
     JFAULTY = "JFAULTY"
@@ -34,6 +38,8 @@ class RateClass(Enum):
 
 
 class FeedbackKind(Enum):
+    __hash__ = object.__hash__  # as NodeState's
+
     FAULT = "FAULT"
     CONG = "CONG"
     RECOVER = "RECOVER"

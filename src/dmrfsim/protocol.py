@@ -150,15 +150,13 @@ def compute_thresholds(
     if needed_time <= 0:
         raise ValueError("needed_time must be positive")
     omega = (remaining - max_next_hop_delay) / needed_time
-    omega = min(1.0, max(OMEGA_FLOOR, omega))
+    if omega >= 1.0:
+        omega = 1.0
+    elif not omega > OMEGA_FLOOR:
+        omega = OMEGA_FLOOR
     theta_high = theta_jump + max_fcs_delay / needed_time
     theta_low = theta_high / omega + mu / needed_time
-    return Thresholds(
-        theta_low=theta_low,
-        theta_high=theta_high,
-        theta_jump=theta_jump,
-        omega=omega,
-    )
+    return Thresholds(theta_low, theta_high, theta_jump, omega)
 
 
 def classify_rate(lam: float, thresholds: Thresholds) -> RateClass:
@@ -453,6 +451,8 @@ class DmrfProtocol:
         if not members:
             return self._jump(table, rng)
         lam = compute_lambda(remaining, table.needed_time)
+        if lam <= self.cfg.theta_jump:
+            return self._jump(table, rng)
         # one pass over the id-sorted members: the largest delay estimate,
         # and the forward target, the least-used NORMAL member whose estimate
         # fits the remaining time, then the slowest, then the lowest id: fast
@@ -478,8 +478,6 @@ class DmrfProtocol:
             self.mu,
             remaining,
         )
-        if lam <= thresholds.theta_jump:
-            return self._jump(table, rng)
         rate = pin_rate_continuity(packet.rate_class, classify_rate(lam, thresholds))
         if best is None:
             return self._jump(table, rng)

@@ -256,6 +256,16 @@ def test_horizon_cut_expires_queued_and_in_flight_packets_once():
     assert m.mean_delay_ms == 0.0
 
 
+def test_injections_are_scheduled_one_at_a_time():
+    # a million packets, but the horizon falls after the eleventh injection
+    # instant (0, 5, ..., 50 ms): only those are ever scheduled
+    sim = Simulation(line_topo(3), small_cfg(packet_count=1_000_000, horizon_ms=50.0, seed=2))
+    assert len(sim._heap) <= 3
+    result = sim.run()
+    assert result.metrics.injected == 11
+    assert result.metrics.terminal_total == 11
+
+
 def test_finishing_a_packet_twice_raises():
     sim = Simulation(line_topo(3), small_cfg(seed=1))
     sim._on_inject(0, 0.0)

@@ -12,6 +12,9 @@ The digests cover every state transition of a run, in order, and every
 packet's outcome, times and hop trace: all four protocols on the congested
 heavy-traffic geometry, DMRF and BYPASS around a void, and DMRF where nodes
 are born VOID, where candidate sets fail, and where every relay is congested.
+Trace digests pin the order of every dispatched event, with its seq: all four
+protocols on the heavy-traffic geometry, and DMRF there with the horizon
+cutting the run while packets are still being injected.
 
 Regenerate the fixtures only in a change that means to alter simulated output,
 and say so in CHANGES.md:
@@ -112,13 +115,21 @@ DIGEST_CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
 ]
 
 
+#: runs whose whole event trace is pinned, seqs included
+TRACE_CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
+    ("heavy200", HEAVY, PROTOCOLS),
+    ("heavy200-horizon100", dataclasses.replace(HEAVY, horizon_ms=100.0), (DMRF,)),
+]
+
+
 def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def digests_text() -> str:
     """One line per run: transition count and digest, packet count and
-    digest. Floats enter by repr, so equal digests mean equal bits."""
+    digest; then one line per traced run: event count and digest. Floats
+    enter by repr, so equal digests mean equal bits."""
     out = []
     for name, base, protocols in DIGEST_CASES:
         for protocol in protocols:
@@ -137,6 +148,14 @@ def digests_text() -> str:
                 f"{name} {protocol} transitions {len(transitions)} {_sha(transitions)}"
                 f" packets {len(packets)} {_sha(packets)}"
             )
+    for name, base, protocols in TRACE_CASES:
+        for protocol in protocols:
+            cfg = validate(dataclasses.replace(base, protocol=protocol))
+            trace = [
+                f"{e.time!r} {e.seq} {e.kind} {e.node} {e.packet}"
+                for e in execute_scenario(cfg, collect_trace=True).trace
+            ]
+            out.append(f"{name} {protocol} trace {len(trace)} {_sha(trace)}")
     return "\n".join(out) + "\n"
 
 

@@ -4,7 +4,8 @@ Every protocol, faults, voids, standing buffer fill, and probe timeouts both
 on and off the probe instants. Each run is checked for packet conservation,
 no late delivery, buffer occupancy within [0, buffer_bytes] and equal to
 the preload plus the queued relay packets between every pair of events,
-legal and chained state transitions, and a trace whose time never goes back.
+legal and chained state transitions, and a trace in (time, seq) order whose
+injections take seqs rising with the packet id.
 """
 
 from __future__ import annotations
@@ -115,7 +116,12 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
         if outcome.outcome == DELIVERED:
             assert outcome.finished_at <= outcome.created_at + cfg.packet_lifetime_ms
 
-    times = [event.time for event in result.trace]
-    assert times == sorted(times)
+    # events run in (time, seq) order, and each injection takes the seq
+    # reserved for it: they rise with the packet id
+    keys = [(event.time, event.seq) for event in result.trace]
+    assert keys == sorted(keys)
+    injects = sorted((e.packet, e.seq) for e in result.trace if e.kind == "PACKET_INJECT")
+    seqs = [seq for _packet, seq in injects]
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
     # the per-event checks ran once per event (a probe round's lines share a seq)
     assert sim.events == len({event.seq for event in result.trace})

@@ -61,14 +61,11 @@ from .sweeps import (
     summarize,
 )
 from .topology import (
-    PathSet,
     Topology,
     UNREACHABLE,
     build_fcs,
     carve_void,
     deploy,
-    disjoint_paths,
-    shortest_delay,
     shortest_delay_map,
 )
 

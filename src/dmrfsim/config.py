@@ -117,6 +117,10 @@ _UNIT_INTERVAL = ("fault_ratio", "buffer_fill")
 _MAY_BE_INFINITE = ("horizon_ms", "packet_lifetime_ms")
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -135,8 +139,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Validate every field; error messages name the offending key."""
     for key in _POSITIVE_INT:
         v = getattr(cfg, key)
-        _check(isinstance(v, int) and not isinstance(v, bool) and v > 0, key,
-               f"expected a positive integer, got {v!r}")
+        _check(_is_int(v) and v > 0, key, f"expected a positive integer, got {v!r}")
     for key in _POSITIVE_FLOAT:
         v = getattr(cfg, key)
         if key in _MAY_BE_INFINITE:
@@ -170,18 +173,15 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
            "must not exceed max_tx_distance")
     _check(cfg.packet_bytes <= cfg.buffer_bytes, "packet_bytes",
            "a single packet must fit in a relay buffer")
-    _check(0.0 < cfg.theta_jump < 1.0, "theta_jump",
+    _check(_is_number(cfg.theta_jump) and 0.0 < cfg.theta_jump < 1.0, "theta_jump",
            f"expected a value in (0, 1), got {cfg.theta_jump!r}")
-    _check(0.0 < cfg.theta_cong <= 1.0, "theta_cong",
+    _check(_is_number(cfg.theta_cong) and 0.0 < cfg.theta_cong <= 1.0, "theta_cong",
            f"expected a value in (0, 1], got {cfg.theta_cong!r}")
     _check(cfg.cong_hysteresis < cfg.theta_cong, "cong_hysteresis",
            "must stay below theta_cong")
-    _check(isinstance(cfg.confidence_threshold, int)
-           and 0 < cfg.confidence_threshold <= 100, "confidence_threshold",
-           f"expected an integer in (0, 100], got {cfg.confidence_threshold!r}")
-    _check(isinstance(cfg.confidence_step, int) and 0 < cfg.confidence_step <= 100,
-           "confidence_step",
-           f"expected an integer in (0, 100], got {cfg.confidence_step!r}")
+    for key in ("confidence_threshold", "confidence_step"):
+        v = getattr(cfg, key)
+        _check(_is_int(v) and 0 < v <= 100, key, f"expected an integer in (0, 100], got {v!r}")
     rm = cfg.rate_multipliers
     _check(isinstance(rm, dict) and set(rm) == {"low", "medium", "high"},
            "rate_multipliers", "expected exactly the keys low, medium, high")
@@ -189,8 +189,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
            "rate_multipliers", "multipliers must be finite positive numbers")
     _check(rm["low"] >= rm["medium"] >= rm["high"], "rate_multipliers",
            "expected low >= medium >= high (lower urgency sends slower)")
-    _check(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool), "seed",
-           f"expected an integer, got {cfg.seed!r}")
+    _check(_is_int(cfg.seed), "seed", f"expected an integer, got {cfg.seed!r}")
     return cfg
 
 

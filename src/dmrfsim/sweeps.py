@@ -247,7 +247,8 @@ def make_preset(name: str, base: ScenarioConfig) -> SweepSpec:
     fig5: delivery vs fault ratio, three protocols.
     fig6: delivery vs standing buffer fill under fast injection.
     fig7: delivery vs void radius, all four protocols.
-    fig8: delay vs void radius, jumping vs perimeter bypass.
+    fig8: delay vs void radius, jumping vs perimeter bypass: fig7's DMRF
+    and BYPASS points, since point seeds do not depend on the protocol.
     fig9: control overhead vs network size at fixed density.
     """
     if name == "fig5":
@@ -272,12 +273,7 @@ def make_preset(name: str, base: ScenarioConfig) -> SweepSpec:
             protocols=[DMRF, GREEDY_MIN_DELAY, GREEDY_MAX_RATE, BYPASS],
         )
     if name == "fig8":
-        return SweepSpec(
-            parameter="void_radius",
-            values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-            base=base,
-            protocols=[DMRF, BYPASS],
-        )
+        return dataclasses.replace(make_preset("fig7", base), protocols=[DMRF, BYPASS])
     if name == "fig9":
         side = {100: 10.0, 200: 14.142135623730951, 400: 20.0}
         return SweepSpec(

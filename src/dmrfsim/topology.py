@@ -1,5 +1,5 @@
-"""Node deployments, forwarding candidate sets, delay oracles, void
-carving, and node-disjoint source-to-sink paths.
+"""Node deployments, forwarding candidate sets, hop-count delay
+estimates and void carving.
 
 All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns a new Topology rather than mutating.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .model import NodeId
 
@@ -86,7 +87,7 @@ class Topology:
     def within(self, node: NodeId, radius: float) -> list[NodeId]:
         """All other nodes whose distance() from `node` is at most `radius`,
         sorted by id; only the grid cells where the query box overlaps the
-        occupied span are scanned."""
+        occupied span are scanned, or the occupied cells if they are fewer."""
         side = self.comm_radius
         if self._cells is None:
             self._cells = {}
@@ -100,12 +101,16 @@ class Topology:
         lo_x, hi_x, lo_y, hi_y = self._span
         x0, x1 = max(lo_x, math.floor(x / side - reach)), min(hi_x, math.floor(x / side + reach))
         y0, y1 = max(lo_y, math.floor(y / side - reach)), min(hi_y, math.floor(y / side + reach))
+        cells = self._cells
+        if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
+            keys = cells
+        else:
+            keys = product(range(x0, x1 + 1), range(y0, y1 + 1))
         out = []
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                for other, ox, oy in self._cells.get((cx, cy), ()):
-                    if other != node and math.hypot(x - ox, y - oy) <= radius:
-                        out.append(other)
+        for key in keys:
+            for other, ox, oy in cells.get(key, ()):
+                if other != node and math.hypot(x - ox, y - oy) <= radius:
+                    out.append(other)
         out.sort()
         return out
 
@@ -118,14 +123,6 @@ class Topology:
             source=source,
             sink=sink,
         )
-
-
-@dataclass
-class PathSet:
-    """Node-disjoint source->sink paths with per-path delay estimates."""
-
-    paths: list[list[NodeId]]
-    delays: list[float]
 
 
 def deploy(
@@ -231,100 +228,10 @@ def _hops_from_sink(topo: Topology) -> dict[NodeId, int]:
 
 
 def shortest_delay_map(topo: Topology, mean_hop_delay: float) -> dict[NodeId, float]:
-    """Estimated transmission time to the sink for every node at once."""
+    """Estimated transmission time to the sink for every node: minimum hop
+    count times the mean per-hop delay, UNREACHABLE where disconnected."""
     hops = _hops_from_sink(topo)
     return {
         node: hops[node] * mean_hop_delay if node in hops else UNREACHABLE
         for node in topo.ids()
     }
-
-
-def shortest_delay(topo: Topology, from_node: NodeId, mean_hop_delay: float) -> float:
-    """Estimated transmission time from a node to the sink: minimum hop
-    count times the mean per-hop delay; UNREACHABLE if disconnected."""
-    if not topo.has_node(from_node):
-        raise ValueError(f"unknown node {from_node}")
-    return shortest_delay_map(topo, mean_hop_delay)[from_node]
-
-
-def disjoint_paths(topo: Topology, m: int, mean_hop_delay: float = 1.28) -> PathSet:
-    """Up to m node-disjoint source->sink paths.
-
-    Found by successive shortest augmenting paths in the node-split
-    residual network, so the number of returned paths always equals
-    min(m, max-flow) under unit interior-node capacities.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    source, sink = topo.source, topo.sink
-    if source == sink:
-        return PathSet(paths=[[source]], delays=[0.0])
-
-    # split each node v into (v, IN) -> (v, OUT); interior split edges get
-    # capacity 1, which is what makes the paths node-disjoint
-    IN, OUT = 0, 1
-    big = len(topo.nodes)
-    cap: dict[tuple, dict[tuple, int]] = {}
-
-    def ensure(u: tuple) -> dict[tuple, int]:
-        return cap.setdefault(u, {})
-
-    def add_edge(u: tuple, v: tuple, c: int) -> None:
-        ensure(u)[v] = c
-        ensure(v).setdefault(u, 0)
-
-    for node in topo.ids():
-        add_edge((node, IN), (node, OUT), 1 if node not in (source, sink) else big)
-    for node in topo.ids():
-        for nb in topo.neighbors(node):
-            add_edge((node, OUT), (nb, IN), 1)
-
-    s, t = (source, OUT), (sink, IN)
-    flow_total = 0
-    while flow_total < m:
-        parent: dict[tuple, tuple] = {s: s}
-        frontier = [s]
-        while frontier and t not in parent:
-            nxt = []
-            for u in frontier:
-                for v in sorted(cap[u]):
-                    if v not in parent and cap[u][v] > 0:
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        if t not in parent:
-            break
-        v = t
-        while v != s:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow_total += 1
-
-    # per-edge flow = original capacity minus residual, on forward edges only
-    flow: dict[tuple, dict[tuple, int]] = {}
-    for node in topo.ids():
-        split_cap = 1 if node not in (source, sink) else big
-        sent = split_cap - cap[(node, IN)][(node, OUT)]
-        if sent > 0:
-            flow.setdefault((node, IN), {})[(node, OUT)] = sent
-        for nb in topo.neighbors(node):
-            sent = 1 - cap[(node, OUT)][(nb, IN)]
-            if sent > 0:
-                flow.setdefault((node, OUT), {})[(nb, IN)] = sent
-
-    paths: list[list[NodeId]] = []
-    for _ in range(flow_total):
-        path = [source]
-        u = s
-        while u != t:
-            v = min(v for v, f in flow.get(u, {}).items() if f > 0)
-            flow[u][v] -= 1
-            u = v
-            if u[1] == IN:
-                path.append(u[0])
-        paths.append(path)
-
-    delays = [(len(p) - 1) * mean_hop_delay for p in paths]
-    return PathSet(paths=paths, delays=delays)

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dmrfsim
 from dmrfsim import cli
 from dmrfsim.cli import main
 from dmrfsim.engine import EVENT_KINDS
@@ -153,6 +158,31 @@ def test_malformed_sweep_csv_exits_one(tmp_path, capsys, content, named):
     path.write_bytes(content)
     assert main(["summarize", "--in", str(path)]) == 1
     assert named in capsys.readouterr().err
+
+
+def test_wrongly_typed_threshold_exits_one(tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text('{"preset": "table2", "packet_count": 3, "theta_jump": "0.2"}')
+    assert main(["run", "--config", str(path)]) == 1
+    assert "theta_jump" in capsys.readouterr().err
+
+
+def test_tiny_comm_radius_runs_in_bounded_time(tmp_path):
+    # the span of the source's 30 m jump query holds about 40,000 x 40,000 cells
+    path = tmp_path / "tiny_radius.json"
+    path.write_text(json.dumps(
+        {"node_count": 25, "region": [4.0, 4.0], "packet_count": 5, "comm_radius": 0.0001}
+    ))
+    src = str(Path(dmrfsim.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from dmrfsim.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "run", "--config", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2
 
 
 def test_infinite_injection_period_exits_one(tmp_path, capsys):

@@ -48,9 +48,16 @@ def test_derived_timing_properties():
         ("void_radius", -1.0),
         ("theta_jump", 0.0),
         ("theta_jump", 1.0),
+        ("theta_jump", "0.2"),
+        ("theta_jump", None),
+        ("theta_jump", [0.5]),
         ("theta_cong", 1.5),
+        ("theta_cong", "0.5"),
+        ("theta_cong", True),
         ("confidence_threshold", 0),
+        ("confidence_threshold", True),
         ("confidence_step", 101),
+        ("confidence_step", True),
         ("seed", "one"),
     ],
 )

@@ -174,6 +174,7 @@ def test_presets_cover_the_experiment_grids():
     assert fig7.protocols == [DMRF, GREEDY_MIN_DELAY, GREEDY_MAX_RATE, BYPASS]
     fig8 = make_preset("fig8", base)
     assert fig8.protocols == [DMRF, BYPASS]
+    assert (fig8.parameter, fig8.values, fig8.base) == (fig7.parameter, fig7.values, fig7.base)
     fig9 = make_preset("fig9", base)
     assert fig9.values == [100, 200, 400]
     assert fig9.base.comm_radius == 1.6

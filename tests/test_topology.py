@@ -1,4 +1,4 @@
-"""Unit tests for deployments, candidate sets, voids, and path finding."""
+"""Unit tests for deployments, candidate sets, voids, and hop-count delays."""
 
 import math
 
@@ -14,8 +14,6 @@ from dmrfsim.topology import (
     build_fcs,
     carve_void,
     deploy,
-    disjoint_paths,
-    shortest_delay,
     shortest_delay_map,
 )
 
@@ -117,44 +115,17 @@ def test_carve_void_never_removes_endpoints():
 
 def test_shortest_delay_is_hops_times_mu():
     topo = line_topology([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
-    assert shortest_delay(topo, 0, 1.28) == pytest.approx(3 * 1.28)
-    assert shortest_delay(topo, 2, 1.28) == pytest.approx(1.28)
-    assert shortest_delay(topo, 3, 1.28) == 0.0
+    delays = shortest_delay_map(topo, 1.28)
+    assert delays[0] == pytest.approx(3 * 1.28)
+    assert delays[2] == pytest.approx(1.28)
+    assert delays[3] == 0.0
 
 
 def test_shortest_delay_unreachable_is_infinite():
     topo = line_topology([(0.0, 0.0), (10.0, 0.0)])
-    assert shortest_delay(topo, 0, 1.28) == UNREACHABLE
-    assert math.isinf(shortest_delay_map(topo, 1.28)[0])
-
-
-def test_disjoint_paths_on_a_diamond():
-    #   1
-    #  / \
-    # 0   3
-    #  \ /
-    #   2
-    topo = line_topology(
-        [(0.0, 0.0), (1.0, 0.7), (1.0, -0.7), (2.0, 0.0)], comm_radius=1.3
-    )
-    ps = disjoint_paths(topo, 4)
-    assert sorted(ps.paths) == [[0, 1, 3], [0, 2, 3]]
-    assert ps.delays == [2 * 1.28, 2 * 1.28]
-
-
-def test_disjoint_paths_respects_m():
-    topo = line_topology(
-        [(0.0, 0.0), (1.0, 0.7), (1.0, -0.7), (2.0, 0.0)], comm_radius=1.3
-    )
-    ps = disjoint_paths(topo, 1)
-    assert len(ps.paths) == 1
-
-
-def test_disjoint_paths_bottleneck_limits_count():
-    # everything funnels through node 1
-    topo = line_topology([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], comm_radius=1.1)
-    ps = disjoint_paths(topo, 4)
-    assert ps.paths == [[0, 1, 2]]
+    delays = shortest_delay_map(topo, 1.28)
+    assert delays[0] == UNREACHABLE
+    assert math.isinf(delays[0])
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +213,9 @@ def test_index_matches_scan_one_ulp_around_cell_edges(radius):
         deploy(400, (20.0, 20.0), UNIFORM_GRID, 1),  # table2: 30 m reach, 20 m grid
         one_ulp_layout(1.0 / 3.0, 20.0),
         one_ulp_layout(7.5, 100.0),
+        deploy(25, (4.0, 4.0), UNIFORM_GRID, 1, 0.01, 30.0),  # box >> occupied cells
     ],
-    ids=["table2", "one-ulp-third", "one-ulp-7.5"],
+    ids=["table2", "one-ulp-third", "one-ulp-7.5", "tiny-radius"],
 )
 def test_within_matches_scan_when_the_query_box_outgrows_the_deployment(topo):
     # every query box overhangs the occupied cells on both sides of both axes

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .topology import DISTRIBUTIONS, UNIFORM_GRID
 
@@ -130,6 +131,13 @@ def _is_finite(v: object) -> bool:
     return _is_number(v) and (isinstance(v, int) or math.isfinite(v))
 
 
+def _finite_result(compute: Callable[[], float]) -> bool:
+    try:
+        return math.isfinite(compute())
+    except OverflowError:  # a float power, or an int too large for a float
+        return False
+
+
 def _check(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{key}: {message}")
@@ -153,6 +161,16 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         v = getattr(cfg, key)
         _check(_is_finite(v) and v >= 0, key,
                f"expected a finite non-negative number, got {v!r}")
+    # one data frame sent max_tx_distance, costed as engine.energy_cost does,
+    # must cost finite joules, or a run's energy total cannot be written
+    bits, elec, amp = cfg.packet_bits, cfg.energy_elec_j_per_bit, cfg.energy_amp_j_per_bit_m2
+    _check(_finite_result(lambda: float(bits)), "packet_bytes",
+           "too large: its bit count is not a finite number")
+    cost = (f"a {bits}-bit data frame sent max_tx_distance ({cfg.max_tx_distance!r} m) "
+            "would cost a non-finite number of joules")
+    _check(_finite_result(lambda: bits * elec), "energy_elec_j_per_bit", cost)
+    _check(_finite_result(lambda: bits * (elec + amp * cfg.max_tx_distance**2)),
+           "energy_amp_j_per_bit_m2", cost)
     for key in _UNIT_INTERVAL:
         v = getattr(cfg, key)
         _check(_is_number(v) and 0.0 <= v <= 1.0, key,

@@ -800,6 +800,8 @@ class Simulation:
                 "packet conservation violated: "
                 f"{self.metrics.terminal_total} terminal vs {self.metrics.injected} injected"
             )
+        if not math.isfinite(self.metrics.energy_total_j):
+            raise InvariantError(f"energy total is {self.metrics.energy_total_j!r} J, not finite")
         self.outcomes.sort(key=lambda o: o.packet_id)
         return RunResult(
             metrics=self.metrics,

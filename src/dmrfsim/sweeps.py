@@ -18,6 +18,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import mean, stdev
 
 from .config import (
@@ -30,7 +31,7 @@ from .config import (
     validate,
 )
 from .engine import RunResult, run
-from .topology import deploy
+from .topology import RANDOM, Topology, deploy
 
 CSV_COLUMNS = (
     "parameter",
@@ -85,18 +86,16 @@ def point_seed(base_seed: int, value_index: int, rep_index: int) -> int:
     return h
 
 
+def _deploy_args(cfg: ScenarioConfig, seed: int | None) -> tuple:
+    """deploy()'s arguments for the scenario, with `seed` as its seed."""
+    return (cfg.node_count, tuple(cfg.region), cfg.distribution, seed,
+            cfg.comm_radius, cfg.max_tx_distance)
+
+
 def execute_scenario(cfg: ScenarioConfig, collect_trace: bool = False) -> RunResult:
     """Deploy the scenario's topology and run it once, both seeded by
     `cfg.seed`."""
-    topo = deploy(
-        cfg.node_count,
-        cfg.region,
-        cfg.distribution,
-        rng_seed=cfg.seed,
-        comm_radius=cfg.comm_radius,
-        max_tx_distance=cfg.max_tx_distance,
-    )
-    return run(topo, cfg, collect_trace=collect_trace)
+    return run(deploy(*_deploy_args(cfg, cfg.seed)), cfg, collect_trace=collect_trace)
 
 
 def _result_row(
@@ -124,9 +123,17 @@ def _result_row(
     }
 
 
-def _execute_point(task: tuple) -> dict:
+def _execute_point(task: tuple, latest: dict[tuple, Topology]) -> dict:
+    """Run one point on its geometry, taken from `latest`, a one-slot cache
+    keyed by deploy()'s arguments, or deployed into it."""
     parameter, value, repetition, cfg = task
-    return _result_row(parameter, value, repetition, cfg, execute_scenario(cfg))
+    # UNIFORM_GRID does not read the seed, so every seed shares one grid
+    key = _deploy_args(cfg, cfg.seed if cfg.distribution == RANDOM else None)
+    topo = latest.get(key)
+    if topo is None:
+        latest.clear()
+        topo = latest[key] = deploy(*_deploy_args(cfg, cfg.seed))
+    return _result_row(parameter, value, repetition, cfg, run(topo, cfg))
 
 
 def _point_tasks(spec: SweepSpec) -> list[tuple]:
@@ -161,16 +168,20 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
 
     Any failing run aborts the sweep. Worker count comes from
     worker_count(); results are identical however many run, because every
-    point is independently seeded.
+    point is independently seeded. Adjacent points on one geometry share
+    its Topology; none outlives the sweep.
     """
     tasks = _point_tasks(spec)
     workers = worker_count(workers, len(tasks))
+    # one slot suffices: tasks run value-major, so a geometry's points are adjacent
+    execute = partial(_execute_point, latest={})
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            return pool.map(_execute_point, tasks)
-    return [_execute_point(t) for t in tasks]
+            # each chunk of tasks a worker receives unpickles its own empty slot
+            return pool.map(execute, tasks)
+    return [execute(t) for t in tasks]
 
 
 def write_csv(rows: list[dict], fh) -> None:

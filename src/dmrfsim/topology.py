@@ -2,7 +2,9 @@
 estimates and void carving.
 
 All operations are pure functions over immutable-by-convention Topology
-values: carve_void returns a new Topology rather than mutating.
+values: carve_void returns a new Topology rather than mutating. A Topology
+memoizes what it derives (cell index, sink distances, neighbour lists, sink
+hop counts), so one can serve many runs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ class Topology:
     _to_sink: dict[NodeId, float] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    # neighbors() per node and the sink hop counts, built on first use
+    _nbrs: dict[NodeId, list[NodeId]] = field(init=False, repr=False, compare=False,
+                                              default_factory=dict)
+    _hops: dict[NodeId, int] | None = field(init=False, repr=False, compare=False,
+                                            default=None)
 
     def __post_init__(self) -> None:
         if self.comm_radius > self.max_tx_distance:
@@ -80,9 +87,32 @@ class Topology:
             self._to_sink = {n: math.hypot(x - sx, y - sy) for n, (x, y) in self._pos.items()}
         return self._to_sink
 
+    def sink_hops(self) -> dict[NodeId, int]:
+        """BFS hop counts to the sink over the neighbor graph, for every node
+        connected to it, computed on first use."""
+        if self._hops is None:
+            hops = {self.sink: 0}
+            frontier = [self.sink]
+            while frontier:
+                nxt = []
+                for node in frontier:
+                    for nb in self.neighbors(node):
+                        if nb not in hops:
+                            hops[nb] = hops[node] + 1
+                            nxt.append(nb)
+                frontier = nxt
+            self._hops = hops
+        return self._hops
+
     def neighbors(self, node: NodeId) -> list[NodeId]:
-        """All nodes within comm_radius, sorted by id."""
-        return self.within(node, self.comm_radius)
+        """All nodes within comm_radius, sorted by id, computed once per node.
+
+        The list is shared by every caller and every run on this topology:
+        read it, never mutate it."""
+        nbrs = self._nbrs.get(node)
+        if nbrs is None:
+            nbrs = self._nbrs[node] = self.within(node, self.comm_radius)
+        return nbrs
 
     def within(self, node: NodeId, radius: float) -> list[NodeId]:
         """All other nodes whose distance() from `node` is at most `radius`,
@@ -212,25 +242,10 @@ def carve_void(topo: Topology, center: Position, radius: float) -> Topology:
     )
 
 
-def _hops_from_sink(topo: Topology) -> dict[NodeId, int]:
-    """BFS hop counts to the sink over the neighbor graph."""
-    hops = {topo.sink: 0}
-    frontier = [topo.sink]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in topo.neighbors(node):
-                if nb not in hops:
-                    hops[nb] = hops[node] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    return hops
-
-
 def shortest_delay_map(topo: Topology, mean_hop_delay: float) -> dict[NodeId, float]:
     """Estimated transmission time to the sink for every node: minimum hop
     count times the mean per-hop delay, UNREACHABLE where disconnected."""
-    hops = _hops_from_sink(topo)
+    hops = topo.sink_hops()
     return {
         node: hops[node] * mean_hop_delay if node in hops else UNREACHABLE
         for node in topo.ids()

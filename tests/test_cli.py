@@ -193,6 +193,27 @@ def test_infinite_injection_period_exits_one(tmp_path, capsys):
     assert "injection_period_ms" in capsys.readouterr().err
 
 
+def test_energy_constants_that_overflow_a_frame_exit_one(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"region": [4, 4], "node_count": 25, "packet_count": 3,
+                                "energy_amp_j_per_bit_m2": 1e308}))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "energy_amp_j_per_bit_m2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_overflowing_energy_total_exits_two(tmp_path, capsys):
+    # each frame costs a finite amount, but a handful of them sum to inf
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"region": [4, 4], "node_count": 25, "packet_count": 3,
+                                "energy_elec_j_per_bit": 6.9e305}))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "energy total is inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_integer_worker_count_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DMRFSIM_WORKERS", "2.5")
     out = tmp_path / "sweep.csv"

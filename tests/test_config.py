@@ -59,6 +59,9 @@ def test_derived_timing_properties():
         ("confidence_step", 101),
         ("confidence_step", True),
         ("seed", "one"),
+        # one data frame sent the 30 m max_tx_distance would cost inf joules
+        ("energy_amp_j_per_bit_m2", 1e308),
+        ("energy_elec_j_per_bit", 1e307),
     ],
 )
 def test_validation_rejects_bad_values_naming_the_key(field, value):
@@ -66,6 +69,14 @@ def test_validation_rejects_bad_values_naming_the_key(field, value):
     with pytest.raises(ConfigError) as err:
         validate(cfg)
     assert field in str(err.value)
+
+
+def test_a_packet_whose_bit_count_overflows_a_float_is_named():
+    # it fits its buffer, and free radios would hide it from the energy check
+    cfg = ScenarioConfig(packet_bytes=10**400, buffer_bytes=10**400,
+                         energy_elec_j_per_bit=0.0, energy_amp_j_per_bit_m2=0.0)
+    with pytest.raises(ConfigError, match="packet_bytes"):
+        validate(cfg)
 
 
 INF = float("inf")

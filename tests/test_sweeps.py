@@ -1,15 +1,19 @@
 """Unit tests for the sweep harness: seeding, CSV stability, presets, and
 summaries."""
 
+import gc
 import io
+import weakref
 
 import pytest
 
+from dmrfsim import sweeps
 from dmrfsim.config import (
     BYPASS,
     DMRF,
     GREEDY_MAX_RATE,
     GREEDY_MIN_DELAY,
+    PROTOCOLS,
     ConfigError,
     ScenarioConfig,
     validate,
@@ -18,6 +22,8 @@ from dmrfsim.sweeps import (
     CSV_COLUMNS,
     SweepSpec,
     _point_tasks,
+    _result_row,
+    execute_scenario,
     make_preset,
     point_seed,
     read_csv,
@@ -115,6 +121,62 @@ def test_run_sweep_row_grid():
 def test_run_sweep_parallel_matches_sequential():
     spec = tiny_spec(repetitions=1)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+
+
+# ----------------------------------------------------------------------
+# one shared topology per geometry
+
+
+def grid_spec():
+    """All four protocols on a grid with faults and a void: every run shares
+    one topology, since UNIFORM_GRID does not read the seed."""
+    return SweepSpec(
+        parameter="void_radius",
+        values=[0.0, 2.0],
+        base=tiny_base(fault_ratio=0.2, void_center=(2.5, 2.5)),
+        protocols=list(PROTOCOLS),
+        repetitions=1,
+    )
+
+
+def random_spec():
+    """Random deployments, one per repetition seed; the region is a list, as
+    validate() allows, which the geometry key must still hash."""
+    return SweepSpec(
+        parameter="fault_ratio",
+        values=[0.0, 0.2],
+        base=tiny_base(distribution="RANDOM", comm_radius=2.0, region=[5.0, 5.0]),
+        protocols=[DMRF, BYPASS],
+        repetitions=2,
+    )
+
+
+@pytest.mark.parametrize("make_spec", [grid_spec, random_spec], ids=["grid", "random"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_topologies_give_the_rows_of_fresh_deploys(make_spec, workers):
+    spec = make_spec()
+    fresh = [
+        _result_row(parameter, value, rep, cfg, execute_scenario(cfg))
+        for parameter, value, rep, cfg in _point_tasks(spec)
+    ]
+    assert run_sweep(spec, workers=workers) == fresh
+
+
+def test_no_topology_outlives_its_sweep(monkeypatch):
+    deployed = []
+
+    def recording_deploy(*args, **kwargs):
+        topo = deploy(*args, **kwargs)
+        deployed.append(weakref.ref(topo))
+        return topo
+
+    deploy = sweeps.deploy
+    monkeypatch.setattr(sweeps, "deploy", recording_deploy)
+    rows = run_sweep(grid_spec(), workers=1)
+    assert len(rows) == 8
+    assert len(deployed) == 1  # every run shared the one grid
+    gc.collect()
+    assert deployed[0]() is None
 
 
 def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):

@@ -1,11 +1,14 @@
 """Unit tests for deployments, candidate sets, voids, and hop-count delays."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmrfsim.config import BYPASS, DMRF, ScenarioConfig, validate
+from dmrfsim.engine import run
 from dmrfsim.topology import (
     RANDOM,
     UNIFORM_GRID,
@@ -220,6 +223,18 @@ def test_index_matches_scan_one_ulp_around_cell_edges(radius):
 def test_within_matches_scan_when_the_query_box_outgrows_the_deployment(topo):
     # every query box overhangs the occupied cells on both sides of both axes
     assert_index_matches_scan(topo)
+
+
+def test_runs_leave_the_shared_neighbour_lists_intact():
+    cfg = validate(ScenarioConfig(
+        node_count=36, region=(5.0, 5.0), comm_radius=1.2, void_center=(2.5, 2.5),
+        void_radius=2.0, fault_ratio=0.2, packet_count=20, seed=3))
+    topo = deploy(36, (5.0, 5.0), UNIFORM_GRID, 3, 1.2)
+    for protocol in (DMRF, BYPASS):
+        run(topo, dataclasses.replace(cfg, protocol=protocol))
+    assert len(topo._nbrs) == 36  # the runs built every node's list
+    for node, nbrs in topo._nbrs.items():
+        assert nbrs == brute_within(topo, node, topo.comm_radius)
 
 
 # ----------------------------------------------------------------------

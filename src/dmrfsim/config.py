@@ -157,6 +157,16 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                    f"expected a finite positive number, got {v!r}")
     _check(math.isfinite(cfg.horizon_ms) or math.isfinite(cfg.packet_lifetime_ms),
            "horizon_ms", "horizon_ms and packet_lifetime_ms cannot both be infinite")
+    # a probe round reschedules itself a period on; a period lost to rounding
+    # at the run's last possible instant would stop the clock there for ever
+    try:
+        t_end = float(min(cfg.horizon_ms, (cfg.packet_count - 1) * cfg.injection_period_ms
+                          + cfg.packet_lifetime_ms))
+    except OverflowError:  # an int too large for a float
+        t_end = math.inf
+    _check(not math.isfinite(t_end) or t_end + cfg.probe_period_ms > t_end,
+           "probe_period_ms", f"too small to advance the clock past {t_end!r} ms, "
+           "the run's last possible instant")
     for key in _NON_NEGATIVE_FLOAT:
         v = getattr(cfg, key)
         _check(_is_finite(v) and v >= 0, key,

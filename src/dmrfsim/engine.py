@@ -25,6 +25,7 @@ from .config import (
     ScenarioConfig,
 )
 from .model import (
+    CandidateEntry,
     FeedbackKind,
     FeedbackMessage,
     InvariantError,
@@ -197,7 +198,6 @@ class _NodeRuntime:
         "is_sink",
         "table",
         "ranked",
-        "probe_links",
         "data_j",
         "control_j",
         "tx",
@@ -218,9 +218,6 @@ class _NodeRuntime:
         # a baseline's candidate set on the full deployment, every link at the
         # mean hop delay, in the baseline's order; built at the first decision
         self.ranked: list[NodeId] | None = None
-        # (candidate's runtime, joules per control frame), in the order of
-        # table.members, for probing
-        self.probe_links: list[tuple[_NodeRuntime, float]] = []
         # receiver id -> joules per data frame; every packet is cfg.packet_bits
         self.data_j: dict[NodeId, float] = {}
         # receiver id -> joules per control frame
@@ -302,18 +299,17 @@ class Simulation:
         if dead:
             self._schedule(0.0, FAULT_ONSET, sorted(dead))
 
-        if self.dmrf is not None:
-            probers = []
-            for nid in topo.ids():
-                node = self.nodes[nid]
-                if node.table is not None and node.table.members:
-                    node.probe_links = [
-                        (self.nodes[e.candidate], self._control_cost(nid, e.candidate))
-                        for e in node.table.members
-                    ]
-                    probers.append((node, None))
-            if probers:
-                self._schedule(0.0, PROBE, probers)
+        # every node with candidates probes them, in id order. The first
+        # round lays out their links: (peer runtime, joules per control
+        # frame) to probe, (table, entry) to time the probe out
+        self._probers = [
+            node for node in self.nodes.values()
+            if node.table is not None and node.table.members
+        ]
+        self._probe_draw: list[tuple[_NodeRuntime, float]] | None = None
+        self._probe_acct: list[tuple[RoutingTable, CandidateEntry]] = []
+        if self._probers:
+            self._schedule(0.0, PROBE, None)
 
         # injection i takes seq _inject_seq + i, the seq it would take if all
         # were scheduled here, but each injection schedules the next: the heap
@@ -342,7 +338,7 @@ class Simulation:
             node = self.topo.source
             packet = a
         elif kind in (PROBE, PROBE_TIMEOUT):
-            # a probe round traces one line per member as it runs it
+            # a probe round traces one line per prober as it runs it
             self._round_seq = seq
             return
         elif kind == FEEDBACK_DELIVERY:
@@ -622,100 +618,118 @@ class Simulation:
             Event(time=self.now, seq=self._round_seq, kind=EVENT_KINDS[kind], node=node_id)
         )
 
-    def _on_probe_round(
-        self, members: list[tuple[_NodeRuntime, list | None]], now: float
-    ) -> None:
-        """Every member probes, in id order, at the place in the event order
-        that the first member's own PROBE event would hold.
+    def _on_probe_round(self, due: list | None, now: float) -> None:
+        """Every prober probes, in id order, at the place in the event order
+        that the first prober's own PROBE event would hold.
 
-        A member's probe yields one reply record per link, in the order of
-        its `table.members`: the delay sample and the peer's state at probe
-        time from a live peer, None, None from a silent one. The records are
-        laid end to end in one flat list per member: a tuple per link would
-        be one more object for the cyclic garbage collector to track while
-        the replies wait for their timeout, which made collection a large
-        share of the loop.
+        A probe yields one reply record per link: the delay sample and the
+        peer's state at probe time from a live peer, None, None from a silent
+        one. The records of the whole round are laid end to end in one flat
+        list, in the order of the layout: a tuple per link would be one more
+        object for the cyclic garbage collector to track while the replies
+        wait for their timeout, which made collection a large share of the
+        loop.
 
         When a timeout falls on the next probe instant, per-node events
         would run each node's timeout just before its probe; the replies
-        then ride in the next round, which runs them there."""
+        then ride in the next round as `due`, and that round walks the
+        layout node by node, timing each node out before it probes."""
+        trace, probers = self.trace, self._probers
+        if due is None and trace is not None:
+            # before the layout, so a prober faulted at time 0 still traces
+            # its first probe
+            for node in probers:
+                self._trace_member(PROBE, node.id)
+        if self._probe_draw is None:
+            # the first round lays out the links of every live prober end to
+            # end, in id order and then in the order of its table.members: it
+            # follows the time-0 FAULT_ONSET, the only one, so the layout
+            # holds for the whole run
+            probers = self._probers = [node for node in probers if node.alive]
+            acct = self._probe_acct = [(n.table, e) for n in probers for e in n.table.members]
+            self._probe_draw = [
+                (self.nodes[e.candidate], self._control_cost(table.owner, e.candidate))
+                for table, e in acct
+            ]
+            if not probers:
+                return
+        draw_links, replies = self._probe_draw, []
+        if due is None:
+            self._probe(draw_links, replies)
+        else:
+            acct, lo = self._probe_acct, 0
+            for node in probers:
+                hi = lo + len(node.table.members)
+                self._on_timeout_round((acct[lo:hi], due[2 * lo : 2 * hi], (node,)), now)
+                if trace is not None:
+                    self._trace_member(PROBE, node.id)
+                self._probe(draw_links[lo:hi], replies)
+                lo = hi
         period_at = now + self.cfg.probe_period_ms
         timeout_at = now + self.cfg.probe_timeout_ms
-        merged = timeout_at == period_at
-        metrics, trace = self.metrics, self.trace
+        if timeout_at == period_at:
+            self._schedule(period_at, PROBE, replies)
+        else:
+            self._schedule(timeout_at, PROBE_TIMEOUT, (self._probe_acct, replies, probers))
+            self._schedule(period_at, PROBE, None)
+
+    def _probe(self, links: list[tuple[_NodeRuntime, float]], replies: list) -> None:
+        """Send one probe over each link, in order: charge its control frame
+        and append the peer's reply record to `replies`."""
+        metrics = self.metrics
         # sample_delay's loop, inlined: same draws, same float operations
         draw, log = self.rng.random, math.log
         mu, sigma = self.mu, self.sigma
         floor = mu / 10.0
         normal = NodeState.NORMAL
-        # the round's counters; a merged timeout charges its feedback to
-        # metrics, so they go through metrics around it, in the same order
-        control, energy = metrics.control_packets, metrics.energy_total_j
-        next_round, timeouts = [], []
-        for member in members:
-            node, due = member
-            if due is not None:
-                metrics.control_packets, metrics.energy_total_j = control, energy
-                self._on_timeout_round((member,), now)
-                control, energy = metrics.control_packets, metrics.energy_total_j
-            if trace is not None:
-                self._trace_member(PROBE, node.id)
-            if not node.alive:
+        metrics.control_packets += len(links)
+        energy = metrics.energy_total_j
+        for peer, joules in links:
+            energy += joules
+            if not peer.alive:
+                replies += (None, None)
                 continue
-            links = node.probe_links
-            control += len(links)
-            replies = []
-            for peer, joules in links:
-                energy += joules
-                if not peer.alive:
-                    replies += (None, None)
-                    continue
-                while True:
-                    u1 = draw()
-                    u2 = 1.0 - draw()
-                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -log(u2):
-                        delay = mu + z * sigma
-                        if delay >= floor:
-                            break
-                # the reply reports the replier's own current state
-                table = peer.table
-                replies += (delay, table.state if table is not None else normal)
-            if merged:
-                next_round.append((node, replies))
-            else:
-                next_round.append(member)
-                timeouts.append((node, replies))
-        metrics.control_packets, metrics.energy_total_j = control, energy
-        if not next_round:
-            return
-        if not merged:
-            self._schedule(timeout_at, PROBE_TIMEOUT, timeouts)
-        self._schedule(period_at, PROBE, next_round)
+            while True:
+                u1 = draw()
+                u2 = 1.0 - draw()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    delay = mu + z * sigma
+                    if delay >= floor:
+                        break
+            # the reply reports the replier's own current state
+            table = peer.table
+            replies += (delay, table.state if table is not None else normal)
+        metrics.energy_total_j = energy
 
-    def _on_timeout_round(self, timeouts: list[tuple[_NodeRuntime, list]], now: float) -> None:
-        """Each member, in id order, accounts its probe replies and then
-        checks its own buffer. One never offered a packet checks it at its
-        first timeout only: its inputs, the standing preload and an arrival
-        EWMA of 0.0, never change, and `detect_faulty` leaves its table clean."""
+    def _on_timeout_round(self, payload: tuple, now: float) -> None:
+        """Time out one probe of `(links, replies, nodes)`: one
+        `detect_faulty` call accounts the reply records of the nodes' links.
+        Then each node, in id order, re-derives its state if its table was
+        left dirty, checks its own buffer and sends its feedback. One never
+        offered a packet checks its buffer at its first timeout only: its
+        inputs, the standing preload and an arrival EWMA of 0.0, never
+        change, and its table is clean once re-derived."""
+        links, replies, nodes = payload
+        dmrf = self.dmrf
+        dmrf.detect_faulty(links, replies)
         trace, capacity = self.trace, self._buffer_capacity
-        detect_faulty, detect_congestion = self.dmrf.detect_faulty, self.dmrf.detect_congestion
+        reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         period = self.cfg.probe_period_ms
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
-        for node, replies in timeouts:
+        for node in nodes:
             if trace is not None:
                 self._trace_member(PROBE_TIMEOUT, node.id)
-            if not node.alive:
-                continue
             table = node.table
-            fbs = detect_faulty(table, replies, now)
+            fbs = reevaluate(table, now) if table.dirty else None
             last = node.last_arrival
             if last is not None and now - last >= period:
                 node.arrival_ewma *= 0.5
             if last is not None or first_timeout:
-                fbs += detect_congestion(
+                checked = detect_congestion(
                     table, node.buffer_used, capacity, node.arrival_ewma, now
                 )
+                fbs = fbs + checked if fbs else checked
             if fbs:
                 self._send_feedbacks(node, fbs, now)
 

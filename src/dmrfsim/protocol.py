@@ -105,8 +105,8 @@ class RoutingTable:
     sink_in_range: bool
     state: NodeState = NodeState.NORMAL
     own_congested: bool = False
-    #: set when an input of _reevaluate changes: a member's cached_state,
-    #: own_congested or state; cleared by _reevaluate
+    #: set when an input of reevaluate changes: a member's cached_state,
+    #: own_congested or state; cleared by reevaluate
     dirty: bool = True
     upstream: NodeId | None = None
     #: the long-range candidates in id order, materialized on first jump
@@ -300,25 +300,24 @@ class DmrfProtocol:
     # detection pipeline
 
     def detect_faulty(
-        self,
-        table: RoutingTable,
-        replies: list,
-        now: float,
-    ) -> list[FeedbackMessage]:
+        self, links: list[tuple[RoutingTable, CandidateEntry]], replies: list
+    ) -> None:
         """Account one probe round: silent candidates lose confidence and
         eventually get cached FAULTY; responders reset to full trust and
         refresh their delay estimate.
 
-        `replies` holds one record per member of `table.members`, in that
+        `links` names each probed candidate as a (table, entry) pair, for
+        any number of tables. `replies` holds one record per link, in that
         order, laid end to end: the delay sample and the reported state. A
         delay of None means the candidate stayed silent. A probe reply
         carries the replier's own state, so the cached state of a responder
         is whatever it reported rather than a guess; a state of None means
-        no report. A record list that does not match the members raises
-        ValueError.
+        no report. A record list that does not match the links raises
+        ValueError. A table whose cached states changed is left dirty, for
+        the caller to `reevaluate`.
         """
         records = iter(replies)
-        for entry, delay, state in zip(table.members, records, records, strict=True):
+        for (table, entry), delay, state in zip(links, records, records, strict=True):
             if delay is None:
                 self._distrust(table, entry)
                 continue
@@ -329,7 +328,6 @@ class DmrfProtocol:
             elif entry.cached_state is NodeState.FAULTY:
                 _cache_state(table, entry, NodeState.NORMAL)
             entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
-        return self._reevaluate(table, now) if table.dirty else []
 
     def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
         """An acknowledgment: full trust again, and a cached FAULTY heals."""
@@ -367,14 +365,14 @@ class DmrfProtocol:
         elif table.own_congested and predicted < cfg.theta_cong - cfg.cong_hysteresis:
             table.own_congested = False
             table.dirty = True
-        return self._reevaluate(table, now) if table.dirty else []
+        return self.reevaluate(table, now) if table.dirty else []
 
     def detect_void(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
         # evaluates unconditionally, for callers that edit entries in place
         table.dirty = True
-        return self._reevaluate(table, now)
+        return self.reevaluate(table, now)
 
-    def _reevaluate(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
+    def reevaluate(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
         """Derive the node's state from its own buffer flag and the cached
         candidate states, emitting feedback on every transition. Those are
         its only inputs, so while table.dirty is clear the state is current.
@@ -508,7 +506,7 @@ class DmrfProtocol:
             self._trust(table, entry)
             return []
         self._distrust(table, entry)
-        return self._reevaluate(table, now)
+        return self.reevaluate(table, now)
 
     def on_jump_result(
         self, table: RoutingTable, target: NodeId, success: bool, now: float
@@ -529,7 +527,7 @@ class DmrfProtocol:
             entry.suc = max(0, entry.successes - 1) / entry.attempts
             self._distrust(table, entry)
             feedbacks.append(FeedbackMessage(kind=FeedbackKind.JUMP_FAIL))
-            feedbacks.extend(self._reevaluate(table, now))
+            feedbacks.extend(self.reevaluate(table, now))
         return feedbacks
 
     def on_feedback(
@@ -558,4 +556,4 @@ class DmrfProtocol:
             # every non-jump kind reports its sender's own state, which is
             # proof of life; latest report wins
             _cache_state(table, entry, REPORTED_STATE[msg.kind])
-        return None, self._reevaluate(table, now)
+        return None, self.reevaluate(table, now)

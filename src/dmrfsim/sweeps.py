@@ -124,14 +124,20 @@ def _result_row(
 
 
 def _execute_point(task: tuple, latest: dict[tuple, Topology]) -> dict:
-    """Run one point on its geometry, taken from `latest`, a one-slot cache
-    keyed by deploy()'s arguments, or deployed into it."""
+    """Run one point on its topology, taken from `latest`, a cache keyed by
+    deploy()'s arguments, or deployed into it.
+
+    Points run value by value, each protocol through every repetition, and
+    a seed belongs to one value and repetition, so the cache holds the
+    topologies of one value at most: a miss at repetition 0 starts another
+    value or geometry and empties it first."""
     parameter, value, repetition, cfg = task
     # UNIFORM_GRID does not read the seed, so every seed shares one grid
     key = _deploy_args(cfg, cfg.seed if cfg.distribution == RANDOM else None)
     topo = latest.get(key)
     if topo is None:
-        latest.clear()
+        if repetition == 0:
+            latest.clear()
         topo = latest[key] = deploy(*_deploy_args(cfg, cfg.seed))
     return _result_row(parameter, value, repetition, cfg, run(topo, cfg))
 
@@ -173,13 +179,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
     """
     tasks = _point_tasks(spec)
     workers = worker_count(workers, len(tasks))
-    # one slot suffices: tasks run value-major, so a geometry's points are adjacent
+    # tasks run value-major, so a geometry's points are adjacent
     execute = partial(_execute_point, latest={})
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            # each chunk of tasks a worker receives unpickles its own empty slot
+            # each chunk of tasks a worker receives unpickles its own empty cache
             return pool.map(execute, tasks)
     return [execute(t) for t in tasks]
 

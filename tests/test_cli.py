@@ -167,22 +167,39 @@ def test_wrongly_typed_threshold_exits_one(tmp_path, capsys):
     assert "theta_jump" in capsys.readouterr().err
 
 
+def run_in_subprocess(*args):
+    """`dmrfsim *args` in a fresh interpreter, killed after 60 s."""
+    src = str(Path(dmrfsim.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from dmrfsim.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+
+
 def test_tiny_comm_radius_runs_in_bounded_time(tmp_path):
     # the span of the source's 30 m jump query holds about 40,000 x 40,000 cells
     path = tmp_path / "tiny_radius.json"
     path.write_text(json.dumps(
         {"node_count": 25, "region": [4.0, 4.0], "packet_count": 5, "comm_radius": 0.0001}
     ))
-    src = str(Path(dmrfsim.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from dmrfsim.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "run", "--config", str(path)],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-    )
+    proc = run_in_subprocess("run", "--config", str(path))
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2
+
+
+def test_a_probe_period_below_the_clock_resolution_exits_one(tmp_path):
+    # every probe round would reschedule itself at the same instant for ever
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(
+        {"node_count": 25, "region": [4.0, 4.0], "packet_count": 5, "probe_period_ms": 1e-20}
+    ))
+    proc = run_in_subprocess("run", "--config", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "probe_period_ms" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_infinite_injection_period_exits_one(tmp_path, capsys):

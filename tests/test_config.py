@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -62,6 +63,8 @@ def test_derived_timing_properties():
         # one data frame sent the 30 m max_tx_distance would cost inf joules
         ("energy_amp_j_per_bit_m2", 1e308),
         ("energy_elec_j_per_bit", 1e307),
+        # lost to rounding at the run's last instant: the clock would stall
+        ("probe_period_ms", 1e-20),
     ],
 )
 def test_validation_rejects_bad_values_naming_the_key(field, value):
@@ -69,6 +72,16 @@ def test_validation_rejects_bad_values_naming_the_key(field, value):
     with pytest.raises(ConfigError) as err:
         validate(cfg)
     assert field in str(err.value)
+
+
+def test_the_probe_period_must_advance_the_clock_at_the_last_instant():
+    cfg = ScenarioConfig(packet_count=3, horizon_ms=1e6)
+    t_end = (3 - 1) * cfg.injection_period_ms + cfg.packet_lifetime_ms
+    validate(dataclasses.replace(cfg, probe_period_ms=math.ulp(t_end)))
+    with pytest.raises(ConfigError, match="probe_period_ms"):
+        validate(dataclasses.replace(cfg, probe_period_ms=math.ulp(t_end) / 4))
+    # the horizon, when earlier, is the last instant
+    validate(dataclasses.replace(cfg, horizon_ms=1.0, probe_period_ms=math.ulp(1.0)))
 
 
 def test_a_packet_whose_bit_count_overflows_a_float_is_named():

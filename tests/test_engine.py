@@ -351,24 +351,20 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
     check's inputs never change."""
     sim = Simulation(line_topo(6), small_cfg(
         node_count=6, region=(5.0, 1.0), seed=1, packet_count=10,
-        probe_timeout_ms=timeout, probe_period_ms=10.0))
-    timeouts, checks = collections.Counter(), collections.Counter()
+        probe_timeout_ms=timeout, probe_period_ms=10.0), collect_trace=True)
+    checks = collections.Counter()
     first_offer = {}
     in_timeout = False
-    faulty, congestion = sim.dmrf.detect_faulty, sim.dmrf.detect_congestion
+    congestion = sim.dmrf.detect_congestion
     timeout_round = sim._on_timeout_round
 
-    def counting_round(members, now):
+    def counting_round(payload, now):
         nonlocal in_timeout
         in_timeout = True
         try:
-            timeout_round(members, now)
+            timeout_round(payload, now)
         finally:
             in_timeout = False
-
-    def counting_faulty(table, replies, now):
-        timeouts[table.owner] += 1
-        return faulty(table, replies, now)
 
     def counting_congestion(table, used, capacity, ewma, now):
         if in_timeout:
@@ -378,9 +374,11 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
         return congestion(table, used, capacity, ewma, now)
 
     sim._on_timeout_round = counting_round
-    sim.dmrf.detect_faulty = counting_faulty
     sim.dmrf.detect_congestion = counting_congestion
     result = sim.run()
+    # one PROBE_TIMEOUT line per prober timed out
+    timeouts = collections.Counter(
+        e.node for e in result.trace if e.kind == "PROBE_TIMEOUT")
     assert result.metrics.delivered == 10
     assert set(timeouts) == {0, 1, 2, 3, 4}
     assert min(timeouts.values()) >= 4

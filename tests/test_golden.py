@@ -29,6 +29,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import pytest
+
 from dmrfsim.config import BYPASS, PROTOCOLS, DMRF, ScenarioConfig, validate
 from dmrfsim.sweeps import _result_row, execute_scenario, rows_to_csv_text
 
@@ -182,6 +184,24 @@ def test_transitions_and_packet_outcomes_are_identical():
     for want, got in zip(expected.splitlines(), actual.splitlines()):
         assert got == want
     assert actual == expected
+
+
+#: timeout equal to the period: a merged probe round walks the probers one by one
+MERGED = "table2-fault0.3-timeout10-period10"
+
+
+@pytest.mark.parametrize("base, protocol", [
+    pytest.param(base, protocol, id=f"{name}-{protocol}")
+    for name, base, protocols in TRACE_CASES + [(MERGED, _MATRIX[MERGED], (DMRF,))]
+    for protocol in protocols
+])
+def test_a_traced_run_gives_the_results_of_an_untraced_one(base, protocol):
+    cfg = validate(dataclasses.replace(base, protocol=protocol))
+    plain, traced = execute_scenario(cfg), execute_scenario(cfg, collect_trace=True)
+    assert traced.trace and plain.trace is None
+    assert traced.metrics == plain.metrics
+    assert traced.transitions == plain.transitions
+    assert traced.packets == plain.packets
 
 
 if __name__ == "__main__":

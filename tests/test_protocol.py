@@ -310,7 +310,8 @@ def probe_all(proto, table, replies, now=0.0, states=None):
             records += (e.delay_est, (states or {}).get(e.candidate))
         else:
             records += (None, None)
-    return proto.detect_faulty(table, records, now)
+    proto.detect_faulty([(table, e) for e in table.members], records)
+    return proto.reevaluate(table, now)
 
 
 def test_three_missed_probes_mark_faulty():
@@ -401,7 +402,7 @@ def test_probe_reply_state_report_overrides_cache():
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty(table, [2.0, None], 0.0)
+    proto.detect_faulty([(table, table.entries[1])], [2.0, None])
     assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 
@@ -414,7 +415,7 @@ def test_probe_records_must_match_the_candidate_set(records):
     table = proto.build_tables()[0]
     assert len(table.members) == 1
     with pytest.raises(ValueError):
-        proto.detect_faulty(table, records, 0.0)
+        proto.detect_faulty([(table, e) for e in table.members], records)
 
 
 def test_congestion_predictor_and_hysteresis():

@@ -179,6 +179,27 @@ def test_no_topology_outlives_its_sweep(monkeypatch):
     assert deployed[0]() is None
 
 
+def test_a_random_sweep_deploys_once_per_seed(monkeypatch):
+    """Every protocol at a value and repetition runs on the same topology,
+    and the cache never holds more than one value's repetitions."""
+    deployed, held = [], []
+
+    def recording_deploy(*args, **kwargs):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in deployed))
+        topo = deploy(*args, **kwargs)
+        deployed.append(weakref.ref(topo))
+        return topo
+
+    deploy = sweeps.deploy
+    monkeypatch.setattr(sweeps, "deploy", recording_deploy)
+    spec = random_spec()
+    rows = run_sweep(spec, workers=1)
+    assert len(rows) == 8
+    assert len(deployed) == len({row["seed"] for row in rows}) == 4
+    assert max(held) < spec.repetitions
+
+
 def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert worker_count(64, 100) == 4

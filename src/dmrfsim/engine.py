@@ -15,6 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from types import SimpleNamespace
 
 from . import baselines
 from .config import (
@@ -25,7 +26,6 @@ from .config import (
     ScenarioConfig,
 )
 from .model import (
-    CandidateEntry,
     FeedbackKind,
     FeedbackMessage,
     InvariantError,
@@ -93,8 +93,8 @@ def sample_delay(mu: float, sigma: float, rng: random.Random) -> float:
 
     The normal draw is `random.Random.normalvariate`'s Kinderman-Monahan loop
     written out: the same `rng.random()` calls and float operations, so the
-    stream and every value match it bit for bit. `Simulation._on_probe_round`
-    inlines this same loop for its per-link draws.
+    stream and every value match it bit for bit. `Simulation._probe` inlines
+    this same loop for its per-link draws.
     """
     floor = mu / 10.0
     draw, log = rng.random, math.log
@@ -232,6 +232,10 @@ class _NodeRuntime:
         self.cong_notified: set[NodeId] = set()
 
 
+#: the state holder of a probed sink, which keeps no routing table
+_SINK_REPORT = SimpleNamespace(state=NodeState.NORMAL)
+
+
 class Simulation:
     """One seeded run of one protocol over one topology."""
 
@@ -300,14 +304,12 @@ class Simulation:
             self._schedule(0.0, FAULT_ONSET, sorted(dead))
 
         # every node with candidates probes them, in id order. The first
-        # round lays out their links: (peer runtime, joules per control
-        # frame) to probe, (table, entry) to time the probe out
+        # round lays out their links (see _lay_out_probes)
         self._probers = [
             node for node in self.nodes.values()
             if node.table is not None and node.table.members
         ]
-        self._probe_draw: list[tuple[_NodeRuntime, float]] | None = None
-        self._probe_acct: list[tuple[RoutingTable, CandidateEntry]] = []
+        self._layout: tuple | None = None
         if self._probers:
             self._schedule(0.0, PROBE, None)
 
@@ -387,9 +389,9 @@ class Simulation:
         send is reported as not made."""
         if not self.nodes[receiver].alive:
             return False
-        self._schedule(
-            now + self._feedback_delay_ms, FEEDBACK_DELIVERY, (msg, sender, receiver)
-        )
+        at = now + self._feedback_delay_ms
+        heappush(self._heap, (at, self._seq, FEEDBACK_DELIVERY, (msg, sender, receiver)))
+        self._seq += 1
         self.metrics.energy_total_j += self._control_cost(sender, receiver)
         return True
 
@@ -418,9 +420,9 @@ class Simulation:
     # ------------------------------------------------------------------
     # decisions and service
 
-    def _decide(self, node: _NodeRuntime, packet: Packet, now: float) -> Decision:
-        if self.dmrf is not None:
-            return self.dmrf.select_next_hop(node.table, packet, now, self.rng)
+    def _decide_baseline(
+        self, node: _NodeRuntime, packet: Packet, now: float
+    ) -> Decision:
         name = self.cfg.protocol
         ranked = node.ranked
         if ranked is None:
@@ -450,8 +452,12 @@ class Simulation:
             else:
                 return
             packet = queue[0]
-            decision = self._decide(node, packet, now)
-            if isinstance(decision, Drop):
+            if self.dmrf is not None:
+                decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
+            else:
+                decision = self._decide_baseline(node, packet, now)
+            kind = type(decision)
+            if kind is Drop:
                 self._pop_in_service(node, packet)
                 outcome = (
                     EXPIRED
@@ -462,7 +468,7 @@ class Simulation:
                 stall = 0.0
                 continue
             target = decision.next
-            is_jump = isinstance(decision, Jump)
+            is_jump = kind is Jump
             if is_jump:
                 multiplier = 1.0
             else:
@@ -485,7 +491,8 @@ class Simulation:
             node.tx += 1
             node.pending = (packet, target, is_jump)
             self._open[packet.id] = (packet, "FLIGHT", node.id)
-            self._schedule(now + service, PACKET_ARRIVAL, node.id)
+            heappush(self._heap, (now + service, self._seq, PACKET_ARRIVAL, node.id))
+            self._seq += 1
             return
 
     # ------------------------------------------------------------------
@@ -618,101 +625,128 @@ class Simulation:
             Event(time=self.now, seq=self._round_seq, kind=EVENT_KINDS[kind], node=node_id)
         )
 
-    def _on_probe_round(self, due: list | None, now: float) -> None:
+    def _lay_out_probes(self) -> tuple:
+        """Lay out the probe links of every live prober end to end, in id
+        order and then in the order of its table.members, as `(joules, live,
+        peers, silent, spans)`.
+
+        The first round does this after the time-0 FAULT_ONSET, the only
+        one, so which peers are silent is fixed for the whole run. A live
+        link keeps its (table, entry) pair in `live` and its peer's state
+        holder in `peers`; a silent one keeps only its pair, in `silent`.
+        `joules` holds every link's control-frame joules in link order, and
+        `spans` each prober with the counts of live and silent links that
+        end its span."""
+        probers = self._probers = [node for node in self._probers if node.alive]
+        nodes, live, peers, silent = self.nodes, [], [], []
+        joules, spans = [], []
+        for node in probers:
+            table = node.table
+            for entry in table.members:
+                peer = nodes[entry.candidate]
+                joules.append(self._control_cost(node.id, peer.id))
+                if peer.alive:
+                    live.append((table, entry))
+                    peers.append(peer.table if peer.table is not None else _SINK_REPORT)
+                else:
+                    silent.append((table, entry))
+            spans.append((node, len(live), len(silent)))
+        return joules, live, peers, silent, spans
+
+    def _on_probe_round(self, due: tuple | None, now: float) -> None:
         """Every prober probes, in id order, at the place in the event order
         that the first prober's own PROBE event would hold.
 
-        A probe yields one reply record per link: the delay sample and the
-        peer's state at probe time from a live peer, None, None from a silent
-        one. The records of the whole round are laid end to end in one flat
-        list, in the order of the layout: a tuple per link would be one more
-        object for the cyclic garbage collector to track while the replies
-        wait for their timeout, which made collection a large share of the
-        loop.
+        A live peer's reply is a delay sample and the peer's state at probe
+        time; the round keeps them in two flat lists, in live-link order. A
+        tuple per reply would be one more object for the cyclic garbage
+        collector to track while the replies wait for their timeout.
 
         When a timeout falls on the next probe instant, per-node events
         would run each node's timeout just before its probe; the replies
         then ride in the next round as `due`, and that round walks the
         layout node by node, timing each node out before it probes."""
-        trace, probers = self.trace, self._probers
+        trace = self.trace
         if due is None and trace is not None:
             # before the layout, so a prober faulted at time 0 still traces
             # its first probe
-            for node in probers:
+            for node in self._probers:
                 self._trace_member(PROBE, node.id)
-        if self._probe_draw is None:
-            # the first round lays out the links of every live prober end to
-            # end, in id order and then in the order of its table.members: it
-            # follows the time-0 FAULT_ONSET, the only one, so the layout
-            # holds for the whole run
-            probers = self._probers = [node for node in probers if node.alive]
-            acct = self._probe_acct = [(n.table, e) for n in probers for e in n.table.members]
-            self._probe_draw = [
-                (self.nodes[e.candidate], self._control_cost(table.owner, e.candidate))
-                for table, e in acct
-            ]
-            if not probers:
+        if self._layout is None:
+            self._layout = self._lay_out_probes()
+            if not self._probers:
                 return
-        draw_links, replies = self._probe_draw, []
+        joules, live, peers, silent, spans = self._layout
+        delays, states = [], []
         if due is None:
-            self._probe(draw_links, replies)
+            self._probe(joules, peers, delays, states)
         else:
-            acct, lo = self._probe_acct, 0
-            for node in probers:
-                hi = lo + len(node.table.members)
-                self._on_timeout_round((acct[lo:hi], due[2 * lo : 2 * hi], (node,)), now)
+            due_delays, due_states = due
+            lo = silent_lo = 0
+            for node, hi, silent_hi in spans:
+                self._on_timeout_round(
+                    (live[lo:hi], due_delays[lo:hi], due_states[lo:hi],
+                     silent[silent_lo:silent_hi], (node,)),
+                    now,
+                )
                 if trace is not None:
                     self._trace_member(PROBE, node.id)
-                self._probe(draw_links[lo:hi], replies)
-                lo = hi
+                self._probe(
+                    joules[lo + silent_lo : hi + silent_hi], peers[lo:hi], delays, states
+                )
+                lo, silent_lo = hi, silent_hi
         period_at = now + self.cfg.probe_period_ms
         timeout_at = now + self.cfg.probe_timeout_ms
         if timeout_at == period_at:
-            self._schedule(period_at, PROBE, replies)
+            self._schedule(period_at, PROBE, (delays, states))
         else:
-            self._schedule(timeout_at, PROBE_TIMEOUT, (self._probe_acct, replies, probers))
+            self._schedule(
+                timeout_at, PROBE_TIMEOUT, (live, delays, states, silent, self._probers)
+            )
             self._schedule(period_at, PROBE, None)
 
-    def _probe(self, links: list[tuple[_NodeRuntime, float]], replies: list) -> None:
-        """Send one probe over each link, in order: charge its control frame
-        and append the peer's reply record to `replies`."""
+    def _probe(
+        self, joules: list[float], peers: list, delays: list[float], states: list
+    ) -> None:
+        """Send one probe over each link whose control joules are in `joules`,
+        in order, and append each live peer's reply, in `peers` order, to
+        `delays` and `states`. Silent peers draw nothing."""
         metrics = self.metrics
-        # sample_delay's loop, inlined: same draws, same float operations
-        draw, log = self.rng.random, math.log
-        mu, sigma = self.mu, self.sigma
-        floor = mu / 10.0
-        normal = NodeState.NORMAL
-        metrics.control_packets += len(links)
+        metrics.control_packets += len(joules)
+        # a local sum written back once: every addition keeps its order
         energy = metrics.energy_total_j
-        for peer, joules in links:
-            energy += joules
-            if not peer.alive:
-                replies += (None, None)
-                continue
+        for j in joules:
+            energy += j
+        metrics.energy_total_j = energy
+        # sample_delay's loop, inlined: same draws, same float operations
+        draw, log, append = self.rng.random, math.log, delays.append
+        mu, sigma, magic = self.mu, self.sigma, _NV_MAGICCONST
+        floor = mu / 10.0
+        for _ in peers:
             while True:
                 u1 = draw()
                 u2 = 1.0 - draw()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                z = magic * (u1 - 0.5) / u2
                 if z * z / 4.0 <= -log(u2):
                     delay = mu + z * sigma
                     if delay >= floor:
                         break
-            # the reply reports the replier's own current state
-            table = peer.table
-            replies += (delay, table.state if table is not None else normal)
-        metrics.energy_total_j = energy
+            append(delay)
+        # the reply reports the replier's own current state
+        states += [peer.state for peer in peers]
 
     def _on_timeout_round(self, payload: tuple, now: float) -> None:
-        """Time out one probe of `(links, replies, nodes)`: one
-        `detect_faulty` call accounts the reply records of the nodes' links.
-        Then each node, in id order, re-derives its state if its table was
-        left dirty, checks its own buffer and sends its feedback. One never
-        offered a packet checks its buffer at its first timeout only: its
-        inputs, the standing preload and an arrival EWMA of 0.0, never
-        change, and its table is clean once re-derived."""
-        links, replies, nodes = payload
+        """Time out one probe of `(live, delays, states, silent, nodes)`: one
+        `detect_faulty` call accounts the replies of the nodes' live links
+        and the silence of their silent ones. Then each node, in id order,
+        re-derives its state if its table was left dirty, checks its own
+        buffer and sends its feedback. One never offered a packet checks its
+        buffer at its first timeout only: its inputs, the standing preload
+        and an arrival EWMA of 0.0, never change, and its table is clean once
+        re-derived."""
+        live, delays, states, silent, nodes = payload
         dmrf = self.dmrf
-        dmrf.detect_faulty(links, replies)
+        dmrf.detect_faulty(live, delays, states, silent)
         trace, capacity = self.trace, self._buffer_capacity
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         period = self.cfg.probe_period_ms

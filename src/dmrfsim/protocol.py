@@ -300,34 +300,32 @@ class DmrfProtocol:
     # detection pipeline
 
     def detect_faulty(
-        self, links: list[tuple[RoutingTable, CandidateEntry]], replies: list
+        self,
+        live: list[tuple[RoutingTable, CandidateEntry]],
+        delays: list[float],
+        states: list[NodeState],
+        silent: list[tuple[RoutingTable, CandidateEntry]],
     ) -> None:
         """Account one probe round: silent candidates lose confidence and
         eventually get cached FAULTY; responders reset to full trust and
         refresh their delay estimate.
 
-        `links` names each probed candidate as a (table, entry) pair, for
-        any number of tables. `replies` holds one record per link, in that
-        order, laid end to end: the delay sample and the reported state. A
-        delay of None means the candidate stayed silent. A probe reply
-        carries the replier's own state, so the cached state of a responder
-        is whatever it reported rather than a guess; a state of None means
-        no report. A record list that does not match the links raises
-        ValueError. A table whose cached states changed is left dirty, for
-        the caller to `reevaluate`.
+        `live` and `silent` name the probed candidates that replied and
+        those that stayed silent, each as a (table, entry) pair, for any
+        number of tables. `delays` and `states` hold each reply of `live`,
+        in that order: the delay sample and the state the replier reported.
+        A probe reply carries the replier's own state, so the cached state
+        of a responder is whatever it reported rather than a guess. Reply
+        lists that do not match `live` raise ValueError. A table whose cached
+        states changed is left dirty, for the caller to `reevaluate`.
         """
-        records = iter(replies)
-        for (table, entry), delay, state in zip(links, records, records, strict=True):
-            if delay is None:
-                self._distrust(table, entry)
-                continue
+        for (table, entry), delay, state in zip(live, delays, states, strict=True):
             entry.confidence = 100
-            if state is not None:
-                if entry.cached_state is not state:  # the usual reply repeats it
-                    _cache_state(table, entry, state)
-            elif entry.cached_state is NodeState.FAULTY:
-                _cache_state(table, entry, NodeState.NORMAL)
+            if entry.cached_state is not state:  # the usual reply repeats it
+                _cache_state(table, entry, state)
             entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
+        for table, entry in silent:
+            self._distrust(table, entry)
 
     def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
         """An acknowledgment: full trust again, and a cached FAULTY heals."""
@@ -468,6 +466,8 @@ class DmrfProtocol:
                     or (e.tx_count == best_tx and delay > best_delay)
                 ):
                     best, best_tx, best_delay = e, e.tx_count, delay
+        if best is None:
+            return self._jump(table, rng)
         thresholds = compute_thresholds(
             self.cfg.theta_jump,
             table.needed_time,
@@ -477,8 +477,6 @@ class DmrfProtocol:
             remaining,
         )
         rate = pin_rate_continuity(packet.rate_class, classify_rate(lam, thresholds))
-        if best is None:
-            return self._jump(table, rng)
         return Forward(next=best.candidate, rate=rate)
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
@@ -556,4 +554,4 @@ class DmrfProtocol:
             # every non-jump kind reports its sender's own state, which is
             # proof of life; latest report wins
             _cache_state(table, entry, REPORTED_STATE[msg.kind])
-        return None, self.reevaluate(table, now)
+        return None, self.reevaluate(table, now) if table.dirty else []

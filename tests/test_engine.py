@@ -108,28 +108,48 @@ def test_sample_delay_matches_normalvariate_bit_for_bit(seed, sigma_factor):
 
 def test_probe_round_draws_match_normalvariate():
     """The probe round writes the draw out inline; its samples must be the
-    stdlib's, floor resample included, drawn in prober id and FCS order."""
-    cfg = validate(ScenarioConfig(
-        node_count=25, comm_radius=7.5, sigma_factor=1.0, packet_count=1, horizon_ms=3.0,
-        seed=5))
-    topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
-    sim = Simulation(topo, cfg)
-    stdlib = random.Random()
-    stdlib.setstate(sim.rng.getstate())
-    below_floor = []
-    samples = {}
-    for nid in sorted(sim.nodes):
-        table = sim.nodes[nid].table
-        for entry in table.members if table is not None else ():
-            samples[nid, entry.candidate] = _normalvariate_delay(
-                sim.mu, sim.sigma, stdlib, below_floor)
-    # the round at t = 0 draws before anything else; its 2 ms timeout is the
-    # only one before the 3 ms horizon
-    sim.run()
-    assert below_floor
-    for (nid, candidate), sample in samples.items():
-        entry = sim.nodes[nid].table.entries[candidate]
-        assert entry.delay_est == 0.7 * sim.mu + 0.3 * sample
+    stdlib's, floor resample included, drawn in prober id and FCS order over
+    the links to live peers only. A silent peer draws nothing and loses one
+    confidence step per accounted round. Checked on a clean layout, a faulted
+    one, and a faulted one whose timeout falls on the next probe instant, so
+    the round accounts and probes node by node."""
+    base = dict(node_count=25, comm_radius=7.5, sigma_factor=1.0, horizon_ms=3.0, seed=5)
+    layouts = {
+        "clean": dict(packet_count=1),
+        # a second packet due after the horizon keeps the run open until then
+        "faulted": dict(packet_count=2, injection_period_ms=50.0, fault_ratio=0.3),
+        "merged": dict(packet_count=2, injection_period_ms=50.0, fault_ratio=0.3,
+                       probe_timeout_ms=2.0, probe_period_ms=2.0),
+    }
+    for name, overrides in layouts.items():
+        cfg = validate(ScenarioConfig(**base, **overrides))
+        topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+        sim = Simulation(topo, cfg)
+        stdlib = random.Random()
+        stdlib.setstate(sim.rng.getstate())
+        # the round at t = 0 draws before anything else; the only timeout
+        # before the 3 ms horizon falls at 2 ms, merged or not
+        sim.run()
+        dead = {nid for nid, node in sim.nodes.items() if not node.alive}
+        assert bool(dead) == (name != "clean"), name
+        below_floor, silent = [], []
+        for nid in sorted(sim.nodes):
+            table = sim.nodes[nid].table
+            if nid in dead or table is None:
+                continue
+            for entry in table.members:
+                if entry.candidate in dead:
+                    silent.append((nid, entry))
+                    continue
+                sample = _normalvariate_delay(sim.mu, sim.sigma, stdlib, below_floor)
+                assert entry.delay_est == 0.7 * sim.mu + 0.3 * sample, name
+                assert entry.confidence == 100, name
+        assert below_floor, name
+        # a failed data send also costs trust: count only probers that sent none
+        idle = [entry for nid, entry in silent if sim.nodes[nid].tx == 0]
+        assert bool(idle) == bool(silent) == (name != "clean"), name
+        for entry in idle:
+            assert entry.confidence == 100 - cfg.confidence_step, name
 
 
 def test_energy_cost_first_order_model():

@@ -304,13 +304,12 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
 
 
 def probe_all(proto, table, replies, now=0.0, states=None):
-    records = []
-    for e in table.members:
-        if e.candidate in replies:
-            records += (e.delay_est, (states or {}).get(e.candidate))
-        else:
-            records += (None, None)
-    proto.detect_faulty([(table, e) for e in table.members], records)
+    # a replier reports its own state, NORMAL unless `states` says otherwise
+    live = [(table, e) for e in table.members if e.candidate in replies]
+    silent = [(table, e) for e in table.members if e.candidate not in replies]
+    delays = [e.delay_est for _, e in live]
+    reported = [(states or {}).get(e.candidate, N.NORMAL) for _, e in live]
+    proto.detect_faulty(live, delays, reported, silent)
     return proto.reevaluate(table, now)
 
 
@@ -402,20 +401,23 @@ def test_probe_reply_state_report_overrides_cache():
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty([(table, table.entries[1])], [2.0, None])
+    proto.detect_faulty([(table, table.entries[1])], [2.0], [N.NORMAL], [])
     assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 
 @pytest.mark.parametrize(
-    "records", [[], [2.0], [2.0, None, 2.0], [2.0, None, None, None]]
+    "records",
+    [([], []), ([2.0], []), ([2.0, 2.0], [N.NORMAL, N.NORMAL]), ([2.0], [N.NORMAL, N.NORMAL]),
+     ([], [N.NORMAL])],
 )
 def test_probe_records_must_match_the_candidate_set(records):
-    # one (delay, state) pair per member, in member order, and no more
+    # one delay and one state per live link, in link order, and no more
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     assert len(table.members) == 1
+    delays, states = records
     with pytest.raises(ValueError):
-        proto.detect_faulty([(table, e) for e in table.members], records)
+        proto.detect_faulty([(table, e) for e in table.members], delays, states, [])
 
 
 def test_congestion_predictor_and_hysteresis():

@@ -171,22 +171,9 @@ class MetricsRecord:
 
 
 @dataclass
-class PacketOutcome:
-    packet_id: int
-    outcome: str
-    created_at: float
-    finished_at: float
-    hop_trace: list[NodeId]
-
-    @property
-    def delay_ms(self) -> float:
-        return self.finished_at - self.created_at
-
-
-@dataclass
 class RunResult:
     metrics: MetricsRecord
-    packets: list[PacketOutcome]
+    packets: list[Packet]  # every injected packet, finished, in id order
     transitions: list[Transition]
     trace: list[Event] | None = None
 
@@ -265,10 +252,10 @@ class Simulation:
         self._high_mult = scenario.rate_multipliers["high"]
 
         self.metrics = MetricsRecord()
-        self.outcomes: list[PacketOutcome] = []
-        # injected packets not yet finished: id -> (packet, "APP" | "QUEUED" |
-        # "FLIGHT", the node whose queue or pending send holds it)
-        self._open: dict[int, tuple[Packet, str, NodeId]] = {}
+        self.outcomes: list[Packet] = []
+        # injected packets not yet finished, by id; the node of hop_trace[-1]
+        # holds each, in its pending send or in one of its queues
+        self._open: dict[int, Packet] = {}
 
         self.dmrf = DmrfProtocol(topo, scenario) if scenario.protocol == DMRF else None
         # every state transition of the run, in order: the protocol's own
@@ -362,15 +349,9 @@ class Simulation:
             self.metrics.dropped_no_route += 1
         else:
             self.metrics.buffer_drops += 1
-        self.outcomes.append(
-            PacketOutcome(
-                packet_id=packet.id,
-                outcome=outcome,
-                created_at=packet.created_at,
-                finished_at=now,
-                hop_trace=list(packet.hop_trace),
-            )
-        )
+        packet.outcome = outcome
+        packet.finished_at = now
+        self.outcomes.append(packet)
 
     def _control_cost(self, sender: NodeId, receiver: NodeId) -> float:
         cache = self.nodes[sender].control_j
@@ -390,8 +371,7 @@ class Simulation:
         if not self.nodes[receiver].alive:
             return False
         at = now + self._feedback_delay_ms
-        heappush(self._heap, (at, self._seq, FEEDBACK_DELIVERY, (msg, sender, receiver)))
-        self._seq += 1
+        self._schedule(at, FEEDBACK_DELIVERY, (msg, sender, receiver))
         self.metrics.energy_total_j += self._control_cost(sender, receiver)
         return True
 
@@ -490,9 +470,7 @@ class Simulation:
             self.metrics.energy_total_j += joules
             node.tx += 1
             node.pending = (packet, target, is_jump)
-            self._open[packet.id] = (packet, "FLIGHT", node.id)
-            heappush(self._heap, (now + service, self._seq, PACKET_ARRIVAL, node.id))
-            self._seq += 1
+            self._schedule(now + service, PACKET_ARRIVAL, node.id)
             return
 
     # ------------------------------------------------------------------
@@ -502,7 +480,8 @@ class Simulation:
         following = index + 1
         if following < self.cfg.packet_count:
             at = following * self.cfg.injection_period_ms
-            seq = self._inject_seq + following  # reserved at set-up
+            # not _schedule: the seq was reserved at set-up, not taken now
+            seq = self._inject_seq + following
             heappush(self._heap, (at, seq, PACKET_INJECT, following))
         packet = make_packet(
             source=self.topo.source,
@@ -511,7 +490,7 @@ class Simulation:
             packet_id=index,
         )
         self.metrics.injected += 1
-        self._open[packet.id] = (packet, "APP", self.topo.source)
+        self._open[packet.id] = packet
         source = self.nodes[self.topo.source]
         source.app_queue.append(packet)
         self._schedule(packet.deadline, DEADLINE_CHECK, packet)
@@ -598,7 +577,6 @@ class Simulation:
             receiver.buffer_used += self._packet_bytes
             packet.hop_trace.append(receiver.id)
             receiver.relay_queue.append(packet)
-            self._open[packet.id] = (packet, "QUEUED", receiver.id)
             if (
                 self.dmrf is not None
                 and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
@@ -794,13 +772,12 @@ class Simulation:
                 table.dirty = True
 
     def _on_deadline(self, packet: Packet, now: float) -> None:
-        entry = self._open.get(packet.id)
-        if entry is None or entry[1] == "FLIGHT":
-            # finished, or in flight: judged when the transmission resolves
+        if packet.outcome is not None:
             return
-        _, status, where = entry
-        node = self.nodes[where]
-        if status == "APP":
+        node = self.nodes[packet.hop_trace[-1]]
+        if node.pending is not None and node.pending[0] is packet:
+            return  # in flight: judged when the transmission resolves
+        if len(packet.hop_trace) == 1:
             node.app_queue.remove(packet)
         else:
             node.relay_queue.remove(packet)
@@ -834,10 +811,12 @@ class Simulation:
             handlers[kind](a, time)
 
         # horizon cut: anything still alive in the network expires
-        for leftover, _, _ in list(self._open.values()):
+        for leftover in list(self._open.values()):
             self._finalize(leftover, EXPIRED, self.now)
 
-        ordered = sorted(o.delay_ms for o in self.outcomes if o.outcome == DELIVERED)
+        ordered = sorted(
+            p.finished_at - p.created_at for p in self.outcomes if p.outcome == DELIVERED
+        )
         if ordered:
             self.metrics.mean_delay_ms = running_sum(ordered) / len(ordered)
             rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
@@ -850,7 +829,7 @@ class Simulation:
             )
         if not math.isfinite(self.metrics.energy_total_j):
             raise InvariantError(f"energy total is {self.metrics.energy_total_j!r} J, not finite")
-        self.outcomes.sort(key=lambda o: o.packet_id)
+        self.outcomes.sort(key=lambda p: p.id)
         return RunResult(
             metrics=self.metrics,
             packets=self.outcomes,

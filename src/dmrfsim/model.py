@@ -49,10 +49,11 @@ class FeedbackKind(Enum):
 
 @dataclass(slots=True)
 class Packet:
-    """The unit of delivery.
+    """The unit of delivery, and its record once it finishes.
 
     Times are absolute simulation milliseconds; deadline is absolute, not a
-    remaining budget.
+    remaining budget. `outcome` and `finished_at` stay None until the engine
+    finishes the packet.
     """
 
     id: int
@@ -60,6 +61,8 @@ class Packet:
     deadline: float
     rate_class: RateClass = RateClass.LOW
     hop_trace: list[NodeId] = field(default_factory=list)
+    outcome: str | None = None
+    finished_at: float | None = None
 
 
 @dataclass(slots=True)

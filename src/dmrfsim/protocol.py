@@ -365,11 +365,6 @@ class DmrfProtocol:
             table.dirty = True
         return self.reevaluate(table, now) if table.dirty else []
 
-    def detect_void(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
-        # evaluates unconditionally, for callers that edit entries in place
-        table.dirty = True
-        return self.reevaluate(table, now)
-
     def reevaluate(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
         """Derive the node's state from its own buffer flag and the cached
         candidate states, emitting feedback on every transition. Those are

@@ -202,11 +202,13 @@ def rows_to_csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+#: the columns that count every injected packet once, by its outcome
+_OUTCOME_COLUMNS = ("delivered", "expired", "dropped_no_route", "buffer_drops")
+
 #: the numeric CSV columns and the type each is read back as
 _NUMBER_COLUMNS = {
-    **dict.fromkeys(("repetition", "seed", "injected", "delivered", "expired",
-                     "dropped_no_route", "buffer_drops", "control_packets",
-                     "tx_total", "tx_max"), int),
+    **dict.fromkeys(("repetition", "seed", "injected", *_OUTCOME_COLUMNS,
+                     "control_packets", "tx_total", "tx_max"), int),
     **dict.fromkeys(("mean_delay_ms", "p95_delay_ms", "energy_total_j"), float),
 }
 
@@ -214,9 +216,10 @@ _NUMBER_COLUMNS = {
 def read_csv(fh) -> list[dict]:
     """Inverse of write_csv, restoring numeric types.
 
-    A missing column, a count that is not an integer, a number that is not
-    finite, or a row that injected nothing raises ConfigError naming the
-    line and the column.
+    A missing column, a count that is not an integer or is negative, a
+    number that is not finite, a row that injected nothing, or one whose
+    outcome counts do not add up to `injected` raises ConfigError naming
+    the line and the column.
     """
     reader = csv.DictReader(fh)
     if reader.fieldnames is None:
@@ -239,10 +242,16 @@ def read_csv(fh) -> list[dict]:
                 raise ConfigError(f"{where}: expected {expected}, got {text!r}") from None
             if not math.isfinite(row[key]):
                 raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+            if parse is int and key != "seed" and row[key] < 0:
+                raise ConfigError(f"{where}: expected a count, got {text!r}")
+        where = f"line {reader.line_num}, column injected"
         if row["injected"] < 1:
+            raise ConfigError(f"{where}: expected at least 1, got {row['injected']}")
+        finished = sum(row[key] for key in _OUTCOME_COLUMNS)
+        if finished != row["injected"]:
             raise ConfigError(
-                f"line {reader.line_num}, column injected: expected at least 1, "
-                f"got {row['injected']}"
+                f"{where}: got {row['injected']}, but {' + '.join(_OUTCOME_COLUMNS)}"
+                f" is {finished}"
             )
         try:
             row["value"] = int(row["value"])
@@ -378,8 +387,8 @@ def _flag_lines(order: list[tuple], stats: dict[tuple, dict]) -> list[str]:
     lines: list[str] = []
     parameters = {key[0] for key in order}
 
-    def flag(ok: bool, text: str) -> None:
-        lines.append(f"{'PASS' if ok else 'FAIL'}: {text}")
+    def flag(ok: bool | None, text: str) -> None:
+        lines.append(f"{'n/a' if ok is None else 'PASS' if ok else 'FAIL'}: {text}")
 
     if "void_radius" in parameters:
         key = ("void_radius", 7.0, DMRF)
@@ -408,13 +417,18 @@ def _flag_lines(order: list[tuple], stats: dict[tuple, dict]) -> list[str]:
             ]
             if not pairs:
                 continue
-            ok = all(d >= g for _, d, g in pairs)
+            # a point where neither side delivers compares nothing: n/a
+            text = f"DMRF delivery >= {proto} at every {parameter}"
+            idle = ", ".join(str(v) for v, d, g in pairs if not (d or g))
+            pairs = [p for p in pairs if p[1] or p[2]]
+            if not pairs:
+                flag(None, f"{text} (neither delivers at {idle})")
+                continue
             worst = min(pairs, key=lambda p: p[1] - p[2])
-            flag(
-                ok,
-                f"DMRF delivery >= {proto} at every {parameter} "
-                f"(tightest at {worst[0]}: {_fmt(worst[1])} vs {_fmt(worst[2])})",
-            )
+            detail = f"tightest at {worst[0]}: {_fmt(worst[1])} vs {_fmt(worst[2])}"
+            if idle:
+                detail += f"; n/a at {idle}"
+            flag(all(d >= g for _, d, g in pairs), f"{text} ({detail})")
 
     if "node_count" in parameters:
         points = sorted(

@@ -150,8 +150,11 @@ def _csv(header=_HEADER, row=_ROW):
         (_csv(row=_ROW.replace(",12.5,", ",nan,")), "mean_delay_ms"),
         (_csv().replace(b"DMRF", b"\xff\xfe"), "utf-8"),
         (_csv(row=_ROW.rsplit(",", 3)[0]), "tx_total"),
+        (_csv(row=_ROW.replace(",10,9,1,", ",10,-7,1,")), "column delivered"),
+        (_csv(row=_ROW.replace(",10,9,1,", ",5,500,1,")), "column injected"),
     ],
-    ids=["missing-column", "non-integer", "nothing-injected", "nan", "not-utf8", "short-row"],
+    ids=["missing-column", "non-integer", "nothing-injected", "nan", "not-utf8", "short-row",
+         "negative-count", "not-conserved"],
 )
 def test_malformed_sweep_csv_exits_one(tmp_path, capsys, content, named):
     path = tmp_path / "bad.csv"

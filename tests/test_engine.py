@@ -263,7 +263,7 @@ def test_horizon_cut_expires_queued_and_in_flight_packets_once():
     kinds = [e.kind for e in result.trace]
     assert kinds.count("PACKET_INJECT") == 3
     assert "PACKET_ARRIVAL" not in kinds
-    assert [(o.packet_id, o.outcome) for o in result.packets] == [
+    assert [(o.id, o.outcome) for o in result.packets] == [
         (0, EXPIRED), (1, EXPIRED), (2, EXPIRED)
     ]
     assert {o.finished_at for o in result.packets} == {result.trace[-1].time}
@@ -514,7 +514,8 @@ proto = DmrfProtocol(topo, ScenarioConfig())
 table = proto.build_tables()[0]
 table.state = NodeState.FAULTY  # crashed nodes never recover
 try:
-    proto.detect_void(table, now=1.0)
+    table.dirty = True
+    proto.reevaluate(table, now=1.0)
 except InvariantError as exc:
     print(exc)
 """

@@ -142,7 +142,7 @@ def digests_text() -> str:
                 for t, node, old, new in result.transitions
             ]
             packets = [
-                f"{p.packet_id} {p.outcome} {p.created_at!r} {p.finished_at!r} "
+                f"{p.id} {p.outcome} {p.created_at!r} {p.finished_at!r} "
                 + ",".join(map(str, p.hop_trace))
                 for p in result.packets
             ]

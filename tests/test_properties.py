@@ -4,7 +4,8 @@ Every protocol, faults, voids, standing buffer fill, and probe timeouts both
 on and off the probe instants. Each run is checked for packet conservation,
 no late delivery, buffer occupancy within [0, buffer_bytes] and equal to
 the preload plus the queued relay packets between every pair of events,
-legal and chained state transitions, and a trace in (time, seq) order whose
+every unfinished packet held by the last node on its trace, legal and
+chained state transitions, and a trace in (time, seq) order whose
 injections take seqs rising with the packet id.
 """
 
@@ -42,6 +43,15 @@ class CheckedSimulation(Simulation):
             queued = len(node.relay_queue) * self.cfg.packet_bytes
             expected = self.preload.get(node.id, 0.0) + queued
             assert math.isclose(node.buffer_used, expected, abs_tol=1e-9), node.id
+        for packet in self._open.values():
+            # the last node on its trace holds it: sending it, or queued
+            # in its app queue if it never left the source, else relayed
+            assert packet.outcome is None, packet.id
+            holder = self.nodes[packet.hop_trace[-1]]
+            if holder.pending is not None and holder.pending[0] is packet:
+                continue
+            queue = holder.app_queue if len(packet.hop_trace) == 1 else holder.relay_queue
+            assert packet in queue, (packet.id, holder.id)
         super()._trace_event(time, seq, kind, a)
 
     def check(self) -> None:

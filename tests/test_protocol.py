@@ -456,24 +456,28 @@ def test_state_derivation_cascades():
     proto, table = two_candidate_table()
     table.entries[1].cached_state = N.FAULTY
     table.entries[2].cached_state = N.JFAULTY
-    fbs = proto.detect_void(table, now=1.0)
+    table.dirty = True
+    fbs = proto.reevaluate(table, now=1.0)
     assert table.state is N.JFAULTY
     assert [f.kind for f in fbs] == [FeedbackKind.FAULT]
 
     # one candidate heals: back to NORMAL
     table.entries[1].cached_state = N.NORMAL
-    fbs = proto.detect_void(table, now=2.0)
+    table.dirty = True
+    fbs = proto.reevaluate(table, now=2.0)
     assert table.state is N.NORMAL
     assert [f.kind for f in fbs] == [FeedbackKind.RECOVER]
 
     table.entries[1].cached_state = N.CONG
     table.entries[2].cached_state = N.JCONG
-    proto.detect_void(table, now=3.0)
+    table.dirty = True
+    proto.reevaluate(table, now=3.0)
     assert table.state is N.JCONG
 
     table.entries[1].cached_state = N.VOID
     table.entries[2].cached_state = N.VOID
-    proto.detect_void(table, now=4.0)
+    table.dirty = True
+    proto.reevaluate(table, now=4.0)
     assert table.state is N.VOID
 
 
@@ -482,18 +486,21 @@ def test_void_outranks_other_derivations():
     table.entries[1].cached_state = N.VOID
     table.entries[2].cached_state = N.VOID
     table.own_congested = True
-    proto.detect_void(table, now=1.0)
+    table.dirty = True
+    proto.reevaluate(table, now=1.0)
     assert table.state is N.VOID
 
 
 def test_own_congestion_yields_to_whole_set_conditions():
     proto, table = two_candidate_table()
     table.own_congested = True
-    proto.detect_void(table, now=1.0)
+    table.dirty = True
+    proto.reevaluate(table, now=1.0)
     assert table.state is N.CONG
     table.entries[1].cached_state = N.FAULTY
     table.entries[2].cached_state = N.FAULTY
-    proto.detect_void(table, now=2.0)
+    table.dirty = True
+    proto.reevaluate(table, now=2.0)
     assert table.state is N.JFAULTY
 
 
@@ -502,14 +509,16 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
     # drive to JFAULTY
     table.entries[1].cached_state = N.FAULTY
     table.entries[2].cached_state = N.FAULTY
-    proto.detect_void(table, now=1.0)
+    table.dirty = True
+    proto.reevaluate(table, now=1.0)
     assert table.state is N.JFAULTY
     # candidates heal while the node's own buffer is hot: the path to CONG
     # passes through NORMAL, emitting RECOVER then CONG
     table.entries[1].cached_state = N.NORMAL
     table.entries[2].cached_state = N.NORMAL
     table.own_congested = True
-    fbs = proto.detect_void(table, now=2.0)
+    table.dirty = True
+    fbs = proto.reevaluate(table, now=2.0)
     assert table.state is N.CONG
     assert [f.kind for f in fbs] == [FeedbackKind.RECOVER, FeedbackKind.CONG]
     assert log_of(proto, table.owner)[-2:] == [

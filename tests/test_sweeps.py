@@ -342,3 +342,23 @@ def test_summarize_void_and_scaling_flags():
     assert "PASS: GREEDY_MIN_DELAY delivery at void radius 7 is 0.02" in text
     assert "PASS: control overhead grows linearly in node count" in text
     assert "PASS: control overhead ratio over a 4x size span is 3.9" in text
+
+
+def test_summarize_leaves_points_where_neither_side_delivers_out_of_the_flag():
+    rows = [
+        result_row("buffer_fill", 0.0, DMRF, 100),
+        result_row("buffer_fill", 0.0, GREEDY_MIN_DELAY, 90),
+        result_row("buffer_fill", 0.8, DMRF, 0, delay=0.0),
+        result_row("buffer_fill", 0.8, GREEDY_MIN_DELAY, 0, delay=0.0),
+        result_row("buffer_fill", 1.0, DMRF, 0, delay=0.0),
+        result_row("buffer_fill", 1.0, GREEDY_MIN_DELAY, 0, delay=0.0),
+    ]
+    # a 0-vs-0 point would otherwise pass, and be the tightest at a margin of 0
+    assert summarize(rows).splitlines()[-1] == (
+        "PASS: DMRF delivery >= GREEDY_MIN_DELAY at every buffer_fill "
+        "(tightest at 0.0: 1 vs 0.9; n/a at 0.8, 1.0)"
+    )
+    assert summarize(rows[2:]).splitlines()[-1] == (
+        "n/a: DMRF delivery >= GREEDY_MIN_DELAY at every buffer_fill "
+        "(neither delivers at 0.8, 1.0)"
+    )

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 from types import SimpleNamespace
 
 from . import baselines
@@ -86,15 +88,16 @@ class Event:
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
-def sample_delay(mu: float, sigma: float, rng: random.Random) -> float:
-    """One transmission delay, a normal draw around the packet serialization
-    delay `mu`; resamples the far-left tail so the delay can never be
-    non-positive or absurdly small.
+def sample_delay(mu: float, sigma: float, rng: random.Random) -> Iterator[float]:
+    """The run's transmission delays, one per `next()`: normal draws around
+    the packet serialization delay `mu`, the far-left tail resampled so a
+    delay is never non-positive or absurdly small.
 
     The normal draw is `random.Random.normalvariate`'s Kinderman-Monahan loop
     written out: the same `rng.random()` calls and float operations, so the
-    stream and every value match it bit for bit. `Simulation._probe` inlines
-    this same loop for its per-link draws.
+    stream and every value match it bit for bit. A generator draws only when
+    resumed, so data hops (`next`) and probe rounds (`islice`) share one
+    stream and consume `rng` in event order.
     """
     floor = mu / 10.0
     draw, log = rng.random, math.log
@@ -105,7 +108,7 @@ def sample_delay(mu: float, sigma: float, rng: random.Random) -> float:
         if z * z / 4.0 <= -log(u2):
             value = mu + z * sigma
             if value >= floor:
-                return value
+                yield value
 
 
 def energy_cost(cfg: ScenarioConfig, distance: float, bits: float) -> float:
@@ -232,9 +235,10 @@ class Simulation:
         self.topo = topo
         self.cfg = scenario
         self.rng = random.Random(scenario.seed)
-        # the hop-delay distribution: mean serialization delay and spread
+        # the hop-delay distribution, and the one stream data hops and probes draw from
         self.mu = scenario.mean_hop_delay_ms
         self.sigma = scenario.sigma_factor * self.mu
+        self._delays = sample_delay(self.mu, self.sigma, self.rng)
         self.trace: list[Event] | None = [] if collect_trace else None
 
         self._heap: list[tuple[float, int, int, object]] = []
@@ -245,14 +249,12 @@ class Simulation:
         self._packet_bytes = float(scenario.packet_bytes)
         self._feedback_delay_ms = scenario.feedback_delay_ms
 
-        # service-time multipliers, read by identity rather than hashing a
-        # RateClass per hop
-        self._low_mult = scenario.rate_multipliers["low"]
-        self._medium_mult = scenario.rate_multipliers["medium"]
-        self._high_mult = scenario.rate_multipliers["high"]
+        self._rate_mult = {
+            rate: scenario.rate_multipliers[rate.value.lower()] for rate in RateClass
+        }
 
         self.metrics = MetricsRecord()
-        self.outcomes: list[Packet] = []
+        self.packets: list[Packet] = []  # every injected packet, in id order
         # injected packets not yet finished, by id; the node of hop_trace[-1]
         # holds each, in its pending send or in one of its queues
         self._open: dict[int, Packet] = {}
@@ -351,7 +353,6 @@ class Simulation:
             self.metrics.buffer_drops += 1
         packet.outcome = outcome
         packet.finished_at = now
-        self.outcomes.append(packet)
 
     def _control_cost(self, sender: NodeId, receiver: NodeId) -> float:
         cache = self.nodes[sender].control_j
@@ -453,15 +454,10 @@ class Simulation:
                 multiplier = 1.0
             else:
                 rate = packet.rate_class = decision.rate
-                if rate is RateClass.MEDIUM:
-                    multiplier = self._medium_mult
-                elif rate is RateClass.LOW:
-                    multiplier = self._low_mult
-                else:
-                    multiplier = self._high_mult
+                multiplier = self._rate_mult[rate]
                 if node.table is not None:
                     node.table.entries[target].tx_count += 1
-            service = stall + sample_delay(self.mu, self.sigma, self.rng) * multiplier
+            service = stall + next(self._delays) * multiplier
             joules = node.data_j.get(target)
             if joules is None:
                 joules = node.data_j[target] = energy_cost(
@@ -490,6 +486,7 @@ class Simulation:
             packet_id=index,
         )
         self.metrics.injected += 1
+        self.packets.append(packet)
         self._open[packet.id] = packet
         source = self.nodes[self.topo.source]
         source.app_queue.append(packet)
@@ -688,29 +685,12 @@ class Simulation:
     ) -> None:
         """Send one probe over each link whose control joules are in `joules`,
         in order, and append each live peer's reply, in `peers` order, to
-        `delays` and `states`. Silent peers draw nothing."""
+        `delays` and `states`: a delay from the run's one stream and the
+        peer's own current state. Silent peers draw nothing."""
         metrics = self.metrics
         metrics.control_packets += len(joules)
-        # a local sum written back once: every addition keeps its order
-        energy = metrics.energy_total_j
-        for j in joules:
-            energy += j
-        metrics.energy_total_j = energy
-        # sample_delay's loop, inlined: same draws, same float operations
-        draw, log, append = self.rng.random, math.log, delays.append
-        mu, sigma, magic = self.mu, self.sigma, _NV_MAGICCONST
-        floor = mu / 10.0
-        for _ in peers:
-            while True:
-                u1 = draw()
-                u2 = 1.0 - draw()
-                z = magic * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    delay = mu + z * sigma
-                    if delay >= floor:
-                        break
-            append(delay)
-        # the reply reports the replier's own current state
+        metrics.energy_total_j = running_sum(joules, metrics.energy_total_j)
+        delays += islice(self._delays, len(peers))
         states += [peer.state for peer in peers]
 
     def _on_timeout_round(self, payload: tuple, now: float) -> None:
@@ -815,7 +795,7 @@ class Simulation:
             self._finalize(leftover, EXPIRED, self.now)
 
         ordered = sorted(
-            p.finished_at - p.created_at for p in self.outcomes if p.outcome == DELIVERED
+            p.finished_at - p.created_at for p in self.packets if p.outcome == DELIVERED
         )
         if ordered:
             self.metrics.mean_delay_ms = running_sum(ordered) / len(ordered)
@@ -829,10 +809,9 @@ class Simulation:
             )
         if not math.isfinite(self.metrics.energy_total_j):
             raise InvariantError(f"energy total is {self.metrics.energy_total_j!r} J, not finite")
-        self.outcomes.sort(key=lambda p: p.id)
         return RunResult(
             metrics=self.metrics,
-            packets=self.outcomes,
+            packets=self.packets,
             transitions=self.transitions,
             trace=self.trace,
         )

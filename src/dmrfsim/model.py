@@ -7,9 +7,11 @@ engine loop.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 NodeId = int
 
@@ -32,6 +34,8 @@ class NodeState(Enum):
 
 
 class RateClass(Enum):
+    __hash__ = object.__hash__  # as NodeState's
+
     LOW = "LOW"
     MEDIUM = "MEDIUM"
     HIGH = "HIGH"
@@ -107,13 +111,11 @@ def make_packet(
     )
 
 
-def running_sum(values: Iterable[float]) -> float:
-    """Plain left-to-right float sum. The built-in `sum` compensates rounding
-    from Python 3.12 on, which would tie results to the interpreter."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def running_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """Plain left-to-right float sum, `start` first. The built-in `sum`
+    compensates rounding from Python 3.12 on, which would tie results to the
+    interpreter."""
+    return reduce(operator.add, values, start)
 
 
 def remaining_time(packet: Packet, now: float) -> float:

@@ -27,6 +27,7 @@ from .model import (
     RateClass,
     legal_transition,
     remaining_time,
+    running_sum,
 )
 from .topology import Topology, UNREACHABLE, build_fcs, shortest_delay_map
 
@@ -179,11 +180,8 @@ def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
 
 def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
     """The jump probability of each entry, in entry order: its share of the
-    success ratios, uniform when no entry has any success mass. The total
-    adds left to right, as `model.running_sum` does."""
-    total = 0.0
-    for e in entries:
-        total += e.suc
+    success ratios, uniform when no entry has any success mass."""
+    total = running_sum(e.suc for e in entries)
     if total <= 0.0:
         return [1.0 / len(entries)] * len(entries)
     return [e.suc / total for e in entries]
@@ -204,9 +202,7 @@ def choose_jump_target(
     viable = [e for e in entries if e.cached_state is normal]
     if not viable:
         return sink if sink_in_range else None
-    total = 0.0
-    for e in viable:
-        total += e.suc
+    total = running_sum(e.suc for e in viable)
     r = rng.random()
     acc = 0.0
     if total <= 0.0:

@@ -3,6 +3,7 @@ packet accounting, and determinism."""
 
 import collections
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -69,14 +70,14 @@ def test_simulation_scales_sigma_from_config():
 
 def test_sample_delay_respects_floor_and_mean():
     rng = random.Random(7)
-    samples = [sample_delay(1.28, 0.192, rng) for _ in range(20000)]
+    samples = list(itertools.islice(sample_delay(1.28, 0.192, rng), 20000))
     assert min(samples) >= 1.28 / 10
     assert sum(samples) / len(samples) == pytest.approx(1.28, abs=0.01)
 
 
 def test_sample_delay_is_seed_deterministic():
-    a = [sample_delay(1.28, 0.192, random.Random(3)) for _ in range(5)]
-    b = [sample_delay(1.28, 0.192, random.Random(3)) for _ in range(5)]
+    a = list(itertools.islice(sample_delay(1.28, 0.192, random.Random(3)), 5))
+    b = list(itertools.islice(sample_delay(1.28, 0.192, random.Random(3)), 5))
     assert a == b
 
 
@@ -93,26 +94,35 @@ def _normalvariate_delay(mu, sigma, rng, below_floor):
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 @pytest.mark.parametrize("sigma_factor", [0.15, 1.0])
 def test_sample_delay_matches_normalvariate_bit_for_bit(seed, sigma_factor):
+    """A data hop takes one delay with `next()` and a probe round a chunk with
+    `islice`. Either way the values are the stdlib's and the stream stops
+    where the stdlib stops: it never draws ahead of what was taken."""
     mu = 1.28
     sigma = sigma_factor * mu
     ours, stdlib = random.Random(seed), random.Random(seed)
-    below_floor = []
-    for _ in range(10_000):
-        assert sample_delay(mu, sigma, ours) == _normalvariate_delay(
-            mu, sigma, stdlib, below_floor)
+    delays = sample_delay(mu, sigma, ours)
     assert ours.getstate() == stdlib.getstate()
+    below_floor = []
+    for size in itertools.islice(itertools.cycle(range(8)), 2_500):
+        assert next(delays) == _normalvariate_delay(mu, sigma, stdlib, below_floor)
+        assert ours.getstate() == stdlib.getstate()
+        chunk = list(itertools.islice(delays, size))
+        assert chunk == [
+            _normalvariate_delay(mu, sigma, stdlib, below_floor) for _ in range(size)
+        ]
+        assert ours.getstate() == stdlib.getstate()
     if sigma_factor == 1.0:
         # sigma = mu puts about a fifth of raw draws under the floor
         assert len(below_floor) > 1000
 
 
 def test_probe_round_draws_match_normalvariate():
-    """The probe round writes the draw out inline; its samples must be the
-    stdlib's, floor resample included, drawn in prober id and FCS order over
-    the links to live peers only. A silent peer draws nothing and loses one
-    confidence step per accounted round. Checked on a clean layout, a faulted
-    one, and a faulted one whose timeout falls on the next probe instant, so
-    the round accounts and probes node by node."""
+    """The probe round takes its samples from the run's one delay stream;
+    they must be the stdlib's, floor resample included, drawn in prober id
+    and FCS order over the links to live peers only. A silent peer draws
+    nothing and loses one confidence step per accounted round. Checked on a
+    clean layout, a faulted one, and a faulted one whose timeout falls on the
+    next probe instant, so the round accounts and probes node by node."""
     base = dict(node_count=25, comm_radius=7.5, sigma_factor=1.0, horizon_ms=3.0, seed=5)
     layouts = {
         "clean": dict(packet_count=1),

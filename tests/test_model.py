@@ -11,6 +11,7 @@ from dmrfsim.model import (
     legal_transition,
     make_packet,
     remaining_time,
+    running_sum,
 )
 from dmrfsim.protocol import Drop, DropReason, Forward, Jump, RoutingTable, Thresholds
 
@@ -37,6 +38,14 @@ def test_remaining_time_counts_down_and_goes_negative():
     assert remaining_time(p, 5.0) == 20.0
     assert remaining_time(p, 20.0) == 5.0
     assert remaining_time(p, 30.0) == -5.0
+
+
+def test_running_sum_adds_left_to_right_from_start():
+    # 1e16 + 1.0 rounds back to 1e16. A compensated sum (math.fsum, or the
+    # built-in sum from Python 3.12 on) gives 1.0 here
+    assert running_sum([1.0, -1e16], 1e16) == 0.0
+    assert running_sum([], 2.5) == 2.5
+    assert running_sum([]) == 0.0
 
 
 @pytest.mark.parametrize(

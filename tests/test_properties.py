@@ -120,7 +120,8 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
 
     m = result.metrics
     assert m.injected == cfg.packet_count
-    assert len(result.packets) == m.injected
+    # filled at injection, with no sort: every injected packet, in id order
+    assert [p.id for p in result.packets] == list(range(m.injected))
     assert m.delivered + m.expired + m.dropped_no_route + m.buffer_drops == m.injected
     for outcome in result.packets:
         if outcome.outcome == DELIVERED:

@@ -86,6 +86,8 @@ class Event:
 
 #: the Kinderman-Monahan acceptance constant, computed as `random` computes it
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+#: the squeeze's relative margin: it holds for any `log` within 2**-21
+_SQUEEZE = 1.0 - 2.0**-20
 
 
 def sample_delay(mu: float, sigma: float, rng: random.Random) -> Iterator[float]:
@@ -98,14 +100,22 @@ def sample_delay(mu: float, sigma: float, rng: random.Random) -> Iterator[float]
     stream and every value match it bit for bit. A generator draws only when
     resumed, so data hops (`next`) and probe rounds (`islice`) share one
     stream and consume `rng` in event order.
+
+    A squeeze accepts most attempts without the `log`: `r` is a multiple of
+    2**-53, so `u2 = 1 - r` is exact and `-log(u2) >= r`, while
+    `fl(r * _SQUEEZE) < r * (1 - 2**-21)`. So the squeeze accepts only what
+    the `log` test accepts, for any `log` with relative error below 2**-21.
     """
     floor = mu / 10.0
     draw, log = rng.random, math.log
+    magic, squeeze = _NV_MAGICCONST, _SQUEEZE
     while True:
         u1 = draw()
-        u2 = 1.0 - draw()
-        z = _NV_MAGICCONST * (u1 - 0.5) / u2
-        if z * z / 4.0 <= -log(u2):
+        r = draw()
+        u2 = 1.0 - r
+        z = magic * (u1 - 0.5) / u2
+        zz = z * z / 4.0
+        if zz <= r * squeeze or zz <= -log(u2):
             value = mu + z * sigma
             if value >= floor:
                 yield value

@@ -4,7 +4,9 @@ A sweep varies one scenario field over a value list, crossed with a protocol
 list and a repetition count. Every (value, repetition) point derives its own
 seed by hashing (base seed, value index, repetition index); the protocol is
 deliberately left out of the hash so competing protocols face identical
-topologies, faults, and noise (matched pairs).
+topologies, fault draws, and traffic. Service times are not matched: DMRF's
+probe draws consume the run's one random stream and the baselines' runs do
+not (ROADMAP item 5).
 
 CSV output is byte-stable: fixed column order, '\n' line endings, floats
 rendered by repr.

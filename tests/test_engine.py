@@ -3,8 +3,11 @@ packet accounting, and determinism."""
 
 import collections
 import dataclasses
+import decimal
+import fractions
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -24,6 +27,8 @@ from dmrfsim.engine import (
     EXPIRED,
     FEEDBACK_DELIVERY,
     Simulation,
+    _NV_MAGICCONST,
+    _SQUEEZE,
     energy_cost,
     inject_faults,
     preload_buffers,
@@ -160,6 +165,52 @@ def test_probe_round_draws_match_normalvariate():
         assert bool(idle) == bool(silent) == (name != "clean"), name
         for entry in idle:
             assert entry.confidence == 100 - cfg.confidence_step, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_squeeze_accepts_only_what_the_log_test_accepts(seed):
+    """Attempt by attempt, 4 x 60,000 of them, the squeeze never accepts what
+    the log test rejects, and `sample_delay` yields exactly the attempts a
+    log-only loop accepts. At mu = 100, sigma = 1 the floor never binds, so
+    every accepted attempt is one value. The squeeze must also take most
+    attempts, or the check would pass with a squeeze that never fires."""
+    rng = random.Random(seed)
+    accepted, squeezed = [], 0
+    for _ in range(60_000):
+        u1, r = rng.random(), rng.random()
+        u2 = 1.0 - r
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        zz = z * z / 4.0
+        by_log = zz <= -math.log(u2)
+        by_squeeze = zz <= r * _SQUEEZE
+        assert by_log or not by_squeeze, (seed, u1, r)
+        squeezed += by_squeeze
+        if by_log:
+            accepted.append(100.0 + z)
+    delays = sample_delay(100.0, 1.0, random.Random(seed))
+    assert list(itertools.islice(delays, len(accepted))) == accepted
+    # the squeeze takes about 62.2% of attempts, the log test about 73.1%
+    assert 0.61 < squeezed / 60_000 < 0.63
+
+
+def test_squeeze_bound_holds_for_this_platforms_log():
+    """The squeeze is exact for any `log` within 2**-21 of the true value.
+    Check that bound, and that `r * _SQUEEZE <= -log(1 - r)` with this
+    platform's `math.log`, at the edges of `random()`'s range and on a
+    seeded sample."""
+    rng = random.Random(11)
+    edges = [2.0**-53, 2.0**-40, 2.0**-21, 0.5, 1.0 - 2.0**-53]
+    exact = decimal.Context(prec=40)
+    margin = 1 - fractions.Fraction(1, 2**21)
+    for i, r in enumerate(edges + [rng.random() for _ in range(20_000)]):
+        u2 = 1.0 - r
+        assert 1.0 - u2 == r  # the subtraction is exact
+        assert r * _SQUEEZE <= -math.log(u2), r
+        assert fractions.Fraction(r * _SQUEEZE) < r * margin, r
+        if i < len(edges) or i % 40 == 0:
+            true_log = exact.ln(decimal.Decimal(u2))
+            error = abs(decimal.Decimal(math.log(u2)) - true_log)
+            assert error <= abs(true_log) * decimal.Decimal(2) ** -21, r
 
 
 def test_energy_cost_first_order_model():

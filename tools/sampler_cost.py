@@ -6,12 +6,11 @@ calls are counted in a separate pass, through a `random.Random` subclass and
 a `math.log` wrapper that is removed again afterwards; the timed passes run
 with neither, and the time is the best of five.
 
-    python tools/sampler_cost.py [--values N] [--seed S]
+    python tools/sampler_cost.py
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import random
 import sys
@@ -24,6 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dmrfsim.config import ScenarioConfig  # noqa: E402
 from dmrfsim.engine import sample_delay  # noqa: E402
+
+VALUES = 200_000
+SEED = 1
 
 
 class CountingRandom(random.Random):
@@ -69,17 +71,13 @@ def calls_per_value(mu: float, sigma: float, seed: int, n: int) -> tuple[float, 
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--values", type=int, default=200_000)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
     cfg = ScenarioConfig()
     mu = cfg.mean_hop_delay_ms
     sigma = cfg.sigma_factor * mu
-    per_value = seconds_per_value(mu, sigma, args.seed, args.values)
-    randoms, logs = calls_per_value(mu, sigma, args.seed, args.values)
-    print(f"sample_delay, mu {mu!r} ms, sigma {sigma!r} ms, seed {args.seed}, "
-          f"{args.values:,} values")
+    per_value = seconds_per_value(mu, sigma, SEED, VALUES)
+    randoms, logs = calls_per_value(mu, sigma, SEED, VALUES)
+    print(f"sample_delay, mu {mu!r} ms, sigma {sigma!r} ms, seed {SEED}, "
+          f"{VALUES:,} values")
     print(f"ns per value          {per_value * 1e9:8.1f}")
     print(f"random() per value    {randoms:8.4f}")
     print(f"log per value         {logs:8.4f}")

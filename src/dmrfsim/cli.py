@@ -77,6 +77,8 @@ def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
 def _check_out(path: str) -> None:
     """An `--out` that cannot be written is a configuration error, found
     before any simulation runs and without creating the file."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ConfigError(f"cannot write {path}: {directory} is not a writable directory")

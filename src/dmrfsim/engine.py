@@ -552,45 +552,36 @@ class Simulation:
             fbs = on_result(sender.table, target, accepted, now)
             if fbs:
                 self._send_feedbacks(sender, fbs, now)
-        if not accepted:
-            if sender.table is not None:
-                # the packet stays at the head of the queue; the retry's
-                # service time absorbs the acknowledgment timeout
-                self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
-            else:
-                self._pop_in_service(sender, packet)
-                outcome = BUFFER_DROP if receiver.alive else DROPPED_NO_ROUTE
-                self._finalize(packet, outcome, now)
-                if sender.relay_queue or sender.app_queue:
-                    self._try_start(sender, now)
+        if not accepted and sender.table is not None:
+            # the packet stays at the head of the queue; the retry's service
+            # time absorbs the acknowledgment timeout
+            self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
             return
 
         self._pop_in_service(sender, packet)
-
-        if receiver.is_sink:
+        if not accepted:
+            outcome = BUFFER_DROP if receiver.alive else DROPPED_NO_ROUTE
+            self._finalize(packet, outcome, now)
+        elif receiver.is_sink:
             packet.hop_trace.append(receiver.id)
             self._finalize(packet, DELIVERED if now <= packet.deadline else EXPIRED, now)
-            if sender.relay_queue or sender.app_queue:
-                self._try_start(sender, now)
-            return
-
-        if receiver.table is not None:
-            receiver.table.upstream = sender_id
-
-        if now > packet.deadline:
-            # arrived past its deadline at a relay: dead on arrival
-            self._finalize(packet, EXPIRED, now)
         else:
-            receiver.buffer_used += self._packet_bytes
-            packet.hop_trace.append(receiver.id)
-            receiver.relay_queue.append(packet)
-            if (
-                self.dmrf is not None
-                and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
-            ):
-                self._notify_congestion(receiver, sender_id, now)
-            if receiver.pending is None:
-                self._try_start(receiver, now)
+            if receiver.table is not None:
+                receiver.table.upstream = sender_id
+            if now > packet.deadline:
+                # arrived past its deadline at a relay: dead on arrival
+                self._finalize(packet, EXPIRED, now)
+            else:
+                receiver.buffer_used += self._packet_bytes
+                packet.hop_trace.append(receiver.id)
+                receiver.relay_queue.append(packet)
+                if (
+                    self.dmrf is not None
+                    and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
+                ):
+                    self._notify_congestion(receiver, sender_id, now)
+                if receiver.pending is None:
+                    self._try_start(receiver, now)
         if sender.relay_queue or sender.app_queue:
             self._try_start(sender, now)
 
@@ -613,18 +604,15 @@ class Simulation:
     def _lay_out_probes(self) -> tuple:
         """Lay out the probe links of every live prober end to end, in id
         order and then in the order of its table.members, as `(joules, live,
-        peers, silent, spans)`.
+        peers, silent)`.
 
         The first round does this after the time-0 FAULT_ONSET, the only
         one, so which peers are silent is fixed for the whole run. A live
         link keeps its (table, entry) pair in `live` and its peer's state
         holder in `peers`; a silent one keeps only its pair, in `silent`.
-        `joules` holds every link's control-frame joules in link order, and
-        `spans` each prober with the counts of live and silent links that
-        end its span."""
+        `joules` holds every link's control-frame joules in link order."""
         probers = self._probers = [node for node in self._probers if node.alive]
-        nodes, live, peers, silent = self.nodes, [], [], []
-        joules, spans = [], []
+        nodes, joules, live, peers, silent = self.nodes, [], [], [], []
         for node in probers:
             table = node.table
             for entry in table.members:
@@ -635,24 +623,21 @@ class Simulation:
                     peers.append(peer.table if peer.table is not None else _SINK_REPORT)
                 else:
                     silent.append((table, entry))
-            spans.append((node, len(live), len(silent)))
-        return joules, live, peers, silent, spans
+        return joules, live, peers, silent
 
-    def _on_probe_round(self, due: tuple | None, now: float) -> None:
+    def _on_probe_round(self, _: None, now: float) -> None:
         """Every prober probes, in id order, at the place in the event order
         that the first prober's own PROBE event would hold.
 
-        A live peer's reply is a delay sample and the peer's state at probe
-        time; the round keeps them in two flat lists, in live-link order. A
-        tuple per reply would be one more object for the cyclic garbage
-        collector to track while the replies wait for their timeout.
-
-        When a timeout falls on the next probe instant, per-node events
-        would run each node's timeout just before its probe; the replies
-        then ride in the next round as `due`, and that round walks the
-        layout node by node, timing each node out before it probes."""
-        trace = self.trace
-        if due is None and trace is not None:
+        Each link costs one control frame. A live peer's reply is a delay
+        from the run's one stream and the peer's own current state; silent
+        peers draw nothing. The round keeps the replies in two flat lists,
+        in live-link order, until its PROBE_TIMEOUT: a tuple per reply would
+        be one more object for the cyclic garbage collector to track. The
+        timeout is scheduled before the next round, so a timeout that lands
+        on a probe instant runs before that round, whatever the ratio of
+        timeout to period."""
+        if self.trace is not None:
             # before the layout, so a prober faulted at time 0 still traces
             # its first probe
             for node in self._probers:
@@ -661,65 +646,32 @@ class Simulation:
             self._layout = self._lay_out_probes()
             if not self._probers:
                 return
-        joules, live, peers, silent, spans = self._layout
-        delays, states = [], []
-        if due is None:
-            self._probe(joules, peers, delays, states)
-        else:
-            due_delays, due_states = due
-            lo = silent_lo = 0
-            for node, hi, silent_hi in spans:
-                self._on_timeout_round(
-                    (live[lo:hi], due_delays[lo:hi], due_states[lo:hi],
-                     silent[silent_lo:silent_hi], (node,)),
-                    now,
-                )
-                if trace is not None:
-                    self._trace_member(PROBE, node.id)
-                self._probe(
-                    joules[lo + silent_lo : hi + silent_hi], peers[lo:hi], delays, states
-                )
-                lo, silent_lo = hi, silent_hi
-        period_at = now + self.cfg.probe_period_ms
-        timeout_at = now + self.cfg.probe_timeout_ms
-        if timeout_at == period_at:
-            self._schedule(period_at, PROBE, (delays, states))
-        else:
-            self._schedule(
-                timeout_at, PROBE_TIMEOUT, (live, delays, states, silent, self._probers)
-            )
-            self._schedule(period_at, PROBE, None)
-
-    def _probe(
-        self, joules: list[float], peers: list, delays: list[float], states: list
-    ) -> None:
-        """Send one probe over each link whose control joules are in `joules`,
-        in order, and append each live peer's reply, in `peers` order, to
-        `delays` and `states`: a delay from the run's one stream and the
-        peer's own current state. Silent peers draw nothing."""
+        joules, _live, peers, _silent = self._layout
         metrics = self.metrics
         metrics.control_packets += len(joules)
         metrics.energy_total_j = running_sum(joules, metrics.energy_total_j)
-        delays += islice(self._delays, len(peers))
-        states += [peer.state for peer in peers]
+        replies = list(islice(self._delays, len(peers))), [peer.state for peer in peers]
+        self._schedule(now + self.cfg.probe_timeout_ms, PROBE_TIMEOUT, replies)
+        self._schedule(now + self.cfg.probe_period_ms, PROBE, None)
 
-    def _on_timeout_round(self, payload: tuple, now: float) -> None:
-        """Time out one probe of `(live, delays, states, silent, nodes)`: one
-        `detect_faulty` call accounts the replies of the nodes' live links
-        and the silence of their silent ones. Then each node, in id order,
+    def _on_timeout_round(self, replies: tuple, now: float) -> None:
+        """Time out one round's `(delays, states)` replies: one
+        `detect_faulty` call accounts the replies of the live links and the
+        silence of the silent ones. Then each prober, in id order,
         re-derives its state if its table was left dirty, checks its own
         buffer and sends its feedback. One never offered a packet checks its
         buffer at its first timeout only: its inputs, the standing preload
         and an arrival EWMA of 0.0, never change, and its table is clean once
         re-derived."""
-        live, delays, states, silent, nodes = payload
+        delays, states = replies
+        _joules, live, _peers, silent = self._layout
         dmrf = self.dmrf
         dmrf.detect_faulty(live, delays, states, silent)
         trace, capacity = self.trace, self._buffer_capacity
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         period = self.cfg.probe_period_ms
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
-        for node in nodes:
+        for node in self._probers:
             if trace is not None:
                 self._trace_member(PROBE_TIMEOUT, node.id)
             table = node.table

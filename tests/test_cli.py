@@ -252,17 +252,26 @@ def test_unwritable_out_exits_one_before_simulating(command, tiny_config, tmp_pa
                                                     monkeypatch, capsys):
     monkeypatch.setattr(cli, "execute_scenario", _must_not_simulate)
     monkeypatch.setattr(cli, "run_sweep", _must_not_simulate)
-    out = tmp_path / "missing" / "out.txt"
     preset = ["--preset", "fig6"] if command == "sweep" else []
-    assert main([command, "--config", tiny_config, *preset, "--out", str(out)]) == 1
-    assert str(out) in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_failed_write_of_out_exits_one(tiny_config, tmp_path, capsys):
-    # the directory check passes; opening a directory as the file fails
-    assert main(["run", "--config", tiny_config, "--out", str(tmp_path)]) == 1
+    missing = tmp_path / "missing" / "out.txt"
+    assert main([command, "--config", tiny_config, *preset, "--out", str(missing)]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.exists()
+    # an existing directory is no file to write either
+    assert main([command, "--config", tiny_config, *preset, "--out", str(tmp_path)]) == 1
     assert f"cannot write {tmp_path}" in capsys.readouterr().err
+    assert tmp_path.is_dir()
+
+
+def test_failed_write_of_out_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
+    # the up-front check passes; the write itself fails
+    def failing_open(*args, **kwargs):
+        raise OSError("disk full")
+
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main(["run", "--config", tiny_config, "--out", str(out)]) == 1
+    assert f"cannot write {out}: disk full" in capsys.readouterr().err
 
 
 def test_runtime_failures_exit_two(tiny_config, monkeypatch, capsys):

@@ -127,13 +127,13 @@ def test_probe_round_draws_match_normalvariate():
     and FCS order over the links to live peers only. A silent peer draws
     nothing and loses one confidence step per accounted round. Checked on a
     clean layout, a faulted one, and a faulted one whose timeout falls on the
-    next probe instant, so the round accounts and probes node by node."""
+    next probe instant, so the timeout round runs just before that round."""
     base = dict(node_count=25, comm_radius=7.5, sigma_factor=1.0, horizon_ms=3.0, seed=5)
     layouts = {
         "clean": dict(packet_count=1),
         # a second packet due after the horizon keeps the run open until then
         "faulted": dict(packet_count=2, injection_period_ms=50.0, fault_ratio=0.3),
-        "merged": dict(packet_count=2, injection_period_ms=50.0, fault_ratio=0.3,
+        "timeout-on-probe": dict(packet_count=2, injection_period_ms=50.0, fault_ratio=0.3,
                        probe_timeout_ms=2.0, probe_period_ms=2.0),
     }
     for name, overrides in layouts.items():
@@ -143,7 +143,7 @@ def test_probe_round_draws_match_normalvariate():
         stdlib = random.Random()
         stdlib.setstate(sim.rng.getstate())
         # the round at t = 0 draws before anything else; the only timeout
-        # before the 3 ms horizon falls at 2 ms, merged or not
+        # before the 3 ms horizon falls at 2 ms, on a probe instant or not
         sim.run()
         dead = {nid for nid, node in sim.nodes.items() if not node.alive}
         assert bool(dead) == (name != "clean"), name
@@ -423,6 +423,28 @@ def test_trace_collection_orders_events():
     assert all(e.kind in EVENT_KINDS for e in result.trace)
     kinds = {e.kind for e in result.trace}
     assert {"PACKET_INJECT", "PACKET_ARRIVAL", "PROBE"} <= kinds
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_timeout_on_a_probe_instant_runs_before_that_round(k):
+    """Where a timeout of k probe periods shares its instant with a probe
+    round, every prober times out before any prober probes."""
+    cfg = validate(ScenarioConfig(
+        node_count=25, comm_radius=7.5, fault_ratio=0.3, packet_count=2,
+        injection_period_ms=50.0, probe_timeout_ms=2.0 * k, probe_period_ms=2.0,
+        horizon_ms=9.0, seed=5))
+    topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+    result = run(topo, cfg, collect_trace=True)
+    rounds = collections.defaultdict(list)
+    for e in result.trace:
+        if e.kind in ("PROBE", "PROBE_TIMEOUT"):
+            rounds[e.time].append(e.kind)
+    shared = [kinds for kinds in rounds.values() if len(set(kinds)) == 2]
+    assert len(shared) == 5 - k  # rounds at 0, 2, 4, 6 and 8 ms
+    for kinds in shared:
+        assert kinds.count("PROBE_TIMEOUT") > 1
+        first_probe = kinds.index("PROBE")
+        assert "PROBE_TIMEOUT" not in kinds[first_probe:]
 
 
 @pytest.mark.parametrize("timeout", [8.0, 10.0], ids=["own-event", "merged"])

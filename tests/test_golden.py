@@ -58,8 +58,7 @@ CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
         PROTOCOLS,
     ),
     ("random200", RANDOM200, PROTOCOLS),
-    # each node's timeout falls on the next probe instant, where it must run
-    # just before that node's probe
+    # every timeout falls on the next probe instant and runs before that round
     (
         "table2-fault0.3-timeout10-period10",
         dataclasses.replace(
@@ -106,7 +105,7 @@ DIGEST_CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
     ("grid25-void7", _MATRIX["grid25-void7"], (DMRF, BYPASS)),
     # nodes born VOID, and jumps
     ("random200", _MATRIX["random200"], (DMRF,)),
-    # JFAULTY entered and left under 30% faults
+    # JFAULTY entered under 30% faults
     (
         "table2-fault0.3-timeout10-period10",
         _MATRIX["table2-fault0.3-timeout10-period10"],
@@ -114,6 +113,14 @@ DIGEST_CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
     ),
     # every relay CONG from its first timeout on
     ("table2-fill0.8", _MATRIX["table2-fill0.8"], (DMRF,)),
+    # JFAULTY entered and left, with timeouts two periods long
+    (
+        "table2-fault0.3-timeout20-period10",
+        dataclasses.replace(
+            TABLE2, fault_ratio=0.3, probe_timeout_ms=20.0, probe_period_ms=10.0
+        ),
+        (DMRF,),
+    ),
 ]
 
 
@@ -186,13 +193,15 @@ def test_transitions_and_packet_outcomes_are_identical():
     assert actual == expected
 
 
-#: timeout equal to the period: a merged probe round walks the probers one by one
-MERGED = "table2-fault0.3-timeout10-period10"
+#: timeout equal to the period: every timeout shares its instant with a round
+TIMEOUT_ON_PROBE = "table2-fault0.3-timeout10-period10"
 
 
 @pytest.mark.parametrize("base, protocol", [
     pytest.param(base, protocol, id=f"{name}-{protocol}")
-    for name, base, protocols in TRACE_CASES + [(MERGED, _MATRIX[MERGED], (DMRF,))]
+    for name, base, protocols in (
+        TRACE_CASES + [(TIMEOUT_ON_PROBE, _MATRIX[TIMEOUT_ON_PROBE], (DMRF,))]
+    )
     for protocol in protocols
 ])
 def test_a_traced_run_gives_the_results_of_an_untraced_one(base, protocol):

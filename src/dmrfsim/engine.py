@@ -131,16 +131,19 @@ def energy_cost(cfg: ScenarioConfig, distance: float, bits: float) -> float:
     return bits * (cfg.energy_elec_j_per_bit + cfg.energy_amp_j_per_bit_m2 * distance**2)
 
 
-def inject_faults(topo: Topology, fault_ratio: float, rng: random.Random) -> list[NodeId]:
-    """Pick floor(ratio * (N – 2)) victims uniformly among the relay nodes
-    and return their ids, sorted.
+def inject_faults(
+    topo: Topology, fault_ratio: float, rng: random.Random, carved: list[NodeId]
+) -> list[NodeId]:
+    """Pick floor(ratio * R) victims uniformly among the R relay nodes not in
+    `carved`, drawn from them in id order, and return their ids, sorted.
 
     Source and sink are never faulted. All onsets are at time zero and the
     victims fail silently: nothing in the network is told.
     """
     if not 0.0 <= fault_ratio <= 1.0:
         raise ValueError(f"fault_ratio must be in [0, 1], got {fault_ratio}")
-    candidates = [n for n in topo.ids() if n not in (topo.source, topo.sink)]
+    spared = {topo.source, topo.sink, *carved}
+    candidates = [n for n in topo.ids() if n not in spared]
     count = math.floor(fault_ratio * len(candidates))
     return sorted(rng.sample(candidates, count))
 
@@ -194,15 +197,12 @@ class RunResult:
 class _NodeRuntime:
     __slots__ = (
         "id",
-        "alive",
         "is_sink",
         "table",
         "ranked",
-        "data_j",
-        "control_j",
+        "link_j",
         "tx",
-        "relay_queue",
-        "app_queue",
+        "queue",
         "buffer_used",
         "pending",
         "arrival_ewma",
@@ -212,19 +212,16 @@ class _NodeRuntime:
 
     def __init__(self, node_id: NodeId, is_sink: bool) -> None:
         self.id = node_id
-        self.alive = True
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
         # a baseline's candidate set on the full deployment, every link at the
         # mean hop delay, in the baseline's order; built at the first decision
         self.ranked: list[NodeId] | None = None
-        # receiver id -> joules per data frame; every packet is cfg.packet_bits
-        self.data_j: dict[NodeId, float] = {}
-        # receiver id -> joules per control frame
-        self.control_j: dict[NodeId, float] = {}
+        # receiver id -> joules per bit sent to it (see Simulation._price)
+        self.link_j: dict[NodeId, float] = {}
         self.tx = 0  # data transmissions started
-        self.relay_queue: deque[Packet] = deque()
-        self.app_queue: deque[Packet] = deque()
+        # waiting packets, first in first out (see Simulation._release)
+        self.queue: deque[Packet] = deque()
         self.buffer_used = 0.0
         self.pending: tuple[Packet, NodeId, bool] | None = None
         self.arrival_ewma = 0.0
@@ -257,6 +254,7 @@ class Simulation:
         self.now = 0.0
         self._buffer_capacity = float(scenario.buffer_bytes)
         self._packet_bytes = float(scenario.packet_bytes)
+        self._packet_bits = scenario.packet_bits
         self._feedback_delay_ms = scenario.feedback_delay_ms
 
         self._rate_mult = {
@@ -279,6 +277,7 @@ class Simulation:
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for nid in topo.ids():
             self.nodes[nid] = _NodeRuntime(nid, is_sink=nid == topo.sink)
+        # the nodes not carved or faulted: the run's one record of liveness
         self._live: set[NodeId] = set(self.nodes)
 
         # routing memory is built on the full deployment; the void carved and
@@ -291,16 +290,13 @@ class Simulation:
         for nid, used in preload.items():
             self.nodes[nid].buffer_used = used
 
-        dead: set[NodeId] = set()
-        if scenario.void_radius > 0:
-            carved = carve_void(topo, scenario.void_center, scenario.void_radius)
-            dead.update(set(topo.ids()) - set(carved.ids()))
-            fault_pool = carved
-        else:
-            fault_pool = topo
-        dead.update(inject_faults(fault_pool, scenario.fault_ratio, self.rng))
+        carved = (
+            carve_void(topo, scenario.void_center, scenario.void_radius)
+            if scenario.void_radius > 0 else []
+        )
+        dead = sorted(carved + inject_faults(topo, scenario.fault_ratio, self.rng, carved))
         if dead:
-            self._schedule(0.0, FAULT_ONSET, sorted(dead))
+            self._schedule(0.0, FAULT_ONSET, dead)
 
         # every node with candidates probes them, in id order. The first
         # round lays out their links (see _lay_out_probes)
@@ -364,14 +360,16 @@ class Simulation:
         packet.outcome = outcome
         packet.finished_at = now
 
-    def _control_cost(self, sender: NodeId, receiver: NodeId) -> float:
-        cache = self.nodes[sender].control_j
-        joules = cache.get(receiver)
-        if joules is None:
-            joules = cache[receiver] = energy_cost(
-                self.cfg, self.topo.distance(sender, receiver), CONTROL_FRAME_BITS
+    def _price(self, sender: _NodeRuntime, receiver: NodeId, bits: int) -> float:
+        """Joules for one frame of `bits` from `sender` to `receiver`. A link
+        is priced once per run, per bit, whatever frames it carries: `bits *
+        energy_cost(cfg, d, 1)` is `energy_cost(cfg, d, bits)` to the bit."""
+        per_bit = sender.link_j.get(receiver)
+        if per_bit is None:
+            per_bit = sender.link_j[receiver] = energy_cost(
+                self.cfg, self.topo.distance(sender.id, receiver), 1
             )
-        return joules
+        return bits * per_bit
 
     def _send_control(
         self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId, now: float
@@ -379,11 +377,13 @@ class Simulation:
         """Send one control frame: delivered after the feedback delay and
         charged to the sender at once. A dead receiver gets nothing, and the
         send is reported as not made."""
-        if not self.nodes[receiver].alive:
+        if receiver not in self._live:
             return False
         at = now + self._feedback_delay_ms
         self._schedule(at, FEEDBACK_DELIVERY, (msg, sender, receiver))
-        self.metrics.energy_total_j += self._control_cost(sender, receiver)
+        self.metrics.energy_total_j += self._price(
+            self.nodes[sender], receiver, CONTROL_FRAME_BITS
+        )
         return True
 
     def _send_feedbacks(
@@ -435,21 +435,15 @@ class Simulation:
         """Start the node's next transmission, dropping the head packets it
         cannot send. Callers skip a node that is busy or has nothing queued,
         the common case under load, rather than pay for the call."""
-        while node.pending is None:
-            if node.relay_queue:
-                queue = node.relay_queue
-            elif node.app_queue:
-                queue = node.app_queue
-            else:
-                return
-            packet = queue[0]
+        while node.pending is None and node.queue:
+            packet = node.queue[0]
             if self.dmrf is not None:
                 decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
             else:
                 decision = self._decide_baseline(node, packet, now)
             kind = type(decision)
             if kind is Drop:
-                self._pop_in_service(node, packet)
+                self._release(node, packet)
                 outcome = (
                     EXPIRED
                     if decision.reason is DropReason.EXPIRED
@@ -468,12 +462,7 @@ class Simulation:
                 if node.table is not None:
                     node.table.entries[target].tx_count += 1
             service = stall + next(self._delays) * multiplier
-            joules = node.data_j.get(target)
-            if joules is None:
-                joules = node.data_j[target] = energy_cost(
-                    self.cfg, self.topo.distance(node.id, target), self.cfg.packet_bits
-                )
-            self.metrics.energy_total_j += joules
+            self.metrics.energy_total_j += self._price(node, target, self._packet_bits)
             node.tx += 1
             node.pending = (packet, target, is_jump)
             self._schedule(now + service, PACKET_ARRIVAL, node.id)
@@ -499,17 +488,22 @@ class Simulation:
         self.packets.append(packet)
         self._open[packet.id] = packet
         source = self.nodes[self.topo.source]
-        source.app_queue.append(packet)
+        source.queue.append(packet)
         self._schedule(packet.deadline, DEADLINE_CHECK, packet)
         if source.pending is None:
             self._try_start(source, now)
 
-    def _pop_in_service(self, sender: _NodeRuntime, packet: Packet) -> None:
-        if sender.relay_queue and sender.relay_queue[0] is packet:
-            sender.relay_queue.popleft()
-            sender.buffer_used -= self._packet_bytes
-        else:
-            sender.app_queue.popleft()
+    def _release(self, node: _NodeRuntime, packet: Packet) -> None:
+        """Take a waiting packet off the node's queue. One past its first hop
+        was relayed here, in the step that took its buffer space: free it.
+
+        A node holds the source's own packets or relayed ones, never both:
+        only the source injects, and no packet returns to it, since every
+        protocol sends strictly closer to the sink or, for BYPASS, never to
+        a node on the packet's trace, which starts with the source."""
+        node.queue.remove(packet)
+        if len(packet.hop_trace) > 1:
+            node.buffer_used -= self._packet_bytes
 
     def _on_arrival(self, sender_id: NodeId, now: float) -> None:
         """Resolve an in-flight transmission.
@@ -524,7 +518,7 @@ class Simulation:
         sender.pending = None
         receiver = self.nodes[target]
 
-        accepted = receiver.alive
+        alive = accepted = target in self._live
         if accepted and not receiver.is_sink:
             if self.dmrf is not None:
                 # the offered arrival counts toward the rate estimate whether
@@ -545,7 +539,7 @@ class Simulation:
                     self._send_feedbacks(receiver, fbs, now)
             accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
 
-        if not accepted and receiver.alive:
+        if not accepted and alive:
             self._notify_congestion(receiver, sender_id, now)
         if sender.table is not None:
             on_result = self.dmrf.on_jump_result if is_jump else self.dmrf.on_forward_result
@@ -558,9 +552,9 @@ class Simulation:
             self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
             return
 
-        self._pop_in_service(sender, packet)
+        self._release(sender, packet)
         if not accepted:
-            outcome = BUFFER_DROP if receiver.alive else DROPPED_NO_ROUTE
+            outcome = BUFFER_DROP if alive else DROPPED_NO_ROUTE
             self._finalize(packet, outcome, now)
         elif receiver.is_sink:
             packet.hop_trace.append(receiver.id)
@@ -574,7 +568,7 @@ class Simulation:
             else:
                 receiver.buffer_used += self._packet_bytes
                 packet.hop_trace.append(receiver.id)
-                receiver.relay_queue.append(packet)
+                receiver.queue.append(packet)
                 if (
                     self.dmrf is not None
                     and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
@@ -582,7 +576,7 @@ class Simulation:
                     self._notify_congestion(receiver, sender_id, now)
                 if receiver.pending is None:
                     self._try_start(receiver, now)
-        if sender.relay_queue or sender.app_queue:
+        if sender.queue:
             self._try_start(sender, now)
 
     def _notify_congestion(
@@ -611,14 +605,14 @@ class Simulation:
         link keeps its (table, entry) pair in `live` and its peer's state
         holder in `peers`; a silent one keeps only its pair, in `silent`.
         `joules` holds every link's control-frame joules in link order."""
-        probers = self._probers = [node for node in self._probers if node.alive]
-        nodes, joules, live, peers, silent = self.nodes, [], [], [], []
+        nodes, alive, joules, live, peers, silent = self.nodes, self._live, [], [], [], []
+        probers = self._probers = [node for node in self._probers if node.id in alive]
         for node in probers:
             table = node.table
             for entry in table.members:
                 peer = nodes[entry.candidate]
-                joules.append(self._control_cost(node.id, peer.id))
-                if peer.alive:
+                joules.append(self._price(node, peer.id, CONTROL_FRAME_BITS))
+                if peer.id in alive:
                     live.append((table, entry))
                     peers.append(peer.table if peer.table is not None else _SINK_REPORT)
                 else:
@@ -693,7 +687,7 @@ class Simulation:
         msg, sender_id, receiver_id = payload
         self.metrics.control_packets += 1
         receiver = self.nodes[receiver_id]
-        if not receiver.alive or receiver.table is None:
+        if receiver_id not in self._live or receiver.table is None:
             return
         table = receiver.table
         reforward, fbs = self.dmrf.on_feedback(table, msg, sender_id, now, self.rng)
@@ -704,10 +698,8 @@ class Simulation:
 
     def _on_fault_onset(self, node_ids: list[NodeId], now: float) -> None:
         for nid in node_ids:
-            node = self.nodes[nid]
-            node.alive = False
             self._live.discard(nid)
-            table = node.table
+            table = self.nodes[nid].table
             if table is not None and table.state is not NodeState.FAULTY:
                 self.transitions.append((now, nid, table.state, NodeState.FAULTY))
                 table.state = NodeState.FAULTY
@@ -719,11 +711,7 @@ class Simulation:
         node = self.nodes[packet.hop_trace[-1]]
         if node.pending is not None and node.pending[0] is packet:
             return  # in flight: judged when the transmission resolves
-        if len(packet.hop_trace) == 1:
-            node.app_queue.remove(packet)
-        else:
-            node.relay_queue.remove(packet)
-            node.buffer_used -= self._packet_bytes
+        self._release(node, packet)
         self._finalize(packet, EXPIRED, now)
 
     # ------------------------------------------------------------------

@@ -2,9 +2,9 @@
 estimates and void carving.
 
 All operations are pure functions over immutable-by-convention Topology
-values: carve_void returns a new Topology rather than mutating. A Topology
-memoizes what it derives (cell index, sink distances, neighbour lists, sink
-hop counts), so one can serve many runs.
+values: carve_void returns the ids it carves, which a run treats as dead
+from time zero. A Topology memoizes what it derives (cell index, sink
+distances, neighbour lists, sink hop counts), so one can serve many runs.
 """
 
 from __future__ import annotations
@@ -144,16 +144,6 @@ class Topology:
         out.sort()
         return out
 
-    def with_endpoints(self, source: NodeId, sink: NodeId) -> Topology:
-        return Topology(
-            nodes=list(self.nodes),
-            region=self.region,
-            comm_radius=self.comm_radius,
-            max_tx_distance=self.max_tx_distance,
-            source=source,
-            sink=sink,
-        )
-
 
 def deploy(
     count: int,
@@ -221,24 +211,16 @@ def build_fcs(topo: Topology, node: NodeId) -> list[NodeId]:
     return [nb for nb in topo.neighbors(node) if to_sink[nb] < d_self]
 
 
-def carve_void(topo: Topology, center: Position, radius: float) -> Topology:
-    """Remove every node strictly inside the disc; source and sink are
-    never removed. Candidate structures must be rebuilt by the caller."""
+def carve_void(topo: Topology, center: Position, radius: float) -> list[NodeId]:
+    """The ids of every node strictly inside the disc, sorted; source and
+    sink are never carved."""
     if radius < 0:
         raise ValueError("void radius must be non-negative")
     cx, cy = center
-    kept = [
-        (i, (x, y))
+    return sorted(
+        i
         for i, (x, y) in topo.nodes
-        if i in (topo.source, topo.sink) or math.hypot(x - cx, y - cy) >= radius
-    ]
-    return Topology(
-        nodes=kept,
-        region=topo.region,
-        comm_radius=topo.comm_radius,
-        max_tx_distance=topo.max_tx_distance,
-        source=topo.source,
-        sink=topo.sink,
+        if i not in (topo.source, topo.sink) and math.hypot(x - cx, y - cy) < radius
     )
 
 

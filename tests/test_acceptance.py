@@ -7,6 +7,7 @@ anywhere in this module are tallied, and the deadline-safety criterion
 tally; it is defined last so the tally is complete when it runs.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -139,7 +140,7 @@ def test_criterion_04_direct_jump_over_a_wide_void():
     # an 8 m void that removes all nine interior nodes
     topo = deploy(25, (20.0, 20.0), UNIFORM_GRID, rng_seed=4,
                   comm_radius=5.5, max_tx_distance=30.0)
-    topo = topo.with_endpoints(source=10, sink=14)
+    topo = dataclasses.replace(topo, source=10, sink=14)
     cfg = validate(ScenarioConfig(
         node_count=25, region=(20.0, 20.0), comm_radius=5.5,
         void_center=(10.0, 10.0), void_radius=8.0, seed=4,

@@ -18,7 +18,7 @@ import pytest
 
 import dmrfsim
 
-from dmrfsim.config import GREEDY_MIN_DELAY, ScenarioConfig, validate
+from dmrfsim.config import CONTROL_FRAME_BITS, GREEDY_MIN_DELAY, ScenarioConfig, validate
 from dmrfsim.engine import (
     BUFFER_DROP,
     DELIVERED,
@@ -36,7 +36,7 @@ from dmrfsim.engine import (
     sample_delay,
 )
 from dmrfsim.model import FeedbackKind, FeedbackMessage, InvariantError
-from dmrfsim.topology import UNIFORM_GRID, Topology, deploy
+from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
 
 
 def line_topo(length, spacing=1.0, comm_radius=1.5, max_tx=30.0):
@@ -145,7 +145,7 @@ def test_probe_round_draws_match_normalvariate():
         # the round at t = 0 draws before anything else; the only timeout
         # before the 3 ms horizon falls at 2 ms, on a probe instant or not
         sim.run()
-        dead = {nid for nid, node in sim.nodes.items() if not node.alive}
+        dead = set(sim.nodes) - sim._live
         assert bool(dead) == (name != "clean"), name
         below_floor, silent = [], []
         for nid in sorted(sim.nodes):
@@ -231,20 +231,30 @@ def test_energy_cost_rejects_out_of_range_links():
 
 def test_inject_faults_count_and_endpoint_protection():
     topo = deploy(400, (20.0, 20.0), UNIFORM_GRID, rng_seed=1)
-    ids = inject_faults(topo, 0.2, random.Random(5))
+    ids = inject_faults(topo, 0.2, random.Random(5), [])
     # floor(0.2 * 398) relay victims
     assert len(ids) == 79
     assert topo.source not in ids and topo.sink not in ids
     assert ids == sorted(ids)
 
 
+def test_inject_faults_draws_among_the_relays_left_uncarved():
+    topo = deploy(25, (20.0, 20.0), UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+    carved = carve_void(topo, (10.0, 10.0), 7.0)
+    assert len(carved) == 5
+    ids = inject_faults(topo, 0.2, random.Random(5), carved)
+    # floor(0.2 * 18) victims, drawn from the 18 uncarved relays in id order
+    pool = [n for n in topo.ids() if n not in (topo.source, topo.sink, *carved)]
+    assert ids == sorted(random.Random(5).sample(pool, 3))
+
+
 def test_inject_faults_is_seed_deterministic():
     topo = deploy(100, (10.0, 10.0), UNIFORM_GRID, rng_seed=1)
-    assert inject_faults(topo, 0.3, random.Random(9)) == inject_faults(
-        topo, 0.3, random.Random(9)
+    assert inject_faults(topo, 0.3, random.Random(9), []) == inject_faults(
+        topo, 0.3, random.Random(9), []
     )
     with pytest.raises(ValueError):
-        inject_faults(topo, 1.2, random.Random(1))
+        inject_faults(topo, 1.2, random.Random(1), [])
 
 
 def test_preload_buffers_fills_relays_only():
@@ -547,7 +557,8 @@ def test_a_live_receiver_gets_one_charged_frame(send):
     seq, energy = sim._seq, sim.metrics.energy_total_j
     send(sim, node, 1)
     assert [(s, r) for s, r, _ in frames_since(sim, seq)] == [(2, 1)]
-    assert sim.metrics.energy_total_j == energy + sim._control_cost(2, 1)
+    joules = energy_cost(sim.cfg, sim.topo.distance(2, 1), CONTROL_FRAME_BITS)
+    assert sim.metrics.energy_total_j == energy + joules
     # only a CONG frame that went out marks its receiver as warned
     assert node.cong_notified == (set() if send is jump_fail_reforward else {1})
 

@@ -3,7 +3,8 @@ matrix, pinned in tests/golden/matrix.csv, and digests of what those rows
 cannot show, pinned in tests/golden/digests.txt.
 
 The matrix is every protocol on a 25-node grid (clean, 20% faults, a void of
-radius 7, 60% standing buffer fill) and on 200 random nodes, plus DMRF probe
+radius 7, that void with 20% faults drawn among the relays it leaves, 60%
+standing buffer fill) and on 200 random nodes, plus DMRF probe
 timings whose timeouts land on probe instants: timeout equal to the period,
 twice the period, and three times it, and DMRF on table2 with a standing
 buffer fill equal to theta_cong.
@@ -84,6 +85,13 @@ CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
     # the standing fill equals theta_cong: every relay turns CONG at its
     # first probe timeout and refuses every packet offered to it
     ("table2-fill0.8", dataclasses.replace(TABLE2, buffer_fill=0.8), (DMRF,)),
+    # faults drawn among the 18 relays the void leaves: 3 of them, not the
+    # 4 a pool of all 23 relays would give
+    (
+        "grid25-void7-fault0.2",
+        dataclasses.replace(GRID25, void_radius=7.0, fault_ratio=0.2),
+        PROTOCOLS,
+    ),
 ]
 
 

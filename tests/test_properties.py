@@ -4,9 +4,9 @@ Every protocol, faults, voids, standing buffer fill, and probe timeouts both
 on and off the probe instants. Each run is checked for packet conservation,
 no late delivery, buffer occupancy within [0, buffer_bytes] and equal to
 the preload plus the queued relay packets between every pair of events,
-every unfinished packet held by the last node on its trace, legal and
-chained state transitions, and a trace in (time, seq) order whose
-injections take seqs rising with the packet id.
+every unfinished packet held by the last node on its trace, no packet
+returning to the source, legal and chained state transitions, and a trace
+in (time, seq) order whose injections take seqs rising with the packet id.
 """
 
 from __future__ import annotations
@@ -38,20 +38,19 @@ class CheckedSimulation(Simulation):
         self.events += 1
         self.check()
         for node in self.nodes.values():
-            # the standing preload plus every queued relay packet, including
-            # one in flight; the horizon cut after the loop leaves this be
-            queued = len(node.relay_queue) * self.cfg.packet_bytes
+            # the standing preload plus every queued packet past its first
+            # hop, one in flight included; the horizon cut leaves this be
+            relayed = sum(len(p.hop_trace) > 1 for p in node.queue)
+            queued = relayed * self.cfg.packet_bytes
             expected = self.preload.get(node.id, 0.0) + queued
             assert math.isclose(node.buffer_used, expected, abs_tol=1e-9), node.id
         for packet in self._open.values():
             # the last node on its trace holds it: sending it, or queued
-            # in its app queue if it never left the source, else relayed
             assert packet.outcome is None, packet.id
             holder = self.nodes[packet.hop_trace[-1]]
             if holder.pending is not None and holder.pending[0] is packet:
                 continue
-            queue = holder.app_queue if len(packet.hop_trace) == 1 else holder.relay_queue
-            assert packet in queue, (packet.id, holder.id)
+            assert packet in holder.queue, (packet.id, holder.id)
         super()._trace_event(time, seq, kind, a)
 
     def check(self) -> None:
@@ -126,6 +125,9 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
     for outcome in result.packets:
         if outcome.outcome == DELIVERED:
             assert outcome.finished_at <= outcome.created_at + cfg.packet_lifetime_ms
+        # no packet returns to the source, so a node never queues the
+        # source's own packets beside relayed ones
+        assert sim.topo.source not in outcome.hop_trace[1:], outcome.hop_trace
 
     # events run in (time, seq) order, and each injection takes the seq
     # reserved for it: they rise with the packet id

@@ -205,8 +205,6 @@ class _NodeRuntime:
         "queue",
         "buffer_used",
         "pending",
-        "arrival_ewma",
-        "last_arrival",
         "cong_notified",
     )
 
@@ -224,8 +222,6 @@ class _NodeRuntime:
         self.queue: deque[Packet] = deque()
         self.buffer_used = 0.0
         self.pending: tuple[Packet, NodeId, bool] | None = None
-        self.arrival_ewma = 0.0
-        self.last_arrival: float | None = None
         self.cong_notified: set[NodeId] = set()
 
 
@@ -268,8 +264,7 @@ class Simulation:
         self._open: dict[int, Packet] = {}
 
         self.dmrf = DmrfProtocol(topo, scenario) if scenario.protocol == DMRF else None
-        # every state transition of the run, in order: the protocol's own
-        # list, which _on_fault_onset appends to as well
+        # every state transition of the run, in order: the protocol's own list
         self.transitions: list[Transition] = (
             self.dmrf.transitions if self.dmrf is not None else []
         )
@@ -373,18 +368,18 @@ class Simulation:
 
     def _send_control(
         self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId, now: float
-    ) -> bool:
+    ) -> None:
         """Send one control frame: delivered after the feedback delay and
-        charged to the sender at once. A dead receiver gets nothing, and the
-        send is reported as not made."""
-        if receiver not in self._live:
-            return False
+        charged to the sender at once.
+
+        The receiver is always a live relay: frames go only to nodes that
+        sent or relayed data, every fault strikes in the one FAULT_ONSET at
+        time 0, before any packet moves, and the sink sends no data."""
         at = now + self._feedback_delay_ms
         self._schedule(at, FEEDBACK_DELIVERY, (msg, sender, receiver))
         self.metrics.energy_total_j += self._price(
             self.nodes[sender], receiver, CONTROL_FRAME_BITS
         )
-        return True
 
     def _send_feedbacks(
         self, node: _NodeRuntime, feedbacks: list[FeedbackMessage], now: float
@@ -404,8 +399,8 @@ class Simulation:
                 for dest in sorted(dests):
                     self._send_control(fb, node.id, dest, now)
             elif upstream is not None:
-                sent = self._send_control(fb, node.id, upstream, now)
-                if sent and fb.kind is FeedbackKind.CONG:
+                self._send_control(fb, node.id, upstream, now)
+                if fb.kind is FeedbackKind.CONG:
                     node.cong_notified.add(upstream)
 
     # ------------------------------------------------------------------
@@ -457,10 +452,7 @@ class Simulation:
             if is_jump:
                 multiplier = 1.0
             else:
-                rate = packet.rate_class = decision.rate
-                multiplier = self._rate_mult[rate]
-                if node.table is not None:
-                    node.table.entries[target].tx_count += 1
+                multiplier = self._rate_mult[decision.rate]
             service = stall + next(self._delays) * multiplier
             self.metrics.energy_total_j += self._price(node, target, self._packet_bits)
             node.tx += 1
@@ -521,20 +513,7 @@ class Simulation:
         alive = accepted = target in self._live
         if accepted and not receiver.is_sink:
             if self.dmrf is not None:
-                # the offered arrival counts toward the rate estimate whether
-                # or not the packet fits
-                if receiver.last_arrival is not None:
-                    gap = now - receiver.last_arrival
-                    if gap > 0:
-                        receiver.arrival_ewma = 0.5 * receiver.arrival_ewma + 0.5 / gap
-                receiver.last_arrival = now
-                fbs = self.dmrf.detect_congestion(
-                    receiver.table,
-                    receiver.buffer_used,
-                    self._buffer_capacity,
-                    receiver.arrival_ewma,
-                    now,
-                )
+                fbs = self.dmrf.on_offer(receiver.table, receiver.buffer_used, now)
                 if fbs:
                     self._send_feedbacks(receiver, fbs, now)
             accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
@@ -586,9 +565,8 @@ class Simulation:
         once per sender per congestion episode."""
         if self.dmrf is None or sender_id in node.cong_notified:
             return
-        fb = FeedbackMessage(kind=FeedbackKind.CONG)
-        if self._send_control(fb, node.id, sender_id, now):
-            node.cong_notified.add(sender_id)
+        self._send_control(FeedbackMessage(kind=FeedbackKind.CONG), node.id, sender_id, now)
+        node.cong_notified.add(sender_id)
 
     def _trace_member(self, kind: int, node_id: NodeId) -> None:
         self.trace.append(
@@ -661,22 +639,16 @@ class Simulation:
         _joules, live, _peers, silent = self._layout
         dmrf = self.dmrf
         dmrf.detect_faulty(live, delays, states, silent)
-        trace, capacity = self.trace, self._buffer_capacity
+        trace = self.trace
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
-        period = self.cfg.probe_period_ms
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
         for node in self._probers:
             if trace is not None:
                 self._trace_member(PROBE_TIMEOUT, node.id)
             table = node.table
             fbs = reevaluate(table, now) if table.dirty else None
-            last = node.last_arrival
-            if last is not None and now - last >= period:
-                node.arrival_ewma *= 0.5
-            if last is not None or first_timeout:
-                checked = detect_congestion(
-                    table, node.buffer_used, capacity, node.arrival_ewma, now
-                )
+            if table.last_arrival is not None or first_timeout:
+                checked = detect_congestion(table, node.buffer_used, now)
                 fbs = fbs + checked if fbs else checked
             if fbs:
                 self._send_feedbacks(node, fbs, now)
@@ -687,12 +659,7 @@ class Simulation:
         msg, sender_id, receiver_id = payload
         self.metrics.control_packets += 1
         receiver = self.nodes[receiver_id]
-        if receiver_id not in self._live or receiver.table is None:
-            return
-        table = receiver.table
-        reforward, fbs = self.dmrf.on_feedback(table, msg, sender_id, now, self.rng)
-        if reforward is not None and table.upstream is not None:
-            self._send_control(reforward, receiver_id, table.upstream, now)
+        fbs = self.dmrf.on_feedback(receiver.table, msg, sender_id, now, self.rng)
         if fbs:
             self._send_feedbacks(receiver, fbs, now)
 
@@ -700,10 +667,8 @@ class Simulation:
         for nid in node_ids:
             self._live.discard(nid)
             table = self.nodes[nid].table
-            if table is not None and table.state is not NodeState.FAULTY:
-                self.transitions.append((now, nid, table.state, NodeState.FAULTY))
-                table.state = NodeState.FAULTY
-                table.dirty = True
+            if table is not None:
+                self.dmrf.on_fault(table, now)
 
     def _on_deadline(self, packet: Packet, now: float) -> None:
         if packet.outcome is not None:

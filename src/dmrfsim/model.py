@@ -63,6 +63,7 @@ class Packet:
     id: int
     created_at: float
     deadline: float
+    #: the band DMRF last forwarded it at, for the rate-continuity rule
     rate_class: RateClass = RateClass.LOW
     hop_trace: list[NodeId] = field(default_factory=list)
     outcome: str | None = None

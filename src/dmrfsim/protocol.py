@@ -112,6 +112,9 @@ class RoutingTable:
     upstream: NodeId | None = None
     #: the long-range candidates in id order, materialized on first jump
     jump_pool: list[CandidateEntry] | None = None
+    #: the offered packets' arrival rate, per ms, and when the last came
+    arrival_ewma: float = 0.0
+    last_arrival: float | None = None
 
 
 def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
@@ -224,9 +227,9 @@ class DmrfProtocol:
 
     Bound to one (full) topology per run; the engine owns event timing,
     buffers, and feedback transport. Every parameter is read from the run's
-    `cfg`; `mu` is its mean hop delay. Every state transition of the run's
-    tables is appended to `transitions` as (time, node, old, new) when it
-    happens.
+    `cfg`; `mu` is its mean hop delay. Only the protocol writes a table's
+    decision state, and every state transition of the run's tables is
+    appended to `transitions` as (time, node, old, new) when it happens.
     """
 
     def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
@@ -338,22 +341,33 @@ class DmrfProtocol:
         if entry.confidence < self.cfg.confidence_threshold:
             _cache_state(table, entry, NodeState.FAULTY)
 
-    def detect_congestion(
-        self,
-        table: RoutingTable,
-        buffer_used: float,
-        buffer_capacity: float,
-        arrival_rate_ewma: float,
-        now: float,
+    def on_offer(
+        self, table: RoutingTable, buffer_used: float, now: float
     ) -> list[FeedbackMessage]:
-        """Predictive occupancy check with hysteresis on the way down."""
-        if buffer_capacity <= 0:
-            raise ValueError("buffer_capacity must be positive")
+        """A packet offered to the node, whether or not it fits: fold it into
+        the arrival-rate estimate, then check the buffer."""
+        last = table.last_arrival
+        if last is not None:
+            gap = now - last
+            if gap > 0:
+                table.arrival_ewma = 0.5 * table.arrival_ewma + 0.5 / gap
+        table.last_arrival = now
+        return self.detect_congestion(table, buffer_used, now)
+
+    def detect_congestion(
+        self, table: RoutingTable, buffer_used: float, now: float
+    ) -> list[FeedbackMessage]:
+        """Predictive occupancy check with hysteresis on the way down. An
+        arrival estimate idle for a probe period is halved first."""
         cfg = self.cfg
-        occupancy = buffer_used / buffer_capacity
+        last = table.last_arrival
+        if last is not None and now - last >= cfg.probe_period_ms:
+            table.arrival_ewma *= 0.5
+        capacity = cfg.buffer_bytes
+        occupancy = buffer_used / capacity
         predicted = occupancy + (
-            arrival_rate_ewma * cfg.cong_horizon_ms * cfg.packet_bytes
-        ) / buffer_capacity
+            table.arrival_ewma * cfg.cong_horizon_ms * cfg.packet_bytes
+        ) / capacity
         if not table.own_congested and predicted >= cfg.theta_cong:
             table.own_congested = table.dirty = True
         elif table.own_congested and predicted < cfg.theta_cong - cfg.cong_hysteresis:
@@ -406,8 +420,6 @@ class DmrfProtocol:
         states = [e.cached_state for e in table.members]
         messages = []
         for nxt in steps:
-            if nxt is table.state:
-                continue
             if not legal_transition(table.state, nxt, states):
                 raise InvariantError(
                     f"illegal transition {table.state} -> {nxt} at node {table.owner}"
@@ -427,15 +439,15 @@ class DmrfProtocol:
         now: float,
         rng: random.Random,
     ) -> Decision:
+        """Where the node sends `packet` now. A forward is committed here:
+        the chosen member's use count rises, and the packet keeps the rate
+        band it is sent at, for the continuity rule at its next hop."""
         remaining = remaining_time(packet, now)
         if remaining <= 0:
             return Drop(DropReason.EXPIRED)
         if table.state in JUMP_STATES:
             return self._jump(table, rng)
         if table.needed_time == UNREACHABLE:
-            return self._jump(table, rng)
-        members = table.members
-        if not members:
             return self._jump(table, rng)
         lam = compute_lambda(remaining, table.needed_time)
         if lam <= self.cfg.theta_jump:
@@ -446,7 +458,7 @@ class DmrfProtocol:
         # links are held in reserve for packets that will actually need them
         max_fcs_delay = -math.inf
         best = None
-        for e in members:
+        for e in table.members:
             delay = e.delay_est
             if delay > max_fcs_delay:
                 max_fcs_delay = delay
@@ -467,7 +479,10 @@ class DmrfProtocol:
             self.mu,
             remaining,
         )
-        rate = pin_rate_continuity(packet.rate_class, classify_rate(lam, thresholds))
+        rate = packet.rate_class = pin_rate_continuity(
+            packet.rate_class, classify_rate(lam, thresholds)
+        )
+        best.tx_count += 1
         return Forward(next=best.candidate, rate=rate)
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
@@ -526,11 +541,10 @@ class DmrfProtocol:
         from_node: NodeId,
         now: float,
         rng: random.Random,
-    ) -> tuple[FeedbackMessage | None, list[FeedbackMessage]]:
-        """Apply an upstream control message.
-
-        Returns (message to re-forward upstream or None, fresh feedback from
-        any state change the update triggered).
+    ) -> list[FeedbackMessage]:
+        """Apply a control message from downstream and return the feedback
+        it causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or
+        the feedback of any state change the update triggered.
         """
         if msg.kind is FeedbackKind.JUMP_FAIL:
             # distrust the direction the bad news came from
@@ -538,11 +552,18 @@ class DmrfProtocol:
             if entry is not None:
                 entry.suc *= rng.random()
             if msg.hop_limit > 1:
-                return FeedbackMessage(kind=msg.kind, hop_limit=msg.hop_limit - 1), []
-            return None, []
+                return [FeedbackMessage(kind=msg.kind, hop_limit=msg.hop_limit - 1)]
+            return []
         entry = table.entries.get(from_node)
         if entry is not None:
             # every non-jump kind reports its sender's own state, which is
             # proof of life; latest report wins
             _cache_state(table, entry, REPORTED_STATE[msg.kind])
-        return None, self.reevaluate(table, now) if table.dirty else []
+        return self.reevaluate(table, now) if table.dirty else []
+
+    def on_fault(self, table: RoutingTable, now: float) -> None:
+        """The node crashes: FAULTY, for good. A run faults each node at
+        most once."""
+        self.transitions.append((now, table.owner, table.state, NodeState.FAULTY))
+        table.state = NodeState.FAULTY
+        table.dirty = True

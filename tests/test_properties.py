@@ -1,12 +1,23 @@
-"""Property tests: engine invariants over random valid small scenarios.
+"""Property tests: engine invariants and exact symmetries over random valid
+small scenarios.
 
 Every protocol, faults, voids, standing buffer fill, and probe timeouts both
 on and off the probe instants. Each run is checked for packet conservation,
 no late delivery, buffer occupancy within [0, buffer_bytes] and equal to
 the preload plus the queued relay packets between every pair of events,
 every unfinished packet held by the last node on its trace, no packet
-returning to the source, legal and chained state transitions, and a trace
-in (time, seq) order whose injections take seqs rising with the packet id.
+returning to the source, legal and chained state transitions, faults only at
+time 0, every control frame delivered to a live node with a routing table,
+and a trace in (time, seq) order whose injections take seqs rising with the
+packet id.
+
+Two rescalings by a power of two leave a run the same, because every float
+operation then rescales exactly. Time: every `_ms` field times k and the
+bandwidth over k scale every time by k and change nothing else. Space: every
+length times k and the amplifier energy over k squared change nothing at
+all. A hard-coded millisecond or metre constant, or a comparison that is not
+scale-free, breaks one of them. Relabelling the node ids is not a symmetry:
+ties between candidates break by the lowest id, so do not test it.
 """
 
 from __future__ import annotations
@@ -17,8 +28,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrfsim.config import PROTOCOLS, from_dict
-from dmrfsim.engine import DELIVERED, Simulation, preload_buffers
+from dmrfsim.config import PROTOCOLS, ScenarioConfig, from_dict, validate
+from dmrfsim.engine import (
+    DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, preload_buffers, run)
 from dmrfsim.model import NodeState, legal_transition
 from dmrfsim.topology import DISTRIBUTIONS, deploy
 
@@ -51,6 +63,14 @@ class CheckedSimulation(Simulation):
             if holder.pending is not None and holder.pending[0] is packet:
                 continue
             assert packet in holder.queue, (packet.id, holder.id)
+        # every fault strikes at time 0, before any packet moves, and a
+        # control frame goes only to a node that sent or relayed data: so
+        # to a live node with a routing table
+        if kind == FAULT_ONSET:
+            assert time == 0.0, time
+        elif kind == FEEDBACK_DELIVERY:
+            receiver = a[2]
+            assert receiver in self._live and self.nodes[receiver].table is not None, a
         super()._trace_event(time, seq, kind, a)
 
     def check(self) -> None:
@@ -104,11 +124,15 @@ def scenarios(draw):
     return from_dict(raw)
 
 
+def deployed(cfg):
+    return deploy(cfg.node_count, cfg.region, cfg.distribution, rng_seed=cfg.seed,
+                  comm_radius=cfg.comm_radius, max_tx_distance=cfg.max_tx_distance)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=scenarios())
 def test_engine_invariants_hold_over_small_scenarios(cfg):
-    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, rng_seed=cfg.seed,
-                  comm_radius=cfg.comm_radius, max_tx_distance=cfg.max_tx_distance)
+    topo = deployed(cfg)
     for protocol in PROTOCOLS:
         check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
 
@@ -138,3 +162,58 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
     # the per-event checks ran once per event (a probe round's lines share a seq)
     assert sim.events == len({event.seq for event in result.trace})
+
+
+#: powers of two, so that scaling by k rounds exactly as the unscaled value
+SCALES = (2.0, 0.5)
+MS_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name.endswith("_ms")]
+
+
+def time_scaled(cfg, k):
+    return validate(dataclasses.replace(
+        cfg, bandwidth_kbps=cfg.bandwidth_kbps / k,
+        **{name: getattr(cfg, name) * k for name in MS_FIELDS}))
+
+
+def space_scaled(cfg, k):
+    (w, h), (cx, cy) = cfg.region, cfg.void_center
+    return validate(dataclasses.replace(
+        cfg, region=(w * k, h * k), comm_radius=cfg.comm_radius * k,
+        max_tx_distance=cfg.max_tx_distance * k, void_center=(cx * k, cy * k),
+        void_radius=cfg.void_radius * k,
+        energy_amp_j_per_bit_m2=cfg.energy_amp_j_per_bit_m2 / (k * k)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=scenarios())
+def test_scaling_time_scales_every_time_and_changes_nothing_else(cfg):
+    topo = deployed(cfg)
+    for protocol in PROTOCOLS:
+        base = dataclasses.replace(cfg, protocol=protocol)
+        plain = run(topo, base)
+        for k in SCALES:
+            scaled = run(topo, time_scaled(base, k))
+            assert [(p.outcome, p.hop_trace) for p in scaled.packets] == [
+                (p.outcome, p.hop_trace) for p in plain.packets]
+            assert [(p.created_at, p.finished_at) for p in scaled.packets] == [
+                (p.created_at * k, p.finished_at * k) for p in plain.packets]
+            assert scaled.transitions == [
+                (t * k, node, old, new) for t, node, old, new in plain.transitions]
+            assert scaled.metrics == dataclasses.replace(
+                plain.metrics, mean_delay_ms=plain.metrics.mean_delay_ms * k,
+                p95_delay_ms=plain.metrics.p95_delay_ms * k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=scenarios())
+def test_scaling_space_changes_nothing(cfg):
+    topo = deployed(cfg)
+    for protocol in PROTOCOLS:
+        base = dataclasses.replace(cfg, protocol=protocol)
+        plain = run(topo, base)
+        for k in SCALES:
+            moved = space_scaled(base, k)
+            scaled = run(deployed(moved), moved)
+            assert scaled.packets == plain.packets
+            assert scaled.transitions == plain.transitions
+            assert scaled.metrics == plain.metrics

@@ -424,26 +424,52 @@ def test_congestion_predictor_and_hysteresis():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     # occupancy 0.5 + 0.1/ms * 5 ms * 32 B / 100 B = 0.5 + 0.16 = 0.66 < 0.8
-    proto.detect_congestion(table, 50.0, 100.0, 0.1, now=1.0)
+    table.arrival_ewma = 0.1
+    proto.detect_congestion(table, 50.0, now=1.0)
     assert table.state is N.NORMAL
     # occupancy 0.72 + 0.16 = 0.88 >= 0.8: congested
-    fbs = proto.detect_congestion(table, 72.0, 100.0, 0.1, now=2.0)
+    fbs = proto.detect_congestion(table, 72.0, now=2.0)
     assert table.state is N.CONG
     assert [f.kind for f in fbs] == [FeedbackKind.CONG]
     # back under theta but inside the hysteresis band: still congested
-    proto.detect_congestion(table, 72.0, 100.0, 0.0, now=3.0)
+    table.arrival_ewma = 0.0
+    proto.detect_congestion(table, 72.0, now=3.0)
     assert table.state is N.CONG
     # predicted 0.66 < 0.8 - 0.1: recovered
-    fbs = proto.detect_congestion(table, 66.0, 100.0, 0.0, now=4.0)
+    fbs = proto.detect_congestion(table, 66.0, now=4.0)
     assert table.state is N.NORMAL
     assert [f.kind for f in fbs] == [FeedbackKind.RECOVER]
 
 
-def test_congestion_requires_positive_capacity():
+def test_an_offer_folds_into_the_arrival_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    with pytest.raises(ValueError):
-        proto.detect_congestion(table, 0.0, 0.0, 0.0, now=0.0)
+    # the first offer only starts the clock
+    proto.on_offer(table, 0.0, now=1.0)
+    assert (table.arrival_ewma, table.last_arrival) == (0.0, 1.0)
+    # a 4 ms gap: 0.5 * 0.0 + 0.5 / 4
+    proto.on_offer(table, 0.0, now=5.0)
+    assert (table.arrival_ewma, table.last_arrival) == (0.125, 5.0)
+    # an offer at the same instant leaves the rate be
+    proto.on_offer(table, 0.0, now=5.0)
+    assert table.arrival_ewma == 0.125
+
+
+def test_an_idle_arrival_estimate_halves_at_each_check():
+    proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    table = proto.build_tables()[0]
+    table.arrival_ewma, table.last_arrival = 0.5, 0.0
+    # inside a probe period (10 ms) of the last offer: kept
+    proto.detect_congestion(table, 0.0, now=9.0)
+    assert table.arrival_ewma == 0.5
+    # idle for a period or more: halved at every check
+    proto.detect_congestion(table, 0.0, now=10.0)
+    proto.detect_congestion(table, 0.0, now=20.0)
+    assert table.arrival_ewma == 0.125
+    # a node never offered a packet has no estimate to decay
+    fresh = proto.build_tables()[0]
+    proto.detect_congestion(fresh, 0.0, now=50.0)
+    assert (fresh.arrival_ewma, fresh.last_arrival) == (0.0, None)
 
 
 def two_candidate_table(**kwargs):
@@ -545,7 +571,6 @@ def test_select_forwards_least_used_then_slowest():
     d1 = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d1, Forward)
     first = d1.next
-    table.entries[first].tx_count += 1
     d2 = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d2, Forward)
     # rotation: the other candidate is now the least used
@@ -560,7 +585,7 @@ def test_select_skips_candidates_cached_bad():
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
         assert isinstance(d, Forward)
         assert d.next == 2
-        table.entries[2].tx_count += 1
+    assert [table.entries[c].tx_count for c in (1, 2)] == [0, 4]
 
 
 @st.composite
@@ -588,8 +613,9 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
     proto, table, lifetime, previous = case
     packet = make_packet(0, now=0.0, lifetime=lifetime)
     packet.rate_class = previous
-    d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     members = table.members
+    uses = [e.tx_count for e in members]
+    d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     eligible = [
         e for e in members if e.cached_state is N.NORMAL and e.delay_est <= lifetime
     ]
@@ -600,11 +626,19 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
     )
     if not eligible or lam <= th.theta_jump:
         assert isinstance(d, Jump)
+        assert [e.tx_count for e in members] == uses
+        assert packet.rate_class is previous
         return
-    best = min(eligible, key=lambda e: (e.tx_count, -e.delay_est, e.candidate))
+    used = {e.candidate: u for e, u in zip(members, uses)}
+    best = min(eligible, key=lambda e: (used[e.candidate], -e.delay_est, e.candidate))
     assert d == Forward(
         next=best.candidate, rate=pin_rate_continuity(previous, classify_rate(lam, th))
     )
+    # the forward is committed: one more use of its target, and its rate band
+    assert [e.tx_count - u for e, u in zip(members, uses)] == [
+        int(e is best) for e in members
+    ]
+    assert packet.rate_class is d.rate
 
 
 def test_select_jumps_when_all_candidates_are_bad():
@@ -708,9 +742,8 @@ def test_feedback_caches_subject_state_by_kind():
     ]
     for kind, expected in cases:
         msg = FeedbackMessage(kind=kind)
-        reforward, _ = proto.on_feedback(table, msg, from_node=1, now=1.0,
-                                         rng=random.Random(1))
-        assert reforward is None
+        fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
+        assert FeedbackKind.JUMP_FAIL not in [f.kind for f in fbs]
         assert table.entries[1].cached_state is expected
 
 
@@ -718,8 +751,8 @@ def test_feedback_drives_derived_state():
     proto, table = two_candidate_table()
     for sender in (1, 2):
         msg = FeedbackMessage(kind=FeedbackKind.CONG)
-        _, fbs = proto.on_feedback(table, msg, from_node=sender, now=1.0,
-                                   rng=random.Random(1))
+        fbs = proto.on_feedback(table, msg, from_node=sender, now=1.0,
+                                rng=random.Random(1))
     assert table.state is N.JCONG
     assert [f.kind for f in fbs] == [FeedbackKind.CONG]
 
@@ -730,17 +763,12 @@ def test_jump_fail_feedback_scales_suc_and_reforwards():
     entry = table.entries[1]
     entry.suc = 0.8
     msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, hop_limit=3)
-    reforward, fbs = proto.on_feedback(table, msg, from_node=1, now=1.0,
-                                       rng=FixedRng([0.25]))
+    fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
     assert entry.suc == pytest.approx(0.8 * 0.25)
-    assert fbs == []
-    assert reforward is not None
-    assert reforward.hop_limit == 2
+    assert [(f.kind, f.hop_limit) for f in fbs] == [(FeedbackKind.JUMP_FAIL, 2)]
 
 
 def test_jump_fail_feedback_stops_at_hop_limit():
     proto, table = two_candidate_table()
     msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, hop_limit=1)
-    reforward, _ = proto.on_feedback(table, msg, from_node=1, now=1.0,
-                                     rng=FixedRng([0.25]))
-    assert reforward is None
+    assert proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25])) == []

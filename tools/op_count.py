@@ -1,0 +1,99 @@
+"""Count the work of a few fixed small runs, deterministically.
+
+For each scenario, prints the Python opcodes executed (`sys.settrace` with
+`f_trace_opcodes`), the calls into C functions (`sys.setprofile` `c_call`
+events), the `random()` calls among them, the events dispatched and the heap
+pushes. Counting starts at the construction of the `Simulation` and ends with
+its `run()`; the topology is deployed before. The scenarios are every protocol
+on the benchmark's heavy-traffic geometry at 600 packets, and DMRF on the
+table2 defaults, clean and with 30% faults.
+
+Equal code gives equal counts on one Python minor version, which is printed
+first. Opcodes differ in cost and C calls are unweighted, so the counts rank
+changes to the code; they do not replace wall time. Counting makes a run
+about 30 times slower.
+
+    python tools/op_count.py
+"""
+
+from __future__ import annotations
+
+import heapq
+import platform
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dmrfsim.config import DMRF, PROTOCOLS, from_dict  # noqa: E402
+from dmrfsim.engine import Simulation  # noqa: E402
+from dmrfsim.topology import deploy  # noqa: E402
+
+#: perfbench's heavy-traffic geometry, seed 1, cut to 600 packets
+HEAVY = {"node_count": 100, "region": [10.0, 10.0], "comm_radius": 1.6,
+         "void_center": [5.0, 5.0], "void_radius": 2.5, "packet_count": 600,
+         "injection_period_ms": 1.5}
+
+SCENARIOS = [
+    *(("heavy-traffic-600", {**HEAVY, "protocol": p}) for p in PROTOCOLS),
+    ("table2", {"protocol": DMRF}),
+    ("table2-fault0.3", {"protocol": DMRF, "fault_ratio": 0.3}),
+]
+
+#: the event handlers of `Simulation.run`: one call of any is one event
+HANDLERS = ("_on_arrival", "_on_inject", "_on_probe_round", "_on_timeout_round",
+            "_on_feedback", "_on_fault_onset", "_on_deadline")
+COLUMNS = ("opcodes", "C calls", "random()", "events", "heap pushes")
+
+
+def count(fields: dict) -> tuple[int, ...]:
+    """The counts of `COLUMNS` for one run of the table2 config plus `fields`."""
+    cfg = from_dict({"preset": "table2", **fields})
+    topo = deploy(cfg.node_count, tuple(cfg.region), cfg.distribution, cfg.seed,
+                  cfg.comm_radius, cfg.max_tx_distance)
+    handlers = {getattr(Simulation, name).__code__ for name in HANDLERS}
+    heappush = heapq.heappush
+    opcodes = c_calls = randoms = events = pushes = 0
+
+    def local(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return local
+
+    def on_call(frame, event, arg):
+        nonlocal events
+        frame.f_trace_opcodes = True
+        if frame.f_code in handlers:
+            events += 1
+        return local
+
+    def on_profile(frame, event, arg):
+        nonlocal c_calls, randoms, pushes
+        if event == "c_call":
+            c_calls += 1
+            if arg is heappush:
+                pushes += 1
+            elif getattr(arg, "__qualname__", None) == "Random.random":
+                randoms += 1
+
+    sys.setprofile(on_profile)
+    sys.settrace(on_call)
+    try:
+        Simulation(topo, cfg).run()
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return opcodes, c_calls, randoms, events, pushes
+
+
+def main() -> None:
+    print(f"Python {platform.python_version()} ({platform.python_implementation()})")
+    print(f"{'scenario':<19}{'protocol':<18}" + "".join(f"{c:>13}" for c in COLUMNS))
+    for name, fields in SCENARIOS:
+        counts = count(fields)
+        print(f"{name:<19}{fields['protocol']:<18}" + "".join(f"{n:>13,}" for n in counts))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -219,12 +218,15 @@ class _NodeRuntime:
         self.link_j: dict[NodeId, float] = {}
         self.tx = 0  # data transmissions started
         # waiting packets, first in first out (see Simulation._release)
-        self.queue: deque[Packet] = deque()
+        self.queue: list[Packet] = []
         self.buffer_used = 0.0
         self.pending: tuple[Packet, NodeId, bool] | None = None
-        self.cong_notified: set[NodeId] = set()
+        # the senders warned this congestion episode; replaced, never mutated
+        self.cong_notified: frozenset[NodeId] = _NO_NOTICES
 
 
+#: the notice set every node shares until it first warns a sender
+_NO_NOTICES: frozenset[NodeId] = frozenset()
 #: the state holder of a probed sink, which keeps no routing table
 _SINK_REPORT = SimpleNamespace(state=NodeState.NORMAL)
 
@@ -269,9 +271,7 @@ class Simulation:
             self.dmrf.transitions if self.dmrf is not None else []
         )
 
-        self.nodes: dict[NodeId, _NodeRuntime] = {}
-        for nid in topo.ids():
-            self.nodes[nid] = _NodeRuntime(nid, is_sink=nid == topo.sink)
+        self.nodes = {nid: _NodeRuntime(nid, nid == topo.sink) for nid in topo.ids()}
         # the nodes not carved or faulted: the run's one record of liveness
         self._live: set[NodeId] = set(self.nodes)
 
@@ -393,15 +393,13 @@ class Simulation:
         for fb in feedbacks:
             if fb.kind is FeedbackKind.RECOVER:
                 dests = node.cong_notified
-                node.cong_notified = set()
-                if upstream is not None:
-                    dests.add(upstream)
-                for dest in sorted(dests):
+                node.cong_notified = _NO_NOTICES
+                for dest in sorted(dests if upstream is None else dests | {upstream}):
                     self._send_control(fb, node.id, dest, now)
             elif upstream is not None:
                 self._send_control(fb, node.id, upstream, now)
                 if fb.kind is FeedbackKind.CONG:
-                    node.cong_notified.add(upstream)
+                    node.cong_notified = node.cong_notified | {upstream}
 
     # ------------------------------------------------------------------
     # decisions and service
@@ -566,7 +564,7 @@ class Simulation:
         if self.dmrf is None or sender_id in node.cong_notified:
             return
         self._send_control(FeedbackMessage(kind=FeedbackKind.CONG), node.id, sender_id, now)
-        node.cong_notified.add(sender_id)
+        node.cong_notified = node.cong_notified | {sender_id}
 
     def _trace_member(self, kind: int, node_id: NodeId) -> None:
         self.trace.append(
@@ -629,16 +627,18 @@ class Simulation:
     def _on_timeout_round(self, replies: tuple, now: float) -> None:
         """Time out one round's `(delays, states)` replies: one
         `detect_faulty` call accounts the replies of the live links and the
-        silence of the silent ones. Then each prober, in id order,
-        re-derives its state if its table was left dirty, checks its own
-        buffer and sends its feedback. One never offered a packet checks its
-        buffer at its first timeout only: its inputs, the standing preload
-        and an arrival EWMA of 0.0, never change, and its table is clean once
-        re-derived."""
+        silence of the silent ones; a silent link leaves the layout at trust
+        0, where `_distrust`, the only write its dead peer's entry sees, does
+        nothing. Then each prober, in id order, re-derives its state if its
+        table was left dirty, checks its own buffer and sends its feedback.
+        One never offered a packet checks its buffer at its first timeout
+        only: its inputs, the standing preload and an arrival EWMA of 0.0,
+        never change, and its table is clean once re-derived."""
         delays, states = replies
         _joules, live, _peers, silent = self._layout
         dmrf = self.dmrf
         dmrf.detect_faulty(live, delays, states, silent)
+        silent[:] = [link for link in silent if link[1].confidence]
         trace = self.trace
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from dmrfsim.engine import (
     run,
     sample_delay,
 )
-from dmrfsim.model import FeedbackKind, FeedbackMessage, InvariantError
+from dmrfsim.model import FeedbackKind, FeedbackMessage, InvariantError, NodeState
 from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
 
 
@@ -502,6 +503,52 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
     assert checks == {0: 1, **{n: timeouts[n] for n in (1, 2, 3, 4)}}
 
 
+def test_a_silent_link_retires_once_its_trust_reaches_zero():
+    """A dead peer never answers, so after ceil(100 / confidence_step)
+    rounds its links hold confidence 0 and cached FAULTY, where distrust
+    changes nothing: the layout drops them then, and they stay so."""
+    cfg = validate(ScenarioConfig(
+        node_count=25, comm_radius=7.5, fault_ratio=0.3, packet_count=2,
+        injection_period_ms=70.0, seed=5))
+    topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+    sim = Simulation(topo, cfg)
+    timeout_round = sim._on_timeout_round
+    silent, left = [], []
+
+    def counting_round(replies, now):
+        if not left:
+            silent.extend(sim._layout[3])
+        timeout_round(replies, now)
+        left.append(len(sim._layout[3]))
+
+    sim._on_timeout_round = counting_round
+    sim.run()
+    rounds = math.ceil(100 / cfg.confidence_step)
+    assert silent and left[0] > 0 and len(left) > rounds
+    assert not any(left[rounds - 1:])
+    for _table, entry in silent:
+        assert entry.confidence == 0 and entry.cached_state is NodeState.FAULTY
+
+
+def test_a_node_that_carries_nothing_holds_no_container_block():
+    """A baseline run's per-node record starts with an empty list for its
+    queue and the one shared empty notice set: building a 900-node run
+    allocates at most 600 B per node once the topology's memos are warm.
+    An empty deque and an empty set per node would add about 920 B."""
+    cfg = validate(ScenarioConfig(node_count=900, protocol=GREEDY_MIN_DELAY))
+    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, cfg.seed,
+                  cfg.comm_radius, cfg.max_tx_distance)
+    Simulation(topo, cfg)  # fills the topology's memos
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = Simulation(topo, cfg)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert allocated / len(sim.nodes) <= 600
+
+
 # ----------------------------------------------------------------------
 # control frames: feedback, congestion notices and JUMP_FAIL re-forwards
 
@@ -568,7 +615,7 @@ def test_congestion_notice_goes_once_per_sender_per_episode():
 def test_recovery_reaches_every_warned_sender_and_the_upstream():
     sim = control_sim()
     node = sim.nodes[2]
-    node.cong_notified.update({4, 1, 0})
+    node.cong_notified = frozenset({4, 1, 0})
     node.table.upstream = 1
     seq = sim._seq
     fb = FeedbackMessage(kind=FeedbackKind.RECOVER)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmrfsim.config import PROTOCOLS, ScenarioConfig, from_dict, validate
 from dmrfsim.engine import (
     DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, preload_buffers, run)
-from dmrfsim.model import NodeState, legal_transition
+from dmrfsim.model import FeedbackKind, FeedbackMessage, NodeState, legal_transition
 from dmrfsim.topology import DISTRIBUTIONS, deploy
 
 
@@ -162,6 +163,31 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
     # the per-event checks ran once per event (a probe round's lines share a seq)
     assert sim.events == len({event.seq for event in result.trace})
+
+
+def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
+    """The receiver check bites on its own: once a relay has carried data,
+    drop it from `_live` with no FAULT_ONSET and have its receiver warn it
+    of congestion. The frame's delivery fails the check."""
+    cfg = from_dict({"preset": "table2", "node_count": 25, "comm_radius": 7.5,
+                     "packet_count": 5, "seed": 5})
+    frames = []
+
+    class Killing(CheckedSimulation):
+        def _on_arrival(self, sender_id, now):
+            receiver = self.nodes[sender_id].pending[1]
+            super()._on_arrival(sender_id, now)
+            if not frames and sender_id != self.topo.source and receiver in self._live:
+                frames.append((FeedbackMessage(kind=FeedbackKind.CONG), receiver, sender_id))
+                self._live.discard(sender_id)
+                self._notify_congestion(self.nodes[receiver], sender_id, now)
+
+    sim = Killing(deployed(cfg), cfg)
+    with pytest.raises(AssertionError) as failure:
+        sim.run()
+    [(_msg, _receiver, victim)] = frames
+    assert sim.nodes[victim].tx > 0
+    assert str(failure.value).startswith(repr(frames[0]))
 
 
 #: powers of two, so that scaling by k rounds exactly as the unscaled value

@@ -4,7 +4,9 @@ For each scenario, prints the Python opcodes executed (`sys.settrace` with
 `f_trace_opcodes`), the calls into C functions (`sys.setprofile` `c_call`
 events), the `random()` calls among them, the events dispatched and the heap
 pushes. Counting starts at the construction of the `Simulation` and ends with
-its `run()`; the topology is deployed before. The scenarios are every protocol
+its `run()`; the topology is deployed before. The last column is the
+`tracemalloc` peak over the same span, in KiB, taken in a pass of its own on a
+fresh topology, without the tracers. The scenarios are every protocol
 on the benchmark's heavy-traffic geometry at 600 packets, and DMRF on the
 table2 defaults, clean and with 30% faults.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import heapq
 import platform
 import sys
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,14 +46,19 @@ SCENARIOS = [
 #: the event handlers of `Simulation.run`: one call of any is one event
 HANDLERS = ("_on_arrival", "_on_inject", "_on_probe_round", "_on_timeout_round",
             "_on_feedback", "_on_fault_onset", "_on_deadline")
-COLUMNS = ("opcodes", "C calls", "random()", "events", "heap pushes")
+COLUMNS = ("opcodes", "C calls", "random()", "events", "heap pushes", "peak KiB")
+
+
+def scenario(fields: dict) -> tuple:
+    """The table2 config plus `fields`, and a topology deployed for it."""
+    cfg = from_dict({"preset": "table2", **fields})
+    return cfg, deploy(cfg.node_count, tuple(cfg.region), cfg.distribution, cfg.seed,
+                       cfg.comm_radius, cfg.max_tx_distance)
 
 
 def count(fields: dict) -> tuple[int, ...]:
-    """The counts of `COLUMNS` for one run of the table2 config plus `fields`."""
-    cfg = from_dict({"preset": "table2", **fields})
-    topo = deploy(cfg.node_count, tuple(cfg.region), cfg.distribution, cfg.seed,
-                  cfg.comm_radius, cfg.max_tx_distance)
+    """The counts of `COLUMNS` but the peak for one run of `scenario(fields)`."""
+    cfg, topo = scenario(fields)
     handlers = {getattr(Simulation, name).__code__ for name in HANDLERS}
     heappush = heapq.heappush
     opcodes = c_calls = randoms = events = pushes = 0
@@ -87,11 +95,23 @@ def count(fields: dict) -> tuple[int, ...]:
     return opcodes, c_calls, randoms, events, pushes
 
 
+def peak_kib(fields: dict) -> int:
+    """The `tracemalloc` peak of one untraced run of `scenario(fields)`."""
+    cfg, topo = scenario(fields)
+    tracemalloc.start()
+    try:
+        Simulation(topo, cfg).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak // 1024
+
+
 def main() -> None:
     print(f"Python {platform.python_version()} ({platform.python_implementation()})")
     print(f"{'scenario':<19}{'protocol':<18}" + "".join(f"{c:>13}" for c in COLUMNS))
     for name, fields in SCENARIOS:
-        counts = count(fields)
+        counts = (*count(fields), peak_kib(fields))
         print(f"{name:<19}{fields['protocol']:<18}" + "".join(f"{n:>13,}" for n in counts))
 
 

@@ -127,8 +127,8 @@ def _is_number(v: object) -> bool:
 
 
 def _is_finite(v: object) -> bool:
-    # an int is finite however large, and too large for math.isfinite
-    return _is_number(v) and (isinstance(v, int) or math.isfinite(v))
+    # converts to a finite float: an int may be too large for one
+    return _is_number(v) and _finite_result(lambda: float(v))
 
 
 def _finite_result(compute: Callable[[], float]) -> bool:
@@ -151,7 +151,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     for key in _POSITIVE_FLOAT:
         v = getattr(cfg, key)
         if key in _MAY_BE_INFINITE:
-            _check(_is_number(v) and v > 0, key, f"expected a positive number, got {v!r}")
+            _check((_is_finite(v) or v == math.inf) and v > 0, key,
+                   f"expected a finite positive number or Infinity, got {v!r}")
         else:
             _check(_is_finite(v) and v > 0, key,
                    f"expected a finite positive number, got {v!r}")
@@ -160,10 +161,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # a probe round reschedules itself a period on; a period lost to rounding
     # at the run's last possible instant would stop the clock there for ever
     try:
-        t_end = float(min(cfg.horizon_ms, (cfg.packet_count - 1) * cfg.injection_period_ms
-                          + cfg.packet_lifetime_ms))
-    except OverflowError:  # an int too large for a float
-        t_end = math.inf
+        t_last = (cfg.packet_count - 1) * cfg.injection_period_ms + cfg.packet_lifetime_ms
+    except OverflowError:  # a packet_count too large for a float
+        t_last = math.inf
+    t_end = float(min(cfg.horizon_ms, t_last))
     _check(not math.isfinite(t_end) or t_end + cfg.probe_period_ms > t_end,
            "probe_period_ms", f"too small to advance the clock past {t_end!r} ms, "
            "the run's last possible instant")
@@ -176,6 +177,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     bits, elec, amp = cfg.packet_bits, cfg.energy_elec_j_per_bit, cfg.energy_amp_j_per_bit_m2
     _check(_finite_result(lambda: float(bits)), "packet_bytes",
            "too large: its bit count is not a finite number")
+    _check(_is_finite(cfg.buffer_bytes), "buffer_bytes", "too large to be a finite number")
     cost = (f"a {bits}-bit data frame sent max_tx_distance ({cfg.max_tx_distance!r} m) "
             "would cost a non-finite number of joules")
     _check(_finite_result(lambda: bits * elec), "energy_elec_j_per_bit", cost)
@@ -246,6 +248,6 @@ def load(path: str) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an int of too many digits
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return from_dict(raw)

@@ -248,8 +248,6 @@ class Simulation:
 
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
-        self._round_seq = 0  # seq of the probe round being traced
-        self.now = 0.0
         self._buffer_capacity = float(scenario.buffer_bytes)
         self._packet_bytes = float(scenario.packet_bytes)
         self._packet_bits = scenario.packet_bits
@@ -319,19 +317,22 @@ class Simulation:
         self._seq += 1
 
     def _trace_event(self, time: float, seq: int, kind: int, a: object) -> None:
-        node = None
-        packet = None
+        """The trace's one writer, called before the handler. A probe round or
+        its timeout gets one line per prober, in id order: at the first round,
+        those faulted at time 0 too, as its layout drops them only after."""
+        node = packet = None
         if kind == PACKET_ARRIVAL:
             node = a
-            runtime = self.nodes[a]
-            if runtime.pending is not None:
-                packet = runtime.pending[0].id
+            packet = self.nodes[a].pending[0].id
         elif kind == PACKET_INJECT:
             node = self.topo.source
             packet = a
         elif kind in (PROBE, PROBE_TIMEOUT):
-            # a probe round traces one line per prober as it runs it
-            self._round_seq = seq
+            name = EVENT_KINDS[kind]
+            self.trace.extend(
+                Event(time=time, seq=seq, kind=name, node=prober.id)
+                for prober in self._probers
+            )
             return
         elif kind == FEEDBACK_DELIVERY:
             node = a[2]
@@ -566,11 +567,6 @@ class Simulation:
         self._send_control(FeedbackMessage(kind=FeedbackKind.CONG), node.id, sender_id, now)
         node.cong_notified = node.cong_notified | {sender_id}
 
-    def _trace_member(self, kind: int, node_id: NodeId) -> None:
-        self.trace.append(
-            Event(time=self.now, seq=self._round_seq, kind=EVENT_KINDS[kind], node=node_id)
-        )
-
     def _lay_out_probes(self) -> tuple:
         """Lay out the probe links of every live prober end to end, in id
         order and then in the order of its table.members, as `(joules, live,
@@ -607,11 +603,6 @@ class Simulation:
         timeout is scheduled before the next round, so a timeout that lands
         on a probe instant runs before that round, whatever the ratio of
         timeout to period."""
-        if self.trace is not None:
-            # before the layout, so a prober faulted at time 0 still traces
-            # its first probe
-            for node in self._probers:
-                self._trace_member(PROBE, node.id)
         if self._layout is None:
             self._layout = self._lay_out_probes()
             if not self._probers:
@@ -639,12 +630,9 @@ class Simulation:
         dmrf = self.dmrf
         dmrf.detect_faulty(live, delays, states, silent)
         silent[:] = [link for link in silent if link[1].confidence]
-        trace = self.trace
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
         for node in self._probers:
-            if trace is not None:
-                self._trace_member(PROBE_TIMEOUT, node.id)
             table = node.table
             fbs = reevaluate(table, now) if table.dirty else None
             if table.last_arrival is not None or first_timeout:
@@ -694,20 +682,21 @@ class Simulation:
         )
         heap, trace, open_, metrics = self._heap, self.trace, self._open, self.metrics
         horizon, target = self.cfg.horizon_ms, self.cfg.packet_count
+        now = 0.0
         while heap:
             if not open_ and metrics.injected == target:
                 break
             time, seq, kind, a = heappop(heap)
             if time > horizon:
                 break
-            self.now = time
+            now = time
             if trace is not None:
                 self._trace_event(time, seq, kind, a)
             handlers[kind](a, time)
 
         # horizon cut: anything still alive in the network expires
         for leftover in list(self._open.values()):
-            self._finalize(leftover, EXPIRED, self.now)
+            self._finalize(leftover, EXPIRED, now)
 
         ordered = sorted(
             p.finished_at - p.created_at for p in self.packets if p.outcome == DELIVERED

@@ -343,21 +343,15 @@ def _linear_r2(xs: list[float], ys: list[float]) -> float:
 def summarize(rows: list[dict]) -> str:
     """Aggregate sweep rows into mean +/- std per point plus pass/fail flags
     for the claims each experiment family is meant to check."""
-    groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[dict]] = {}  # in the order of each point's first row
     for row in rows:
-        key = (row["parameter"], row["value"], row["protocol"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row["parameter"], row["value"], row["protocol"]), []).append(row)
 
     lines = [
         "parameter value protocol n delivery_ratio mean_delay_ms control_packets energy_j"
     ]
     stats: dict[tuple, dict] = {}
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         ratios = [r["delivered"] / r["injected"] for r in members]
         delays = [r["mean_delay_ms"] for r in members if r["delivered"] > 0]
         controls = [float(r["control_packets"]) for r in members]
@@ -381,13 +375,13 @@ def summarize(rows: list[dict]) -> str:
             f"{_fmt(entry['energy_mean'])}"
         )
 
-    lines.extend(_flag_lines(order, stats))
+    lines.extend(_flag_lines(stats))
     return "\n".join(lines) + "\n"
 
 
-def _flag_lines(order: list[tuple], stats: dict[tuple, dict]) -> list[str]:
+def _flag_lines(stats: dict[tuple, dict]) -> list[str]:
     lines: list[str] = []
-    parameters = {key[0] for key in order}
+    parameters = {key[0] for key in stats}
 
     def flag(ok: bool | None, text: str) -> None:
         lines.append(f"{'n/a' if ok is None else 'PASS' if ok else 'FAIL'}: {text}")
@@ -409,7 +403,7 @@ def _flag_lines(order: list[tuple], stats: dict[tuple, dict]) -> list[str]:
     ):
         if parameter not in parameters:
             continue
-        values = sorted({key[1] for key in order if key[0] == parameter})
+        values = sorted({key[1] for key in stats if key[0] == parameter})
         for proto in comparator:
             pairs = [
                 (v, stats[(parameter, v, DMRF)]["ratio_mean"],

@@ -84,6 +84,14 @@ def test_bypass_uses_greedy_while_candidates_live():
     assert d.next == 1
 
 
+def test_bypass_drops_a_packet_at_or_past_its_deadline():
+    topo = topo_of([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    for now in (100.0, 200.0):  # the packet's deadline is 100 ms
+        d = bypass_next_hop(topo, 0, ranked, fresh_packet(), now, {0, 1, 2})
+        assert isinstance(d, Drop) and d.reason is DropReason.EXPIRED
+
+
 def test_bypass_sidesteps_around_a_dead_frontier():
     # all progress candidates dead; 3 sits beside 0, perpendicular to the
     # sink bearing, and is the only live way out

@@ -125,6 +125,13 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["summarize", "--in", str(empty)]) == 1
 
 
+def test_summarize_of_an_empty_file_exits_one(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["summarize", "--in", str(empty)]) == 1
+    assert "holds no result rows" in capsys.readouterr().err
+
+
 _HEADER = ("parameter,value,protocol,repetition,seed,injected,delivered,expired,"
            "dropped_no_route,buffer_drops,control_packets,mean_delay_ms,"
            "p95_delay_ms,energy_total_j,tx_total,tx_max")
@@ -211,6 +218,25 @@ def test_infinite_injection_period_exits_one(tmp_path, capsys):
     path.write_text('{"preset": "table2", "packet_count": 3, "injection_period_ms": Infinity}')
     assert main(["run", "--config", str(path)]) == 1
     assert "injection_period_ms" in capsys.readouterr().err
+
+
+def test_an_int_too_large_for_a_float_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"node_count": 25, "region": [4, 4], "packet_count": 3, '
+                    f'"horizon_ms": {10**400}}}')
+    assert main(["run", "--config", str(path)]) == 1
+    assert "horizon_ms" in capsys.readouterr().err
+
+
+def test_a_config_json_cannot_parse_exits_one(tmp_path, capsys):
+    # Python's JSON reader refuses an int of over 4,300 digits, and any
+    # file that is not UTF-8
+    for name, content in (("long.json", b'{"seed": 1' + b"0" * 5000 + b"}"),
+                          ("latin1.json", '{"protocol": "é"}'.encode("latin-1"))):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path)]) == 1
+        assert name in capsys.readouterr().err
 
 
 def test_energy_constants_that_overflow_a_frame_exit_one(tmp_path, capsys):

@@ -92,6 +92,42 @@ def test_a_packet_whose_bit_count_overflows_a_float_is_named():
         validate(cfg)
 
 
+#: an int that JSON reads exactly but no float can hold
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("horizon_ms", HUGE),
+        ("packet_lifetime_ms", HUGE),
+        ("bandwidth_kbps", HUGE),
+        ("cong_horizon_ms", HUGE),
+        ("probe_period_ms", HUGE),
+        ("probe_timeout_ms", HUGE),
+        ("ack_timeout_ms", HUGE),
+        ("injection_period_ms", HUGE),
+        ("buffer_bytes", HUGE),
+        ("sigma_factor", HUGE),
+        ("void_radius", HUGE),
+        ("region", (HUGE, 20.0)),
+        ("void_center", (10.0, HUGE)),
+    ],
+    ids=lambda v: None if isinstance(v, str) else "HUGE",
+)
+def test_an_int_too_large_for_a_float_is_named(field, value):
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**{field: value}))
+    assert str(err.value).startswith(f"{field}:")
+
+
+def test_a_packet_count_too_large_for_a_float_is_cut_by_a_finite_horizon():
+    # the run's last instant is then the horizon, and the period must pass it
+    validate(ScenarioConfig(packet_count=HUGE))
+    with pytest.raises(ConfigError, match="probe_period_ms"):
+        validate(ScenarioConfig(packet_count=HUGE, probe_period_ms=1e-20))
+
+
 INF = float("inf")
 
 

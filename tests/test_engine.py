@@ -436,6 +436,22 @@ def test_trace_collection_orders_events():
     assert {"PACKET_INJECT", "PACKET_ARRIVAL", "PROBE"} <= kinds
 
 
+def test_a_round_with_no_prober_alive_traces_them_once_and_stops_probing():
+    """Both probers, relays 1 and 2, are faulted at time 0: the first round
+    traces them, then finds none alive and schedules nothing more. The
+    source, with no neighbour in range, jumps straight to the sink."""
+    topo = Topology(
+        nodes=[(0, (0.0, 0.0)), (1, (10.0, 0.0)), (2, (11.0, 0.0)), (3, (12.0, 0.0))],
+        region=(12.0, 1.0), comm_radius=1.5, max_tx_distance=30.0, source=0, sink=3)
+    cfg = small_cfg(node_count=4, region=(12.0, 1.0), packet_count=3, fault_ratio=1.0)
+    result = run(topo, cfg, collect_trace=True)
+    probes = [(e.time, e.kind, e.node) for e in result.trace if e.kind.startswith("PROBE")]
+    assert probes == [(0.0, "PROBE", 1), (0.0, "PROBE", 2)]
+    assert result.metrics.control_packets == 0
+    assert result.metrics.delivered == 3
+    assert all(p.hop_trace == [0, 3] for p in result.packets)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_timeout_on_a_probe_instant_runs_before_that_round(k):
     """Where a timeout of k probe periods shares its instant with a probe

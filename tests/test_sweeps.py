@@ -21,6 +21,7 @@ from dmrfsim.config import (
 from dmrfsim.sweeps import (
     CSV_COLUMNS,
     SweepSpec,
+    _linear_r2,
     _point_tasks,
     _result_row,
     execute_scenario,
@@ -235,6 +236,10 @@ def test_csv_text_is_byte_stable_across_reruns():
     )
 
 
+def test_read_csv_of_an_empty_file_is_no_rows():
+    assert read_csv(io.StringIO("")) == []
+
+
 def test_write_csv_header_matches_columns():
     buf = io.StringIO()
     write_csv([], buf)
@@ -342,6 +347,12 @@ def test_summarize_void_and_scaling_flags():
     assert "PASS: GREEDY_MIN_DELAY delivery at void radius 7 is 0.02" in text
     assert "PASS: control overhead grows linearly in node count" in text
     assert "PASS: control overhead ratio over a 4x size span is 3.9" in text
+
+
+def test_linear_r2_of_a_constant_x_or_y():
+    # no spread in x fits no line; no spread in y is fitted exactly
+    assert _linear_r2([100.0, 100.0, 100.0], [1.0, 2.0, 4.0]) == 0.0
+    assert _linear_r2([100.0, 200.0, 400.0], [5.0, 5.0, 5.0]) == 1.0
 
 
 def test_summarize_leaves_points_where_neither_side_delivers_out_of_the_flag():

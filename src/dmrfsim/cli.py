@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"dmrfsim: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - a failed run must not look like success
-        print(f"dmrfsim: runtime failure: {exc}", file=sys.stderr)
+        print(f"dmrfsim: runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

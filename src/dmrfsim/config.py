@@ -28,6 +28,11 @@ PRESETS = ("table2",)
 #: control frames (probes, feedback) are this long on the wire
 CONTROL_FRAME_BITS = 64
 
+#: the most nodes a run may deploy: a deploy plus a 20-packet DMRF run at the
+#: table2 density peaks at 3.8 KB of tracemalloc per node at N = 3,600 (the
+#: large-n benchmark) and 4.6 KB at N = 10,000, so about half a GB at the bound
+MAX_NODE_COUNT = 100_000
+
 
 class ConfigError(ValueError):
     """A scenario file or override failed validation."""
@@ -187,7 +192,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         v = getattr(cfg, key)
         _check(_is_number(v) and 0.0 <= v <= 1.0, key,
                f"expected a value in [0, 1], got {v!r}")
-    _check(cfg.node_count >= 2, "node_count", "needs at least a source and a sink")
+    _check(2 <= cfg.node_count <= MAX_NODE_COUNT, "node_count", "expected a source, a "
+           f"sink and at most {MAX_NODE_COUNT} nodes in all, got {cfg.node_count}")
     for key in ("region", "void_center"):
         v = getattr(cfg, key)
         _check(

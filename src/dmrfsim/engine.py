@@ -317,9 +317,8 @@ class Simulation:
         self._seq += 1
 
     def _trace_event(self, time: float, seq: int, kind: int, a: object) -> None:
-        """The trace's one writer, called before the handler. A probe round or
-        its timeout gets one line per prober, in id order: at the first round,
-        those faulted at time 0 too, as its layout drops them only after."""
+        """The trace's one writer, called before the handler: one line per
+        event. A probe round or timeout, like a FAULT_ONSET, names no node."""
         node = packet = None
         if kind == PACKET_ARRIVAL:
             node = a
@@ -327,13 +326,6 @@ class Simulation:
         elif kind == PACKET_INJECT:
             node = self.topo.source
             packet = a
-        elif kind in (PROBE, PROBE_TIMEOUT):
-            name = EVENT_KINDS[kind]
-            self.trace.extend(
-                Event(time=time, seq=seq, kind=name, node=prober.id)
-                for prober in self._probers
-            )
-            return
         elif kind == FEEDBACK_DELIVERY:
             node = a[2]
         elif kind == DEADLINE_CHECK:

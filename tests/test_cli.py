@@ -270,7 +270,7 @@ def test_non_integer_worker_count_exits_one(tiny_config, tmp_path, monkeypatch, 
 
 
 def _must_not_simulate(*args, **kwargs):
-    raise AssertionError("simulated although --out cannot be written")
+    raise AssertionError("simulated although the command must fail first")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "trace"])
@@ -287,6 +287,15 @@ def test_unwritable_out_exits_one_before_simulating(command, tiny_config, tmp_pa
     assert main([command, "--config", tiny_config, *preset, "--out", str(tmp_path)]) == 1
     assert f"cannot write {tmp_path}" in capsys.readouterr().err
     assert tmp_path.is_dir()
+
+
+def test_a_node_count_past_the_bound_exits_one_before_simulating(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setattr(cli, "execute_scenario", _must_not_simulate)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"node_count": 10**20, "packet_count": 3}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "node_count" in capsys.readouterr().err
 
 
 def test_failed_write_of_out_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
@@ -308,3 +317,13 @@ def test_runtime_failures_exit_two(tiny_config, monkeypatch, capsys):
     code = main(["run", "--config", tiny_config])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_a_runtime_failure_with_no_text_is_named_by_its_type(tiny_config, monkeypatch,
+                                                             capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "execute_scenario", exhausted)
+    assert main(["run", "--config", tiny_config]) == 2
+    assert capsys.readouterr().err == "dmrfsim: runtime failure: MemoryError\n"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dmrfsim.config import (
+    MAX_NODE_COUNT,
     ConfigError,
     ScenarioConfig,
     from_dict,
@@ -90,6 +91,17 @@ def test_a_packet_whose_bit_count_overflows_a_float_is_named():
                          energy_elec_j_per_bit=0.0, energy_amp_j_per_bit_m2=0.0)
     with pytest.raises(ConfigError, match="packet_bytes"):
         validate(cfg)
+
+
+def test_node_count_is_bounded_so_a_deploy_cannot_exhaust_memory():
+    # validation only: a topology this large is never deployed here
+    assert MAX_NODE_COUNT == 100_000
+    validate(ScenarioConfig(node_count=MAX_NODE_COUNT))
+    for count in (MAX_NODE_COUNT + 1, 10**20):
+        with pytest.raises(ConfigError, match=f"node_count: .*{MAX_NODE_COUNT}"):
+            validate(ScenarioConfig(node_count=count))
+    with pytest.raises(ConfigError, match="node_count"):
+        from_dict({"node_count": 10**20, "packet_count": 3})
 
 
 #: an int that JSON reads exactly but no float can hold

@@ -436,17 +436,18 @@ def test_trace_collection_orders_events():
     assert {"PACKET_INJECT", "PACKET_ARRIVAL", "PROBE"} <= kinds
 
 
-def test_a_round_with_no_prober_alive_traces_them_once_and_stops_probing():
+def test_a_round_with_no_prober_alive_is_traced_once_and_stops_probing():
     """Both probers, relays 1 and 2, are faulted at time 0: the first round
-    traces them, then finds none alive and schedules nothing more. The
-    source, with no neighbour in range, jumps straight to the sink."""
+    is traced, finds no prober alive and schedules nothing more, not even
+    its timeout. The source, with no neighbour in range, jumps straight to
+    the sink."""
     topo = Topology(
         nodes=[(0, (0.0, 0.0)), (1, (10.0, 0.0)), (2, (11.0, 0.0)), (3, (12.0, 0.0))],
         region=(12.0, 1.0), comm_radius=1.5, max_tx_distance=30.0, source=0, sink=3)
     cfg = small_cfg(node_count=4, region=(12.0, 1.0), packet_count=3, fault_ratio=1.0)
     result = run(topo, cfg, collect_trace=True)
     probes = [(e.time, e.kind, e.node) for e in result.trace if e.kind.startswith("PROBE")]
-    assert probes == [(0.0, "PROBE", 1), (0.0, "PROBE", 2)]
+    assert probes == [(0.0, "PROBE", None)]
     assert result.metrics.control_packets == 0
     assert result.metrics.delivered == 3
     assert all(p.hop_trace == [0, 3] for p in result.packets)
@@ -455,7 +456,7 @@ def test_a_round_with_no_prober_alive_traces_them_once_and_stops_probing():
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_timeout_on_a_probe_instant_runs_before_that_round(k):
     """Where a timeout of k probe periods shares its instant with a probe
-    round, every prober times out before any prober probes."""
+    round, the timeout runs before the round: one line each, timeout first."""
     cfg = validate(ScenarioConfig(
         node_count=25, comm_radius=7.5, fault_ratio=0.3, packet_count=2,
         injection_period_ms=50.0, probe_timeout_ms=2.0 * k, probe_period_ms=2.0,
@@ -469,9 +470,7 @@ def test_a_timeout_on_a_probe_instant_runs_before_that_round(k):
     shared = [kinds for kinds in rounds.values() if len(set(kinds)) == 2]
     assert len(shared) == 5 - k  # rounds at 0, 2, 4, 6 and 8 ms
     for kinds in shared:
-        assert kinds.count("PROBE_TIMEOUT") > 1
-        first_probe = kinds.index("PROBE")
-        assert "PROBE_TIMEOUT" not in kinds[first_probe:]
+        assert kinds == ["PROBE_TIMEOUT", "PROBE"]
 
 
 @pytest.mark.parametrize("timeout", [8.0, 10.0], ids=["own-event", "merged"])
@@ -506,17 +505,17 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
     sim._on_timeout_round = counting_round
     sim.dmrf.detect_congestion = counting_congestion
     result = sim.run()
-    # one PROBE_TIMEOUT line per prober timed out
-    timeouts = collections.Counter(
-        e.node for e in result.trace if e.kind == "PROBE_TIMEOUT")
+    # one PROBE_TIMEOUT line per round timed out, each timing out every prober
+    timeouts = sum(e.kind == "PROBE_TIMEOUT" for e in result.trace)
+    probers = [node.id for node in sim._probers]
     assert result.metrics.delivered == 10
-    assert set(timeouts) == {0, 1, 2, 3, 4}
-    assert min(timeouts.values()) >= 4
+    assert probers == [0, 1, 2, 3, 4]
+    assert timeouts >= 4
     # the source is never offered a packet; every relay gets its first
     # before its first timeout
     assert set(first_offer) == {1, 2, 3, 4}
     assert max(first_offer.values()) < timeout
-    assert checks == {0: 1, **{n: timeouts[n] for n in (1, 2, 3, 4)}}
+    assert checks == {0: 1, **{n: timeouts for n in (1, 2, 3, 4)}}
 
 
 def test_a_silent_link_retires_once_its_trust_reaches_zero():

@@ -8,8 +8,9 @@ the preload plus the queued relay packets between every pair of events,
 every unfinished packet held by the last node on its trace, no packet
 returning to the source, legal and chained state transitions, faults only at
 time 0, every control frame delivered to a live node with a routing table,
-and a trace in (time, seq) order whose injections take seqs rising with the
-packet id.
+a trace of one line per event in (time, seq) order whose injections take
+seqs rising with the packet id, and control packets equal to probe rounds
+times probe links plus feedback frames.
 
 Two rescalings by a power of two leave a run the same, because every float
 operation then rescales exactly. Time: every `_ms` field times k and the
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrfsim.config import PROTOCOLS, ScenarioConfig, from_dict, validate
+from dmrfsim.config import DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate
 from dmrfsim.engine import (
     DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, preload_buffers, run)
 from dmrfsim.model import FeedbackKind, FeedbackMessage, NodeState, legal_transition
@@ -161,8 +162,15 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
     injects = sorted((e.packet, e.seq) for e in result.trace if e.kind == "PACKET_INJECT")
     seqs = [seq for _packet, seq in injects]
     assert all(a < b for a, b in zip(seqs, seqs[1:]))
-    # the per-event checks ran once per event (a probe round's lines share a seq)
-    assert sim.events == len({event.seq for event in result.trace})
+    # one trace line per event, and the per-event checks ran once per event
+    assert sim.events == len(result.trace)
+    # a probe round sends one frame per probe link of a live prober, and
+    # every other control frame is one FEEDBACK_DELIVERY
+    probes = sum(e.kind == "PROBE" for e in result.trace)
+    feedbacks = sum(e.kind == "FEEDBACK_DELIVERY" for e in result.trace)
+    links = sum(len(sim.nodes[n].table.members) for n in sim._live
+                if sim.nodes[n].table is not None)
+    assert m.control_packets == probes * links + feedbacks
 
 
 def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
@@ -188,6 +196,23 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
     [(_msg, _receiver, victim)] = frames
     assert sim.nodes[victim].tx > 0
     assert str(failure.value).startswith(repr(frames[0]))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOLS if p != DMRF])
+def test_a_static_baseline_without_noise_takes_mu_per_hop(protocol, seed):
+    """With `sigma_factor` 0 every draw is `mu`, and on the clean, uncongested
+    table2 grid a static baseline neither queues nor retries: each delivered
+    packet takes hops x `mu`, up to the rounding of the sums along its way."""
+    cfg = from_dict({"preset": "table2", "sigma_factor": 0.0, "seed": seed,
+                     "protocol": protocol})
+    result = run(deployed(cfg), cfg)
+    assert result.metrics.delivered == result.metrics.injected == cfg.packet_count
+    mu = cfg.mean_hop_delay_ms
+    for packet in result.packets:
+        hops = len(packet.hop_trace) - 1
+        delay = packet.finished_at - packet.created_at
+        assert math.isclose(delay, hops * mu, rel_tol=1e-12), (packet.id, delay, hops)
 
 
 #: powers of two, so that scaling by k rounds exactly as the unscaled value

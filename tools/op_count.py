@@ -4,9 +4,10 @@ For each scenario, prints the Python opcodes executed (`sys.settrace` with
 `f_trace_opcodes`), the calls into C functions (`sys.setprofile` `c_call`
 events), the `random()` calls among them, the events dispatched and the heap
 pushes. Counting starts at the construction of the `Simulation` and ends with
-its `run()`; the topology is deployed before. The last column is the
-`tracemalloc` peak over the same span, in KiB, taken in a pass of its own on a
-fresh topology, without the tracers. The scenarios are every protocol
+its `run()`; the topology is deployed before. Two columns come from passes of
+their own on a fresh topology, without the tracers: the events are the lines
+of a traced run's trace, one per event, and the last column is the
+`tracemalloc` peak over the same span, in KiB. The scenarios are every protocol
 on the benchmark's heavy-traffic geometry at 600 packets, and DMRF on the
 table2 defaults, clean and with 30% faults.
 
@@ -43,9 +44,6 @@ SCENARIOS = [
     ("table2-fault0.3", {"protocol": DMRF, "fault_ratio": 0.3}),
 ]
 
-#: the event handlers of `Simulation.run`: one call of any is one event
-HANDLERS = ("_on_arrival", "_on_inject", "_on_probe_round", "_on_timeout_round",
-            "_on_feedback", "_on_fault_onset", "_on_deadline")
 COLUMNS = ("opcodes", "C calls", "random()", "events", "heap pushes", "peak KiB")
 
 
@@ -57,11 +55,11 @@ def scenario(fields: dict) -> tuple:
 
 
 def count(fields: dict) -> tuple[int, ...]:
-    """The counts of `COLUMNS` but the peak for one run of `scenario(fields)`."""
+    """The opcodes, C calls, `random()` calls and heap pushes of one run of
+    `scenario(fields)`."""
     cfg, topo = scenario(fields)
-    handlers = {getattr(Simulation, name).__code__ for name in HANDLERS}
     heappush = heapq.heappush
-    opcodes = c_calls = randoms = events = pushes = 0
+    opcodes = c_calls = randoms = pushes = 0
 
     def local(frame, event, arg):
         nonlocal opcodes
@@ -70,10 +68,7 @@ def count(fields: dict) -> tuple[int, ...]:
         return local
 
     def on_call(frame, event, arg):
-        nonlocal events
         frame.f_trace_opcodes = True
-        if frame.f_code in handlers:
-            events += 1
         return local
 
     def on_profile(frame, event, arg):
@@ -92,7 +87,13 @@ def count(fields: dict) -> tuple[int, ...]:
     finally:
         sys.settrace(None)
         sys.setprofile(None)
-    return opcodes, c_calls, randoms, events, pushes
+    return opcodes, c_calls, randoms, pushes
+
+
+def events(fields: dict) -> int:
+    """The events dispatched in one traced run of `scenario(fields)`."""
+    cfg, topo = scenario(fields)
+    return len(Simulation(topo, cfg, collect_trace=True).run().trace)
 
 
 def peak_kib(fields: dict) -> int:
@@ -111,7 +112,8 @@ def main() -> None:
     print(f"Python {platform.python_version()} ({platform.python_implementation()})")
     print(f"{'scenario':<19}{'protocol':<18}" + "".join(f"{c:>13}" for c in COLUMNS))
     for name, fields in SCENARIOS:
-        counts = (*count(fields), peak_kib(fields))
+        opcodes, c_calls, randoms, pushes = count(fields)
+        counts = (opcodes, c_calls, randoms, events(fields), pushes, peak_kib(fields))
         print(f"{name:<19}{fields['protocol']:<18}" + "".join(f"{n:>13,}" for n in counts))
 
 

@@ -75,10 +75,10 @@ class CandidateEntry:
     """Per-candidate routing statistics kept by the owning node."""
 
     candidate: NodeId
+    delay_est: float = 0.0
     attempts: int = 0
     successes: int = 0
     suc: float = 1.0  # optimistic prior: fresh candidates get probability mass
-    delay_est: float = 0.0
     cached_state: NodeState = NodeState.NORMAL
     tx_count: int = 0
     #: trust in the candidate: drops a step per missed probe or failed

@@ -246,28 +246,24 @@ class DmrfProtocol:
         topology. Later void carving and fault onsets are deliberately not
         reflected here: staleness is discovered at runtime."""
         topo = self.topo
-        needed = shortest_delay_map(topo, self.mu)
+        mu = self.mu
+        sink = topo.sink
+        reach = topo.max_tx_distance
+        needed = shortest_delay_map(topo, mu)
         to_sink = topo.sink_distances()
         tables: dict[NodeId, RoutingTable] = {}
         for node in topo.ids():
-            if node == topo.sink:
+            if node == sink:
                 continue
-            members = [
-                CandidateEntry(candidate=c, delay_est=self.mu)
-                for c in build_fcs(topo, node)
-            ]
-            table = RoutingTable(
-                owner=node,
-                members=members,
-                entries={e.candidate: e for e in members},
-                needed_time=needed[node],
-                sink_in_range=to_sink[node] <= topo.max_tx_distance,
+            fcs = build_fcs(topo, node)
+            members = [CandidateEntry(c, mu) for c in fcs]
+            table = tables[node] = RoutingTable(
+                node, members, dict(zip(fcs, members)), needed[node], to_sink[node] <= reach
             )
             if not members:
                 # a node born without forward candidates is void from the start
                 table.state = NodeState.VOID
                 self.transitions.append((0.0, node, NodeState.NORMAL, NodeState.VOID))
-            tables[node] = table
         return tables
 
     def ensure_jump_entries(self, table: RoutingTable) -> None:
@@ -290,7 +286,7 @@ class DmrfProtocol:
                 continue
             entry = entries.get(other)
             if entry is None:
-                entry = CandidateEntry(candidate=other, delay_est=self.mu)
+                entry = CandidateEntry(other, self.mu)
                 entries[other] = entry
             pool.append(entry)
         table.jump_pool = pool

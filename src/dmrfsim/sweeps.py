@@ -162,12 +162,14 @@ def _point_tasks(spec: SweepSpec) -> list[tuple]:
 
 def worker_count(requested: int | None, task_count: int) -> int:
     """Pool size for a sweep: the request, else DMRFSIM_WORKERS, else 1,
-    clamped to the number of tasks and of CPUs."""
+    clamped to the number of tasks and of CPUs. A count below 1 is refused."""
     raw = os.environ.get("DMRFSIM_WORKERS", "1") if requested is None else requested
     try:
         requested = int(raw)
     except ValueError:
         raise ConfigError(f"DMRFSIM_WORKERS: expected an integer, got {raw!r}") from None
+    if requested < 1:
+        raise ConfigError(f"DMRFSIM_WORKERS: expected at least 1 worker, got {raw!r}")
     return max(1, min(requested, task_count, os.cpu_count() or 1))
 
 

@@ -5,6 +5,11 @@ All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns the ids it carves, which a run treats as dead
 from time zero. A Topology memoizes what it derives (cell index, sink
 distances, neighbour lists, sink hop counts), so one can serve many runs.
+
+One grid of cells a hair wider than comm_radius indexes the nodes. The first
+neighbors() call builds every node's list in one sweep over it, testing each
+pair in a cell and its forward-adjacent cells once; within() serves the
+longer jump-pool queries from the same grid.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ Position = tuple[float, float]
 #: sentinel for "no path to the sink"
 UNREACHABLE = math.inf
 
-#: query boxes grow by this many cells per side, so that a node whose distance
-#: rounds onto the radius at a cell edge is scanned (exact below 1e8 cells)
-_CELL_SLACK = 1e-6
+#: the cell side is comm_radius * (1 + _CELL_SLACK), so that a pair whose
+#: distance rounds onto the radius lies at most one cell apart; within() boxes
+#: grow by this many cells per side, so that a node whose distance rounds onto
+#: the radius at a cell edge is scanned (both exact below 1e8 cells)
+_CELL_SLACK = 2.0**-20
 
 
 @dataclass
@@ -46,8 +53,9 @@ class Topology:
     source: NodeId
     sink: NodeId
     _pos: dict[NodeId, Position] = field(init=False, repr=False)
-    # comm_radius grid cell -> [(id, x, y)], built by the first radius query,
-    # and the (low x, high x, low y, high y) cell span the nodes occupy
+    # the grid's cell side, its cell -> [(id, x, y)], built on first use, and
+    # the (low x, high x, low y, high y) cell span the nodes occupy
+    _side: float = field(init=False, repr=False, compare=False)
     _cells: dict[tuple[int, int], list] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -55,9 +63,9 @@ class Topology:
     _to_sink: dict[NodeId, float] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    # neighbors() per node and the sink hop counts, built on first use
-    _nbrs: dict[NodeId, list[NodeId]] = field(init=False, repr=False, compare=False,
-                                              default_factory=dict)
+    # every node's neighbors() and the sink hop counts, built on first use
+    _nbrs: dict[NodeId, list[NodeId]] | None = field(init=False, repr=False,
+                                                     compare=False, default=None)
     _hops: dict[NodeId, int] | None = field(init=False, repr=False, compare=False,
                                             default=None)
 
@@ -65,6 +73,7 @@ class Topology:
         if self.comm_radius > self.max_tx_distance:
             raise ValueError("comm_radius must not exceed max_tx_distance")
         self._pos = dict(self.nodes)
+        self._side = self.comm_radius * (1.0 + _CELL_SLACK)
 
     def ids(self) -> list[NodeId]:
         return sorted(self._pos)
@@ -105,33 +114,65 @@ class Topology:
         return self._hops
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
-        """All nodes within comm_radius, sorted by id, computed once per node.
+        """All nodes within comm_radius, sorted by id. The first call builds
+        every node's list at once.
 
         The list is shared by every caller and every run on this topology:
         read it, never mutate it."""
-        nbrs = self._nbrs.get(node)
-        if nbrs is None:
-            nbrs = self._nbrs[node] = self.within(node, self.comm_radius)
+        if self._nbrs is None:
+            self._nbrs = self._neighbor_lists()
+        return self._nbrs[node]
+
+    def _neighbor_lists(self) -> dict[NodeId, list[NodeId]]:
+        """Every node's neighbours: each pair in one cell or in a cell and one
+        of its 4 forward-adjacent cells is tested once, and a hit goes on both
+        lists. The padded cell side puts every pair in range at most one cell
+        apart, and hypot() is exact under swapping the ends."""
+        cells = self._cell_index()
+        radius = self.comm_radius
+        hypot = math.hypot
+        nbrs: dict[NodeId, list[NodeId]] = {node: [] for node in self._pos}
+        for (cx, cy), members in cells.items():
+            # the cell's members, then those of its forward-adjacent cells: a
+            # member is tested against everything after it
+            ahead = members.copy()
+            for key in ((cx + 1, cy), (cx - 1, cy + 1), (cx, cy + 1), (cx + 1, cy + 1)):
+                ahead += cells.get(key, ())
+            for a, ax, ay in members:
+                del ahead[0]
+                near = nbrs[a]
+                for b, bx, by in ahead:
+                    if hypot(ax - bx, ay - by) <= radius:
+                        near.append(b)
+                        nbrs[b].append(a)
+        # sorted copies, allocated one after another at their final size,
+        # replace the lists that grew side by side and would fragment the heap
+        for node, near in nbrs.items():
+            nbrs[node] = sorted(near)
         return nbrs
 
-    def within(self, node: NodeId, radius: float) -> list[NodeId]:
-        """All other nodes whose distance() from `node` is at most `radius`,
-        sorted by id; only the grid cells where the query box overlaps the
-        occupied span are scanned, or the occupied cells if they are fewer."""
-        side = self.comm_radius
+    def _cell_index(self) -> dict[tuple[int, int], list]:
         if self._cells is None:
+            side = self._side
             self._cells = {}
             for other, (ox, oy) in self._pos.items():
                 key = (math.floor(ox / side), math.floor(oy / side))
                 self._cells.setdefault(key, []).append((other, ox, oy))
             xs, ys = [cx for cx, _ in self._cells], [cy for _, cy in self._cells]
             self._span = (min(xs), max(xs), min(ys), max(ys))
+        return self._cells
+
+    def within(self, node: NodeId, radius: float) -> list[NodeId]:
+        """All other nodes whose distance() from `node` is at most `radius`,
+        sorted by id; only the grid cells where the query box overlaps the
+        occupied span are scanned, or the occupied cells if they are fewer."""
+        cells = self._cell_index()
+        side = self._side
         x, y = self._pos[node]
         reach = radius / side + _CELL_SLACK
         lo_x, hi_x, lo_y, hi_y = self._span
         x0, x1 = max(lo_x, math.floor(x / side - reach)), min(hi_x, math.floor(x / side + reach))
         y0, y1 = max(lo_y, math.floor(y / side - reach)), min(hi_y, math.floor(y / side + reach))
-        cells = self._cells
         if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
             keys = cells
         else:

@@ -269,6 +269,18 @@ def test_non_integer_worker_count_exits_one(tiny_config, tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_worker_count_below_one_exits_one(tiny_config, tmp_path, monkeypatch, capsys, count):
+    monkeypatch.setenv("DMRFSIM_WORKERS", count)
+    monkeypatch.setattr("dmrfsim.sweeps.run", _must_not_simulate)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", tiny_config, "--preset", "fig6",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "DMRFSIM_WORKERS" in err and "at least 1" in err
+    assert not out.exists()
+
+
 def _must_not_simulate(*args, **kwargs):
     raise AssertionError("simulated although the command must fail first")
 

@@ -206,7 +206,6 @@ def test_worker_count_is_clamped_to_tasks_and_cpus(monkeypatch):
     assert worker_count(64, 100) == 4
     assert worker_count(8, 3) == 3
     assert worker_count(2, 100) == 2
-    assert worker_count(0, 100) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert worker_count(8, 100) == 1
 
@@ -219,6 +218,16 @@ def test_worker_count_reads_the_environment(monkeypatch):
     assert worker_count(None, 100) == 4
     monkeypatch.setenv("DMRFSIM_WORKERS", "two")
     with pytest.raises(ConfigError, match="DMRFSIM_WORKERS"):
+        worker_count(None, 100)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_worker_count_below_one_is_refused(monkeypatch, count):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    with pytest.raises(ConfigError, match="DMRFSIM_WORKERS.*at least 1"):
+        worker_count(count, 100)
+    monkeypatch.setenv("DMRFSIM_WORKERS", str(count))
+    with pytest.raises(ConfigError, match="DMRFSIM_WORKERS.*at least 1"):
         worker_count(None, 100)
 
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmrfsim.config import BYPASS, DMRF, ScenarioConfig, validate
-from dmrfsim.engine import run
+from dmrfsim.engine import Simulation, run
 from dmrfsim.topology import (
+    _CELL_SLACK,
     RANDOM,
     UNIFORM_GRID,
     UNREACHABLE,
@@ -223,6 +224,65 @@ def test_index_matches_scan_one_ulp_around_cell_edges(radius):
 def test_within_matches_scan_when_the_query_box_outgrows_the_deployment(topo):
     # every query box overhangs the occupied cells on both sides of both axes
     assert_index_matches_scan(topo)
+
+
+@st.composite
+def bulk_layouts(draw):
+    """A comm_radius and positions of one of four kinds: uniform draws, a
+    lattice spaced at the radius, a few positions repeated, or coordinates one
+    ulp either side of the cell edges k * side, padded or not."""
+    radius = draw(st.floats(0.05, 6.0))
+    kind = draw(st.sampled_from(["random", "lattice", "duplicates", "edges"]))
+    if kind == "edges":
+        coords = []
+        for side in (radius, radius * (1.0 + _CELL_SLACK)):
+            for k in range(-3, 4):
+                edge = k * side
+                coords += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        coord = st.sampled_from(coords)
+    elif kind == "lattice":
+        coord = st.integers(-4, 4).map(lambda k: k * radius)
+    else:
+        coord = st.floats(-4 * radius, 4 * radius)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=60))
+    if kind == "duplicates":
+        positions += draw(st.lists(st.sampled_from(positions), min_size=1, max_size=20))
+    return radius, positions
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layout=bulk_layouts())
+def test_bulk_neighbour_lists_match_scan(layout):
+    radius, positions = layout
+    topo = line_topology(positions, comm_radius=radius, max_tx=2 * radius)
+    for node in topo.ids():
+        assert topo.neighbors(node) == brute_within(topo, node, radius)
+
+
+def test_a_dmrf_set_up_queries_no_node_and_builds_one_cell_index(monkeypatch):
+    topo = deploy(400, (20.0, 20.0), UNIFORM_GRID, 1)
+    queries, indexes = [], []
+    within, cell_index = Topology.within, Topology._cell_index
+
+    def counted_within(self, node, radius):
+        queries.append(node)
+        return within(self, node, radius)
+
+    def recorded_cell_index(self):
+        indexes.append(cell_index(self))
+        return indexes[-1]
+
+    monkeypatch.setattr(Topology, "within", counted_within)
+    monkeypatch.setattr(Topology, "_cell_index", recorded_cell_index)
+    sim = Simulation(topo, validate(ScenarioConfig(seed=1)))
+    assert queries == []
+    assert len(topo._nbrs) == 400
+    assert indexes and all(index is topo._cells for index in indexes)
+    # a jump pool, the one caller of within(), reads the same index
+    table = next(n.table for n in sim.nodes.values() if n.table is not None)
+    sim.dmrf.ensure_jump_entries(table)
+    assert queries == [table.owner]
+    assert all(index is topo._cells for index in indexes)
 
 
 def test_runs_leave_the_shared_neighbour_lists_intact():

@@ -4,7 +4,9 @@ For each scenario, prints the Python opcodes executed (`sys.settrace` with
 `f_trace_opcodes`), the calls into C functions (`sys.setprofile` `c_call`
 events), the `random()` calls among them, the events dispatched and the heap
 pushes. Counting starts at the construction of the `Simulation` and ends with
-its `run()`; the topology is deployed before. Two columns come from passes of
+its `run()`; the topology is deployed before. The opcodes are split in two
+columns, those of the construction and those of `run()`, so a change to either
+shows as a count of its own. Two columns come from passes of
 their own on a fresh topology, without the tracers: the events are the lines
 of a traced run's trace, one per event, and the last column is the
 `tracemalloc` peak over the same span, in KiB. The scenarios are every protocol
@@ -44,7 +46,8 @@ SCENARIOS = [
     ("table2-fault0.3", {"protocol": DMRF, "fault_ratio": 0.3}),
 ]
 
-COLUMNS = ("opcodes", "C calls", "random()", "events", "heap pushes", "peak KiB")
+COLUMNS = ("setup ops", "run ops", "C calls", "random()", "events", "heap pushes",
+           "peak KiB")
 
 
 def scenario(fields: dict) -> tuple:
@@ -55,7 +58,8 @@ def scenario(fields: dict) -> tuple:
 
 
 def count(fields: dict) -> tuple[int, ...]:
-    """The opcodes, C calls, `random()` calls and heap pushes of one run of
+    """The opcodes of the construction and of `run()`, then the C calls,
+    `random()` calls and heap pushes of both, for one run of
     `scenario(fields)`."""
     cfg, topo = scenario(fields)
     heappush = heapq.heappush
@@ -83,11 +87,13 @@ def count(fields: dict) -> tuple[int, ...]:
     sys.setprofile(on_profile)
     sys.settrace(on_call)
     try:
-        Simulation(topo, cfg).run()
+        sim = Simulation(topo, cfg)
+        setup = opcodes
+        sim.run()
     finally:
         sys.settrace(None)
         sys.setprofile(None)
-    return opcodes, c_calls, randoms, pushes
+    return setup, opcodes - setup, c_calls, randoms, pushes
 
 
 def events(fields: dict) -> int:
@@ -112,8 +118,8 @@ def main() -> None:
     print(f"Python {platform.python_version()} ({platform.python_implementation()})")
     print(f"{'scenario':<19}{'protocol':<18}" + "".join(f"{c:>13}" for c in COLUMNS))
     for name, fields in SCENARIOS:
-        opcodes, c_calls, randoms, pushes = count(fields)
-        counts = (opcodes, c_calls, randoms, events(fields), pushes, peak_kib(fields))
+        setup, run, c_calls, randoms, pushes = count(fields)
+        counts = (setup, run, c_calls, randoms, events(fields), pushes, peak_kib(fields))
         print(f"{name:<19}{fields['protocol']:<18}" + "".join(f"{n:>13,}" for n in counts))
 
 

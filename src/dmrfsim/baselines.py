@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .model import NodeId, Packet, RateClass, remaining_time
-from .protocol import Decision, Drop, DropReason, Forward
+from .model import RATE_MEDIUM, NodeId, Packet, remaining_time
+from .protocol import DROP_EXPIRED, DROP_NO_ROUTE, Decision, Drop, Forward
 from .topology import Topology
 
 
@@ -54,10 +54,10 @@ def greedy_min_delay(
     GREEDY_MAX_RATE by progress per unit of delay (`rank_candidates`).
     """
     if remaining_time(packet, now) <= 0:
-        return Drop(DropReason.EXPIRED)
+        return Drop(DROP_EXPIRED)
     if not ranked:
-        return Drop(DropReason.NO_ROUTE)
-    return Forward(next=ranked[0], rate=RateClass.MEDIUM)
+        return Drop(DROP_NO_ROUTE)
+    return Forward(ranked[0], RATE_MEDIUM)
 
 
 greedy_max_rate = greedy_min_delay
@@ -81,10 +81,10 @@ def bypass_next_hop(
     trace to avoid orbiting the void forever.
     """
     if remaining_time(packet, now) <= 0:
-        return Drop(DropReason.EXPIRED)
+        return Drop(DROP_EXPIRED)
     for candidate in ranked:
         if candidate in live:
-            return Forward(next=candidate, rate=RateClass.MEDIUM)
+            return Forward(candidate, RATE_MEDIUM)
     x, y = topo.position(node)
     sx, sy = topo.position(topo.sink)
     alpha = math.atan2(sy - y, sx - x)
@@ -101,5 +101,5 @@ def bypass_next_hop(
             best_dev = deviation
             best_id = nb
     if best_id is None:
-        return Drop(DropReason.NO_ROUTE)
-    return Forward(next=best_id, rate=RateClass.MEDIUM)
+        return Drop(DROP_NO_ROUTE)
+    return Forward(best_id, RATE_MEDIUM)

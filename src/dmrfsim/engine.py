@@ -27,21 +27,23 @@ from .config import (
     ScenarioConfig,
 )
 from .model import (
-    FeedbackKind,
+    CONG_STATES,
+    FB_CONG,
+    FB_RECOVER,
+    STATE_NORMAL,
     FeedbackMessage,
     InvariantError,
     NodeId,
-    NodeState,
     Packet,
     RateClass,
     make_packet,
     running_sum,
 )
 from .protocol import (
+    DROP_EXPIRED,
     Decision,
     DmrfProtocol,
     Drop,
-    DropReason,
     Jump,
     RoutingTable,
     Transition,
@@ -228,7 +230,7 @@ class _NodeRuntime:
 #: the notice set every node shares until it first warns a sender
 _NO_NOTICES: frozenset[NodeId] = frozenset()
 #: the state holder of a probed sink, which keeps no routing table
-_SINK_REPORT = SimpleNamespace(state=NodeState.NORMAL)
+_SINK_REPORT = SimpleNamespace(state=STATE_NORMAL)
 
 
 class Simulation:
@@ -384,14 +386,14 @@ class Simulation:
         """
         upstream = node.table.upstream
         for fb in feedbacks:
-            if fb.kind is FeedbackKind.RECOVER:
+            if fb.kind is FB_RECOVER:
                 dests = node.cong_notified
                 node.cong_notified = _NO_NOTICES
                 for dest in sorted(dests if upstream is None else dests | {upstream}):
                     self._send_control(fb, node.id, dest, now)
             elif upstream is not None:
                 self._send_control(fb, node.id, upstream, now)
-                if fb.kind is FeedbackKind.CONG:
+                if fb.kind is FB_CONG:
                     node.cong_notified = node.cong_notified | {upstream}
 
     # ------------------------------------------------------------------
@@ -430,11 +432,7 @@ class Simulation:
             kind = type(decision)
             if kind is Drop:
                 self._release(node, packet)
-                outcome = (
-                    EXPIRED
-                    if decision.reason is DropReason.EXPIRED
-                    else DROPPED_NO_ROUTE
-                )
+                outcome = EXPIRED if decision.reason is DROP_EXPIRED else DROPPED_NO_ROUTE
                 self._finalize(packet, outcome, now)
                 stall = 0.0
                 continue
@@ -539,10 +537,7 @@ class Simulation:
                 receiver.buffer_used += self._packet_bytes
                 packet.hop_trace.append(receiver.id)
                 receiver.queue.append(packet)
-                if (
-                    self.dmrf is not None
-                    and receiver.table.state in (NodeState.CONG, NodeState.JCONG)
-                ):
+                if self.dmrf is not None and receiver.table.state in CONG_STATES:
                     self._notify_congestion(receiver, sender_id, now)
                 if receiver.pending is None:
                     self._try_start(receiver, now)
@@ -556,7 +551,7 @@ class Simulation:
         once per sender per congestion episode."""
         if self.dmrf is None or sender_id in node.cong_notified:
             return
-        self._send_control(FeedbackMessage(kind=FeedbackKind.CONG), node.id, sender_id, now)
+        self._send_control(FeedbackMessage(FB_CONG), node.id, sender_id, now)
         node.cong_notified = node.cong_notified | {sender_id}
 
     def _lay_out_probes(self) -> tuple:

@@ -33,12 +33,28 @@ class NodeState(Enum):
     VOID = "VOID"
 
 
+# Function bodies read members from these module constants: on CPython 3.11
+# `EnumType.__getattr__` keeps a load such as `NodeState.NORMAL` from
+# specializing, and it costs over twenty times a global's.
+STATE_NORMAL = NodeState.NORMAL
+STATE_FAULTY = NodeState.FAULTY
+STATE_JFAULTY = NodeState.JFAULTY
+STATE_CONG = NodeState.CONG
+STATE_JCONG = NodeState.JCONG
+STATE_VOID = NodeState.VOID
+
+
 class RateClass(Enum):
     __hash__ = object.__hash__  # as NodeState's
 
     LOW = "LOW"
     MEDIUM = "MEDIUM"
     HIGH = "HIGH"
+
+
+RATE_LOW = RateClass.LOW
+RATE_MEDIUM = RateClass.MEDIUM
+RATE_HIGH = RateClass.HIGH
 
 
 class FeedbackKind(Enum):
@@ -49,6 +65,13 @@ class FeedbackKind(Enum):
     RECOVER = "RECOVER"
     VOID = "VOID"
     JUMP_FAIL = "JUMP_FAIL"
+
+
+FB_FAULT = FeedbackKind.FAULT
+FB_CONG = FeedbackKind.CONG
+FB_RECOVER = FeedbackKind.RECOVER
+FB_VOID = FeedbackKind.VOID
+FB_JUMP_FAIL = FeedbackKind.JUMP_FAIL
 
 
 @dataclass(slots=True)
@@ -64,7 +87,7 @@ class Packet:
     created_at: float
     deadline: float
     #: the band DMRF last forwarded it at, for the rate-continuity rule
-    rate_class: RateClass = RateClass.LOW
+    rate_class: RateClass = RATE_LOW
     hop_trace: list[NodeId] = field(default_factory=list)
     outcome: str | None = None
     finished_at: float | None = None
@@ -79,7 +102,7 @@ class CandidateEntry:
     attempts: int = 0
     successes: int = 0
     suc: float = 1.0  # optimistic prior: fresh candidates get probability mass
-    cached_state: NodeState = NodeState.NORMAL
+    cached_state: NodeState = STATE_NORMAL
     tx_count: int = 0
     #: trust in the candidate: drops a step per missed probe or failed
     #: transmission, back to 100 on any reply or acknowledgment
@@ -124,8 +147,10 @@ def remaining_time(packet: Packet, now: float) -> float:
     return packet.deadline - now
 
 
-_DEAD_STATES = (NodeState.FAULTY, NodeState.JFAULTY)
-_CONG_STATES = (NodeState.CONG, NodeState.JCONG)
+DEAD_STATES = (STATE_FAULTY, STATE_JFAULTY)
+CONG_STATES = (STATE_CONG, STATE_JCONG)
+#: the only states a node may enter CONG from
+CONG_SOURCES = (STATE_NORMAL, STATE_JCONG)
 
 
 def legal_transition(
@@ -142,27 +167,27 @@ def legal_transition(
     """
     if to_state is from_state:
         return True
-    if to_state is NodeState.FAULTY:
+    if to_state is STATE_FAULTY:
         return True
-    if from_state is NodeState.FAULTY:
+    if from_state is STATE_FAULTY:
         return False
-    if to_state is NodeState.JFAULTY:
-        return bool(fcs_states) and all(s in _DEAD_STATES for s in fcs_states)
-    if to_state is NodeState.JCONG:
-        return bool(fcs_states) and all(s in _CONG_STATES for s in fcs_states)
-    if to_state is NodeState.VOID:
-        return not fcs_states or all(s is NodeState.VOID for s in fcs_states)
-    if to_state is NodeState.CONG:
-        return from_state in (NodeState.NORMAL, NodeState.JCONG)
-    if to_state is NodeState.NORMAL:
-        if from_state is NodeState.CONG:
+    if to_state is STATE_JFAULTY:
+        return bool(fcs_states) and all(s in DEAD_STATES for s in fcs_states)
+    if to_state is STATE_JCONG:
+        return bool(fcs_states) and all(s in CONG_STATES for s in fcs_states)
+    if to_state is STATE_VOID:
+        return not fcs_states or all(s is STATE_VOID for s in fcs_states)
+    if to_state is STATE_CONG:
+        return from_state in CONG_SOURCES
+    if to_state is STATE_NORMAL:
+        if from_state is STATE_CONG:
             return True
-        if from_state is NodeState.JCONG:
-            return not all(s in _CONG_STATES for s in fcs_states)
-        if from_state is NodeState.JFAULTY:
-            return not all(s in _DEAD_STATES for s in fcs_states)
-        if from_state is NodeState.VOID:
+        if from_state is STATE_JCONG:
+            return not all(s in CONG_STATES for s in fcs_states)
+        if from_state is STATE_JFAULTY:
+            return not all(s in DEAD_STATES for s in fcs_states)
+        if from_state is STATE_VOID:
             return bool(fcs_states) and not all(
-                s is NodeState.VOID for s in fcs_states
+                s is STATE_VOID for s in fcs_states
             )
     return False

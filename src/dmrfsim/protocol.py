@@ -17,8 +17,22 @@ from enum import Enum
 
 from .config import ScenarioConfig
 from .model import (
+    CONG_SOURCES,
+    FB_CONG,
+    FB_FAULT,
+    FB_JUMP_FAIL,
+    FB_RECOVER,
+    FB_VOID,
+    RATE_HIGH,
+    RATE_LOW,
+    RATE_MEDIUM,
+    STATE_CONG,
+    STATE_FAULTY,
+    STATE_JCONG,
+    STATE_JFAULTY,
+    STATE_NORMAL,
+    STATE_VOID,
     CandidateEntry,
-    FeedbackKind,
     FeedbackMessage,
     InvariantError,
     NodeId,
@@ -35,22 +49,22 @@ from .topology import Topology, UNREACHABLE, build_fcs, shortest_delay_map
 OMEGA_FLOOR = 1e-3
 
 #: states in which a node stops hop-by-hop forwarding entirely
-JUMP_STATES = (NodeState.JFAULTY, NodeState.VOID, NodeState.JCONG)
+JUMP_STATES = (STATE_JFAULTY, STATE_VOID, STATE_JCONG)
 
 #: the feedback a node sends on entering each state
 FEEDBACK_ON_ENTRY = {
-    NodeState.JFAULTY: FeedbackKind.FAULT,
-    NodeState.VOID: FeedbackKind.VOID,
-    NodeState.JCONG: FeedbackKind.CONG,
-    NodeState.CONG: FeedbackKind.CONG,
-    NodeState.NORMAL: FeedbackKind.RECOVER,
+    STATE_JFAULTY: FB_FAULT,
+    STATE_VOID: FB_VOID,
+    STATE_JCONG: FB_CONG,
+    STATE_CONG: FB_CONG,
+    STATE_NORMAL: FB_RECOVER,
 }
 #: the state a self-reported feedback says its sender is in
 REPORTED_STATE = {
-    FeedbackKind.FAULT: NodeState.FAULTY,
-    FeedbackKind.CONG: NodeState.CONG,
-    FeedbackKind.RECOVER: NodeState.NORMAL,
-    FeedbackKind.VOID: NodeState.VOID,
+    FB_FAULT: STATE_FAULTY,
+    FB_CONG: STATE_CONG,
+    FB_RECOVER: STATE_NORMAL,
+    FB_VOID: STATE_VOID,
 }
 
 Transition = tuple[float, NodeId, NodeState, NodeState]
@@ -63,6 +77,11 @@ class NoRouteError(Exception):
 class DropReason(Enum):
     EXPIRED = "EXPIRED"
     NO_ROUTE = "NO_ROUTE"
+
+
+# read by function bodies, as model's STATE_* constants
+DROP_EXPIRED = DropReason.EXPIRED
+DROP_NO_ROUTE = DropReason.NO_ROUTE
 
 
 @dataclass(slots=True)
@@ -104,7 +123,7 @@ class RoutingTable:
     entries: dict[NodeId, CandidateEntry]
     needed_time: float
     sink_in_range: bool
-    state: NodeState = NodeState.NORMAL
+    state: NodeState = STATE_NORMAL
     own_congested: bool = False
     #: set when an input of reevaluate changes: a member's cached_state,
     #: own_congested or state; cleared by reevaluate
@@ -166,18 +185,18 @@ def compute_thresholds(
 def classify_rate(lam: float, thresholds: Thresholds) -> RateClass:
     """Rate band for a slack ratio already known to exceed theta_jump."""
     if lam >= thresholds.theta_low:
-        return RateClass.LOW
+        return RATE_LOW
     if lam >= thresholds.theta_high:
-        return RateClass.MEDIUM
-    return RateClass.HIGH
+        return RATE_MEDIUM
+    return RATE_HIGH
 
 
 def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
     """A packet never swings LOW<->HIGH in a single hop."""
-    if (previous is RateClass.LOW and computed is RateClass.HIGH) or (
-        previous is RateClass.HIGH and computed is RateClass.LOW
+    if (previous is RATE_LOW and computed is RATE_HIGH) or (
+        previous is RATE_HIGH and computed is RATE_LOW
     ):
-        return RateClass.MEDIUM
+        return RATE_MEDIUM
     return computed
 
 
@@ -201,8 +220,7 @@ def choose_jump_target(
     none viable, fall back to direct transmission to the sink when it is
     inside the maximum range.
     """
-    normal = NodeState.NORMAL
-    viable = [e for e in entries if e.cached_state is normal]
+    viable = [e for e in entries if e.cached_state is STATE_NORMAL]
     if not viable:
         return sink if sink_in_range else None
     total = running_sum(e.suc for e in viable)
@@ -262,8 +280,8 @@ class DmrfProtocol:
             )
             if not members:
                 # a node born without forward candidates is void from the start
-                table.state = NodeState.VOID
-                self.transitions.append((0.0, node, NodeState.NORMAL, NodeState.VOID))
+                table.state = STATE_VOID
+                self.transitions.append((0.0, node, STATE_NORMAL, STATE_VOID))
         return tables
 
     def ensure_jump_entries(self, table: RoutingTable) -> None:
@@ -325,8 +343,8 @@ class DmrfProtocol:
     def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
         """An acknowledgment: full trust again, and a cached FAULTY heals."""
         entry.confidence = 100
-        if entry.cached_state is NodeState.FAULTY:
-            _cache_state(table, entry, NodeState.NORMAL)
+        if entry.cached_state is STATE_FAULTY:
+            _cache_state(table, entry, STATE_NORMAL)
 
     def _distrust(self, table: RoutingTable, entry: CandidateEntry) -> None:
         """A missed probe or a failed transmission: one step less trust, and
@@ -335,7 +353,7 @@ class DmrfProtocol:
         entry.confidence = max(0, entry.confidence - self.cfg.confidence_step)
         # strict comparison: 100 -> 75 -> 50 is still trusted at threshold 50
         if entry.confidence < self.cfg.confidence_threshold:
-            _cache_state(table, entry, NodeState.FAULTY)
+            _cache_state(table, entry, STATE_FAULTY)
 
     def on_offer(
         self, table: RoutingTable, buffer_used: float, now: float
@@ -384,33 +402,30 @@ class DmrfProtocol:
         void = dead = cong = True
         for e in table.members:
             state = e.cached_state
-            if state is not NodeState.VOID:
+            if state is not STATE_VOID:
                 void = False
-            if state is not NodeState.FAULTY and state is not NodeState.JFAULTY:
+            if state is not STATE_FAULTY and state is not STATE_JFAULTY:
                 dead = False
-            if state is not NodeState.CONG and state is not NodeState.JCONG:
+            if state is not STATE_CONG and state is not STATE_JCONG:
                 cong = False
             if not (void or dead or cong):
                 break
         if void:  # also when the set is empty
-            target = NodeState.VOID
+            target = STATE_VOID
         elif dead:
-            target = NodeState.JFAULTY
+            target = STATE_JFAULTY
         elif cong:
-            target = NodeState.JCONG
+            target = STATE_JCONG
         elif table.own_congested:
-            target = NodeState.CONG
+            target = STATE_CONG
         else:
-            target = NodeState.NORMAL
+            target = STATE_NORMAL
         if target is table.state:
             return []
         # entering CONG is only legal from NORMAL or JCONG; a node whose
         # candidates just healed while its own buffer is hot recovers first
-        if target is NodeState.CONG and table.state not in (
-            NodeState.NORMAL,
-            NodeState.JCONG,
-        ):
-            steps = [NodeState.NORMAL, NodeState.CONG]
+        if target is STATE_CONG and table.state not in CONG_SOURCES:
+            steps = [STATE_NORMAL, STATE_CONG]
         else:
             steps = [target]
         states = [e.cached_state for e in table.members]
@@ -422,7 +437,7 @@ class DmrfProtocol:
                 )
             self.transitions.append((now, table.owner, table.state, nxt))
             table.state = nxt
-            messages.append(FeedbackMessage(kind=FEEDBACK_ON_ENTRY[nxt]))
+            messages.append(FeedbackMessage(FEEDBACK_ON_ENTRY[nxt]))
         return messages
 
     # ------------------------------------------------------------------
@@ -440,7 +455,7 @@ class DmrfProtocol:
         band it is sent at, for the continuity rule at its next hop."""
         remaining = remaining_time(packet, now)
         if remaining <= 0:
-            return Drop(DropReason.EXPIRED)
+            return Drop(DROP_EXPIRED)
         if table.state in JUMP_STATES:
             return self._jump(table, rng)
         if table.needed_time == UNREACHABLE:
@@ -458,7 +473,7 @@ class DmrfProtocol:
             delay = e.delay_est
             if delay > max_fcs_delay:
                 max_fcs_delay = delay
-            if e.cached_state is NodeState.NORMAL and delay <= remaining:
+            if e.cached_state is STATE_NORMAL and delay <= remaining:
                 if (
                     best is None
                     or e.tx_count < best_tx
@@ -479,7 +494,7 @@ class DmrfProtocol:
             packet.rate_class, classify_rate(lam, thresholds)
         )
         best.tx_count += 1
-        return Forward(next=best.candidate, rate=rate)
+        return Forward(best.candidate, rate)
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
         self.ensure_jump_entries(table)
@@ -487,8 +502,8 @@ class DmrfProtocol:
             table.jump_pool, rng, sink=self.topo.sink, sink_in_range=table.sink_in_range
         )
         if target is None:
-            return Drop(DropReason.NO_ROUTE)
-        return Jump(next=target)
+            return Drop(DROP_NO_ROUTE)
+        return Jump(target)
 
     # ------------------------------------------------------------------
     # transmission outcomes and feedback
@@ -526,7 +541,7 @@ class DmrfProtocol:
         else:
             entry.suc = max(0, entry.successes - 1) / entry.attempts
             self._distrust(table, entry)
-            feedbacks.append(FeedbackMessage(kind=FeedbackKind.JUMP_FAIL))
+            feedbacks.append(FeedbackMessage(FB_JUMP_FAIL))
             feedbacks.extend(self.reevaluate(table, now))
         return feedbacks
 
@@ -542,13 +557,13 @@ class DmrfProtocol:
         it causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or
         the feedback of any state change the update triggered.
         """
-        if msg.kind is FeedbackKind.JUMP_FAIL:
+        if msg.kind is FB_JUMP_FAIL:
             # distrust the direction the bad news came from
             entry = table.entries.get(from_node)
             if entry is not None:
                 entry.suc *= rng.random()
             if msg.hop_limit > 1:
-                return [FeedbackMessage(kind=msg.kind, hop_limit=msg.hop_limit - 1)]
+                return [FeedbackMessage(msg.kind, msg.hop_limit - 1)]
             return []
         entry = table.entries.get(from_node)
         if entry is not None:
@@ -560,6 +575,6 @@ class DmrfProtocol:
     def on_fault(self, table: RoutingTable, now: float) -> None:
         """The node crashes: FAULTY, for good. A run faults each node at
         most once."""
-        self.transitions.append((now, table.owner, table.state, NodeState.FAULTY))
-        table.state = NodeState.FAULTY
+        self.transitions.append((now, table.owner, table.state, STATE_FAULTY))
+        table.state = STATE_FAULTY
         table.dirty = True

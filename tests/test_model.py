@@ -1,7 +1,13 @@
 """Unit tests for the shared domain types and the transition matrix."""
 
+import dis
+import types
+from pathlib import Path
+
 import pytest
 
+import dmrfsim
+from dmrfsim import model, protocol
 from dmrfsim.model import (
     CandidateEntry,
     FeedbackKind,
@@ -16,6 +22,83 @@ from dmrfsim.model import (
 from dmrfsim.protocol import Drop, DropReason, Forward, Jump, RoutingTable, Thresholds
 
 N = NodeState
+
+#: the enums whose members function bodies read from module constants
+ENUM_CLASSES = {"NodeState", "FeedbackKind", "RateClass", "DropReason"}
+
+
+def enum_member_loads(module_code: types.CodeType) -> list[tuple[str, int]]:
+    """(function, line) of every attribute load through an enum class, as
+    `LOAD_GLOBAL <enum>` then `LOAD_ATTR`, in the code objects nested in
+    `module_code`: functions, methods, class bodies, comprehensions and
+    lambdas, but not the module-level code itself."""
+    sites = []
+
+    def walk(code: types.CodeType) -> None:
+        previous = None
+        for ins in dis.get_instructions(code):
+            if (
+                ins.opname == "LOAD_ATTR"
+                and previous is not None
+                and previous.opname == "LOAD_GLOBAL"
+                and previous.argval in ENUM_CLASSES
+            ):
+                line = next(
+                    line
+                    for start, end, line in code.co_lines()
+                    if start <= ins.offset < end
+                )
+                sites.append((getattr(code, "co_qualname", code.co_name), line))
+            previous = ins
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                walk(const)
+
+    for const in module_code.co_consts:
+        if isinstance(const, types.CodeType):
+            walk(const)
+    return sites
+
+
+def test_enum_member_scan_finds_every_kind_of_function():
+    source = (
+        "X = NodeState.VOID\n"  # module level: allowed
+        "def f(s):\n"
+        "    return s is RateClass.LOW\n"
+        "class C:\n"
+        "    def m(self, xs):\n"
+        "        return [x for x in xs if x is DropReason.EXPIRED]\n"
+        "g = lambda: FeedbackKind.CONG\n"
+        "def h(NodeState):\n"  # a local of that name is not the class
+        "    return NodeState.CONG\n"
+    )
+    sites = enum_member_loads(compile(source, "sample.py", "exec"))
+    assert [line for _, line in sites] == [3, 6, 7]
+    assert sites[0][0] == "f"
+
+
+def test_no_function_loads_an_enum_member_through_its_class():
+    # the DMRF state machine reads members per event, and on CPython 3.11 a
+    # load through the class costs over twenty times a module constant's
+    sites = []
+    for path in sorted(Path(dmrfsim.__file__).parent.glob("*.py")):
+        code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        sites += [f"{path.name}:{line} in {name}" for name, line in enum_member_loads(code)]
+    assert sites == [], "read enum members from module constants:\n" + "\n".join(sites)
+
+
+@pytest.mark.parametrize(
+    "module, enum, prefix",
+    [
+        (model, NodeState, "STATE_"),
+        (model, FeedbackKind, "FB_"),
+        (model, RateClass, "RATE_"),
+        (protocol, DropReason, "DROP_"),
+    ],
+)
+def test_every_enum_member_has_its_module_constant(module, enum, prefix):
+    for member in enum:
+        assert getattr(module, prefix + member.name) is member
 
 
 def test_make_packet_sets_absolute_deadline_and_trace():

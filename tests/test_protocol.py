@@ -5,6 +5,7 @@ and are frozen: a change in any of them is a behavior change, not a
 refactoring artifact.
 """
 
+import itertools
 import math
 import random
 
@@ -28,6 +29,7 @@ from dmrfsim.protocol import (
     Forward,
     Jump,
     NoRouteError,
+    RoutingTable,
     Thresholds,
     choose_jump_target,
     classify_rate,
@@ -470,6 +472,95 @@ def test_an_idle_arrival_estimate_halves_at_each_check():
     fresh = proto.build_tables()[0]
     proto.detect_congestion(fresh, 0.0, now=50.0)
     assert (fresh.arrival_ewma, fresh.last_arrival) == (0.0, None)
+
+
+def test_offers_at_heavy_traffic_spacing_congest_an_empty_relay_on_rate_alone():
+    # the heavy-traffic workload injects a packet every 1.5 ms. With the
+    # buffer empty the occupancy term is 0, so only the arrival rate can
+    # push the prediction to theta_cong (0.8): 0.5 / ms * 5 ms * 32 B / 100 B
+    # is 0.8 exactly at the third offer
+    proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    relay = proto.build_tables()[1]
+    kinds = [[f.kind for f in proto.on_offer(relay, 0.0, now=1.5 * k)] for k in range(3)]
+    assert kinds == [[], [], [FeedbackKind.CONG]]
+    assert relay.arrival_ewma == 0.5
+    assert relay.state is N.CONG and relay.own_congested
+    assert log_of(proto, 1) == [(3.0, N.NORMAL, N.CONG)]
+    # the estimate climbs toward 2/3 per ms (a prediction of about 1.07), so
+    # the relay stays congested while the offers keep coming
+    for k in range(3, 40):
+        assert proto.on_offer(relay, 0.0, now=1.5 * k) == []
+    assert relay.state is N.CONG
+    assert relay.arrival_ewma > 0.66
+
+
+#: the feedback each entered state sends, as reevaluate's docstring states it
+ENTRY_FEEDBACK = {
+    N.VOID: FeedbackKind.VOID,
+    N.JFAULTY: FeedbackKind.FAULT,
+    N.JCONG: FeedbackKind.CONG,
+    N.CONG: FeedbackKind.CONG,
+    N.NORMAL: FeedbackKind.RECOVER,
+}
+
+
+def reference_reevaluate(states, own_congested, start):
+    """The derivation rule written out: (end state, feedback kinds,
+    (old, new) transitions) for a table with these member states."""
+    if all(s is N.VOID for s in states):  # an empty set too
+        target = N.VOID
+    elif all(s in (N.FAULTY, N.JFAULTY) for s in states):
+        target = N.JFAULTY
+    elif all(s in (N.CONG, N.JCONG) for s in states):
+        target = N.JCONG
+    elif own_congested:
+        target = N.CONG
+    else:
+        target = N.NORMAL
+    if target is start:
+        return start, [], []
+    if target is N.CONG and start not in (N.NORMAL, N.JCONG):
+        path = [N.NORMAL, N.CONG]
+    else:
+        path = [target]
+    return target, [ENTRY_FEEDBACK[s] for s in path], list(zip([start] + path[:-1], path))
+
+
+MEMBER_STATE_LISTS = [
+    states for size in range(4) for states in itertools.product(list(N), repeat=size)
+]
+
+
+@pytest.mark.parametrize("own_congested", [False, True])
+@pytest.mark.parametrize("start", [s for s in N if s is not N.FAULTY])
+def test_reevaluate_matches_the_rule_on_every_small_candidate_set(start, own_congested):
+    assert len(MEMBER_STATE_LISTS) == 1 + 6 + 36 + 216
+    proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    for states in MEMBER_STATE_LISTS:
+        members = [
+            CandidateEntry(i + 1, MU, cached_state=state) for i, state in enumerate(states)
+        ]
+        table = RoutingTable(
+            owner=0,
+            members=members,
+            entries={e.candidate: e for e in members},
+            needed_time=10.0,
+            sink_in_range=False,
+            state=start,
+            own_congested=own_congested,
+        )
+        logged = len(proto.transitions)
+        fbs = proto.reevaluate(table, now=7.0)
+        expected_state, expected_kinds, expected_steps = reference_reevaluate(
+            states, own_congested, start
+        )
+        case = (states, own_congested, start)
+        assert table.state is expected_state, case
+        assert [f.kind for f in fbs] == expected_kinds, case
+        assert proto.transitions[logged:] == [
+            (7.0, 0, old, new) for old, new in expected_steps
+        ], case
+        assert not table.dirty
 
 
 def two_candidate_table(**kwargs):

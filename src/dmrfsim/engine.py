@@ -35,7 +35,6 @@ from .model import (
     InvariantError,
     NodeId,
     Packet,
-    RateClass,
     make_packet,
     running_sum,
 )
@@ -254,10 +253,7 @@ class Simulation:
         self._packet_bytes = float(scenario.packet_bytes)
         self._packet_bits = scenario.packet_bits
         self._feedback_delay_ms = scenario.feedback_delay_ms
-
-        self._rate_mult = {
-            rate: scenario.rate_multipliers[rate.value.lower()] for rate in RateClass
-        }
+        self._rate_mult = scenario.rate_multipliers  # keyed by rate band
 
         self.metrics = MetricsRecord()
         self.packets: list[Packet] = []  # every injected packet, in id order
@@ -498,23 +494,26 @@ class Simulation:
         packet, target, is_jump = sender.pending
         sender.pending = None
         receiver = self.nodes[target]
+        # a DMRF run gives every node but the sink a table, a baseline none;
+        # the sender, a relay receiver and a faulted node are never the sink
+        dmrf = self.dmrf
 
         alive = accepted = target in self._live
         if accepted and not receiver.is_sink:
-            if self.dmrf is not None:
-                fbs = self.dmrf.on_offer(receiver.table, receiver.buffer_used, now)
+            if dmrf is not None:
+                fbs = dmrf.on_offer(receiver.table, receiver.buffer_used, now)
                 if fbs:
                     self._send_feedbacks(receiver, fbs, now)
             accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
 
         if not accepted and alive:
             self._notify_congestion(receiver, sender_id, now)
-        if sender.table is not None:
-            on_result = self.dmrf.on_jump_result if is_jump else self.dmrf.on_forward_result
+        if dmrf is not None:
+            on_result = dmrf.on_jump_result if is_jump else dmrf.on_forward_result
             fbs = on_result(sender.table, target, accepted, now)
             if fbs:
                 self._send_feedbacks(sender, fbs, now)
-        if not accepted and sender.table is not None:
+        if not accepted and dmrf is not None:
             # the packet stays at the head of the queue; the retry's service
             # time absorbs the acknowledgment timeout
             self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
@@ -528,7 +527,7 @@ class Simulation:
             packet.hop_trace.append(receiver.id)
             self._finalize(packet, DELIVERED if now <= packet.deadline else EXPIRED, now)
         else:
-            if receiver.table is not None:
+            if dmrf is not None:
                 receiver.table.upstream = sender_id
             if now > packet.deadline:
                 # arrived past its deadline at a relay: dead on arrival
@@ -537,7 +536,7 @@ class Simulation:
                 receiver.buffer_used += self._packet_bytes
                 packet.hop_trace.append(receiver.id)
                 receiver.queue.append(packet)
-                if self.dmrf is not None and receiver.table.state in CONG_STATES:
+                if dmrf is not None and receiver.table.state in CONG_STATES:
                     self._notify_congestion(receiver, sender_id, now)
                 if receiver.pending is None:
                     self._try_start(receiver, now)
@@ -639,11 +638,11 @@ class Simulation:
             self._send_feedbacks(receiver, fbs, now)
 
     def _on_fault_onset(self, node_ids: list[NodeId], now: float) -> None:
+        dmrf = self.dmrf
         for nid in node_ids:
             self._live.discard(nid)
-            table = self.nodes[nid].table
-            if table is not None:
-                self.dmrf.on_fault(table, now)
+            if dmrf is not None:
+                dmrf.on_fault(self.nodes[nid].table, now)
 
     def _on_deadline(self, packet: Packet, now: float) -> None:
         if packet.outcome is not None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import reduce
 
 NodeId = int
@@ -20,58 +19,30 @@ class InvariantError(RuntimeError):
     """A simulation broke one of its own invariants; the run is invalid."""
 
 
-class NodeState(Enum):
-    # members are singletons, so identity is a valid hash; Enum's own
-    # __hash__ is a Python-level call on every state-keyed dict lookup
-    __hash__ = object.__hash__
+#: a node's detection state: one of the STATE_* strings
+NodeState = str
+#: a forwarding rate band: one of the RATE_* strings, the rate_multipliers keys
+RateClass = str
+#: the kind of a feedback frame: one of the FB_* strings
+FeedbackKind = str
 
-    NORMAL = "NORMAL"
-    FAULTY = "FAULTY"
-    JFAULTY = "JFAULTY"
-    CONG = "CONG"
-    JCONG = "JCONG"
-    VOID = "VOID"
+# compared by identity: code passes these objects, never equal strings it builds
+STATE_NORMAL = "NORMAL"
+STATE_FAULTY = "FAULTY"
+STATE_JFAULTY = "JFAULTY"
+STATE_CONG = "CONG"
+STATE_JCONG = "JCONG"
+STATE_VOID = "VOID"
 
+RATE_LOW = "low"
+RATE_MEDIUM = "medium"
+RATE_HIGH = "high"
 
-# Function bodies read members from these module constants: on CPython 3.11
-# `EnumType.__getattr__` keeps a load such as `NodeState.NORMAL` from
-# specializing, and it costs over twenty times a global's.
-STATE_NORMAL = NodeState.NORMAL
-STATE_FAULTY = NodeState.FAULTY
-STATE_JFAULTY = NodeState.JFAULTY
-STATE_CONG = NodeState.CONG
-STATE_JCONG = NodeState.JCONG
-STATE_VOID = NodeState.VOID
-
-
-class RateClass(Enum):
-    __hash__ = object.__hash__  # as NodeState's
-
-    LOW = "LOW"
-    MEDIUM = "MEDIUM"
-    HIGH = "HIGH"
-
-
-RATE_LOW = RateClass.LOW
-RATE_MEDIUM = RateClass.MEDIUM
-RATE_HIGH = RateClass.HIGH
-
-
-class FeedbackKind(Enum):
-    __hash__ = object.__hash__  # as NodeState's
-
-    FAULT = "FAULT"
-    CONG = "CONG"
-    RECOVER = "RECOVER"
-    VOID = "VOID"
-    JUMP_FAIL = "JUMP_FAIL"
-
-
-FB_FAULT = FeedbackKind.FAULT
-FB_CONG = FeedbackKind.CONG
-FB_RECOVER = FeedbackKind.RECOVER
-FB_VOID = FeedbackKind.VOID
-FB_JUMP_FAIL = FeedbackKind.JUMP_FAIL
+FB_FAULT = "FAULT"
+FB_CONG = "CONG"
+FB_RECOVER = "RECOVER"
+FB_VOID = "VOID"
+FB_JUMP_FAIL = "JUMP_FAIL"
 
 
 @dataclass(slots=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 from .config import ScenarioConfig
 from .model import (
@@ -74,12 +73,13 @@ class NoRouteError(Exception):
     """Raised when thresholds are requested for an unreachable sink."""
 
 
-class DropReason(Enum):
+class DropReason:
+    """Why a decision drops its packet."""
+
     EXPIRED = "EXPIRED"
     NO_ROUTE = "NO_ROUTE"
 
 
-# read by function bodies, as model's STATE_* constants
 DROP_EXPIRED = DropReason.EXPIRED
 DROP_NO_ROUTE = DropReason.NO_ROUTE
 
@@ -97,7 +97,7 @@ class Jump:
 
 @dataclass(slots=True)
 class Drop:
-    reason: DropReason
+    reason: str
 
 
 Decision = Forward | Jump | Drop

@@ -33,6 +33,7 @@ from .config import (
     validate,
 )
 from .engine import RunResult, run
+from .model import running_sum
 from .topology import RANDOM, Topology, deploy
 
 CSV_COLUMNS = (
@@ -163,14 +164,17 @@ def _point_tasks(spec: SweepSpec) -> list[tuple]:
 def worker_count(requested: int | None, task_count: int) -> int:
     """Pool size for a sweep: the request, else DMRFSIM_WORKERS, else 1,
     clamped to the number of tasks and of CPUs. A count below 1 is refused."""
-    raw = os.environ.get("DMRFSIM_WORKERS", "1") if requested is None else requested
+    if requested is None:
+        source, raw = "DMRFSIM_WORKERS", os.environ.get("DMRFSIM_WORKERS", "1")
+    else:
+        source, raw = "workers", requested
     try:
-        requested = int(raw)
+        count = int(raw)
     except ValueError:
-        raise ConfigError(f"DMRFSIM_WORKERS: expected an integer, got {raw!r}") from None
-    if requested < 1:
-        raise ConfigError(f"DMRFSIM_WORKERS: expected at least 1 worker, got {raw!r}")
-    return max(1, min(requested, task_count, os.cpu_count() or 1))
+        raise ConfigError(f"{source}: expected an integer, got {raw!r}") from None
+    if count < 1:
+        raise ConfigError(f"{source}: expected at least 1 worker, got {raw!r}")
+    return max(1, min(count, task_count, os.cpu_count() or 1))
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
@@ -327,16 +331,15 @@ def _fmt(x: float) -> str:
 
 
 def _linear_r2(xs: list[float], ys: list[float]) -> float:
-    n = len(xs)
     mx, my = mean(xs), mean(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = running_sum((x - mx) ** 2 for x in xs)
+    sxy = running_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     if sxx == 0:
         return 0.0
     slope = sxy / sxx
     intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
+    ss_res = running_sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = running_sum((y - my) ** 2 for y in ys)
     if ss_tot == 0:
         return 1.0
     return 1.0 - ss_res / ss_tot

@@ -23,7 +23,7 @@ from dmrfsim.config import (
     validate,
 )
 from dmrfsim.engine import DELIVERED, run
-from dmrfsim.model import CandidateEntry, NodeState, RateClass
+from dmrfsim.model import RATE_HIGH, RATE_LOW, RATE_MEDIUM, CandidateEntry
 from dmrfsim.protocol import (
     DmrfProtocol,
     classify_rate,
@@ -332,9 +332,9 @@ def test_criterion_09_threshold_ordering_and_band_partition():
             assert in_jump + in_high + in_medium + in_low == 1
             if not in_jump:
                 expected = (
-                    RateClass.LOW if in_low
-                    else RateClass.MEDIUM if in_medium
-                    else RateClass.HIGH
+                    RATE_LOW if in_low
+                    else RATE_MEDIUM if in_medium
+                    else RATE_HIGH
                 )
                 assert classify_rate(lam, th) is expected
     elapsed = time.perf_counter() - start

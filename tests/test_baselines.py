@@ -9,8 +9,8 @@ from dmrfsim.baselines import (
     greedy_min_delay,
     rank_candidates,
 )
-from dmrfsim.model import RateClass, make_packet
-from dmrfsim.protocol import Drop, DropReason, Forward
+from dmrfsim.model import RATE_MEDIUM, make_packet
+from dmrfsim.protocol import DROP_EXPIRED, DROP_NO_ROUTE, Drop, Forward
 from dmrfsim.topology import Topology
 
 
@@ -34,7 +34,7 @@ def test_min_delay_picks_fastest_candidate():
     topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
     ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
     d = greedy_min_delay(topo, 0, ranked, fresh_packet(), 0.0)
-    assert d == Forward(next=2, rate=RateClass.MEDIUM)
+    assert d == Forward(next=2, rate=RATE_MEDIUM)
 
 
 def test_min_delay_ties_break_on_progress_then_id():
@@ -50,9 +50,9 @@ def test_min_delay_drops_expired_and_empty():
     packet = fresh_packet()
     ranked = rank_candidates(topo, 0, [(1, 1.0)])
     d = greedy_min_delay(topo, 0, ranked, packet, now=200.0)
-    assert isinstance(d, Drop) and d.reason is DropReason.EXPIRED
+    assert isinstance(d, Drop) and d.reason is DROP_EXPIRED
     d = greedy_min_delay(topo, 0, rank_candidates(topo, 0, []), packet, now=0.0)
-    assert isinstance(d, Drop) and d.reason is DropReason.NO_ROUTE
+    assert isinstance(d, Drop) and d.reason is DROP_NO_ROUTE
 
 
 def test_max_rate_divides_progress_by_delay():
@@ -89,7 +89,7 @@ def test_bypass_drops_a_packet_at_or_past_its_deadline():
     ranked = rank_candidates(topo, 0, [(1, 1.0)])
     for now in (100.0, 200.0):  # the packet's deadline is 100 ms
         d = bypass_next_hop(topo, 0, ranked, fresh_packet(), now, {0, 1, 2})
-        assert isinstance(d, Drop) and d.reason is DropReason.EXPIRED
+        assert isinstance(d, Drop) and d.reason is DROP_EXPIRED
 
 
 def test_bypass_sidesteps_around_a_dead_frontier():
@@ -114,7 +114,7 @@ def test_bypass_refuses_nodes_already_on_the_trace():
     packet.hop_trace.append(3)  # already visited the sidestep
     ranked = rank_candidates(topo, 0, [(1, 1.0)])
     d = bypass_next_hop(topo, 0, ranked, packet, 0.0, live)
-    assert isinstance(d, Drop) and d.reason is DropReason.NO_ROUTE
+    assert isinstance(d, Drop) and d.reason is DROP_NO_ROUTE
 
 
 def test_bypass_prefers_smallest_clockwise_deviation():
@@ -173,13 +173,13 @@ def test_ranked_choice_equals_the_per_call_keys(case):
         topo, 0, rank_candidates(topo, 0, candidates), packet, 0.0, live
     )
     if not candidates:
-        assert d == r == Drop(DropReason.NO_ROUTE)
+        assert d == r == Drop(DROP_NO_ROUTE)
     else:
         assert d.next == min(candidates, key=min_delay_key)[0]
         assert r.next == max(candidates, key=max_rate_key)[0]
     alive = [c for c in candidates if c[0] in live]
     if alive:
-        assert b == Forward(next=min(alive, key=min_delay_key)[0], rate=RateClass.MEDIUM)
+        assert b == Forward(next=min(alive, key=min_delay_key)[0], rate=RATE_MEDIUM)
     else:
         # nothing live makes progress: the sidestep decides, as before
         assert b == bypass_next_hop(topo, 0, [], packet, 0.0, live)

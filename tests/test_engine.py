@@ -36,7 +36,14 @@ from dmrfsim.engine import (
     run,
     sample_delay,
 )
-from dmrfsim.model import FeedbackKind, FeedbackMessage, InvariantError, NodeState
+from dmrfsim.model import (
+    FB_CONG,
+    FB_JUMP_FAIL,
+    FB_RECOVER,
+    STATE_FAULTY,
+    FeedbackMessage,
+    InvariantError,
+)
 from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
 
 
@@ -422,7 +429,7 @@ def test_dead_relay_is_routed_around():
     for outcome in result.packets:
         assert 1 not in outcome.hop_trace[1:] or outcome.hop_trace[-1] == topo.sink
     # the kill shows up in the transition record
-    assert any(new.name == "FAULTY" for _, _, _, new in result.transitions)
+    assert any(new is STATE_FAULTY for _, _, _, new in result.transitions)
 
 
 def test_trace_collection_orders_events():
@@ -542,7 +549,7 @@ def test_a_silent_link_retires_once_its_trust_reaches_zero():
     assert silent and left[0] > 0 and len(left) > rounds
     assert not any(left[rounds - 1:])
     for _table, entry in silent:
-        assert entry.confidence == 0 and entry.cached_state is NodeState.FAULTY
+        assert entry.confidence == 0 and entry.cached_state is STATE_FAULTY
 
 
 def test_a_node_that_carries_nothing_holds_no_container_block():
@@ -583,7 +590,7 @@ def frames_since(sim, seq):
 
 def feedback_upstream(sim, node, receiver):
     node.table.upstream = receiver
-    fb = FeedbackMessage(kind=FeedbackKind.CONG)
+    fb = FeedbackMessage(kind=FB_CONG)
     sim._send_feedbacks(node, [fb], 0.0)
 
 
@@ -593,7 +600,7 @@ def congestion_notice(sim, node, receiver):
 
 def jump_fail_reforward(sim, node, receiver):
     node.table.upstream = receiver
-    fb = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL)
+    fb = FeedbackMessage(kind=FB_JUMP_FAIL)
     sim._on_feedback((fb, node.id + 1, node.id), 0.0)
 
 
@@ -621,8 +628,8 @@ def test_congestion_notice_goes_once_per_sender_per_episode():
         sim._notify_congestion(node, 1, 0.0)
     sim._notify_congestion(node, 0, 0.0)
     assert frames_since(sim, seq) == [
-        (2, 1, FeedbackKind.CONG),
-        (2, 0, FeedbackKind.CONG),
+        (2, 1, FB_CONG),
+        (2, 0, FB_CONG),
     ]
     assert node.cong_notified == {0, 1}
 
@@ -633,9 +640,9 @@ def test_recovery_reaches_every_warned_sender_and_the_upstream():
     node.cong_notified = frozenset({4, 1, 0})
     node.table.upstream = 1
     seq = sim._seq
-    fb = FeedbackMessage(kind=FeedbackKind.RECOVER)
+    fb = FeedbackMessage(kind=FB_RECOVER)
     sim._send_feedbacks(node, [fb], 0.0)
-    assert frames_since(sim, seq) == [(2, r, FeedbackKind.RECOVER) for r in (0, 1, 4)]
+    assert frames_since(sim, seq) == [(2, r, FB_RECOVER) for r in (0, 1, 4)]
     assert node.cong_notified == set()
 
 
@@ -646,7 +653,7 @@ _SRC = str(Path(dmrfsim.__file__).resolve().parent.parent)
 
 _ILLEGAL_TRANSITION = """
 from dmrfsim.config import ScenarioConfig
-from dmrfsim.model import InvariantError, NodeState
+from dmrfsim.model import STATE_FAULTY, InvariantError
 from dmrfsim.protocol import DmrfProtocol
 from dmrfsim.topology import Topology
 
@@ -656,7 +663,7 @@ topo = Topology(nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (2.0, 0.0))],
                 source=0, sink=2)
 proto = DmrfProtocol(topo, ScenarioConfig())
 table = proto.build_tables()[0]
-table.state = NodeState.FAULTY  # crashed nodes never recover
+table.state = STATE_FAULTY  # crashed nodes never recover
 try:
     table.dirty = True
     proto.reevaluate(table, now=1.0)
@@ -693,7 +700,7 @@ def run_optimized(script, *args):
 def test_illegal_transition_raises_under_optimization():
     proc = run_optimized(_ILLEGAL_TRANSITION)
     assert proc.returncode == 0, proc.stderr
-    assert "illegal transition NodeState.FAULTY -> NodeState.NORMAL" in proc.stdout
+    assert "illegal transition FAULTY -> NORMAL" in proc.stdout
 
 
 def test_conservation_violation_exits_two_under_optimization(tmp_path):

@@ -153,7 +153,7 @@ def digests_text() -> str:
             cfg = validate(dataclasses.replace(base, protocol=protocol))
             result = execute_scenario(cfg)
             transitions = [
-                f"{t!r} {node} {old.name} {new.name}"
+                f"{t!r} {node} {old} {new}"
                 for t, node, old, new in result.transitions
             ]
             packets = [

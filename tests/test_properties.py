@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from dmrfsim.config import DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate
 from dmrfsim.engine import (
     DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, preload_buffers, run)
-from dmrfsim.model import FeedbackKind, FeedbackMessage, NodeState, legal_transition
+from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
 from dmrfsim.topology import DISTRIBUTIONS, deploy
 
 
@@ -82,7 +82,7 @@ class CheckedSimulation(Simulation):
         # a node's candidate states do not change later in the event that
         # moved it, so the states seen now are the ones the move was made on
         for _t, nid, old, new in self.transitions[self.checked:]:
-            assert old is self.last_state.get(nid, NodeState.NORMAL)
+            assert old is self.last_state.get(nid, STATE_NORMAL)
             table = self.nodes[nid].table
             states = [e.cached_state for e in table.members] if table else []
             assert legal_transition(old, new, states), (nid, old, new, states)
@@ -186,7 +186,7 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
             receiver = self.nodes[sender_id].pending[1]
             super()._on_arrival(sender_id, now)
             if not frames and sender_id != self.topo.source and receiver in self._live:
-                frames.append((FeedbackMessage(kind=FeedbackKind.CONG), receiver, sender_id))
+                frames.append((FeedbackMessage(kind=FB_CONG), receiver, sender_id))
                 self._live.discard(sender_id)
                 self._notify_congestion(self.nodes[receiver], sender_id, now)
 

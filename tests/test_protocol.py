@@ -15,16 +15,27 @@ from hypothesis import strategies as st
 
 from dmrfsim.config import ScenarioConfig
 from dmrfsim.model import (
+    FB_CONG,
+    FB_FAULT,
+    FB_JUMP_FAIL,
+    FB_RECOVER,
+    FB_VOID,
+    RATE_HIGH,
+    RATE_LOW,
+    RATE_MEDIUM,
+    STATE_CONG,
+    STATE_FAULTY,
+    STATE_JCONG,
+    STATE_JFAULTY,
+    STATE_NORMAL,
+    STATE_VOID,
     CandidateEntry,
-    FeedbackKind,
     FeedbackMessage,
-    NodeState,
-    RateClass,
     make_packet,
 )
 from dmrfsim.protocol import (
+    DROP_EXPIRED,
     Drop,
-    DropReason,
     DmrfProtocol,
     Forward,
     Jump,
@@ -40,7 +51,7 @@ from dmrfsim.protocol import (
 )
 from dmrfsim.topology import Topology, UNREACHABLE
 
-N = NodeState
+STATES = (STATE_NORMAL, STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 MU = 1.28
 
 
@@ -131,19 +142,19 @@ def test_thresholds_unreachable_sink_raises():
 
 def test_rate_bands():
     th = Thresholds(theta_low=0.528, theta_high=0.4, theta_jump=0.2, omega=1.0)
-    assert classify_rate(0.6, th) is RateClass.LOW
-    assert classify_rate(0.528, th) is RateClass.LOW  # boundary belongs up
-    assert classify_rate(0.45, th) is RateClass.MEDIUM
-    assert classify_rate(0.4, th) is RateClass.MEDIUM
-    assert classify_rate(0.25, th) is RateClass.HIGH
+    assert classify_rate(0.6, th) is RATE_LOW
+    assert classify_rate(0.528, th) is RATE_LOW  # boundary belongs up
+    assert classify_rate(0.45, th) is RATE_MEDIUM
+    assert classify_rate(0.4, th) is RATE_MEDIUM
+    assert classify_rate(0.25, th) is RATE_HIGH
 
 
 def test_rate_continuity_pins_low_high_swings_to_medium():
-    assert pin_rate_continuity(RateClass.LOW, RateClass.HIGH) is RateClass.MEDIUM
-    assert pin_rate_continuity(RateClass.HIGH, RateClass.LOW) is RateClass.MEDIUM
-    assert pin_rate_continuity(RateClass.LOW, RateClass.MEDIUM) is RateClass.MEDIUM
-    assert pin_rate_continuity(RateClass.MEDIUM, RateClass.HIGH) is RateClass.HIGH
-    assert pin_rate_continuity(RateClass.LOW, RateClass.LOW) is RateClass.LOW
+    assert pin_rate_continuity(RATE_LOW, RATE_HIGH) is RATE_MEDIUM
+    assert pin_rate_continuity(RATE_HIGH, RATE_LOW) is RATE_MEDIUM
+    assert pin_rate_continuity(RATE_LOW, RATE_MEDIUM) is RATE_MEDIUM
+    assert pin_rate_continuity(RATE_MEDIUM, RATE_HIGH) is RATE_HIGH
+    assert pin_rate_continuity(RATE_LOW, RATE_LOW) is RATE_LOW
 
 
 # ----------------------------------------------------------------------
@@ -172,20 +183,20 @@ def test_choose_jump_target_samples_cumulatively():
 
 
 def test_choose_jump_target_excludes_known_bad_and_renormalizes():
-    a = CandidateEntry(candidate=1, suc=0.75, cached_state=N.CONG)
+    a = CandidateEntry(candidate=1, suc=0.75, cached_state=STATE_CONG)
     b = CandidateEntry(candidate=2, suc=0.5)
     # only b is viable, so any draw picks it
     assert choose_jump_target([a, b], FixedRng([0.99]), sink=9, sink_in_range=True) == 2
 
 
 def test_choose_jump_target_falls_back_to_sink_in_range():
-    a = CandidateEntry(candidate=1, cached_state=N.FAULTY)
+    a = CandidateEntry(candidate=1, cached_state=STATE_FAULTY)
     assert choose_jump_target([a], FixedRng([0.5]), sink=9, sink_in_range=True) == 9
     assert choose_jump_target([a], FixedRng([0.5]), sink=9, sink_in_range=False) is None
     assert choose_jump_target([], FixedRng([0.5]), sink=9, sink_in_range=True) == 9
 
 
-KNOWN_BAD = (N.FAULTY, N.JFAULTY, N.CONG, N.JCONG, N.VOID)
+KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 
 
 def reference_jump_target(entries, rng, sink, sink_in_range):
@@ -217,7 +228,7 @@ class PinnedRandom(random.Random):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     pool=st.lists(
-        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.sampled_from(N)),
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.sampled_from(STATES)),
         max_size=60,
     ),
     all_zero=st.booleans(),
@@ -273,7 +284,7 @@ def test_build_tables_initializes_fcs_entries():
     assert t0.entries[1].delay_est == MU
     assert t0.needed_time == pytest.approx(2 * MU)
     assert t0.sink_in_range  # 2 m < 30 m
-    assert t0.state is N.NORMAL
+    assert t0.state is STATE_NORMAL
 
 
 def test_build_tables_marks_born_void_nodes():
@@ -282,8 +293,8 @@ def test_build_tables_marks_born_void_nodes():
         [(-1.0, 0.0), (0.0, 0.0), (5.0, 0.0)], comm_radius=1.2, sink=2
     )
     tables = proto.build_tables()
-    assert tables[1].state is N.VOID
-    assert log_of(proto, 1) == [(0.0, N.NORMAL, N.VOID)]
+    assert tables[1].state is STATE_VOID
+    assert log_of(proto, 1) == [(0.0, STATE_NORMAL, STATE_VOID)]
 
 
 def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
@@ -310,7 +321,7 @@ def probe_all(proto, table, replies, now=0.0, states=None):
     live = [(table, e) for e in table.members if e.candidate in replies]
     silent = [(table, e) for e in table.members if e.candidate not in replies]
     delays = [e.delay_est for _, e in live]
-    reported = [(states or {}).get(e.candidate, N.NORMAL) for _, e in live]
+    reported = [(states or {}).get(e.candidate, STATE_NORMAL) for _, e in live]
     proto.detect_faulty(live, delays, reported, silent)
     return proto.reevaluate(table, now)
 
@@ -321,9 +332,9 @@ def test_three_missed_probes_mark_faulty():
     entry = table.entries[1]
     probe_all(proto, table, replies=set())
     probe_all(proto, table, replies=set())
-    assert entry.cached_state is N.NORMAL
+    assert entry.cached_state is STATE_NORMAL
     probe_all(proto, table, replies=set())
-    assert entry.cached_state is N.FAULTY
+    assert entry.cached_state is STATE_FAULTY
 
 
 def test_reply_resets_confidence_and_heals_faulty_cache():
@@ -332,9 +343,9 @@ def test_reply_resets_confidence_and_heals_faulty_cache():
     entry = table.entries[1]
     for _ in range(3):
         probe_all(proto, table, replies=set())
-    assert entry.cached_state is N.FAULTY
+    assert entry.cached_state is STATE_FAULTY
     probe_all(proto, table, replies={1})
-    assert entry.cached_state is N.NORMAL
+    assert entry.cached_state is STATE_NORMAL
     assert entry.confidence == 100
 
 
@@ -343,14 +354,14 @@ def test_confidence_three_strikes():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     entry = table.entries[1]
-    assert (entry.confidence, entry.cached_state) == (100, N.NORMAL)
+    assert (entry.confidence, entry.cached_state) == (100, STATE_NORMAL)
     seen = []
     for _ in range(3):
         probe_all(proto, table, replies=set())
         seen.append((entry.confidence, entry.cached_state))
-    assert seen == [(75, N.NORMAL), (50, N.NORMAL), (25, N.FAULTY)]
+    assert seen == [(75, STATE_NORMAL), (50, STATE_NORMAL), (25, STATE_FAULTY)]
     probe_all(proto, table, replies={1})
-    assert (entry.confidence, entry.cached_state) == (100, N.NORMAL)
+    assert (entry.confidence, entry.cached_state) == (100, STATE_NORMAL)
 
 
 def test_confidence_clamps_at_zero():
@@ -358,16 +369,16 @@ def test_confidence_clamps_at_zero():
     entry = table.entries[1]
     for i in range(10):
         proto.on_forward_result(table, 1, False, now=float(i))
-    assert (entry.confidence, entry.cached_state) == (0, N.FAULTY)
+    assert (entry.confidence, entry.cached_state) == (0, STATE_FAULTY)
     proto.on_forward_result(table, 1, True, now=10.0)
-    assert (entry.confidence, entry.cached_state) == (100, N.NORMAL)
+    assert (entry.confidence, entry.cached_state) == (100, STATE_NORMAL)
 
 
 def _misses_until_faulty(proto, table, miss):
     entry = table.entries[1]
     for count in range(1, 101):
         miss(proto, table, float(count))
-        if entry.cached_state is N.FAULTY:
+        if entry.cached_state is STATE_FAULTY:
             return count
     raise AssertionError("never cached FAULTY")
 
@@ -394,23 +405,23 @@ def test_confidence_threshold_and_step_come_from_config(threshold, step, misses)
 def test_probe_reply_state_report_overrides_cache():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    probe_all(proto, table, replies={1}, states={1: N.CONG})
-    assert table.entries[1].cached_state is N.CONG
-    probe_all(proto, table, replies={1}, states={1: N.NORMAL})
-    assert table.entries[1].cached_state is N.NORMAL
+    probe_all(proto, table, replies={1}, states={1: STATE_CONG})
+    assert table.entries[1].cached_state is STATE_CONG
+    probe_all(proto, table, replies={1}, states={1: STATE_NORMAL})
+    assert table.entries[1].cached_state is STATE_NORMAL
 
 
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty([(table, table.entries[1])], [2.0], [N.NORMAL], [])
+    proto.detect_faulty([(table, table.entries[1])], [2.0], [STATE_NORMAL], [])
     assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 
 @pytest.mark.parametrize(
     "records",
-    [([], []), ([2.0], []), ([2.0, 2.0], [N.NORMAL, N.NORMAL]), ([2.0], [N.NORMAL, N.NORMAL]),
-     ([], [N.NORMAL])],
+    [([], []), ([2.0], []), ([2.0, 2.0], [STATE_NORMAL, STATE_NORMAL]), ([2.0], [STATE_NORMAL, STATE_NORMAL]),
+     ([], [STATE_NORMAL])],
 )
 def test_probe_records_must_match_the_candidate_set(records):
     # one delay and one state per live link, in link order, and no more
@@ -428,19 +439,19 @@ def test_congestion_predictor_and_hysteresis():
     # occupancy 0.5 + 0.1/ms * 5 ms * 32 B / 100 B = 0.5 + 0.16 = 0.66 < 0.8
     table.arrival_ewma = 0.1
     proto.detect_congestion(table, 50.0, now=1.0)
-    assert table.state is N.NORMAL
+    assert table.state is STATE_NORMAL
     # occupancy 0.72 + 0.16 = 0.88 >= 0.8: congested
     fbs = proto.detect_congestion(table, 72.0, now=2.0)
-    assert table.state is N.CONG
-    assert [f.kind for f in fbs] == [FeedbackKind.CONG]
+    assert table.state is STATE_CONG
+    assert [f.kind for f in fbs] == [FB_CONG]
     # back under theta but inside the hysteresis band: still congested
     table.arrival_ewma = 0.0
     proto.detect_congestion(table, 72.0, now=3.0)
-    assert table.state is N.CONG
+    assert table.state is STATE_CONG
     # predicted 0.66 < 0.8 - 0.1: recovered
     fbs = proto.detect_congestion(table, 66.0, now=4.0)
-    assert table.state is N.NORMAL
-    assert [f.kind for f in fbs] == [FeedbackKind.RECOVER]
+    assert table.state is STATE_NORMAL
+    assert [f.kind for f in fbs] == [FB_RECOVER]
 
 
 def test_an_offer_folds_into_the_arrival_estimate():
@@ -482,57 +493,59 @@ def test_offers_at_heavy_traffic_spacing_congest_an_empty_relay_on_rate_alone():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     relay = proto.build_tables()[1]
     kinds = [[f.kind for f in proto.on_offer(relay, 0.0, now=1.5 * k)] for k in range(3)]
-    assert kinds == [[], [], [FeedbackKind.CONG]]
+    assert kinds == [[], [], [FB_CONG]]
     assert relay.arrival_ewma == 0.5
-    assert relay.state is N.CONG and relay.own_congested
-    assert log_of(proto, 1) == [(3.0, N.NORMAL, N.CONG)]
+    assert relay.state is STATE_CONG and relay.own_congested
+    assert log_of(proto, 1) == [(3.0, STATE_NORMAL, STATE_CONG)]
     # the estimate climbs toward 2/3 per ms (a prediction of about 1.07), so
     # the relay stays congested while the offers keep coming
     for k in range(3, 40):
         assert proto.on_offer(relay, 0.0, now=1.5 * k) == []
-    assert relay.state is N.CONG
+    assert relay.state is STATE_CONG
     assert relay.arrival_ewma > 0.66
 
 
 #: the feedback each entered state sends, as reevaluate's docstring states it
 ENTRY_FEEDBACK = {
-    N.VOID: FeedbackKind.VOID,
-    N.JFAULTY: FeedbackKind.FAULT,
-    N.JCONG: FeedbackKind.CONG,
-    N.CONG: FeedbackKind.CONG,
-    N.NORMAL: FeedbackKind.RECOVER,
+    STATE_VOID: FB_VOID,
+    STATE_JFAULTY: FB_FAULT,
+    STATE_JCONG: FB_CONG,
+    STATE_CONG: FB_CONG,
+    STATE_NORMAL: FB_RECOVER,
 }
 
 
 def reference_reevaluate(states, own_congested, start):
     """The derivation rule written out: (end state, feedback kinds,
     (old, new) transitions) for a table with these member states."""
-    if all(s is N.VOID for s in states):  # an empty set too
-        target = N.VOID
-    elif all(s in (N.FAULTY, N.JFAULTY) for s in states):
-        target = N.JFAULTY
-    elif all(s in (N.CONG, N.JCONG) for s in states):
-        target = N.JCONG
+    if all(s is STATE_VOID for s in states):  # an empty set too
+        target = STATE_VOID
+    elif all(s in (STATE_FAULTY, STATE_JFAULTY) for s in states):
+        target = STATE_JFAULTY
+    elif all(s in (STATE_CONG, STATE_JCONG) for s in states):
+        target = STATE_JCONG
     elif own_congested:
-        target = N.CONG
+        target = STATE_CONG
     else:
-        target = N.NORMAL
+        target = STATE_NORMAL
     if target is start:
         return start, [], []
-    if target is N.CONG and start not in (N.NORMAL, N.JCONG):
-        path = [N.NORMAL, N.CONG]
+    if target is STATE_CONG and start not in (STATE_NORMAL, STATE_JCONG):
+        path = [STATE_NORMAL, STATE_CONG]
     else:
         path = [target]
     return target, [ENTRY_FEEDBACK[s] for s in path], list(zip([start] + path[:-1], path))
 
 
 MEMBER_STATE_LISTS = [
-    states for size in range(4) for states in itertools.product(list(N), repeat=size)
+    states for size in range(4) for states in itertools.product(STATES, repeat=size)
 ]
 
 
 @pytest.mark.parametrize("own_congested", [False, True])
-@pytest.mark.parametrize("start", [s for s in N if s is not N.FAULTY])
+@pytest.mark.parametrize(
+    "start", [s for s in STATES if s is not STATE_FAULTY], ids=lambda s: f"NodeState.{s}"
+)
 def test_reevaluate_matches_the_rule_on_every_small_candidate_set(start, own_congested):
     assert len(MEMBER_STATE_LISTS) == 1 + 6 + 36 + 216
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
@@ -571,41 +584,41 @@ def two_candidate_table(**kwargs):
 
 def test_state_derivation_cascades():
     proto, table = two_candidate_table()
-    table.entries[1].cached_state = N.FAULTY
-    table.entries[2].cached_state = N.JFAULTY
+    table.entries[1].cached_state = STATE_FAULTY
+    table.entries[2].cached_state = STATE_JFAULTY
     table.dirty = True
     fbs = proto.reevaluate(table, now=1.0)
-    assert table.state is N.JFAULTY
-    assert [f.kind for f in fbs] == [FeedbackKind.FAULT]
+    assert table.state is STATE_JFAULTY
+    assert [f.kind for f in fbs] == [FB_FAULT]
 
     # one candidate heals: back to NORMAL
-    table.entries[1].cached_state = N.NORMAL
+    table.entries[1].cached_state = STATE_NORMAL
     table.dirty = True
     fbs = proto.reevaluate(table, now=2.0)
-    assert table.state is N.NORMAL
-    assert [f.kind for f in fbs] == [FeedbackKind.RECOVER]
+    assert table.state is STATE_NORMAL
+    assert [f.kind for f in fbs] == [FB_RECOVER]
 
-    table.entries[1].cached_state = N.CONG
-    table.entries[2].cached_state = N.JCONG
+    table.entries[1].cached_state = STATE_CONG
+    table.entries[2].cached_state = STATE_JCONG
     table.dirty = True
     proto.reevaluate(table, now=3.0)
-    assert table.state is N.JCONG
+    assert table.state is STATE_JCONG
 
-    table.entries[1].cached_state = N.VOID
-    table.entries[2].cached_state = N.VOID
+    table.entries[1].cached_state = STATE_VOID
+    table.entries[2].cached_state = STATE_VOID
     table.dirty = True
     proto.reevaluate(table, now=4.0)
-    assert table.state is N.VOID
+    assert table.state is STATE_VOID
 
 
 def test_void_outranks_other_derivations():
     proto, table = two_candidate_table()
-    table.entries[1].cached_state = N.VOID
-    table.entries[2].cached_state = N.VOID
+    table.entries[1].cached_state = STATE_VOID
+    table.entries[2].cached_state = STATE_VOID
     table.own_congested = True
     table.dirty = True
     proto.reevaluate(table, now=1.0)
-    assert table.state is N.VOID
+    assert table.state is STATE_VOID
 
 
 def test_own_congestion_yields_to_whole_set_conditions():
@@ -613,34 +626,34 @@ def test_own_congestion_yields_to_whole_set_conditions():
     table.own_congested = True
     table.dirty = True
     proto.reevaluate(table, now=1.0)
-    assert table.state is N.CONG
-    table.entries[1].cached_state = N.FAULTY
-    table.entries[2].cached_state = N.FAULTY
+    assert table.state is STATE_CONG
+    table.entries[1].cached_state = STATE_FAULTY
+    table.entries[2].cached_state = STATE_FAULTY
     table.dirty = True
     proto.reevaluate(table, now=2.0)
-    assert table.state is N.JFAULTY
+    assert table.state is STATE_JFAULTY
 
 
 def test_illegal_direct_cong_entry_decomposes_through_normal():
     proto, table = two_candidate_table()
     # drive to JFAULTY
-    table.entries[1].cached_state = N.FAULTY
-    table.entries[2].cached_state = N.FAULTY
+    table.entries[1].cached_state = STATE_FAULTY
+    table.entries[2].cached_state = STATE_FAULTY
     table.dirty = True
     proto.reevaluate(table, now=1.0)
-    assert table.state is N.JFAULTY
+    assert table.state is STATE_JFAULTY
     # candidates heal while the node's own buffer is hot: the path to CONG
     # passes through NORMAL, emitting RECOVER then CONG
-    table.entries[1].cached_state = N.NORMAL
-    table.entries[2].cached_state = N.NORMAL
+    table.entries[1].cached_state = STATE_NORMAL
+    table.entries[2].cached_state = STATE_NORMAL
     table.own_congested = True
     table.dirty = True
     fbs = proto.reevaluate(table, now=2.0)
-    assert table.state is N.CONG
-    assert [f.kind for f in fbs] == [FeedbackKind.RECOVER, FeedbackKind.CONG]
+    assert table.state is STATE_CONG
+    assert [f.kind for f in fbs] == [FB_RECOVER, FB_CONG]
     assert log_of(proto, table.owner)[-2:] == [
-        (2.0, N.JFAULTY, N.NORMAL),
-        (2.0, N.NORMAL, N.CONG),
+        (2.0, STATE_JFAULTY, STATE_NORMAL),
+        (2.0, STATE_NORMAL, STATE_CONG),
     ]
 
 
@@ -653,7 +666,7 @@ def test_select_drops_expired_packets():
     packet = make_packet(0, now=0.0, lifetime=10.0)
     decision = proto.select_next_hop(table, packet, now=20.0, rng=random.Random(1))
     assert isinstance(decision, Drop)
-    assert decision.reason is DropReason.EXPIRED
+    assert decision.reason is DROP_EXPIRED
 
 
 def test_select_forwards_least_used_then_slowest():
@@ -671,7 +684,7 @@ def test_select_forwards_least_used_then_slowest():
 def test_select_skips_candidates_cached_bad():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    table.entries[1].cached_state = N.CONG
+    table.entries[1].cached_state = STATE_CONG
     for _ in range(4):
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
         assert isinstance(d, Forward)
@@ -689,12 +702,12 @@ def member_tables(draw):
     proto, _ = grid_protocol(positions, comm_radius=1.6, sink=count + 1)
     table = proto.build_tables()[0]
     assert len(table.members) == count
-    states = st.sampled_from([N.NORMAL, N.NORMAL, N.NORMAL, N.CONG, N.FAULTY, N.VOID])
+    states = st.sampled_from([STATE_NORMAL, STATE_NORMAL, STATE_NORMAL, STATE_CONG, STATE_FAULTY, STATE_VOID])
     for e in table.members:
         e.tx_count = draw(st.integers(0, 2))
         e.delay_est = draw(st.sampled_from([0.5, 1.0, 1.28, 2.0, 4.0]))
         e.cached_state = draw(states)
-    previous = draw(st.sampled_from(list(RateClass)))
+    previous = draw(st.sampled_from((RATE_LOW, RATE_MEDIUM, RATE_HIGH)))
     return proto, table, draw(st.floats(0.1, 200.0)), previous
 
 
@@ -708,7 +721,7 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
     uses = [e.tx_count for e in members]
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     eligible = [
-        e for e in members if e.cached_state is N.NORMAL and e.delay_est <= lifetime
+        e for e in members if e.cached_state is STATE_NORMAL and e.delay_est <= lifetime
     ]
     lam = compute_lambda(lifetime, table.needed_time)
     worst = max(e.delay_est for e in members)
@@ -735,8 +748,8 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
 def test_select_jumps_when_all_candidates_are_bad():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    table.entries[1].cached_state = N.CONG
-    table.entries[2].cached_state = N.FAULTY
+    table.entries[1].cached_state = STATE_CONG
+    table.entries[2].cached_state = STATE_FAULTY
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d, Jump)
 
@@ -744,7 +757,7 @@ def test_select_jumps_when_all_candidates_are_bad():
 def test_select_jumps_in_propagated_states():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    for state in (N.JFAULTY, N.JCONG, N.VOID):
+    for state in (STATE_JFAULTY, STATE_JCONG, STATE_VOID):
         table.state = state
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
         assert isinstance(d, Jump)
@@ -763,17 +776,17 @@ def test_low_slack_packets_get_high_rate():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
-    assert d.rate is RateClass.LOW  # lambda = 100 / 2.56 >> theta_low
+    assert d.rate is RATE_LOW  # lambda = 100 / 2.56 >> theta_low
     tight = make_packet(0, now=0.0, lifetime=1.5)
     # lambda = 1.5 / 2.56 = 0.59, theta_high = 0.2 + 1.28 / 2.56 = 0.7:
     # the HIGH band, and the 1.28 ms hop still fits the remaining 1.5 ms
     d = proto.select_next_hop(table, tight, now=0.0, rng=random.Random(1))
     assert isinstance(d, Forward)
     # LOW -> HIGH in one hop is pinned to MEDIUM
-    assert d.rate is RateClass.MEDIUM
-    tight.rate_class = RateClass.MEDIUM
+    assert d.rate is RATE_MEDIUM
+    tight.rate_class = RATE_MEDIUM
     d = proto.select_next_hop(table, tight, now=0.0, rng=random.Random(1))
-    assert d.rate is RateClass.HIGH
+    assert d.rate is RATE_HIGH
 
 
 # ----------------------------------------------------------------------
@@ -784,11 +797,11 @@ def test_forward_failures_erode_confidence():
     proto, table = two_candidate_table()
     assert proto.on_forward_result(table, 1, False, now=1.0) == []
     assert proto.on_forward_result(table, 1, False, now=2.0) == []
-    assert table.entries[1].cached_state is N.NORMAL
+    assert table.entries[1].cached_state is STATE_NORMAL
     proto.on_forward_result(table, 1, False, now=3.0)
-    assert table.entries[1].cached_state is N.FAULTY
+    assert table.entries[1].cached_state is STATE_FAULTY
     proto.on_forward_result(table, 1, True, now=4.0)
-    assert table.entries[1].cached_state is N.NORMAL
+    assert table.entries[1].cached_state is STATE_NORMAL
     assert table.entries[1].confidence == 100
 
 
@@ -804,7 +817,7 @@ def test_jump_success_ratio_arithmetic():
     fbs = proto.on_jump_result(table, 1, False, now=4.0)
     assert (entry.successes, entry.attempts) == (3, 4)
     assert entry.suc == pytest.approx(0.5)
-    assert fbs[0].kind is FeedbackKind.JUMP_FAIL
+    assert fbs[0].kind is FB_JUMP_FAIL
 
 
 def test_first_jump_failure_zeroes_the_candidate():
@@ -826,26 +839,26 @@ def test_first_jump_failure_zeroes_the_candidate():
 def test_feedback_caches_subject_state_by_kind():
     proto, table = two_candidate_table()
     cases = [
-        (FeedbackKind.FAULT, N.FAULTY),
-        (FeedbackKind.CONG, N.CONG),
-        (FeedbackKind.VOID, N.VOID),
-        (FeedbackKind.RECOVER, N.NORMAL),
+        (FB_FAULT, STATE_FAULTY),
+        (FB_CONG, STATE_CONG),
+        (FB_VOID, STATE_VOID),
+        (FB_RECOVER, STATE_NORMAL),
     ]
     for kind, expected in cases:
         msg = FeedbackMessage(kind=kind)
         fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
-        assert FeedbackKind.JUMP_FAIL not in [f.kind for f in fbs]
+        assert FB_JUMP_FAIL not in [f.kind for f in fbs]
         assert table.entries[1].cached_state is expected
 
 
 def test_feedback_drives_derived_state():
     proto, table = two_candidate_table()
     for sender in (1, 2):
-        msg = FeedbackMessage(kind=FeedbackKind.CONG)
+        msg = FeedbackMessage(kind=FB_CONG)
         fbs = proto.on_feedback(table, msg, from_node=sender, now=1.0,
                                 rng=random.Random(1))
-    assert table.state is N.JCONG
-    assert [f.kind for f in fbs] == [FeedbackKind.CONG]
+    assert table.state is STATE_JCONG
+    assert [f.kind for f in fbs] == [FB_CONG]
 
 
 def test_jump_fail_feedback_scales_suc_and_reforwards():
@@ -853,13 +866,13 @@ def test_jump_fail_feedback_scales_suc_and_reforwards():
     proto.ensure_jump_entries(table)
     entry = table.entries[1]
     entry.suc = 0.8
-    msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, hop_limit=3)
+    msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=3)
     fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
     assert entry.suc == pytest.approx(0.8 * 0.25)
-    assert [(f.kind, f.hop_limit) for f in fbs] == [(FeedbackKind.JUMP_FAIL, 2)]
+    assert [(f.kind, f.hop_limit) for f in fbs] == [(FB_JUMP_FAIL, 2)]
 
 
 def test_jump_fail_feedback_stops_at_hop_limit():
     proto, table = two_candidate_table()
-    msg = FeedbackMessage(kind=FeedbackKind.JUMP_FAIL, hop_limit=1)
+    msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=1)
     assert proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25])) == []

@@ -224,11 +224,29 @@ def test_worker_count_reads_the_environment(monkeypatch):
 @pytest.mark.parametrize("count", [0, -3])
 def test_worker_count_below_one_is_refused(monkeypatch, count):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    with pytest.raises(ConfigError, match="DMRFSIM_WORKERS.*at least 1"):
+    with pytest.raises(ConfigError, match="^workers: expected at least 1"):
         worker_count(count, 100)
     monkeypatch.setenv("DMRFSIM_WORKERS", str(count))
-    with pytest.raises(ConfigError, match="DMRFSIM_WORKERS.*at least 1"):
+    with pytest.raises(ConfigError, match="^DMRFSIM_WORKERS: expected at least 1"):
         worker_count(None, 100)
+
+
+def test_a_bad_workers_argument_is_blamed_on_the_argument(monkeypatch):
+    # the argument wins, so the environment is not what was read
+    monkeypatch.setenv("DMRFSIM_WORKERS", "2")
+    with pytest.raises(ConfigError, match="^workers: expected an integer, got '3x'$"):
+        worker_count("3x", 5)
+    with pytest.raises(ConfigError, match="^workers: expected at least 1 worker, got 0$"):
+        worker_count(0, 5)
+
+
+def test_a_bad_environment_count_is_blamed_on_the_variable(monkeypatch):
+    monkeypatch.setenv("DMRFSIM_WORKERS", "3x")
+    with pytest.raises(ConfigError, match="^DMRFSIM_WORKERS: expected an integer, got '3x'$"):
+        worker_count(None, 5)
+    monkeypatch.setenv("DMRFSIM_WORKERS", "0")
+    with pytest.raises(ConfigError, match="^DMRFSIM_WORKERS: expected at least 1 worker, got '0'$"):
+        worker_count(None, 5)
 
 
 def test_csv_round_trip_restores_types():
@@ -362,6 +380,13 @@ def test_linear_r2_of_a_constant_x_or_y():
     # no spread in x fits no line; no spread in y is fitted exactly
     assert _linear_r2([100.0, 100.0, 100.0], [1.0, 2.0, 4.0]) == 0.0
     assert _linear_r2([100.0, 200.0, 400.0], [5.0, 5.0, 5.0]) == 1.0
+
+
+def test_linear_r2_adds_left_to_right_on_every_python():
+    # exact summation (math.fsum, or the built-in sum from Python 3.12 on)
+    # gives 0.3915212639947926 here
+    ys = [262518.3354820275, 500480.73622102157, 454996.15414085076]
+    assert _linear_r2([100.0, 200.0, 400.0], ys) == 0.39152126399479215
 
 
 def test_summarize_leaves_points_where_neither_side_delivers_out_of_the_flag():

@@ -215,8 +215,9 @@ class _NodeRuntime:
         # a baseline's candidate set on the full deployment, every link at the
         # mean hop delay, in the baseline's order; built at the first decision
         self.ranked: list[NodeId] | None = None
-        # receiver id -> joules per bit sent to it (see Simulation._price)
-        self.link_j: dict[NodeId, float] = {}
+        # receiver id -> joules per bit sent to it (see Simulation._price);
+        # replaced, never mutated, while it is the shared empty one
+        self.link_j: dict[NodeId, float] = _NO_PRICES
         self.tx = 0  # data transmissions started
         # waiting packets, first in first out (see Simulation._release)
         self.queue: list[Packet] = []
@@ -228,6 +229,9 @@ class _NodeRuntime:
 
 #: the notice set every node shares until it first warns a sender
 _NO_NOTICES: frozenset[NodeId] = frozenset()
+#: the price cache every node shares until it first sends a data or feedback
+#: frame; never written
+_NO_PRICES: dict[NodeId, float] = {}
 #: the state holder of a probed sink, which keeps no routing table
 _SINK_REPORT = SimpleNamespace(state=STATE_NORMAL)
 
@@ -349,10 +353,14 @@ class Simulation:
     def _price(self, sender: _NodeRuntime, receiver: NodeId, bits: int) -> float:
         """Joules for one frame of `bits` from `sender` to `receiver`. A link
         is priced once per run, per bit, whatever frames it carries: `bits *
-        energy_cost(cfg, d, 1)` is `energy_cost(cfg, d, bits)` to the bit."""
+        energy_cost(cfg, d, 1)` is `energy_cost(cfg, d, bits)` to the bit.
+        Probe frames are priced by the layout, not here."""
         per_bit = sender.link_j.get(receiver)
         if per_bit is None:
-            per_bit = sender.link_j[receiver] = energy_cost(
+            link_j = sender.link_j
+            if link_j is _NO_PRICES:
+                link_j = sender.link_j = {}
+            per_bit = link_j[receiver] = energy_cost(
                 self.cfg, self.topo.distance(sender.id, receiver), 1
             )
         return bits * per_bit
@@ -555,27 +563,35 @@ class Simulation:
 
     def _lay_out_probes(self) -> tuple:
         """Lay out the probe links of every live prober end to end, in id
-        order and then in the order of its table.members, as `(joules, live,
-        peers, silent)`.
+        order and then in the order of its table.members, as `(joules,
+        tables, entries, peers, silent)`.
 
         The first round does this after the time-0 FAULT_ONSET, the only
         one, so which peers are silent is fixed for the whole run. A live
-        link keeps its (table, entry) pair in `live` and its peer's state
-        holder in `peers`; a silent one keeps only its pair, in `silent`.
-        `joules` holds every link's control-frame joules in link order."""
-        nodes, alive, joules, live, peers, silent = self.nodes, self._live, [], [], [], []
+        link keeps its table, its entry and its peer's state holder at one
+        position of `tables`, `entries` and `peers`: three flat lists, not a
+        tuple per link. A silent one keeps only its (table, entry) pair, in
+        `silent`. `joules` holds every link's control-frame joules in link
+        order, priced here as `_price` would price them (the node's own
+        price cache is left alone), and equal values share one float."""
+        nodes, alive, cfg, distance = self.nodes, self._live, self.cfg, self.topo.distance
+        joules, tables, entries, peers, silent = [], [], [], [], []
+        # a grid has a handful of link lengths, so most links share a price
+        prices: dict[float, float] = {}
         probers = self._probers = [node for node in self._probers if node.id in alive]
         for node in probers:
             table = node.table
             for entry in table.members:
                 peer = nodes[entry.candidate]
-                joules.append(self._price(node, peer.id, CONTROL_FRAME_BITS))
+                price = CONTROL_FRAME_BITS * energy_cost(cfg, distance(node.id, peer.id), 1)
+                joules.append(prices.setdefault(price, price))
                 if peer.id in alive:
-                    live.append((table, entry))
+                    tables.append(table)
+                    entries.append(entry)
                     peers.append(peer.table if peer.table is not None else _SINK_REPORT)
                 else:
                     silent.append((table, entry))
-        return joules, live, peers, silent
+        return joules, tables, entries, peers, silent
 
     def _on_probe_round(self, _: None, now: float) -> None:
         """Every prober probes, in id order, at the place in the event order
@@ -593,7 +609,7 @@ class Simulation:
             self._layout = self._lay_out_probes()
             if not self._probers:
                 return
-        joules, _live, peers, _silent = self._layout
+        joules, _tables, _entries, peers, _silent = self._layout
         metrics = self.metrics
         metrics.control_packets += len(joules)
         metrics.energy_total_j = running_sum(joules, metrics.energy_total_j)
@@ -612,9 +628,9 @@ class Simulation:
         only: its inputs, the standing preload and an arrival EWMA of 0.0,
         never change, and its table is clean once re-derived."""
         delays, states = replies
-        _joules, live, _peers, silent = self._layout
+        _joules, tables, entries, _peers, silent = self._layout
         dmrf = self.dmrf
-        dmrf.detect_faulty(live, delays, states, silent)
+        dmrf.detect_faulty(tables, entries, delays, states, silent)
         silent[:] = [link for link in silent if link[1].confidence]
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0

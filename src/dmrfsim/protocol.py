@@ -314,7 +314,8 @@ class DmrfProtocol:
 
     def detect_faulty(
         self,
-        live: list[tuple[RoutingTable, CandidateEntry]],
+        tables: list[RoutingTable],
+        entries: list[CandidateEntry],
         delays: list[float],
         states: list[NodeState],
         silent: list[tuple[RoutingTable, CandidateEntry]],
@@ -323,16 +324,17 @@ class DmrfProtocol:
         eventually get cached FAULTY; responders reset to full trust and
         refresh their delay estimate.
 
-        `live` and `silent` name the probed candidates that replied and
-        those that stayed silent, each as a (table, entry) pair, for any
-        number of tables. `delays` and `states` hold each reply of `live`,
-        in that order: the delay sample and the state the replier reported.
-        A probe reply carries the replier's own state, so the cached state
-        of a responder is whatever it reported rather than a guess. Reply
-        lists that do not match `live` raise ValueError. A table whose cached
-        states changed is left dirty, for the caller to `reevaluate`.
+        The probed candidates that replied are `entries`, each beside its
+        own table in `tables`; those that stayed silent are `silent`, each
+        as a (table, entry) pair; any number of tables may appear. `delays`
+        and `states` hold each reply, in `entries` order: the delay sample
+        and the state the replier reported. A probe reply carries the
+        replier's own state, so the cached state of a responder is whatever
+        it reported rather than a guess. Lists of unequal length raise
+        ValueError. A table whose cached states changed is left dirty, for
+        the caller to `reevaluate`.
         """
-        for (table, entry), delay, state in zip(live, delays, states, strict=True):
+        for table, entry, delay, state in zip(tables, entries, delays, states, strict=True):
             entry.confidence = 100
             if entry.cached_state is not state:  # the usual reply repeats it
                 _cache_state(table, entry, state)

@@ -163,15 +163,19 @@ def _point_tasks(spec: SweepSpec) -> list[tuple]:
 
 def worker_count(requested: int | None, task_count: int) -> int:
     """Pool size for a sweep: the request, else DMRFSIM_WORKERS, else 1,
-    clamped to the number of tasks and of CPUs. A count below 1 is refused."""
+    clamped to the number of tasks and of CPUs. A count below 1 is refused,
+    and so is a request that is not an `int` (a `bool` included)."""
     if requested is None:
         source, raw = "DMRFSIM_WORKERS", os.environ.get("DMRFSIM_WORKERS", "1")
+        try:
+            count = int(raw)
+        except ValueError:
+            raise ConfigError(f"{source}: expected an integer, got {raw!r}") from None
     else:
         source, raw = "workers", requested
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{source}: expected an integer, got {raw!r}") from None
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise ConfigError(f"{source}: expected an integer, got {raw!r}")
+        count = raw
     if count < 1:
         raise ConfigError(f"{source}: expected at least 1 worker, got {raw!r}")
     return max(1, min(count, task_count, os.cpu_count() or 1))

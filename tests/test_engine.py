@@ -539,9 +539,9 @@ def test_a_silent_link_retires_once_its_trust_reaches_zero():
 
     def counting_round(replies, now):
         if not left:
-            silent.extend(sim._layout[3])
+            silent.extend(sim._layout[4])
         timeout_round(replies, now)
-        left.append(len(sim._layout[3]))
+        left.append(len(sim._layout[4]))
 
     sim._on_timeout_round = counting_round
     sim.run()

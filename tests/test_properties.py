@@ -12,6 +12,11 @@ a trace of one line per event in (time, seq) order whose injections take
 seqs rising with the packet id, and control packets equal to probe rounds
 times probe links plus feedback frames.
 
+The probe layout prices its links itself, the way the engine's per-link
+price cache prices any other frame. A slow twin whose layout prices probe
+frames through that cache, as the layout once did, gives the same run, its
+energy total equal to the bit.
+
 Two rescalings by a power of two leave a run the same, because every float
 operation then rescales exactly. Time: every `_ms` field times k and the
 bandwidth over k scale every time by k and change nothing else. Space: every
@@ -30,9 +35,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrfsim.config import DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate
+from dmrfsim.config import (
+    CONTROL_FRAME_BITS, DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate)
 from dmrfsim.engine import (
-    DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, preload_buffers, run)
+    _NO_PRICES, DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
+    preload_buffers, run)
 from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
 from dmrfsim.topology import DISTRIBUTIONS, deploy
 
@@ -196,6 +203,43 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
     [(_msg, _receiver, victim)] = frames
     assert sim.nodes[victim].tx > 0
     assert str(failure.value).startswith(repr(frames[0]))
+
+
+class CachePricedSimulation(Simulation):
+    """The probe layout's slow twin: every probe frame is priced through
+    `_price`, so each prober's price cache holds its probe links, as it did
+    before the layout priced them itself."""
+
+    def _lay_out_probes(self) -> tuple:
+        _joules, *rest = super()._lay_out_probes()
+        joules = [self._price(node, entry.candidate, CONTROL_FRAME_BITS)
+                  for node in self._probers for entry in node.table.members]
+        return joules, *rest
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=scenarios())
+def test_the_probe_layout_prices_each_link_as_the_price_cache_does(cfg):
+    cfg = dataclasses.replace(cfg, protocol=DMRF)
+    topo = deployed(cfg)
+    sim = Simulation(topo, cfg)
+    result = sim.run()
+    assert not _NO_PRICES
+    if sim._layout is not None:
+        joules = sim._layout[0]
+        links = [(node.id, entry.candidate)
+                 for node in sim._probers for entry in node.table.members]
+        assert len(joules) == len(links)
+        for price, (prober, peer) in zip(joules, links):
+            assert price == CONTROL_FRAME_BITS * energy_cost(cfg, topo.distance(prober, peer), 1)
+        # equal prices are one float object
+        assert len({id(price) for price in joules}) == len(set(joules))
+    twin = CachePricedSimulation(topo, cfg).run()
+    assert not _NO_PRICES
+    assert twin.metrics.energy_total_j == result.metrics.energy_total_j
+    assert twin.metrics == result.metrics
+    assert twin.packets == result.packets
+    assert twin.transitions == result.transitions
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])

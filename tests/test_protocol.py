@@ -318,11 +318,11 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
 
 def probe_all(proto, table, replies, now=0.0, states=None):
     # a replier reports its own state, NORMAL unless `states` says otherwise
-    live = [(table, e) for e in table.members if e.candidate in replies]
+    live = [e for e in table.members if e.candidate in replies]
     silent = [(table, e) for e in table.members if e.candidate not in replies]
-    delays = [e.delay_est for _, e in live]
-    reported = [(states or {}).get(e.candidate, STATE_NORMAL) for _, e in live]
-    proto.detect_faulty(live, delays, reported, silent)
+    delays = [e.delay_est for e in live]
+    reported = [(states or {}).get(e.candidate, STATE_NORMAL) for e in live]
+    proto.detect_faulty([table] * len(live), live, delays, reported, silent)
     return proto.reevaluate(table, now)
 
 
@@ -414,23 +414,24 @@ def test_probe_reply_state_report_overrides_cache():
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty([(table, table.entries[1])], [2.0], [STATE_NORMAL], [])
+    proto.detect_faulty([table], [table.entries[1]], [2.0], [STATE_NORMAL], [])
     assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 
 @pytest.mark.parametrize(
     "records",
-    [([], []), ([2.0], []), ([2.0, 2.0], [STATE_NORMAL, STATE_NORMAL]), ([2.0], [STATE_NORMAL, STATE_NORMAL]),
-     ([], [STATE_NORMAL])],
+    [(1, [], []), (1, [2.0], []), (1, [2.0, 2.0], [STATE_NORMAL, STATE_NORMAL]),
+     (1, [2.0], [STATE_NORMAL, STATE_NORMAL]), (1, [], [STATE_NORMAL]),
+     (0, [2.0], [STATE_NORMAL]), (2, [2.0], [STATE_NORMAL])],
 )
 def test_probe_records_must_match_the_candidate_set(records):
-    # one delay and one state per live link, in link order, and no more
+    # one table, one delay and one state per live link, in link order, and no more
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     assert len(table.members) == 1
-    delays, states = records
+    tables, delays, states = records
     with pytest.raises(ValueError):
-        proto.detect_faulty([(table, e) for e in table.members], delays, states, [])
+        proto.detect_faulty([table] * tables, table.members, delays, states, [])
 
 
 def test_congestion_predictor_and_hysteresis():

@@ -3,6 +3,7 @@ summaries."""
 
 import gc
 import io
+import re
 import weakref
 
 import pytest
@@ -238,6 +239,16 @@ def test_a_bad_workers_argument_is_blamed_on_the_argument(monkeypatch):
         worker_count("3x", 5)
     with pytest.raises(ConfigError, match="^workers: expected at least 1 worker, got 0$"):
         worker_count(0, 5)
+
+
+@pytest.mark.parametrize("requested", [2.5, True, "3"])
+def test_a_workers_argument_that_is_not_an_int_is_refused(monkeypatch, requested):
+    # int() would truncate 2.5 to 2 and read True as 1 and "3" as 3; the
+    # environment variable is text, so only it is parsed
+    monkeypatch.setenv("DMRFSIM_WORKERS", "2")
+    message = re.escape(f"workers: expected an integer, got {requested!r}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        worker_count(requested, 5)
 
 
 def test_a_bad_environment_count_is_blamed_on_the_variable(monkeypatch):

@@ -30,10 +30,9 @@ def rank_candidates(
     progress per unit of delay, then the lowest id. A node's candidates and
     their delays never change during a run, so each node ranks them once.
     """
-    d_node = topo.distance(node, topo.sink)
-    scored = [
-        (c, delay, d_node - topo.distance(c, topo.sink)) for c, delay in candidates
-    ]
+    to_sink = topo.sink_distances
+    d_node = to_sink[node]
+    scored = [(c, delay, d_node - to_sink[c]) for c, delay in candidates]
     if by_rate:
         scored.sort(key=lambda s: (s[2] / s[1], -s[0]), reverse=True)
     else:

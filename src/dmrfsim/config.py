@@ -29,8 +29,9 @@ PRESETS = ("table2",)
 CONTROL_FRAME_BITS = 64
 
 #: the most nodes a run may deploy: a deploy plus a 20-packet DMRF run at the
-#: table2 density peaks at 3.8 KB of tracemalloc per node at N = 3,600 (the
-#: large-n benchmark) and 4.6 KB at N = 10,000, so about half a GB at the bound
+#: table2 density (seed 1, Python 3.11) peaks at 3.3 KB of tracemalloc per node
+#: at N = 3,600 (the large-n benchmark) and 4.0 KB at N = 10,000, so about
+#: 0.4 GB at the bound
 MAX_NODE_COUNT = 100_000
 
 

@@ -268,7 +268,7 @@ class DmrfProtocol:
         sink = topo.sink
         reach = topo.max_tx_distance
         needed = shortest_delay_map(topo, mu)
-        to_sink = topo.sink_distances()
+        to_sink = topo.sink_distances
         tables: dict[NodeId, RoutingTable] = {}
         for node in topo.ids():
             if node == sink:
@@ -296,7 +296,7 @@ class DmrfProtocol:
         topo = self.topo
         owner = table.owner
         entries = table.entries
-        to_sink = topo.sink_distances()
+        to_sink = topo.sink_distances
         d_self = to_sink[owner]
         pool = []
         for other in topo.within(owner, topo.max_tx_distance):

@@ -4,7 +4,9 @@ estimates and void carving.
 All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns the ids it carves, which a run treats as dead
 from time zero. A Topology memoizes what it derives (cell index, sink
-distances, neighbour lists, sink hop counts), so one can serve many runs.
+distances, neighbour lists, sink hop counts) in cached properties built on
+first use, so one can serve many runs; its positions, radii and sink never
+change.
 
 One grid of cells a hair wider than comm_radius indexes the nodes. The first
 neighbors() call builds every node's list in one sweep over it, testing each
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .model import NodeId
@@ -52,22 +55,6 @@ class Topology:
     max_tx_distance: float
     source: NodeId
     sink: NodeId
-    _pos: dict[NodeId, Position] = field(init=False, repr=False)
-    # the grid's cell side, its cell -> [(id, x, y)], built on first use, and
-    # the (low x, high x, low y, high y) cell span the nodes occupy
-    _side: float = field(init=False, repr=False, compare=False)
-    _cells: dict[tuple[int, int], list] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _span: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
-    _to_sink: dict[NodeId, float] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    # every node's neighbors() and the sink hop counts, built on first use
-    _nbrs: dict[NodeId, list[NodeId]] | None = field(init=False, repr=False,
-                                                     compare=False, default=None)
-    _hops: dict[NodeId, int] | None = field(init=False, repr=False, compare=False,
-                                            default=None)
 
     def __post_init__(self) -> None:
         if self.comm_radius > self.max_tx_distance:
@@ -88,30 +75,27 @@ class Topology:
         (ax, ay), (bx, by) = self._pos[a], self._pos[b]
         return math.hypot(ax - bx, ay - by)
 
+    @cached_property
     def sink_distances(self) -> dict[NodeId, float]:
-        """Every node's distance() to the sink, computed on first use; a
-        topology's positions and sink never change."""
-        if self._to_sink is None:
-            sx, sy = self._pos[self.sink]
-            self._to_sink = {n: math.hypot(x - sx, y - sy) for n, (x, y) in self._pos.items()}
-        return self._to_sink
+        """Every node's distance() to the sink."""
+        sx, sy = self._pos[self.sink]
+        return {n: math.hypot(x - sx, y - sy) for n, (x, y) in self._pos.items()}
 
+    @cached_property
     def sink_hops(self) -> dict[NodeId, int]:
         """BFS hop counts to the sink over the neighbor graph, for every node
-        connected to it, computed on first use."""
-        if self._hops is None:
-            hops = {self.sink: 0}
-            frontier = [self.sink]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for nb in self.neighbors(node):
-                        if nb not in hops:
-                            hops[nb] = hops[node] + 1
-                            nxt.append(nb)
-                frontier = nxt
-            self._hops = hops
-        return self._hops
+        connected to it."""
+        hops = {self.sink: 0}
+        frontier = [self.sink]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for nb in self.neighbors(node):
+                    if nb not in hops:
+                        hops[nb] = hops[node] + 1
+                        nxt.append(nb)
+            frontier = nxt
+        return hops
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """All nodes within comm_radius, sorted by id. The first call builds
@@ -119,16 +103,15 @@ class Topology:
 
         The list is shared by every caller and every run on this topology:
         read it, never mutate it."""
-        if self._nbrs is None:
-            self._nbrs = self._neighbor_lists()
-        return self._nbrs[node]
+        return self._neighbor_lists[node]
 
+    @cached_property
     def _neighbor_lists(self) -> dict[NodeId, list[NodeId]]:
         """Every node's neighbours: each pair in one cell or in a cell and one
         of its 4 forward-adjacent cells is tested once, and a hit goes on both
         lists. The padded cell side puts every pair in range at most one cell
         apart, and hypot() is exact under swapping the ends."""
-        cells = self._cell_index()
+        cells, _span = self._grid
         radius = self.comm_radius
         hypot = math.hypot
         nbrs: dict[NodeId, list[NodeId]] = {node: [] for node in self._pos}
@@ -151,26 +134,26 @@ class Topology:
             nbrs[node] = sorted(near)
         return nbrs
 
-    def _cell_index(self) -> dict[tuple[int, int], list]:
-        if self._cells is None:
-            side = self._side
-            self._cells = {}
-            for other, (ox, oy) in self._pos.items():
-                key = (math.floor(ox / side), math.floor(oy / side))
-                self._cells.setdefault(key, []).append((other, ox, oy))
-            xs, ys = [cx for cx, _ in self._cells], [cy for _, cy in self._cells]
-            self._span = (min(xs), max(xs), min(ys), max(ys))
-        return self._cells
+    @cached_property
+    def _grid(self) -> tuple[dict[tuple[int, int], list], tuple[int, int, int, int]]:
+        """The cell index, cell -> [(id, x, y)], and the (low x, high x,
+        low y, high y) cell span the nodes occupy."""
+        side = self._side
+        cells: dict[tuple[int, int], list] = {}
+        for other, (ox, oy) in self._pos.items():
+            key = (math.floor(ox / side), math.floor(oy / side))
+            cells.setdefault(key, []).append((other, ox, oy))
+        xs, ys = [cx for cx, _ in cells], [cy for _, cy in cells]
+        return cells, (min(xs), max(xs), min(ys), max(ys))
 
     def within(self, node: NodeId, radius: float) -> list[NodeId]:
         """All other nodes whose distance() from `node` is at most `radius`,
         sorted by id; only the grid cells where the query box overlaps the
         occupied span are scanned, or the occupied cells if they are fewer."""
-        cells = self._cell_index()
+        cells, (lo_x, hi_x, lo_y, hi_y) = self._grid
         side = self._side
         x, y = self._pos[node]
         reach = radius / side + _CELL_SLACK
-        lo_x, hi_x, lo_y, hi_y = self._span
         x0, x1 = max(lo_x, math.floor(x / side - reach)), min(hi_x, math.floor(x / side + reach))
         y0, y1 = max(lo_y, math.floor(y / side - reach)), min(hi_y, math.floor(y / side + reach))
         if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
@@ -247,7 +230,7 @@ def build_fcs(topo: Topology, node: NodeId) -> list[NodeId]:
     """
     if not topo.has_node(node):
         raise ValueError(f"unknown node {node}")
-    to_sink = topo.sink_distances()
+    to_sink = topo.sink_distances
     d_self = to_sink[node]
     return [nb for nb in topo.neighbors(node) if to_sink[nb] < d_self]
 
@@ -268,7 +251,7 @@ def carve_void(topo: Topology, center: Position, radius: float) -> list[NodeId]:
 def shortest_delay_map(topo: Topology, mean_hop_delay: float) -> dict[NodeId, float]:
     """Estimated transmission time to the sink for every node: minimum hop
     count times the mean per-hop delay, UNREACHABLE where disconnected."""
-    hops = topo.sink_hops()
+    hops = topo.sink_hops
     return {
         node: hops[node] * mean_hop_delay if node in hops else UNREACHABLE
         for node in topo.ids()

@@ -15,7 +15,9 @@ times probe links plus feedback frames.
 The probe layout prices its links itself, the way the engine's per-link
 price cache prices any other frame. A slow twin whose layout prices probe
 frames through that cache, as the layout once did, gives the same run, its
-energy total equal to the bit.
+energy total equal to the bit. So does the slow twin of the topology memos:
+each run on a topology whose cached tables earlier runs built equals the
+same run on a fresh deploy.
 
 Two rescalings by a power of two leave a run the same, because every float
 operation then rescales exactly. Time: every `_ms` field times k and the
@@ -116,7 +118,9 @@ def scenarios(draw):
         "node_count": count,
         "region": [side, side],
         "distribution": draw(st.sampled_from(DISTRIBUTIONS)),
-        "comm_radius": spacing * _value(draw, 0.9, 3.0),
+        # two nodes on a wide square are spaced farther than the jump reach
+        "comm_radius": min(spacing * _value(draw, 0.9, 3.0),
+                           ScenarioConfig.max_tx_distance),
         "packet_count": draw(st.integers(1, 15)),
         "packet_lifetime_ms": _value(draw, 2.0, 150.0),
         "injection_period_ms": _value(draw, 0.5, 10.0),
@@ -240,6 +244,25 @@ def test_the_probe_layout_prices_each_link_as_the_price_cache_does(cfg):
     assert twin.metrics == result.metrics
     assert twin.packets == result.packets
     assert twin.transitions == result.transitions
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=scenarios())
+def test_runs_on_a_warm_topology_match_runs_on_a_fresh_one(cfg):
+    """The topology memos' slow twin: every protocol runs in turn on one
+    topology, whose cached tables the earlier runs built, and each run equals
+    the same config on a freshly deployed topology."""
+    warm = deployed(cfg)
+    for protocol in PROTOCOLS:
+        base = dataclasses.replace(cfg, protocol=protocol)
+        shared = run(warm, base, collect_trace=True)
+        fresh = run(deployed(base), base, collect_trace=True)
+        assert {"sink_distances", "sink_hops", "_neighbor_lists"} <= vars(warm).keys()
+        assert shared.metrics.energy_total_j == fresh.metrics.energy_total_j
+        assert shared.metrics == fresh.metrics
+        assert shared.packets == fresh.packets
+        assert shared.transitions == fresh.transitions
+        assert shared.trace == fresh.trace
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])

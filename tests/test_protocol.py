@@ -140,6 +140,12 @@ def test_thresholds_unreachable_sink_raises():
         compute_thresholds(0.2, UNREACHABLE, 2.0, 2.0, 1.28, 12.0)
 
 
+def test_thresholds_at_the_sink_raise():
+    # the sink itself needs no time, and the slack ratio divides by it
+    with pytest.raises(ValueError, match="needed_time must be positive"):
+        compute_thresholds(0.2, 0.0, 2.0, 2.0, 1.28, 12.0)
+
+
 def test_rate_bands():
     th = Thresholds(theta_low=0.528, theta_high=0.4, theta_jump=0.2, omega=1.0)
     assert classify_rate(0.6, th) is RATE_LOW

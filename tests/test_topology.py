@@ -117,6 +117,12 @@ def test_carve_void_never_removes_endpoints():
     assert carve_void(topo, (0.0, 0.0), 0.0) == []
 
 
+def test_carve_void_refuses_a_negative_radius():
+    topo = line_topology([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    with pytest.raises(ValueError, match="void radius must be non-negative"):
+        carve_void(topo, (1.0, 0.0), -1.0)
+
+
 def test_shortest_delay_is_hops_times_mu():
     topo = line_topology([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
     delays = shortest_delay_map(topo, 1.28)
@@ -261,28 +267,29 @@ def test_bulk_neighbour_lists_match_scan(layout):
 
 def test_a_dmrf_set_up_queries_no_node_and_builds_one_cell_index(monkeypatch):
     topo = deploy(400, (20.0, 20.0), UNIFORM_GRID, 1)
-    queries, indexes = [], []
-    within, cell_index = Topology.within, Topology._cell_index
+    queries, grids = [], []
+    within, grid = Topology.within, Topology.__dict__["_grid"]
+    build_grid = grid.func
 
     def counted_within(self, node, radius):
         queries.append(node)
         return within(self, node, radius)
 
-    def recorded_cell_index(self):
-        indexes.append(cell_index(self))
-        return indexes[-1]
+    def recorded_grid(self):
+        grids.append(build_grid(self))
+        return grids[-1]
 
     monkeypatch.setattr(Topology, "within", counted_within)
-    monkeypatch.setattr(Topology, "_cell_index", recorded_cell_index)
+    monkeypatch.setattr(grid, "func", recorded_grid)
     sim = Simulation(topo, validate(ScenarioConfig(seed=1)))
     assert queries == []
-    assert len(topo._nbrs) == 400
-    assert indexes and all(index is topo._cells for index in indexes)
+    assert len(vars(topo)["_neighbor_lists"]) == 400
+    assert len(grids) == 1 and vars(topo)["_grid"] is grids[0]
     # a jump pool, the one caller of within(), reads the same index
     table = next(n.table for n in sim.nodes.values() if n.table is not None)
     sim.dmrf.ensure_jump_entries(table)
     assert queries == [table.owner]
-    assert all(index is topo._cells for index in indexes)
+    assert len(grids) == 1 and vars(topo)["_grid"] is grids[0]
 
 
 def test_runs_leave_the_shared_neighbour_lists_intact():
@@ -292,8 +299,9 @@ def test_runs_leave_the_shared_neighbour_lists_intact():
     topo = deploy(36, (5.0, 5.0), UNIFORM_GRID, 3, 1.2)
     for protocol in (DMRF, BYPASS):
         run(topo, dataclasses.replace(cfg, protocol=protocol))
-    assert len(topo._nbrs) == 36  # the runs built every node's list
-    for node, nbrs in topo._nbrs.items():
+    lists = vars(topo)["_neighbor_lists"]  # the runs built it
+    assert len(lists) == 36
+    for node, nbrs in lists.items():
         assert nbrs == brute_within(topo, node, topo.comm_radius)
 
 
@@ -302,7 +310,7 @@ def test_runs_leave_the_shared_neighbour_lists_intact():
 
 
 def assert_sink_table_exact(topo):
-    table = topo.sink_distances()
+    table = topo.sink_distances
     assert sorted(table) == topo.ids()
     for node in topo.ids():
         assert table[node] == topo.distance(node, topo.sink)
@@ -314,5 +322,6 @@ def test_sink_distances_equal_distance_bit_for_bit(mode):
     assert_sink_table_exact(topo)
     moved = dataclasses.replace(topo, source=topo.sink, sink=topo.source)
     assert moved.sink != topo.sink
+    assert "sink_distances" not in vars(moved)  # a replaced topology starts bare
     assert_sink_table_exact(moved)
-    assert moved.sink_distances()[topo.sink] > 0.0
+    assert moved.sink_distances[topo.sink] > 0.0

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .model import RATE_MEDIUM, NodeId, Packet, remaining_time
-from .protocol import DROP_EXPIRED, DROP_NO_ROUTE, Decision, Drop, Forward
+from .model import RATE_MEDIUM, NodeId, Packet
+from .protocol import DROP_NO_ROUTE, Decision, Drop, Forward
 from .topology import Topology
 
 
@@ -40,20 +40,12 @@ def rank_candidates(
     return [c for c, _delay, _progress in scored]
 
 
-def greedy_min_delay(
-    topo: Topology,
-    node: NodeId,
-    ranked: list[NodeId],
-    packet: Packet,
-    now: float,
-) -> Decision:
+def greedy_min_delay(ranked: list[NodeId]) -> Decision:
     """Forward to the first of the node's ranked candidates.
 
     This is both greedy variants: GREEDY_MIN_DELAY ranks by delay,
     GREEDY_MAX_RATE by progress per unit of delay (`rank_candidates`).
     """
-    if remaining_time(packet, now) <= 0:
-        return Drop(DROP_EXPIRED)
     if not ranked:
         return Drop(DROP_NO_ROUTE)
     return Forward(ranked[0], RATE_MEDIUM)
@@ -67,7 +59,6 @@ def bypass_next_hop(
     node: NodeId,
     ranked: list[NodeId],
     packet: Packet,
-    now: float,
     live: set[NodeId],
 ) -> Decision:
     """Greedy forwarding with perimeter routing around voids.
@@ -79,8 +70,6 @@ def bypass_next_hop(
     clockwise from the sink bearing, refusing nodes already on the packet's
     trace to avoid orbiting the void forever.
     """
-    if remaining_time(packet, now) <= 0:
-        return Drop(DROP_EXPIRED)
     for candidate in ranked:
         if candidate in live:
             return Forward(candidate, RATE_MEDIUM)

@@ -28,10 +28,11 @@ PRESETS = ("table2",)
 #: control frames (probes, feedback) are this long on the wire
 CONTROL_FRAME_BITS = 64
 
-#: the most nodes a run may deploy: a deploy plus a 20-packet DMRF run at the
-#: table2 density (seed 1, Python 3.11) peaks at 3.3 KB of tracemalloc per node
-#: at N = 3,600 (the large-n benchmark) and 4.0 KB at N = 10,000, so about
-#: 0.4 GB at the bound
+#: the most nodes a run may deploy. At the table2 density (seed 1, Python 3.11,
+#: N = 10,000) tracemalloc peaks at 2.1 KB per node over a deploy and a
+#: one-packet, 5 ms DMRF run (`tools/bytes_per_node.py`), about 215 MB at the
+#: bound, where CI's run of that shape peaks at about 250 MB maxrss; and at
+#: 4.0 KB per node over a deploy and a 20-packet DMRF run, about 0.4 GB
 MAX_NODE_COUNT = 100_000
 
 

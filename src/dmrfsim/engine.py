@@ -20,10 +20,10 @@ from types import SimpleNamespace
 
 from . import baselines
 from .config import (
+    BYPASS,
     CONTROL_FRAME_BITS,
     DMRF,
     GREEDY_MAX_RATE,
-    GREEDY_MIN_DELAY,
     ScenarioConfig,
 )
 from .model import (
@@ -39,7 +39,6 @@ from .model import (
     running_sum,
 )
 from .protocol import (
-    DROP_EXPIRED,
     Decision,
     DmrfProtocol,
     Drop,
@@ -403,9 +402,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # decisions and service
 
-    def _decide_baseline(
-        self, node: _NodeRuntime, packet: Packet, now: float
-    ) -> Decision:
+    def _decide_baseline(self, node: _NodeRuntime, packet: Packet) -> Decision:
         name = self.cfg.protocol
         ranked = node.ranked
         if ranked is None:
@@ -415,43 +412,43 @@ class Simulation:
                 [(c, self.mu) for c in build_fcs(self.topo, node.id)],
                 by_rate=name == GREEDY_MAX_RATE,
             )
-        if name == GREEDY_MIN_DELAY:
-            return baselines.greedy_min_delay(self.topo, node.id, ranked, packet, now)
-        if name == GREEDY_MAX_RATE:
-            return baselines.greedy_max_rate(self.topo, node.id, ranked, packet, now)
-        return baselines.bypass_next_hop(
-            self.topo, node.id, ranked, packet, now, self._live
-        )
+        if name == BYPASS:
+            return baselines.bypass_next_hop(self.topo, node.id, ranked, packet, self._live)
+        return baselines.greedy_min_delay(ranked)
 
     def _try_start(self, node: _NodeRuntime, now: float, stall: float = 0.0) -> None:
         """Start the node's next transmission, dropping the head packets it
-        cannot send. Callers skip a node that is busy or has nothing queued,
-        the common case under load, rather than pay for the call."""
+        cannot send: one at or past its deadline expires before any protocol
+        sees it, and one its protocol finds no route for is dropped. Callers
+        skip a node that is busy or has nothing queued, the common case under
+        load, rather than pay for the call."""
         while node.pending is None and node.queue:
             packet = node.queue[0]
-            if self.dmrf is not None:
-                decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
+            if packet.deadline <= now:
+                outcome = EXPIRED
             else:
-                decision = self._decide_baseline(node, packet, now)
-            kind = type(decision)
-            if kind is Drop:
-                self._release(node, packet)
-                outcome = EXPIRED if decision.reason is DROP_EXPIRED else DROPPED_NO_ROUTE
-                self._finalize(packet, outcome, now)
-                stall = 0.0
-                continue
-            target = decision.next
-            is_jump = kind is Jump
-            if is_jump:
-                multiplier = 1.0
-            else:
-                multiplier = self._rate_mult[decision.rate]
-            service = stall + next(self._delays) * multiplier
-            self.metrics.energy_total_j += self._price(node, target, self._packet_bits)
-            node.tx += 1
-            node.pending = (packet, target, is_jump)
-            self._schedule(now + service, PACKET_ARRIVAL, node.id)
-            return
+                if self.dmrf is not None:
+                    decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
+                else:
+                    decision = self._decide_baseline(node, packet)
+                kind = type(decision)
+                if kind is not Drop:
+                    target = decision.next
+                    is_jump = kind is Jump
+                    if is_jump:
+                        multiplier = 1.0
+                    else:
+                        multiplier = self._rate_mult[decision.rate]
+                    service = stall + next(self._delays) * multiplier
+                    self.metrics.energy_total_j += self._price(node, target, self._packet_bits)
+                    node.tx += 1
+                    node.pending = (packet, target, is_jump)
+                    self._schedule(now + service, PACKET_ARRIVAL, node.id)
+                    return
+                outcome = DROPPED_NO_ROUTE
+            self._release(node, packet)
+            self._finalize(packet, outcome, now)
+            stall = 0.0
 
     # ------------------------------------------------------------------
     # event handlers

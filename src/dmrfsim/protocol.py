@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .config import ScenarioConfig
 from .model import (
@@ -74,13 +75,12 @@ class NoRouteError(Exception):
 
 
 class DropReason:
-    """Why a decision drops its packet."""
+    """Why a decision drops its packet: a protocol sees only packets still
+    inside their deadline, so the one reason is that no route is left."""
 
-    EXPIRED = "EXPIRED"
     NO_ROUTE = "NO_ROUTE"
 
 
-DROP_EXPIRED = DropReason.EXPIRED
 DROP_NO_ROUTE = DropReason.NO_ROUTE
 
 
@@ -216,27 +216,17 @@ def choose_jump_target(
     sink_in_range: bool,
 ) -> NodeId | None:
     """Sample a jump target by the `jump_probabilities` of the candidates
-    cached NORMAL, each share computed and accumulated in one pass. With
-    none viable, fall back to direct transmission to the sink when it is
-    inside the maximum range.
+    cached NORMAL: one draw, then their shares accumulated in entry order.
+    With none viable, fall back to direct transmission to the sink when it
+    is inside the maximum range.
     """
     viable = [e for e in entries if e.cached_state is STATE_NORMAL]
     if not viable:
         return sink if sink_in_range else None
-    total = running_sum(e.suc for e in viable)
     r = rng.random()
-    acc = 0.0
-    if total <= 0.0:
-        uniform = 1.0 / len(viable)
-        for e in viable:
-            acc += uniform
-            if r < acc:
-                return e.candidate
-    else:
-        for e in viable:
-            acc += e.suc / total
-            if r < acc:
-                return e.candidate
+    for acc, e in zip(accumulate(jump_probabilities(viable)), viable):
+        if r < acc:
+            return e.candidate
     return viable[-1].candidate  # guard against float shortfall
 
 
@@ -454,10 +444,10 @@ class DmrfProtocol:
     ) -> Decision:
         """Where the node sends `packet` now. A forward is committed here:
         the chosen member's use count rises, and the packet keeps the rate
-        band it is sent at, for the continuity rule at its next hop."""
+        band it is sent at, for the continuity rule at its next hop. The
+        engine asks only before the packet's deadline, so `remaining` is
+        positive."""
         remaining = remaining_time(packet, now)
-        if remaining <= 0:
-            return Drop(DROP_EXPIRED)
         if table.state in JUMP_STATES:
             return self._jump(table, rng)
         if table.needed_time == UNREACHABLE:

@@ -10,7 +10,7 @@ from dmrfsim.baselines import (
     rank_candidates,
 )
 from dmrfsim.model import RATE_MEDIUM, make_packet
-from dmrfsim.protocol import DROP_EXPIRED, DROP_NO_ROUTE, Drop, Forward
+from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward
 from dmrfsim.topology import Topology
 
 
@@ -33,7 +33,7 @@ def fresh_packet():
 def test_min_delay_picks_fastest_candidate():
     topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
     ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
-    d = greedy_min_delay(topo, 0, ranked, fresh_packet(), 0.0)
+    d = greedy_min_delay(ranked)
     assert d == Forward(next=2, rate=RATE_MEDIUM)
 
 
@@ -41,55 +41,35 @@ def test_min_delay_ties_break_on_progress_then_id():
     # 1 and 2 tie on delay; 2 is closer to the sink
     topo = topo_of([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (2.0, 0.0)], sink=3)
     ranked = rank_candidates(topo, 0, [(1, 1.0), (2, 1.0)])
-    d = greedy_min_delay(topo, 0, ranked, fresh_packet(), 0.0)
+    d = greedy_min_delay(ranked)
     assert d.next == 2
 
 
-def test_min_delay_drops_expired_and_empty():
+def test_greedy_drops_with_no_candidate():
     topo = topo_of([(0.0, 0.0), (1.0, 0.0)])
-    packet = fresh_packet()
-    ranked = rank_candidates(topo, 0, [(1, 1.0)])
-    d = greedy_min_delay(topo, 0, ranked, packet, now=200.0)
-    assert isinstance(d, Drop) and d.reason is DROP_EXPIRED
-    d = greedy_min_delay(topo, 0, rank_candidates(topo, 0, []), packet, now=0.0)
-    assert isinstance(d, Drop) and d.reason is DROP_NO_ROUTE
+    for by_rate in (False, True):
+        ranked = rank_candidates(topo, 0, [], by_rate=by_rate)
+        assert greedy_min_delay(ranked) == greedy_max_rate(ranked) == Drop(DROP_NO_ROUTE)
 
 
 def test_max_rate_divides_progress_by_delay():
     topo = topo_of([(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (2.0, 0.0)], sink=3)
     # 1 advances 1.0 m in 2 ms (0.5 m/ms); 2 advances 0.5 m in 0.5 ms (1 m/ms)
     ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 0.5)], by_rate=True)
-    d = greedy_max_rate(topo, 0, ranked, fresh_packet(), 0.0)
+    d = greedy_max_rate(ranked)
     assert d.next == 2
-
-
-def test_max_rate_drops_expired_and_empty():
-    topo = topo_of([(0.0, 0.0), (1.0, 0.0)])
-    packet = fresh_packet()
-    ranked = rank_candidates(topo, 0, [(1, 1.0)], by_rate=True)
-    assert isinstance(greedy_max_rate(topo, 0, ranked, packet, 200.0), Drop)
-    ranked = rank_candidates(topo, 0, [], by_rate=True)
-    assert isinstance(greedy_max_rate(topo, 0, ranked, packet, 0.0), Drop)
 
 
 def test_bypass_uses_greedy_while_candidates_live():
     topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
     live = {0, 1, 2, 3}
     ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
-    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, live)
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), live)
     assert d.next == 2
     # candidate 2 dies: greedy shifts to 1
     ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
-    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, {0, 1, 3})
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), {0, 1, 3})
     assert d.next == 1
-
-
-def test_bypass_drops_a_packet_at_or_past_its_deadline():
-    topo = topo_of([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    ranked = rank_candidates(topo, 0, [(1, 1.0)])
-    for now in (100.0, 200.0):  # the packet's deadline is 100 ms
-        d = bypass_next_hop(topo, 0, ranked, fresh_packet(), now, {0, 1, 2})
-        assert isinstance(d, Drop) and d.reason is DROP_EXPIRED
 
 
 def test_bypass_sidesteps_around_a_dead_frontier():
@@ -100,7 +80,7 @@ def test_bypass_sidesteps_around_a_dead_frontier():
     )
     live = {0, 2, 3}
     ranked = rank_candidates(topo, 0, [(1, 1.0)])
-    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, live)
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), live)
     assert isinstance(d, Forward)
     assert d.next == 3
 
@@ -113,7 +93,7 @@ def test_bypass_refuses_nodes_already_on_the_trace():
     packet = fresh_packet()
     packet.hop_trace.append(3)  # already visited the sidestep
     ranked = rank_candidates(topo, 0, [(1, 1.0)])
-    d = bypass_next_hop(topo, 0, ranked, packet, 0.0, live)
+    d = bypass_next_hop(topo, 0, ranked, packet, live)
     assert isinstance(d, Drop) and d.reason is DROP_NO_ROUTE
 
 
@@ -127,7 +107,7 @@ def test_bypass_prefers_smallest_clockwise_deviation():
     )
     live = {0, 2, 3, 4}
     ranked = rank_candidates(topo, 0, [(1, 1.0)])
-    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), 0.0, live)
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), live)
     assert d.next == 4
 
 
@@ -165,13 +145,9 @@ def test_ranked_choice_equals_the_per_call_keys(case):
     def max_rate_key(c):
         return (_progress(topo, 0, c[0]) / c[1], -c[0])
 
-    d = greedy_min_delay(topo, 0, rank_candidates(topo, 0, candidates), packet, 0.0)
-    r = greedy_max_rate(
-        topo, 0, rank_candidates(topo, 0, candidates, by_rate=True), packet, 0.0
-    )
-    b = bypass_next_hop(
-        topo, 0, rank_candidates(topo, 0, candidates), packet, 0.0, live
-    )
+    d = greedy_min_delay(rank_candidates(topo, 0, candidates))
+    r = greedy_max_rate(rank_candidates(topo, 0, candidates, by_rate=True))
+    b = bypass_next_hop(topo, 0, rank_candidates(topo, 0, candidates), packet, live)
     if not candidates:
         assert d == r == Drop(DROP_NO_ROUTE)
     else:
@@ -182,4 +158,4 @@ def test_ranked_choice_equals_the_per_call_keys(case):
         assert b == Forward(next=min(alive, key=min_delay_key)[0], rate=RATE_MEDIUM)
     else:
         # nothing live makes progress: the sidestep decides, as before
-        assert b == bypass_next_hop(topo, 0, [], packet, 0.0, live)
+        assert b == bypass_next_hop(topo, 0, [], packet, live)

@@ -19,7 +19,13 @@ import pytest
 
 import dmrfsim
 
-from dmrfsim.config import CONTROL_FRAME_BITS, GREEDY_MIN_DELAY, ScenarioConfig, validate
+from dmrfsim.config import (
+    CONTROL_FRAME_BITS,
+    GREEDY_MIN_DELAY,
+    PROTOCOLS,
+    ScenarioConfig,
+    validate,
+)
 from dmrfsim.engine import (
     BUFFER_DROP,
     DELIVERED,
@@ -27,6 +33,7 @@ from dmrfsim.engine import (
     EVENT_KINDS,
     EXPIRED,
     FEEDBACK_DELIVERY,
+    PACKET_ARRIVAL,
     Simulation,
     _NV_MAGICCONST,
     _SQUEEZE,
@@ -43,6 +50,7 @@ from dmrfsim.model import (
     STATE_FAULTY,
     FeedbackMessage,
     InvariantError,
+    make_packet,
 )
 from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
 
@@ -320,6 +328,76 @@ def test_tight_lifetime_expires_packets():
     assert m.delivered == 0
     assert m.expired == 3
     assert m.terminal_total == m.injected
+
+
+def line_sim(protocol):
+    """A run on the 4-node line 0 - 1 - 2 - 3, nothing moved yet."""
+    return Simulation(line_topo(4), small_cfg(node_count=4, region=(3.0, 1.0), protocol=protocol))
+
+
+def held_at(sim, node_id, *lifetimes):
+    """Packets made at time 0, one per lifetime, queued at `node_id` in that
+    order; at a relay each took its buffer space, as a relay arrival does."""
+    node = sim.nodes[node_id]
+    packets = []
+    for lifetime in lifetimes:
+        packet = make_packet(sim.topo.source, now=0.0, lifetime=lifetime, packet_id=len(sim.packets))
+        if node_id != sim.topo.source:
+            packet.hop_trace.append(node_id)
+            node.buffer_used += sim.cfg.packet_bytes
+        sim.metrics.injected += 1
+        sim.packets.append(packet)
+        sim._open[packet.id] = packet
+        node.queue.append(packet)
+        packets.append(packet)
+    return packets
+
+
+@pytest.mark.parametrize("late", [0.0, 3.0], ids=["at", "past"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_head_packet_at_or_past_its_deadline_expires_at_dequeue(protocol, late):
+    # whatever the protocol, the head expires at dequeue and frees its buffer
+    # space, and the packet behind it starts with no stall carried over
+    sim = line_sim(protocol)
+    relay = sim.nodes[1]
+    preload = relay.buffer_used
+    expired, fresh = held_at(sim, 1, 10.0, 100.0)
+    now = expired.deadline + late
+    sim._try_start(relay, now, stall=1000.0)
+    assert (expired.outcome, expired.finished_at) == (EXPIRED, now)
+    assert sim.metrics.expired == 1
+    assert relay.queue == [fresh] and relay.pending[0] is fresh and relay.tx == 1
+    assert relay.buffer_used == preload + sim.cfg.packet_bytes
+    [arrival] = [t for t, _seq, kind, _a in sim._heap if kind == PACKET_ARRIVAL]
+    assert arrival < now + 1000.0
+
+
+def test_a_packet_behind_a_busy_head_expires_at_its_deadline_check():
+    sim = line_sim(GREEDY_MIN_DELAY)
+    relay = sim.nodes[1]
+    preload = relay.buffer_used
+    head, behind = held_at(sim, 1, 100.0, 10.0)
+    sim._try_start(relay, 0.0, stall=50.0)  # the head is on the air past 50 ms
+    sim._on_deadline(behind, behind.deadline)
+    assert (behind.outcome, behind.finished_at) == (EXPIRED, behind.deadline)
+    assert relay.queue == [head] and relay.pending[0] is head and head.outcome is None
+    assert relay.buffer_used == preload + sim.cfg.packet_bytes
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_relay_arrival_past_the_deadline_expires(protocol):
+    # relay 1 is busy: a late packet it took would wait in its queue
+    sim = line_sim(protocol)
+    source, relay = sim.nodes[0], sim.nodes[1]
+    preload = relay.buffer_used
+    [head] = held_at(sim, 1, 100.0)
+    sim._try_start(relay, 0.0, stall=50.0)
+    [late] = held_at(sim, 0, 10.0)
+    source.pending = (late, 1, False)
+    sim._on_arrival(0, late.deadline + 1.0)
+    assert (late.outcome, late.finished_at) == (EXPIRED, late.deadline + 1.0)
+    assert late.hop_trace == [0] and source.queue == []
+    assert relay.queue == [head] and relay.buffer_used == preload + sim.cfg.packet_bytes
 
 
 def test_horizon_cut_expires_in_flight_packets():

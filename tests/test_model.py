@@ -22,16 +22,16 @@ from dmrfsim.model import (
     remaining_time,
     running_sum,
 )
-from dmrfsim.protocol import DROP_EXPIRED, Drop, Forward, Jump, RoutingTable, Thresholds
+from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward, Jump, RoutingTable, Thresholds
 
 STATES = (STATE_NORMAL, STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 
 
 @pytest.mark.parametrize("module, prefix", [
-    (model, "STATE_"), (model, "FB_"), (model, "RATE_"), (protocol, "DROP_"),
+    (model, "STATE_"), (model, "FB_"), (model, "RATE_"),
 ])
 def test_the_constants_of_each_set_are_distinct_objects(module, prefix):
-    # states, kinds, bands and reasons are compared with `is`. Across sets
+    # states, kinds and bands are compared with `is`. Across sets
     # one object may serve twice (FB_CONG is STATE_CONG): no dict or
     # comparison mixes two sets
     values = [v for k, v in vars(module).items() if k.startswith(prefix)]
@@ -45,7 +45,6 @@ def test_the_rate_bands_are_the_rate_multipliers_keys():
 
 
 def test_drop_reason_holds_the_drop_constants():
-    assert protocol.DropReason.EXPIRED is protocol.DROP_EXPIRED
     assert protocol.DropReason.NO_ROUTE is protocol.DROP_NO_ROUTE
 
 
@@ -92,7 +91,7 @@ def test_running_sum_adds_left_to_right_from_start():
         (FeedbackMessage(kind=FB_FAULT), "subject"),
         (Forward(next=1, rate=RATE_LOW), "rat"),
         (Jump(next=1), "nxt"),
-        (Drop(reason=DROP_EXPIRED), "reasn"),
+        (Drop(reason=DROP_NO_ROUTE), "reasn"),
         (Thresholds(theta_low=2.0, theta_high=1.0, theta_jump=0.1, omega=1.0), "omgea"),
         (
             RoutingTable(owner=0, members=[], entries={}, needed_time=1.0, sink_in_range=False),

@@ -5,12 +5,13 @@ Every protocol, faults, voids, standing buffer fill, and probe timeouts both
 on and off the probe instants. Each run is checked for packet conservation,
 no late delivery, buffer occupancy within [0, buffer_bytes] and equal to
 the preload plus the queued relay packets between every pair of events,
-every unfinished packet held by the last node on its trace, no packet
-returning to the source, legal and chained state transitions, faults only at
-time 0, every control frame delivered to a live node with a routing table,
-a trace of one line per event in (time, seq) order whose injections take
-seqs rising with the packet id, and control packets equal to probe rounds
-times probe links plus feedback frames.
+every unfinished packet held by the last node on its trace, no decision
+asked about a packet at or past its deadline, no packet returning to the
+source, legal and chained state transitions, faults only at time 0, every
+control frame delivered to a live node with a routing table, a trace of one
+line per event in (time, seq) order whose injections take seqs rising with
+the packet id, and control packets equal to probe rounds times probe links
+plus feedback frames.
 
 The probe layout prices its links itself, the way the engine's per-link
 price cache prices any other frame. A slow twin whose layout prices probe
@@ -48,7 +49,8 @@ from dmrfsim.topology import DISTRIBUTIONS, deploy
 
 class CheckedSimulation(Simulation):
     """A traced run that checks buffers and transitions before each event;
-    `check` is called once more after the run."""
+    `check` is called once more after the run. No decision is asked about a
+    packet at or past its deadline: the engine expires it first."""
 
     def __init__(self, topo, cfg) -> None:
         super().__init__(topo, cfg, collect_trace=True)
@@ -56,9 +58,21 @@ class CheckedSimulation(Simulation):
         self.checked = 0
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
+        self.now = 0.0
+        if self.dmrf is not None:
+            self.dmrf.select_next_hop = self._before_the_deadline(self.dmrf.select_next_hop)
+        else:
+            self._decide_baseline = self._before_the_deadline(self._decide_baseline)
+
+    def _before_the_deadline(self, decide):
+        def checked(holder, packet, *rest):
+            assert self.now < packet.deadline, (packet.id, self.now)
+            return decide(holder, packet, *rest)
+        return checked
 
     def _trace_event(self, time, seq, kind, a) -> None:
         self.events += 1
+        self.now = time
         self.check()
         for node in self.nodes.values():
             # the standing preload plus every queued packet past its first

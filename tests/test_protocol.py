@@ -34,8 +34,6 @@ from dmrfsim.model import (
     make_packet,
 )
 from dmrfsim.protocol import (
-    DROP_EXPIRED,
-    Drop,
     DmrfProtocol,
     Forward,
     Jump,
@@ -666,14 +664,6 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
 
 # ----------------------------------------------------------------------
 # next-hop selection
-
-
-def test_select_drops_expired_packets():
-    proto, table = two_candidate_table()
-    packet = make_packet(0, now=0.0, lifetime=10.0)
-    decision = proto.select_next_hop(table, packet, now=20.0, rng=random.Random(1))
-    assert isinstance(decision, Drop)
-    assert decision.reason is DROP_EXPIRED
 
 
 def test_select_forwards_least_used_then_slowest():

@@ -142,8 +142,11 @@ def inject_faults(
     if not 0.0 <= fault_ratio <= 1.0:
         raise ValueError(f"fault_ratio must be in [0, 1], got {fault_ratio}")
     spared = {topo.source, topo.sink, *carved}
-    candidates = [n for n in topo.ids() if n not in spared]
-    count = math.floor(fault_ratio * len(candidates))
+    ids = topo.ids()
+    count = math.floor(fault_ratio * (len(ids) - len(spared.intersection(ids))))
+    if count == 0:
+        return []  # as sample(candidates, 0): nothing drawn
+    candidates = [n for n in ids if n not in spared]
     return sorted(rng.sample(candidates, count))
 
 
@@ -280,9 +283,10 @@ class Simulation:
             for nid, table in self.dmrf.build_tables().items():
                 self.nodes[nid].table = table
 
-        preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
-        for nid, used in preload.items():
-            self.nodes[nid].buffer_used = used
+        if scenario.buffer_fill:
+            preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
+            for nid, used in preload.items():
+                self.nodes[nid].buffer_used = used
 
         carved = (
             carve_void(topo, scenario.void_center, scenario.void_radius)

@@ -3,9 +3,9 @@ estimates and void carving.
 
 All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns the ids it carves, which a run treats as dead
-from time zero. A Topology memoizes what it derives (cell index, sink
-distances, neighbour lists, sink hop counts) in cached properties built on
-first use, so one can serve many runs; its positions, radii and sink never
+from time zero. A Topology memoizes what it derives (sorted ids, cell index,
+sink distances, neighbour lists, sink hop counts, forward sets, carved voids)
+on first use, so one can serve many runs; its positions, radii and sink never
 change.
 
 One grid of cells a hair wider than comm_radius indexes the nodes. The first
@@ -61,12 +61,17 @@ class Topology:
             raise ValueError("comm_radius must not exceed max_tx_distance")
         self._pos = dict(self.nodes)
         self._side = self.comm_radius * (1.0 + _CELL_SLACK)
+        # filled one entry at a time: by build_fcs, per node, and by
+        # carve_void, per centre and radius
+        self._forward_sets: dict[NodeId, tuple[NodeId, ...]] = {}
+        self._voids: dict[tuple[float, float, float], tuple[NodeId, ...]] = {}
+
+    @cached_property
+    def _sorted_ids(self) -> tuple[NodeId, ...]:
+        return tuple(sorted(self._pos))
 
     def ids(self) -> list[NodeId]:
-        return sorted(self._pos)
-
-    def has_node(self, node: NodeId) -> bool:
-        return node in self._pos
+        return list(self._sorted_ids)
 
     def position(self, node: NodeId) -> Position:
         return self._pos[node]
@@ -226,26 +231,36 @@ def build_fcs(topo: Topology, node: NodeId) -> list[NodeId]:
     to the sink, sorted.
 
     An empty list is a valid return and is exactly the void indication the
-    detection pipeline consumes.
+    detection pipeline consumes. The set is derived once per topology and
+    node; each call returns a list of its own.
     """
-    if not topo.has_node(node):
-        raise ValueError(f"unknown node {node}")
-    to_sink = topo.sink_distances
-    d_self = to_sink[node]
-    return [nb for nb in topo.neighbors(node) if to_sink[nb] < d_self]
+    fcs = topo._forward_sets.get(node)
+    if fcs is None:
+        to_sink = topo.sink_distances
+        try:
+            d_self = to_sink[node]
+        except KeyError:
+            raise ValueError(f"unknown node {node}") from None
+        near = topo._neighbor_lists[node]
+        fcs = topo._forward_sets[node] = tuple([nb for nb in near if to_sink[nb] < d_self])
+    return list(fcs)
 
 
 def carve_void(topo: Topology, center: Position, radius: float) -> list[NodeId]:
     """The ids of every node strictly inside the disc, sorted; source and
-    sink are never carved."""
+    sink are never carved. The scan runs once per topology, centre and
+    radius; each call returns a list of its own."""
     if radius < 0:
         raise ValueError("void radius must be non-negative")
     cx, cy = center
-    return sorted(
-        i
-        for i, (x, y) in topo.nodes
-        if i not in (topo.source, topo.sink) and math.hypot(x - cx, y - cy) < radius
-    )
+    carved = topo._voids.get((cx, cy, radius))
+    if carved is None:
+        carved = topo._voids[cx, cy, radius] = tuple(sorted(
+            i
+            for i, (x, y) in topo.nodes
+            if i not in (topo.source, topo.sink) and math.hypot(x - cx, y - cy) < radius
+        ))
+    return list(carved)
 
 
 def shortest_delay_map(topo: Topology, mean_hop_delay: float) -> dict[NodeId, float]:

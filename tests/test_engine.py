@@ -264,6 +264,27 @@ def test_inject_faults_draws_among_the_relays_left_uncarved():
     assert ids == sorted(random.Random(5).sample(pool, 3))
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.05])
+def test_inject_faults_with_no_victim_draws_nothing(ratio):
+    topo = deploy(25, (20.0, 20.0), UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+    carved = carve_void(topo, (10.0, 10.0), 7.0)
+    assert math.floor(ratio * 18) == 0  # 18 uncarved relays: too few for a victim
+    rng = random.Random(5)
+    before = rng.getstate()
+    assert inject_faults(topo, ratio, rng, carved) == []
+    assert rng.getstate() == before
+
+
+def test_inject_faults_draws_one_victim_as_sample_does():
+    topo = deploy(25, (20.0, 20.0), UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+    carved = carve_void(topo, (10.0, 10.0), 7.0)
+    pool = [n for n in topo.ids() if n not in (topo.source, topo.sink, *carved)]
+    rng, twin = random.Random(5), random.Random(5)
+    # floor(0.06 * 18) = 1: the smallest count that draws
+    assert inject_faults(topo, 0.06, rng, carved) == twin.sample(pool, 1)
+    assert rng.getstate() == twin.getstate()
+
+
 def test_inject_faults_is_seed_deterministic():
     topo = deploy(100, (10.0, 10.0), UNIFORM_GRID, rng_seed=1)
     assert inject_faults(topo, 0.3, random.Random(9), []) == inject_faults(

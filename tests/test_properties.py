@@ -35,13 +35,13 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from dmrfsim.config import (
     CONTROL_FRAME_BITS, DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate)
 from dmrfsim.engine import (
-    _NO_PRICES, DELIVERED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
+    _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
     preload_buffers, run)
 from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
 from dmrfsim.topology import DISTRIBUTIONS, deploy
@@ -56,6 +56,7 @@ class CheckedSimulation(Simulation):
         super().__init__(topo, cfg, collect_trace=True)
         self.preload = preload_buffers(topo, cfg.buffer_fill, cfg.buffer_bytes)
         self.checked = 0
+        self.expired_at_check = 0
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
         self.now = 0.0
@@ -74,13 +75,7 @@ class CheckedSimulation(Simulation):
         self.events += 1
         self.now = time
         self.check()
-        for node in self.nodes.values():
-            # the standing preload plus every queued packet past its first
-            # hop, one in flight included; the horizon cut leaves this be
-            relayed = sum(len(p.hop_trace) > 1 for p in node.queue)
-            queued = relayed * self.cfg.packet_bytes
-            expected = self.preload.get(node.id, 0.0) + queued
-            assert math.isclose(node.buffer_used, expected, abs_tol=1e-9), node.id
+        self.check_buffers()
         for packet in self._open.values():
             # the last node on its trace holds it: sending it, or queued
             assert packet.outcome is None, packet.id
@@ -97,6 +92,27 @@ class CheckedSimulation(Simulation):
             receiver = a[2]
             assert receiver in self._live and self.nodes[receiver].table is not None, a
         super()._trace_event(time, seq, kind, a)
+
+    def _on_deadline(self, packet, now) -> None:
+        holder = self.nodes[packet.hop_trace[-1]]
+        queued = packet.outcome is None and not (
+            holder.pending is not None and holder.pending[0] is packet)
+        super()._on_deadline(packet, now)
+        if queued:
+            # a packet still waiting in a queue at its deadline expires then,
+            # and a relayed one frees its buffer space
+            assert packet.outcome == EXPIRED and packet.finished_at == now, packet.id
+            self.check_buffers()
+            self.expired_at_check += 1
+
+    def check_buffers(self) -> None:
+        for node in self.nodes.values():
+            # the standing preload plus every queued packet past its first
+            # hop, one in flight included; the horizon cut leaves this be
+            relayed = sum(len(p.hop_trace) > 1 for p in node.queue)
+            queued = relayed * self.cfg.packet_bytes
+            expected = self.preload.get(node.id, 0.0) + queued
+            assert math.isclose(node.buffer_used, expected, abs_tol=1e-9), node.id
 
     def check(self) -> None:
         capacity = self.cfg.buffer_bytes
@@ -122,6 +138,14 @@ def scenarios(draw):
     count = draw(st.integers(2, 30))
     side = _value(draw, 1.0, 12.0)
     spacing = side / (math.ceil(math.sqrt(count)) - 1)
+    if draw(st.booleans()):
+        # a burst: packets come faster than a hop drains them and run out of
+        # lifetime while they queue, so DEADLINE_CHECK events expire them
+        packets = draw(st.integers(4, 15))
+        lifetime, spacing_ms = _value(draw, 1.5, 6.0), _value(draw, 0.05, 0.6)
+    else:
+        packets = draw(st.integers(1, 15))
+        lifetime, spacing_ms = _value(draw, 2.0, 150.0), _value(draw, 0.5, 10.0)
     period = draw(st.sampled_from([1.0, 2.0, 5.0, 10.0]))
     if draw(st.booleans()):
         timeout = period  # every timeout lands on the next probe instant
@@ -135,9 +159,9 @@ def scenarios(draw):
         # two nodes on a wide square are spaced farther than the jump reach
         "comm_radius": min(spacing * _value(draw, 0.9, 3.0),
                            ScenarioConfig.max_tx_distance),
-        "packet_count": draw(st.integers(1, 15)),
-        "packet_lifetime_ms": _value(draw, 2.0, 150.0),
-        "injection_period_ms": _value(draw, 0.5, 10.0),
+        "packet_count": packets,
+        "packet_lifetime_ms": lifetime,
+        "injection_period_ms": spacing_ms,
         "buffer_bytes": draw(st.sampled_from([32, 64, 100, 200])),
         "fault_ratio": _value(draw, 0.0, 0.6),
         "buffer_fill": _value(draw, 0.0, 1.0),
@@ -154,6 +178,19 @@ def scenarios(draw):
 def deployed(cfg):
     return deploy(cfg.node_count, cfg.region, cfg.distribution, rng_seed=cfg.seed,
                   comm_radius=cfg.comm_radius, max_tx_distance=cfg.max_tx_distance)
+
+
+def test_the_drawn_scenarios_expire_queued_packets_at_their_deadline_checks():
+    """The invariant test above reaches the DEADLINE_CHECK path that expires
+    a packet still waiting in a queue: some drawn scenario takes it."""
+    def expires_at_a_check(cfg):
+        sim = CheckedSimulation(deployed(cfg), cfg)
+        sim.run()
+        return sim.expired_at_check > 0
+
+    # raises NoSuchExample when no drawn scenario takes the path
+    find(scenarios(), expires_at_a_check,
+         settings=settings(max_examples=100, derandomize=True, database=None))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -271,7 +308,12 @@ def test_runs_on_a_warm_topology_match_runs_on_a_fresh_one(cfg):
         base = dataclasses.replace(cfg, protocol=protocol)
         shared = run(warm, base, collect_trace=True)
         fresh = run(deployed(base), base, collect_trace=True)
-        assert {"sink_distances", "sink_hops", "_neighbor_lists"} <= vars(warm).keys()
+        assert {"sink_distances", "sink_hops", "_neighbor_lists", "_sorted_ids"} <= vars(
+            warm).keys()
+        # DMRF, the first protocol, derived every relay's forward set; a
+        # void, when there is one, was scanned once
+        assert warm._forward_sets.keys() == set(warm.ids()) - {warm.sink}
+        assert len(warm._voids) == (cfg.void_radius > 0)
         assert shared.metrics.energy_total_j == fresh.metrics.energy_total_j
         assert shared.metrics == fresh.metrics
         assert shared.packets == fresh.packets

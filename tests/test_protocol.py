@@ -178,6 +178,19 @@ def test_jump_probabilities_uniform_when_all_zero():
     assert all(p == pytest.approx(0.25) for p in jump_probabilities(entries))
 
 
+@pytest.mark.parametrize("sucs", [[0.75, 0.5], [0.0, 0.0, 0.0], [1.0]])
+def test_jump_probabilities_returns_a_list_that_reads_twice(sucs):
+    """The shares are a list, not a lazy iterator: acceptance criterion 8
+    sums them and then checks each one, and a second pass over an exhausted
+    iterator would check nothing."""
+    entries = [CandidateEntry(candidate=i, suc=s) for i, s in enumerate(sucs)]
+    shares = jump_probabilities(entries)
+    assert type(shares) is list and len(shares) == len(entries)
+    # criterion 8's two passes: the sum, then each share
+    assert sum(shares) == pytest.approx(1.0)
+    assert all(0.0 <= p <= 1.0 for p in shares)
+
+
 def test_choose_jump_target_samples_cumulatively():
     a = CandidateEntry(candidate=1, suc=0.75)
     b = CandidateEntry(candidate=2, suc=0.5)

@@ -325,3 +325,87 @@ def test_sink_distances_equal_distance_bit_for_bit(mode):
     assert "sink_distances" not in vars(moved)  # a replaced topology starts bare
     assert_sink_table_exact(moved)
     assert moved.sink_distances[topo.sink] > 0.0
+
+
+# ----------------------------------------------------------------------
+# the forward-set, id and carved-void memos against fresh derivations
+
+
+def brute_fcs(topo, node):
+    d_self = topo.distance(node, topo.sink)
+    return [nb for nb in topo.neighbors(node) if topo.distance(nb, topo.sink) < d_self]
+
+
+def brute_carve(topo, center, radius):
+    cx, cy = center
+    return sorted(
+        i for i, (x, y) in topo.nodes
+        if i not in (topo.source, topo.sink) and math.hypot(x - cx, y - cy) < radius
+    )
+
+
+@_oracle
+@given(
+    count=st.integers(2, 120),
+    width=st.floats(0.5, 40.0),
+    height=st.floats(0.5, 40.0),
+    comm_radius=st.floats(0.05, 6.0),
+    mode=st.sampled_from([UNIFORM_GRID, RANDOM]),
+    seed=st.integers(0, 2**32),
+)
+def test_forward_sets_equal_the_neighbours_filtered_by_sink_distance(
+    count, width, height, comm_radius, mode, seed
+):
+    topo = deploy(count, (width, height), mode, seed, comm_radius, 30.0 + comm_radius)
+    ids = topo.ids()
+    for node in ids + ids[::-1]:  # derived, then read back from the memo
+        assert build_fcs(topo, node) == brute_fcs(topo, node)
+    assert sorted(vars(topo)["_forward_sets"]) == ids
+    # a topology with its ends swapped starts bare and derives its own sets
+    moved = dataclasses.replace(topo, source=topo.sink, sink=topo.source)
+    for node in ids:
+        assert build_fcs(moved, node) == brute_fcs(moved, node)
+
+
+VOIDS = [((10.0, 10.0), 7.0), ((10.0, 10.0), 3.0), ((10, 10), 7), ((0.0, 0.0), 5.0),
+         ((20.0, 20.0), 50.0), ((4.5, 15.25), 0.0), ((13.0, 6.0), 4.0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from([UNIFORM_GRID, RANDOM]),
+    calls=st.lists(st.sampled_from(VOIDS), min_size=1, max_size=12),
+)
+def test_carved_voids_equal_a_fresh_scan_whatever_the_call_order(mode, calls):
+    topo = deploy(150, (20.0, 20.0), mode, 5, 2.0)
+    for center, radius in calls:
+        assert carve_void(topo, center, radius) == brute_carve(topo, center, radius)
+    assert len(vars(topo)["_voids"]) == len({(*c, r) for c, r in calls})
+
+
+def test_a_mutated_return_value_changes_no_later_call_or_run():
+    cfg = validate(ScenarioConfig(
+        node_count=36, region=(5.0, 5.0), comm_radius=1.2, void_center=(2.5, 2.5),
+        void_radius=2.0, fault_ratio=0.2, packet_count=20, seed=3))
+
+    def deployed():
+        return deploy(36, (5.0, 5.0), UNIFORM_GRID, 3, 1.2)
+
+    topo, fresh = deployed(), deployed()
+    run(topo, cfg)  # fills every memo
+    returned = [topo.ids(), carve_void(topo, cfg.void_center, cfg.void_radius)]
+    returned += [build_fcs(topo, node) for node in topo.ids()]
+    for values in returned:
+        values.reverse()
+        values.append(-1)
+    assert topo.ids() == fresh.ids()
+    assert carve_void(topo, cfg.void_center, cfg.void_radius) == brute_carve(
+        fresh, cfg.void_center, cfg.void_radius)
+    for node in fresh.ids():
+        assert build_fcs(topo, node) == brute_fcs(fresh, node)
+    for protocol in (DMRF, BYPASS):
+        base = dataclasses.replace(cfg, protocol=protocol)
+        shared, alone = run(topo, base), run(deployed(), base)
+        assert shared.metrics == alone.metrics
+        assert shared.packets == alone.packets
+        assert shared.transitions == alone.transitions

@@ -4,9 +4,13 @@ For each scenario, prints the Python opcodes executed (`sys.settrace` with
 `f_trace_opcodes`), the calls into C functions (`sys.setprofile` `c_call`
 events), the `random()` calls among them, the events dispatched and the heap
 pushes. Counting starts at the construction of the `Simulation` and ends with
-its `run()`; the topology is deployed before. The opcodes are split in two
-columns, those of the construction and those of `run()`, so a change to either
-shows as a count of its own. Two columns come from passes of
+its `run()`; the topology is deployed before. The opcodes are split in three
+columns, so a change to either phase shows as a count of its own: the cold
+construction on the fresh topology, which fills its memos; the warm one, a
+second `Simulation` of the same config on that topology once the first has
+run, which is what each sweep point after the first on a geometry pays; and
+the first one's `run()`. The C calls, `random()` calls and heap pushes are
+those of the cold construction and its run. Two columns come from passes of
 their own on a fresh topology, without the tracers: the events are the lines
 of a traced run's trace, one per event, and the last column is the
 `tracemalloc` peak over the same span, in KiB. The scenarios are every protocol
@@ -46,8 +50,8 @@ SCENARIOS = [
     ("table2-fault0.3", {"protocol": DMRF, "fault_ratio": 0.3}),
 ]
 
-COLUMNS = ("setup ops", "run ops", "C calls", "random()", "events", "heap pushes",
-           "peak KiB")
+COLUMNS = ("cold setup", "warm setup", "run ops", "C calls", "random()", "events",
+           "heap pushes", "peak KiB")
 
 
 def scenario(fields: dict) -> tuple:
@@ -58,9 +62,9 @@ def scenario(fields: dict) -> tuple:
 
 
 def count(fields: dict) -> tuple[int, ...]:
-    """The opcodes of the construction and of `run()`, then the C calls,
-    `random()` calls and heap pushes of both, for one run of
-    `scenario(fields)`."""
+    """The opcodes of the cold construction, of the warm one and of the cold
+    run's `run()`, then the C calls, `random()` calls and heap pushes of the
+    cold construction and run, for `scenario(fields)`."""
     cfg, topo = scenario(fields)
     heappush = heapq.heappush
     opcodes = c_calls = randoms = pushes = 0
@@ -93,7 +97,13 @@ def count(fields: dict) -> tuple[int, ...]:
     finally:
         sys.settrace(None)
         sys.setprofile(None)
-    return setup, opcodes - setup, c_calls, randoms, pushes
+    run, opcodes = opcodes - setup, 0
+    sys.settrace(on_call)
+    try:
+        Simulation(topo, cfg)
+    finally:
+        sys.settrace(None)
+    return setup, opcodes, run, c_calls, randoms, pushes
 
 
 def events(fields: dict) -> int:
@@ -118,8 +128,8 @@ def main() -> None:
     print(f"Python {platform.python_version()} ({platform.python_implementation()})")
     print(f"{'scenario':<19}{'protocol':<18}" + "".join(f"{c:>13}" for c in COLUMNS))
     for name, fields in SCENARIOS:
-        setup, run, c_calls, randoms, pushes = count(fields)
-        counts = (setup, run, c_calls, randoms, events(fields), pushes, peak_kib(fields))
+        *ops, pushes = count(fields)
+        counts = (*ops, events(fields), pushes, peak_kib(fields))
         print(f"{name:<19}{fields['protocol']:<18}" + "".join(f"{n:>13,}" for n in counts))
 
 

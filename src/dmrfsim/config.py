@@ -64,8 +64,7 @@ class ScenarioConfig:
     theta_cong: float = 0.8
     cong_horizon_ms: float = 5.0
     cong_hysteresis: float = 0.1
-    confidence_threshold: int = 50
-    confidence_step: int = 25
+    misses_to_faulty: int = 3
     probe_period_ms: float = 10.0
     probe_timeout_ms: float = 2.0
     ack_timeout_ms: float = 2.0
@@ -98,6 +97,7 @@ _POSITIVE_INT = (
     "buffer_bytes",
     "packet_bytes",
     "packet_count",
+    "misses_to_faulty",
 )
 _POSITIVE_FLOAT = (
     "comm_radius",
@@ -217,9 +217,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
            f"expected a value in (0, 1], got {cfg.theta_cong!r}")
     _check(cfg.cong_hysteresis < cfg.theta_cong, "cong_hysteresis",
            "must stay below theta_cong")
-    for key in ("confidence_threshold", "confidence_step"):
-        v = getattr(cfg, key)
-        _check(_is_int(v) and 0 < v <= 100, key, f"expected an integer in (0, 100], got {v!r}")
     rm = cfg.rate_multipliers
     _check(isinstance(rm, dict) and set(rm) == {"low", "medium", "high"},
            "rate_multipliers", "expected exactly the keys low, medium, high")
@@ -241,7 +238,10 @@ def from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"preset: expected one of {list(PRESETS)}, got {preset!r}")
     unknown = sorted(set(raw) - _FIELD_NAMES)
     if unknown:
-        raise ConfigError(f"unknown key: {unknown[0]}")
+        key = str(unknown[0])
+        # the keys of the percentage trust scale, which one count of misses replaced
+        hint = " (replaced by misses_to_faulty)" if key.startswith("confidence") else ""
+        raise ConfigError(f"unknown key: {key}{hint}")
     for key in ("region", "void_center"):
         if key in raw and isinstance(raw[key], list):
             raw[key] = tuple(raw[key])

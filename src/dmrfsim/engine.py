@@ -621,18 +621,19 @@ class Simulation:
     def _on_timeout_round(self, replies: tuple, now: float) -> None:
         """Time out one round's `(delays, states)` replies: one
         `detect_faulty` call accounts the replies of the live links and the
-        silence of the silent ones; a silent link leaves the layout at trust
-        0, where `_distrust`, the only write its dead peer's entry sees, does
-        nothing. Then each prober, in id order, re-derives its state if its
-        table was left dirty, checks its own buffer and sends its feedback.
-        One never offered a packet checks its buffer at its first timeout
-        only: its inputs, the standing preload and an arrival EWMA of 0.0,
-        never change, and its table is clean once re-derived."""
+        silence of the silent ones; a silent link leaves the layout once its
+        entry has `misses_to_faulty` misses and is cached FAULTY, where
+        `_distrust`, the only write its dead peer's entry sees, changes
+        nothing a run shows. Then each prober, in id order, re-derives its
+        state if its table was left dirty, checks its own buffer and sends
+        its feedback. One never offered a packet checks its buffer at its
+        first timeout only: its inputs, the standing preload and an arrival
+        EWMA of 0.0, never change, and its table is clean once re-derived."""
         delays, states = replies
         _joules, tables, entries, _peers, silent = self._layout
         dmrf = self.dmrf
         dmrf.detect_faulty(tables, entries, delays, states, silent)
-        silent[:] = [link for link in silent if link[1].confidence]
+        silent[:] = [link for link in silent if link[1].misses < self.cfg.misses_to_faulty]
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
         for node in self._probers:

@@ -75,9 +75,9 @@ class CandidateEntry:
     suc: float = 1.0  # optimistic prior: fresh candidates get probability mass
     cached_state: NodeState = STATE_NORMAL
     tx_count: int = 0
-    #: trust in the candidate: drops a step per missed probe or failed
-    #: transmission, back to 100 on any reply or acknowledgment
-    confidence: int = 100
+    #: missed probes and failed transmissions since the candidate last
+    #: replied or acknowledged; at cfg.misses_to_faulty it is cached FAULTY
+    misses: int = 0
 
 
 @dataclass(slots=True)

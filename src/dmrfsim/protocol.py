@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .config import ScenarioConfig
 from .model import (
@@ -200,13 +201,19 @@ def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
     return computed
 
 
+def _shares(entries: list[CandidateEntry]) -> Iterator[float]:
+    """Each entry's share of the success ratios, in entry order and divided
+    only when read, uniform when no entry has any success mass."""
+    total = running_sum(e.suc for e in entries)
+    if total <= 0.0:
+        return repeat(1.0 / len(entries), len(entries))
+    return (e.suc / total for e in entries)
+
+
 def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
     """The jump probability of each entry, in entry order: its share of the
     success ratios, uniform when no entry has any success mass."""
-    total = running_sum(e.suc for e in entries)
-    if total <= 0.0:
-        return [1.0 / len(entries)] * len(entries)
-    return [e.suc / total for e in entries]
+    return list(_shares(entries))
 
 
 def choose_jump_target(
@@ -216,7 +223,8 @@ def choose_jump_target(
     sink_in_range: bool,
 ) -> NodeId | None:
     """Sample a jump target by the `jump_probabilities` of the candidates
-    cached NORMAL: one draw, then their shares accumulated in entry order.
+    cached NORMAL: one draw, then their shares accumulated in entry order up
+    to the pick.
     With none viable, fall back to direct transmission to the sink when it
     is inside the maximum range.
     """
@@ -224,7 +232,7 @@ def choose_jump_target(
     if not viable:
         return sink if sink_in_range else None
     r = rng.random()
-    for acc, e in zip(accumulate(jump_probabilities(viable)), viable):
+    for acc, e in zip(accumulate(_shares(viable)), viable):
         if r < acc:
             return e.candidate
     return viable[-1].candidate  # guard against float shortfall
@@ -310,9 +318,9 @@ class DmrfProtocol:
         states: list[NodeState],
         silent: list[tuple[RoutingTable, CandidateEntry]],
     ) -> None:
-        """Account one probe round: silent candidates lose confidence and
-        eventually get cached FAULTY; responders reset to full trust and
-        refresh their delay estimate.
+        """Account one probe round: each silent candidate counts a miss and
+        is cached FAULTY at the configured count; each responder's count
+        resets to 0 and its delay estimate is refreshed.
 
         The probed candidates that replied are `entries`, each beside its
         own table in `tables`; those that stayed silent are `silent`, each
@@ -325,7 +333,7 @@ class DmrfProtocol:
         the caller to `reevaluate`.
         """
         for table, entry, delay, state in zip(tables, entries, delays, states, strict=True):
-            entry.confidence = 100
+            entry.misses = 0
             if entry.cached_state is not state:  # the usual reply repeats it
                 _cache_state(table, entry, state)
             entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
@@ -333,18 +341,16 @@ class DmrfProtocol:
             self._distrust(table, entry)
 
     def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
-        """An acknowledgment: full trust again, and a cached FAULTY heals."""
-        entry.confidence = 100
+        """An acknowledgment: no misses again, and a cached FAULTY heals."""
+        entry.misses = 0
         if entry.cached_state is STATE_FAULTY:
             _cache_state(table, entry, STATE_NORMAL)
 
     def _distrust(self, table: RoutingTable, entry: CandidateEntry) -> None:
-        """A missed probe or a failed transmission: one step less trust, and
-        the candidate is cached FAULTY once its trust falls below the
-        threshold."""
-        entry.confidence = max(0, entry.confidence - self.cfg.confidence_step)
-        # strict comparison: 100 -> 75 -> 50 is still trusted at threshold 50
-        if entry.confidence < self.cfg.confidence_threshold:
+        """A missed probe or a failed transmission: one more miss, and the
+        candidate is cached FAULTY once its misses reach misses_to_faulty."""
+        entry.misses += 1
+        if entry.misses >= self.cfg.misses_to_faulty:
             _cache_state(table, entry, STATE_FAULTY)
 
     def on_offer(
@@ -505,7 +511,7 @@ class DmrfProtocol:
     ) -> list[FeedbackMessage]:
         """Data-transmission acknowledgment outcome for a hop-by-hop hop.
 
-        Failures erode confidence exactly like missed probes; the candidate
+        A failure counts as a miss exactly like a missed probe; the candidate
         in active use is usually found FAULTY well before the prober is.
         """
         entry = table.entries[target]
@@ -525,17 +531,14 @@ class DmrfProtocol:
         """
         entry = table.entries[target]
         entry.attempts += 1
-        feedbacks: list[FeedbackMessage] = []
         if success:
             entry.successes += 1
             entry.suc = entry.successes / entry.attempts
             self._trust(table, entry)
-        else:
-            entry.suc = max(0, entry.successes - 1) / entry.attempts
-            self._distrust(table, entry)
-            feedbacks.append(FeedbackMessage(FB_JUMP_FAIL))
-            feedbacks.extend(self.reevaluate(table, now))
-        return feedbacks
+            return []
+        entry.suc = max(0, entry.successes - 1) / entry.attempts
+        self._distrust(table, entry)
+        return [FeedbackMessage(FB_JUMP_FAIL), *self.reevaluate(table, now)]
 
     def on_feedback(
         self,
@@ -549,15 +552,14 @@ class DmrfProtocol:
         it causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or
         the feedback of any state change the update triggered.
         """
+        entry = table.entries.get(from_node)
         if msg.kind is FB_JUMP_FAIL:
             # distrust the direction the bad news came from
-            entry = table.entries.get(from_node)
             if entry is not None:
                 entry.suc *= rng.random()
             if msg.hop_limit > 1:
                 return [FeedbackMessage(msg.kind, msg.hop_limit - 1)]
             return []
-        entry = table.entries.get(from_node)
         if entry is not None:
             # every non-jump kind reports its sender's own state, which is
             # proof of life; latest report wins

@@ -125,6 +125,13 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["summarize", "--in", str(empty)]) == 1
 
 
+def test_a_percentage_trust_key_exits_one_naming_misses_to_faulty(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"confidence_step": 25}))
+    assert main(["run", "--config", str(old)]) == 1
+    assert "misses_to_faulty" in capsys.readouterr().err
+
+
 def test_summarize_of_an_empty_file_exits_one(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -56,10 +56,10 @@ def test_derived_timing_properties():
         ("theta_cong", 1.5),
         ("theta_cong", "0.5"),
         ("theta_cong", True),
-        ("confidence_threshold", 0),
-        ("confidence_threshold", True),
-        ("confidence_step", 101),
-        ("confidence_step", True),
+        ("misses_to_faulty", 0),
+        ("misses_to_faulty", -1),
+        ("misses_to_faulty", True),
+        ("misses_to_faulty", 2.5),
         ("seed", "one"),
         # one data frame sent the 30 m max_tx_distance would cost inf joules
         ("energy_amp_j_per_bit_m2", 1e308),
@@ -201,6 +201,18 @@ def test_from_dict_rejects_removed_keys(key):
     # these keys changed no run and are gone from the schema
     with pytest.raises(ConfigError, match=f"unknown key: {key}"):
         from_dict({key: 1})
+
+
+@pytest.mark.parametrize(
+    "raw", [{"confidence_step": 25}, {"confidence_threshold": 50},
+            {"misses_to_faulty": 3, "confidence_step": 25}],
+    ids=["step", "threshold", "step-beside-misses"])
+def test_from_dict_refuses_the_percentage_trust_keys_naming_their_replacement(raw):
+    # trust is a count of misses now: the old pair is refused, not ignored
+    key = next(k for k in raw if k != "misses_to_faulty")
+    message = rf"^unknown key: {key} \(replaced by misses_to_faulty\)$"
+    with pytest.raises(ConfigError, match=message):
+        from_dict(raw)
 
 
 def test_readme_config_table_names_exactly_the_schema_fields():

@@ -141,7 +141,7 @@ def test_probe_round_draws_match_normalvariate():
     """The probe round takes its samples from the run's one delay stream;
     they must be the stdlib's, floor resample included, drawn in prober id
     and FCS order over the links to live peers only. A silent peer draws
-    nothing and loses one confidence step per accounted round. Checked on a
+    nothing and counts one miss per accounted round. Checked on a
     clean layout, a faulted one, and a faulted one whose timeout falls on the
     next probe instant, so the timeout round runs just before that round."""
     base = dict(node_count=25, comm_radius=7.5, sigma_factor=1.0, horizon_ms=3.0, seed=5)
@@ -174,13 +174,13 @@ def test_probe_round_draws_match_normalvariate():
                     continue
                 sample = _normalvariate_delay(sim.mu, sim.sigma, stdlib, below_floor)
                 assert entry.delay_est == 0.7 * sim.mu + 0.3 * sample, name
-                assert entry.confidence == 100, name
+                assert entry.misses == 0, name
         assert below_floor, name
-        # a failed data send also costs trust: count only probers that sent none
+        # a failed data send is a miss too: count only probers that sent none
         idle = [entry for nid, entry in silent if sim.nodes[nid].tx == 0]
         assert bool(idle) == bool(silent) == (name != "clean"), name
         for entry in idle:
-            assert entry.confidence == 100 - cfg.confidence_step, name
+            assert entry.misses == 1, name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
@@ -625,30 +625,35 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
 
 
 def test_a_silent_link_retires_once_its_trust_reaches_zero():
-    """A dead peer never answers, so after ceil(100 / confidence_step)
-    rounds its links hold confidence 0 and cached FAULTY, where distrust
-    changes nothing: the layout drops them then, and they stay so."""
-    cfg = validate(ScenarioConfig(
-        node_count=25, comm_radius=7.5, fault_ratio=0.3, packet_count=2,
-        injection_period_ms=70.0, seed=5))
-    topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
-    sim = Simulation(topo, cfg)
-    timeout_round = sim._on_timeout_round
-    silent, left = [], []
+    """A dead peer never answers, so after `misses_to_faulty` rounds its
+    links have counted that many misses and are cached FAULTY, where
+    distrust changes nothing: the layout drops them then, and they stay
+    so. Until then an idle prober's silent links stay in the layout."""
+    for misses in (1, 2, 3, 5):
+        cfg = validate(ScenarioConfig(
+            node_count=25, comm_radius=7.5, fault_ratio=0.3, packet_count=2,
+            injection_period_ms=70.0, seed=5, misses_to_faulty=misses))
+        topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
+        sim = Simulation(topo, cfg)
+        timeout_round = sim._on_timeout_round
+        silent, left = [], []
 
-    def counting_round(replies, now):
-        if not left:
-            silent.extend(sim._layout[4])
-        timeout_round(replies, now)
-        left.append(len(sim._layout[4]))
+        def counting_round(replies, now):
+            if not left:
+                silent.extend(sim._layout[4])
+            timeout_round(replies, now)
+            left.append(len(sim._layout[4]))
 
-    sim._on_timeout_round = counting_round
-    sim.run()
-    rounds = math.ceil(100 / cfg.confidence_step)
-    assert silent and left[0] > 0 and len(left) > rounds
-    assert not any(left[rounds - 1:])
-    for _table, entry in silent:
-        assert entry.confidence == 0 and entry.cached_state is STATE_FAULTY
+        sim._on_timeout_round = counting_round
+        sim.run()
+        assert silent and len(left) > misses, misses
+        assert not any(left[misses - 1:]), misses
+        if misses > 1:
+            # a prober that sent no data misses its dead peers only in rounds
+            idle = sum(sim.nodes[table.owner].tx == 0 for table, _ in silent)
+            assert left[misses - 2] >= idle > 0, misses
+        for _table, entry in silent:
+            assert entry.misses >= misses and entry.cached_state is STATE_FAULTY, misses
 
 
 def test_a_node_that_carries_nothing_holds_no_container_block():

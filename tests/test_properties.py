@@ -11,7 +11,9 @@ source, legal and chained state transitions, faults only at time 0, every
 control frame delivered to a live node with a routing table, a trace of one
 line per event in (time, seq) order whose injections take seqs rising with
 the packet id, and control packets equal to probe rounds times probe links
-plus feedback frames.
+plus feedback frames. The same checks run on drawn lines whose relays
+queue, so packets also expire in relay queues, where the random scenarios
+expire them at the source only.
 
 The probe layout prices its links itself, the way the engine's per-link
 price cache prices any other frame. A slow twin whose layout prices probe
@@ -44,7 +46,7 @@ from dmrfsim.engine import (
     _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
     preload_buffers, run)
 from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
-from dmrfsim.topology import DISTRIBUTIONS, deploy
+from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
 
 
 class CheckedSimulation(Simulation):
@@ -57,6 +59,7 @@ class CheckedSimulation(Simulation):
         self.preload = preload_buffers(topo, cfg.buffer_fill, cfg.buffer_bytes)
         self.checked = 0
         self.expired_at_check = 0
+        self.relayed_expired_at_check = 0
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
         self.now = 0.0
@@ -104,6 +107,7 @@ class CheckedSimulation(Simulation):
             assert packet.outcome == EXPIRED and packet.finished_at == now, packet.id
             self.check_buffers()
             self.expired_at_check += 1
+            self.relayed_expired_at_check += len(packet.hop_trace) > 1
 
     def check_buffers(self) -> None:
         for node in self.nodes.values():
@@ -233,6 +237,65 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
     links = sum(len(sim.nodes[n].table.members) for n in sim._live
                 if sim.nodes[n].table is not None)
     assert m.control_packets == probes * links + feedbacks
+
+
+def line(count: int) -> Topology:
+    """`count` nodes 1 m apart, source first and sink last, each hearing only
+    its neighbours: every packet waits in the queue of every relay it
+    passes."""
+    return Topology(nodes=[(i, (float(i), 0.0)) for i in range(count)],
+                    region=(count - 1.0, 1.0), comm_radius=1.5, max_tx_distance=30.0,
+                    source=0, sink=count - 1)
+
+
+@st.composite
+def relay_jams(draw):
+    """A line and a config under which its relays queue: packets come about
+    as fast as a hop drains them, hop delays are noisy, so relay queues grow
+    and shrink as in a tandem queue, and lifetimes of 0.5 to 3 times the
+    line's mean crossing time run out in them. Faults cut the line, and a
+    DMRF relay stalls on a dead or full next hop until it counts its
+    `misses_to_faulty`."""
+    count = draw(st.integers(3, 10))
+    mu = ScenarioConfig().mean_hop_delay_ms
+    cfg = from_dict({
+        "preset": "table2",
+        "node_count": count,
+        "region": [count - 1.0, 1.0],
+        "packet_count": draw(st.integers(5, 20)),
+        "injection_period_ms": _value(draw, 0.5, 1.5) * mu,
+        "packet_lifetime_ms": _value(draw, 0.5, 3.0) * (count - 1) * mu,
+        "sigma_factor": _value(draw, 0.2, 1.0),
+        "buffer_bytes": draw(st.sampled_from([64, 100, 200])),
+        "fault_ratio": draw(st.one_of(st.just(0.0), st.floats(0.1, 0.4))),
+        "misses_to_faulty": draw(st.integers(1, 6)),
+        "ack_timeout_ms": _value(draw, 0.5, 4.0),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+    })
+    return line(count), cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jam=relay_jams())
+def test_engine_invariants_hold_on_lines_whose_relays_queue(jam):
+    topo, cfg = jam
+    for protocol in PROTOCOLS:
+        check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
+
+
+def test_the_drawn_lines_expire_packets_queued_at_relays_at_their_deadline_checks():
+    """The line property reaches the DEADLINE_CHECK path that expires a
+    relayed packet still waiting in a relay's queue, where its buffer space
+    must be freed: some drawn line takes it."""
+    def expires_at_a_relay(jam):
+        topo, cfg = jam
+        sim = CheckedSimulation(topo, cfg)
+        sim.run()
+        return sim.relayed_expired_at_check > 0
+
+    # raises NoSuchExample when no drawn line takes the path
+    find(relay_jams(), expires_at_a_relay,
+         settings=settings(max_examples=100, derandomize=True, database=None))
 
 
 def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():

@@ -363,60 +363,69 @@ def test_reply_resets_confidence_and_heals_faulty_cache():
     assert entry.cached_state is STATE_FAULTY
     probe_all(proto, table, replies={1})
     assert entry.cached_state is STATE_NORMAL
-    assert entry.confidence == 100
+    assert entry.misses == 0
 
 
-def test_confidence_three_strikes():
-    # step 25, threshold 50: 50 is still trusted, as the comparison is strict
+def test_misses_count_up_to_faulty_at_the_default_three():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     entry = table.entries[1]
-    assert (entry.confidence, entry.cached_state) == (100, STATE_NORMAL)
+    assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL)
     seen = []
     for _ in range(3):
         probe_all(proto, table, replies=set())
-        seen.append((entry.confidence, entry.cached_state))
-    assert seen == [(75, STATE_NORMAL), (50, STATE_NORMAL), (25, STATE_FAULTY)]
+        seen.append((entry.misses, entry.cached_state))
+    assert seen == [(1, STATE_NORMAL), (2, STATE_NORMAL), (3, STATE_FAULTY)]
     probe_all(proto, table, replies={1})
-    assert (entry.confidence, entry.cached_state) == (100, STATE_NORMAL)
+    assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL)
 
 
-def test_confidence_clamps_at_zero():
-    proto, table = two_candidate_table(confidence_step=30)
+def test_misses_past_the_limit_stay_faulty_until_an_acknowledgment():
+    proto, table = two_candidate_table(misses_to_faulty=4)
     entry = table.entries[1]
     for i in range(10):
         proto.on_forward_result(table, 1, False, now=float(i))
-    assert (entry.confidence, entry.cached_state) == (0, STATE_FAULTY)
+    assert (entry.misses, entry.cached_state) == (10, STATE_FAULTY)
     proto.on_forward_result(table, 1, True, now=10.0)
-    assert (entry.confidence, entry.cached_state) == (100, STATE_NORMAL)
+    assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL)
 
 
 def _misses_until_faulty(proto, table, miss):
     entry = table.entries[1]
     for count in range(1, 101):
         miss(proto, table, float(count))
+        assert entry.misses == count
         if entry.cached_state is STATE_FAULTY:
             return count
     raise AssertionError("never cached FAULTY")
 
 
-@pytest.mark.parametrize(
-    "threshold, step, misses",
-    [(50, 25, 3), (60, 40, 2), (100, 1, 1), (10, 25, 4), (50, 10, 6)],
-)
-def test_confidence_threshold_and_step_come_from_config(threshold, step, misses):
-    # every way of missing a candidate turns it FAULTY once its trust,
-    # 100 - misses * step, falls below the configured threshold
-    ways = {
-        "probe": lambda proto, table, now: probe_all(proto, table, set(), now),
-        "forward": lambda proto, table, now: proto.on_forward_result(
-            table, 1, False, now),
-        "jump": lambda proto, table, now: proto.on_jump_result(table, 1, False, now),
-    }
-    for name, miss in ways.items():
-        proto, table = two_candidate_table(
-            confidence_threshold=threshold, confidence_step=step)
-        assert _misses_until_faulty(proto, table, miss) == misses, name
+#: each way of missing a candidate, and each way it answers
+MISSES = {
+    "probe": lambda proto, table, now: probe_all(proto, table, set(), now),
+    "forward": lambda proto, table, now: proto.on_forward_result(table, 1, False, now),
+    "jump": lambda proto, table, now: proto.on_jump_result(table, 1, False, now),
+}
+ANSWERS = {
+    "probe reply": lambda proto, table, now: probe_all(proto, table, {1, 2}, now),
+    "forward ack": lambda proto, table, now: proto.on_forward_result(table, 1, True, now),
+    "jump ack": lambda proto, table, now: proto.on_jump_result(table, 1, True, now),
+}
+
+
+@pytest.mark.parametrize("misses", [1, 2, 3, 4, 6])
+def test_misses_to_faulty_comes_from_config(misses):
+    # every way of missing a candidate turns it FAULTY at exactly the
+    # configured miss, and every way of answering resets the count and heals
+    for name, miss in MISSES.items():
+        for answer_name, answer in ANSWERS.items():
+            proto, table = two_candidate_table(misses_to_faulty=misses)
+            entry = table.entries[1]
+            assert _misses_until_faulty(proto, table, miss) == misses, name
+            answer(proto, table, 200.0)
+            assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL), answer_name
+            # the count starts again from 0
+            assert _misses_until_faulty(proto, table, miss) == misses, name
 
 
 def test_probe_reply_state_report_overrides_cache():
@@ -812,7 +821,7 @@ def test_forward_failures_erode_confidence():
     assert table.entries[1].cached_state is STATE_FAULTY
     proto.on_forward_result(table, 1, True, now=4.0)
     assert table.entries[1].cached_state is STATE_NORMAL
-    assert table.entries[1].confidence == 100
+    assert table.entries[1].misses == 0
 
 
 def test_jump_success_ratio_arithmetic():

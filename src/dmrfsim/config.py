@@ -236,7 +236,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
     preset = raw.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"preset: expected one of {list(PRESETS)}, got {preset!r}")
-    unknown = sorted(set(raw) - _FIELD_NAMES)
+    unknown = sorted(set(raw) - _FIELD_NAMES, key=str)
     if unknown:
         key = str(unknown[0])
         # the keys of the percentage trust scale, which one count of misses replaced

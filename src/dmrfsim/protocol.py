@@ -71,10 +71,6 @@ REPORTED_STATE = {
 Transition = tuple[float, NodeId, NodeState, NodeState]
 
 
-class NoRouteError(Exception):
-    """Raised when thresholds are requested for an unreachable sink."""
-
-
 class DropReason:
     """Why a decision drops its packet: a protocol sees only packets still
     inside their deadline, so the one reason is that no route is left."""
@@ -102,14 +98,6 @@ class Drop:
 
 
 Decision = Forward | Jump | Drop
-
-
-@dataclass(slots=True)
-class Thresholds:
-    theta_low: float
-    theta_high: float
-    theta_jump: float
-    omega: float
 
 
 @dataclass(slots=True)
@@ -141,64 +129,6 @@ def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -
     if entry.cached_state is not state:
         entry.cached_state = state
         table.dirty = True
-
-
-def compute_lambda(remaining: float, needed: float) -> float:
-    """Slack ratio: remaining lifetime over estimated time still needed.
-
-    Expired packets clamp to 0, which lands in the jump/drop band.
-    """
-    if needed <= 0:
-        raise ValueError(f"estimated needed time must be positive, got {needed}")
-    if remaining <= 0:
-        return 0.0
-    return remaining / needed
-
-
-def compute_thresholds(
-    theta_jump: float,
-    needed_time: float,
-    max_fcs_delay: float,
-    max_next_hop_delay: float,
-    mu: float,
-    remaining: float,
-) -> Thresholds:
-    """Band boundaries for the slack ratio.
-
-    omega shrinks as the packet's remaining lifetime approaches the next-hop
-    delay, widening the urgent bands; it is clamped into (OMEGA_FLOOR, 1] so
-    theta_low > theta_high always holds.
-    """
-    if needed_time == UNREACHABLE:
-        raise NoRouteError("sink unreachable, thresholds undefined")
-    if needed_time <= 0:
-        raise ValueError("needed_time must be positive")
-    omega = (remaining - max_next_hop_delay) / needed_time
-    if omega >= 1.0:
-        omega = 1.0
-    elif not omega > OMEGA_FLOOR:
-        omega = OMEGA_FLOOR
-    theta_high = theta_jump + max_fcs_delay / needed_time
-    theta_low = theta_high / omega + mu / needed_time
-    return Thresholds(theta_low, theta_high, theta_jump, omega)
-
-
-def classify_rate(lam: float, thresholds: Thresholds) -> RateClass:
-    """Rate band for a slack ratio already known to exceed theta_jump."""
-    if lam >= thresholds.theta_low:
-        return RATE_LOW
-    if lam >= thresholds.theta_high:
-        return RATE_MEDIUM
-    return RATE_HIGH
-
-
-def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
-    """A packet never swings LOW<->HIGH in a single hop."""
-    if (previous is RATE_LOW and computed is RATE_HIGH) or (
-        previous is RATE_HIGH and computed is RATE_LOW
-    ):
-        return RATE_MEDIUM
-    return computed
 
 
 def _shares(entries: list[CandidateEntry]) -> Iterator[float]:
@@ -456,10 +386,14 @@ class DmrfProtocol:
         remaining = remaining_time(packet, now)
         if table.state in JUMP_STATES:
             return self._jump(table, rng)
-        if table.needed_time == UNREACHABLE:
+        needed = table.needed_time
+        if needed == UNREACHABLE:
             return self._jump(table, rng)
-        lam = compute_lambda(remaining, table.needed_time)
-        if lam <= self.cfg.theta_jump:
+        # the slack ratio lambda: remaining lifetime over the estimated time
+        # still needed; at or below theta_jump the packet jumps
+        theta_jump = self.cfg.theta_jump
+        lam = remaining / needed
+        if lam <= theta_jump:
             return self._jump(table, rng)
         # one pass over the id-sorted members: the largest delay estimate,
         # and the forward target, the least-used NORMAL member whose estimate
@@ -480,17 +414,28 @@ class DmrfProtocol:
                     best, best_tx, best_delay = e, e.tx_count, delay
         if best is None:
             return self._jump(table, rng)
-        thresholds = compute_thresholds(
-            self.cfg.theta_jump,
-            table.needed_time,
-            max_fcs_delay,
-            max_fcs_delay,
-            self.mu,
-            remaining,
-        )
-        rate = packet.rate_class = pin_rate_continuity(
-            packet.rate_class, classify_rate(lam, thresholds)
-        )
+        # the rate band: HIGH below theta_high, MEDIUM below theta_low, LOW
+        # from there up; a packet never swings LOW<->HIGH in one hop, so such
+        # a swing is pinned to MEDIUM
+        previous = packet.rate_class
+        theta_high = theta_jump + max_fcs_delay / needed
+        if lam < theta_high:
+            # theta_low is never below theta_high, so omega is not needed
+            rate = RATE_MEDIUM if previous is RATE_LOW else RATE_HIGH
+        else:
+            # omega shrinks as the remaining lifetime nears the slowest
+            # member's delay, widening the urgent bands; it is clamped into
+            # (OMEGA_FLOOR, 1] so theta_low never falls below theta_high
+            omega = (remaining - max_fcs_delay) / needed
+            if omega >= 1.0:
+                omega = 1.0
+            elif not omega > OMEGA_FLOOR:
+                omega = OMEGA_FLOOR
+            if lam >= theta_high / omega + self.mu / needed:
+                rate = RATE_MEDIUM if previous is RATE_HIGH else RATE_LOW
+            else:
+                rate = RATE_MEDIUM
+        packet.rate_class = rate
         best.tx_count += 1
         return Forward(best.candidate, rate)
 

@@ -4,20 +4,22 @@ estimates and void carving.
 All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns the ids it carves, which a run treats as dead
 from time zero. A Topology memoizes what it derives (sorted ids, cell index,
-sink distances, neighbour lists, sink hop counts, forward sets, carved voids)
-on first use, so one can serve many runs; its positions, radii and sink never
-change.
+position box, sink distances, neighbour lists, sink hop counts, forward sets,
+carved voids) on first use, so one can serve many runs; its positions, radii
+and sink never change.
 
 One grid of cells a hair wider than comm_radius indexes the nodes. The first
 neighbors() call builds every node's list in one sweep over it, testing each
 pair in a cell and its forward-adjacent cells once; within() serves the
-longer jump-pool queries from the same grid.
+longer jump-pool queries from the same grid, or returns every other node
+untested when the reach covers the nodes' whole box.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -37,7 +39,9 @@ UNREACHABLE = math.inf
 #: the cell side is comm_radius * (1 + _CELL_SLACK), so that a pair whose
 #: distance rounds onto the radius lies at most one cell apart; within() boxes
 #: grow by this many cells per side, so that a node whose distance rounds onto
-#: the radius at a cell edge is scanned (both exact below 1e8 cells)
+#: the radius at a cell edge is scanned (both exact below 1e8 cells); and
+#: within() skips the scan when the farthest corner of the nodes' box lies
+#: inside the radius shrunk by this share
 _CELL_SLACK = 2.0**-20
 
 
@@ -151,13 +155,29 @@ class Topology:
         xs, ys = [cx for cx, _ in cells], [cy for _, cy in cells]
         return cells, (min(xs), max(xs), min(ys), max(ys))
 
+    @cached_property
+    def _bounds(self) -> tuple[float, float, float, float]:
+        """The (low x, high x, low y, high y) box of the node positions."""
+        xs, ys = [x for x, _ in self._pos.values()], [y for _, y in self._pos.values()]
+        return min(xs), max(xs), min(ys), max(ys)
+
     def within(self, node: NodeId, radius: float) -> list[NodeId]:
         """All other nodes whose distance() from `node` is at most `radius`,
-        sorted by id; only the grid cells where the query box overlaps the
-        occupied span are scanned, or the occupied cells if they are fewer."""
+        sorted by id. When the farthest corner of the nodes' box lies inside
+        `radius` by the _CELL_SLACK margin, which dwarfs hypot()'s rounding,
+        that is every other node, with no distance test. Otherwise only the
+        grid cells where the query box overlaps the occupied span are
+        scanned, or the occupied cells if they are fewer."""
+        x, y = self._pos[node]
+        lo, hi, bottom, top = self._bounds
+        far = math.hypot(max(x - lo, hi - x), max(y - bottom, top - y))
+        if far <= radius * (1.0 - _CELL_SLACK):
+            ids = self._sorted_ids
+            out = list(ids)
+            del out[bisect_left(ids, node)]
+            return out
         cells, (lo_x, hi_x, lo_y, hi_y) = self._grid
         side = self._side
-        x, y = self._pos[node]
         reach = radius / side + _CELL_SLACK
         x0, x1 = max(lo_x, math.floor(x / side - reach)), min(hi_x, math.floor(x / side + reach))
         y0, y1 = max(lo_y, math.floor(y / side - reach)), min(hi_y, math.floor(y / side + reach))

@@ -196,6 +196,14 @@ def test_from_dict_rejects_unknown_keys():
         from_dict({"packet_sizes": 32})
 
 
+def test_from_dict_names_the_first_unknown_key_of_mixed_types():
+    # a dict built in Python may mix key types; they are ordered as text
+    with pytest.raises(ConfigError, match=r"^unknown key: 1$"):
+        from_dict({1: 2, "x": 3})
+    with pytest.raises(ConfigError, match=r"^unknown key: \(3,\)$"):
+        from_dict({"y": 1, (3,): 4, 2: 5})
+
+
 @pytest.mark.parametrize("key", ["m_paths", "k_paths", "repetitions"])
 def test_from_dict_rejects_removed_keys(key):
     # these keys changed no run and are gone from the schema

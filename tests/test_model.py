@@ -22,7 +22,7 @@ from dmrfsim.model import (
     remaining_time,
     running_sum,
 )
-from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward, Jump, RoutingTable, Thresholds
+from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward, Jump, RoutingTable
 
 STATES = (STATE_NORMAL, STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 
@@ -92,7 +92,6 @@ def test_running_sum_adds_left_to_right_from_start():
         (Forward(next=1, rate=RATE_LOW), "rat"),
         (Jump(next=1), "nxt"),
         (Drop(reason=DROP_NO_ROUTE), "reasn"),
-        (Thresholds(theta_low=2.0, theta_high=1.0, theta_jump=0.1, omega=1.0), "omgea"),
         (
             RoutingTable(owner=0, members=[], entries={}, needed_time=1.0, sink_in_range=False),
             "stat",

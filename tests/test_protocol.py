@@ -5,8 +5,10 @@ and are frozen: a change in any of them is a behavior change, not a
 refactoring artifact.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -34,20 +36,23 @@ from dmrfsim.model import (
     make_packet,
 )
 from dmrfsim.protocol import (
+    OMEGA_FLOOR,
     DmrfProtocol,
     Forward,
     Jump,
-    NoRouteError,
     RoutingTable,
-    Thresholds,
     choose_jump_target,
+    jump_probabilities,
+)
+from dmrfsim.topology import Topology, UNREACHABLE
+from reference import (
+    NoRouteError,
+    Thresholds,
     classify_rate,
     compute_lambda,
     compute_thresholds,
-    jump_probabilities,
     pin_rate_continuity,
 )
-from dmrfsim.topology import Topology, UNREACHABLE
 
 STATES = (STATE_NORMAL, STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 MU = 1.28
@@ -216,16 +221,24 @@ def test_choose_jump_target_falls_back_to_sink_in_range():
 KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 
 
+def reference_shares(entries):
+    """Each entry's share of the success ratios, summed left to right from
+    0.0; uniform when that total is not positive."""
+    total = functools.reduce(operator.add, (e.suc for e in entries), 0.0)
+    if total <= 0.0:
+        return [1.0 / len(entries)] * len(entries)
+    return [e.suc / total for e in entries]
+
+
 def reference_jump_target(entries, rng, sink, sink_in_range):
     """The draw written out as normalize, then accumulate: known-bad
-    candidates excluded, `jump_probabilities` over the rest, one draw."""
+    candidates excluded, the shares of the rest, one draw, and the first
+    entry whose running sum exceeds it."""
     viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
     if not viable:
         return sink if sink_in_range else None
     r = rng.random()
-    acc = 0.0
-    for e, p in zip(viable, jump_probabilities(viable)):
-        acc += p
+    for acc, e in zip(itertools.accumulate(reference_shares(viable)), viable):
         if r < acc:
             return e.candidate
     return viable[-1].candidate
@@ -242,11 +255,19 @@ class PinnedRandom(random.Random):
         return draw if self.value is None else self.value
 
 
+#: success ratios: zero, the subnormals, and the rest of [0, 1]
+SUCS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-310, 2.0**-1022]),
+    st.floats(0.0, 1.0),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    pool=st.lists(
-        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.sampled_from(STATES)),
-        max_size=60,
+    pool=st.one_of(
+        st.lists(st.tuples(SUCS, st.sampled_from(STATES)), max_size=60),
+        st.tuples(SUCS, st.sampled_from(STATES)).map(lambda entry: [entry]),
     ),
     all_zero=st.booleans(),
     sink_in_range=st.booleans(),
@@ -257,6 +278,10 @@ class PinnedRandom(random.Random):
 def test_choose_jump_target_matches_normalize_then_accumulate(
     pool, all_zero, sink_in_range, seed, pin, edge
 ):
+    """The pick and the generator state after it equal the reference draw,
+    on pools of mixed cached states, zero, subnormal and all-zero success
+    mass, and single entries; the shares equal jump_probabilities."""
+
     def entries():
         return [
             CandidateEntry(candidate=i, suc=0.0 if all_zero else suc, cached_state=state)
@@ -266,10 +291,10 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     # the running sums of the reference's shares are where the two rules
     # could part, so some draws are pinned onto them or one ulp below
     viable = [e for e in entries() if e.cached_state not in KNOWN_BAD]
-    edges, acc = [], 0.0
-    for p in jump_probabilities(viable) if viable else []:
-        acc += p
-        edges.append(acc)
+    shares = reference_shares(viable) if viable else []
+    if viable:
+        assert jump_probabilities(viable) == shares
+    edges = list(itertools.accumulate(shares))
     value = {
         "draw": None,
         "zero": 0.0,
@@ -714,11 +739,20 @@ def test_select_skips_candidates_cached_bad():
 @st.composite
 def member_tables(draw):
     """Node 0 with up to six forward candidates, each with a random use
-    count, delay estimate and cached state, and a packet's remaining time."""
+    count, delay estimate and cached state, a theta_jump at, around or well
+    above OMEGA_FLOOR, and a packet's remaining time. The remaining time is
+    free, or it puts omega, (remaining - largest delay) / needed time,
+    exactly at OMEGA_FLOOR or at 1, or one ulp below or above either, or
+    above 1 with one hop to go; the needed time is set so that the
+    arithmetic is exact."""
     count = draw(st.integers(1, 6))
     ys = [-0.6 + 1.2 * i / max(1, count - 1) for i in range(count)]
     positions = [(0.0, 0.0)] + [(1.0, y) for y in ys] + [(2.0, 0.0)]
-    proto, _ = grid_protocol(positions, comm_radius=1.6, sink=count + 1)
+    omega = draw(st.sampled_from(["free", "floor", "one", "above-one"]))
+    # omega sets the band only at or above theta_jump
+    small = [OMEGA_FLOOR / 2, OMEGA_FLOOR, 2 * OMEGA_FLOOR]
+    theta_jump = draw(st.sampled_from(small if omega == "floor" else small + [0.2, 0.5]))
+    proto, _ = grid_protocol(positions, comm_radius=1.6, sink=count + 1, theta_jump=theta_jump)
     table = proto.build_tables()[0]
     assert len(table.members) == count
     states = st.sampled_from([STATE_NORMAL, STATE_NORMAL, STATE_NORMAL, STATE_CONG, STATE_FAULTY, STATE_VOID])
@@ -727,10 +761,27 @@ def member_tables(draw):
         e.delay_est = draw(st.sampled_from([0.5, 1.0, 1.28, 2.0, 4.0]))
         e.cached_state = draw(states)
     previous = draw(st.sampled_from((RATE_LOW, RATE_MEDIUM, RATE_HIGH)))
-    return proto, table, draw(st.floats(0.1, 200.0)), previous
+    worst = max(e.delay_est for e in table.members)
+    step = draw(st.sampled_from([-1, 0, 1]))
+    if omega == "free":
+        return proto, table, draw(st.floats(0.1, 200.0)), previous
+    if omega == "floor":
+        # 2**-10 over 1000 * 2**-10 is OMEGA_FLOOR, and worst + 2**-10 is exact
+        table.needed_time = 1000 * 2.0**-10
+        lifetime = worst + 2.0**-10
+    elif omega == "one":
+        lifetime = worst + 1.0
+        table.needed_time = lifetime - worst
+    else:
+        # one hop to go: the clamp at 1 then decides between LOW and MEDIUM
+        table.needed_time = MU
+        lifetime = worst + draw(st.sampled_from([1.1, 1.25, 1.5, 3.0, 50.0])) * MU
+    if step:
+        lifetime = math.nextafter(lifetime, math.copysign(math.inf, step))
+    return proto, table, lifetime, previous
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=member_tables())
 def test_select_forward_target_and_rate_match_the_defining_keys(case):
     proto, table, lifetime, previous = case

@@ -265,6 +265,60 @@ def test_bulk_neighbour_lists_match_scan(layout):
         assert topo.neighbors(node) == brute_within(topo, node, radius)
 
 
+def farthest_corner(topo, node):
+    """The distance from `node` to the farthest corner of the box the node
+    positions span."""
+    xs = [topo.position(n)[0] for n in topo.ids()]
+    ys = [topo.position(n)[1] for n in topo.ids()]
+    x, y = topo.position(node)
+    return math.hypot(max(x - min(xs), max(xs) - x), max(y - min(ys), max(ys) - y))
+
+
+@st.composite
+def corner_layouts(draw):
+    """A deploy() lattice or uniform draw, or a Topology built directly from
+    drawn positions, negative ones among them, whose region does not hold
+    them."""
+    kind = draw(st.sampled_from(["grid", "random", "direct"]))
+    count = draw(st.integers(2, 49))
+    width, height = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+    if kind != "direct":
+        mode = UNIFORM_GRID if kind == "grid" else RANDOM
+        return deploy(count, (width, height), mode, draw(st.integers(0, 2**32)), 0.5, 30.0)
+    coord = st.floats(-width, width)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=count))
+    return line_topology(positions, comm_radius=0.5, max_tx=30.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    topo=corner_layouts(),
+    radius=st.sampled_from(["at", "ulps", "shrunk", "grown", "margin", "margin-ulps"]),
+    ulps=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+def test_within_equals_the_scan_at_the_farthest_corner(topo, radius, ulps):
+    """Every node's within() at radii on the farthest corner of the node box,
+    where the no-scan shortcut starts, a few ulps off it and a share of
+    2**-20 either side, equals a brute-force distance() scan."""
+
+    def nudged(value):
+        for _ in range(abs(ulps)):
+            value = math.nextafter(value, math.copysign(math.inf, ulps))
+        return value
+
+    for node in topo.ids():
+        far = farthest_corner(topo, node)
+        r = {
+            "at": far,
+            "ulps": nudged(far),
+            "shrunk": far * (1.0 - _CELL_SLACK),
+            "grown": far * (1.0 + _CELL_SLACK),
+            "margin": far / (1.0 - _CELL_SLACK),
+            "margin-ulps": nudged(far / (1.0 - _CELL_SLACK)),
+        }[radius]
+        assert topo.within(node, r) == brute_within(topo, node, r)
+
+
 def test_a_dmrf_set_up_queries_no_node_and_builds_one_cell_index(monkeypatch):
     topo = deploy(400, (20.0, 20.0), UNIFORM_GRID, 1)
     queries, grids = [], []

@@ -15,7 +15,8 @@ their own on a fresh topology, without the tracers: the events are the lines
 of a traced run's trace, one per event, and the last column is the
 `tracemalloc` peak over the same span, in KiB. The scenarios are every protocol
 on the benchmark's heavy-traffic geometry at 600 packets, and DMRF on the
-table2 defaults, clean and with 30% faults.
+table2 defaults: clean, with 30% faults, and with fig7's radius-7 void, where
+the relays beside the void jump, so a change to the jump path shows.
 
 Equal code gives equal counts on one Python minor version, which is printed
 first. Opcodes differ in cost and C calls are unweighted, so the counts rank
@@ -48,6 +49,7 @@ SCENARIOS = [
     *(("heavy-traffic-600", {**HEAVY, "protocol": p}) for p in PROTOCOLS),
     ("table2", {"protocol": DMRF}),
     ("table2-fault0.3", {"protocol": DMRF, "fault_ratio": 0.3}),
+    ("table2-void7", {"protocol": DMRF, "void_radius": 7.0}),
 ]
 
 COLUMNS = ("cold setup", "warm setup", "run ops", "C calls", "random()", "events",

@@ -208,6 +208,7 @@ class _NodeRuntime:
         "buffer_used",
         "pending",
         "cong_notified",
+        "upstream",
     )
 
     def __init__(self, node_id: NodeId, is_sink: bool) -> None:
@@ -227,6 +228,8 @@ class _NodeRuntime:
         self.pending: tuple[Packet, NodeId, bool] | None = None
         # the senders warned this congestion episode; replaced, never mutated
         self.cong_notified: frozenset[NodeId] = _NO_NOTICES
+        # the node that last relayed a packet here: where feedback goes
+        self.upstream: NodeId | None = None
 
 
 #: the notice set every node shares until it first warns a sender
@@ -391,7 +394,7 @@ class Simulation:
         Recovery is fanned out to every sender that was warned during the
         congestion episode, so nobody is left avoiding a healthy node.
         """
-        upstream = node.table.upstream
+        upstream = node.upstream
         for fb in feedbacks:
             if fb.kind is FB_RECOVER:
                 dests = node.cong_notified
@@ -536,8 +539,7 @@ class Simulation:
             packet.hop_trace.append(receiver.id)
             self._finalize(packet, DELIVERED if now <= packet.deadline else EXPIRED, now)
         else:
-            if dmrf is not None:
-                receiver.table.upstream = sender_id
+            receiver.upstream = sender_id
             if now > packet.deadline:
                 # arrived past its deadline at a relay: dead on arrival
                 self._finalize(packet, EXPIRED, now)
@@ -621,19 +623,17 @@ class Simulation:
     def _on_timeout_round(self, replies: tuple, now: float) -> None:
         """Time out one round's `(delays, states)` replies: one
         `detect_faulty` call accounts the replies of the live links and the
-        silence of the silent ones; a silent link leaves the layout once its
-        entry has `misses_to_faulty` misses and is cached FAULTY, where
-        `_distrust`, the only write its dead peer's entry sees, changes
-        nothing a run shows. Then each prober, in id order, re-derives its
-        state if its table was left dirty, checks its own buffer and sends
-        its feedback. One never offered a packet checks its buffer at its
-        first timeout only: its inputs, the standing preload and an arrival
-        EWMA of 0.0, never change, and its table is clean once re-derived."""
+        silence of the silent ones, and drops from the layout each silent
+        link whose entry it finds at `misses_to_faulty` misses. Then each
+        prober, in id order, re-derives its state if its table was left
+        dirty, checks its own buffer and sends its feedback. One never
+        offered a packet checks its buffer at its first timeout only: its
+        inputs, the standing preload and an arrival EWMA of 0.0, never
+        change, and its table is clean once re-derived."""
         delays, states = replies
         _joules, tables, entries, _peers, silent = self._layout
         dmrf = self.dmrf
         dmrf.detect_faulty(tables, entries, delays, states, silent)
-        silent[:] = [link for link in silent if link[1].misses < self.cfg.misses_to_faulty]
         reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
         for node in self._probers:

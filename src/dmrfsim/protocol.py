@@ -111,13 +111,11 @@ class RoutingTable:
     #: every entry by candidate id: the members and the jump pool
     entries: dict[NodeId, CandidateEntry]
     needed_time: float
-    sink_in_range: bool
     state: NodeState = STATE_NORMAL
     own_congested: bool = False
     #: set when an input of reevaluate changes: a member's cached_state,
     #: own_congested or state; cleared by reevaluate
     dirty: bool = True
-    upstream: NodeId | None = None
     #: the long-range candidates in id order, materialized on first jump
     jump_pool: list[CandidateEntry] | None = None
     #: the offered packets' arrival rate, per ms, and when the last came
@@ -133,34 +131,29 @@ def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -
 
 def _shares(entries: list[CandidateEntry]) -> Iterator[float]:
     """Each entry's share of the success ratios, in entry order and divided
-    only when read, uniform when no entry has any success mass."""
+    only when read, uniform when no entry has any success mass; an empty
+    list has no shares."""
     total = running_sum(e.suc for e in entries)
     if total <= 0.0:
-        return repeat(1.0 / len(entries), len(entries))
+        return repeat(1.0 / len(entries), len(entries)) if entries else iter(())
     return (e.suc / total for e in entries)
 
 
 def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
     """The jump probability of each entry, in entry order: its share of the
-    success ratios, uniform when no entry has any success mass."""
+    success ratios, uniform when no entry has any success mass, and none
+    for an empty list."""
     return list(_shares(entries))
 
 
-def choose_jump_target(
-    entries: list[CandidateEntry],
-    rng: random.Random,
-    sink: NodeId,
-    sink_in_range: bool,
-) -> NodeId | None:
+def choose_jump_target(entries: list[CandidateEntry], rng: random.Random) -> NodeId | None:
     """Sample a jump target by the `jump_probabilities` of the candidates
     cached NORMAL: one draw, then their shares accumulated in entry order up
-    to the pick.
-    With none viable, fall back to direct transmission to the sink when it
-    is inside the maximum range.
+    to the pick. With none viable there is no target, and nothing is drawn.
     """
     viable = [e for e in entries if e.cached_state is STATE_NORMAL]
     if not viable:
-        return sink if sink_in_range else None
+        return None
     r = rng.random()
     for acc, e in zip(accumulate(_shares(viable)), viable):
         if r < acc:
@@ -194,18 +187,15 @@ class DmrfProtocol:
         topo = self.topo
         mu = self.mu
         sink = topo.sink
-        reach = topo.max_tx_distance
         needed = shortest_delay_map(topo, mu)
-        to_sink = topo.sink_distances
         tables: dict[NodeId, RoutingTable] = {}
         for node in topo.ids():
             if node == sink:
                 continue
             fcs = build_fcs(topo, node)
             members = [CandidateEntry(c, mu) for c in fcs]
-            table = tables[node] = RoutingTable(
-                node, members, dict(zip(fcs, members)), needed[node], to_sink[node] <= reach
-            )
+            entries = dict(zip(fcs, members))
+            table = tables[node] = RoutingTable(node, members, entries, needed[node])
             if not members:
                 # a node born without forward candidates is void from the start
                 table.state = STATE_VOID
@@ -260,15 +250,16 @@ class DmrfProtocol:
         replier's own state, so the cached state of a responder is whatever
         it reported rather than a guess. Lists of unequal length raise
         ValueError. A table whose cached states changed is left dirty, for
-        the caller to `reevaluate`.
+        the caller to `reevaluate`. A silent link whose entry reaches the
+        count leaves `silent`, in place: a dead peer never answers, so its
+        entry stays FAULTY and further misses change nothing a run shows.
         """
         for table, entry, delay, state in zip(tables, entries, delays, states, strict=True):
             entry.misses = 0
             if entry.cached_state is not state:  # the usual reply repeats it
                 _cache_state(table, entry, state)
             entry.delay_est = 0.7 * entry.delay_est + 0.3 * delay
-        for table, entry in silent:
-            self._distrust(table, entry)
+        silent[:] = [link for link in silent if self._distrust(*link)]
 
     def _trust(self, table: RoutingTable, entry: CandidateEntry) -> None:
         """An acknowledgment: no misses again, and a cached FAULTY heals."""
@@ -276,12 +267,15 @@ class DmrfProtocol:
         if entry.cached_state is STATE_FAULTY:
             _cache_state(table, entry, STATE_NORMAL)
 
-    def _distrust(self, table: RoutingTable, entry: CandidateEntry) -> None:
+    def _distrust(self, table: RoutingTable, entry: CandidateEntry) -> bool:
         """A missed probe or a failed transmission: one more miss, and the
-        candidate is cached FAULTY once its misses reach misses_to_faulty."""
+        candidate is cached FAULTY once its misses reach misses_to_faulty.
+        Returns whether its misses are still short of that count."""
         entry.misses += 1
-        if entry.misses >= self.cfg.misses_to_faulty:
-            _cache_state(table, entry, STATE_FAULTY)
+        if entry.misses < self.cfg.misses_to_faulty:
+            return True
+        _cache_state(table, entry, STATE_FAULTY)
+        return False
 
     def on_offer(
         self, table: RoutingTable, buffer_used: float, now: float
@@ -441,9 +435,7 @@ class DmrfProtocol:
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
         self.ensure_jump_entries(table)
-        target = choose_jump_target(
-            table.jump_pool, rng, sink=self.topo.sink, sink_in_range=table.sink_in_range
-        )
+        target = choose_jump_target(table.jump_pool, rng)
         if target is None:
             return Drop(DROP_NO_ROUTE)
         return Jump(target)
@@ -495,20 +487,19 @@ class DmrfProtocol:
     ) -> list[FeedbackMessage]:
         """Apply a control message from downstream and return the feedback
         it causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or
-        the feedback of any state change the update triggered.
+        the feedback of any state change the update triggered. The sender
+        is always a node this one sent data to, so the table holds its entry.
         """
-        entry = table.entries.get(from_node)
+        entry = table.entries[from_node]
         if msg.kind is FB_JUMP_FAIL:
             # distrust the direction the bad news came from
-            if entry is not None:
-                entry.suc *= rng.random()
+            entry.suc *= rng.random()
             if msg.hop_limit > 1:
                 return [FeedbackMessage(msg.kind, msg.hop_limit - 1)]
             return []
-        if entry is not None:
-            # every non-jump kind reports its sender's own state, which is
-            # proof of life; latest report wins
-            _cache_state(table, entry, REPORTED_STATE[msg.kind])
+        # every non-jump kind reports its sender's own state, which is proof
+        # of life; latest report wins
+        _cache_state(table, entry, REPORTED_STATE[msg.kind])
         return self.reevaluate(table, now) if table.dirty else []
 
     def on_fault(self, table: RoutingTable, now: float) -> None:

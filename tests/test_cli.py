@@ -207,6 +207,18 @@ def test_tiny_comm_radius_runs_in_bounded_time(tmp_path):
     assert len(proc.stdout.splitlines()) == 2
 
 
+def test_a_region_whose_grid_spacing_underflows_runs(tmp_path):
+    # every node lands on the sink's position, so no node has a route
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(
+        {"node_count": 9, "region": [5e-324, 5e-324], "packet_count": 3}
+    ))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    [row] = read_rows(out)
+    assert row["injected"] == row["dropped_no_route"] == 3
+
+
 def test_a_probe_period_below_the_clock_resolution_exits_one(tmp_path):
     # every probe round would reschedule itself at the same instant for ever
     path = tmp_path / "stall.json"

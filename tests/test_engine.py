@@ -21,6 +21,7 @@ import dmrfsim
 
 from dmrfsim.config import (
     CONTROL_FRAME_BITS,
+    DMRF,
     GREEDY_MIN_DELAY,
     PROTOCOLS,
     ScenarioConfig,
@@ -339,6 +340,25 @@ def test_unreachable_sink_without_jump_range_drops_no_route():
     result = run(topo, cfg)
     assert result.metrics.dropped_no_route == 3
     assert result.metrics.terminal_total == 3
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_relay_on_the_sink_position_runs_to_the_end(protocol):
+    """Relay 1 sits where the sink does: no node is strictly closer to the
+    sink than it, so it has no forward candidate and an empty jump pool.
+    DMRF drops the packet it relays for want of a route; no protocol
+    fails the run."""
+    topo = Topology(
+        nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (1.0, 0.0))],
+        region=(1.0, 1.0), comm_radius=1.5, max_tx_distance=30.0, source=0, sink=2,
+    )
+    result = run(topo, small_cfg(protocol=protocol, region=(1.0, 1.0), seed=1))
+    m = result.metrics
+    assert m.injected == m.terminal_total == 5
+    if protocol == DMRF:
+        relayed = [p for p in result.packets if p.hop_trace[-1] == 1]
+        assert relayed and all(p.outcome == DROPPED_NO_ROUTE for p in relayed)
+        assert m.dropped_no_route == len(relayed)
 
 
 def test_tight_lifetime_expires_packets():
@@ -693,7 +713,7 @@ def frames_since(sim, seq):
 
 
 def feedback_upstream(sim, node, receiver):
-    node.table.upstream = receiver
+    node.upstream = receiver
     fb = FeedbackMessage(kind=FB_CONG)
     sim._send_feedbacks(node, [fb], 0.0)
 
@@ -703,7 +723,7 @@ def congestion_notice(sim, node, receiver):
 
 
 def jump_fail_reforward(sim, node, receiver):
-    node.table.upstream = receiver
+    node.upstream = receiver
     fb = FeedbackMessage(kind=FB_JUMP_FAIL)
     sim._on_feedback((fb, node.id + 1, node.id), 0.0)
 
@@ -742,7 +762,7 @@ def test_recovery_reaches_every_warned_sender_and_the_upstream():
     sim = control_sim()
     node = sim.nodes[2]
     node.cong_notified = frozenset({4, 1, 0})
-    node.table.upstream = 1
+    node.upstream = 1
     seq = sim._seq
     fb = FeedbackMessage(kind=FB_RECOVER)
     sim._send_feedbacks(node, [fb], 0.0)

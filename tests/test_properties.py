@@ -8,12 +8,13 @@ the preload plus the queued relay packets between every pair of events,
 every unfinished packet held by the last node on its trace, no decision
 asked about a packet at or past its deadline, no packet returning to the
 source, legal and chained state transitions, faults only at time 0, every
-control frame delivered to a live node with a routing table, a trace of one
-line per event in (time, seq) order whose injections take seqs rising with
-the packet id, and control packets equal to probe rounds times probe links
-plus feedback frames. The same checks run on drawn lines whose relays
-queue, so packets also expire in relay queues, where the random scenarios
-expire them at the source only.
+control frame delivered to a live node with a routing table, every jump
+pool of a node within jump reach of the sink holding the sink's entry
+cached NORMAL, a trace of one line per event in (time, seq) order whose
+injections take seqs rising with the packet id, and control packets equal
+to probe rounds times probe links plus feedback frames. The same checks
+run on drawn lines whose relays queue, so packets also expire in relay
+queues, where the random scenarios expire them at the source only.
 
 The probe layout prices its links itself, the way the engine's per-link
 price cache prices any other frame. A slow twin whose layout prices probe
@@ -60,6 +61,7 @@ class CheckedSimulation(Simulation):
         self.checked = 0
         self.expired_at_check = 0
         self.relayed_expired_at_check = 0
+        self.sink_pools = 0  # jump pools found holding the sink, over all checks
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
         self.now = 0.0
@@ -131,6 +133,19 @@ class CheckedSimulation(Simulation):
             assert legal_transition(old, new, states), (nid, old, new, states)
             self.last_state[nid] = new
         self.checked = len(self.transitions)
+        # a node off the sink's position but within jump reach of it always
+        # has a jump target: the sink's entry sits in its pool, cached
+        # NORMAL, since the sink replies NORMAL, accepts every frame and
+        # sends no feedback
+        topo = self.topo
+        to_sink = topo.sink_distances
+        for node in self.nodes.values():
+            pool = node.table.jump_pool if node.table is not None else None
+            if pool is not None and 0.0 < to_sink[node.id] <= topo.max_tx_distance:
+                entry = node.table.entries.get(topo.sink)
+                assert any(e is entry for e in pool), node.id
+                assert entry.cached_state is STATE_NORMAL, node.id
+                self.sink_pools += 1
 
 
 def _value(draw, low: float, high: float) -> float:
@@ -194,6 +209,19 @@ def test_the_drawn_scenarios_expire_queued_packets_at_their_deadline_checks():
 
     # raises NoSuchExample when no drawn scenario takes the path
     find(scenarios(), expires_at_a_check,
+         settings=settings(max_examples=100, derandomize=True, database=None))
+
+
+def test_the_drawn_scenarios_check_jump_pools_that_hold_the_sink():
+    """The invariant test below checks the sink's entry in some jump pool
+    built for a node within jump reach of the sink."""
+    def checks_a_sink_pool(cfg):
+        sim = CheckedSimulation(deployed(cfg), cfg)
+        sim.run()
+        return sim.sink_pools > 0
+
+    # raises NoSuchExample when no drawn scenario builds such a pool
+    find(scenarios(), checks_a_sink_pool,
          settings=settings(max_examples=100, derandomize=True, database=None))
 
 

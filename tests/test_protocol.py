@@ -12,7 +12,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmrfsim.config import ScenarioConfig
@@ -200,22 +200,24 @@ def test_choose_jump_target_samples_cumulatively():
     a = CandidateEntry(candidate=1, suc=0.75)
     b = CandidateEntry(candidate=2, suc=0.5)
     # p = (0.6, 0.4): draws below 0.6 pick 1, above pick 2
-    assert choose_jump_target([a, b], FixedRng([0.59]), sink=9, sink_in_range=True) == 1
-    assert choose_jump_target([a, b], FixedRng([0.61]), sink=9, sink_in_range=True) == 2
+    assert choose_jump_target([a, b], FixedRng([0.59])) == 1
+    assert choose_jump_target([a, b], FixedRng([0.61])) == 2
 
 
 def test_choose_jump_target_excludes_known_bad_and_renormalizes():
     a = CandidateEntry(candidate=1, suc=0.75, cached_state=STATE_CONG)
     b = CandidateEntry(candidate=2, suc=0.5)
     # only b is viable, so any draw picks it
-    assert choose_jump_target([a, b], FixedRng([0.99]), sink=9, sink_in_range=True) == 2
+    assert choose_jump_target([a, b], FixedRng([0.99])) == 2
 
 
-def test_choose_jump_target_falls_back_to_sink_in_range():
+def test_choose_jump_target_without_a_viable_member_is_none():
+    """No member cached NORMAL, or no member at all: no target, and the
+    generator is not drawn from."""
     a = CandidateEntry(candidate=1, cached_state=STATE_FAULTY)
-    assert choose_jump_target([a], FixedRng([0.5]), sink=9, sink_in_range=True) == 9
-    assert choose_jump_target([a], FixedRng([0.5]), sink=9, sink_in_range=False) is None
-    assert choose_jump_target([], FixedRng([0.5]), sink=9, sink_in_range=True) == 9
+    b = CandidateEntry(candidate=2, cached_state=STATE_VOID)
+    for pool in ([a, b], [a], []):
+        assert choose_jump_target(pool, FixedRng([])) is None
 
 
 KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
@@ -223,20 +225,22 @@ KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
 
 def reference_shares(entries):
     """Each entry's share of the success ratios, summed left to right from
-    0.0; uniform when that total is not positive."""
+    0.0; uniform when that total is not positive, and none for no entry."""
+    if not entries:
+        return []
     total = functools.reduce(operator.add, (e.suc for e in entries), 0.0)
     if total <= 0.0:
         return [1.0 / len(entries)] * len(entries)
     return [e.suc / total for e in entries]
 
 
-def reference_jump_target(entries, rng, sink, sink_in_range):
+def reference_jump_target(entries, rng):
     """The draw written out as normalize, then accumulate: known-bad
     candidates excluded, the shares of the rest, one draw, and the first
-    entry whose running sum exceeds it."""
+    entry whose running sum exceeds it; no target when none is left."""
     viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
     if not viable:
-        return sink if sink_in_range else None
+        return None
     r = rng.random()
     for acc, e in zip(itertools.accumulate(reference_shares(viable)), viable):
         if r < acc:
@@ -270,17 +274,18 @@ SUCS = st.one_of(
         st.tuples(SUCS, st.sampled_from(STATES)).map(lambda entry: [entry]),
     ),
     all_zero=st.booleans(),
-    sink_in_range=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     pin=st.sampled_from(["draw", "zero", "edge", "below-edge"]),
     edge=st.integers(0, 59),
 )
+# the empty pool: no shares and no target
+@example(pool=[], all_zero=False, seed=0, pin="draw", edge=0)
 def test_choose_jump_target_matches_normalize_then_accumulate(
-    pool, all_zero, sink_in_range, seed, pin, edge
+    pool, all_zero, seed, pin, edge
 ):
     """The pick and the generator state after it equal the reference draw,
     on pools of mixed cached states, zero, subnormal and all-zero success
-    mass, and single entries; the shares equal jump_probabilities."""
+    mass, single entries and none; the shares equal jump_probabilities."""
 
     def entries():
         return [
@@ -291,9 +296,8 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     # the running sums of the reference's shares are where the two rules
     # could part, so some draws are pinned onto them or one ulp below
     viable = [e for e in entries() if e.cached_state not in KNOWN_BAD]
-    shares = reference_shares(viable) if viable else []
-    if viable:
-        assert jump_probabilities(viable) == shares
+    shares = reference_shares(viable)
+    assert jump_probabilities(viable) == shares
     edges = list(itertools.accumulate(shares))
     value = {
         "draw": None,
@@ -306,9 +310,9 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
 
     expected_rng, actual_rng = PinnedRandom(seed), PinnedRandom(seed)
     expected_rng.value = actual_rng.value = value
-    expected = reference_jump_target(entries(), expected_rng, 99, sink_in_range)
+    expected = reference_jump_target(entries(), expected_rng)
     subject = entries()
-    actual = choose_jump_target(subject, actual_rng, 99, sink_in_range)
+    actual = choose_jump_target(subject, actual_rng)
     assert actual == expected
     assert actual_rng.getstate() == expected_rng.getstate()
 
@@ -325,7 +329,6 @@ def test_build_tables_initializes_fcs_entries():
     assert [e.candidate for e in t0.members] == [1]
     assert t0.entries[1].delay_est == MU
     assert t0.needed_time == pytest.approx(2 * MU)
-    assert t0.sink_in_range  # 2 m < 30 m
     assert t0.state is STATE_NORMAL
 
 
@@ -610,7 +613,6 @@ def test_reevaluate_matches_the_rule_on_every_small_candidate_set(start, own_con
             members=members,
             entries={e.candidate: e for e in members},
             needed_time=10.0,
-            sink_in_range=False,
             state=start,
             own_congested=own_congested,
         )

@@ -1,19 +1,25 @@
 """Reference forwarding strategies the protocol is measured against.
 
-All three are stateless geographic greedy variants: no probing, no feedback,
-no learned statistics. They act on the initialization-time candidate sets and
-pay for their staleness in lost packets, which is the point of the
-comparison. The void-bypass variant additionally walks the void perimeter
-with the classic right-hand-style detour when greedy progress stalls.
+All three are geographic greedy variants: no probing, no feedback, no learned
+statistics. They act on the initialization-time candidate sets and pay for
+their staleness in lost packets, which is the point of the comparison. A run
+of a baseline builds one object here, a `Greedy` or a `Bypass`, the engine's
+only view of the baseline: its `decide` picks each next hop. The object's one
+piece of state is a ranking memo: a node's candidates and their delays never
+change during a run, so each node ranks them at its first decision and keeps
+the order. When no live candidate is left, the void-bypass variant sidesteps
+to the live neighbor whose bearing deviates least clockwise from the sink's,
+never back onto the packet's trace; it does not walk the void's perimeter.
 """
 
 from __future__ import annotations
 
 import math
 
+from .config import BYPASS, GREEDY_MAX_RATE, GREEDY_MIN_DELAY, ScenarioConfig
 from .model import RATE_MEDIUM, NodeId, Packet
 from .protocol import DROP_NO_ROUTE, Decision, Drop, Forward
-from .topology import Topology
+from .topology import Topology, build_fcs
 
 
 def rank_candidates(
@@ -61,11 +67,11 @@ def bypass_next_hop(
     packet: Packet,
     live: set[NodeId],
 ) -> Decision:
-    """Greedy forwarding with perimeter routing around voids.
+    """Greedy forwarding with a sidestep around voids.
 
     Unlike the blind greedy variants this one knows which of its neighbors
-    are alive (perimeter routing requires local void awareness): it takes the
-    first live candidate in the delay ranking. When no live candidate makes
+    are alive (getting round a void requires local void awareness): it takes
+    the first live candidate in the delay ranking. When no live candidate makes
     progress, it sidesteps to the live neighbor whose bearing deviates least
     clockwise from the sink bearing, refusing nodes already on the packet's
     trace to avoid orbiting the void forever.
@@ -91,3 +97,49 @@ def bypass_next_hop(
     if best_id is None:
         return Drop(DROP_NO_ROUTE)
     return Forward(best_id, RATE_MEDIUM)
+
+
+class _Ranking(dict):
+    """Node id -> its forwarding candidates on the full deployment, best
+    first, every link at the mean hop delay (`rank_candidates`), by progress
+    per delay in a GREEDY_MAX_RATE run. A node is ranked at its first lookup;
+    a hit is a plain dict lookup."""
+
+    def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
+        super().__init__()
+        self.topo = topo
+        self.delay = cfg.mean_hop_delay_ms
+        self.by_rate = cfg.protocol == GREEDY_MAX_RATE
+
+    def __missing__(self, node: NodeId) -> list[NodeId]:
+        candidates = [(c, self.delay) for c in build_fcs(self.topo, node)]
+        ranked = self[node] = rank_candidates(self.topo, node, candidates, self.by_rate)
+        return ranked
+
+
+class Greedy:
+    """GREEDY_MIN_DELAY and GREEDY_MAX_RATE: the first ranked candidate,
+    dead or alive. Like `Bypass`, it calls its decision function by its
+    module-level name, so a wrapper set on the module sees every decision."""
+
+    def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
+        self.ranked = _Ranking(topo, cfg)
+
+    def decide(self, node: NodeId, packet: Packet, live: set[NodeId]) -> Decision:
+        return greedy_min_delay(self.ranked[node])
+
+
+class Bypass:
+    """BYPASS: the first live candidate in the delay ranking, else the
+    sidestep of `bypass_next_hop`."""
+
+    def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
+        self.topo = topo
+        self.ranked = _Ranking(topo, cfg)
+
+    def decide(self, node: NodeId, packet: Packet, live: set[NodeId]) -> Decision:
+        return bypass_next_hop(self.topo, node, self.ranked[node], packet, live)
+
+
+#: a baseline's name -> the class of its runs' decision object
+BASELINES = {GREEDY_MIN_DELAY: Greedy, GREEDY_MAX_RATE: Greedy, BYPASS: Bypass}

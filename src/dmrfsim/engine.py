@@ -19,13 +19,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from . import baselines
-from .config import (
-    BYPASS,
-    CONTROL_FRAME_BITS,
-    DMRF,
-    GREEDY_MAX_RATE,
-    ScenarioConfig,
-)
+from .config import CONTROL_FRAME_BITS, DMRF, ScenarioConfig
 from .model import (
     CONG_STATES,
     FB_CONG,
@@ -38,15 +32,9 @@ from .model import (
     make_packet,
     running_sum,
 )
-from .protocol import (
-    Decision,
-    DmrfProtocol,
-    Drop,
-    Jump,
-    RoutingTable,
-    Transition,
-)
-from .topology import Topology, build_fcs, carve_void
+from .protocol import DmrfProtocol, Drop, Jump, RoutingTable, Transition
+# build_fcs is unused here; the benchmark's layer probe patches it by this name
+from .topology import Topology, build_fcs, carve_void  # noqa: F401
 
 PACKET_ARRIVAL = 0
 PACKET_INJECT = 1
@@ -201,7 +189,6 @@ class _NodeRuntime:
         "id",
         "is_sink",
         "table",
-        "ranked",
         "link_j",
         "tx",
         "queue",
@@ -215,9 +202,6 @@ class _NodeRuntime:
         self.id = node_id
         self.is_sink = is_sink
         self.table: RoutingTable | None = None
-        # a baseline's candidate set on the full deployment, every link at the
-        # mean hop delay, in the baseline's order; built at the first decision
-        self.ranked: list[NodeId] | None = None
         # receiver id -> joules per bit sent to it (see Simulation._price);
         # replaced, never mutated, while it is the shared empty one
         self.link_j: dict[NodeId, float] = _NO_PRICES
@@ -270,21 +254,31 @@ class Simulation:
         # holds each, in its pending send or in one of its queues
         self._open: dict[int, Packet] = {}
 
-        self.dmrf = DmrfProtocol(topo, scenario) if scenario.protocol == DMRF else None
-        # every state transition of the run, in order: the protocol's own list
-        self.transitions: list[Transition] = (
-            self.dmrf.transitions if self.dmrf is not None else []
-        )
+        # the run's one protocol object: DMRF's, or a baseline's (baselines.py)
+        self.dmrf = self.baseline = None
+        # every state transition of the run, in order: DMRF's own list
+        self.transitions: list[Transition] = []
+        if scenario.protocol == DMRF:
+            self.dmrf = DmrfProtocol(topo, scenario)
+            self.transitions = self.dmrf.transitions
+        else:
+            self.baseline = baselines.BASELINES[scenario.protocol](topo, scenario)
 
         self.nodes = {nid: _NodeRuntime(nid, nid == topo.sink) for nid in topo.ids()}
         # the nodes not carved or faulted: the run's one record of liveness
         self._live: set[NodeId] = set(self.nodes)
 
         # routing memory is built on the full deployment; the void carved and
-        # the faults injected below are discovered at runtime, not here
+        # the faults injected below are discovered at runtime, not here. Every
+        # node with candidates probes them, in id order; the first round lays
+        # out their links (see _lay_out_probes)
+        self._probers: list[_NodeRuntime] = []
         if self.dmrf is not None:
             for nid, table in self.dmrf.build_tables().items():
-                self.nodes[nid].table = table
+                node = self.nodes[nid]
+                node.table = table
+                if table.members:
+                    self._probers.append(node)
 
         if scenario.buffer_fill:
             preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
@@ -299,12 +293,6 @@ class Simulation:
         if dead:
             self._schedule(0.0, FAULT_ONSET, dead)
 
-        # every node with candidates probes them, in id order. The first
-        # round lays out their links (see _lay_out_probes)
-        self._probers = [
-            node for node in self.nodes.values()
-            if node.table is not None and node.table.members
-        ]
         self._layout: tuple | None = None
         if self._probers:
             self._schedule(0.0, PROBE, None)
@@ -409,20 +397,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # decisions and service
 
-    def _decide_baseline(self, node: _NodeRuntime, packet: Packet) -> Decision:
-        name = self.cfg.protocol
-        ranked = node.ranked
-        if ranked is None:
-            ranked = node.ranked = baselines.rank_candidates(
-                self.topo,
-                node.id,
-                [(c, self.mu) for c in build_fcs(self.topo, node.id)],
-                by_rate=name == GREEDY_MAX_RATE,
-            )
-        if name == BYPASS:
-            return baselines.bypass_next_hop(self.topo, node.id, ranked, packet, self._live)
-        return baselines.greedy_min_delay(ranked)
-
     def _try_start(self, node: _NodeRuntime, now: float, stall: float = 0.0) -> None:
         """Start the node's next transmission, dropping the head packets it
         cannot send: one at or past its deadline expires before any protocol
@@ -437,7 +411,7 @@ class Simulation:
                 if self.dmrf is not None:
                     decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
                 else:
-                    decision = self._decide_baseline(node, packet)
+                    decision = self.baseline.decide(node.id, packet, self._live)
                 kind = type(decision)
                 if kind is not Drop:
                     target = decision.next
@@ -518,18 +492,18 @@ class Simulation:
                     self._send_feedbacks(receiver, fbs, now)
             accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
 
-        if not accepted and alive:
-            self._notify_congestion(receiver, sender_id, now)
         if dmrf is not None:
+            if not accepted and alive:
+                self._notify_congestion(receiver, sender_id, now)
             on_result = dmrf.on_jump_result if is_jump else dmrf.on_forward_result
             fbs = on_result(sender.table, target, accepted, now)
             if fbs:
                 self._send_feedbacks(sender, fbs, now)
-        if not accepted and dmrf is not None:
-            # the packet stays at the head of the queue; the retry's service
-            # time absorbs the acknowledgment timeout
-            self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
-            return
+            if not accepted:
+                # the packet stays at the head of the queue; the retry's
+                # service time absorbs the acknowledgment timeout
+                self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
+                return
 
         self._release(sender, packet)
         if not accepted:
@@ -558,8 +532,8 @@ class Simulation:
         self, node: _NodeRuntime, sender_id: NodeId, now: float
     ) -> None:
         """Tell a data sender it is pushing into a congested buffer; at most
-        once per sender per congestion episode."""
-        if self.dmrf is None or sender_id in node.cong_notified:
+        once per sender per congestion episode. DMRF runs only."""
+        if sender_id in node.cong_notified:
             return
         self._send_control(FeedbackMessage(FB_CONG), node.id, sender_id, now)
         node.cong_notified = node.cong_notified | {sender_id}
@@ -656,10 +630,10 @@ class Simulation:
             self._send_feedbacks(receiver, fbs, now)
 
     def _on_fault_onset(self, node_ids: list[NodeId], now: float) -> None:
+        self._live.difference_update(node_ids)
         dmrf = self.dmrf
-        for nid in node_ids:
-            self._live.discard(nid)
-            if dmrf is not None:
+        if dmrf is not None:
+            for nid in node_ids:
                 dmrf.on_fault(self.nodes[nid].table, now)
 
     def _on_deadline(self, packet: Packet, now: float) -> None:

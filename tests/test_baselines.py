@@ -1,17 +1,23 @@
-"""Unit tests for the greedy reference strategies."""
+"""Unit tests for the greedy reference strategies, and a slow twin of each
+run's decision object: its ranking memo against ranking afresh per call."""
+
+import collections
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmrfsim import baselines
 from dmrfsim.baselines import (
+    BASELINES,
     bypass_next_hop,
     greedy_max_rate,
     greedy_min_delay,
     rank_candidates,
 )
+from dmrfsim.config import BYPASS, GREEDY_MAX_RATE, ScenarioConfig
 from dmrfsim.model import RATE_MEDIUM, make_packet
 from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward
-from dmrfsim.topology import Topology
+from dmrfsim.topology import Topology, build_fcs
 
 
 def topo_of(positions, comm_radius=1.5, sink=None):
@@ -159,3 +165,52 @@ def test_ranked_choice_equals_the_per_call_keys(case):
     else:
         # nothing live makes progress: the sidestep decides, as before
         assert b == bypass_next_hop(topo, 0, [], packet, live)
+
+
+# ----------------------------------------------------------------------
+# a run's decision object against ranking afresh at every decision
+
+
+@st.composite
+def baseline_runs(draw):
+    count = draw(st.integers(3, 9))
+    coord = st.integers(-4, 4).map(lambda v: v * 0.5)
+    positions = [(draw(coord), draw(coord)) for _ in range(count)]
+    topo = topo_of(positions, comm_radius=draw(st.sampled_from([1.0, 1.5, 3.0])))
+    node = st.integers(0, count - 1)
+    # each decision: the deciding relay (never the sink, the last node), the
+    # run's live set and the packet's hop trace
+    asks = draw(st.lists(
+        st.tuples(st.integers(0, count - 2), st.sets(node), st.lists(node, max_size=4)),
+        min_size=1, max_size=12))
+    return draw(st.sampled_from(sorted(BASELINES))), topo, asks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=baseline_runs())
+def test_a_runs_decisions_equal_ranking_afresh_and_rank_each_node_once(case):
+    name, topo, asks = case
+    cfg = ScenarioConfig(protocol=name)
+    ranks = collections.Counter()
+
+    def counted(topo, node, *rest):
+        ranks[node] += 1
+        return rank_candidates(topo, node, *rest)
+
+    baselines.rank_candidates = counted
+    try:
+        baseline = BASELINES[name](topo, cfg)
+        for node, live, trace in asks:
+            packet = fresh_packet()
+            packet.hop_trace[:] = trace
+            candidates = [(c, cfg.mean_hop_delay_ms) for c in build_fcs(topo, node)]
+            fresh = rank_candidates(topo, node, candidates, by_rate=name == GREEDY_MAX_RATE)
+            if name == BYPASS:
+                expected = bypass_next_hop(topo, node, fresh, packet, live)
+            else:
+                expected = greedy_min_delay(fresh)
+            assert baseline.decide(node, packet, live) == expected, (node, live, trace)
+    finally:
+        baselines.rank_candidates = rank_candidates
+    assert set(ranks) == {node for node, _live, _trace in asks}
+    assert set(ranks.values()) == {1}

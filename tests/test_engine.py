@@ -441,6 +441,48 @@ def test_a_relay_arrival_past_the_deadline_expires(protocol):
     assert relay.queue == [head] and relay.buffer_used == preload + sim.cfg.packet_bytes
 
 
+# the three boundaries below are inclusive: each flipped comparison fails one
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_sink_arrival_at_the_deadline_is_delivered(protocol):
+    sim = line_sim(protocol)
+    relay = sim.nodes[2]
+    [packet] = held_at(sim, 2, 10.0)
+    relay.pending = (packet, 3, False)
+    sim._on_arrival(2, packet.deadline)
+    assert (packet.outcome, packet.finished_at) == (DELIVERED, packet.deadline)
+    assert packet.hop_trace == [0, 2, 3] and sim.metrics.delivered == 1
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_relay_arrival_at_the_deadline_is_taken_in(protocol):
+    # relay 1 is busy, so the packet it takes waits in its queue
+    sim = line_sim(protocol)
+    source, relay = sim.nodes[0], sim.nodes[1]
+    preload = relay.buffer_used
+    [head] = held_at(sim, 1, 100.0)
+    sim._try_start(relay, 0.0, stall=50.0)
+    [packet] = held_at(sim, 0, 10.0)
+    source.pending = (packet, 1, False)
+    sim._on_arrival(0, packet.deadline)
+    assert packet.outcome is None and packet.hop_trace == [0, 1]
+    assert relay.queue == [head, packet]
+    assert relay.buffer_used == preload + 2 * sim.cfg.packet_bytes
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_relay_buffer_filled_to_capacity_accepts_the_packet(protocol):
+    sim = line_sim(protocol)
+    source, relay = sim.nodes[0], sim.nodes[1]
+    relay.buffer_used = float(sim.cfg.buffer_bytes - sim.cfg.packet_bytes)
+    [packet] = held_at(sim, 0, 100.0)
+    source.pending = (packet, 1, False)
+    sim._on_arrival(0, 1.0)
+    assert packet.outcome is None and packet.hop_trace == [0, 1]
+    assert relay.buffer_used == sim.cfg.buffer_bytes and sim.metrics.buffer_drops == 0
+
+
 def test_horizon_cut_expires_in_flight_packets():
     topo = line_topo(3)
     cfg = small_cfg(packet_count=3, horizon_ms=0.5, seed=3)

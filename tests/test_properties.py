@@ -68,7 +68,7 @@ class CheckedSimulation(Simulation):
         if self.dmrf is not None:
             self.dmrf.select_next_hop = self._before_the_deadline(self.dmrf.select_next_hop)
         else:
-            self._decide_baseline = self._before_the_deadline(self._decide_baseline)
+            self.baseline.decide = self._before_the_deadline(self.baseline.decide)
 
     def _before_the_deadline(self, decide):
         def checked(holder, packet, *rest):

@@ -29,10 +29,10 @@ PRESETS = ("table2",)
 CONTROL_FRAME_BITS = 64
 
 #: the most nodes a run may deploy. At the table2 density (seed 1, Python 3.11,
-#: N = 10,000) tracemalloc peaks at 2.2 KB per node over a deploy and a
-#: one-packet, 5 ms DMRF run (`tools/bytes_per_node.py`), about 221 MB at the
-#: bound, where a run of that shape peaks at about 261 MB maxrss; and at
-#: 4.1 KB per node over a deploy and a 20-packet DMRF run, about 0.41 GB
+#: N = 10,000) tracemalloc peaks at 2.1 KB per node over a deploy and a
+#: one-packet, 5 ms DMRF run (`tools/bytes_per_node.py`), about 205 MB at the
+#: bound, where a run of that shape peaks at about 245 MB maxrss; and at
+#: 3.9 KB per node over a deploy and a 20-packet DMRF run, about 0.39 GB
 MAX_NODE_COUNT = 100_000
 
 

@@ -301,8 +301,7 @@ class Simulation:
         # were scheduled here, but each injection schedules the next: the heap
         # holds work in flight, not the whole injection plan
         self._inject_seq = self._seq
-        if scenario.packet_count > 0:
-            self._schedule(0.0, PACKET_INJECT, 0)
+        self._schedule(0.0, PACKET_INJECT, 0)
         self._seq = self._inject_seq + scenario.packet_count
 
     # ------------------------------------------------------------------

@@ -211,15 +211,9 @@ class DmrfProtocol:
         """
         if table.jump_pool is not None:
             return
-        topo = self.topo
-        owner = table.owner
         entries = table.entries
-        to_sink = topo.sink_distances
-        d_self = to_sink[owner]
         pool = []
-        for other in topo.within(owner, topo.max_tx_distance):
-            if to_sink[other] >= d_self:
-                continue
+        for other in self.topo.jump_candidates(table.owner):
             entry = entries.get(other)
             if entry is None:
                 entry = CandidateEntry(other, self.mu)

@@ -3,16 +3,16 @@ estimates and void carving.
 
 All operations are pure functions over immutable-by-convention Topology
 values: carve_void returns the ids it carves, which a run treats as dead
-from time zero. A Topology memoizes what it derives (sorted ids, cell index,
-position box, sink distances, neighbour lists, sink hop counts, forward sets,
-carved voids) on first use, so one can serve many runs; its positions, radii
-and sink never change.
+from time zero. A Topology memoizes what it derives (sorted ids, sink
+distances, sink-distance order, neighbour lists, sink hop counts, forward
+sets, carved voids) on first use, so one can serve many runs; its positions,
+radii and sink never change.
 
-One grid of cells a hair wider than comm_radius indexes the nodes. The first
-neighbors() call builds every node's list in one sweep over it, testing each
-pair in a cell and its forward-adjacent cells once; within() serves the
-longer jump-pool queries from the same grid, or returns every other node
-untested when the reach covers the nodes' whole box.
+The first neighbors() call builds every node's list in one sweep over a grid
+of cells a hair wider than comm_radius, testing each pair in a cell and its
+forward-adjacent cells once; the grid is dropped once the lists are built.
+jump_candidates() tests only the slice of the nodes, in sink-distance order,
+that the triangle inequality leaves in reach.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .model import NodeId
 
@@ -37,11 +36,9 @@ Position = tuple[float, float]
 UNREACHABLE = math.inf
 
 #: the cell side is comm_radius * (1 + _CELL_SLACK), so that a pair whose
-#: distance rounds onto the radius lies at most one cell apart; within() boxes
-#: grow by this many cells per side, so that a node whose distance rounds onto
-#: the radius at a cell edge is scanned (both exact below 1e8 cells); and
-#: within() skips the scan when the farthest corner of the nodes' box lies
-#: inside the radius shrunk by this share
+#: distance rounds onto the radius lies at most one cell apart; and
+#: jump_candidates() widens its sink-distance slice by this share of
+#: d + reach, so that a node whose distances round across a bound is tested
 _CELL_SLACK = 2.0**-20
 
 
@@ -64,7 +61,6 @@ class Topology:
         if self.comm_radius > self.max_tx_distance:
             raise ValueError("comm_radius must not exceed max_tx_distance")
         self._pos = dict(self.nodes)
-        self._side = self.comm_radius * (1.0 + _CELL_SLACK)
         # filled one entry at a time: by build_fcs, per node, and by
         # carve_void, per centre and radius
         self._forward_sets: dict[NodeId, tuple[NodeId, ...]] = {}
@@ -120,8 +116,12 @@ class Topology:
         of its 4 forward-adjacent cells is tested once, and a hit goes on both
         lists. The padded cell side puts every pair in range at most one cell
         apart, and hypot() is exact under swapping the ends."""
-        cells, _span = self._grid
         radius = self.comm_radius
+        side = radius * (1.0 + _CELL_SLACK)
+        cells: dict[tuple[int, int], list] = {}
+        for node, (x, y) in self._pos.items():
+            cell = (math.floor(x / side), math.floor(y / side))
+            cells.setdefault(cell, []).append((node, x, y))
         hypot = math.hypot
         nbrs: dict[NodeId, list[NodeId]] = {node: [] for node in self._pos}
         for (cx, cy), members in cells.items():
@@ -144,52 +144,28 @@ class Topology:
         return nbrs
 
     @cached_property
-    def _grid(self) -> tuple[dict[tuple[int, int], list], tuple[int, int, int, int]]:
-        """The cell index, cell -> [(id, x, y)], and the (low x, high x,
-        low y, high y) cell span the nodes occupy."""
-        side = self._side
-        cells: dict[tuple[int, int], list] = {}
-        for other, (ox, oy) in self._pos.items():
-            key = (math.floor(ox / side), math.floor(oy / side))
-            cells.setdefault(key, []).append((other, ox, oy))
-        xs, ys = [cx for cx, _ in cells], [cy for _, cy in cells]
-        return cells, (min(xs), max(xs), min(ys), max(ys))
+    def _sink_order(self) -> list[NodeId]:
+        """The node ids sorted by (sink distance, id)."""
+        return sorted(self._sorted_ids, key=self.sink_distances.__getitem__)
 
-    @cached_property
-    def _bounds(self) -> tuple[float, float, float, float]:
-        """The (low x, high x, low y, high y) box of the node positions."""
-        xs, ys = [x for x, _ in self._pos.values()], [y for _, y in self._pos.values()]
-        return min(xs), max(xs), min(ys), max(ys)
-
-    def within(self, node: NodeId, radius: float) -> list[NodeId]:
-        """All other nodes whose distance() from `node` is at most `radius`,
-        sorted by id. When the farthest corner of the nodes' box lies inside
-        `radius` by the _CELL_SLACK margin, which dwarfs hypot()'s rounding,
-        that is every other node, with no distance test. Otherwise only the
-        grid cells where the query box overlaps the occupied span are
-        scanned, or the occupied cells if they are fewer."""
-        x, y = self._pos[node]
-        lo, hi, bottom, top = self._bounds
-        far = math.hypot(max(x - lo, hi - x), max(y - bottom, top - y))
-        if far <= radius * (1.0 - _CELL_SLACK):
-            ids = self._sorted_ids
-            out = list(ids)
-            del out[bisect_left(ids, node)]
-            return out
-        cells, (lo_x, hi_x, lo_y, hi_y) = self._grid
-        side = self._side
-        reach = radius / side + _CELL_SLACK
-        x0, x1 = max(lo_x, math.floor(x / side - reach)), min(hi_x, math.floor(x / side + reach))
-        y0, y1 = max(lo_y, math.floor(y / side - reach)), min(hi_y, math.floor(y / side + reach))
-        if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
-            keys = cells
-        else:
-            keys = product(range(x0, x1 + 1), range(y0, y1 + 1))
+    def jump_candidates(self, node: NodeId) -> list[NodeId]:
+        """The nodes strictly closer to the sink whose distance() from `node`
+        is at most max_tx_distance, sorted by id: the jump pool. By the
+        triangle inequality their sink distances lie in [d - reach, d), so
+        only that slice of _sink_order is tested; its low end moves down by
+        a _CELL_SLACK share of d + reach, which dwarfs hypot()'s rounding."""
+        order, to_sink, pos = self._sink_order, self.sink_distances, self._pos
+        d, reach = to_sink[node], self.max_tx_distance
+        key = to_sink.__getitem__
+        lo = bisect_left(order, d - reach - (d + reach) * _CELL_SLACK, key=key)
+        hi = bisect_left(order, d, lo, key=key)
+        x, y = pos[node]
+        hypot = math.hypot
         out = []
-        for key in keys:
-            for other, ox, oy in cells.get(key, ()):
-                if other != node and math.hypot(x - ox, y - oy) <= radius:
-                    out.append(other)
+        for other in order[lo:hi]:
+            ox, oy = pos[other]
+            if hypot(x - ox, y - oy) <= reach:
+                out.append(other)
         out.sort()
         return out
 

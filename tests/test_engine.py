@@ -526,6 +526,16 @@ def test_injections_are_scheduled_one_at_a_time():
     assert result.metrics.terminal_total == 11
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_an_unvalidated_zero_packet_run_pops_no_event(protocol):
+    # validate() refuses a count of 0; built around it, the run ends at its
+    # first end test, before the injection scheduled at set-up pops
+    cfg = dataclasses.replace(small_cfg(protocol=protocol, seed=1), packet_count=0)
+    result = run(line_topo(3), cfg, collect_trace=True)
+    assert result.trace == [] and result.packets == []
+    assert result.metrics.injected == result.metrics.terminal_total == 0
+
+
 def test_finishing_a_packet_twice_raises():
     sim = Simulation(line_topo(3), small_cfg(seed=1))
     sim._on_inject(0, 0.0)

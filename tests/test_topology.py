@@ -146,12 +146,21 @@ def brute_within(topo, node, radius):
     return [o for o in topo.ids() if o != node and topo.distance(node, o) <= radius]
 
 
+def brute_jump(topo, node):
+    """The jump pool by a full scan: every node within max_tx_distance that
+    is strictly closer to the sink."""
+    d = topo.distance(node, topo.sink)
+    return [
+        o
+        for o in brute_within(topo, node, topo.max_tx_distance)
+        if topo.distance(o, topo.sink) < d
+    ]
+
+
 def assert_index_matches_scan(topo):
     for node in topo.ids():
         assert topo.neighbors(node) == brute_within(topo, node, topo.comm_radius)
-        assert topo.within(node, topo.max_tx_distance) == brute_within(
-            topo, node, topo.max_tx_distance
-        )
+        assert topo.jump_candidates(node) == brute_jump(topo, node)
 
 
 _oracle = settings(max_examples=40, deadline=None, derandomize=True)
@@ -228,7 +237,8 @@ def test_index_matches_scan_one_ulp_around_cell_edges(radius):
     ids=["table2", "one-ulp-third", "one-ulp-7.5", "tiny-radius"],
 )
 def test_within_matches_scan_when_the_query_box_outgrows_the_deployment(topo):
-    # every query box overhangs the occupied cells on both sides of both axes
+    # every node's jump reach overhangs the deployment on both sides of both
+    # axes, so a pool can hold every node closer to the sink
     assert_index_matches_scan(topo)
 
 
@@ -265,6 +275,13 @@ def test_bulk_neighbour_lists_match_scan(layout):
         assert topo.neighbors(node) == brute_within(topo, node, radius)
 
 
+def nudged(value, ulps):
+    """`value` moved `ulps` ulps up, or down when `ulps` is negative."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
 def farthest_corner(topo, node):
     """The distance from `node` to the farthest corner of the box the node
     positions span."""
@@ -296,54 +313,91 @@ def corner_layouts(draw):
     radius=st.sampled_from(["at", "ulps", "shrunk", "grown", "margin", "margin-ulps"]),
     ulps=st.sampled_from([-3, -2, -1, 1, 2, 3]),
 )
-def test_within_equals_the_scan_at_the_farthest_corner(topo, radius, ulps):
-    """Every node's within() at radii on the farthest corner of the node box,
-    where the no-scan shortcut starts, a few ulps off it and a share of
-    2**-20 either side, equals a brute-force distance() scan."""
-
-    def nudged(value):
-        for _ in range(abs(ulps)):
-            value = math.nextafter(value, math.copysign(math.inf, ulps))
-        return value
-
+def test_jump_candidates_equal_the_scan_at_the_farthest_corner(topo, radius, ulps):
+    """Every node's jump_candidates() with max_tx_distance on the farthest
+    corner of the node box, where the pool takes in every node closer to
+    the sink, a few ulps off it and a share of 2**-20 either side, equals a
+    brute-force distance() scan."""
     for node in topo.ids():
         far = farthest_corner(topo, node)
         r = {
             "at": far,
-            "ulps": nudged(far),
+            "ulps": nudged(far, ulps),
             "shrunk": far * (1.0 - _CELL_SLACK),
             "grown": far * (1.0 + _CELL_SLACK),
             "margin": far / (1.0 - _CELL_SLACK),
-            "margin-ulps": nudged(far / (1.0 - _CELL_SLACK)),
+            "margin-ulps": nudged(far / (1.0 - _CELL_SLACK), ulps),
         }[radius]
-        assert topo.within(node, r) == brute_within(topo, node, r)
+        # comm_radius may not exceed the reach
+        reach = dataclasses.replace(topo, comm_radius=min(topo.comm_radius, r), max_tx_distance=r)
+        assert reach.jump_candidates(node) == brute_jump(reach, node)
 
 
-def test_a_dmrf_set_up_queries_no_node_and_builds_one_cell_index(monkeypatch):
+@st.composite
+def collinear_layouts(draw):
+    """The sink, node 0, and nodes on one line through it at whole multiples
+    of the reach from it, each coordinate a few ulps off. On the line the
+    triangle inequality holds with equality, so a node one reach nearer the
+    sink than another sits on the bound of that node's sink-distance slice,
+    on one side or the other as the distances round."""
+    reach = draw(st.floats(0.05, 40.0))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    sx, sy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    ulps = st.integers(-3, 3)
+    positions = [(sx, sy)]
+    for k in draw(st.lists(st.integers(-2, 8), min_size=2, max_size=24)):
+        x, y = sx + k * reach * math.cos(angle), sy + k * reach * math.sin(angle)
+        positions.append((nudged(x, draw(ulps)), nudged(y, draw(ulps))))
+    return Topology(
+        nodes=list(enumerate(positions)),
+        region=(1.0, 1.0),
+        comm_radius=reach,
+        max_tx_distance=reach,
+        source=1,
+        sink=0,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(topo=collinear_layouts())
+def test_jump_candidates_equal_the_scan_on_a_line_through_the_sink(topo):
+    for node in topo.ids():
+        assert topo.jump_candidates(node) == brute_jump(topo, node)
+
+
+def test_a_dmrf_set_up_builds_every_list_in_one_sweep_and_keeps_no_cell_index(monkeypatch):
     topo = deploy(400, (20.0, 20.0), UNIFORM_GRID, 1)
-    queries, grids = [], []
-    within, grid = Topology.within, Topology.__dict__["_grid"]
-    build_grid = grid.func
+    sweeps, orders = [], []
+    lists, order = Topology.__dict__["_neighbor_lists"], Topology.__dict__["_sink_order"]
+    build_lists, build_order = lists.func, order.func
 
-    def counted_within(self, node, radius):
-        queries.append(node)
-        return within(self, node, radius)
+    def recorded_lists(self):
+        sweeps.append(build_lists(self))
+        return sweeps[-1]
 
-    def recorded_grid(self):
-        grids.append(build_grid(self))
-        return grids[-1]
+    def recorded_order(self):
+        orders.append(build_order(self))
+        return orders[-1]
 
-    monkeypatch.setattr(Topology, "within", counted_within)
-    monkeypatch.setattr(grid, "func", recorded_grid)
+    monkeypatch.setattr(lists, "func", recorded_lists)
+    monkeypatch.setattr(order, "func", recorded_order)
     sim = Simulation(topo, validate(ScenarioConfig(seed=1)))
-    assert queries == []
-    assert len(vars(topo)["_neighbor_lists"]) == 400
-    assert len(grids) == 1 and vars(topo)["_grid"] is grids[0]
-    # a jump pool, the one caller of within(), reads the same index
-    table = next(n.table for n in sim.nodes.values() if n.table is not None)
-    sim.dmrf.ensure_jump_entries(table)
-    assert queries == [table.owner]
-    assert len(grids) == 1 and vars(topo)["_grid"] is grids[0]
+    assert len(sweeps) == 1 and len(sweeps[0]) == 400
+    assert vars(topo)["_neighbor_lists"] is sweeps[0]
+    assert orders == []
+    # what the set-up kept beside the fields: no cell index, no sink order
+    fields = {f.name for f in dataclasses.fields(topo)}
+    assert set(vars(topo)) - fields == {
+        "_pos", "_forward_sets", "_voids", "_sorted_ids",
+        "sink_distances", "sink_hops", "_neighbor_lists",
+    }
+    # the first jump pool builds the sink order; a second pool reuses it
+    first, second = [n.table for n in sim.nodes.values() if n.table is not None][:2]
+    sim.dmrf.ensure_jump_entries(first)
+    assert len(orders) == 1 and vars(topo)["_sink_order"] is orders[0]
+    sim.dmrf.ensure_jump_entries(second)
+    assert len(orders) == 1 and second.jump_pool
+    assert len(sweeps) == 1
 
 
 def test_runs_leave_the_shared_neighbour_lists_intact():

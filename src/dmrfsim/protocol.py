@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import attrgetter
 
 from .config import ScenarioConfig
 from .model import (
@@ -70,6 +72,8 @@ REPORTED_STATE = {
 
 Transition = tuple[float, NodeId, NodeState, NodeState]
 
+_CANDIDATE = attrgetter("candidate")
+
 
 class DropReason:
     """Why a decision drops its packet: a protocol sees only packets still
@@ -103,13 +107,16 @@ Decision = Forward | Jump | Drop
 @dataclass(slots=True)
 class RoutingTable:
     """A node's routing memory: one entry per candidate, holding its cached
-    state and learned statistics, and the node's own detection state."""
+    state and learned statistics, and the node's own detection state.
+
+    The members and the jump pool are both sorted by candidate id, and every
+    member is in the pool, as the same object: a member is a neighbour
+    strictly closer to the sink, and comm_radius <= max_tx_distance. So
+    `entry` finds any candidate by bisection in one of the two lists."""
 
     owner: NodeId
     #: the forwarding candidate set, in id order
     members: list[CandidateEntry]
-    #: every entry by candidate id: the members and the jump pool
-    entries: dict[NodeId, CandidateEntry]
     needed_time: float
     state: NodeState = STATE_NORMAL
     own_congested: bool = False
@@ -121,6 +128,15 @@ class RoutingTable:
     #: the offered packets' arrival rate, per ms, and when the last came
     arrival_ewma: float = 0.0
     last_arrival: float | None = None
+
+    def entry(self, node: NodeId) -> CandidateEntry:
+        """The entry of candidate `node`: looked up in the jump pool once it
+        is built, in the members before. KeyError if the table has none."""
+        entries = self.jump_pool or self.members  # an empty pool has no members
+        i = bisect_left(entries, node, key=_CANDIDATE)
+        if i < len(entries) and entries[i].candidate == node:
+            return entries[i]
+        raise KeyError(node)
 
 
 def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
@@ -194,8 +210,7 @@ class DmrfProtocol:
                 continue
             fcs = build_fcs(topo, node)
             members = [CandidateEntry(c, mu) for c in fcs]
-            entries = dict(zip(fcs, members))
-            table = tables[node] = RoutingTable(node, members, entries, needed[node])
+            table = tables[node] = RoutingTable(node, members, needed[node])
             if not members:
                 # a node born without forward candidates is void from the start
                 table.state = STATE_VOID
@@ -207,18 +222,23 @@ class DmrfProtocol:
 
         Built from the initialization-time topology, so it may contain nodes
         that have since failed or been carved out; those are weeded out by
-        the success statistics, never by oracle knowledge.
+        the success statistics, never by oracle knowledge. Both lists are in
+        id order, so one walk in step puts each member's own entry in the
+        pool, its statistics shared; a member left out raises InvariantError.
         """
         if table.jump_pool is not None:
             return
-        entries = table.entries
+        members = iter(table.members)
+        member = next(members, None)
         pool = []
         for other in self.topo.jump_candidates(table.owner):
-            entry = entries.get(other)
-            if entry is None:
-                entry = CandidateEntry(other, self.mu)
-                entries[other] = entry
-            pool.append(entry)
+            if member is not None and member.candidate == other:
+                pool.append(member)
+                member = next(members, None)
+            else:
+                pool.append(CandidateEntry(other, self.mu))
+        if member is not None:
+            raise InvariantError(f"member {member.candidate} of node {table.owner} not in pool")
         table.jump_pool = pool
 
     # ------------------------------------------------------------------
@@ -445,7 +465,7 @@ class DmrfProtocol:
         A failure counts as a miss exactly like a missed probe; the candidate
         in active use is usually found FAULTY well before the prober is.
         """
-        entry = table.entries[target]
+        entry = table.entry(target)
         if success:
             self._trust(table, entry)
             return []
@@ -460,7 +480,7 @@ class DmrfProtocol:
         The failed attempt is counted before the penalty ratio is taken, so
         successes never exceed attempts.
         """
-        entry = table.entries[target]
+        entry = table.entry(target)
         entry.attempts += 1
         if success:
             entry.successes += 1
@@ -484,7 +504,7 @@ class DmrfProtocol:
         the feedback of any state change the update triggered. The sender
         is always a node this one sent data to, so the table holds its entry.
         """
-        entry = table.entries[from_node]
+        entry = table.entry(from_node)
         if msg.kind is FB_JUMP_FAIL:
             # distrust the direction the bad news came from
             entry.suc *= rng.random()

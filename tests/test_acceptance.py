@@ -254,7 +254,7 @@ def test_criterion_07_jump_probability_convergence():
     total = suc[good] + suc[bad]
     expected_p = {c: (suc[c] / total if total > 0 else 0.5) for c in (good, bad)}
 
-    suc_err = max(abs(table.entries[c].suc - suc[c]) for c in (good, bad))
+    suc_err = max(abs(table.entry(c).suc - suc[c]) for c in (good, bad))
     p = dict(zip((good, bad), jump_probabilities(table.jump_pool)))
     p_err = max(abs(p[c] - expected_p[c]) for c in (good, bad))
     mass_on_bad = p[bad]

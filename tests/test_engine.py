@@ -242,6 +242,17 @@ def test_energy_cost_rejects_out_of_range_links():
         energy_cost(ScenarioConfig(), 31.0, 256)
 
 
+def test_energy_cost_prices_a_link_of_exactly_the_jump_reach():
+    # the reach is inclusive: a frame sent max_tx_distance is priced, and
+    # the next float beyond it is out of range
+    cfg = ScenarioConfig()
+    reach = cfg.max_tx_distance
+    assert energy_cost(cfg, reach, 256) == 256 * (
+        cfg.energy_elec_j_per_bit + cfg.energy_amp_j_per_bit_m2 * reach**2)
+    with pytest.raises(ValueError):
+        energy_cost(cfg, math.nextafter(reach, math.inf), 256)
+
+
 # ----------------------------------------------------------------------
 # staging helpers
 

@@ -93,7 +93,7 @@ def test_running_sum_adds_left_to_right_from_start():
         (Jump(next=1), "nxt"),
         (Drop(reason=DROP_NO_ROUTE), "reasn"),
         (
-            RoutingTable(owner=0, members=[], entries={}, needed_time=1.0),
+            RoutingTable(owner=0, members=[], needed_time=1.0),
             "stat",
         ),
     ],

@@ -142,7 +142,7 @@ class CheckedSimulation(Simulation):
         for node in self.nodes.values():
             pool = node.table.jump_pool if node.table is not None else None
             if pool is not None and 0.0 < to_sink[node.id] <= topo.max_tx_distance:
-                entry = node.table.entries.get(topo.sink)
+                entry = node.table.entry(topo.sink)
                 assert any(e is entry for e in pool), node.id
                 assert entry.cached_state is STATE_NORMAL, node.id
                 self.sink_pools += 1
@@ -231,6 +231,34 @@ def test_engine_invariants_hold_over_small_scenarios(cfg):
     topo = deployed(cfg)
     for protocol in PROTOCOLS:
         check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=scenarios())
+def test_table_lookups_match_a_scan_of_the_pool_or_the_members(cfg):
+    """The slow twin of `RoutingTable.entry`: after a DMRF run, every id
+    finds the entry that a scan of the jump pool, or of the members while no
+    pool is built, finds first, and an id it does not find raises KeyError.
+    A pool holds every member as the identical object. (Drawn scenarios
+    build pools: see the sink-pool test above.)"""
+    sim = Simulation(deployed(cfg), dataclasses.replace(cfg, protocol=DMRF))
+    sim.run()
+    ids = [-1, *sim.topo.ids(), cfg.node_count]
+    for node in sim.nodes.values():
+        table = node.table
+        if table is None:
+            continue
+        pool = table.jump_pool
+        if pool is not None:
+            assert all(any(e is m for e in pool) for m in table.members), node.id
+        scanned = table.members if pool is None else pool
+        for c in ids:
+            found = [e for e in scanned if e.candidate == c]
+            if found:
+                assert table.entry(c) is found[0], (node.id, c)
+            else:
+                with pytest.raises(KeyError):
+                    table.entry(c)
 
 
 def check_run(sim: CheckedSimulation, cfg) -> None:

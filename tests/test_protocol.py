@@ -33,6 +33,7 @@ from dmrfsim.model import (
     STATE_VOID,
     CandidateEntry,
     FeedbackMessage,
+    InvariantError,
     make_packet,
 )
 from dmrfsim.protocol import (
@@ -327,7 +328,7 @@ def test_build_tables_initializes_fcs_entries():
     assert set(tables) == {0, 1}  # the sink keeps no table
     t0 = tables[0]
     assert [e.candidate for e in t0.members] == [1]
-    assert t0.entries[1].delay_est == MU
+    assert t0.entry(1).delay_est == MU
     assert t0.needed_time == pytest.approx(2 * MU)
     assert t0.state is STATE_NORMAL
 
@@ -351,10 +352,23 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
     # from the sink than the owner
     pool = table.jump_pool
     assert [e.candidate for e in pool] == [1, 2, 3]
-    assert all(table.entries[e.candidate] is e for e in pool)
+    assert all(table.entry(e.candidate) is e for e in pool)
     # materialization is idempotent
     proto.ensure_jump_entries(table)
     assert table.jump_pool is pool
+
+
+@pytest.mark.parametrize("dropped", [1, 2])
+def test_a_jump_pool_that_leaves_out_a_member_raises(monkeypatch, dropped):
+    positions = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+    proto, topo = grid_protocol(positions, comm_radius=2.5, max_tx=30.0, sink=3)
+    table = proto.build_tables()[0]
+    assert [e.candidate for e in table.members] == [1, 2]
+    pool = [c for c in (1, 2, 3) if c != dropped]
+    monkeypatch.setattr(topo, "jump_candidates", lambda node: pool)
+    with pytest.raises(InvariantError, match=f"member {dropped} of node 0"):
+        proto.ensure_jump_entries(table)
+    assert table.jump_pool is None
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +388,7 @@ def probe_all(proto, table, replies, now=0.0, states=None):
 def test_three_missed_probes_mark_faulty():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    entry = table.entries[1]
+    entry = table.entry(1)
     probe_all(proto, table, replies=set())
     probe_all(proto, table, replies=set())
     assert entry.cached_state is STATE_NORMAL
@@ -385,7 +399,7 @@ def test_three_missed_probes_mark_faulty():
 def test_reply_resets_confidence_and_heals_faulty_cache():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    entry = table.entries[1]
+    entry = table.entry(1)
     for _ in range(3):
         probe_all(proto, table, replies=set())
     assert entry.cached_state is STATE_FAULTY
@@ -397,7 +411,7 @@ def test_reply_resets_confidence_and_heals_faulty_cache():
 def test_misses_count_up_to_faulty_at_the_default_three():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    entry = table.entries[1]
+    entry = table.entry(1)
     assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL)
     seen = []
     for _ in range(3):
@@ -410,7 +424,7 @@ def test_misses_count_up_to_faulty_at_the_default_three():
 
 def test_misses_past_the_limit_stay_faulty_until_an_acknowledgment():
     proto, table = two_candidate_table(misses_to_faulty=4)
-    entry = table.entries[1]
+    entry = table.entry(1)
     for i in range(10):
         proto.on_forward_result(table, 1, False, now=float(i))
     assert (entry.misses, entry.cached_state) == (10, STATE_FAULTY)
@@ -419,7 +433,7 @@ def test_misses_past_the_limit_stay_faulty_until_an_acknowledgment():
 
 
 def _misses_until_faulty(proto, table, miss):
-    entry = table.entries[1]
+    entry = table.entry(1)
     for count in range(1, 101):
         miss(proto, table, float(count))
         assert entry.misses == count
@@ -448,7 +462,7 @@ def test_misses_to_faulty_comes_from_config(misses):
     for name, miss in MISSES.items():
         for answer_name, answer in ANSWERS.items():
             proto, table = two_candidate_table(misses_to_faulty=misses)
-            entry = table.entries[1]
+            entry = table.entry(1)
             assert _misses_until_faulty(proto, table, miss) == misses, name
             answer(proto, table, 200.0)
             assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL), answer_name
@@ -460,16 +474,16 @@ def test_probe_reply_state_report_overrides_cache():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     probe_all(proto, table, replies={1}, states={1: STATE_CONG})
-    assert table.entries[1].cached_state is STATE_CONG
+    assert table.entry(1).cached_state is STATE_CONG
     probe_all(proto, table, replies={1}, states={1: STATE_NORMAL})
-    assert table.entries[1].cached_state is STATE_NORMAL
+    assert table.entry(1).cached_state is STATE_NORMAL
 
 
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty([table], [table.entries[1]], [2.0], [STATE_NORMAL], [])
-    assert table.entries[1].delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
+    proto.detect_faulty([table], [table.entry(1)], [2.0], [STATE_NORMAL], [])
+    assert table.entry(1).delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 
 @pytest.mark.parametrize(
@@ -506,6 +520,21 @@ def test_congestion_predictor_and_hysteresis():
     # predicted 0.66 < 0.8 - 0.1: recovered
     fbs = proto.detect_congestion(table, 66.0, now=4.0)
     assert table.state is STATE_NORMAL
+    assert [f.kind for f in fbs] == [FB_RECOVER]
+
+
+def test_congestion_recovers_only_strictly_below_the_hysteresis_band():
+    # theta_cong - cong_hysteresis is 0.5 exactly: a prediction of 0.5 (a
+    # 50 B fill of 100 B, no arrivals) stays congested, 49 B recovers
+    proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+                             theta_cong=0.75, cong_hysteresis=0.25, buffer_bytes=100)
+    table = proto.build_tables()[0]
+    proto.detect_congestion(table, 80.0, now=1.0)
+    assert table.state is STATE_CONG
+    assert proto.detect_congestion(table, 50.0, now=2.0) == []
+    assert table.state is STATE_CONG and table.own_congested
+    fbs = proto.detect_congestion(table, 49.0, now=3.0)
+    assert table.state is STATE_NORMAL and not table.own_congested
     assert [f.kind for f in fbs] == [FB_RECOVER]
 
 
@@ -611,7 +640,6 @@ def test_reevaluate_matches_the_rule_on_every_small_candidate_set(start, own_con
         table = RoutingTable(
             owner=0,
             members=members,
-            entries={e.candidate: e for e in members},
             needed_time=10.0,
             state=start,
             own_congested=own_congested,
@@ -638,28 +666,28 @@ def two_candidate_table(**kwargs):
 
 def test_state_derivation_cascades():
     proto, table = two_candidate_table()
-    table.entries[1].cached_state = STATE_FAULTY
-    table.entries[2].cached_state = STATE_JFAULTY
+    table.entry(1).cached_state = STATE_FAULTY
+    table.entry(2).cached_state = STATE_JFAULTY
     table.dirty = True
     fbs = proto.reevaluate(table, now=1.0)
     assert table.state is STATE_JFAULTY
     assert [f.kind for f in fbs] == [FB_FAULT]
 
     # one candidate heals: back to NORMAL
-    table.entries[1].cached_state = STATE_NORMAL
+    table.entry(1).cached_state = STATE_NORMAL
     table.dirty = True
     fbs = proto.reevaluate(table, now=2.0)
     assert table.state is STATE_NORMAL
     assert [f.kind for f in fbs] == [FB_RECOVER]
 
-    table.entries[1].cached_state = STATE_CONG
-    table.entries[2].cached_state = STATE_JCONG
+    table.entry(1).cached_state = STATE_CONG
+    table.entry(2).cached_state = STATE_JCONG
     table.dirty = True
     proto.reevaluate(table, now=3.0)
     assert table.state is STATE_JCONG
 
-    table.entries[1].cached_state = STATE_VOID
-    table.entries[2].cached_state = STATE_VOID
+    table.entry(1).cached_state = STATE_VOID
+    table.entry(2).cached_state = STATE_VOID
     table.dirty = True
     proto.reevaluate(table, now=4.0)
     assert table.state is STATE_VOID
@@ -667,8 +695,8 @@ def test_state_derivation_cascades():
 
 def test_void_outranks_other_derivations():
     proto, table = two_candidate_table()
-    table.entries[1].cached_state = STATE_VOID
-    table.entries[2].cached_state = STATE_VOID
+    table.entry(1).cached_state = STATE_VOID
+    table.entry(2).cached_state = STATE_VOID
     table.own_congested = True
     table.dirty = True
     proto.reevaluate(table, now=1.0)
@@ -681,8 +709,8 @@ def test_own_congestion_yields_to_whole_set_conditions():
     table.dirty = True
     proto.reevaluate(table, now=1.0)
     assert table.state is STATE_CONG
-    table.entries[1].cached_state = STATE_FAULTY
-    table.entries[2].cached_state = STATE_FAULTY
+    table.entry(1).cached_state = STATE_FAULTY
+    table.entry(2).cached_state = STATE_FAULTY
     table.dirty = True
     proto.reevaluate(table, now=2.0)
     assert table.state is STATE_JFAULTY
@@ -691,15 +719,15 @@ def test_own_congestion_yields_to_whole_set_conditions():
 def test_illegal_direct_cong_entry_decomposes_through_normal():
     proto, table = two_candidate_table()
     # drive to JFAULTY
-    table.entries[1].cached_state = STATE_FAULTY
-    table.entries[2].cached_state = STATE_FAULTY
+    table.entry(1).cached_state = STATE_FAULTY
+    table.entry(2).cached_state = STATE_FAULTY
     table.dirty = True
     proto.reevaluate(table, now=1.0)
     assert table.state is STATE_JFAULTY
     # candidates heal while the node's own buffer is hot: the path to CONG
     # passes through NORMAL, emitting RECOVER then CONG
-    table.entries[1].cached_state = STATE_NORMAL
-    table.entries[2].cached_state = STATE_NORMAL
+    table.entry(1).cached_state = STATE_NORMAL
+    table.entry(2).cached_state = STATE_NORMAL
     table.own_congested = True
     table.dirty = True
     fbs = proto.reevaluate(table, now=2.0)
@@ -730,12 +758,12 @@ def test_select_forwards_least_used_then_slowest():
 def test_select_skips_candidates_cached_bad():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    table.entries[1].cached_state = STATE_CONG
+    table.entry(1).cached_state = STATE_CONG
     for _ in range(4):
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
         assert isinstance(d, Forward)
         assert d.next == 2
-    assert [table.entries[c].tx_count for c in (1, 2)] == [0, 4]
+    assert [table.entry(c).tx_count for c in (1, 2)] == [0, 4]
 
 
 @st.composite
@@ -820,8 +848,8 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
 def test_select_jumps_when_all_candidates_are_bad():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    table.entries[1].cached_state = STATE_CONG
-    table.entries[2].cached_state = STATE_FAULTY
+    table.entry(1).cached_state = STATE_CONG
+    table.entry(2).cached_state = STATE_FAULTY
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d, Jump)
 
@@ -869,18 +897,18 @@ def test_forward_failures_erode_confidence():
     proto, table = two_candidate_table()
     assert proto.on_forward_result(table, 1, False, now=1.0) == []
     assert proto.on_forward_result(table, 1, False, now=2.0) == []
-    assert table.entries[1].cached_state is STATE_NORMAL
+    assert table.entry(1).cached_state is STATE_NORMAL
     proto.on_forward_result(table, 1, False, now=3.0)
-    assert table.entries[1].cached_state is STATE_FAULTY
+    assert table.entry(1).cached_state is STATE_FAULTY
     proto.on_forward_result(table, 1, True, now=4.0)
-    assert table.entries[1].cached_state is STATE_NORMAL
-    assert table.entries[1].misses == 0
+    assert table.entry(1).cached_state is STATE_NORMAL
+    assert table.entry(1).misses == 0
 
 
 def test_jump_success_ratio_arithmetic():
     proto, table = two_candidate_table()
     proto.ensure_jump_entries(table)
-    entry = table.entries[1]
+    entry = table.entry(1)
     for i in range(3):
         proto.on_jump_result(table, 1, True, now=float(i))
     assert (entry.successes, entry.attempts) == (3, 3)
@@ -896,7 +924,7 @@ def test_first_jump_failure_zeroes_the_candidate():
     proto, table = two_candidate_table()
     proto.ensure_jump_entries(table)
     proto.on_jump_result(table, 1, False, now=0.0)
-    assert table.entries[1].suc == 0.0
+    assert table.entry(1).suc == 0.0
     # and the pool's probability mass moves away from it
     shares = dict(zip([e.candidate for e in table.jump_pool],
                       jump_probabilities(table.jump_pool)))
@@ -920,7 +948,7 @@ def test_feedback_caches_subject_state_by_kind():
         msg = FeedbackMessage(kind=kind)
         fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
         assert FB_JUMP_FAIL not in [f.kind for f in fbs]
-        assert table.entries[1].cached_state is expected
+        assert table.entry(1).cached_state is expected
 
 
 def test_feedback_drives_derived_state():
@@ -936,7 +964,7 @@ def test_feedback_drives_derived_state():
 def test_jump_fail_feedback_scales_suc_and_reforwards():
     proto, table = two_candidate_table()
     proto.ensure_jump_entries(table)
-    entry = table.entries[1]
+    entry = table.entry(1)
     entry.suc = 0.8
     msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=3)
     fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))

@@ -1,8 +1,9 @@
 """Measure the memory a run holds per node and per probe link.
 
 For N = 900, 3,600 and 10,000 nodes at the table2 density (a square of side
-`20 * sqrt(N / 400)` m, the preset's 400 nodes on 20 m), one packet and a
-5 ms horizon, runs DMRF and GREEDY_MIN_DELAY once each and prints the
+`20 * sqrt(N / 400)` m, the preset's 400 nodes on 20 m), runs DMRF and
+GREEDY_MIN_DELAY once each in two shapes, one packet and a 5 ms horizon,
+then 20 packets and no horizon but the default, and prints the
 `tracemalloc` peak over deploy, `Simulation` construction and `run()`,
 divided by N. For DMRF it also prints the live probe links, those of the
 probe layout whose peer is alive, and the peak divided by them: the bytes a
@@ -11,7 +12,7 @@ probes nothing and prints `-` there.
 
 A small warm-up run first settles the allocations made once per process, so
 the order of the rows changes nothing. The output is the same from run to
-run on one Python minor version, which is printed first. It takes about 5 s.
+run on one Python minor version, which is printed first. It takes about 15 s.
 
     python tools/bytes_per_node.py
 """
@@ -33,18 +34,23 @@ from dmrfsim.topology import deploy  # noqa: E402
 
 NODE_COUNTS = (900, 3_600, 10_000)
 PROTOCOLS = (DMRF, GREEDY_MIN_DELAY)
+#: (title, config keys) of each run shape
+SHAPES = (
+    ("1 packet, 5 ms horizon", {"packet_count": 1, "horizon_ms": 5}),
+    ("20 packets, no horizon", {"packet_count": 20}),
+)
 
 
-def config(node_count: int, protocol: str):
+def config(node_count: int, protocol: str, shape: dict):
     side = 20.0 * math.sqrt(node_count / 400)
     return from_dict({"preset": "table2", "node_count": node_count, "region": [side, side],
-                      "packet_count": 1, "horizon_ms": 5, "protocol": protocol})
+                      "protocol": protocol, **shape})
 
 
-def measure(node_count: int, protocol: str) -> tuple[int, int]:
+def measure(node_count: int, protocol: str, shape: dict) -> tuple[int, int]:
     """The `tracemalloc` peak of deploy, construction and run, in bytes, and
     the run's live probe links."""
-    cfg = config(node_count, protocol)
+    cfg = config(node_count, protocol, shape)
     gc.collect()
     tracemalloc.start()
     try:
@@ -62,14 +68,17 @@ def measure(node_count: int, protocol: str) -> tuple[int, int]:
 
 def main() -> None:
     print(f"Python {platform.python_version()} ({platform.python_implementation()})")
-    measure(25, DMRF)
-    print(f"{'N':>7}  {'protocol':<18}{'B per node':>11}{'probe links':>13}{'B per link':>11}")
-    for node_count in NODE_COUNTS:
-        for protocol in PROTOCOLS:
-            peak, links = measure(node_count, protocol)
-            per_link = f"{peak / links:,.0f}" if links else "-"
-            print(f"{node_count:>7,}  {protocol:<18}{peak / node_count:>11,.0f}"
-                  f"{links:>13,}{per_link:>11}")
+    measure(25, DMRF, SHAPES[0][1])
+    for title, shape in SHAPES:
+        print(f"\n{title}")
+        print(f"{'N':>7}  {'protocol':<18}{'B per node':>11}{'probe links':>13}"
+              f"{'B per link':>11}")
+        for node_count in NODE_COUNTS:
+            for protocol in PROTOCOLS:
+                peak, links = measure(node_count, protocol, shape)
+                per_link = f"{peak / links:,.0f}" if links else "-"
+                print(f"{node_count:>7,}  {protocol:<18}{peak / node_count:>11,.0f}"
+                      f"{links:>13,}{per_link:>11}")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .model import (
     make_packet,
     running_sum,
 )
-from .protocol import DmrfProtocol, Drop, Jump, RoutingTable, Transition
+from .protocol import DmrfProtocol, Drop, Forward, Jump, RoutingTable, Transition
 # build_fcs is unused here; the benchmark's layer probe patches it by this name
 from .topology import Topology, build_fcs, carve_void  # noqa: F401
 
@@ -209,7 +209,8 @@ class _NodeRuntime:
         # waiting packets, first in first out (see Simulation._release)
         self.queue: list[Packet] = []
         self.buffer_used = 0.0
-        self.pending: tuple[Packet, NodeId, bool] | None = None
+        # the packet on the air and the Forward or Jump that sent it
+        self.pending: tuple[Packet, Forward | Jump] | None = None
         # the senders warned this congestion episode; replaced, never mutated
         self.cong_notified: frozenset[NodeId] = _NO_NOTICES
         # the node that last relayed a packet here: where feedback goes
@@ -413,16 +414,11 @@ class Simulation:
                     decision = self.baseline.decide(node.id, packet, self._live)
                 kind = type(decision)
                 if kind is not Drop:
-                    target = decision.next
-                    is_jump = kind is Jump
-                    if is_jump:
-                        multiplier = 1.0
-                    else:
-                        multiplier = self._rate_mult[decision.rate]
+                    multiplier = 1.0 if kind is Jump else self._rate_mult[decision.rate]
                     service = stall + next(self._delays) * multiplier
-                    self.metrics.energy_total_j += self._price(node, target, self._packet_bits)
+                    self.metrics.energy_total_j += self._price(node, decision.next, self._packet_bits)
                     node.tx += 1
-                    node.pending = (packet, target, is_jump)
+                    node.pending = (packet, decision)
                     self._schedule(now + service, PACKET_ARRIVAL, node.id)
                     return
                 outcome = DROPPED_NO_ROUTE
@@ -476,8 +472,9 @@ class Simulation:
         lose it outright.
         """
         sender = self.nodes[sender_id]
-        packet, target, is_jump = sender.pending
+        packet, decision = sender.pending
         sender.pending = None
+        target = decision.next
         receiver = self.nodes[target]
         # a DMRF run gives every node but the sink a table, a baseline none;
         # the sender, a relay receiver and a faulted node are never the sink
@@ -494,8 +491,8 @@ class Simulation:
         if dmrf is not None:
             if not accepted and alive:
                 self._notify_congestion(receiver, sender_id, now)
-            on_result = dmrf.on_jump_result if is_jump else dmrf.on_forward_result
-            fbs = on_result(sender.table, target, accepted, now)
+            on_result = dmrf.on_jump_result if type(decision) is Jump else dmrf.on_forward_result
+            fbs = on_result(sender.table, decision.entry, accepted, now)
             if fbs:
                 self._send_feedbacks(sender, fbs, now)
             if not accepted:

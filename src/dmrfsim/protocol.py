@@ -14,7 +14,7 @@ import math
 import random
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import attrgetter
 
@@ -89,11 +89,16 @@ DROP_NO_ROUTE = DropReason.NO_ROUTE
 class Forward:
     next: NodeId
     rate: RateClass
+    #: DMRF's chosen member, handed back with the send's outcome; a
+    #: baseline's forward has none, and it takes no part in equality
+    entry: CandidateEntry | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class Jump:
     next: NodeId
+    #: the pool entry drawn, handed back with the jump's outcome
+    entry: CandidateEntry
 
 
 @dataclass(slots=True)
@@ -112,7 +117,8 @@ class RoutingTable:
     The members and the jump pool are both sorted by candidate id, and every
     member is in the pool, as the same object: a member is a neighbour
     strictly closer to the sink, and comm_radius <= max_tx_distance. So
-    `entry` finds any candidate by bisection in one of the two lists."""
+    `entry` finds any candidate by bisection in one of the two lists; only
+    feedback needs it, since a send's outcome comes back with its entry."""
 
     owner: NodeId
     #: the forwarding candidate set, in id order
@@ -162,10 +168,11 @@ def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
     return list(_shares(entries))
 
 
-def choose_jump_target(entries: list[CandidateEntry], rng: random.Random) -> NodeId | None:
-    """Sample a jump target by the `jump_probabilities` of the candidates
-    cached NORMAL: one draw, then their shares accumulated in entry order up
-    to the pick. With none viable there is no target, and nothing is drawn.
+def choose_jump_target(entries: list[CandidateEntry], rng: random.Random) -> CandidateEntry | None:
+    """Sample a jump target's entry by the `jump_probabilities` of the
+    candidates cached NORMAL: one draw, then their shares accumulated in
+    entry order up to the pick. With none viable there is no target, and
+    nothing is drawn.
     """
     viable = [e for e in entries if e.cached_state is STATE_NORMAL]
     if not viable:
@@ -173,8 +180,8 @@ def choose_jump_target(entries: list[CandidateEntry], rng: random.Random) -> Nod
     r = rng.random()
     for acc, e in zip(accumulate(_shares(viable)), viable):
         if r < acc:
-            return e.candidate
-    return viable[-1].candidate  # guard against float shortfall
+            return e
+    return viable[-1]  # guard against float shortfall
 
 
 class DmrfProtocol:
@@ -445,27 +452,27 @@ class DmrfProtocol:
                 rate = RATE_MEDIUM
         packet.rate_class = rate
         best.tx_count += 1
-        return Forward(best.candidate, rate)
+        return Forward(best.candidate, rate, best)
 
     def _jump(self, table: RoutingTable, rng: random.Random) -> Decision:
         self.ensure_jump_entries(table)
-        target = choose_jump_target(table.jump_pool, rng)
-        if target is None:
+        drawn = choose_jump_target(table.jump_pool, rng)
+        if drawn is None:
             return Drop(DROP_NO_ROUTE)
-        return Jump(target)
+        return Jump(drawn.candidate, drawn)
 
     # ------------------------------------------------------------------
     # transmission outcomes and feedback
 
     def on_forward_result(
-        self, table: RoutingTable, target: NodeId, success: bool, now: float
+        self, table: RoutingTable, entry: CandidateEntry, success: bool, now: float
     ) -> list[FeedbackMessage]:
-        """Data-transmission acknowledgment outcome for a hop-by-hop hop.
+        """Data-transmission acknowledgment outcome for a hop-by-hop hop to
+        the member `entry`, the one its Forward carried.
 
         A failure counts as a miss exactly like a missed probe; the candidate
         in active use is usually found FAULTY well before the prober is.
         """
-        entry = table.entry(target)
         if success:
             self._trust(table, entry)
             return []
@@ -473,14 +480,14 @@ class DmrfProtocol:
         return self.reevaluate(table, now)
 
     def on_jump_result(
-        self, table: RoutingTable, target: NodeId, success: bool, now: float
+        self, table: RoutingTable, entry: CandidateEntry, success: bool, now: float
     ) -> list[FeedbackMessage]:
-        """Update jump statistics after an acknowledged (or timed-out) jump.
+        """Update the jump statistics of the pool entry `entry`, the one its
+        Jump carried, after an acknowledged (or timed-out) jump.
 
         The failed attempt is counted before the penalty ratio is taken, so
         successes never exceed attempts.
         """
-        entry = table.entry(target)
         entry.attempts += 1
         if success:
             entry.successes += 1

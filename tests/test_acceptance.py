@@ -237,7 +237,7 @@ def test_criterion_07_jump_probability_convergence():
     for i in range(20):
         target = good if i % 2 == 0 else bad
         success = target == good
-        proto.on_jump_result(table, target, success, now=float(i))
+        proto.on_jump_result(table, table.entry(target), success, now=float(i))
         log.append((target, success))
 
     # independent replay of the success-counter arithmetic from the log

@@ -48,11 +48,13 @@ from dmrfsim.model import (
     FB_CONG,
     FB_JUMP_FAIL,
     FB_RECOVER,
+    RATE_MEDIUM,
     STATE_FAULTY,
     FeedbackMessage,
     InvariantError,
     make_packet,
 )
+from dmrfsim.protocol import Forward
 from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
 
 
@@ -405,6 +407,14 @@ def held_at(sim, node_id, *lifetimes):
     return packets
 
 
+def sent(sim, sender_id, target):
+    """The Forward that put a packet on the air from `sender_id` to
+    `target`, as `_try_start` keeps it pending: in a DMRF run it carries the
+    sender's member entry for `target`, in a baseline's none."""
+    table = sim.nodes[sender_id].table
+    return Forward(target, RATE_MEDIUM, None if table is None else table.entry(target))
+
+
 @pytest.mark.parametrize("late", [0.0, 3.0], ids=["at", "past"])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_head_packet_at_or_past_its_deadline_expires_at_dequeue(protocol, late):
@@ -445,7 +455,7 @@ def test_a_relay_arrival_past_the_deadline_expires(protocol):
     [head] = held_at(sim, 1, 100.0)
     sim._try_start(relay, 0.0, stall=50.0)
     [late] = held_at(sim, 0, 10.0)
-    source.pending = (late, 1, False)
+    source.pending = (late, sent(sim, 0, 1))
     sim._on_arrival(0, late.deadline + 1.0)
     assert (late.outcome, late.finished_at) == (EXPIRED, late.deadline + 1.0)
     assert late.hop_trace == [0] and source.queue == []
@@ -460,7 +470,7 @@ def test_a_sink_arrival_at_the_deadline_is_delivered(protocol):
     sim = line_sim(protocol)
     relay = sim.nodes[2]
     [packet] = held_at(sim, 2, 10.0)
-    relay.pending = (packet, 3, False)
+    relay.pending = (packet, sent(sim, 2, 3))
     sim._on_arrival(2, packet.deadline)
     assert (packet.outcome, packet.finished_at) == (DELIVERED, packet.deadline)
     assert packet.hop_trace == [0, 2, 3] and sim.metrics.delivered == 1
@@ -475,7 +485,7 @@ def test_a_relay_arrival_at_the_deadline_is_taken_in(protocol):
     [head] = held_at(sim, 1, 100.0)
     sim._try_start(relay, 0.0, stall=50.0)
     [packet] = held_at(sim, 0, 10.0)
-    source.pending = (packet, 1, False)
+    source.pending = (packet, sent(sim, 0, 1))
     sim._on_arrival(0, packet.deadline)
     assert packet.outcome is None and packet.hop_trace == [0, 1]
     assert relay.queue == [head, packet]
@@ -488,7 +498,7 @@ def test_a_relay_buffer_filled_to_capacity_accepts_the_packet(protocol):
     source, relay = sim.nodes[0], sim.nodes[1]
     relay.buffer_used = float(sim.cfg.buffer_bytes - sim.cfg.packet_bytes)
     [packet] = held_at(sim, 0, 100.0)
-    source.pending = (packet, 1, False)
+    source.pending = (packet, sent(sim, 0, 1))
     sim._on_arrival(0, 1.0)
     assert packet.outcome is None and packet.hop_trace == [0, 1]
     assert relay.buffer_used == sim.cfg.buffer_bytes and sim.metrics.buffer_drops == 0
@@ -554,6 +564,24 @@ def test_finishing_a_packet_twice_raises():
     sim._finalize(packet, EXPIRED, 0.0)
     with pytest.raises(InvariantError, match="packet 0 finished twice"):
         sim._finalize(packet, EXPIRED, 0.0)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_lost_packet_count_raises_an_invariant_error(protocol):
+    # a real raise, not an assert: python -O keeps it (see the CI workflow)
+    class Uncounted(Simulation):
+        """Finishes packet 0 without counting its outcome."""
+
+        def _finalize(self, packet, outcome, now):
+            if packet.id == 0:
+                del self._open[packet.id]
+                packet.outcome, packet.finished_at = outcome, now
+            else:
+                super()._finalize(packet, outcome, now)
+
+    sim = Uncounted(line_topo(3), small_cfg(packet_count=5, protocol=protocol, seed=1))
+    with pytest.raises(InvariantError, match="conservation violated: 4 terminal vs 5 injected"):
+        sim.run()
 
 
 def test_full_relay_buffer_drops_blind_sender_packets():

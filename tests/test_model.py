@@ -90,7 +90,7 @@ def test_running_sum_adds_left_to_right_from_start():
         (FeedbackMessage(kind=FB_FAULT), "origin"),
         (FeedbackMessage(kind=FB_FAULT), "subject"),
         (Forward(next=1, rate=RATE_LOW), "rat"),
-        (Jump(next=1), "nxt"),
+        (Jump(next=1, entry=CandidateEntry(candidate=1)), "nxt"),
         (Drop(reason=DROP_NO_ROUTE), "reasn"),
         (
             RoutingTable(owner=0, members=[], needed_time=1.0),

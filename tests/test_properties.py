@@ -10,7 +10,9 @@ asked about a packet at or past its deadline, no packet returning to the
 source, legal and chained state transitions, faults only at time 0, every
 control frame delivered to a live node with a routing table, every jump
 pool of a node within jump reach of the sink holding the sink's entry
-cached NORMAL, a trace of one line per event in (time, seq) order whose
+cached NORMAL, every DMRF send's outcome going to the entry its Forward or
+Jump carried, the one the sender's table finds by id (the slow twin of the
+handoff), a trace of one line per event in (time, seq) order whose
 injections take seqs rising with the packet id, and control packets equal
 to probe rounds times probe links plus feedback frames. The same checks
 run on drawn lines whose relays queue, so packets also expire in relay
@@ -47,6 +49,7 @@ from dmrfsim.engine import (
     _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
     preload_buffers, run)
 from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
+from dmrfsim.protocol import Jump
 from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
 
 
@@ -62,6 +65,7 @@ class CheckedSimulation(Simulation):
         self.expired_at_check = 0
         self.relayed_expired_at_check = 0
         self.sink_pools = 0  # jump pools found holding the sink, over all checks
+        self.jump_outcomes = 0  # DMRF jump outcomes whose entry was checked
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
         self.now = 0.0
@@ -97,6 +101,16 @@ class CheckedSimulation(Simulation):
             receiver = a[2]
             assert receiver in self._live and self.nodes[receiver].table is not None, a
         super()._trace_event(time, seq, kind, a)
+
+    def _on_arrival(self, sender_id, now) -> None:
+        # the slow twin of the handoff: the entry a DMRF decision carries to
+        # its outcome is the one a lookup by id finds in the sender's table
+        if self.dmrf is not None:
+            sender = self.nodes[sender_id]
+            decision = sender.pending[1]
+            assert decision.entry is sender.table.entry(decision.next), (sender_id, decision)
+            self.jump_outcomes += type(decision) is Jump
+        super()._on_arrival(sender_id, now)
 
     def _on_deadline(self, packet, now) -> None:
         holder = self.nodes[packet.hop_trace[-1]]
@@ -222,6 +236,19 @@ def test_the_drawn_scenarios_check_jump_pools_that_hold_the_sink():
 
     # raises NoSuchExample when no drawn scenario builds such a pool
     find(scenarios(), checks_a_sink_pool,
+         settings=settings(max_examples=100, derandomize=True, database=None))
+
+
+def test_the_drawn_scenarios_check_the_entry_of_a_jump_outcome():
+    """The invariant test below checks the handoff of a jump's outcome, not
+    only of forwards: some drawn DMRF scenario resolves a jump."""
+    def resolves_a_jump(cfg):
+        sim = CheckedSimulation(deployed(cfg), dataclasses.replace(cfg, protocol=DMRF))
+        sim.run()
+        return sim.jump_outcomes > 0
+
+    # raises NoSuchExample when no drawn scenario resolves a jump
+    find(scenarios(), resolves_a_jump,
          settings=settings(max_examples=100, derandomize=True, database=None))
 
 
@@ -364,7 +391,7 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
 
     class Killing(CheckedSimulation):
         def _on_arrival(self, sender_id, now):
-            receiver = self.nodes[sender_id].pending[1]
+            receiver = self.nodes[sender_id].pending[1].next
             super()._on_arrival(sender_id, now)
             if not frames and sender_id != self.topo.source and receiver in self._live:
                 frames.append((FeedbackMessage(kind=FB_CONG), receiver, sender_id))

@@ -201,15 +201,15 @@ def test_choose_jump_target_samples_cumulatively():
     a = CandidateEntry(candidate=1, suc=0.75)
     b = CandidateEntry(candidate=2, suc=0.5)
     # p = (0.6, 0.4): draws below 0.6 pick 1, above pick 2
-    assert choose_jump_target([a, b], FixedRng([0.59])) == 1
-    assert choose_jump_target([a, b], FixedRng([0.61])) == 2
+    assert choose_jump_target([a, b], FixedRng([0.59])) is a
+    assert choose_jump_target([a, b], FixedRng([0.61])) is b
 
 
 def test_choose_jump_target_excludes_known_bad_and_renormalizes():
     a = CandidateEntry(candidate=1, suc=0.75, cached_state=STATE_CONG)
     b = CandidateEntry(candidate=2, suc=0.5)
     # only b is viable, so any draw picks it
-    assert choose_jump_target([a, b], FixedRng([0.99])) == 2
+    assert choose_jump_target([a, b], FixedRng([0.99])) is b
 
 
 def test_choose_jump_target_without_a_viable_member_is_none():
@@ -219,6 +219,15 @@ def test_choose_jump_target_without_a_viable_member_is_none():
     b = CandidateEntry(candidate=2, cached_state=STATE_VOID)
     for pool in ([a, b], [a], []):
         assert choose_jump_target(pool, FixedRng([])) is None
+
+
+def test_choose_jump_target_past_a_float_shortfall_takes_the_last_viable():
+    # ten equal shares of 0.1 accumulate to 1 - 2**-53, not 1: the largest
+    # draw random() returns is then past every running sum
+    pool = [CandidateEntry(candidate=i) for i in range(10)]
+    assert list(itertools.accumulate(jump_probabilities(pool)))[-1] == 1 - 2.0**-53
+    pool.append(CandidateEntry(candidate=10, cached_state=STATE_FAULTY))
+    assert choose_jump_target(pool, FixedRng([1 - 2.0**-53])) is pool[9]
 
 
 KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
@@ -314,7 +323,9 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     expected = reference_jump_target(entries(), expected_rng)
     subject = entries()
     actual = choose_jump_target(subject, actual_rng)
-    assert actual == expected
+    # the pick is the subject's own entry, for the jump's result to update
+    assert (None if actual is None else actual.candidate) == expected
+    assert actual is None or actual is subject[actual.candidate]
     assert actual_rng.getstate() == expected_rng.getstate()
 
 
@@ -426,9 +437,9 @@ def test_misses_past_the_limit_stay_faulty_until_an_acknowledgment():
     proto, table = two_candidate_table(misses_to_faulty=4)
     entry = table.entry(1)
     for i in range(10):
-        proto.on_forward_result(table, 1, False, now=float(i))
+        proto.on_forward_result(table, entry, False, now=float(i))
     assert (entry.misses, entry.cached_state) == (10, STATE_FAULTY)
-    proto.on_forward_result(table, 1, True, now=10.0)
+    proto.on_forward_result(table, entry, True, now=10.0)
     assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL)
 
 
@@ -445,13 +456,15 @@ def _misses_until_faulty(proto, table, miss):
 #: each way of missing a candidate, and each way it answers
 MISSES = {
     "probe": lambda proto, table, now: probe_all(proto, table, set(), now),
-    "forward": lambda proto, table, now: proto.on_forward_result(table, 1, False, now),
-    "jump": lambda proto, table, now: proto.on_jump_result(table, 1, False, now),
+    "forward": lambda proto, table, now: proto.on_forward_result(
+        table, table.entry(1), False, now),
+    "jump": lambda proto, table, now: proto.on_jump_result(table, table.entry(1), False, now),
 }
 ANSWERS = {
     "probe reply": lambda proto, table, now: probe_all(proto, table, {1, 2}, now),
-    "forward ack": lambda proto, table, now: proto.on_forward_result(table, 1, True, now),
-    "jump ack": lambda proto, table, now: proto.on_jump_result(table, 1, True, now),
+    "forward ack": lambda proto, table, now: proto.on_forward_result(
+        table, table.entry(1), True, now),
+    "jump ack": lambda proto, table, now: proto.on_jump_result(table, table.entry(1), True, now),
 }
 
 
@@ -739,6 +752,16 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
     ]
 
 
+def test_a_refused_transition_raises_an_invariant_error(monkeypatch):
+    # a real raise, not an assert: python -O keeps it (see the CI workflow)
+    proto, table = two_candidate_table()
+    monkeypatch.setattr("dmrfsim.protocol.legal_transition", lambda old, new, states: False)
+    table.own_congested = table.dirty = True
+    with pytest.raises(InvariantError, match="illegal transition NORMAL -> CONG at node 0"):
+        proto.reevaluate(table, now=1.0)
+    assert table.state is STATE_NORMAL and proto.transitions == []
+
+
 # ----------------------------------------------------------------------
 # next-hop selection
 
@@ -895,14 +918,15 @@ def test_low_slack_packets_get_high_rate():
 
 def test_forward_failures_erode_confidence():
     proto, table = two_candidate_table()
-    assert proto.on_forward_result(table, 1, False, now=1.0) == []
-    assert proto.on_forward_result(table, 1, False, now=2.0) == []
-    assert table.entry(1).cached_state is STATE_NORMAL
-    proto.on_forward_result(table, 1, False, now=3.0)
-    assert table.entry(1).cached_state is STATE_FAULTY
-    proto.on_forward_result(table, 1, True, now=4.0)
-    assert table.entry(1).cached_state is STATE_NORMAL
-    assert table.entry(1).misses == 0
+    entry = table.entry(1)
+    assert proto.on_forward_result(table, entry, False, now=1.0) == []
+    assert proto.on_forward_result(table, entry, False, now=2.0) == []
+    assert entry.cached_state is STATE_NORMAL
+    proto.on_forward_result(table, entry, False, now=3.0)
+    assert entry.cached_state is STATE_FAULTY
+    proto.on_forward_result(table, entry, True, now=4.0)
+    assert entry.cached_state is STATE_NORMAL
+    assert entry.misses == 0
 
 
 def test_jump_success_ratio_arithmetic():
@@ -910,20 +934,52 @@ def test_jump_success_ratio_arithmetic():
     proto.ensure_jump_entries(table)
     entry = table.entry(1)
     for i in range(3):
-        proto.on_jump_result(table, 1, True, now=float(i))
+        proto.on_jump_result(table, entry, True, now=float(i))
     assert (entry.successes, entry.attempts) == (3, 3)
     assert entry.suc == pytest.approx(1.0)
     # 3 successes, then a failure: suc = (3 - 1) / 4 = 0.5
-    fbs = proto.on_jump_result(table, 1, False, now=4.0)
+    fbs = proto.on_jump_result(table, entry, False, now=4.0)
     assert (entry.successes, entry.attempts) == (3, 4)
     assert entry.suc == pytest.approx(0.5)
     assert fbs[0].kind is FB_JUMP_FAIL
 
 
+@pytest.mark.parametrize("acked", [True, False])
+def test_a_forward_result_updates_the_member_its_forward_carried(acked):
+    # the pool is built, so the member sits in it as well: the result lands
+    # on the one object, whichever list finds it
+    proto, table = two_candidate_table()
+    proto.ensure_jump_entries(table)
+    packet = make_packet(0, now=0.0, lifetime=100.0)
+    d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
+    assert isinstance(d, Forward)
+    entry = d.entry
+    assert entry is table.entry(d.next)
+    assert any(e is entry for e in table.members) and any(e is entry for e in table.jump_pool)
+    entry.misses = 1
+    proto.on_forward_result(table, entry, acked, now=1.0)
+    assert entry.misses == (0 if acked else 2)
+    assert [e.misses for e in table.jump_pool if e is not entry] == [0, 0]
+
+
+@pytest.mark.parametrize("acked", [True, False])
+def test_a_jump_result_updates_the_pool_entry_that_was_drawn(acked):
+    # a packet out of slack jumps; a draw of 0.99 over three equal shares
+    # picks the pool's last entry, the sink, which is no member
+    proto, table = two_candidate_table()
+    packet = make_packet(0, now=0.0, lifetime=0.5)
+    d = proto.select_next_hop(table, packet, now=0.0, rng=FixedRng([0.99]))
+    assert isinstance(d, Jump) and d.next == 3
+    assert d.entry is table.jump_pool[-1] and d.entry is table.entry(3)
+    proto.on_jump_result(table, d.entry, acked, now=1.0)
+    assert (d.entry.attempts, d.entry.successes) == (1, int(acked))
+    assert [e.attempts for e in table.jump_pool] == [0, 0, 1]
+
+
 def test_first_jump_failure_zeroes_the_candidate():
     proto, table = two_candidate_table()
     proto.ensure_jump_entries(table)
-    proto.on_jump_result(table, 1, False, now=0.0)
+    proto.on_jump_result(table, table.entry(1), False, now=0.0)
     assert table.entry(1).suc == 0.0
     # and the pool's probability mass moves away from it
     shares = dict(zip([e.candidate for e in table.jump_pool],

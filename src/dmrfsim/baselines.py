@@ -4,21 +4,24 @@ All three are geographic greedy variants: no probing, no feedback, no learned
 statistics. They act on the initialization-time candidate sets and pay for
 their staleness in lost packets, which is the point of the comparison. A run
 of a baseline builds one object here, a `Greedy` or a `Bypass`, the engine's
-only view of the baseline: its `decide` picks each next hop. The object's one
-piece of state is a ranking memo: a node's candidates and their delays never
-change during a run, so each node ranks them at its first decision and keeps
-the order. When no live candidate is left, the void-bypass variant sidesteps
-to the live neighbor whose bearing deviates least clockwise from the sink's,
-never back onto the packet's trace; it does not walk the void's perimeter.
+only view of the baseline: its `decide` picks each next hop, and it has no
+other hook. `PROTOCOL_CLASSES` maps every protocol's name, DMRF's too, to the
+class of its runs' object; it is the engine's one way to a protocol. A baseline
+object's one piece of state is a ranking memo: a node's candidates and their
+delays never change during a run, so each node ranks them at its first
+decision and keeps the order. When no live candidate is left, the
+void-bypass variant sidesteps to the live neighbor whose bearing deviates
+least clockwise from the sink's, never back onto the packet's trace; it does
+not walk the void's perimeter.
 """
 
 from __future__ import annotations
 
 import math
 
-from .config import BYPASS, GREEDY_MAX_RATE, GREEDY_MIN_DELAY, ScenarioConfig
+from .config import BYPASS, DMRF, GREEDY_MAX_RATE, GREEDY_MIN_DELAY, ScenarioConfig
 from .model import RATE_MEDIUM, NodeId, Packet
-from .protocol import DROP_NO_ROUTE, Decision, Drop, Forward
+from .protocol import DROP_NO_ROUTE, Decision, DmrfProtocol, Drop, Forward
 from .topology import Topology, build_fcs
 
 
@@ -125,7 +128,7 @@ class Greedy:
     def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
         self.ranked = _Ranking(topo, cfg)
 
-    def decide(self, node: NodeId, packet: Packet, live: set[NodeId]) -> Decision:
+    def decide(self, node: NodeId, packet: Packet, now: float, live: set[NodeId]) -> Decision:
         return greedy_min_delay(self.ranked[node])
 
 
@@ -137,9 +140,10 @@ class Bypass:
         self.topo = topo
         self.ranked = _Ranking(topo, cfg)
 
-    def decide(self, node: NodeId, packet: Packet, live: set[NodeId]) -> Decision:
+    def decide(self, node: NodeId, packet: Packet, now: float, live: set[NodeId]) -> Decision:
         return bypass_next_hop(self.topo, node, self.ranked[node], packet, live)
 
 
-#: a baseline's name -> the class of its runs' decision object
-BASELINES = {GREEDY_MIN_DELAY: Greedy, GREEDY_MAX_RATE: Greedy, BYPASS: Bypass}
+#: a protocol's name -> the class of its runs' protocol object
+PROTOCOL_CLASSES = {DMRF: DmrfProtocol, GREEDY_MIN_DELAY: Greedy, GREEDY_MAX_RATE: Greedy,
+                    BYPASS: Bypass}

@@ -6,6 +6,11 @@ modeled as instantaneous on the data plane but is fully charged for energy
 and counted. All per-run randomness flows through a single seeded generator
 and every iteration order is fixed, so equal seeds give equal runs bit for
 bit.
+
+The engine keeps the heap, the queues, the data plane, pricing, deadlines
+and outcomes. A run's one protocol object decides every next hop; DMRF's
+also runs its control plane (`protocol.py`) through hooks the engine calls
+where that object has them.
 """
 
 from __future__ import annotations
@@ -15,44 +20,26 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import islice
-from types import SimpleNamespace
 
-from . import baselines
-from .config import CONTROL_FRAME_BITS, DMRF, ScenarioConfig
+from .baselines import PROTOCOL_CLASSES
+from .config import ScenarioConfig
 from .model import (
-    CONG_STATES,
-    FB_CONG,
-    FB_RECOVER,
-    STATE_NORMAL,
-    FeedbackMessage,
+    DEADLINE_CHECK,
+    EVENT_KINDS,
+    FAULT_ONSET,
+    FEEDBACK_DELIVERY,
+    PACKET_ARRIVAL,
+    PACKET_INJECT,
     InvariantError,
     NodeId,
     Packet,
+    Transition,
     make_packet,
     running_sum,
 )
-from .protocol import DmrfProtocol, Drop, Forward, Jump, RoutingTable, Transition
+from .protocol import Drop, Forward, Jump
 # build_fcs is unused here; the benchmark's layer probe patches it by this name
 from .topology import Topology, build_fcs, carve_void  # noqa: F401
-
-PACKET_ARRIVAL = 0
-PACKET_INJECT = 1
-PROBE = 2
-PROBE_TIMEOUT = 3
-FEEDBACK_DELIVERY = 4
-FAULT_ONSET = 5
-DEADLINE_CHECK = 6
-
-EVENT_KINDS = (
-    "PACKET_ARRIVAL",
-    "PACKET_INJECT",
-    "PROBE",
-    "PROBE_TIMEOUT",
-    "FEEDBACK_DELIVERY",
-    "FAULT_ONSET",
-    "DEADLINE_CHECK",
-)
 
 DELIVERED = "DELIVERED"
 EXPIRED = "EXPIRED"
@@ -188,20 +175,16 @@ class _NodeRuntime:
     __slots__ = (
         "id",
         "is_sink",
-        "table",
         "link_j",
         "tx",
         "queue",
         "buffer_used",
         "pending",
-        "cong_notified",
-        "upstream",
     )
 
     def __init__(self, node_id: NodeId, is_sink: bool) -> None:
         self.id = node_id
         self.is_sink = is_sink
-        self.table: RoutingTable | None = None
         # receiver id -> joules per bit sent to it (see Simulation._price);
         # replaced, never mutated, while it is the shared empty one
         self.link_j: dict[NodeId, float] = _NO_PRICES
@@ -211,19 +194,11 @@ class _NodeRuntime:
         self.buffer_used = 0.0
         # the packet on the air and the Forward or Jump that sent it
         self.pending: tuple[Packet, Forward | Jump] | None = None
-        # the senders warned this congestion episode; replaced, never mutated
-        self.cong_notified: frozenset[NodeId] = _NO_NOTICES
-        # the node that last relayed a packet here: where feedback goes
-        self.upstream: NodeId | None = None
 
 
-#: the notice set every node shares until it first warns a sender
-_NO_NOTICES: frozenset[NodeId] = frozenset()
 #: the price cache every node shares until it first sends a data or feedback
 #: frame; never written
 _NO_PRICES: dict[NodeId, float] = {}
-#: the state holder of a probed sink, which keeps no routing table
-_SINK_REPORT = SimpleNamespace(state=STATE_NORMAL)
 
 
 class Simulation:
@@ -246,7 +221,6 @@ class Simulation:
         self._buffer_capacity = float(scenario.buffer_bytes)
         self._packet_bytes = float(scenario.packet_bytes)
         self._packet_bits = scenario.packet_bits
-        self._feedback_delay_ms = scenario.feedback_delay_ms
         self._rate_mult = scenario.rate_multipliers  # keyed by rate band
 
         self.metrics = MetricsRecord()
@@ -255,31 +229,9 @@ class Simulation:
         # holds each, in its pending send or in one of its queues
         self._open: dict[int, Packet] = {}
 
-        # the run's one protocol object: DMRF's, or a baseline's (baselines.py)
-        self.dmrf = self.baseline = None
-        # every state transition of the run, in order: DMRF's own list
-        self.transitions: list[Transition] = []
-        if scenario.protocol == DMRF:
-            self.dmrf = DmrfProtocol(topo, scenario)
-            self.transitions = self.dmrf.transitions
-        else:
-            self.baseline = baselines.BASELINES[scenario.protocol](topo, scenario)
-
         self.nodes = {nid: _NodeRuntime(nid, nid == topo.sink) for nid in topo.ids()}
         # the nodes not carved or faulted: the run's one record of liveness
         self._live: set[NodeId] = set(self.nodes)
-
-        # routing memory is built on the full deployment; the void carved and
-        # the faults injected below are discovered at runtime, not here. Every
-        # node with candidates probes them, in id order; the first round lays
-        # out their links (see _lay_out_probes)
-        self._probers: list[_NodeRuntime] = []
-        if self.dmrf is not None:
-            for nid, table in self.dmrf.build_tables().items():
-                node = self.nodes[nid]
-                node.table = table
-                if table.members:
-                    self._probers.append(node)
 
         if scenario.buffer_fill:
             preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
@@ -294,9 +246,17 @@ class Simulation:
         if dead:
             self._schedule(0.0, FAULT_ONSET, dead)
 
-        self._layout: tuple | None = None
-        if self._probers:
-            self._schedule(0.0, PROBE, None)
+        # the run's one protocol object. One with a control plane, DMRF's,
+        # has hooks beside `decide`: it starts here, once the faults are
+        # scheduled, hears each send's outcome and the faults, and handles
+        # its own events (see `run`). A baseline has none of them
+        protocol = self.protocol = PROTOCOL_CLASSES[scenario.protocol](topo, scenario)
+        self._on_sent = getattr(protocol, "on_sent", None)
+        self._on_faults = getattr(protocol, "on_faults", None)
+        # every state transition of the run, in order: the protocol's own list
+        self.transitions: list[Transition] = getattr(protocol, "transitions", [])
+        if hasattr(protocol, "start"):
+            protocol.start(self)
 
         # injection i takes seq _inject_seq + i, the seq it would take if all
         # were scheduled here, but each injection schedules the next: the heap
@@ -348,51 +308,20 @@ class Simulation:
         """Joules for one frame of `bits` from `sender` to `receiver`. A link
         is priced once per run, per bit, whatever frames it carries: `bits *
         energy_cost(cfg, d, 1)` is `energy_cost(cfg, d, bits)` to the bit.
-        Probe frames are priced by the layout, not here."""
+        Probe frames skip the cache: the layout calls `_link_price` itself."""
         per_bit = sender.link_j.get(receiver)
         if per_bit is None:
             link_j = sender.link_j
             if link_j is _NO_PRICES:
                 link_j = sender.link_j = {}
-            per_bit = link_j[receiver] = energy_cost(
-                self.cfg, self.topo.distance(sender.id, receiver), 1
-            )
+            per_bit = link_j[receiver] = self._link_price(sender.id, receiver, 1)
         return bits * per_bit
 
-    def _send_control(
-        self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId, now: float
-    ) -> None:
-        """Send one control frame: delivered after the feedback delay and
-        charged to the sender at once.
-
-        The receiver is always a live relay: frames go only to nodes that
-        sent or relayed data, every fault strikes in the one FAULT_ONSET at
-        time 0, before any packet moves, and the sink sends no data."""
-        at = now + self._feedback_delay_ms
-        self._schedule(at, FEEDBACK_DELIVERY, (msg, sender, receiver))
-        self.metrics.energy_total_j += self._price(
-            self.nodes[sender], receiver, CONTROL_FRAME_BITS
-        )
-
-    def _send_feedbacks(
-        self, node: _NodeRuntime, feedbacks: list[FeedbackMessage], now: float
-    ) -> None:
-        """Queue state-change/jump feedback to the node's upstream hop.
-
-        Recovery is fanned out to every sender that was warned during the
-        congestion episode, so nobody is left avoiding a healthy node.
-        """
-        upstream = node.upstream
-        for fb in feedbacks:
-            if fb.kind is FB_RECOVER:
-                dests = node.cong_notified
-                node.cong_notified = _NO_NOTICES
-                for dest in sorted(dests if upstream is None else dests | {upstream}):
-                    self._send_control(fb, node.id, dest, now)
-            elif upstream is not None:
-                self._send_control(fb, node.id, upstream, now)
-                if fb.kind is FB_CONG:
-                    node.cong_notified = node.cong_notified | {upstream}
+    def _link_price(self, sender: NodeId, receiver: NodeId, bits: int) -> float:
+        """Joules for one frame of `bits` from `sender` to `receiver`, priced
+        afresh: no cache is read or filled. DMRF's probe layout prices its
+        links here, and `_price` each link it caches."""
+        return bits * energy_cost(self.cfg, self.topo.distance(sender, receiver), 1)
 
     # ------------------------------------------------------------------
     # decisions and service
@@ -408,10 +337,7 @@ class Simulation:
             if packet.deadline <= now:
                 outcome = EXPIRED
             else:
-                if self.dmrf is not None:
-                    decision = self.dmrf.select_next_hop(node.table, packet, now, self.rng)
-                else:
-                    decision = self.baseline.decide(node.id, packet, self._live)
+                decision = self.protocol.decide(node.id, packet, now, self._live)
                 kind = type(decision)
                 if kind is not Drop:
                     multiplier = 1.0 if kind is Jump else self._rate_mult[decision.rate]
@@ -467,170 +393,45 @@ class Simulation:
         """Resolve an in-flight transmission.
 
         A receiver that is dead, or whose buffer cannot take the packet,
-        never acknowledges. The sender keeps the packet in that case and
-        retries after the acknowledgment timeout; only the blind baselines
-        lose it outright.
+        never acknowledges. A protocol with an `on_sent` hook keeps the
+        packet in that case and retries; one without loses it outright.
         """
         sender = self.nodes[sender_id]
         packet, decision = sender.pending
         sender.pending = None
         target = decision.next
         receiver = self.nodes[target]
-        # a DMRF run gives every node but the sink a table, a baseline none;
-        # the sender, a relay receiver and a faulted node are never the sink
-        dmrf = self.dmrf
 
         alive = accepted = target in self._live
         if accepted and not receiver.is_sink:
-            if dmrf is not None:
-                fbs = dmrf.on_offer(receiver.table, receiver.buffer_used, now)
-                if fbs:
-                    self._send_feedbacks(receiver, fbs, now)
             accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
-
-        if dmrf is not None:
-            if not accepted and alive:
-                self._notify_congestion(receiver, sender_id, now)
-            on_result = dmrf.on_jump_result if type(decision) is Jump else dmrf.on_forward_result
-            fbs = on_result(sender.table, decision.entry, accepted, now)
-            if fbs:
-                self._send_feedbacks(sender, fbs, now)
-            if not accepted:
-                # the packet stays at the head of the queue; the retry's
-                # service time absorbs the acknowledgment timeout
-                self._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
-                return
+        if self._on_sent is not None and not self._on_sent(
+            sender, receiver, packet, decision, accepted, alive, now
+        ):
+            return
 
         self._release(sender, packet)
         if not accepted:
-            outcome = BUFFER_DROP if alive else DROPPED_NO_ROUTE
-            self._finalize(packet, outcome, now)
+            self._finalize(packet, BUFFER_DROP if alive else DROPPED_NO_ROUTE, now)
         elif receiver.is_sink:
             packet.hop_trace.append(receiver.id)
             self._finalize(packet, DELIVERED if now <= packet.deadline else EXPIRED, now)
+        elif now > packet.deadline:
+            # arrived past its deadline at a relay: dead on arrival
+            self._finalize(packet, EXPIRED, now)
         else:
-            receiver.upstream = sender_id
-            if now > packet.deadline:
-                # arrived past its deadline at a relay: dead on arrival
-                self._finalize(packet, EXPIRED, now)
-            else:
-                receiver.buffer_used += self._packet_bytes
-                packet.hop_trace.append(receiver.id)
-                receiver.queue.append(packet)
-                if dmrf is not None and receiver.table.state in CONG_STATES:
-                    self._notify_congestion(receiver, sender_id, now)
-                if receiver.pending is None:
-                    self._try_start(receiver, now)
+            receiver.buffer_used += self._packet_bytes
+            packet.hop_trace.append(receiver.id)
+            receiver.queue.append(packet)
+            if receiver.pending is None:
+                self._try_start(receiver, now)
         if sender.queue:
             self._try_start(sender, now)
 
-    def _notify_congestion(
-        self, node: _NodeRuntime, sender_id: NodeId, now: float
-    ) -> None:
-        """Tell a data sender it is pushing into a congested buffer; at most
-        once per sender per congestion episode. DMRF runs only."""
-        if sender_id in node.cong_notified:
-            return
-        self._send_control(FeedbackMessage(FB_CONG), node.id, sender_id, now)
-        node.cong_notified = node.cong_notified | {sender_id}
-
-    def _lay_out_probes(self) -> tuple:
-        """Lay out the probe links of every live prober end to end, in id
-        order and then in the order of its table.members, as `(joules,
-        tables, entries, peers, silent)`.
-
-        The first round does this after the time-0 FAULT_ONSET, the only
-        one, so which peers are silent is fixed for the whole run. A live
-        link keeps its table, its entry and its peer's state holder at one
-        position of `tables`, `entries` and `peers`: three flat lists, not a
-        tuple per link. A silent one keeps only its (table, entry) pair, in
-        `silent`. `joules` holds every link's control-frame joules in link
-        order, priced here as `_price` would price them (the node's own
-        price cache is left alone), and equal values share one float."""
-        nodes, alive, cfg, distance = self.nodes, self._live, self.cfg, self.topo.distance
-        joules, tables, entries, peers, silent = [], [], [], [], []
-        # a grid has a handful of link lengths, so most links share a price
-        prices: dict[float, float] = {}
-        probers = self._probers = [node for node in self._probers if node.id in alive]
-        for node in probers:
-            table = node.table
-            for entry in table.members:
-                peer = nodes[entry.candidate]
-                price = CONTROL_FRAME_BITS * energy_cost(cfg, distance(node.id, peer.id), 1)
-                joules.append(prices.setdefault(price, price))
-                if peer.id in alive:
-                    tables.append(table)
-                    entries.append(entry)
-                    peers.append(peer.table if peer.table is not None else _SINK_REPORT)
-                else:
-                    silent.append((table, entry))
-        return joules, tables, entries, peers, silent
-
-    def _on_probe_round(self, _: None, now: float) -> None:
-        """Every prober probes, in id order, at the place in the event order
-        that the first prober's own PROBE event would hold.
-
-        Each link costs one control frame. A live peer's reply is a delay
-        from the run's one stream and the peer's own current state; silent
-        peers draw nothing. The round keeps the replies in two flat lists,
-        in live-link order, until its PROBE_TIMEOUT: a tuple per reply would
-        be one more object for the cyclic garbage collector to track. The
-        timeout is scheduled before the next round, so a timeout that lands
-        on a probe instant runs before that round, whatever the ratio of
-        timeout to period."""
-        if self._layout is None:
-            self._layout = self._lay_out_probes()
-            if not self._probers:
-                return
-        joules, _tables, _entries, peers, _silent = self._layout
-        metrics = self.metrics
-        metrics.control_packets += len(joules)
-        metrics.energy_total_j = running_sum(joules, metrics.energy_total_j)
-        replies = list(islice(self._delays, len(peers))), [peer.state for peer in peers]
-        self._schedule(now + self.cfg.probe_timeout_ms, PROBE_TIMEOUT, replies)
-        self._schedule(now + self.cfg.probe_period_ms, PROBE, None)
-
-    def _on_timeout_round(self, replies: tuple, now: float) -> None:
-        """Time out one round's `(delays, states)` replies: one
-        `detect_faulty` call accounts the replies of the live links and the
-        silence of the silent ones, and drops from the layout each silent
-        link whose entry it finds at `misses_to_faulty` misses. Then each
-        prober, in id order, re-derives its state if its table was left
-        dirty, checks its own buffer and sends its feedback. One never
-        offered a packet checks its buffer at its first timeout only: its
-        inputs, the standing preload and an arrival EWMA of 0.0, never
-        change, and its table is clean once re-derived."""
-        delays, states = replies
-        _joules, tables, entries, _peers, silent = self._layout
-        dmrf = self.dmrf
-        dmrf.detect_faulty(tables, entries, delays, states, silent)
-        reevaluate, detect_congestion = dmrf.reevaluate, dmrf.detect_congestion
-        first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
-        for node in self._probers:
-            table = node.table
-            fbs = reevaluate(table, now) if table.dirty else None
-            if table.last_arrival is not None or first_timeout:
-                checked = detect_congestion(table, node.buffer_used, now)
-                fbs = fbs + checked if fbs else checked
-            if fbs:
-                self._send_feedbacks(node, fbs, now)
-
-    def _on_feedback(
-        self, payload: tuple[FeedbackMessage, NodeId, NodeId], now: float
-    ) -> None:
-        msg, sender_id, receiver_id = payload
-        self.metrics.control_packets += 1
-        receiver = self.nodes[receiver_id]
-        fbs = self.dmrf.on_feedback(receiver.table, msg, sender_id, now, self.rng)
-        if fbs:
-            self._send_feedbacks(receiver, fbs, now)
-
     def _on_fault_onset(self, node_ids: list[NodeId], now: float) -> None:
         self._live.difference_update(node_ids)
-        dmrf = self.dmrf
-        if dmrf is not None:
-            for nid in node_ids:
-                dmrf.on_fault(self.nodes[nid].table, now)
+        if self._on_faults is not None:
+            self._on_faults(node_ids, now)
 
     def _on_deadline(self, packet: Packet, now: float) -> None:
         if packet.outcome is not None:
@@ -644,13 +445,14 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        # indexed by event kind
+        # indexed by event kind; a protocol with a control plane handles its own
+        protocol = self.protocol
         handlers = (
             self._on_arrival,
             self._on_inject,
-            self._on_probe_round,
-            self._on_timeout_round,
-            self._on_feedback,
+            getattr(protocol, "on_probe_round", None),
+            getattr(protocol, "on_timeout_round", None),
+            getattr(protocol, "on_feedback_delivery", None),
             self._on_fault_onset,
             self._on_deadline,
         )

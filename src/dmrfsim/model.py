@@ -1,5 +1,5 @@
-"""Shared domain vocabulary: node/packet/state types, legal state
-transitions, and packet lifetime arithmetic.
+"""Shared domain vocabulary: node/packet/state types, the kinds of event a
+run schedules, legal state transitions, and packet lifetime arithmetic.
 
 All types are plain values; mutation happens only inside the single-threaded
 engine loop.
@@ -43,6 +43,19 @@ FB_CONG = "CONG"
 FB_RECOVER = "RECOVER"
 FB_VOID = "VOID"
 FB_JUMP_FAIL = "JUMP_FAIL"
+
+#: a recorded state transition: (time, node, old state, new state)
+Transition = tuple[float, NodeId, NodeState, NodeState]
+
+#: the name of each kind of event a run's heap holds; PROBE, PROBE_TIMEOUT
+#: and FEEDBACK_DELIVERY are DMRF's own
+EVENT_KINDS = (
+    "PACKET_ARRIVAL", "PACKET_INJECT", "PROBE", "PROBE_TIMEOUT",
+    "FEEDBACK_DELIVERY", "FAULT_ONSET", "DEADLINE_CHECK",
+)
+# each kind is the index of its name
+(PACKET_ARRIVAL, PACKET_INJECT, PROBE, PROBE_TIMEOUT,
+ FEEDBACK_DELIVERY, FAULT_ONSET, DEADLINE_CHECK) = range(len(EVENT_KINDS))
 
 
 @dataclass(slots=True)

@@ -1,8 +1,10 @@
-"""Per-node DMRF decision logic.
+"""DMRF: its per-node decision logic and its control plane.
 
 Covers the detection pipeline (faulty / congested / void), the slack-ratio
 thresholds and rate bands, next-hop selection, jump-target sampling from
-learned success ratios, and feedback-driven table adjustment.
+learned success ratios, and feedback-driven table adjustment. The control
+plane runs on the engine's heap: probe rounds and their timeouts, feedback
+frames and congestion notices, and the retry of a refused send.
 
 Each node's state lives in a RoutingTable owned by exactly one simulation
 run; the engine serializes all calls.
@@ -12,20 +14,26 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import attrgetter
+from types import SimpleNamespace
 
-from .config import ScenarioConfig
+from .config import CONTROL_FRAME_BITS, ScenarioConfig
 from .model import (
     CONG_SOURCES,
+    CONG_STATES,
     FB_CONG,
     FB_FAULT,
     FB_JUMP_FAIL,
     FB_RECOVER,
     FB_VOID,
+    FEEDBACK_DELIVERY,
+    PROBE,
+    PROBE_TIMEOUT,
     RATE_HIGH,
     RATE_LOW,
     RATE_MEDIUM,
@@ -42,6 +50,7 @@ from .model import (
     NodeState,
     Packet,
     RateClass,
+    Transition,
     legal_transition,
     remaining_time,
     running_sum,
@@ -69,8 +78,6 @@ REPORTED_STATE = {
     FB_RECOVER: STATE_NORMAL,
     FB_VOID: STATE_VOID,
 }
-
-Transition = tuple[float, NodeId, NodeState, NodeState]
 
 _CANDIDATE = attrgetter("candidate")
 
@@ -109,6 +116,12 @@ class Drop:
 Decision = Forward | Jump | Drop
 
 
+#: the notice set every table shares until it first warns a sender
+_NO_NOTICES: frozenset[NodeId] = frozenset()
+#: the state holder of a probed sink, which keeps no routing table
+_SINK_REPORT = SimpleNamespace(state=STATE_NORMAL)
+
+
 @dataclass(slots=True)
 class RoutingTable:
     """A node's routing memory: one entry per candidate, holding its cached
@@ -134,6 +147,10 @@ class RoutingTable:
     #: the offered packets' arrival rate, per ms, and when the last came
     arrival_ewma: float = 0.0
     last_arrival: float | None = None
+    #: the node that last relayed a packet here: where feedback goes
+    upstream: NodeId | None = None
+    #: the senders warned this congestion episode; replaced, never mutated
+    cong_notified: frozenset[NodeId] = _NO_NOTICES
 
     def entry(self, node: NodeId) -> CandidateEntry:
         """The entry of candidate `node`: looked up in the jump pool once it
@@ -185,13 +202,18 @@ def choose_jump_target(entries: list[CandidateEntry], rng: random.Random) -> Can
 
 
 class DmrfProtocol:
-    """The protocol brain: pure decision logic over RoutingTables.
+    """DMRF's decision logic over RoutingTables, and its control plane.
 
-    Bound to one (full) topology per run; the engine owns event timing,
-    buffers, and feedback transport. Every parameter is read from the run's
-    `cfg`; `mu` is its mean hop delay. Only the protocol writes a table's
-    decision state, and every state transition of the run's tables is
-    appended to `transitions` as (time, node, old, new) when it happens.
+    Bound to one (full) topology per run. Its decision methods take a table
+    and touch nothing else. Once `start` binds it to a `Simulation`, it
+    also runs the control plane through that simulation's heap, delay
+    stream, pricing and metrics: probe rounds and their timeouts, feedback
+    frames and congestion notices, and the retry of a refused send. The
+    engine keeps event timing, queues, buffers and the data plane. Every
+    parameter is read from the run's `cfg`; `mu` is its mean hop delay.
+    Only the protocol writes a table's decision state, and every state
+    transition of the run's tables is appended to `transitions` as (time,
+    node, old, new) when it happens.
     """
 
     def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
@@ -529,3 +551,201 @@ class DmrfProtocol:
         self.transitions.append((now, table.owner, table.state, STATE_FAULTY))
         table.state = STATE_FAULTY
         table.dirty = True
+
+    # ------------------------------------------------------------------
+    # the run: set-up, the engine's hooks and the control plane
+
+    def start(self, sim) -> None:
+        """Join the run `sim`, an `engine.Simulation`, at set-up, once its
+        faults are scheduled.
+
+        Every table is built on the full deployment: the void carved and the
+        faults injected are discovered at runtime, not here. Every node with
+        candidates probes them, in id order; the first round lays out their
+        links."""
+        # weak: the run holds its protocol, so a strong reference back would
+        # keep a finished run alive until the cyclic collector found it
+        self.sim = weakref.ref(sim)
+        self.rng = sim.rng
+        self._feedback_delay = self.cfg.feedback_delay_ms
+        self.tables = self.build_tables()
+        self._probers = [table for table in self.tables.values() if table.members]
+        self._layout: tuple | None = None
+        if self._probers:
+            sim._schedule(0.0, PROBE, None)
+
+    def decide(self, node: NodeId, packet: Packet, now: float, live: set[NodeId]) -> Decision:
+        """The engine's decision call: `select_next_hop` on the node's table."""
+        return self.select_next_hop(self.tables[node], packet, now, self.rng)
+
+    def on_sent(self, sender, receiver, packet: Packet, decision: Forward | Jump,
+                accepted: bool, alive: bool, now: float) -> bool:
+        """Resolve a send's control plane; return whether the packet left.
+        `sender` and `receiver` are the engine's records of the two nodes.
+
+        A live relay hears the offer, whether or not its buffer takes it. A
+        full one warns the sender. One that takes the packet notes the
+        sender as its upstream hop, and while congested warns it if the
+        packet is in time to be queued. Then the sender learns the outcome:
+        an acknowledgment sends no feedback, so a warning never waits on it.
+        A refused packet stays at the head of the sender's queue and is
+        sent again at once, its service time absorbing the acknowledgment
+        timeout."""
+        if alive and not receiver.is_sink:
+            target = self.tables[receiver.id]
+            fbs = self.on_offer(target, receiver.buffer_used, now)
+            if fbs:
+                self._send_feedbacks(target, fbs, now)
+            if not accepted:
+                self._notify_congestion(target, sender.id, now)
+            else:
+                target.upstream = sender.id
+                if target.state in CONG_STATES and now <= packet.deadline:
+                    self._notify_congestion(target, sender.id, now)
+        table = self.tables[sender.id]
+        if type(decision) is Jump:
+            fbs = self.on_jump_result(table, decision.entry, accepted, now)
+        else:
+            fbs = self.on_forward_result(table, decision.entry, accepted, now)
+        if fbs:
+            self._send_feedbacks(table, fbs, now)
+        if accepted:
+            return True
+        self.sim()._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
+        return False
+
+    def on_faults(self, node_ids: list[NodeId], now: float) -> None:
+        """The run's one FAULT_ONSET: each node in `node_ids` crashes."""
+        for nid in node_ids:
+            self.on_fault(self.tables[nid], now)
+
+    def _send_control(self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId,
+                      now: float) -> None:
+        """Send one control frame: delivered after the feedback delay and
+        charged to the sender at once.
+
+        The receiver is always a live relay: frames go only to nodes that
+        sent or relayed data, every fault strikes in the one FAULT_ONSET at
+        time 0, before any packet moves, and the sink sends no data."""
+        sim = self.sim()
+        sim._schedule(now + self._feedback_delay, FEEDBACK_DELIVERY, (msg, sender, receiver))
+        sim.metrics.energy_total_j += sim._price(sim.nodes[sender], receiver, CONTROL_FRAME_BITS)
+
+    def _send_feedbacks(self, table: RoutingTable, feedbacks: list[FeedbackMessage],
+                        now: float) -> None:
+        """Queue state-change/jump feedback to the node's upstream hop.
+
+        Recovery is fanned out to every sender that was warned during the
+        congestion episode, so nobody is left avoiding a healthy node.
+        """
+        upstream = table.upstream
+        for fb in feedbacks:
+            if fb.kind is FB_RECOVER:
+                dests = table.cong_notified
+                table.cong_notified = _NO_NOTICES
+                for dest in sorted(dests if upstream is None else dests | {upstream}):
+                    self._send_control(fb, table.owner, dest, now)
+            elif upstream is not None:
+                self._send_control(fb, table.owner, upstream, now)
+                if fb.kind is FB_CONG:
+                    table.cong_notified = table.cong_notified | {upstream}
+
+    def _notify_congestion(self, table: RoutingTable, sender: NodeId, now: float) -> None:
+        """Tell a data sender it is pushing into a congested buffer; at most
+        once per sender per congestion episode."""
+        if sender in table.cong_notified:
+            return
+        self._send_control(FeedbackMessage(FB_CONG), table.owner, sender, now)
+        table.cong_notified = table.cong_notified | {sender}
+
+    def _lay_out_probes(self) -> tuple:
+        """Lay out the probe links of every live prober end to end, in id
+        order and then in the order of its table.members, as `(joules,
+        tables, entries, peers, silent)`.
+
+        The first round does this after the time-0 FAULT_ONSET, the only
+        one, so which peers are silent is fixed for the whole run. A live
+        link keeps its table, its entry and its peer's state holder at one
+        position of `tables`, `entries` and `peers`: three flat lists, not a
+        tuple per link. A silent one keeps only its (table, entry) pair, in
+        `silent`. `joules` holds every link's control-frame joules in link
+        order, priced as the engine's `_price` would price them (the node's
+        own price cache is left alone), and equal values share one float."""
+        sim = self.sim()
+        alive, held, link_price = sim._live, self.tables, sim._link_price
+        joules, tables, entries, peers, silent = [], [], [], [], []
+        # a grid has a handful of link lengths, so most links share a price
+        prices: dict[float, float] = {}
+        probers = self._probers = [table for table in self._probers if table.owner in alive]
+        for table in probers:
+            owner = table.owner
+            for entry in table.members:
+                peer = entry.candidate
+                price = link_price(owner, peer, CONTROL_FRAME_BITS)
+                joules.append(prices.setdefault(price, price))
+                if peer in alive:
+                    tables.append(table)
+                    entries.append(entry)
+                    peers.append(held.get(peer, _SINK_REPORT))
+                else:
+                    silent.append((table, entry))
+        return joules, tables, entries, peers, silent
+
+    def on_probe_round(self, _: None, now: float) -> None:
+        """PROBE: every prober probes, in id order, at the place in the
+        event order that the first prober's own PROBE event would hold.
+
+        Each link costs one control frame. A live peer's reply is a delay
+        from the run's one stream and the peer's own current state; silent
+        peers draw nothing. The round keeps the replies in two flat lists,
+        in live-link order, until its PROBE_TIMEOUT: a tuple per reply would
+        be one more object for the cyclic garbage collector to track. The
+        timeout is scheduled before the next round, so a timeout that lands
+        on a probe instant runs before that round, whatever the ratio of
+        timeout to period."""
+        if self._layout is None:
+            self._layout = self._lay_out_probes()
+            if not self._probers:
+                return
+        joules, _tables, _entries, peers, _silent = self._layout
+        sim, cfg = self.sim(), self.cfg
+        metrics = sim.metrics
+        metrics.control_packets += len(joules)
+        metrics.energy_total_j = running_sum(joules, metrics.energy_total_j)
+        replies = list(islice(sim._delays, len(peers))), [peer.state for peer in peers]
+        sim._schedule(now + cfg.probe_timeout_ms, PROBE_TIMEOUT, replies)
+        sim._schedule(now + cfg.probe_period_ms, PROBE, None)
+
+    def on_timeout_round(self, replies: tuple, now: float) -> None:
+        """PROBE_TIMEOUT: time out one round's `(delays, states)` replies.
+        One `detect_faulty` call accounts the replies of the live links and
+        the silence of the silent ones, and drops from the layout each
+        silent link whose entry it finds at `misses_to_faulty` misses. Then
+        each prober, in id order, re-derives its state if its table was left
+        dirty, checks its own buffer and sends its feedback. One never
+        offered a packet checks its buffer at its first timeout only: its
+        inputs, the standing preload and an arrival EWMA of 0.0, never
+        change, and its table is clean once re-derived."""
+        delays, states = replies
+        _joules, tables, entries, _peers, silent = self._layout
+        self.detect_faulty(tables, entries, delays, states, silent)
+        reevaluate, detect_congestion = self.reevaluate, self.detect_congestion
+        nodes = self.sim().nodes
+        first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
+        for table in self._probers:
+            fbs = reevaluate(table, now) if table.dirty else None
+            if table.last_arrival is not None or first_timeout:
+                checked = detect_congestion(table, nodes[table.owner].buffer_used, now)
+                fbs = fbs + checked if fbs else checked
+            if fbs:
+                self._send_feedbacks(table, fbs, now)
+
+    def on_feedback_delivery(self, payload: tuple[FeedbackMessage, NodeId, NodeId],
+                             now: float) -> None:
+        """FEEDBACK_DELIVERY: a control frame reaches its receiver."""
+        msg, sender, receiver = payload
+        self.sim().metrics.control_packets += 1
+        table = self.tables[receiver]
+        fbs = self.on_feedback(table, msg, sender, now, self.rng)
+        if fbs:
+            self._send_feedbacks(table, fbs, now)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from dmrfsim import baselines
 from dmrfsim.baselines import (
-    BASELINES,
+    PROTOCOL_CLASSES,
     bypass_next_hop,
     greedy_max_rate,
     greedy_min_delay,
     rank_candidates,
 )
-from dmrfsim.config import BYPASS, GREEDY_MAX_RATE, ScenarioConfig
+from dmrfsim.config import BYPASS, DMRF, GREEDY_MAX_RATE, ScenarioConfig
 from dmrfsim.model import RATE_MEDIUM, make_packet
 from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward
 from dmrfsim.topology import Topology, build_fcs
@@ -183,7 +183,8 @@ def baseline_runs(draw):
     asks = draw(st.lists(
         st.tuples(st.integers(0, count - 2), st.sets(node), st.lists(node, max_size=4)),
         min_size=1, max_size=12))
-    return draw(st.sampled_from(sorted(BASELINES))), topo, asks
+    names = sorted(name for name in PROTOCOL_CLASSES if name != DMRF)
+    return draw(st.sampled_from(names)), topo, asks
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -199,7 +200,7 @@ def test_a_runs_decisions_equal_ranking_afresh_and_rank_each_node_once(case):
 
     baselines.rank_candidates = counted
     try:
-        baseline = BASELINES[name](topo, cfg)
+        baseline = PROTOCOL_CLASSES[name](topo, cfg)
         for node, live, trace in asks:
             packet = fresh_packet()
             packet.hop_trace[:] = trace
@@ -209,7 +210,7 @@ def test_a_runs_decisions_equal_ranking_afresh_and_rank_each_node_once(case):
                 expected = bypass_next_hop(topo, node, fresh, packet, live)
             else:
                 expected = greedy_min_delay(fresh)
-            assert baseline.decide(node, packet, live) == expected, (node, live, trace)
+            assert baseline.decide(node, packet, 0.0, live) == expected, (node, live, trace)
     finally:
         baselines.rank_candidates = rank_candidates
     assert set(ranks) == {node for node, _live, _trace in asks}

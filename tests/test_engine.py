@@ -1,6 +1,7 @@
 """Unit tests for the event engine: hop delay and energy, fault/congestion staging,
 packet accounting, and determinism."""
 
+import ast
 import collections
 import dataclasses
 import decimal
@@ -10,6 +11,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -168,7 +170,7 @@ def test_probe_round_draws_match_normalvariate():
         assert bool(dead) == (name != "clean"), name
         below_floor, silent = [], []
         for nid in sorted(sim.nodes):
-            table = sim.nodes[nid].table
+            table = sim.protocol.tables.get(nid)
             if nid in dead or table is None:
                 continue
             for entry in table.members:
@@ -411,7 +413,7 @@ def sent(sim, sender_id, target):
     """The Forward that put a packet on the air from `sender_id` to
     `target`, as `_try_start` keeps it pending: in a DMRF run it carries the
     sender's member entry for `target`, in a baseline's none."""
-    table = sim.nodes[sender_id].table
+    table = getattr(sim.protocol, "tables", {}).get(sender_id)
     return Forward(target, RATE_MEDIUM, None if table is None else table.entry(target))
 
 
@@ -701,8 +703,8 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
     checks = collections.Counter()
     first_offer = {}
     in_timeout = False
-    congestion = sim.dmrf.detect_congestion
-    timeout_round = sim._on_timeout_round
+    congestion = sim.protocol.detect_congestion
+    timeout_round = sim.protocol.on_timeout_round
 
     def counting_round(payload, now):
         nonlocal in_timeout
@@ -719,12 +721,12 @@ def test_a_prober_never_offered_a_packet_checks_congestion_once(timeout):
             first_offer.setdefault(table.owner, now)
         return congestion(table, used, now)
 
-    sim._on_timeout_round = counting_round
-    sim.dmrf.detect_congestion = counting_congestion
+    sim.protocol.on_timeout_round = counting_round
+    sim.protocol.detect_congestion = counting_congestion
     result = sim.run()
     # one PROBE_TIMEOUT line per round timed out, each timing out every prober
     timeouts = sum(e.kind == "PROBE_TIMEOUT" for e in result.trace)
-    probers = [node.id for node in sim._probers]
+    probers = [table.owner for table in sim.protocol._probers]
     assert result.metrics.delivered == 10
     assert probers == [0, 1, 2, 3, 4]
     assert timeouts >= 4
@@ -746,16 +748,17 @@ def test_a_silent_link_retires_once_its_trust_reaches_zero():
             injection_period_ms=70.0, seed=5, misses_to_faulty=misses))
         topo = deploy(25, cfg.region, UNIFORM_GRID, rng_seed=1, comm_radius=7.5)
         sim = Simulation(topo, cfg)
-        timeout_round = sim._on_timeout_round
+        protocol = sim.protocol
+        timeout_round = protocol.on_timeout_round
         silent, left = [], []
 
         def counting_round(replies, now):
             if not left:
-                silent.extend(sim._layout[4])
+                silent.extend(protocol._layout[4])
             timeout_round(replies, now)
-            left.append(len(sim._layout[4]))
+            left.append(len(protocol._layout[4]))
 
-        sim._on_timeout_round = counting_round
+        protocol.on_timeout_round = counting_round
         sim.run()
         assert silent and len(left) > misses, misses
         assert not any(left[misses - 1:]), misses
@@ -769,9 +772,9 @@ def test_a_silent_link_retires_once_its_trust_reaches_zero():
 
 def test_a_node_that_carries_nothing_holds_no_container_block():
     """A baseline run's per-node record starts with an empty list for its
-    queue and the one shared empty notice set: building a 900-node run
-    allocates at most 600 B per node once the topology's memos are warm.
-    An empty deque and an empty set per node would add about 920 B."""
+    queue and keeps no notice set: building a 900-node run allocates at
+    most 600 B per node once the topology's memos are warm. An empty deque
+    and an empty set per node would add about 920 B."""
     cfg = validate(ScenarioConfig(node_count=900, protocol=GREEDY_MIN_DELAY))
     topo = deploy(cfg.node_count, cfg.region, cfg.distribution, cfg.seed,
                   cfg.comm_radius, cfg.max_tx_distance)
@@ -803,20 +806,20 @@ def frames_since(sim, seq):
     return [(a[1], a[2], a[0].kind) for _, _, _, a in frames]
 
 
-def feedback_upstream(sim, node, receiver):
-    node.upstream = receiver
+def feedback_upstream(sim, table, receiver):
+    table.upstream = receiver
     fb = FeedbackMessage(kind=FB_CONG)
-    sim._send_feedbacks(node, [fb], 0.0)
+    sim.protocol._send_feedbacks(table, [fb], 0.0)
 
 
-def congestion_notice(sim, node, receiver):
-    sim._notify_congestion(node, receiver, 0.0)
+def congestion_notice(sim, table, receiver):
+    sim.protocol._notify_congestion(table, receiver, 0.0)
 
 
-def jump_fail_reforward(sim, node, receiver):
-    node.upstream = receiver
+def jump_fail_reforward(sim, table, receiver):
+    table.upstream = receiver
     fb = FeedbackMessage(kind=FB_JUMP_FAIL)
-    sim._on_feedback((fb, node.id + 1, node.id), 0.0)
+    sim.protocol.on_feedback_delivery((fb, table.owner + 1, table.owner), 0.0)
 
 
 CONTROL_SENDERS = [feedback_upstream, congestion_notice, jump_fail_reforward]
@@ -825,40 +828,40 @@ CONTROL_SENDERS = [feedback_upstream, congestion_notice, jump_fail_reforward]
 @pytest.mark.parametrize("send", CONTROL_SENDERS, ids=lambda f: f.__name__)
 def test_a_live_receiver_gets_one_charged_frame(send):
     sim = control_sim()
-    node = sim.nodes[2]
+    table = sim.protocol.tables[2]
     seq, energy = sim._seq, sim.metrics.energy_total_j
-    send(sim, node, 1)
+    send(sim, table, 1)
     assert [(s, r) for s, r, _ in frames_since(sim, seq)] == [(2, 1)]
     joules = energy_cost(sim.cfg, sim.topo.distance(2, 1), CONTROL_FRAME_BITS)
     assert sim.metrics.energy_total_j == energy + joules
     # only a CONG frame that went out marks its receiver as warned
-    assert node.cong_notified == (set() if send is jump_fail_reforward else {1})
+    assert table.cong_notified == (set() if send is jump_fail_reforward else {1})
 
 
 def test_congestion_notice_goes_once_per_sender_per_episode():
     sim = control_sim()
-    node = sim.nodes[2]
+    table = sim.protocol.tables[2]
     seq = sim._seq
     for _ in range(3):
-        sim._notify_congestion(node, 1, 0.0)
-    sim._notify_congestion(node, 0, 0.0)
+        sim.protocol._notify_congestion(table, 1, 0.0)
+    sim.protocol._notify_congestion(table, 0, 0.0)
     assert frames_since(sim, seq) == [
         (2, 1, FB_CONG),
         (2, 0, FB_CONG),
     ]
-    assert node.cong_notified == {0, 1}
+    assert table.cong_notified == {0, 1}
 
 
 def test_recovery_reaches_every_warned_sender_and_the_upstream():
     sim = control_sim()
-    node = sim.nodes[2]
-    node.cong_notified = frozenset({4, 1, 0})
-    node.upstream = 1
+    table = sim.protocol.tables[2]
+    table.cong_notified = frozenset({4, 1, 0})
+    table.upstream = 1
     seq = sim._seq
     fb = FeedbackMessage(kind=FB_RECOVER)
-    sim._send_feedbacks(node, [fb], 0.0)
+    sim.protocol._send_feedbacks(table, [fb], 0.0)
     assert frames_since(sim, seq) == [(2, r, FB_RECOVER) for r in (0, 1, 4)]
-    assert node.cong_notified == set()
+    assert table.cong_notified == set()
 
 
 # ----------------------------------------------------------------------
@@ -926,3 +929,49 @@ def test_conservation_violation_exits_two_under_optimization(tmp_path):
     proc = run_optimized(_LOST_PACKET, str(config))
     assert proc.returncode == 2, proc.stderr
     assert "packet conservation violated: 4 terminal vs 5 injected" in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# structure: the engine reaches DMRF only through the run's protocol object
+
+#: the names of DMRF's control plane, which stays in protocol.py
+_CONTROL_PLANE = re.compile(
+    r"RoutingTable|FeedbackMessage|FB_\w*|STATE_\w*|CONG_STATES|CONTROL_FRAME_BITS")
+
+
+def _identifiers(tree):
+    """Every identifier an AST names: variables, attributes, imports,
+    definitions, parameters and keyword arguments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+
+
+def test_the_engine_names_no_protocol_and_none_of_dmrfs_control_plane():
+    """engine.py takes from protocol.py only the decision types, and names
+    neither DMRF nor its tables, feedback, states or control frames: it runs
+    a protocol through the object `baselines.PROTOCOL_CLASSES` builds."""
+    tree = ast.parse(Path(dmrfsim.__file__).with_name("engine.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("protocol", "dmrfsim.protocol"):
+                assert {a.name for a in node.names} <= {"Drop", "Forward", "Jump"}, ast.dump(node)
+            elif node.module in (None, "dmrfsim"):
+                assert "protocol" not in {a.name for a in node.names}, ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert "dmrfsim.protocol" not in {a.name for a in node.names}, ast.dump(node)
+    named = set(_identifiers(tree))
+    assert not {name for name in named if "dmrf" in name.lower()}
+    assert not {name for name in named if _CONTROL_PLANE.fullmatch(name)}

@@ -154,3 +154,5 @@ def test_recovery_requires_the_cause_to_clear():
     assert legal_transition(STATE_VOID, STATE_NORMAL, [STATE_NORMAL])
     assert not legal_transition(STATE_VOID, STATE_NORMAL, [])
     assert not legal_transition(STATE_VOID, STATE_NORMAL, [STATE_VOID])
+    # a state outside the six has no way back to NORMAL
+    assert not legal_transition("BOGUS", STATE_NORMAL, [])

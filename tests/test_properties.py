@@ -49,7 +49,7 @@ from dmrfsim.engine import (
     _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
     preload_buffers, run)
 from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
-from dmrfsim.protocol import Jump
+from dmrfsim.protocol import DmrfProtocol, Jump
 from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
 
 
@@ -69,10 +69,9 @@ class CheckedSimulation(Simulation):
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
         self.now = 0.0
-        if self.dmrf is not None:
-            self.dmrf.select_next_hop = self._before_the_deadline(self.dmrf.select_next_hop)
-        else:
-            self.baseline.decide = self._before_the_deadline(self.baseline.decide)
+        # a DMRF run's routing tables, by node; a baseline keeps none
+        self.tables = getattr(self.protocol, "tables", {})
+        self.protocol.decide = self._before_the_deadline(self.protocol.decide)
 
     def _before_the_deadline(self, decide):
         def checked(holder, packet, *rest):
@@ -99,16 +98,16 @@ class CheckedSimulation(Simulation):
             assert time == 0.0, time
         elif kind == FEEDBACK_DELIVERY:
             receiver = a[2]
-            assert receiver in self._live and self.nodes[receiver].table is not None, a
+            assert receiver in self._live and receiver in self.tables, a
         super()._trace_event(time, seq, kind, a)
 
     def _on_arrival(self, sender_id, now) -> None:
         # the slow twin of the handoff: the entry a DMRF decision carries to
         # its outcome is the one a lookup by id finds in the sender's table
-        if self.dmrf is not None:
-            sender = self.nodes[sender_id]
-            decision = sender.pending[1]
-            assert decision.entry is sender.table.entry(decision.next), (sender_id, decision)
+        if isinstance(self.protocol, DmrfProtocol):
+            decision = self.nodes[sender_id].pending[1]
+            table = self.tables[sender_id]
+            assert decision.entry is table.entry(decision.next), (sender_id, decision)
             self.jump_outcomes += type(decision) is Jump
         super()._on_arrival(sender_id, now)
 
@@ -142,7 +141,7 @@ class CheckedSimulation(Simulation):
         # moved it, so the states seen now are the ones the move was made on
         for _t, nid, old, new in self.transitions[self.checked:]:
             assert old is self.last_state.get(nid, STATE_NORMAL)
-            table = self.nodes[nid].table
+            table = self.tables.get(nid)
             states = [e.cached_state for e in table.members] if table else []
             assert legal_transition(old, new, states), (nid, old, new, states)
             self.last_state[nid] = new
@@ -153,12 +152,12 @@ class CheckedSimulation(Simulation):
         # sends no feedback
         topo = self.topo
         to_sink = topo.sink_distances
-        for node in self.nodes.values():
-            pool = node.table.jump_pool if node.table is not None else None
-            if pool is not None and 0.0 < to_sink[node.id] <= topo.max_tx_distance:
-                entry = node.table.entry(topo.sink)
-                assert any(e is entry for e in pool), node.id
-                assert entry.cached_state is STATE_NORMAL, node.id
+        for nid, table in self.tables.items():
+            pool = table.jump_pool
+            if pool is not None and 0.0 < to_sink[nid] <= topo.max_tx_distance:
+                entry = table.entry(topo.sink)
+                assert any(e is entry for e in pool), nid
+                assert entry.cached_state is STATE_NORMAL, nid
                 self.sink_pools += 1
 
 
@@ -271,18 +270,15 @@ def test_table_lookups_match_a_scan_of_the_pool_or_the_members(cfg):
     sim = Simulation(deployed(cfg), dataclasses.replace(cfg, protocol=DMRF))
     sim.run()
     ids = [-1, *sim.topo.ids(), cfg.node_count]
-    for node in sim.nodes.values():
-        table = node.table
-        if table is None:
-            continue
+    for table in sim.protocol.tables.values():
         pool = table.jump_pool
         if pool is not None:
-            assert all(any(e is m for e in pool) for m in table.members), node.id
+            assert all(any(e is m for e in pool) for m in table.members), table.owner
         scanned = table.members if pool is None else pool
         for c in ids:
             found = [e for e in scanned if e.candidate == c]
             if found:
-                assert table.entry(c) is found[0], (node.id, c)
+                assert table.entry(c) is found[0], (table.owner, c)
             else:
                 with pytest.raises(KeyError):
                     table.entry(c)
@@ -317,8 +313,7 @@ def check_run(sim: CheckedSimulation, cfg) -> None:
     # every other control frame is one FEEDBACK_DELIVERY
     probes = sum(e.kind == "PROBE" for e in result.trace)
     feedbacks = sum(e.kind == "FEEDBACK_DELIVERY" for e in result.trace)
-    links = sum(len(sim.nodes[n].table.members) for n in sim._live
-                if sim.nodes[n].table is not None)
+    links = sum(len(table.members) for n, table in sim.tables.items() if n in sim._live)
     assert m.control_packets == probes * links + feedbacks
 
 
@@ -396,7 +391,7 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
             if not frames and sender_id != self.topo.source and receiver in self._live:
                 frames.append((FeedbackMessage(kind=FB_CONG), receiver, sender_id))
                 self._live.discard(sender_id)
-                self._notify_congestion(self.nodes[receiver], sender_id, now)
+                self.protocol._notify_congestion(self.tables[receiver], sender_id, now)
 
     sim = Killing(deployed(cfg), cfg)
     with pytest.raises(AssertionError) as failure:
@@ -411,11 +406,18 @@ class CachePricedSimulation(Simulation):
     `_price`, so each prober's price cache holds its probe links, as it did
     before the layout priced them itself."""
 
-    def _lay_out_probes(self) -> tuple:
-        _joules, *rest = super()._lay_out_probes()
-        joules = [self._price(node, entry.candidate, CONTROL_FRAME_BITS)
-                  for node in self._probers for entry in node.table.members]
-        return joules, *rest
+    def __init__(self, topo, cfg) -> None:
+        super().__init__(topo, cfg)
+        protocol = self.protocol
+        lay_out = protocol._lay_out_probes
+
+        def priced() -> tuple:
+            _joules, *rest = lay_out()
+            joules = [self._price(self.nodes[table.owner], entry.candidate, CONTROL_FRAME_BITS)
+                      for table in protocol._probers for entry in table.members]
+            return joules, *rest
+
+        protocol._lay_out_probes = priced
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -426,10 +428,10 @@ def test_the_probe_layout_prices_each_link_as_the_price_cache_does(cfg):
     sim = Simulation(topo, cfg)
     result = sim.run()
     assert not _NO_PRICES
-    if sim._layout is not None:
-        joules = sim._layout[0]
-        links = [(node.id, entry.candidate)
-                 for node in sim._probers for entry in node.table.members]
+    if sim.protocol._layout is not None:
+        joules = sim.protocol._layout[0]
+        links = [(table.owner, entry.candidate)
+                 for table in sim.protocol._probers for entry in table.members]
         assert len(joules) == len(links)
         for price, (prober, peer) in zip(joules, links):
             assert price == CONTROL_FRAME_BITS * energy_cost(cfg, topo.distance(prober, peer), 1)

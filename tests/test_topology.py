@@ -392,10 +392,10 @@ def test_a_dmrf_set_up_builds_every_list_in_one_sweep_and_keeps_no_cell_index(mo
         "sink_distances", "sink_hops", "_neighbor_lists",
     }
     # the first jump pool builds the sink order; a second pool reuses it
-    first, second = [n.table for n in sim.nodes.values() if n.table is not None][:2]
-    sim.dmrf.ensure_jump_entries(first)
+    first, second = list(sim.protocol.tables.values())[:2]
+    sim.protocol.ensure_jump_entries(first)
     assert len(orders) == 1 and vars(topo)["_sink_order"] is orders[0]
-    sim.dmrf.ensure_jump_entries(second)
+    sim.protocol.ensure_jump_entries(second)
     assert len(orders) == 1 and second.jump_pool
     assert len(sweeps) == 1
 

@@ -61,8 +61,10 @@ def measure(node_count: int, protocol: str, shape: dict) -> tuple[int, int]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the layout is (joules, tables, entries, peers, silent)
-    links = len(sim._layout[2]) if sim._layout is not None else 0
+    # DMRF's probe layout is (joules, tables, entries, peers, silent); a
+    # baseline's protocol object has none
+    layout = getattr(sim.protocol, "_layout", None)
+    links = len(layout[2]) if layout is not None else 0
     return peak, links
 
 

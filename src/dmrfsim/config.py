@@ -29,11 +29,11 @@ PRESETS = ("table2",)
 CONTROL_FRAME_BITS = 64
 
 #: the most nodes a run may deploy. At the table2 density (seed 1, Python 3.11,
-#: N = 10,000) tracemalloc peaks at 1.8 KB per node over a deploy and a
-#: one-packet, 5 ms DMRF run (`tools/bytes_per_node.py`), about 182 MB at the
-#: bound, where a run of that shape peaks at about 222 MiB maxrss; and at
-#: 3.3 KB per node over a deploy and a 20-packet DMRF run with no horizon,
-#: about 0.33 GB, where such a run peaks at about 304 MiB
+#: N = 10,000) tracemalloc peaks at 1.7 KB per node over a deploy and a
+#: one-packet, 5 ms DMRF run (`tools/bytes_per_node.py`), about 167 MB at the
+#: bound, where a run of that shape peaks at about 208 MiB maxrss; and at
+#: 3.1 KB per node over a deploy and a 20-packet DMRF run with no horizon,
+#: about 0.31 GB, where such a run peaks at about 288 MiB
 MAX_NODE_COUNT = 100_000
 
 

@@ -125,23 +125,6 @@ def inject_faults(
     return sorted(rng.sample(candidates, count))
 
 
-def preload_buffers(
-    topo: Topology, fill_ratio: float, buffer_bytes: int
-) -> dict[NodeId, float]:
-    """Standing background occupancy for every relay buffer.
-
-    The preload represents competing traffic held by other flows; it never
-    drains during the run.
-    """
-    if not 0.0 <= fill_ratio <= 1.0:
-        raise ValueError(f"fill_ratio must be in [0, 1], got {fill_ratio}")
-    return {
-        n: fill_ratio * buffer_bytes
-        for n in topo.ids()
-        if n not in (topo.source, topo.sink)
-    }
-
-
 @dataclass
 class MetricsRecord:
     """End-of-run counters. Every injected packet lands in exactly one of
@@ -182,7 +165,7 @@ class _NodeRuntime:
         "pending",
     )
 
-    def __init__(self, node_id: NodeId, is_sink: bool) -> None:
+    def __init__(self, node_id: NodeId, is_sink: bool, buffer_used: float) -> None:
         self.id = node_id
         self.is_sink = is_sink
         # receiver id -> joules per bit sent to it (see Simulation._price);
@@ -191,7 +174,7 @@ class _NodeRuntime:
         self.tx = 0  # data transmissions started
         # waiting packets, first in first out (see Simulation._release)
         self.queue: list[Packet] = []
-        self.buffer_used = 0.0
+        self.buffer_used = buffer_used
         # the packet on the air and the Forward or Jump that sent it
         self.pending: tuple[Packet, Forward | Jump] | None = None
 
@@ -229,14 +212,15 @@ class Simulation:
         # holds each, in its pending send or in one of its queues
         self._open: dict[int, Packet] = {}
 
-        self.nodes = {nid: _NodeRuntime(nid, nid == topo.sink) for nid in topo.ids()}
+        # the record of each node a packet has reached, made on its first
+        # packet (see `record`); the source's first is injected at time 0
+        self.nodes: dict[NodeId, _NodeRuntime] = {}
+        # a relay's standing background occupancy: competing traffic held by
+        # other flows, which never drains during the run
+        self._standing = scenario.buffer_fill * scenario.buffer_bytes
+        self._source = self.record(topo.source)
         # the nodes not carved or faulted: the run's one record of liveness
-        self._live: set[NodeId] = set(self.nodes)
-
-        if scenario.buffer_fill:
-            preload = preload_buffers(topo, scenario.buffer_fill, scenario.buffer_bytes)
-            for nid, used in preload.items():
-                self.nodes[nid].buffer_used = used
+        self._live: set[NodeId] = set(topo.ids())
 
         carved = (
             carve_void(topo, scenario.void_center, scenario.void_radius)
@@ -267,6 +251,21 @@ class Simulation:
 
     # ------------------------------------------------------------------
     # plumbing
+
+    def standing_level(self, nid: NodeId) -> float:
+        """The bytes the node's buffer holds before any packet reaches it:
+        the standing preload at a relay, nothing at the source or the sink."""
+        topo = self.topo
+        return 0.0 if nid == topo.source or nid == topo.sink else self._standing
+
+    def record(self, nid: NodeId) -> _NodeRuntime:
+        """The node's record, made at its standing level if no packet has
+        reached the node yet."""
+        node = self.nodes.get(nid)
+        if node is None:
+            node = self.nodes[nid] = _NodeRuntime(
+                nid, nid == self.topo.sink, self.standing_level(nid))
+        return node
 
     def _schedule(self, time: float, kind: int, a: object) -> None:
         heappush(self._heap, (time, self._seq, kind, a))
@@ -371,7 +370,7 @@ class Simulation:
         self.metrics.injected += 1
         self.packets.append(packet)
         self._open[packet.id] = packet
-        source = self.nodes[self.topo.source]
+        source = self._source
         source.queue.append(packet)
         self._schedule(packet.deadline, DEADLINE_CHECK, packet)
         if source.pending is None:
@@ -395,16 +394,25 @@ class Simulation:
         A receiver that is dead, or whose buffer cannot take the packet,
         never acknowledges. A protocol with an `on_sent` hook keeps the
         packet in that case and retries; one without loses it outright.
+        The packet reaches a live receiver either way, so its record is made
+        here if this is its first; a dead one has none.
         """
-        sender = self.nodes[sender_id]
+        nodes = self.nodes
+        sender = nodes[sender_id]
         packet, decision = sender.pending
         sender.pending = None
         target = decision.next
-        receiver = self.nodes[target]
 
         alive = accepted = target in self._live
-        if accepted and not receiver.is_sink:
-            accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
+        if alive:
+            try:
+                receiver = nodes[target]
+            except KeyError:
+                receiver = self.record(target)
+            if not receiver.is_sink:
+                accepted = receiver.buffer_used + self._packet_bytes <= self._buffer_capacity
+        else:
+            receiver = None
         if self._on_sent is not None and not self._on_sent(
             sender, receiver, packet, decision, accepted, alive, now
         ):
@@ -481,7 +489,9 @@ class Simulation:
             self.metrics.mean_delay_ms = running_sum(ordered) / len(ordered)
             rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
             self.metrics.p95_delay_ms = ordered[rank]
-        self.metrics.per_node_tx = {nid: n.tx for nid, n in self.nodes.items() if n.tx}
+        # records are made in the order packets reach their nodes: sort by id
+        self.metrics.per_node_tx = dict(sorted(
+            (nid, n.tx) for nid, n in self.nodes.items() if n.tx))
         if self.metrics.terminal_total != self.metrics.injected:
             raise InvariantError(
                 "packet conservation violated: "

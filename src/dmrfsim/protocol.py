@@ -581,7 +581,8 @@ class DmrfProtocol:
     def on_sent(self, sender, receiver, packet: Packet, decision: Forward | Jump,
                 accepted: bool, alive: bool, now: float) -> bool:
         """Resolve a send's control plane; return whether the packet left.
-        `sender` and `receiver` are the engine's records of the two nodes.
+        `sender` and `receiver` are the engine's records of the two nodes;
+        a dead receiver has none and is passed as None.
 
         A live relay hears the offer, whether or not its buffer takes it. A
         full one warns the sender. One that takes the packet notes the
@@ -725,17 +726,23 @@ class DmrfProtocol:
         dirty, checks its own buffer and sends its feedback. One never
         offered a packet checks its buffer at its first timeout only: its
         inputs, the standing preload and an arrival EWMA of 0.0, never
-        change, and its table is clean once re-derived."""
+        change, and its table is clean once re-derived. A node no packet has
+        reached has no engine record; its buffer holds the standing level."""
         delays, states = replies
         _joules, tables, entries, _peers, silent = self._layout
         self.detect_faulty(tables, entries, delays, states, silent)
         reevaluate, detect_congestion = self.reevaluate, self.detect_congestion
-        nodes = self.sim().nodes
+        sim = self.sim()
+        nodes = sim.nodes
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
         for table in self._probers:
             fbs = reevaluate(table, now) if table.dirty else None
             if table.last_arrival is not None or first_timeout:
-                checked = detect_congestion(table, nodes[table.owner].buffer_used, now)
+                try:
+                    used = nodes[table.owner].buffer_used
+                except KeyError:  # an idle prober, still at its standing level
+                    used = sim.standing_level(table.owner)
+                checked = detect_congestion(table, used, now)
                 fbs = fbs + checked if fbs else checked
             if fbs:
                 self._send_feedbacks(table, fbs, now)

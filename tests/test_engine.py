@@ -42,7 +42,6 @@ from dmrfsim.engine import (
     _SQUEEZE,
     energy_cost,
     inject_faults,
-    preload_buffers,
     run,
     sample_delay,
 )
@@ -166,10 +165,10 @@ def test_probe_round_draws_match_normalvariate():
         # the round at t = 0 draws before anything else; the only timeout
         # before the 3 ms horizon falls at 2 ms, on a probe instant or not
         sim.run()
-        dead = set(sim.nodes) - sim._live
+        dead = set(topo.ids()) - sim._live
         assert bool(dead) == (name != "clean"), name
         below_floor, silent = [], []
-        for nid in sorted(sim.nodes):
+        for nid in topo.ids():
             table = sim.protocol.tables.get(nid)
             if nid in dead or table is None:
                 continue
@@ -182,7 +181,7 @@ def test_probe_round_draws_match_normalvariate():
                 assert entry.misses == 0, name
         assert below_floor, name
         # a failed data send is a miss too: count only probers that sent none
-        idle = [entry for nid, entry in silent if sim.nodes[nid].tx == 0]
+        idle = [entry for nid, entry in silent if nid not in sim.metrics.per_node_tx]
         assert bool(idle) == bool(silent) == (name != "clean"), name
         for entry in idle:
             assert entry.misses == 1, name
@@ -310,12 +309,15 @@ def test_inject_faults_is_seed_deterministic():
         inject_faults(topo, 1.2, random.Random(1), [])
 
 
-def test_preload_buffers_fills_relays_only():
-    topo = line_topo(4)
-    fills = preload_buffers(topo, 0.4, 100)
-    assert fills == {1: 40.0, 2: 40.0}
-    with pytest.raises(ValueError):
-        preload_buffers(topo, -0.1, 100)
+def test_a_relay_record_starts_at_the_standing_preload():
+    # the source and the sink hold no preload; a relay's record is made on
+    # its first packet and starts at buffer_fill * buffer_bytes
+    sim = Simulation(line_topo(4), small_cfg(node_count=4, region=(3.0, 1.0),
+                                             buffer_fill=0.4, buffer_bytes=100))
+    assert list(sim.nodes) == [0]
+    assert [sim.record(nid).buffer_used for nid in (0, 1, 2, 3)] == [0.0, 40.0, 40.0, 0.0]
+    assert [sim.standing_level(nid) for nid in (0, 1, 2, 3)] == [0.0, 40.0, 40.0, 0.0]
+    assert sim.record(1) is sim.nodes[1]
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +396,7 @@ def line_sim(protocol):
 def held_at(sim, node_id, *lifetimes):
     """Packets made at time 0, one per lifetime, queued at `node_id` in that
     order; at a relay each took its buffer space, as a relay arrival does."""
-    node = sim.nodes[node_id]
+    node = sim.record(node_id)
     packets = []
     for lifetime in lifetimes:
         packet = make_packet(sim.topo.source, now=0.0, lifetime=lifetime, packet_id=len(sim.packets))
@@ -423,7 +425,7 @@ def test_a_head_packet_at_or_past_its_deadline_expires_at_dequeue(protocol, late
     # whatever the protocol, the head expires at dequeue and frees its buffer
     # space, and the packet behind it starts with no stall carried over
     sim = line_sim(protocol)
-    relay = sim.nodes[1]
+    relay = sim.record(1)
     preload = relay.buffer_used
     expired, fresh = held_at(sim, 1, 10.0, 100.0)
     now = expired.deadline + late
@@ -438,7 +440,7 @@ def test_a_head_packet_at_or_past_its_deadline_expires_at_dequeue(protocol, late
 
 def test_a_packet_behind_a_busy_head_expires_at_its_deadline_check():
     sim = line_sim(GREEDY_MIN_DELAY)
-    relay = sim.nodes[1]
+    relay = sim.record(1)
     preload = relay.buffer_used
     head, behind = held_at(sim, 1, 100.0, 10.0)
     sim._try_start(relay, 0.0, stall=50.0)  # the head is on the air past 50 ms
@@ -452,7 +454,7 @@ def test_a_packet_behind_a_busy_head_expires_at_its_deadline_check():
 def test_a_relay_arrival_past_the_deadline_expires(protocol):
     # relay 1 is busy: a late packet it took would wait in its queue
     sim = line_sim(protocol)
-    source, relay = sim.nodes[0], sim.nodes[1]
+    source, relay = sim.nodes[0], sim.record(1)
     preload = relay.buffer_used
     [head] = held_at(sim, 1, 100.0)
     sim._try_start(relay, 0.0, stall=50.0)
@@ -470,7 +472,7 @@ def test_a_relay_arrival_past_the_deadline_expires(protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_sink_arrival_at_the_deadline_is_delivered(protocol):
     sim = line_sim(protocol)
-    relay = sim.nodes[2]
+    relay = sim.record(2)
     [packet] = held_at(sim, 2, 10.0)
     relay.pending = (packet, sent(sim, 2, 3))
     sim._on_arrival(2, packet.deadline)
@@ -482,7 +484,7 @@ def test_a_sink_arrival_at_the_deadline_is_delivered(protocol):
 def test_a_relay_arrival_at_the_deadline_is_taken_in(protocol):
     # relay 1 is busy, so the packet it takes waits in its queue
     sim = line_sim(protocol)
-    source, relay = sim.nodes[0], sim.nodes[1]
+    source, relay = sim.nodes[0], sim.record(1)
     preload = relay.buffer_used
     [head] = held_at(sim, 1, 100.0)
     sim._try_start(relay, 0.0, stall=50.0)
@@ -497,7 +499,7 @@ def test_a_relay_arrival_at_the_deadline_is_taken_in(protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_relay_buffer_filled_to_capacity_accepts_the_packet(protocol):
     sim = line_sim(protocol)
-    source, relay = sim.nodes[0], sim.nodes[1]
+    source, relay = sim.nodes[0], sim.record(1)
     relay.buffer_used = float(sim.cfg.buffer_bytes - sim.cfg.packet_bytes)
     [packet] = held_at(sim, 0, 100.0)
     source.pending = (packet, sent(sim, 0, 1))
@@ -764,17 +766,63 @@ def test_a_silent_link_retires_once_its_trust_reaches_zero():
         assert not any(left[misses - 1:]), misses
         if misses > 1:
             # a prober that sent no data misses its dead peers only in rounds
-            idle = sum(sim.nodes[table.owner].tx == 0 for table, _ in silent)
+            idle = sum(table.owner not in sim.metrics.per_node_tx for table, _ in silent)
             assert left[misses - 2] >= idle > 0, misses
         for _table, entry in silent:
             assert entry.misses >= misses and entry.cached_state is STATE_FAULTY, misses
 
 
+def test_a_baseline_run_keeps_records_of_exactly_the_nodes_its_packets_reached():
+    """A node's record is made when a packet first reaches it. With no
+    standing fill a GREEDY run's relays refuse only with full queues, so the
+    nodes reached are those on the packets' hop traces: the faulted nodes
+    its sends were lost to and every node off the route have no record."""
+    cfg = validate(ScenarioConfig(protocol=GREEDY_MIN_DELAY, fault_ratio=0.3))
+    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, cfg.seed,
+                  cfg.comm_radius, cfg.max_tx_distance)
+    sim = Simulation(topo, cfg)
+    result = sim.run()
+    assert result.metrics.dropped_no_route > 0  # sends to faulted relays
+    reached = set().union(*(p.hop_trace for p in result.packets))
+    assert set(sim.nodes) == reached
+    assert reached <= sim._live and len(reached) < len(topo.ids()) // 4
+    assert list(result.metrics.per_node_tx) == sorted(result.metrics.per_node_tx)
+
+
+def test_an_idle_prober_checks_the_standing_preload_and_gets_no_record():
+    """At 60% standing fill, a DMRF prober no packet is ever offered checks
+    its buffer once, at its first probe timeout, at the standing preload,
+    and the check makes no record for it."""
+    cfg = validate(ScenarioConfig(buffer_fill=0.6, packet_count=5))
+    topo = deploy(cfg.node_count, cfg.region, cfg.distribution, cfg.seed,
+                  cfg.comm_radius, cfg.max_tx_distance)
+    sim = Simulation(topo, cfg)
+    protocol = sim.protocol
+    checks = collections.defaultdict(list)
+    detect = protocol.detect_congestion
+
+    def recording(table, buffer_used, now):
+        checks[table.owner].append((buffer_used, now))
+        return detect(table, buffer_used, now)
+
+    protocol.detect_congestion = recording
+    sim.run()
+    idle = [t.owner for t in protocol._probers if t.last_arrival is None]
+    assert topo.source in idle and len(idle) > len(topo.ids()) // 2
+    for owner in idle:
+        if owner == topo.source:
+            assert checks[owner] == [(0.0, cfg.probe_timeout_ms)]
+            continue
+        assert checks[owner] == [(0.6 * cfg.buffer_bytes, cfg.probe_timeout_ms)], owner
+        assert owner not in sim.nodes and sim.standing_level(owner) == 0.6 * cfg.buffer_bytes
+
+
 def test_a_node_that_carries_nothing_holds_no_container_block():
-    """A baseline run's per-node record starts with an empty list for its
-    queue and keeps no notice set: building a 900-node run allocates at
-    most 600 B per node once the topology's memos are warm. An empty deque
-    and an empty set per node would add about 920 B."""
+    """A node no packet has reached has no record at all: building a
+    900-node baseline run allocates at most 64 B per node once the
+    topology's memos are warm (42 B on Python 3.11, nearly all of it the
+    node's slot in the liveness set). A record per node, as every node had
+    one at set-up, cost about 330 B."""
     cfg = validate(ScenarioConfig(node_count=900, protocol=GREEDY_MIN_DELAY))
     topo = deploy(cfg.node_count, cfg.region, cfg.distribution, cfg.seed,
                   cfg.comm_radius, cfg.max_tx_distance)
@@ -786,7 +834,7 @@ def test_a_node_that_carries_nothing_holds_no_container_block():
         allocated = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert allocated / len(sim.nodes) <= 600
+    assert allocated / len(topo.ids()) <= 64
 
 
 # ----------------------------------------------------------------------
@@ -794,8 +842,13 @@ def test_a_node_that_carries_nothing_holds_no_container_block():
 
 
 def control_sim():
-    """A DMRF run on the 0 - 1 - ... - 5 line, set up but not started."""
-    return Simulation(line_topo(6), small_cfg(node_count=6, region=(5.0, 1.0), seed=1))
+    """A DMRF run on the 0 - 1 - ... - 5 line, set up but not started, with
+    the record of every node made, as a packet reaching each would make it:
+    a control frame's sender has always been reached by data."""
+    sim = Simulation(line_topo(6), small_cfg(node_count=6, region=(5.0, 1.0), seed=1))
+    for nid in sim.topo.ids():
+        sim.record(nid)
+    return sim
 
 
 def frames_since(sim, seq):

@@ -7,7 +7,9 @@ radius 7, that void with 20% faults drawn among the relays it leaves, 60%
 standing buffer fill) and on 200 random nodes, plus DMRF probe
 timings whose timeouts land on probe instants: timeout equal to the period,
 twice the period, and three times it, and DMRF on table2 with a standing
-buffer fill equal to theta_cong.
+buffer fill equal to theta_cong. Last come every protocol on table2 with
+packet lifetimes of 1.25 and 2 times the shortest path's time, where DMRF
+leaves the LOW rate band.
 
 The digests cover every state transition of a run, in order, and every
 packet's outcome, times and hop trace: all four protocols on the congested
@@ -48,6 +50,8 @@ RANDOM200 = ScenarioConfig(
     comm_radius=1.6,
 )
 TABLE2 = ScenarioConfig()
+#: table2's shortest path to the sink: 19 hops of mu = 1.28 ms, 24.32 ms
+TABLE2_SHORTEST_MS = 19 * TABLE2.mean_hop_delay_ms
 
 CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
     ("grid25-clean", GRID25, PROTOCOLS),
@@ -90,6 +94,18 @@ CASES: list[tuple[str, ScenarioConfig, tuple[str, ...]]] = [
     (
         "grid25-void7-fault0.2",
         dataclasses.replace(GRID25, void_radius=7.0, fault_ratio=0.2),
+        PROTOCOLS,
+    ),
+    # lifetimes of 1.25x and 2x the shortest path: DMRF forwards in the
+    # MEDIUM and HIGH bands and jumps once the slack ratio falls to theta_jump
+    (
+        "table2-lifetime1.25x",
+        dataclasses.replace(TABLE2, packet_lifetime_ms=1.25 * TABLE2_SHORTEST_MS),
+        PROTOCOLS,
+    ),
+    (
+        "table2-lifetime2x",
+        dataclasses.replace(TABLE2, packet_lifetime_ms=2 * TABLE2_SHORTEST_MS),
         PROTOCOLS,
     ),
 ]

@@ -23,7 +23,8 @@ price cache prices any other frame. A slow twin whose layout prices probe
 frames through that cache, as the layout once did, gives the same run, its
 energy total equal to the bit. So does the slow twin of the topology memos:
 each run on a topology whose cached tables earlier runs built equals the
-same run on a fresh deploy.
+same run on a fresh deploy. And so does the slow twin of records made on a
+node's first packet: a run that builds every node's record at set-up.
 
 Two rescalings by a power of two leave a run the same, because every float
 operation then rescales exactly. Time: every `_ms` field times k and the
@@ -46,8 +47,8 @@ from hypothesis import strategies as st
 from dmrfsim.config import (
     CONTROL_FRAME_BITS, DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate)
 from dmrfsim.engine import (
-    _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, energy_cost,
-    preload_buffers, run)
+    _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, _NodeRuntime,
+    energy_cost, run)
 from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
 from dmrfsim.protocol import DmrfProtocol, Jump
 from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
@@ -60,7 +61,9 @@ class CheckedSimulation(Simulation):
 
     def __init__(self, topo, cfg) -> None:
         super().__init__(topo, cfg, collect_trace=True)
-        self.preload = preload_buffers(topo, cfg.buffer_fill, cfg.buffer_bytes)
+        # the standing background occupancy of every relay buffer
+        self.preload = {n: cfg.buffer_fill * cfg.buffer_bytes for n in topo.ids()
+                        if n not in (topo.source, topo.sink)}
         self.checked = 0
         self.expired_at_check = 0
         self.relayed_expired_at_check = 0
@@ -413,7 +416,7 @@ class CachePricedSimulation(Simulation):
 
         def priced() -> tuple:
             _joules, *rest = lay_out()
-            joules = [self._price(self.nodes[table.owner], entry.candidate, CONTROL_FRAME_BITS)
+            joules = [self._price(self.record(table.owner), entry.candidate, CONTROL_FRAME_BITS)
                       for table in protocol._probers for entry in table.members]
             return joules, *rest
 
@@ -443,6 +446,49 @@ def test_the_probe_layout_prices_each_link_as_the_price_cache_does(cfg):
     assert twin.metrics == result.metrics
     assert twin.packets == result.packets
     assert twin.transitions == result.transitions
+
+
+class EagerRecordsSimulation(Simulation):
+    """The slow twin of records made on a node's first packet: every node's
+    record is built at set-up, in id order, and each relay's buffer preloaded
+    to the standing fill, as every run once built them. So no arrival ever
+    makes a record and every idle prober's first timeout reads its own."""
+
+    def __init__(self, topo, cfg, collect_trace=False) -> None:
+        super().__init__(topo, cfg, collect_trace)
+        preload = cfg.buffer_fill * cfg.buffer_bytes
+        self.nodes = {nid: _NodeRuntime(nid, nid == topo.sink,
+                                        0.0 if nid in (topo.source, topo.sink) else preload)
+                      for nid in topo.ids()}
+        self._source = self.nodes[topo.source]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=scenarios())
+def test_records_made_on_first_reach_match_records_made_at_set_up(cfg):
+    """Every protocol gives the same run whether a node's record is made at
+    set-up or on the first packet that reaches it: equal metrics, the energy
+    total to the bit and per-node transmissions in id order, equal packets
+    (outcomes, finish times, hop traces), transitions and trace. A node no
+    packet reached has no record."""
+    topo = deployed(cfg)
+    for protocol in PROTOCOLS:
+        base = dataclasses.replace(cfg, protocol=protocol)
+        sim = Simulation(topo, base, collect_trace=True)
+        lazy = sim.run()
+        eager_sim = EagerRecordsSimulation(topo, base, collect_trace=True)
+        eager = eager_sim.run()
+        assert len(eager_sim.nodes) == len(topo.ids())
+        reached = {topo.source}.union(*(p.hop_trace for p in lazy.packets))
+        assert reached <= sim.nodes.keys() <= set(topo.ids())
+        assert lazy.metrics.energy_total_j == eager.metrics.energy_total_j
+        assert lazy.metrics == eager.metrics
+        assert list(lazy.metrics.per_node_tx) == sorted(eager.metrics.per_node_tx)
+        assert list(eager.metrics.per_node_tx) == sorted(eager.metrics.per_node_tx)
+        assert [p.finished_at for p in lazy.packets] == [p.finished_at for p in eager.packets]
+        assert lazy.packets == eager.packets
+        assert lazy.transitions == eager.transitions
+        assert lazy.trace == eager.trace
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

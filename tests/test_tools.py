@@ -6,6 +6,7 @@ unnoticed until someone ran them by hand.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from dmrfsim.config import DMRF
@@ -25,3 +26,20 @@ def test_bytes_per_node_counts_the_probe_links_of_a_dmrf_run():
     peak, links = tool.measure(25, DMRF, tool.SHAPES[0][1])
     assert peak > 0
     assert links > 0
+
+
+def test_op_count_repeats_its_counts_and_a_warm_setup_costs_less_than_a_cold_one():
+    tool = load("op_count")
+    fields = {"protocol": DMRF, "node_count": 25, "comm_radius": 7.5, "packet_count": 2}
+    # the tool sets and clears the tracers; a line tracer over the suite resumes after
+    tracer, profiler = sys.gettrace(), sys.getprofile()
+    try:
+        counts = tool.count(fields)
+        again = tool.count(fields)
+    finally:
+        sys.settrace(tracer)
+        sys.setprofile(profiler)
+    assert again == counts
+    cold, warm, run_ops, c_calls, randoms, pushes = counts
+    assert 0 < warm < cold
+    assert run_ops > 0 and c_calls > 0 and randoms > 0 and pushes > 0

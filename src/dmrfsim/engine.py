@@ -168,20 +168,14 @@ class _NodeRuntime:
     def __init__(self, node_id: NodeId, is_sink: bool, buffer_used: float) -> None:
         self.id = node_id
         self.is_sink = is_sink
-        # receiver id -> joules per bit sent to it (see Simulation._price);
-        # replaced, never mutated, while it is the shared empty one
-        self.link_j: dict[NodeId, float] = _NO_PRICES
+        # receiver id -> joules per bit sent to it (see Simulation._price)
+        self.link_j: dict[NodeId, float] = {}
         self.tx = 0  # data transmissions started
         # waiting packets, first in first out (see Simulation._release)
         self.queue: list[Packet] = []
         self.buffer_used = buffer_used
         # the packet on the air and the Forward or Jump that sent it
         self.pending: tuple[Packet, Forward | Jump] | None = None
-
-
-#: the price cache every node shares until it first sends a data or feedback
-#: frame; never written
-_NO_PRICES: dict[NodeId, float] = {}
 
 
 class Simulation:
@@ -310,10 +304,7 @@ class Simulation:
         Probe frames skip the cache: the layout calls `_link_price` itself."""
         per_bit = sender.link_j.get(receiver)
         if per_bit is None:
-            link_j = sender.link_j
-            if link_j is _NO_PRICES:
-                link_j = sender.link_j = {}
-            per_bit = link_j[receiver] = self._link_price(sender.id, receiver, 1)
+            per_bit = sender.link_j[receiver] = self._link_price(sender.id, receiver, 1)
         return bits * per_bit
 
     def _link_price(self, sender: NodeId, receiver: NodeId, bits: int) -> float:
@@ -414,7 +405,7 @@ class Simulation:
         else:
             receiver = None
         if self._on_sent is not None and not self._on_sent(
-            sender, receiver, packet, decision, accepted, alive, now
+            sender, receiver, packet, decision, accepted, now
         ):
             return
 

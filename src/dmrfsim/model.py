@@ -23,7 +23,8 @@ class InvariantError(RuntimeError):
 NodeState = str
 #: a forwarding rate band: one of the RATE_* strings, the rate_multipliers keys
 RateClass = str
-#: the kind of a feedback frame: one of the FB_* strings
+#: the kind of a feedback frame: the state its sender reports (FAULTY, VOID,
+#: CONG or NORMAL), or FB_JUMP_FAIL
 FeedbackKind = str
 
 # compared by identity: code passes these objects, never equal strings it builds
@@ -38,10 +39,6 @@ RATE_LOW = "low"
 RATE_MEDIUM = "medium"
 RATE_HIGH = "high"
 
-FB_FAULT = "FAULT"
-FB_CONG = "CONG"
-FB_RECOVER = "RECOVER"
-FB_VOID = "VOID"
 FB_JUMP_FAIL = "JUMP_FAIL"
 
 #: a recorded state transition: (time, node, old state, new state)
@@ -95,8 +92,8 @@ class CandidateEntry:
 
 @dataclass(slots=True)
 class FeedbackMessage:
-    """Typed upstream control message, counted as a control packet. Every
-    kind but JUMP_FAIL reports the state of the node that sends it."""
+    """Typed upstream control message, counted as a control packet. Its kind
+    is FB_JUMP_FAIL or the state the node that sends it reports."""
 
     kind: FeedbackKind
     hop_limit: int = 64

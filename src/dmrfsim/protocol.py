@@ -4,7 +4,9 @@ Covers the detection pipeline (faulty / congested / void), the slack-ratio
 thresholds and rate bands, next-hop selection, jump-target sampling from
 learned success ratios, and feedback-driven table adjustment. The control
 plane runs on the engine's heap: probe rounds and their timeouts, feedback
-frames and congestion notices, and the retry of a refused send.
+frames and congestion notices, and the retry of a refused send. A feedback
+frame is a jump failure or a state report, whose kind is the reported state
+itself: the receiver caches it as it arrives.
 
 Each node's state lives in a RoutingTable owned by exactly one simulation
 run; the engine serializes all calls.
@@ -26,11 +28,7 @@ from .config import CONTROL_FRAME_BITS, ScenarioConfig
 from .model import (
     CONG_SOURCES,
     CONG_STATES,
-    FB_CONG,
-    FB_FAULT,
     FB_JUMP_FAIL,
-    FB_RECOVER,
-    FB_VOID,
     FEEDBACK_DELIVERY,
     PROBE,
     PROBE_TIMEOUT,
@@ -63,20 +61,14 @@ OMEGA_FLOOR = 1e-3
 #: states in which a node stops hop-by-hop forwarding entirely
 JUMP_STATES = (STATE_JFAULTY, STATE_VOID, STATE_JCONG)
 
-#: the feedback a node sends on entering each state
+#: the state a node reports, as its feedback frame's kind, on entering each
+#: state: a NORMAL report is a recovery
 FEEDBACK_ON_ENTRY = {
-    STATE_JFAULTY: FB_FAULT,
-    STATE_VOID: FB_VOID,
-    STATE_JCONG: FB_CONG,
-    STATE_CONG: FB_CONG,
-    STATE_NORMAL: FB_RECOVER,
-}
-#: the state a self-reported feedback says its sender is in
-REPORTED_STATE = {
-    FB_FAULT: STATE_FAULTY,
-    FB_CONG: STATE_CONG,
-    FB_RECOVER: STATE_NORMAL,
-    FB_VOID: STATE_VOID,
+    STATE_JFAULTY: STATE_FAULTY,
+    STATE_VOID: STATE_VOID,
+    STATE_JCONG: STATE_CONG,
+    STATE_CONG: STATE_CONG,
+    STATE_NORMAL: STATE_NORMAL,
 }
 
 _CANDIDATE = attrgetter("candidate")
@@ -540,17 +532,10 @@ class DmrfProtocol:
             if msg.hop_limit > 1:
                 return [FeedbackMessage(msg.kind, msg.hop_limit - 1)]
             return []
-        # every non-jump kind reports its sender's own state, which is proof
+        # every other kind is the state its sender reports, which is proof
         # of life; latest report wins
-        _cache_state(table, entry, REPORTED_STATE[msg.kind])
+        _cache_state(table, entry, msg.kind)
         return self.reevaluate(table, now) if table.dirty else []
-
-    def on_fault(self, table: RoutingTable, now: float) -> None:
-        """The node crashes: FAULTY, for good. A run faults each node at
-        most once."""
-        self.transitions.append((now, table.owner, table.state, STATE_FAULTY))
-        table.state = STATE_FAULTY
-        table.dirty = True
 
     # ------------------------------------------------------------------
     # the run: set-up, the engine's hooks and the control plane
@@ -579,7 +564,7 @@ class DmrfProtocol:
         return self.select_next_hop(self.tables[node], packet, now, self.rng)
 
     def on_sent(self, sender, receiver, packet: Packet, decision: Forward | Jump,
-                accepted: bool, alive: bool, now: float) -> bool:
+                accepted: bool, now: float) -> bool:
         """Resolve a send's control plane; return whether the packet left.
         `sender` and `receiver` are the engine's records of the two nodes;
         a dead receiver has none and is passed as None.
@@ -592,7 +577,7 @@ class DmrfProtocol:
         A refused packet stays at the head of the sender's queue and is
         sent again at once, its service time absorbing the acknowledgment
         timeout."""
-        if alive and not receiver.is_sink:
+        if receiver is not None and not receiver.is_sink:
             target = self.tables[receiver.id]
             fbs = self.on_offer(target, receiver.buffer_used, now)
             if fbs:
@@ -616,9 +601,13 @@ class DmrfProtocol:
         return False
 
     def on_faults(self, node_ids: list[NodeId], now: float) -> None:
-        """The run's one FAULT_ONSET: each node in `node_ids` crashes."""
+        """The run's one FAULT_ONSET: each node in `node_ids` crashes, FAULTY
+        for good. Its table is never re-derived again: a dead node probes
+        nothing, is offered no data and receives no frame."""
         for nid in node_ids:
-            self.on_fault(self.tables[nid], now)
+            table = self.tables[nid]
+            self.transitions.append((now, nid, table.state, STATE_FAULTY))
+            table.state = STATE_FAULTY
 
     def _send_control(self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId,
                       now: float) -> None:
@@ -634,21 +623,22 @@ class DmrfProtocol:
 
     def _send_feedbacks(self, table: RoutingTable, feedbacks: list[FeedbackMessage],
                         now: float) -> None:
-        """Queue state-change/jump feedback to the node's upstream hop.
+        """Queue state reports and jump failures to the node's upstream hop.
 
-        Recovery is fanned out to every sender that was warned during the
-        congestion episode, so nobody is left avoiding a healthy node.
+        A NORMAL report, a recovery, is fanned out to every sender that was
+        warned during the congestion episode, so nobody is left avoiding a
+        healthy node. A CONG report counts the upstream hop as warned.
         """
         upstream = table.upstream
         for fb in feedbacks:
-            if fb.kind is FB_RECOVER:
+            if fb.kind is STATE_NORMAL:
                 dests = table.cong_notified
                 table.cong_notified = _NO_NOTICES
                 for dest in sorted(dests if upstream is None else dests | {upstream}):
                     self._send_control(fb, table.owner, dest, now)
             elif upstream is not None:
                 self._send_control(fb, table.owner, upstream, now)
-                if fb.kind is FB_CONG:
+                if fb.kind is STATE_CONG:
                     table.cong_notified = table.cong_notified | {upstream}
 
     def _notify_congestion(self, table: RoutingTable, sender: NodeId, now: float) -> None:
@@ -656,7 +646,7 @@ class DmrfProtocol:
         once per sender per congestion episode."""
         if sender in table.cong_notified:
             return
-        self._send_control(FeedbackMessage(FB_CONG), table.owner, sender, now)
+        self._send_control(FeedbackMessage(STATE_CONG), table.owner, sender, now)
         table.cong_notified = table.cong_notified | {sender}
 
     def _lay_out_probes(self) -> tuple:

@@ -51,7 +51,6 @@ class Topology:
     """
 
     nodes: list[tuple[NodeId, Position]]
-    region: tuple[float, float]
     comm_radius: float
     max_tx_distance: float
     source: NodeId
@@ -214,7 +213,6 @@ def deploy(
     sink = nearest((width, height), exclude=source)  # random draws can clump
     return Topology(
         nodes=nodes,
-        region=region,
         comm_radius=comm_radius,
         max_tx_distance=max_tx_distance,
         source=source,

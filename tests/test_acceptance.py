@@ -221,7 +221,6 @@ def test_criterion_07_jump_probability_convergence():
     positions = [(0.0, 0.0), (1.0, 0.3), (1.0, -0.3), (2.5, 0.0)]
     topo = Topology(
         nodes=[(i, p) for i, p in enumerate(positions)],
-        region=(2.5, 1.0),
         comm_radius=1.1,
         max_tx_distance=1.2,
         source=0,

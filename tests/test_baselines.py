@@ -24,7 +24,6 @@ def topo_of(positions, comm_radius=1.5, sink=None):
     nodes = [(i, pos) for i, pos in enumerate(positions)]
     return Topology(
         nodes=nodes,
-        region=(10.0, 10.0),
         comm_radius=comm_radius,
         max_tx_distance=30.0,
         source=0,

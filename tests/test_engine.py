@@ -46,11 +46,11 @@ from dmrfsim.engine import (
     sample_delay,
 )
 from dmrfsim.model import (
-    FB_CONG,
     FB_JUMP_FAIL,
-    FB_RECOVER,
     RATE_MEDIUM,
+    STATE_CONG,
     STATE_FAULTY,
+    STATE_NORMAL,
     FeedbackMessage,
     InvariantError,
     make_packet,
@@ -63,7 +63,6 @@ def line_topo(length, spacing=1.0, comm_radius=1.5, max_tx=30.0):
     nodes = [(i, (i * spacing, 0.0)) for i in range(length)]
     return Topology(
         nodes=nodes,
-        region=(spacing * (length - 1), 1.0),
         comm_radius=comm_radius,
         max_tx_distance=max_tx,
         source=0,
@@ -367,7 +366,7 @@ def test_a_relay_on_the_sink_position_runs_to_the_end(protocol):
     fails the run."""
     topo = Topology(
         nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (1.0, 0.0))],
-        region=(1.0, 1.0), comm_radius=1.5, max_tx_distance=30.0, source=0, sink=2,
+        comm_radius=1.5, max_tx_distance=30.0, source=0, sink=2,
     )
     result = run(topo, small_cfg(protocol=protocol, region=(1.0, 1.0), seed=1))
     m = result.metrics
@@ -620,7 +619,6 @@ def test_dead_relay_is_routed_around():
                  (1.0, 1.0), (2.0, 1.0)]
     topo = Topology(
         nodes=[(i, p) for i, p in enumerate(positions)],
-        region=(3.0, 1.0),
         comm_radius=1.5,
         max_tx_distance=30.0,
         source=0,
@@ -664,7 +662,7 @@ def test_a_round_with_no_prober_alive_is_traced_once_and_stops_probing():
     the sink."""
     topo = Topology(
         nodes=[(0, (0.0, 0.0)), (1, (10.0, 0.0)), (2, (11.0, 0.0)), (3, (12.0, 0.0))],
-        region=(12.0, 1.0), comm_radius=1.5, max_tx_distance=30.0, source=0, sink=3)
+        comm_radius=1.5, max_tx_distance=30.0, source=0, sink=3)
     cfg = small_cfg(node_count=4, region=(12.0, 1.0), packet_count=3, fault_ratio=1.0)
     result = run(topo, cfg, collect_trace=True)
     probes = [(e.time, e.kind, e.node) for e in result.trace if e.kind.startswith("PROBE")]
@@ -861,7 +859,7 @@ def frames_since(sim, seq):
 
 def feedback_upstream(sim, table, receiver):
     table.upstream = receiver
-    fb = FeedbackMessage(kind=FB_CONG)
+    fb = FeedbackMessage(kind=STATE_CONG)
     sim.protocol._send_feedbacks(table, [fb], 0.0)
 
 
@@ -899,8 +897,8 @@ def test_congestion_notice_goes_once_per_sender_per_episode():
         sim.protocol._notify_congestion(table, 1, 0.0)
     sim.protocol._notify_congestion(table, 0, 0.0)
     assert frames_since(sim, seq) == [
-        (2, 1, FB_CONG),
-        (2, 0, FB_CONG),
+        (2, 1, STATE_CONG),
+        (2, 0, STATE_CONG),
     ]
     assert table.cong_notified == {0, 1}
 
@@ -911,9 +909,9 @@ def test_recovery_reaches_every_warned_sender_and_the_upstream():
     table.cong_notified = frozenset({4, 1, 0})
     table.upstream = 1
     seq = sim._seq
-    fb = FeedbackMessage(kind=FB_RECOVER)
+    fb = FeedbackMessage(kind=STATE_NORMAL)
     sim.protocol._send_feedbacks(table, [fb], 0.0)
-    assert frames_since(sim, seq) == [(2, r, FB_RECOVER) for r in (0, 1, 4)]
+    assert frames_since(sim, seq) == [(2, r, STATE_NORMAL) for r in (0, 1, 4)]
     assert table.cong_notified == set()
 
 
@@ -930,7 +928,7 @@ from dmrfsim.topology import Topology
 
 assert False, "asserts are still on"
 topo = Topology(nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (2.0, 0.0))],
-                region=(2.0, 1.0), comm_radius=1.5, max_tx_distance=30.0,
+                comm_radius=1.5, max_tx_distance=30.0,
                 source=0, sink=2)
 proto = DmrfProtocol(topo, ScenarioConfig())
 table = proto.build_tables()[0]

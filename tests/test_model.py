@@ -5,7 +5,6 @@ import pytest
 from dmrfsim import model, protocol
 from dmrfsim.config import ScenarioConfig
 from dmrfsim.model import (
-    FB_FAULT,
     RATE_HIGH,
     RATE_LOW,
     RATE_MEDIUM,
@@ -28,12 +27,11 @@ STATES = (STATE_NORMAL, STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, ST
 
 
 @pytest.mark.parametrize("module, prefix", [
-    (model, "STATE_"), (model, "FB_"), (model, "RATE_"),
+    (model, "STATE_"), (model, "RATE_"),
 ])
 def test_the_constants_of_each_set_are_distinct_objects(module, prefix):
-    # states, kinds and bands are compared with `is`. Across sets
-    # one object may serve twice (FB_CONG is STATE_CONG): no dict or
-    # comparison mixes two sets
+    # states and bands are compared with `is`, and so are feedback kinds,
+    # which are the reported states or FB_JUMP_FAIL, the one FB_ constant
     values = [v for k, v in vars(module).items() if k.startswith(prefix)]
     assert len(values) >= 2
     assert len({id(v) for v in values}) == len(values)
@@ -86,9 +84,9 @@ def test_running_sum_adds_left_to_right_from_start():
         (make_packet(source=0, now=0.0, lifetime=1.0), "size_bits"),
         (CandidateEntry(candidate=1), "confidance"),
         (CandidateEntry(candidate=1), "jump_p"),
-        (FeedbackMessage(kind=FB_FAULT), "hop_limt"),
-        (FeedbackMessage(kind=FB_FAULT), "origin"),
-        (FeedbackMessage(kind=FB_FAULT), "subject"),
+        (FeedbackMessage(kind=STATE_FAULTY), "hop_limt"),
+        (FeedbackMessage(kind=STATE_FAULTY), "origin"),
+        (FeedbackMessage(kind=STATE_FAULTY), "subject"),
         (Forward(next=1, rate=RATE_LOW), "rat"),
         (Jump(next=1, entry=CandidateEntry(candidate=1)), "nxt"),
         (Drop(reason=DROP_NO_ROUTE), "reasn"),

@@ -47,17 +47,24 @@ from hypothesis import strategies as st
 from dmrfsim.config import (
     CONTROL_FRAME_BITS, DMRF, PROTOCOLS, ScenarioConfig, from_dict, validate)
 from dmrfsim.engine import (
-    _NO_PRICES, DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, _NodeRuntime,
-    energy_cost, run)
-from dmrfsim.model import FB_CONG, STATE_NORMAL, FeedbackMessage, NodeState, legal_transition
+    DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, _NodeRuntime, energy_cost,
+    run)
+from dmrfsim.model import (
+    FB_JUMP_FAIL, STATE_CONG, STATE_FAULTY, STATE_NORMAL, STATE_VOID, FeedbackMessage,
+    NodeState, legal_transition)
 from dmrfsim.protocol import DmrfProtocol, Jump
 from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
+
+#: the states a feedback frame may report, as its kind
+REPORTED_STATES = (STATE_FAULTY, STATE_VOID, STATE_CONG, STATE_NORMAL)
 
 
 class CheckedSimulation(Simulation):
     """A traced run that checks buffers and transitions before each event;
     `check` is called once more after the run. No decision is asked about a
-    packet at or past its deadline: the engine expires it first."""
+    packet at or past its deadline: the engine expires it first. In a DMRF
+    run each delivered feedback frame is checked once its receiver has
+    applied it."""
 
     def __init__(self, topo, cfg) -> None:
         super().__init__(topo, cfg, collect_trace=True)
@@ -69,17 +76,33 @@ class CheckedSimulation(Simulation):
         self.relayed_expired_at_check = 0
         self.sink_pools = 0  # jump pools found holding the sink, over all checks
         self.jump_outcomes = 0  # DMRF jump outcomes whose entry was checked
+        self.reports: set[NodeState] = set()  # the states delivered frames reported
         self.last_state: dict[int, NodeState] = {}
         self.events = 0
         self.now = 0.0
         # a DMRF run's routing tables, by node; a baseline keeps none
         self.tables = getattr(self.protocol, "tables", {})
         self.protocol.decide = self._before_the_deadline(self.protocol.decide)
+        if isinstance(self.protocol, DmrfProtocol):
+            self.protocol.on_feedback_delivery = self._cached_as_reported(
+                self.protocol.on_feedback_delivery)
 
     def _before_the_deadline(self, decide):
         def checked(holder, packet, *rest):
             assert self.now < packet.deadline, (packet.id, self.now)
             return decide(holder, packet, *rest)
+        return checked
+
+    def _cached_as_reported(self, deliver):
+        def checked(payload, now):
+            msg, sender, receiver = payload
+            deliver(payload, now)
+            # a frame is a jump failure or a state report whose kind is the
+            # state reported, and the receiver caches it for the sender
+            if msg.kind is not FB_JUMP_FAIL:
+                assert any(msg.kind is state for state in REPORTED_STATES), payload
+                assert self.tables[receiver].entry(sender).cached_state is msg.kind, payload
+                self.reports.add(msg.kind)
         return checked
 
     def _trace_event(self, time, seq, kind, a) -> None:
@@ -254,6 +277,20 @@ def test_the_drawn_scenarios_check_the_entry_of_a_jump_outcome():
          settings=settings(max_examples=100, derandomize=True, database=None))
 
 
+def test_the_drawn_scenarios_check_the_cached_state_of_a_delivered_report():
+    """The invariant test below checks the receiver's cache after a state
+    report, not only after jump failures: some drawn DMRF scenario delivers
+    one."""
+    def delivers_a_report(cfg):
+        sim = CheckedSimulation(deployed(cfg), dataclasses.replace(cfg, protocol=DMRF))
+        sim.run()
+        return bool(sim.reports)
+
+    # raises NoSuchExample when no drawn scenario delivers a state report
+    find(scenarios(), delivers_a_report,
+         settings=settings(max_examples=100, derandomize=True, database=None))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=scenarios())
 def test_engine_invariants_hold_over_small_scenarios(cfg):
@@ -325,7 +362,7 @@ def line(count: int) -> Topology:
     its neighbours: every packet waits in the queue of every relay it
     passes."""
     return Topology(nodes=[(i, (float(i), 0.0)) for i in range(count)],
-                    region=(count - 1.0, 1.0), comm_radius=1.5, max_tx_distance=30.0,
+                    comm_radius=1.5, max_tx_distance=30.0,
                     source=0, sink=count - 1)
 
 
@@ -392,7 +429,7 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
             receiver = self.nodes[sender_id].pending[1].next
             super()._on_arrival(sender_id, now)
             if not frames and sender_id != self.topo.source and receiver in self._live:
-                frames.append((FeedbackMessage(kind=FB_CONG), receiver, sender_id))
+                frames.append((FeedbackMessage(kind=STATE_CONG), receiver, sender_id))
                 self._live.discard(sender_id)
                 self.protocol._notify_congestion(self.tables[receiver], sender_id, now)
 
@@ -430,7 +467,6 @@ def test_the_probe_layout_prices_each_link_as_the_price_cache_does(cfg):
     topo = deployed(cfg)
     sim = Simulation(topo, cfg)
     result = sim.run()
-    assert not _NO_PRICES
     if sim.protocol._layout is not None:
         joules = sim.protocol._layout[0]
         links = [(table.owner, entry.candidate)
@@ -441,7 +477,6 @@ def test_the_probe_layout_prices_each_link_as_the_price_cache_does(cfg):
         # equal prices are one float object
         assert len({id(price) for price in joules}) == len(set(joules))
     twin = CachePricedSimulation(topo, cfg).run()
-    assert not _NO_PRICES
     assert twin.metrics.energy_total_j == result.metrics.energy_total_j
     assert twin.metrics == result.metrics
     assert twin.packets == result.packets

@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 
 from dmrfsim.config import ScenarioConfig
 from dmrfsim.model import (
-    FB_CONG,
-    FB_FAULT,
     FB_JUMP_FAIL,
-    FB_RECOVER,
-    FB_VOID,
     RATE_HIGH,
     RATE_LOW,
     RATE_MEDIUM,
@@ -78,10 +74,6 @@ def grid_protocol(positions, comm_radius=1.5, max_tx=30.0, sink=None, **kwargs):
     nodes = [(i, pos) for i, pos in enumerate(positions)]
     topo = Topology(
         nodes=nodes,
-        region=(
-            max(p[0] for p in positions) or 1.0,
-            max(p[1] for p in positions) or 1.0,
-        ),
         comm_radius=comm_radius,
         max_tx_distance=max_tx,
         source=0,
@@ -525,7 +517,7 @@ def test_congestion_predictor_and_hysteresis():
     # occupancy 0.72 + 0.16 = 0.88 >= 0.8: congested
     fbs = proto.detect_congestion(table, 72.0, now=2.0)
     assert table.state is STATE_CONG
-    assert [f.kind for f in fbs] == [FB_CONG]
+    assert [f.kind for f in fbs] == [STATE_CONG]
     # back under theta but inside the hysteresis band: still congested
     table.arrival_ewma = 0.0
     proto.detect_congestion(table, 72.0, now=3.0)
@@ -533,7 +525,7 @@ def test_congestion_predictor_and_hysteresis():
     # predicted 0.66 < 0.8 - 0.1: recovered
     fbs = proto.detect_congestion(table, 66.0, now=4.0)
     assert table.state is STATE_NORMAL
-    assert [f.kind for f in fbs] == [FB_RECOVER]
+    assert [f.kind for f in fbs] == [STATE_NORMAL]
 
 
 def test_congestion_recovers_only_strictly_below_the_hysteresis_band():
@@ -548,7 +540,7 @@ def test_congestion_recovers_only_strictly_below_the_hysteresis_band():
     assert table.state is STATE_CONG and table.own_congested
     fbs = proto.detect_congestion(table, 49.0, now=3.0)
     assert table.state is STATE_NORMAL and not table.own_congested
-    assert [f.kind for f in fbs] == [FB_RECOVER]
+    assert [f.kind for f in fbs] == [STATE_NORMAL]
 
 
 def test_an_offer_folds_into_the_arrival_estimate():
@@ -590,7 +582,7 @@ def test_offers_at_heavy_traffic_spacing_congest_an_empty_relay_on_rate_alone():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     relay = proto.build_tables()[1]
     kinds = [[f.kind for f in proto.on_offer(relay, 0.0, now=1.5 * k)] for k in range(3)]
-    assert kinds == [[], [], [FB_CONG]]
+    assert kinds == [[], [], [STATE_CONG]]
     assert relay.arrival_ewma == 0.5
     assert relay.state is STATE_CONG and relay.own_congested
     assert log_of(proto, 1) == [(3.0, STATE_NORMAL, STATE_CONG)]
@@ -602,13 +594,13 @@ def test_offers_at_heavy_traffic_spacing_congest_an_empty_relay_on_rate_alone():
     assert relay.arrival_ewma > 0.66
 
 
-#: the feedback each entered state sends, as reevaluate's docstring states it
+#: the state each entered state reports, as its feedback frame's kind
 ENTRY_FEEDBACK = {
-    STATE_VOID: FB_VOID,
-    STATE_JFAULTY: FB_FAULT,
-    STATE_JCONG: FB_CONG,
-    STATE_CONG: FB_CONG,
-    STATE_NORMAL: FB_RECOVER,
+    STATE_VOID: STATE_VOID,
+    STATE_JFAULTY: STATE_FAULTY,
+    STATE_JCONG: STATE_CONG,
+    STATE_CONG: STATE_CONG,
+    STATE_NORMAL: STATE_NORMAL,
 }
 
 
@@ -684,14 +676,14 @@ def test_state_derivation_cascades():
     table.dirty = True
     fbs = proto.reevaluate(table, now=1.0)
     assert table.state is STATE_JFAULTY
-    assert [f.kind for f in fbs] == [FB_FAULT]
+    assert [f.kind for f in fbs] == [STATE_FAULTY]
 
     # one candidate heals: back to NORMAL
     table.entry(1).cached_state = STATE_NORMAL
     table.dirty = True
     fbs = proto.reevaluate(table, now=2.0)
     assert table.state is STATE_NORMAL
-    assert [f.kind for f in fbs] == [FB_RECOVER]
+    assert [f.kind for f in fbs] == [STATE_NORMAL]
 
     table.entry(1).cached_state = STATE_CONG
     table.entry(2).cached_state = STATE_JCONG
@@ -745,7 +737,7 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
     table.dirty = True
     fbs = proto.reevaluate(table, now=2.0)
     assert table.state is STATE_CONG
-    assert [f.kind for f in fbs] == [FB_RECOVER, FB_CONG]
+    assert [f.kind for f in fbs] == [STATE_NORMAL, STATE_CONG]
     assert log_of(proto, table.owner)[-2:] == [
         (2.0, STATE_JFAULTY, STATE_NORMAL),
         (2.0, STATE_NORMAL, STATE_CONG),
@@ -994,27 +986,22 @@ def test_first_jump_failure_zeroes_the_candidate():
 
 def test_feedback_caches_subject_state_by_kind():
     proto, table = two_candidate_table()
-    cases = [
-        (FB_FAULT, STATE_FAULTY),
-        (FB_CONG, STATE_CONG),
-        (FB_VOID, STATE_VOID),
-        (FB_RECOVER, STATE_NORMAL),
-    ]
-    for kind, expected in cases:
+    # a report's kind is the state it reports, cached as it arrives
+    for kind in (STATE_FAULTY, STATE_CONG, STATE_VOID, STATE_NORMAL):
         msg = FeedbackMessage(kind=kind)
         fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
         assert FB_JUMP_FAIL not in [f.kind for f in fbs]
-        assert table.entry(1).cached_state is expected
+        assert table.entry(1).cached_state is kind
 
 
 def test_feedback_drives_derived_state():
     proto, table = two_candidate_table()
     for sender in (1, 2):
-        msg = FeedbackMessage(kind=FB_CONG)
+        msg = FeedbackMessage(kind=STATE_CONG)
         fbs = proto.on_feedback(table, msg, from_node=sender, now=1.0,
                                 rng=random.Random(1))
     assert table.state is STATE_JCONG
-    assert [f.kind for f in fbs] == [FB_CONG]
+    assert [f.kind for f in fbs] == [STATE_CONG]
 
 
 def test_jump_fail_feedback_scales_suc_and_reforwards():

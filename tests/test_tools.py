@@ -43,3 +43,20 @@ def test_op_count_repeats_its_counts_and_a_warm_setup_costs_less_than_a_cold_one
     cold, warm, run_ops, c_calls, randoms, pushes = counts
     assert 0 < warm < cold
     assert run_ops > 0 and c_calls > 0 and randoms > 0 and pushes > 0
+
+
+def test_line_cover_exempts_only_the_body_of_a_main_guard():
+    tool = load("line_cover")
+    text = (
+        "import sys\n"                      # 1
+        "def main():\n"                     # 2
+        "    return 0\n"                    # 3
+        "if __name__ == '__main__':\n"      # 4: run on import, kept
+        "    code = main()\n"               # 5
+        "    sys.exit(code)\n"              # 6
+        "else:\n"                           # 7
+        "    imported = True\n"             # 8: the else branch is kept
+        "if __name__ == 'other':\n"         # 9: not a main guard
+        "    main()\n"                      # 10
+    )
+    assert tool.executable_lines(text) == {1, 2, 3, 4, 8, 9, 10}

@@ -26,7 +26,6 @@ def line_topology(positions, comm_radius=1.5, max_tx=30.0, source=None, sink=Non
     nodes = [(i, pos) for i, pos in enumerate(positions)]
     return Topology(
         nodes=nodes,
-        region=(max(p[0] for p in positions) or 1.0, 1.0),
         comm_radius=comm_radius,
         max_tx_distance=max_tx,
         source=0 if source is None else source,
@@ -73,7 +72,6 @@ def test_comm_radius_may_not_exceed_max_tx():
     with pytest.raises(ValueError):
         Topology(
             nodes=[(0, (0.0, 0.0)), (1, (1.0, 0.0))],
-            region=(1.0, 1.0),
             comm_radius=5.0,
             max_tx_distance=2.0,
             source=0,
@@ -213,7 +211,6 @@ def one_ulp_layout(radius, max_tx):
     ]
     return Topology(
         nodes=nodes,
-        region=(1.0, 1.0),
         comm_radius=radius,
         max_tx_distance=max_tx,
         source=0,
@@ -350,7 +347,6 @@ def collinear_layouts(draw):
         positions.append((nudged(x, draw(ulps)), nudged(y, draw(ulps))))
     return Topology(
         nodes=list(enumerate(positions)),
-        region=(1.0, 1.0),
         comm_radius=reach,
         max_tx_distance=reach,
         source=1,

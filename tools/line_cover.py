@@ -1,23 +1,27 @@
-"""List the lines of `src/dmrfsim/` that the tier-1 tests never run.
+"""List the lines of `src/dmrfsim/` that the tier-1 tests never run, and
+exit 1 if there is any.
 
 Runs the tier-1 suite in this process through `pytest.main`, with a line
 tracer (`sys.settrace`, and `threading.settrace` for threads started later)
 that follows only frames whose code lives in `src/dmrfsim/`. A module's
 executable lines are the line numbers its code objects map instructions to
-(`co_lines()`); for each file it prints how many of them ran and the ones
-that never did.
+(`co_lines()`), less the body of a module's `if __name__ == "__main__":`
+guard, which runs only when the module is a script. For each file it
+prints how many of them ran and the ones that never did.
 
 Code that runs in another process is not traced: the tests that start
 `python -O` in a subprocess, and sweep pool workers. Lines that only those
 reach are listed as never run. Tracing makes the suite several times
-slower (about 2 minutes on Python 3.11). The listing is a report, not a
-gate: a line left out may be a missing test or dead code.
+slower (about 2 minutes on Python 3.11). The listing is a gate: a line
+left out is a missing test or dead code, and either way the exit status
+is 1.
 
     python tools/line_cover.py
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 import threading
@@ -48,14 +52,23 @@ def _tracer(frame: types.FrameType, event: str, arg: object):
     return local
 
 
-def executable_lines(path: Path) -> set[int]:
-    """Every line that some code object of the module maps an instruction to."""
-    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+#: the test of a script's main guard, as `ast.dump` writes it
+_MAIN_GUARD = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
+
+
+def executable_lines(text: str, filename: str = "<module>") -> set[int]:
+    """Every line that some code object of the module `text` maps an
+    instruction to, except the body of a top-level `if __name__ ==
+    "__main__":` guard."""
+    todo = [compile(text, filename, "exec")]
     lines: set[int] = set()
     while todo:
         code = todo.pop()
         lines.update(line for _start, _end, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.If) and ast.dump(node.test) == _MAIN_GUARD:
+            lines.difference_update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
     return lines
 
 
@@ -70,7 +83,7 @@ def spans(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def main() -> None:
+def main() -> int:
     os.chdir(ROOT)
     # the checkout's package, as tier-1 imports it; imported under the tracer
     sys.path.insert(0, str(ROOT / "src"))
@@ -85,12 +98,18 @@ def main() -> None:
     if status != 0:
         print(f"pytest exited {int(status)}: the lines below include what failing tests skip")
     print(f"{'src/dmrfsim':<16}{'run':>7}{'of':>7}  never run")
+    unrun = 0
     for name, ran in _seen.items():
         path = Path(name)
-        lines = executable_lines(path)
+        lines = executable_lines(path.read_text(encoding="utf-8"), name)
         missed = sorted(lines - ran)
+        unrun += len(missed)
         print(f"{path.name:<16}{len(lines) - len(missed):>7}{len(lines):>7}  {spans(missed)}")
+    if unrun:
+        print(f"src/dmrfsim: {unrun} line(s) never run")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

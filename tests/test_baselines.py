@@ -1,7 +1,11 @@
 """Unit tests for the greedy reference strategies, and a slow twin of each
-run's decision object: its ranking memo against ranking afresh per call."""
+run's decision object: its ranking memo against ranking afresh per call.
+There is one ranking, the most progress toward the sink, then the lowest id;
+GREEDY_MAX_RATE is GREEDY_MIN_DELAY's second name."""
 
 import collections
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from dmrfsim.baselines import (
     greedy_min_delay,
     rank_candidates,
 )
-from dmrfsim.config import BYPASS, DMRF, GREEDY_MAX_RATE, ScenarioConfig
+from dmrfsim.config import BYPASS, DMRF, ScenarioConfig
 from dmrfsim.model import RATE_MEDIUM, make_packet
 from dmrfsim.protocol import DROP_NO_ROUTE, Drop, Forward
 from dmrfsim.topology import Topology, build_fcs
@@ -35,44 +39,31 @@ def fresh_packet():
     return make_packet(0, now=0.0, lifetime=100.0)
 
 
-def test_min_delay_picks_fastest_candidate():
-    topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
-    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
-    d = greedy_min_delay(ranked)
-    assert d == Forward(next=2, rate=RATE_MEDIUM)
-
-
 def test_min_delay_ties_break_on_progress_then_id():
-    # 1 and 2 tie on delay; 2 is closer to the sink
-    topo = topo_of([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (2.0, 0.0)], sink=3)
-    ranked = rank_candidates(topo, 0, [(1, 1.0), (2, 1.0)])
-    d = greedy_min_delay(ranked)
-    assert d.next == 2
+    # 2 is closer to the sink than 1; 3 and 4 make equal progress
+    topo = topo_of(
+        [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=5
+    )
+    d = greedy_min_delay(rank_candidates(topo, 0, [1, 2]))
+    assert d == Forward(next=2, rate=RATE_MEDIUM)
+    assert rank_candidates(topo, 0, [4, 3]) == [3, 4]
 
 
 def test_greedy_drops_with_no_candidate():
     topo = topo_of([(0.0, 0.0), (1.0, 0.0)])
-    for by_rate in (False, True):
-        ranked = rank_candidates(topo, 0, [], by_rate=by_rate)
-        assert greedy_min_delay(ranked) == greedy_max_rate(ranked) == Drop(DROP_NO_ROUTE)
-
-
-def test_max_rate_divides_progress_by_delay():
-    topo = topo_of([(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (2.0, 0.0)], sink=3)
-    # 1 advances 1.0 m in 2 ms (0.5 m/ms); 2 advances 0.5 m in 0.5 ms (1 m/ms)
-    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 0.5)], by_rate=True)
-    d = greedy_max_rate(ranked)
-    assert d.next == 2
+    ranked = rank_candidates(topo, 0, [])
+    assert greedy_min_delay(ranked) == Drop(DROP_NO_ROUTE)
+    # GREEDY_MAX_RATE's decision function is GREEDY_MIN_DELAY's
+    assert greedy_max_rate is greedy_min_delay
 
 
 def test_bypass_uses_greedy_while_candidates_live():
-    topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.0, -0.5), (2.0, 0.0)], sink=3)
-    live = {0, 1, 2, 3}
-    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
-    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), live)
+    # 2 makes more progress than 1
+    topo = topo_of([(0.0, 0.0), (1.0, 0.5), (1.2, 0.0), (2.2, 0.0)], sink=3)
+    ranked = rank_candidates(topo, 0, [1, 2])
+    d = bypass_next_hop(topo, 0, ranked, fresh_packet(), {0, 1, 2, 3})
     assert d.next == 2
     # candidate 2 dies: greedy shifts to 1
-    ranked = rank_candidates(topo, 0, [(1, 2.0), (2, 1.0)])
     d = bypass_next_hop(topo, 0, ranked, fresh_packet(), {0, 1, 3})
     assert d.next == 1
 
@@ -84,7 +75,7 @@ def test_bypass_sidesteps_around_a_dead_frontier():
         [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0)], comm_radius=1.2, sink=2
     )
     live = {0, 2, 3}
-    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    ranked = rank_candidates(topo, 0, [1])
     d = bypass_next_hop(topo, 0, ranked, fresh_packet(), live)
     assert isinstance(d, Forward)
     assert d.next == 3
@@ -97,7 +88,7 @@ def test_bypass_refuses_nodes_already_on_the_trace():
     live = {0, 2, 3}
     packet = fresh_packet()
     packet.hop_trace.append(3)  # already visited the sidestep
-    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    ranked = rank_candidates(topo, 0, [1])
     d = bypass_next_hop(topo, 0, ranked, packet, live)
     assert isinstance(d, Drop) and d.reason is DROP_NO_ROUTE
 
@@ -111,9 +102,20 @@ def test_bypass_prefers_smallest_clockwise_deviation():
         sink=2,
     )
     live = {0, 2, 3, 4}
-    ranked = rank_candidates(topo, 0, [(1, 1.0)])
+    ranked = rank_candidates(topo, 0, [1])
     d = bypass_next_hop(topo, 0, ranked, fresh_packet(), live)
     assert d.next == 4
+
+
+@pytest.mark.parametrize("near, far", [(2, 3), (3, 2)])
+def test_bypass_sidesteps_to_the_lowest_id_among_equal_deviations(near, far):
+    # the one forward candidate, 1, is dead; 2 and 3 lie on one bearing from
+    # 0, straight up, so they deviate equally, and neither is on the trace
+    positions = {0: (0.0, 0.0), 1: (1.0, 0.0), near: (0.0, 1.0), far: (0.0, 2.0), 4: (3.0, 0.0)}
+    topo = topo_of([positions[i] for i in range(5)], comm_radius=2.2, sink=4)
+    assert build_fcs(topo, 0) == [1] and topo.neighbors(0) == [1, 2, 3]
+    d = bypass_next_hop(topo, 0, [1], fresh_packet(), {0, 2, 3, 4})
+    assert d == Forward(next=2, rate=RATE_MEDIUM)
 
 
 # ----------------------------------------------------------------------
@@ -127,13 +129,11 @@ def _progress(topo, node, candidate):
 @st.composite
 def candidate_sets(draw):
     count = draw(st.integers(3, 10))
-    # a coarse lattice of coordinates, so equal delays and equal progress occur
+    # a coarse lattice of coordinates, so equal progress occurs
     coord = st.integers(-4, 4).map(lambda v: v * 0.5)
     positions = [(draw(coord), draw(coord)) for _ in range(count)]
     # node 0 decides, the last node is the sink, any others are candidates
-    chosen = draw(st.lists(st.integers(1, count - 2), unique=True))
-    delay = st.sampled_from([0.5, 1.0, 1.28, 2.0, 3.0])
-    candidates = [(c, draw(delay)) for c in chosen]
+    candidates = draw(st.lists(st.integers(1, count - 2), unique=True))
     live = set(draw(st.lists(st.integers(0, count - 1), unique=True)))
     return topo_of(positions, comm_radius=10.0), candidates, live
 
@@ -144,23 +144,18 @@ def test_ranked_choice_equals_the_per_call_keys(case):
     topo, candidates, live = case
     packet = fresh_packet()
 
-    def min_delay_key(c):
-        return (c[1], -_progress(topo, 0, c[0]), c[0])
-
-    def max_rate_key(c):
-        return (_progress(topo, 0, c[0]) / c[1], -c[0])
+    def key(c):
+        return (-_progress(topo, 0, c), c)
 
     d = greedy_min_delay(rank_candidates(topo, 0, candidates))
-    r = greedy_max_rate(rank_candidates(topo, 0, candidates, by_rate=True))
     b = bypass_next_hop(topo, 0, rank_candidates(topo, 0, candidates), packet, live)
     if not candidates:
-        assert d == r == Drop(DROP_NO_ROUTE)
+        assert d == Drop(DROP_NO_ROUTE)
     else:
-        assert d.next == min(candidates, key=min_delay_key)[0]
-        assert r.next == max(candidates, key=max_rate_key)[0]
-    alive = [c for c in candidates if c[0] in live]
+        assert d.next == min(candidates, key=key)
+    alive = [c for c in candidates if c in live]
     if alive:
-        assert b == Forward(next=min(alive, key=min_delay_key)[0], rate=RATE_MEDIUM)
+        assert b == Forward(next=min(alive, key=key), rate=RATE_MEDIUM)
     else:
         # nothing live makes progress: the sidestep decides, as before
         assert b == bypass_next_hop(topo, 0, [], packet, live)
@@ -203,8 +198,7 @@ def test_a_runs_decisions_equal_ranking_afresh_and_rank_each_node_once(case):
         for node, live, trace in asks:
             packet = fresh_packet()
             packet.hop_trace[:] = trace
-            candidates = [(c, cfg.mean_hop_delay_ms) for c in build_fcs(topo, node)]
-            fresh = rank_candidates(topo, node, candidates, by_rate=name == GREEDY_MAX_RATE)
+            fresh = rank_candidates(topo, node, build_fcs(topo, node))
             if name == BYPASS:
                 expected = bypass_next_hop(topo, node, fresh, packet, live)
             else:

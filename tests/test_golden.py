@@ -34,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from dmrfsim.config import BYPASS, PROTOCOLS, DMRF, ScenarioConfig, validate
+from dmrfsim.config import (
+    BYPASS, DMRF, GREEDY_MAX_RATE, GREEDY_MIN_DELAY, PROTOCOLS, ScenarioConfig, validate)
 from dmrfsim.sweeps import _result_row, execute_scenario, rows_to_csv_text
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "matrix.csv"
@@ -159,46 +160,50 @@ def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+def _digest_line(name: str, base: ScenarioConfig, protocol: str) -> str:
+    cfg = validate(dataclasses.replace(base, protocol=protocol))
+    result = execute_scenario(cfg)
+    transitions = [
+        f"{t!r} {node} {old} {new}"
+        for t, node, old, new in result.transitions
+    ]
+    packets = [
+        f"{p.id} {p.outcome} {p.created_at!r} {p.finished_at!r} "
+        + ",".join(map(str, p.hop_trace))
+        for p in result.packets
+    ]
+    return (f"{name} {protocol} transitions {len(transitions)} {_sha(transitions)}"
+            f" packets {len(packets)} {_sha(packets)}")
+
+
+def _trace_line(name: str, base: ScenarioConfig, protocol: str) -> str:
+    cfg = validate(dataclasses.replace(base, protocol=protocol))
+    trace = [
+        f"{e.time!r} {e.seq} {e.kind} {e.node} {e.packet}"
+        for e in execute_scenario(cfg, collect_trace=True).trace
+    ]
+    return f"{name} {protocol} trace {len(trace)} {_sha(trace)}"
+
+
 def digests_text() -> str:
     """One line per run: transition count and digest, packet count and
     digest; then one line per traced run: event count and digest. Floats
     enter by repr, so equal digests mean equal bits."""
-    out = []
-    for name, base, protocols in DIGEST_CASES:
-        for protocol in protocols:
-            cfg = validate(dataclasses.replace(base, protocol=protocol))
-            result = execute_scenario(cfg)
-            transitions = [
-                f"{t!r} {node} {old} {new}"
-                for t, node, old, new in result.transitions
-            ]
-            packets = [
-                f"{p.id} {p.outcome} {p.created_at!r} {p.finished_at!r} "
-                + ",".join(map(str, p.hop_trace))
-                for p in result.packets
-            ]
-            out.append(
-                f"{name} {protocol} transitions {len(transitions)} {_sha(transitions)}"
-                f" packets {len(packets)} {_sha(packets)}"
-            )
-    for name, base, protocols in TRACE_CASES:
-        for protocol in protocols:
-            cfg = validate(dataclasses.replace(base, protocol=protocol))
-            trace = [
-                f"{e.time!r} {e.seq} {e.kind} {e.node} {e.packet}"
-                for e in execute_scenario(cfg, collect_trace=True).trace
-            ]
-            out.append(f"{name} {protocol} trace {len(trace)} {_sha(trace)}")
+    out = [_digest_line(name, base, protocol)
+           for name, base, protocols in DIGEST_CASES for protocol in protocols]
+    out += [_trace_line(name, base, protocol)
+            for name, base, protocols in TRACE_CASES for protocol in protocols]
     return "\n".join(out) + "\n"
 
 
+def _matrix_row(name: str, base: ScenarioConfig, protocol: str) -> dict:
+    cfg = validate(dataclasses.replace(base, protocol=protocol))
+    return _result_row(name, "", 0, cfg, execute_scenario(cfg))
+
+
 def matrix_csv() -> str:
-    rows = []
-    for name, base, protocols in CASES:
-        for protocol in protocols:
-            cfg = validate(dataclasses.replace(base, protocol=protocol))
-            rows.append(_result_row(name, "", 0, cfg, execute_scenario(cfg)))
-    return rows_to_csv_text(rows)
+    return rows_to_csv_text([_matrix_row(name, base, protocol)
+                             for name, base, protocols in CASES for protocol in protocols])
 
 
 def test_golden_matrix_is_byte_identical():
@@ -215,6 +220,40 @@ def test_transitions_and_packet_outcomes_are_identical():
     for want, got in zip(expected.splitlines(), actual.splitlines()):
         assert got == want
     assert actual == expected
+
+
+def _blanked(line: str, sep: str, at: int) -> str:
+    """`line` with its field `at` emptied."""
+    fields = line.split(sep)
+    fields[at] = ""
+    return sep.join(fields)
+
+
+def test_greedy_max_rate_is_a_second_name_for_greedy_min_delay():
+    """GREEDY_MAX_RATE runs GREEDY_MIN_DELAY's ranking: its matrix rows and
+    digest lines, pinned and computed afresh, equal GREEDY_MIN_DELAY's pinned
+    ones in every field but the protocol's name."""
+    rows = FIXTURE.read_text(encoding="utf-8").splitlines()[1:]
+    lines = DIGESTS.read_text(encoding="utf-8").splitlines()
+
+    def pinned(protocol):
+        return ([_blanked(r, ",", 2) for r in rows if r.split(",")[2] == protocol],
+                [_blanked(d, " ", 1) for d in lines if d.split(" ")[1] == protocol])
+
+    fresh_rows = rows_to_csv_text([
+        _matrix_row(name, base, GREEDY_MAX_RATE)
+        for name, base, protocols in CASES if GREEDY_MAX_RATE in protocols
+    ]).splitlines()[1:]
+    fresh_lines = [_digest_line(name, base, GREEDY_MAX_RATE)
+                   for name, base, protocols in DIGEST_CASES if GREEDY_MAX_RATE in protocols]
+    fresh_lines += [_trace_line(name, base, GREEDY_MAX_RATE)
+                    for name, base, protocols in TRACE_CASES if GREEDY_MAX_RATE in protocols]
+    fresh = ([_blanked(r, ",", 2) for r in fresh_rows],
+             [_blanked(d, " ", 1) for d in fresh_lines])
+    min_delay = pinned(GREEDY_MIN_DELAY)
+    assert min_delay[0] and min_delay[1]
+    assert pinned(GREEDY_MAX_RATE) == min_delay
+    assert fresh == min_delay
 
 
 #: timeout equal to the period: every timeout shares its instant with a round

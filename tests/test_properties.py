@@ -16,7 +16,9 @@ handoff), a trace of one line per event in (time, seq) order whose
 injections take seqs rising with the packet id, and control packets equal
 to probe rounds times probe links plus feedback frames. The same checks
 run on drawn lines whose relays queue, so packets also expire in relay
-queues, where the random scenarios expire them at the source only.
+queues, where the random scenarios expire them at the source only; and on
+drawn lines broken by a gap, whose last node before the gap is born VOID,
+so the prober behind it learns VOID and reports it upstream.
 
 The probe layout prices its links itself, the way the engine's per-link
 price cache prices any other frame. A slow twin whose layout prices probe
@@ -413,6 +415,64 @@ def test_the_drawn_lines_expire_packets_queued_at_relays_at_their_deadline_check
 
     # raises NoSuchExample when no drawn line takes the path
     find(relay_jams(), expires_at_a_relay,
+         settings=settings(max_examples=100, derandomize=True, database=None))
+
+
+def gapped_line(before: int, gap: float, after: int) -> Topology:
+    """`before` nodes 1 m apart from the source, a gap of `gap` m, then
+    `after` nodes 1 m apart ending at the sink. Every node hears only its
+    neighbours on either side of the gap, so the node just before the gap has
+    no forward candidate and is born VOID: a void next to the prober behind
+    it, which learns so from its probe replies."""
+    xs = [float(i) for i in range(before)]
+    xs += [xs[-1] + gap + i for i in range(after)]
+    return Topology(nodes=list(enumerate((x, 0.0) for x in xs)), comm_radius=1.5,
+                    max_tx_distance=30.0, source=0, sink=len(xs) - 1)
+
+
+@st.composite
+def void_lines(draw):
+    """A gapped line and a config under which packets reach the prober in
+    front of the void: the jump radio crosses the gap, and faults, when
+    drawn, may cut the line."""
+    before, after = draw(st.integers(3, 7)), draw(st.integers(1, 5))
+    gap = _value(draw, 1.6, 8.0)
+    count = before + after
+    mu = ScenarioConfig().mean_hop_delay_ms
+    cfg = from_dict({
+        "preset": "table2",
+        "node_count": count,
+        "region": [count + gap, 1.0],
+        "packet_count": draw(st.integers(1, 15)),
+        "injection_period_ms": _value(draw, 0.5, 10.0),
+        "packet_lifetime_ms": _value(draw, 0.5, 4.0) * (count - 1) * mu,
+        "probe_period_ms": draw(st.sampled_from([1.0, 2.0, 5.0, 10.0])),
+        "sigma_factor": _value(draw, 0.0, 1.0),
+        "fault_ratio": draw(st.one_of(st.just(0.0), st.floats(0.1, 0.4))),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+    })
+    return gapped_line(before, gap, after), cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=void_lines())
+def test_engine_invariants_hold_on_lines_with_a_void(case):
+    topo, cfg = case
+    for protocol in PROTOCOLS:
+        check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
+
+
+def test_the_drawn_void_lines_check_the_cached_state_of_a_void_report():
+    """The gapped-line property checks the receiver's cache after a VOID
+    report: some drawn line delivers one."""
+    def delivers_a_void_report(case):
+        topo, cfg = case
+        sim = CheckedSimulation(topo, dataclasses.replace(cfg, protocol=DMRF))
+        sim.run()
+        return STATE_VOID in sim.reports
+
+    # raises NoSuchExample when no drawn line delivers a VOID report
+    find(void_lines(), delivers_a_void_report,
          settings=settings(max_examples=100, derandomize=True, database=None))
 
 

@@ -32,8 +32,8 @@ CONTROL_FRAME_BITS = 64
 #: N = 10,000) tracemalloc peaks at 1.7 KB per node over a deploy and a
 #: one-packet, 5 ms DMRF run (`tools/bytes_per_node.py`), about 167 MB at the
 #: bound, where a run of that shape peaks at about 208 MiB maxrss; and at
-#: 3.1 KB per node over a deploy and a 20-packet DMRF run with no horizon,
-#: about 0.31 GB, where such a run peaks at about 288 MiB
+#: 1.8 KB per node over a deploy and a 20-packet DMRF run with no horizon,
+#: about 0.18 GB, where such a run peaks at about 212 MiB
 MAX_NODE_COUNT = 100_000
 
 

@@ -18,9 +18,8 @@ import math
 import random
 import weakref
 from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import islice
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -115,15 +114,32 @@ _SINK_REPORT = SimpleNamespace(state=STATE_NORMAL)
 
 
 @dataclass(slots=True)
-class RoutingTable:
-    """A node's routing memory: one entry per candidate, holding its cached
-    state and learned statistics, and the node's own detection state.
+class JumpPool:
+    """A node's long-range candidates: their ids in id order, as
+    `Topology.jump_candidates` returns them, and, by position in `ids`, the
+    entries that differ from a fresh one. Those are every member, the same
+    object as in the table's members, and every jump target drawn. Any
+    other candidate reads as `CandidateEntry(id, mu)` would: cached NORMAL,
+    `suc` 1.0. So a pool costs a list slot per candidate and an entry per
+    touched one."""
 
-    The members and the jump pool are both sorted by candidate id, and every
-    member is in the pool, as the same object: a member is a neighbour
-    strictly closer to the sink, and comm_radius <= max_tx_distance. So
-    `entry` finds any candidate by bisection in one of the two lists; only
-    feedback needs it, since a send's outcome comes back with its entry."""
+    ids: list[NodeId]
+    held: dict[int, CandidateEntry]
+    mu: float
+
+
+@dataclass(slots=True)
+class RoutingTable:
+    """A node's routing memory: one entry per forwarding candidate and per
+    jump target drawn, holding its cached state and learned statistics, and
+    the node's own detection state.
+
+    The members are sorted by candidate id, and every member is in the jump
+    pool, held there as the same object: a member is a neighbour strictly
+    closer to the sink, and comm_radius <= max_tx_distance. So `entry`
+    finds any candidate the node sent data to by bisection: in the members,
+    or in the pool's ids once the pool is built. Only feedback needs it,
+    since a send's outcome comes back with its entry."""
 
     owner: NodeId
     #: the forwarding candidate set, in id order
@@ -134,8 +150,8 @@ class RoutingTable:
     #: set when an input of reevaluate changes: a member's cached_state,
     #: own_congested or state; cleared by reevaluate
     dirty: bool = True
-    #: the long-range candidates in id order, materialized on first jump
-    jump_pool: list[CandidateEntry] | None = None
+    #: the long-range candidates, built on first jump
+    jump_pool: JumpPool | None = None
     #: the offered packets' arrival rate, per ms, and when the last came
     arrival_ewma: float = 0.0
     last_arrival: float | None = None
@@ -145,13 +161,19 @@ class RoutingTable:
     cong_notified: frozenset[NodeId] = _NO_NOTICES
 
     def entry(self, node: NodeId) -> CandidateEntry:
-        """The entry of candidate `node`: looked up in the jump pool once it
-        is built, in the members before. KeyError if the table has none."""
-        entries = self.jump_pool or self.members  # an empty pool has no members
-        i = bisect_left(entries, node, key=_CANDIDATE)
-        if i < len(entries) and entries[i].candidate == node:
-            return entries[i]
-        raise KeyError(node)
+        """The entry of candidate `node`, found by bisection: a held entry
+        of the jump pool once it is built, a member before. KeyError if the
+        table holds none."""
+        pool = self.jump_pool
+        if pool is not None:
+            entry = pool.held.get(bisect_left(pool.ids, node))
+        else:
+            members = self.members
+            i = bisect_left(members, node, key=_CANDIDATE)
+            entry = members[i] if i < len(members) else None
+        if entry is None or entry.candidate != node:
+            raise KeyError(node)
+        return entry
 
 
 def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
@@ -160,37 +182,59 @@ def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -
         table.dirty = True
 
 
-def _shares(entries: list[CandidateEntry]) -> Iterator[float]:
-    """Each entry's share of the success ratios, in entry order and divided
-    only when read, uniform when no entry has any success mass; an empty
-    list has no shares."""
-    total = running_sum(e.suc for e in entries)
-    if total <= 0.0:
-        return repeat(1.0 / len(entries), len(entries)) if entries else iter(())
-    return (e.suc / total for e in entries)
-
-
 def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
     """The jump probability of each entry, in entry order: its share of the
-    success ratios, uniform when no entry has any success mass, and none
-    for an empty list."""
-    return list(_shares(entries))
+    success ratios, summed left to right, uniform when no entry has any
+    success mass, and none for an empty list. `choose_jump_target` draws
+    by these shares of the viable candidates."""
+    total = running_sum(e.suc for e in entries)
+    if total <= 0.0:
+        return [1.0 / len(entries)] * len(entries) if entries else []
+    return [e.suc / total for e in entries]
 
 
-def choose_jump_target(entries: list[CandidateEntry], rng: random.Random) -> CandidateEntry | None:
+def choose_jump_target(pool: JumpPool, rng: random.Random) -> CandidateEntry | None:
     """Sample a jump target's entry by the `jump_probabilities` of the
-    candidates cached NORMAL: one draw, then their shares accumulated in
-    entry order up to the pick. With none viable there is no target, and
-    nothing is drawn.
+    candidates cached NORMAL: one draw, then their shares accumulated in id
+    order up to the pick. With none viable there is no target, and nothing
+    is drawn. A target drawn for the first time gets its entry here.
+
+    A candidate not cached NORMAL takes part with a success ratio of 0.0.
+    All ratios are at least 0.0, so adding it changes no sum, and its
+    running sum is the one before it: never the first past the draw. So the
+    sums and the pick are those of the viable candidates alone, to the bit.
     """
-    viable = [e for e in entries if e.cached_state is STATE_NORMAL]
+    ids, held = pool.ids, pool.held
+    sucs = [1.0] * len(ids)
+    viable = len(ids)
+    for i, e in held.items():
+        if e.cached_state is STATE_NORMAL:
+            sucs[i] = e.suc
+        else:
+            sucs[i] = 0.0
+            viable -= 1
     if not viable:
         return None
     r = rng.random()
-    for acc, e in zip(accumulate(_shares(viable)), viable):
+    total = running_sum(sucs)
+    if total <= 0.0:
+        # no success mass, so every candidate is held (a fresh one has 1.0):
+        # the viable ones share uniformly, each 1 / viable
+        sucs = [1.0 if held[i].cached_state is STATE_NORMAL else 0.0 for i in range(len(ids))]
+        total = viable
+    acc = 0.0
+    for i, suc in enumerate(sucs):
+        acc += suc / total
         if r < acc:
-            return e
-    return viable[-1]  # guard against float shortfall
+            break
+    else:
+        # guard against float shortfall: the last viable candidate
+        i = next(i for i in reversed(range(len(ids)))
+                 if i not in held or held[i].cached_state is STATE_NORMAL)
+    entry = held.get(i)
+    if entry is None:
+        entry = held[i] = CandidateEntry(ids[i], pool.mu)
+    return entry
 
 
 class DmrfProtocol:
@@ -239,28 +283,25 @@ class DmrfProtocol:
         return tables
 
     def ensure_jump_entries(self, table: RoutingTable) -> None:
-        """Materialize the long-range candidate pool on first use.
+        """Build the long-range candidate pool on first use.
 
         Built from the initialization-time topology, so it may contain nodes
         that have since failed or been carved out; those are weeded out by
-        the success statistics, never by oracle knowledge. Both lists are in
-        id order, so one walk in step puts each member's own entry in the
-        pool, its statistics shared; a member left out raises InvariantError.
+        the success statistics, never by oracle knowledge. The pool holds
+        each member's own entry, its statistics shared; a member missing
+        from the candidates raises InvariantError.
         """
         if table.jump_pool is not None:
             return
-        members = iter(table.members)
-        member = next(members, None)
-        pool = []
-        for other in self.topo.jump_candidates(table.owner):
-            if member is not None and member.candidate == other:
-                pool.append(member)
-                member = next(members, None)
-            else:
-                pool.append(CandidateEntry(other, self.mu))
-        if member is not None:
-            raise InvariantError(f"member {member.candidate} of node {table.owner} not in pool")
-        table.jump_pool = pool
+        ids = self.topo.jump_candidates(table.owner)
+        held = {}
+        for member in table.members:
+            c = member.candidate
+            i = bisect_left(ids, c)
+            if i == len(ids) or ids[i] != c:
+                raise InvariantError(f"member {c} of node {table.owner} not in pool")
+            held[i] = member
+        table.jump_pool = JumpPool(ids, held, self.mu)
 
     # ------------------------------------------------------------------
     # detection pipeline

@@ -1,18 +1,28 @@
-"""The slack-ratio rules written out one step per function.
+"""The slack-ratio rules and the jump draw written out one step per function.
 
 `DmrfProtocol.select_next_hop` computes the slack ratio, the thresholds, the
 rate band and the continuity pin inline, with no record and no helper call.
 These are the same rules as separate functions: the tests compare the
 protocol's decisions against them, and their worked examples pin each rule on
 its own.
+
+A jump pool holds its candidate ids and only the entries that differ from a
+fresh one. `pool_entries` lists the pool as one entry per candidate, and
+`reference_jump_target` draws from such a list as the draw was first
+written: normalize, then accumulate.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
-from dmrfsim.model import RATE_HIGH, RATE_LOW, RATE_MEDIUM, RateClass
-from dmrfsim.protocol import OMEGA_FLOOR
+from dmrfsim.model import (
+    RATE_HIGH, RATE_LOW, RATE_MEDIUM, STATE_CONG, STATE_FAULTY, STATE_JCONG, STATE_JFAULTY,
+    STATE_VOID, CandidateEntry, RateClass)
+from dmrfsim.protocol import OMEGA_FLOOR, JumpPool
 from dmrfsim.topology import UNREACHABLE
 
 
@@ -84,3 +94,39 @@ def pin_rate_continuity(previous: RateClass, computed: RateClass) -> RateClass:
     ):
         return RATE_MEDIUM
     return computed
+
+
+def pool_entries(pool: JumpPool) -> list[CandidateEntry]:
+    """A jump pool as one entry per candidate, in id order: the pool's held
+    entry, the same object, or else a fresh `CandidateEntry(id, mu)`, the
+    entry an untouched candidate reads as."""
+    held = pool.held
+    return [held[i] if i in held else CandidateEntry(c, pool.mu) for i, c in enumerate(pool.ids)]
+
+
+KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
+
+
+def reference_shares(entries: list[CandidateEntry]) -> list[float]:
+    """Each entry's share of the success ratios, summed left to right from
+    0.0; uniform when that total is not positive, and none for no entry."""
+    if not entries:
+        return []
+    total = functools.reduce(operator.add, (e.suc for e in entries), 0.0)
+    if total <= 0.0:
+        return [1.0 / len(entries)] * len(entries)
+    return [e.suc / total for e in entries]
+
+
+def reference_jump_target(entries: list[CandidateEntry], rng):
+    """The draw written out as normalize, then accumulate: known-bad
+    candidates excluded, the shares of the rest, one draw, and the id of the
+    first entry whose running sum exceeds it; no target when none is left."""
+    viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
+    if not viable:
+        return None
+    r = rng.random()
+    for acc, e in zip(itertools.accumulate(reference_shares(viable)), viable):
+        if r < acc:
+            return e.candidate
+    return viable[-1].candidate

@@ -39,7 +39,7 @@ from dmrfsim.topology import (
     deploy,
     shortest_delay_map,
 )
-from reference import classify_rate, compute_thresholds
+from reference import classify_rate, compute_thresholds, pool_entries
 
 TALLY = {"runs": 0, "injected": 0, "late_deliveries": 0, "conservation_ok": True}
 
@@ -230,7 +230,7 @@ def test_criterion_07_jump_probability_convergence():
     table = proto.build_tables()[0]
     proto.ensure_jump_entries(table)
     good, bad = 1, 2
-    assert [e.candidate for e in table.jump_pool] == [good, bad]
+    assert [e.candidate for e in pool_entries(table.jump_pool)] == [good, bad]
 
     log = []
     for i in range(20):
@@ -254,7 +254,7 @@ def test_criterion_07_jump_probability_convergence():
     expected_p = {c: (suc[c] / total if total > 0 else 0.5) for c in (good, bad)}
 
     suc_err = max(abs(table.entry(c).suc - suc[c]) for c in (good, bad))
-    p = dict(zip((good, bad), jump_probabilities(table.jump_pool)))
+    p = dict(zip((good, bad), jump_probabilities(pool_entries(table.jump_pool))))
     p_err = max(abs(p[c] - expected_p[c]) for c in (good, bad))
     mass_on_bad = p[bad]
     ok = mass_on_bad < 0.05 and suc_err <= 1e-12 and p_err <= 1e-12

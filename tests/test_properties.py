@@ -28,6 +28,13 @@ each run on a topology whose cached tables earlier runs built equals the
 same run on a fresh deploy. And so does the slow twin of records made on a
 node's first packet: a run that builds every node's record at set-up.
 
+A jump pool holds its candidate ids and only the entries that differ from a
+fresh one. Its slow twin lists the pool entry by entry before each draw and
+runs the draw as first written, normalize then accumulate, with a copy of
+the run's generator: every jump picks the same target, and every lookup by
+id finds what a scan of the listed pool finds, on the drawn scenarios, the
+drawn lines and the drawn void lines.
+
 Two rescalings by a power of two leave a run the same, because every float
 operation then rescales exactly. Time: every `_ms` field times k and the
 bandwidth over k scale every time by k and change nothing else. Space: every
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import find, given, settings
@@ -52,10 +60,11 @@ from dmrfsim.engine import (
     DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, _NodeRuntime, energy_cost,
     run)
 from dmrfsim.model import (
-    FB_JUMP_FAIL, STATE_CONG, STATE_FAULTY, STATE_NORMAL, STATE_VOID, FeedbackMessage,
-    NodeState, legal_transition)
+    FB_JUMP_FAIL, STATE_CONG, STATE_FAULTY, STATE_NORMAL, STATE_VOID, CandidateEntry,
+    FeedbackMessage, NodeState, legal_transition)
 from dmrfsim.protocol import DmrfProtocol, Jump
 from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
+from reference import pool_entries, reference_jump_target
 
 #: the states a feedback frame may report, as its kind
 REPORTED_STATES = (STATE_FAULTY, STATE_VOID, STATE_CONG, STATE_NORMAL)
@@ -175,16 +184,15 @@ class CheckedSimulation(Simulation):
             self.last_state[nid] = new
         self.checked = len(self.transitions)
         # a node off the sink's position but within jump reach of it always
-        # has a jump target: the sink's entry sits in its pool, cached
-        # NORMAL, since the sink replies NORMAL, accepts every frame and
-        # sends no feedback
+        # has a jump target: its pool lists the sink's entry, cached NORMAL,
+        # since the sink replies NORMAL, accepts every frame and sends no
+        # feedback
         topo = self.topo
         to_sink = topo.sink_distances
         for nid, table in self.tables.items():
             pool = table.jump_pool
             if pool is not None and 0.0 < to_sink[nid] <= topo.max_tx_distance:
-                entry = table.entry(topo.sink)
-                assert any(e is entry for e in pool), nid
+                [entry] = [e for e in pool_entries(pool) if e.candidate == topo.sink]
                 assert entry.cached_state is STATE_NORMAL, nid
                 self.sink_pools += 1
 
@@ -301,29 +309,42 @@ def test_engine_invariants_hold_over_small_scenarios(cfg):
         check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
 
 
+def check_lookups(table, ids) -> None:
+    """`RoutingTable.entry` against a scan of the pool listed entry by entry
+    (`pool_entries`), or of the members while no pool is built: each id in
+    `ids` the scan finds is found as the identical object when the table
+    holds it, and otherwise reads as a fresh entry and raises KeyError, as
+    does an id the scan does not find. A pool holds every member as the
+    identical object."""
+    pool = table.jump_pool
+    if pool is None:
+        scanned = table.members
+    else:
+        scanned = pool_entries(pool)
+        held = {pool.ids[i]: e for i, e in pool.held.items()}
+        assert all(held[m.candidate] is m for m in table.members), table.owner
+    for c in ids:
+        found = [e for e in scanned if e.candidate == c]
+        if found and (pool is None or held.get(c) is found[0]):
+            assert table.entry(c) is found[0], (table.owner, c)
+            continue
+        if found:
+            assert found[0] == CandidateEntry(c, pool.mu), (table.owner, c)
+        with pytest.raises(KeyError):
+            table.entry(c)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cfg=scenarios())
 def test_table_lookups_match_a_scan_of_the_pool_or_the_members(cfg):
-    """The slow twin of `RoutingTable.entry`: after a DMRF run, every id
-    finds the entry that a scan of the jump pool, or of the members while no
-    pool is built, finds first, and an id it does not find raises KeyError.
-    A pool holds every member as the identical object. (Drawn scenarios
-    build pools: see the sink-pool test above.)"""
+    """The slow twin of `RoutingTable.entry` after a DMRF run, over every id
+    and two that name no node. (Drawn scenarios build pools: see the
+    sink-pool test above.)"""
     sim = Simulation(deployed(cfg), dataclasses.replace(cfg, protocol=DMRF))
     sim.run()
     ids = [-1, *sim.topo.ids(), cfg.node_count]
     for table in sim.protocol.tables.values():
-        pool = table.jump_pool
-        if pool is not None:
-            assert all(any(e is m for e in pool) for m in table.members), table.owner
-        scanned = table.members if pool is None else pool
-        for c in ids:
-            found = [e for e in scanned if e.candidate == c]
-            if found:
-                assert table.entry(c) is found[0], (table.owner, c)
-            else:
-                with pytest.raises(KeyError):
-                    table.entry(c)
+        check_lookups(table, ids)
 
 
 def check_run(sim: CheckedSimulation, cfg) -> None:
@@ -473,6 +494,69 @@ def test_the_drawn_void_lines_check_the_cached_state_of_a_void_report():
 
     # raises NoSuchExample when no drawn line delivers a VOID report
     find(void_lines(), delivers_a_void_report,
+         settings=settings(max_examples=100, derandomize=True, database=None))
+
+
+class TwinDrawSimulation(Simulation):
+    """A DMRF run whose every jump draw is checked against its slow twin.
+
+    Before the draw the pool is listed entry by entry, and the draw as first
+    written (`reference_jump_target`) runs on that list with a copy of the
+    run's generator. The run's own draw must pick the same target and leave
+    the generator in the same state; then every pool id and a few others
+    must look up as a scan of the listed pool finds them. `mixed` counts the
+    draws over a pool holding an entry that is not cached NORMAL or whose
+    `suc` is not 1.0."""
+
+    def __init__(self, topo, cfg) -> None:
+        super().__init__(topo, dataclasses.replace(cfg, protocol=DMRF))
+        self.mixed = 0
+        protocol = self.protocol
+        jump = protocol._jump
+
+        def twinned(table, rng):
+            protocol.ensure_jump_entries(table)
+            listed = pool_entries(table.jump_pool)
+            twin_rng = random.Random()
+            twin_rng.setstate(rng.getstate())
+            expected = reference_jump_target(listed, twin_rng)
+            decision = jump(table, rng)
+            assert (decision.next if type(decision) is Jump else None) == expected, table.owner
+            assert rng.getstate() == twin_rng.getstate(), table.owner
+            check_lookups(table, [-1, *table.jump_pool.ids, table.owner])
+            self.mixed += any(e.cached_state is not STATE_NORMAL or e.suc != 1.0
+                              for e in table.jump_pool.held.values())
+            return decision
+
+        protocol._jump = twinned
+
+
+#: every drawn case as (topology, config): the scenarios, the lines whose
+#: relays queue and the lines with a void
+DRAWN_CASES = st.one_of(scenarios().map(lambda cfg: (deployed(cfg), cfg)), relay_jams(),
+                        void_lines())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=DRAWN_CASES)
+def test_every_jump_draws_as_the_reference_draws_over_the_listed_pool(case):
+    """The jump pools' slow twin, `TwinDrawSimulation`, over every drawn
+    case."""
+    topo, cfg = case
+    TwinDrawSimulation(topo, cfg).run()
+
+
+def test_the_drawn_cases_check_draws_over_pools_of_touched_entries():
+    """The twin above checks draws whose pool holds an entry that reads
+    unlike a fresh one, where a wrong reading of held or untouched entries
+    would show: some drawn case makes one."""
+    def draws_over_a_touched_pool(case):
+        sim = TwinDrawSimulation(*case)
+        sim.run()
+        return sim.mixed > 0
+
+    # raises NoSuchExample when no drawn case draws over such a pool
+    find(DRAWN_CASES, draws_over_a_touched_pool,
          settings=settings(max_examples=100, derandomize=True, database=None))
 
 

@@ -5,10 +5,8 @@ and are frozen: a change in any of them is a behavior change, not a
 refactoring artifact.
 """
 
-import functools
 import itertools
 import math
-import operator
 import random
 
 import pytest
@@ -37,18 +35,23 @@ from dmrfsim.protocol import (
     DmrfProtocol,
     Forward,
     Jump,
+    JumpPool,
     RoutingTable,
     choose_jump_target,
     jump_probabilities,
 )
 from dmrfsim.topology import Topology, UNREACHABLE
 from reference import (
+    KNOWN_BAD,
     NoRouteError,
     Thresholds,
     classify_rate,
     compute_lambda,
     compute_thresholds,
     pin_rate_continuity,
+    pool_entries,
+    reference_jump_target,
+    reference_shares,
 )
 
 STATES = (STATE_NORMAL, STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
@@ -189,19 +192,24 @@ def test_jump_probabilities_returns_a_list_that_reads_twice(sucs):
     assert all(0.0 <= p <= 1.0 for p in shares)
 
 
+def held_pool(*entries):
+    """A jump pool whose every candidate is held: `entries`, in id order."""
+    return JumpPool([e.candidate for e in entries], dict(enumerate(entries)), MU)
+
+
 def test_choose_jump_target_samples_cumulatively():
     a = CandidateEntry(candidate=1, suc=0.75)
     b = CandidateEntry(candidate=2, suc=0.5)
     # p = (0.6, 0.4): draws below 0.6 pick 1, above pick 2
-    assert choose_jump_target([a, b], FixedRng([0.59])) is a
-    assert choose_jump_target([a, b], FixedRng([0.61])) is b
+    assert choose_jump_target(held_pool(a, b), FixedRng([0.59])) is a
+    assert choose_jump_target(held_pool(a, b), FixedRng([0.61])) is b
 
 
 def test_choose_jump_target_excludes_known_bad_and_renormalizes():
     a = CandidateEntry(candidate=1, suc=0.75, cached_state=STATE_CONG)
     b = CandidateEntry(candidate=2, suc=0.5)
     # only b is viable, so any draw picks it
-    assert choose_jump_target([a, b], FixedRng([0.99])) is b
+    assert choose_jump_target(held_pool(a, b), FixedRng([0.99])) is b
 
 
 def test_choose_jump_target_without_a_viable_member_is_none():
@@ -209,45 +217,37 @@ def test_choose_jump_target_without_a_viable_member_is_none():
     generator is not drawn from."""
     a = CandidateEntry(candidate=1, cached_state=STATE_FAULTY)
     b = CandidateEntry(candidate=2, cached_state=STATE_VOID)
-    for pool in ([a, b], [a], []):
+    for pool in (held_pool(a, b), held_pool(a), held_pool()):
         assert choose_jump_target(pool, FixedRng([])) is None
 
 
 def test_choose_jump_target_past_a_float_shortfall_takes_the_last_viable():
     # ten equal shares of 0.1 accumulate to 1 - 2**-53, not 1: the largest
     # draw random() returns is then past every running sum
-    pool = [CandidateEntry(candidate=i) for i in range(10)]
-    assert list(itertools.accumulate(jump_probabilities(pool)))[-1] == 1 - 2.0**-53
-    pool.append(CandidateEntry(candidate=10, cached_state=STATE_FAULTY))
-    assert choose_jump_target(pool, FixedRng([1 - 2.0**-53])) is pool[9]
+    pool = JumpPool(list(range(11)), {10: CandidateEntry(candidate=10, cached_state=STATE_FAULTY)},
+                    MU)
+    entries = pool_entries(pool)
+    assert list(itertools.accumulate(jump_probabilities(entries[:10])))[-1] == 1 - 2.0**-53
+    drawn = choose_jump_target(pool, FixedRng([1 - 2.0**-53]))
+    # the untouched candidate 9 gets its entry at the draw, held from then on
+    # (at position 9: here each id is its position)
+    assert drawn == entries[9] == CandidateEntry(9, MU)
+    assert pool.held[9] is drawn and sorted(pool.held) == [9, 10]
+    assert choose_jump_target(pool, FixedRng([1 - 2.0**-53])) is drawn
 
 
-KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)
-
-
-def reference_shares(entries):
-    """Each entry's share of the success ratios, summed left to right from
-    0.0; uniform when that total is not positive, and none for no entry."""
-    if not entries:
-        return []
-    total = functools.reduce(operator.add, (e.suc for e in entries), 0.0)
-    if total <= 0.0:
-        return [1.0 / len(entries)] * len(entries)
-    return [e.suc / total for e in entries]
-
-
-def reference_jump_target(entries, rng):
-    """The draw written out as normalize, then accumulate: known-bad
-    candidates excluded, the shares of the rest, one draw, and the first
-    entry whose running sum exceeds it; no target when none is left."""
-    viable = [e for e in entries if e.cached_state not in KNOWN_BAD]
-    if not viable:
-        return None
-    r = rng.random()
-    for acc, e in zip(itertools.accumulate(reference_shares(viable)), viable):
-        if r < acc:
-            return e.candidate
-    return viable[-1].candidate
+def test_an_untouched_candidate_reads_as_a_fresh_entry():
+    """Only the members are held when a pool is built; every other candidate
+    lists as `CandidateEntry(id, mu)`, cached NORMAL with `suc` 1.0, and
+    has no entry for `RoutingTable.entry` to find until it is drawn."""
+    proto, table = two_candidate_table()
+    proto.ensure_jump_entries(table)
+    assert table.jump_pool.ids == [1, 2, 3]
+    assert pool_entries(table.jump_pool)[2] == CandidateEntry(3, MU)
+    with pytest.raises(KeyError):
+        table.entry(3)
+    # three equal shares: 0.99 picks the last
+    assert choose_jump_target(table.jump_pool, FixedRng([0.99])) is table.entry(3)
 
 
 class PinnedRandom(random.Random):
@@ -272,7 +272,7 @@ SUCS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     pool=st.one_of(
-        st.lists(st.tuples(SUCS, st.sampled_from(STATES)), max_size=60),
+        st.lists(st.one_of(st.none(), st.tuples(SUCS, st.sampled_from(STATES))), max_size=60),
         st.tuples(SUCS, st.sampled_from(STATES)).map(lambda entry: [entry]),
     ),
     all_zero=st.booleans(),
@@ -282,22 +282,30 @@ SUCS = st.one_of(
 )
 # the empty pool: no shares and no target
 @example(pool=[], all_zero=False, seed=0, pin="draw", edge=0)
+# a pool of untouched candidates only
+@example(pool=[None] * 7, all_zero=False, seed=0, pin="draw", edge=0)
 def test_choose_jump_target_matches_normalize_then_accumulate(
     pool, all_zero, seed, pin, edge
 ):
-    """The pick and the generator state after it equal the reference draw,
-    on pools of mixed cached states, zero, subnormal and all-zero success
-    mass, single entries and none; the shares equal jump_probabilities."""
+    """The pick and the generator state after it equal the reference draw
+    over the pool listed entry by entry, on pools of held entries in mixed
+    cached states, zero, subnormal and all-zero success mass, untouched
+    candidates (None), single entries and none; the shares equal
+    jump_probabilities. A pick with no held entry gets a fresh one."""
 
-    def entries():
-        return [
-            CandidateEntry(candidate=i, suc=0.0 if all_zero else suc, cached_state=state)
-            for i, (suc, state) in enumerate(pool)
-        ]
+    def subject():
+        # odd ids, so that an id is no position in the pool
+        ids = [2 * i + 1 for i in range(len(pool))]
+        held = {
+            i: CandidateEntry(candidate=c, delay_est=MU, suc=0.0 if all_zero else slot[0],
+                              cached_state=slot[1])
+            for i, (c, slot) in enumerate(zip(ids, pool)) if slot is not None
+        }
+        return JumpPool(ids, held, MU)
 
     # the running sums of the reference's shares are where the two rules
     # could part, so some draws are pinned onto them or one ulp below
-    viable = [e for e in entries() if e.cached_state not in KNOWN_BAD]
+    viable = [e for e in pool_entries(subject()) if e.cached_state not in KNOWN_BAD]
     shares = reference_shares(viable)
     assert jump_probabilities(viable) == shares
     edges = list(itertools.accumulate(shares))
@@ -312,13 +320,21 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
 
     expected_rng, actual_rng = PinnedRandom(seed), PinnedRandom(seed)
     expected_rng.value = actual_rng.value = value
-    expected = reference_jump_target(entries(), expected_rng)
-    subject = entries()
-    actual = choose_jump_target(subject, actual_rng)
-    # the pick is the subject's own entry, for the jump's result to update
+    expected = reference_jump_target(pool_entries(subject()), expected_rng)
+    actual_pool = subject()
+    before = dict(actual_pool.held)
+    actual = choose_jump_target(actual_pool, actual_rng)
     assert (None if actual is None else actual.candidate) == expected
-    assert actual is None or actual is subject[actual.candidate]
     assert actual_rng.getstate() == expected_rng.getstate()
+    if actual is None:
+        assert actual_pool.held == before
+        return
+    # the pick is the pool's own entry, for the jump's result to update:
+    # the one held, or one made fresh at the draw and held from then on
+    i = actual_pool.ids.index(actual.candidate)
+    assert actual_pool.held[i] is actual
+    assert actual is before[i] if i in before else actual == CandidateEntry(actual.candidate, MU)
+    assert actual_pool.held.keys() - before.keys() <= {i}
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +370,13 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
     # 4 is out of the jump question twice over: beyond max_tx and farther
     # from the sink than the owner
     pool = table.jump_pool
-    assert [e.candidate for e in pool] == [1, 2, 3]
-    assert all(table.entry(e.candidate) is e for e in pool)
+    assert [e.candidate for e in pool_entries(pool)] == [1, 2, 3]
+    # the one member, 1, is held as itself; 2 and 3 hold no entry yet
+    assert all(table.entry(pool.ids[i]) is e for i, e in pool.held.items())
+    assert [pool.ids[i] for i in pool.held] == [e.candidate for e in table.members] == [1]
+    for c in (2, 3):
+        with pytest.raises(KeyError):
+            table.entry(c)
     # materialization is idempotent
     proto.ensure_jump_entries(table)
     assert table.jump_pool is pool
@@ -947,11 +968,12 @@ def test_a_forward_result_updates_the_member_its_forward_carried(acked):
     assert isinstance(d, Forward)
     entry = d.entry
     assert entry is table.entry(d.next)
-    assert any(e is entry for e in table.members) and any(e is entry for e in table.jump_pool)
+    entries = pool_entries(table.jump_pool)
+    assert any(e is entry for e in table.members) and any(e is entry for e in entries)
     entry.misses = 1
     proto.on_forward_result(table, entry, acked, now=1.0)
     assert entry.misses == (0 if acked else 2)
-    assert [e.misses for e in table.jump_pool if e is not entry] == [0, 0]
+    assert [e.misses for e in pool_entries(table.jump_pool) if e is not entry] == [0, 0]
 
 
 @pytest.mark.parametrize("acked", [True, False])
@@ -962,10 +984,10 @@ def test_a_jump_result_updates_the_pool_entry_that_was_drawn(acked):
     packet = make_packet(0, now=0.0, lifetime=0.5)
     d = proto.select_next_hop(table, packet, now=0.0, rng=FixedRng([0.99]))
     assert isinstance(d, Jump) and d.next == 3
-    assert d.entry is table.jump_pool[-1] and d.entry is table.entry(3)
+    assert d.entry is pool_entries(table.jump_pool)[-1] and d.entry is table.entry(3)
     proto.on_jump_result(table, d.entry, acked, now=1.0)
     assert (d.entry.attempts, d.entry.successes) == (1, int(acked))
-    assert [e.attempts for e in table.jump_pool] == [0, 0, 1]
+    assert [e.attempts for e in pool_entries(table.jump_pool)] == [0, 0, 1]
 
 
 def test_first_jump_failure_zeroes_the_candidate():
@@ -974,8 +996,8 @@ def test_first_jump_failure_zeroes_the_candidate():
     proto.on_jump_result(table, table.entry(1), False, now=0.0)
     assert table.entry(1).suc == 0.0
     # and the pool's probability mass moves away from it
-    shares = dict(zip([e.candidate for e in table.jump_pool],
-                      jump_probabilities(table.jump_pool)))
+    entries = pool_entries(table.jump_pool)
+    shares = dict(zip([e.candidate for e in entries], jump_probabilities(entries)))
     assert shares[1] == 0.0
     assert sum(p for c, p in shares.items() if c != 1) == pytest.approx(1.0)
 

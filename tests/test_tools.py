@@ -23,9 +23,13 @@ def load(name: str):
 
 def test_bytes_per_node_counts_the_probe_links_of_a_dmrf_run():
     tool = load("bytes_per_node")
-    peak, links = tool.measure(25, DMRF, tool.SHAPES[0][1])
+    peak, links, *_ = tool.measure(25, DMRF, tool.SHAPES[0][1])
     assert peak > 0
     assert links > 0
+    # packets short of slack jump, so pools are built: each lists every
+    # candidate and holds an entry for only some
+    *_, candidates, held = tool.measure(25, DMRF, {"packet_count": 5, "packet_lifetime_ms": 2.0})
+    assert 0 < held < candidates
 
 
 def test_op_count_repeats_its_counts_and_a_warm_setup_costs_less_than_a_cold_one():

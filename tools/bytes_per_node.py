@@ -1,4 +1,5 @@
-"""Measure the memory a run holds per node and per probe link.
+"""Measure the memory a run holds per node, per probe link and per jump
+pool candidate.
 
 For N = 900, 3,600 and 10,000 nodes at the table2 density (a square of side
 `20 * sqrt(N / 400)` m, the preset's 400 nodes on 20 m), runs DMRF and
@@ -7,8 +8,11 @@ then 20 packets and no horizon but the default, and prints the
 `tracemalloc` peak over deploy, `Simulation` construction and `run()`,
 divided by N. For DMRF it also prints the live probe links, those of the
 probe layout whose peer is alive, and the peak divided by them: the bytes a
-run holds per link, node records and neighbour lists included. A baseline
-probes nothing and prints `-` there.
+run holds per link, node records and neighbour lists included. And it
+prints the candidates its jump pools list, the entries those pools hold
+(members and drawn targets; any other candidate holds none), and the peak
+divided by the candidates. A baseline probes nothing and builds no pool,
+and prints `-` there.
 
 A small warm-up run first settles the allocations made once per process, so
 the order of the rows changes nothing. The output is the same from run to
@@ -47,9 +51,10 @@ def config(node_count: int, protocol: str, shape: dict):
                       "protocol": protocol, **shape})
 
 
-def measure(node_count: int, protocol: str, shape: dict) -> tuple[int, int]:
-    """The `tracemalloc` peak of deploy, construction and run, in bytes, and
-    the run's live probe links."""
+def measure(node_count: int, protocol: str, shape: dict) -> tuple[int, int, int, int]:
+    """The `tracemalloc` peak of deploy, construction and run, in bytes, the
+    run's live probe links, and its jump pools' candidates and held
+    entries."""
     cfg = config(node_count, protocol, shape)
     gc.collect()
     tracemalloc.start()
@@ -65,7 +70,11 @@ def measure(node_count: int, protocol: str, shape: dict) -> tuple[int, int]:
     # baseline's protocol object has none
     layout = getattr(sim.protocol, "_layout", None)
     links = len(layout[2]) if layout is not None else 0
-    return peak, links
+    pools = [t.jump_pool for t in getattr(sim.protocol, "tables", {}).values()
+             if t.jump_pool is not None]
+    candidates = sum(len(pool.ids) for pool in pools)
+    held = sum(len(pool.held) for pool in pools)
+    return peak, links, candidates, held
 
 
 def main() -> None:
@@ -74,13 +83,16 @@ def main() -> None:
     for title, shape in SHAPES:
         print(f"\n{title}")
         print(f"{'N':>7}  {'protocol':<18}{'B per node':>11}{'probe links':>13}"
-              f"{'B per link':>11}")
+              f"{'B per link':>11}{'pool cands':>12}{'pool entries':>14}{'B per cand':>12}")
         for node_count in NODE_COUNTS:
             for protocol in PROTOCOLS:
-                peak, links = measure(node_count, protocol, shape)
+                peak, links, candidates, held = measure(node_count, protocol, shape)
                 per_link = f"{peak / links:,.0f}" if links else "-"
+                per_candidate = f"{peak / candidates:,.0f}" if candidates else "-"
+                pooled = (f"{candidates:>12,}{held:>14,}" if protocol == DMRF
+                          else f"{'-':>12}{'-':>14}")
                 print(f"{node_count:>7,}  {protocol:<18}{peak / node_count:>11,.0f}"
-                      f"{links:>13,}{per_link:>11}")
+                      f"{links:>13,}{per_link:>11}{pooled}{per_candidate:>12}")
 
 
 if __name__ == "__main__":

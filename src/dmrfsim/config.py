@@ -204,6 +204,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             key, f"expected a pair of finite numbers, got {v!r}")
     _check(cfg.region[0] > 0 and cfg.region[1] > 0, "region",
            "both extents must be positive")
+    # the neighbour grid numbers its cells by position over comm_radius
+    _check(_finite_result(lambda: max(cfg.region) / cfg.comm_radius), "comm_radius",
+           f"too small for the region: {max(cfg.region)!r} m over {cfg.comm_radius!r} m "
+           "is not a finite number of cells")
     _check(cfg.distribution in DISTRIBUTIONS, "distribution",
            f"expected one of {sorted(DISTRIBUTIONS)}, got {cfg.distribution!r}")
     _check(cfg.protocol in PROTOCOLS, "protocol",

@@ -6,7 +6,9 @@ learned success ratios, and feedback-driven table adjustment. The control
 plane runs on the engine's heap: probe rounds and their timeouts, feedback
 frames and congestion notices, and the retry of a refused send. A feedback
 frame is a jump failure or a state report, whose kind is the reported state
-itself: the receiver caches it as it arrives.
+itself: the receiver caches it as it arrives. A frame is sent where it is
+decided: a state report as the transition is made, a jump failure as it is
+counted.
 
 Each node's state lives in a RoutingTable owned by exactly one simulation
 run; the engine serializes all calls.
@@ -240,16 +242,21 @@ def choose_jump_target(pool: JumpPool, rng: random.Random) -> CandidateEntry | N
 class DmrfProtocol:
     """DMRF's decision logic over RoutingTables, and its control plane.
 
-    Bound to one (full) topology per run. Its decision methods take a table
-    and touch nothing else. Once `start` binds it to a `Simulation`, it
-    also runs the control plane through that simulation's heap, delay
-    stream, pricing and metrics: probe rounds and their timeouts, feedback
-    frames and congestion notices, and the retry of a refused send. The
-    engine keeps event timing, queues, buffers and the data plane. Every
-    parameter is read from the run's `cfg`; `mu` is its mean hop delay.
-    Only the protocol writes a table's decision state, and every state
-    transition of the run's tables is appended to `transitions` as (time,
-    node, old, new) when it happens.
+    Bound to one (full) topology per run. Its detection and decision
+    methods work on the table they are given, and report what they decide
+    through `_report`: a state transition or a jump failure goes out as a
+    control frame to the table's upstream hop, and a recovery also to every
+    sender it warned. A table with no upstream hop and no warned sender
+    sends nothing, so these methods run on a protocol that has joined no
+    run too. Once `start` binds it to a `Simulation`, it also runs the
+    control plane through that simulation's heap, delay stream, pricing and
+    metrics: probe rounds and their timeouts, feedback frames and
+    congestion notices, and the retry of a refused send. The engine keeps
+    event timing, queues, buffers and the data plane. Every parameter is
+    read from the run's `cfg`; `mu` is its mean hop delay. Only the
+    protocol writes a table's decision state, and every state transition of
+    the run's tables is appended to `transitions` as (time, node, old, new)
+    when it happens.
     """
 
     def __init__(self, topo: Topology, cfg: ScenarioConfig) -> None:
@@ -353,9 +360,7 @@ class DmrfProtocol:
         _cache_state(table, entry, STATE_FAULTY)
         return False
 
-    def on_offer(
-        self, table: RoutingTable, buffer_used: float, now: float
-    ) -> list[FeedbackMessage]:
+    def on_offer(self, table: RoutingTable, buffer_used: float, now: float) -> None:
         """A packet offered to the node, whether or not it fits: fold it into
         the arrival-rate estimate, then check the buffer."""
         last = table.last_arrival
@@ -364,11 +369,9 @@ class DmrfProtocol:
             if gap > 0:
                 table.arrival_ewma = 0.5 * table.arrival_ewma + 0.5 / gap
         table.last_arrival = now
-        return self.detect_congestion(table, buffer_used, now)
+        self.detect_congestion(table, buffer_used, now)
 
-    def detect_congestion(
-        self, table: RoutingTable, buffer_used: float, now: float
-    ) -> list[FeedbackMessage]:
+    def detect_congestion(self, table: RoutingTable, buffer_used: float, now: float) -> None:
         """Predictive occupancy check with hysteresis on the way down. An
         arrival estimate idle for a probe period is halved first."""
         cfg = self.cfg
@@ -385,15 +388,17 @@ class DmrfProtocol:
         elif table.own_congested and predicted < cfg.theta_cong - cfg.cong_hysteresis:
             table.own_congested = False
             table.dirty = True
-        return self.reevaluate(table, now) if table.dirty else []
+        if table.dirty:
+            self.reevaluate(table, now)
 
-    def reevaluate(self, table: RoutingTable, now: float) -> list[FeedbackMessage]:
+    def reevaluate(self, table: RoutingTable, now: float) -> None:
         """Derive the node's state from its own buffer flag and the cached
-        candidate states, emitting feedback on every transition. Those are
-        its only inputs, so while table.dirty is clear the state is current.
+        candidate states, and `_report` each transition as it is made. Those
+        are its only inputs, so while table.dirty is clear the state is
+        current.
         """
         if not table.dirty:
-            return []
+            return
         table.dirty = False
         # one pass: does every member sit in VOID, in a dead state, in a
         # congested state? Stops at the first member that rules out all three
@@ -419,7 +424,7 @@ class DmrfProtocol:
         else:
             target = STATE_NORMAL
         if target is table.state:
-            return []
+            return
         # entering CONG is only legal from NORMAL or JCONG; a node whose
         # candidates just healed while its own buffer is hot recovers first
         if target is STATE_CONG and table.state not in CONG_SOURCES:
@@ -427,7 +432,6 @@ class DmrfProtocol:
         else:
             steps = [target]
         states = [e.cached_state for e in table.members]
-        messages = []
         for nxt in steps:
             if not legal_transition(table.state, nxt, states):
                 raise InvariantError(
@@ -435,8 +439,7 @@ class DmrfProtocol:
                 )
             self.transitions.append((now, table.owner, table.state, nxt))
             table.state = nxt
-            messages.append(FeedbackMessage(FEEDBACK_ON_ENTRY[nxt]))
-        return messages
+            self._report(table, FeedbackMessage(FEEDBACK_ON_ENTRY[nxt]), now)
 
     # ------------------------------------------------------------------
     # forwarding decisions
@@ -521,7 +524,7 @@ class DmrfProtocol:
 
     def on_forward_result(
         self, table: RoutingTable, entry: CandidateEntry, success: bool, now: float
-    ) -> list[FeedbackMessage]:
+    ) -> None:
         """Data-transmission acknowledgment outcome for a hop-by-hop hop to
         the member `entry`, the one its Forward carried.
 
@@ -530,28 +533,30 @@ class DmrfProtocol:
         """
         if success:
             self._trust(table, entry)
-            return []
+            return
         self._distrust(table, entry)
-        return self.reevaluate(table, now)
+        self.reevaluate(table, now)
 
     def on_jump_result(
         self, table: RoutingTable, entry: CandidateEntry, success: bool, now: float
-    ) -> list[FeedbackMessage]:
+    ) -> None:
         """Update the jump statistics of the pool entry `entry`, the one its
         Jump carried, after an acknowledged (or timed-out) jump.
 
         The failed attempt is counted before the penalty ratio is taken, so
-        successes never exceed attempts.
+        successes never exceed attempts. A failure reports a JUMP_FAIL
+        before the node's state is re-derived.
         """
         entry.attempts += 1
         if success:
             entry.successes += 1
             entry.suc = entry.successes / entry.attempts
             self._trust(table, entry)
-            return []
+            return
         entry.suc = max(0, entry.successes - 1) / entry.attempts
         self._distrust(table, entry)
-        return [FeedbackMessage(FB_JUMP_FAIL), *self.reevaluate(table, now)]
+        self._report(table, FeedbackMessage(FB_JUMP_FAIL), now)
+        self.reevaluate(table, now)
 
     def on_feedback(
         self,
@@ -560,23 +565,24 @@ class DmrfProtocol:
         from_node: NodeId,
         now: float,
         rng: random.Random,
-    ) -> list[FeedbackMessage]:
-        """Apply a control message from downstream and return the feedback
-        it causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or
-        the feedback of any state change the update triggered. The sender
-        is always a node this one sent data to, so the table holds its entry.
+    ) -> None:
+        """Apply a control message from downstream and report what it
+        causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or any
+        state change the update triggered. The sender is always a node this
+        one sent data to, so the table holds its entry.
         """
         entry = table.entry(from_node)
         if msg.kind is FB_JUMP_FAIL:
             # distrust the direction the bad news came from
             entry.suc *= rng.random()
             if msg.hop_limit > 1:
-                return [FeedbackMessage(msg.kind, msg.hop_limit - 1)]
-            return []
+                self._report(table, FeedbackMessage(msg.kind, msg.hop_limit - 1), now)
+            return
         # every other kind is the state its sender reports, which is proof
         # of life; latest report wins
         _cache_state(table, entry, msg.kind)
-        return self.reevaluate(table, now) if table.dirty else []
+        if table.dirty:
+            self.reevaluate(table, now)
 
     # ------------------------------------------------------------------
     # the run: set-up, the engine's hooks and the control plane
@@ -620,9 +626,7 @@ class DmrfProtocol:
         timeout."""
         if receiver is not None and not receiver.is_sink:
             target = self.tables[receiver.id]
-            fbs = self.on_offer(target, receiver.buffer_used, now)
-            if fbs:
-                self._send_feedbacks(target, fbs, now)
+            self.on_offer(target, receiver.buffer_used, now)
             if not accepted:
                 self._notify_congestion(target, sender.id, now)
             else:
@@ -631,11 +635,9 @@ class DmrfProtocol:
                     self._notify_congestion(target, sender.id, now)
         table = self.tables[sender.id]
         if type(decision) is Jump:
-            fbs = self.on_jump_result(table, decision.entry, accepted, now)
+            self.on_jump_result(table, decision.entry, accepted, now)
         else:
-            fbs = self.on_forward_result(table, decision.entry, accepted, now)
-        if fbs:
-            self._send_feedbacks(table, fbs, now)
+            self.on_forward_result(table, decision.entry, accepted, now)
         if accepted:
             return True
         self.sim()._try_start(sender, now, stall=self.cfg.ack_timeout_ms)
@@ -662,29 +664,33 @@ class DmrfProtocol:
         sim._schedule(now + self._feedback_delay, FEEDBACK_DELIVERY, (msg, sender, receiver))
         sim.metrics.energy_total_j += sim._price(sim.nodes[sender], receiver, CONTROL_FRAME_BITS)
 
-    def _send_feedbacks(self, table: RoutingTable, feedbacks: list[FeedbackMessage],
-                        now: float) -> None:
-        """Queue state reports and jump failures to the node's upstream hop.
+    def _report(self, table: RoutingTable, fb: FeedbackMessage, now: float) -> None:
+        """Send one state report or jump failure of the table's node to its
+        upstream hop.
 
         A NORMAL report, a recovery, is fanned out to every sender that was
         warned during the congestion episode, so nobody is left avoiding a
-        healthy node. A CONG report counts the upstream hop as warned.
+        healthy node. A CONG report counts the upstream hop as warned, and
+        goes to it warned or not: the once-per-episode rule is
+        `_notify_congestion`'s alone. A table with no upstream hop and no
+        warned sender sends nothing.
         """
         upstream = table.upstream
-        for fb in feedbacks:
-            if fb.kind is STATE_NORMAL:
-                dests = table.cong_notified
-                table.cong_notified = _NO_NOTICES
-                for dest in sorted(dests if upstream is None else dests | {upstream}):
-                    self._send_control(fb, table.owner, dest, now)
-            elif upstream is not None:
-                self._send_control(fb, table.owner, upstream, now)
-                if fb.kind is STATE_CONG:
-                    table.cong_notified = table.cong_notified | {upstream}
+        if fb.kind is STATE_NORMAL:
+            dests = table.cong_notified
+            table.cong_notified = _NO_NOTICES
+            for dest in sorted(dests if upstream is None else dests | {upstream}):
+                self._send_control(fb, table.owner, dest, now)
+        elif upstream is not None:
+            self._send_control(fb, table.owner, upstream, now)
+            if fb.kind is STATE_CONG:
+                table.cong_notified = table.cong_notified | {upstream}
 
     def _notify_congestion(self, table: RoutingTable, sender: NodeId, now: float) -> None:
         """Tell a data sender it is pushing into a congested buffer; at most
-        once per sender per congestion episode."""
+        once per sender per congestion episode. The rule covers these
+        notices only: a CONG state report goes to the upstream hop even if
+        it was warned already (see `_report`)."""
         if sender in table.cong_notified:
             return
         self._send_control(FeedbackMessage(STATE_CONG), table.owner, sender, now)
@@ -754,7 +760,8 @@ class DmrfProtocol:
         the silence of the silent ones, and drops from the layout each
         silent link whose entry it finds at `misses_to_faulty` misses. Then
         each prober, in id order, re-derives its state if its table was left
-        dirty, checks its own buffer and sends its feedback. One never
+        dirty, then checks its own buffer; each step reports the transitions
+        it makes as it makes them. One never
         offered a packet checks its buffer at its first timeout only: its
         inputs, the standing preload and an arrival EWMA of 0.0, never
         change, and its table is clean once re-derived. A node no packet has
@@ -767,23 +774,18 @@ class DmrfProtocol:
         nodes = sim.nodes
         first_timeout = now == self.cfg.probe_timeout_ms  # every prober first probes at 0
         for table in self._probers:
-            fbs = reevaluate(table, now) if table.dirty else None
+            if table.dirty:
+                reevaluate(table, now)
             if table.last_arrival is not None or first_timeout:
                 try:
                     used = nodes[table.owner].buffer_used
                 except KeyError:  # an idle prober, still at its standing level
                     used = sim.standing_level(table.owner)
-                checked = detect_congestion(table, used, now)
-                fbs = fbs + checked if fbs else checked
-            if fbs:
-                self._send_feedbacks(table, fbs, now)
+                detect_congestion(table, used, now)
 
     def on_feedback_delivery(self, payload: tuple[FeedbackMessage, NodeId, NodeId],
                              now: float) -> None:
         """FEEDBACK_DELIVERY: a control frame reaches its receiver."""
         msg, sender, receiver = payload
         self.sim().metrics.control_packets += 1
-        table = self.tables[receiver]
-        fbs = self.on_feedback(table, msg, sender, now, self.rng)
-        if fbs:
-            self._send_feedbacks(table, fbs, now)
+        self.on_feedback(self.tables[receiver], msg, sender, now, self.rng)

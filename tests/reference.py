@@ -10,6 +10,10 @@ A jump pool holds its candidate ids and only the entries that differ from a
 fresh one. `pool_entries` lists the pool as one entry per candidate, and
 `reference_jump_target` draws from such a list as the draw was first
 written: normalize, then accumulate.
+
+DMRF sends each state report and jump failure where it decides it.
+`record_reports` keeps them in a list instead, so a test reads what a
+protocol that joined no run would have sent.
 """
 
 from __future__ import annotations
@@ -130,3 +134,11 @@ def reference_jump_target(entries: list[CandidateEntry], rng):
         if r < acc:
             return e.candidate
     return viable[-1].candidate
+
+
+def record_reports(proto) -> list:
+    """Make `proto` append each frame it reports to the list returned, in
+    report order, in place of sending it."""
+    reports = []
+    proto._report = lambda table, fb, now: reports.append(fb)
+    return reports

@@ -231,6 +231,16 @@ def test_a_probe_period_below_the_clock_resolution_exits_one(tmp_path):
     assert proc.stdout == ""
 
 
+def test_a_comm_radius_too_small_for_the_region_exits_one(tmp_path, capsys):
+    # 4 m over 5e-324 m overflows a float: the neighbour grid cannot be built
+    path = tmp_path / "tiny-radius.json"
+    path.write_text(json.dumps(
+        {"node_count": 25, "region": [4.0, 4.0], "packet_count": 3, "comm_radius": 5e-324}
+    ))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "comm_radius" in capsys.readouterr().err
+
+
 def test_infinite_injection_period_exits_one(tmp_path, capsys):
     # JSON's Infinity literal: packet 0 would be injected at 0 * inf = NaN ms
     path = tmp_path / "inf.json"

@@ -104,6 +104,26 @@ def test_node_count_is_bounded_so_a_deploy_cannot_exhaust_memory():
         from_dict({"node_count": 10**20, "packet_count": 3})
 
 
+#: configs whose comm_radius is so small beside the region that a position
+#: over it overflows a float: the neighbour grid could not number its cells
+TINY_RADIUS = [
+    {"node_count": 25, "region": [4.0, 4.0], "packet_count": 3, "comm_radius": 5e-324},
+    {"node_count": 25, "region": [1e308, 1e308], "packet_count": 3, "comm_radius": 1e-10,
+     "max_tx_distance": 1e-10},
+]
+
+
+@pytest.mark.parametrize("raw", TINY_RADIUS, ids=["subnormal", "huge-region"])
+def test_a_comm_radius_too_small_for_the_region_is_named(raw):
+    with pytest.raises(ConfigError, match="^comm_radius: too small for the region"):
+        from_dict(raw)
+
+
+def test_a_comm_radius_far_below_the_region_is_accepted_while_the_ratio_is_finite():
+    validate(ScenarioConfig(region=(4.0, 4.0), comm_radius=1e-300))
+    validate(ScenarioConfig(region=(1e308, 1e308), comm_radius=1.0))
+
+
 #: an int that JSON reads exactly but no float can hold
 HUGE = 10**400
 

@@ -47,15 +47,17 @@ from dmrfsim.engine import (
 )
 from dmrfsim.model import (
     FB_JUMP_FAIL,
+    PROBE_TIMEOUT,
     RATE_MEDIUM,
     STATE_CONG,
     STATE_FAULTY,
+    STATE_JCONG,
     STATE_NORMAL,
     FeedbackMessage,
     InvariantError,
     make_packet,
 )
-from dmrfsim.protocol import Forward
+from dmrfsim.protocol import Forward, Jump
 from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
 
 
@@ -859,8 +861,7 @@ def frames_since(sim, seq):
 
 def feedback_upstream(sim, table, receiver):
     table.upstream = receiver
-    fb = FeedbackMessage(kind=STATE_CONG)
-    sim.protocol._send_feedbacks(table, [fb], 0.0)
+    sim.protocol._report(table, FeedbackMessage(kind=STATE_CONG), 0.0)
 
 
 def congestion_notice(sim, table, receiver):
@@ -909,10 +910,47 @@ def test_recovery_reaches_every_warned_sender_and_the_upstream():
     table.cong_notified = frozenset({4, 1, 0})
     table.upstream = 1
     seq = sim._seq
-    fb = FeedbackMessage(kind=STATE_NORMAL)
-    sim.protocol._send_feedbacks(table, [fb], 0.0)
+    sim.protocol._report(table, FeedbackMessage(kind=STATE_NORMAL), 0.0)
     assert frames_since(sim, seq) == [(2, r, STATE_NORMAL) for r in (0, 1, 4)]
     assert table.cong_notified == set()
+
+
+def test_a_failed_jump_reports_its_failure_before_the_state_it_causes():
+    """A jump to a dead receiver is node 2's last allowed miss of its one
+    member: the JUMP_FAIL goes upstream first, then the FAULTY report of
+    the JFAULTY state that the miss leaves."""
+    sim = control_sim()
+    proto = sim.protocol
+    table = proto.tables[2]
+    table.upstream = 1
+    proto.ensure_jump_entries(table)
+    entry = table.entry(3)
+    entry.misses = sim.cfg.misses_to_faulty - 1
+    seq = sim._seq
+    packet = make_packet(0, now=0.0, lifetime=100.0)
+    assert not proto.on_sent(sim.nodes[2], None, packet, Jump(3, entry), False, 1.0)
+    assert frames_since(sim, seq) == [(2, 1, FB_JUMP_FAIL), (2, 1, STATE_FAULTY)]
+
+
+def test_a_probe_timeout_reports_the_re_derived_state_before_the_buffer_check():
+    """Node 2 sits in JCONG, its one member cached JCONG, and has warned its
+    upstream hop. At the first timeout the member's reply heals it, so the
+    re-derived state is NORMAL, a recovery; then the full buffer turns the
+    node CONG. One combined derivation would go JCONG -> CONG and send the
+    CONG report alone."""
+    sim = control_sim()
+    proto = sim.protocol
+    table = proto.tables[2]
+    table.upstream, table.cong_notified = 1, frozenset({1})
+    table.entry(3).cached_state = table.state = STATE_JCONG
+    table.dirty = False
+    sim.nodes[2].buffer_used = sim.cfg.buffer_bytes
+    proto.on_probe_round(None, 0.0)
+    [replies] = [e[3] for e in sim._heap if e[2] == PROBE_TIMEOUT]
+    seq = sim._seq
+    proto.on_timeout_round(replies, sim.cfg.probe_timeout_ms)
+    assert frames_since(sim, seq) == [(2, 1, STATE_NORMAL), (2, 1, STATE_CONG)]
+    assert table.state is STATE_CONG and table.cong_notified == {1}
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ from reference import (
     compute_thresholds,
     pin_rate_continuity,
     pool_entries,
+    record_reports,
     reference_jump_target,
     reference_shares,
 )
@@ -406,7 +407,7 @@ def probe_all(proto, table, replies, now=0.0, states=None):
     delays = [e.delay_est for e in live]
     reported = [(states or {}).get(e.candidate, STATE_NORMAL) for e in live]
     proto.detect_faulty([table] * len(live), live, delays, reported, silent)
-    return proto.reevaluate(table, now)
+    proto.reevaluate(table, now)
 
 
 def test_three_missed_probes_mark_faulty():
@@ -531,22 +532,23 @@ def test_probe_records_must_match_the_candidate_set(records):
 def test_congestion_predictor_and_hysteresis():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
+    reports = record_reports(proto)
     # occupancy 0.5 + 0.1/ms * 5 ms * 32 B / 100 B = 0.5 + 0.16 = 0.66 < 0.8
     table.arrival_ewma = 0.1
     proto.detect_congestion(table, 50.0, now=1.0)
-    assert table.state is STATE_NORMAL
+    assert table.state is STATE_NORMAL and reports == []
     # occupancy 0.72 + 0.16 = 0.88 >= 0.8: congested
-    fbs = proto.detect_congestion(table, 72.0, now=2.0)
+    proto.detect_congestion(table, 72.0, now=2.0)
     assert table.state is STATE_CONG
-    assert [f.kind for f in fbs] == [STATE_CONG]
+    assert [f.kind for f in reports] == [STATE_CONG]
     # back under theta but inside the hysteresis band: still congested
     table.arrival_ewma = 0.0
     proto.detect_congestion(table, 72.0, now=3.0)
     assert table.state is STATE_CONG
     # predicted 0.66 < 0.8 - 0.1: recovered
-    fbs = proto.detect_congestion(table, 66.0, now=4.0)
+    proto.detect_congestion(table, 66.0, now=4.0)
     assert table.state is STATE_NORMAL
-    assert [f.kind for f in fbs] == [STATE_NORMAL]
+    assert [f.kind for f in reports] == [STATE_CONG, STATE_NORMAL]
 
 
 def test_congestion_recovers_only_strictly_below_the_hysteresis_band():
@@ -555,13 +557,15 @@ def test_congestion_recovers_only_strictly_below_the_hysteresis_band():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
                              theta_cong=0.75, cong_hysteresis=0.25, buffer_bytes=100)
     table = proto.build_tables()[0]
+    reports = record_reports(proto)
     proto.detect_congestion(table, 80.0, now=1.0)
     assert table.state is STATE_CONG
-    assert proto.detect_congestion(table, 50.0, now=2.0) == []
+    proto.detect_congestion(table, 50.0, now=2.0)
     assert table.state is STATE_CONG and table.own_congested
-    fbs = proto.detect_congestion(table, 49.0, now=3.0)
+    assert [f.kind for f in reports] == [STATE_CONG]
+    proto.detect_congestion(table, 49.0, now=3.0)
     assert table.state is STATE_NORMAL and not table.own_congested
-    assert [f.kind for f in fbs] == [STATE_NORMAL]
+    assert [f.kind for f in reports] == [STATE_CONG, STATE_NORMAL]
 
 
 def test_an_offer_folds_into_the_arrival_estimate():
@@ -602,7 +606,11 @@ def test_offers_at_heavy_traffic_spacing_congest_an_empty_relay_on_rate_alone():
     # is 0.8 exactly at the third offer
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     relay = proto.build_tables()[1]
-    kinds = [[f.kind for f in proto.on_offer(relay, 0.0, now=1.5 * k)] for k in range(3)]
+    reports = record_reports(proto)
+    kinds = []
+    for k in range(3):
+        proto.on_offer(relay, 0.0, now=1.5 * k)
+        kinds.append([f.kind for f in reports])
     assert kinds == [[], [], [STATE_CONG]]
     assert relay.arrival_ewma == 0.5
     assert relay.state is STATE_CONG and relay.own_congested
@@ -610,8 +618,8 @@ def test_offers_at_heavy_traffic_spacing_congest_an_empty_relay_on_rate_alone():
     # the estimate climbs toward 2/3 per ms (a prediction of about 1.07), so
     # the relay stays congested while the offers keep coming
     for k in range(3, 40):
-        assert proto.on_offer(relay, 0.0, now=1.5 * k) == []
-    assert relay.state is STATE_CONG
+        proto.on_offer(relay, 0.0, now=1.5 * k)
+    assert relay.state is STATE_CONG and len(reports) == 1
     assert relay.arrival_ewma > 0.66
 
 
@@ -659,6 +667,7 @@ MEMBER_STATE_LISTS = [
 def test_reevaluate_matches_the_rule_on_every_small_candidate_set(start, own_congested):
     assert len(MEMBER_STATE_LISTS) == 1 + 6 + 36 + 216
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    reports = record_reports(proto)
     for states in MEMBER_STATE_LISTS:
         members = [
             CandidateEntry(i + 1, MU, cached_state=state) for i, state in enumerate(states)
@@ -670,14 +679,14 @@ def test_reevaluate_matches_the_rule_on_every_small_candidate_set(start, own_con
             state=start,
             own_congested=own_congested,
         )
-        logged = len(proto.transitions)
-        fbs = proto.reevaluate(table, now=7.0)
+        logged, reported = len(proto.transitions), len(reports)
+        proto.reevaluate(table, now=7.0)
         expected_state, expected_kinds, expected_steps = reference_reevaluate(
             states, own_congested, start
         )
         case = (states, own_congested, start)
         assert table.state is expected_state, case
-        assert [f.kind for f in fbs] == expected_kinds, case
+        assert [f.kind for f in reports[reported:]] == expected_kinds, case
         assert proto.transitions[logged:] == [
             (7.0, 0, old, new) for old, new in expected_steps
         ], case
@@ -692,19 +701,20 @@ def two_candidate_table(**kwargs):
 
 def test_state_derivation_cascades():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     table.entry(1).cached_state = STATE_FAULTY
     table.entry(2).cached_state = STATE_JFAULTY
     table.dirty = True
-    fbs = proto.reevaluate(table, now=1.0)
+    proto.reevaluate(table, now=1.0)
     assert table.state is STATE_JFAULTY
-    assert [f.kind for f in fbs] == [STATE_FAULTY]
+    assert [f.kind for f in reports] == [STATE_FAULTY]
 
     # one candidate heals: back to NORMAL
     table.entry(1).cached_state = STATE_NORMAL
     table.dirty = True
-    fbs = proto.reevaluate(table, now=2.0)
+    proto.reevaluate(table, now=2.0)
     assert table.state is STATE_NORMAL
-    assert [f.kind for f in fbs] == [STATE_NORMAL]
+    assert [f.kind for f in reports] == [STATE_FAULTY, STATE_NORMAL]
 
     table.entry(1).cached_state = STATE_CONG
     table.entry(2).cached_state = STATE_JCONG
@@ -756,9 +766,10 @@ def test_illegal_direct_cong_entry_decomposes_through_normal():
     table.entry(2).cached_state = STATE_NORMAL
     table.own_congested = True
     table.dirty = True
-    fbs = proto.reevaluate(table, now=2.0)
+    reports = record_reports(proto)
+    proto.reevaluate(table, now=2.0)
     assert table.state is STATE_CONG
-    assert [f.kind for f in fbs] == [STATE_NORMAL, STATE_CONG]
+    assert [f.kind for f in reports] == [STATE_NORMAL, STATE_CONG]
     assert log_of(proto, table.owner)[-2:] == [
         (2.0, STATE_JFAULTY, STATE_NORMAL),
         (2.0, STATE_NORMAL, STATE_CONG),
@@ -931,10 +942,11 @@ def test_low_slack_packets_get_high_rate():
 
 def test_forward_failures_erode_confidence():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     entry = table.entry(1)
-    assert proto.on_forward_result(table, entry, False, now=1.0) == []
-    assert proto.on_forward_result(table, entry, False, now=2.0) == []
-    assert entry.cached_state is STATE_NORMAL
+    proto.on_forward_result(table, entry, False, now=1.0)
+    proto.on_forward_result(table, entry, False, now=2.0)
+    assert entry.cached_state is STATE_NORMAL and reports == []
     proto.on_forward_result(table, entry, False, now=3.0)
     assert entry.cached_state is STATE_FAULTY
     proto.on_forward_result(table, entry, True, now=4.0)
@@ -944,17 +956,19 @@ def test_forward_failures_erode_confidence():
 
 def test_jump_success_ratio_arithmetic():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     proto.ensure_jump_entries(table)
     entry = table.entry(1)
     for i in range(3):
         proto.on_jump_result(table, entry, True, now=float(i))
     assert (entry.successes, entry.attempts) == (3, 3)
     assert entry.suc == pytest.approx(1.0)
+    assert reports == []
     # 3 successes, then a failure: suc = (3 - 1) / 4 = 0.5
-    fbs = proto.on_jump_result(table, entry, False, now=4.0)
+    proto.on_jump_result(table, entry, False, now=4.0)
     assert (entry.successes, entry.attempts) == (3, 4)
     assert entry.suc == pytest.approx(0.5)
-    assert fbs[0].kind is FB_JUMP_FAIL
+    assert [f.kind for f in reports] == [FB_JUMP_FAIL]
 
 
 @pytest.mark.parametrize("acked", [True, False])
@@ -1008,36 +1022,42 @@ def test_first_jump_failure_zeroes_the_candidate():
 
 def test_feedback_caches_subject_state_by_kind():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     # a report's kind is the state it reports, cached as it arrives
     for kind in (STATE_FAULTY, STATE_CONG, STATE_VOID, STATE_NORMAL):
         msg = FeedbackMessage(kind=kind)
-        fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
-        assert FB_JUMP_FAIL not in [f.kind for f in fbs]
+        proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
+        assert FB_JUMP_FAIL not in [f.kind for f in reports]
         assert table.entry(1).cached_state is kind
 
 
 def test_feedback_drives_derived_state():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     for sender in (1, 2):
         msg = FeedbackMessage(kind=STATE_CONG)
-        fbs = proto.on_feedback(table, msg, from_node=sender, now=1.0,
-                                rng=random.Random(1))
+        proto.on_feedback(table, msg, from_node=sender, now=1.0, rng=random.Random(1))
+        # the first report leaves one member uncongested: no state change
+        assert len(reports) == sender - 1
     assert table.state is STATE_JCONG
-    assert [f.kind for f in fbs] == [STATE_CONG]
+    assert [f.kind for f in reports] == [STATE_CONG]
 
 
 def test_jump_fail_feedback_scales_suc_and_reforwards():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     proto.ensure_jump_entries(table)
     entry = table.entry(1)
     entry.suc = 0.8
     msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=3)
-    fbs = proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
+    proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
     assert entry.suc == pytest.approx(0.8 * 0.25)
-    assert [(f.kind, f.hop_limit) for f in fbs] == [(FB_JUMP_FAIL, 2)]
+    assert [(f.kind, f.hop_limit) for f in reports] == [(FB_JUMP_FAIL, 2)]
 
 
 def test_jump_fail_feedback_stops_at_hop_limit():
     proto, table = two_candidate_table()
+    reports = record_reports(proto)
     msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=1)
-    assert proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25])) == []
+    proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
+    assert reports == []

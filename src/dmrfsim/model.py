@@ -90,10 +90,13 @@ class CandidateEntry:
     misses: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class FeedbackMessage:
     """Typed upstream control message, counted as a control packet. Its kind
-    is FB_JUMP_FAIL or the state the node that sends it reports."""
+    is FB_JUMP_FAIL or the state the node that sends it reports. Frozen, so
+    one frame is shared by every send of it. Not slotted as well: on Python
+    3.11 a frozen slotted dataclass raises TypeError, not AttributeError, on
+    a misspelled field."""
 
     kind: FeedbackKind
     hop_limit: int = 64

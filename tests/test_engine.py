@@ -53,12 +53,14 @@ from dmrfsim.model import (
     STATE_FAULTY,
     STATE_JCONG,
     STATE_NORMAL,
+    CandidateEntry,
     FeedbackMessage,
     InvariantError,
     make_packet,
 )
 from dmrfsim.protocol import Forward, Jump
 from dmrfsim.topology import UNIFORM_GRID, Topology, carve_void, deploy
+from reference import held_entry
 
 
 def line_topo(length, spacing=1.0, comm_radius=1.5, max_tx=30.0):
@@ -417,7 +419,7 @@ def sent(sim, sender_id, target):
     `target`, as `_try_start` keeps it pending: in a DMRF run it carries the
     sender's member entry for `target`, in a baseline's none."""
     table = getattr(sim.protocol, "tables", {}).get(sender_id)
-    return Forward(target, RATE_MEDIUM, None if table is None else table.entry(target))
+    return Forward(target, RATE_MEDIUM, None if table is None else held_entry(table, target))
 
 
 @pytest.mark.parametrize("late", [0.0, 3.0], ids=["at", "past"])
@@ -853,25 +855,32 @@ def control_sim():
 
 def frames_since(sim, seq):
     """(sender, receiver, kind) of each control frame scheduled at or after
-    sequence number `seq`, in the order they were scheduled."""
+    sequence number `seq`, in the order they were scheduled. The sender is
+    the candidate of the entry the frame carries."""
     frames = [e for e in sim._heap if e[1] >= seq and e[2] == FEEDBACK_DELIVERY]
     frames.sort(key=lambda e: e[1])
-    return [(a[1], a[2], a[0].kind) for _, _, _, a in frames]
+    return [(a[1].candidate, a[2], a[0].kind) for _, _, _, a in frames]
+
+
+def upstream_hop(sim, table, node):
+    """`node` as the upstream hop of `table`'s node, with its entry for it."""
+    return node, held_entry(sim.protocol.tables[node], table.owner)
 
 
 def feedback_upstream(sim, table, receiver):
-    table.upstream = receiver
+    table.upstream = upstream_hop(sim, table, receiver)
     sim.protocol._report(table, FeedbackMessage(kind=STATE_CONG), 0.0)
 
 
 def congestion_notice(sim, table, receiver):
-    sim.protocol._notify_congestion(table, receiver, 0.0)
+    sim.protocol._notify_congestion(table, *upstream_hop(sim, table, receiver), 0.0)
 
 
 def jump_fail_reforward(sim, table, receiver):
-    table.upstream = receiver
+    table.upstream = upstream_hop(sim, table, receiver)
     fb = FeedbackMessage(kind=FB_JUMP_FAIL)
-    sim.protocol.on_feedback_delivery((fb, table.owner + 1, table.owner), 0.0)
+    entry = held_entry(table, table.owner + 1)
+    sim.protocol.on_feedback_delivery((fb, entry, table.owner), 0.0)
 
 
 CONTROL_SENDERS = [feedback_upstream, congestion_notice, jump_fail_reforward]
@@ -886,33 +895,40 @@ def test_a_live_receiver_gets_one_charged_frame(send):
     assert [(s, r) for s, r, _ in frames_since(sim, seq)] == [(2, 1)]
     joules = energy_cost(sim.cfg, sim.topo.distance(2, 1), CONTROL_FRAME_BITS)
     assert sim.metrics.energy_total_j == energy + joules
-    # only a CONG frame that went out marks its receiver as warned
-    assert table.cong_notified == (set() if send is jump_fail_reforward else {1})
+    # only a CONG frame that went out marks its receiver as warned, with the
+    # entry the frame carried
+    warned = None if send is jump_fail_reforward else dict([upstream_hop(sim, table, 1)])
+    assert table.cong_notified == warned
 
 
 def test_congestion_notice_goes_once_per_sender_per_episode():
     sim = control_sim()
     table = sim.protocol.tables[2]
     seq = sim._seq
+    entries = {1: held_entry(sim.protocol.tables[1], 2), 0: CandidateEntry(2)}
     for _ in range(3):
-        sim.protocol._notify_congestion(table, 1, 0.0)
-    sim.protocol._notify_congestion(table, 0, 0.0)
+        sim.protocol._notify_congestion(table, 1, entries[1], 0.0)
+    sim.protocol._notify_congestion(table, 0, entries[0], 0.0)
     assert frames_since(sim, seq) == [
         (2, 1, STATE_CONG),
         (2, 0, STATE_CONG),
     ]
-    assert table.cong_notified == {0, 1}
+    assert table.cong_notified == entries
 
 
 def test_recovery_reaches_every_warned_sender_and_the_upstream():
     sim = control_sim()
     table = sim.protocol.tables[2]
-    table.cong_notified = frozenset({4, 1, 0})
-    table.upstream = 1
+    warned = {r: CandidateEntry(2) for r in (4, 1, 0)}
+    table.cong_notified = warned
+    table.upstream = upstream_hop(sim, table, 1)
     seq = sim._seq
     sim.protocol._report(table, FeedbackMessage(kind=STATE_NORMAL), 0.0)
     assert frames_since(sim, seq) == [(2, r, STATE_NORMAL) for r in (0, 1, 4)]
-    assert table.cong_notified == set()
+    # each frame carries its receiver's entry; the upstream hop's is its own
+    carried = [e[3][1] for e in sorted(sim._heap, key=lambda e: e[1]) if e[1] >= seq]
+    assert carried == [warned[0], table.upstream[1], warned[4]]
+    assert table.cong_notified is None
 
 
 def test_a_failed_jump_reports_its_failure_before_the_state_it_causes():
@@ -922,9 +938,9 @@ def test_a_failed_jump_reports_its_failure_before_the_state_it_causes():
     sim = control_sim()
     proto = sim.protocol
     table = proto.tables[2]
-    table.upstream = 1
+    table.upstream = upstream_hop(sim, table, 1)
     proto.ensure_jump_entries(table)
-    entry = table.entry(3)
+    entry = held_entry(table, 3)
     entry.misses = sim.cfg.misses_to_faulty - 1
     seq = sim._seq
     packet = make_packet(0, now=0.0, lifetime=100.0)
@@ -941,8 +957,9 @@ def test_a_probe_timeout_reports_the_re_derived_state_before_the_buffer_check():
     sim = control_sim()
     proto = sim.protocol
     table = proto.tables[2]
-    table.upstream, table.cong_notified = 1, frozenset({1})
-    table.entry(3).cached_state = table.state = STATE_JCONG
+    table.upstream = upstream_hop(sim, table, 1)
+    table.cong_notified = dict([table.upstream])
+    held_entry(table, 3).cached_state = table.state = STATE_JCONG
     table.dirty = False
     sim.nodes[2].buffer_used = sim.cfg.buffer_bytes
     proto.on_probe_round(None, 0.0)
@@ -950,7 +967,7 @@ def test_a_probe_timeout_reports_the_re_derived_state_before_the_buffer_check():
     seq = sim._seq
     proto.on_timeout_round(replies, sim.cfg.probe_timeout_ms)
     assert frames_since(sim, seq) == [(2, 1, STATE_NORMAL), (2, 1, STATE_CONG)]
-    assert table.state is STATE_CONG and table.cong_notified == {1}
+    assert table.state is STATE_CONG and table.cong_notified == dict([table.upstream])
 
 
 # ----------------------------------------------------------------------

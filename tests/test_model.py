@@ -98,7 +98,7 @@ def test_running_sum_adds_left_to_right_from_start():
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
 )
 def test_misspelled_field_of_a_per_hop_record_raises(record, typo):
-    # the records are slotted: a typo cannot quietly create new state
+    # the records are slotted or frozen: a typo cannot quietly create new state
     with pytest.raises(AttributeError):
         setattr(record, typo, 0)
 

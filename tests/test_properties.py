@@ -60,11 +60,11 @@ from dmrfsim.engine import (
     DELIVERED, EXPIRED, FAULT_ONSET, FEEDBACK_DELIVERY, Simulation, _NodeRuntime, energy_cost,
     run)
 from dmrfsim.model import (
-    FB_JUMP_FAIL, STATE_CONG, STATE_FAULTY, STATE_NORMAL, STATE_VOID, CandidateEntry,
+    FB_JUMP_FAIL, STATE_CONG, STATE_FAULTY, STATE_NORMAL, STATE_VOID,
     FeedbackMessage, NodeState, legal_transition)
 from dmrfsim.protocol import DmrfProtocol, Jump
 from dmrfsim.topology import DISTRIBUTIONS, Topology, deploy
-from reference import pool_entries, reference_jump_target
+from reference import held_entry, pool_entries, reference_jump_target
 
 #: the states a feedback frame may report, as its kind
 REPORTED_STATES = (STATE_FAULTY, STATE_VOID, STATE_CONG, STATE_NORMAL)
@@ -75,7 +75,8 @@ class CheckedSimulation(Simulation):
     `check` is called once more after the run. No decision is asked about a
     packet at or past its deadline: the engine expires it first. In a DMRF
     run each delivered feedback frame is checked once its receiver has
-    applied it."""
+    applied it, and the entry it carried against a scan of the receiver's
+    table."""
 
     def __init__(self, topo, cfg) -> None:
         super().__init__(topo, cfg, collect_trace=True)
@@ -106,13 +107,16 @@ class CheckedSimulation(Simulation):
 
     def _cached_as_reported(self, deliver):
         def checked(payload, now):
-            msg, sender, receiver = payload
+            msg, entry, receiver = payload
             deliver(payload, now)
+            # the frame carries the receiver's own entry for its sender, the
+            # one a scan of the receiver's table finds
+            assert entry is held_entry(self.tables[receiver], entry.candidate), payload
             # a frame is a jump failure or a state report whose kind is the
             # state reported, and the receiver caches it for the sender
             if msg.kind is not FB_JUMP_FAIL:
                 assert any(msg.kind is state for state in REPORTED_STATES), payload
-                assert self.tables[receiver].entry(sender).cached_state is msg.kind, payload
+                assert entry.cached_state is msg.kind, payload
                 self.reports.add(msg.kind)
         return checked
 
@@ -140,11 +144,11 @@ class CheckedSimulation(Simulation):
 
     def _on_arrival(self, sender_id, now) -> None:
         # the slow twin of the handoff: the entry a DMRF decision carries to
-        # its outcome is the one a lookup by id finds in the sender's table
+        # its outcome is the one a scan finds in the sender's table
         if isinstance(self.protocol, DmrfProtocol):
             decision = self.nodes[sender_id].pending[1]
             table = self.tables[sender_id]
-            assert decision.entry is table.entry(decision.next), (sender_id, decision)
+            assert decision.entry is held_entry(table, decision.next), (sender_id, decision)
             self.jump_outcomes += type(decision) is Jump
         super()._on_arrival(sender_id, now)
 
@@ -309,44 +313,6 @@ def test_engine_invariants_hold_over_small_scenarios(cfg):
         check_run(CheckedSimulation(topo, dataclasses.replace(cfg, protocol=protocol)), cfg)
 
 
-def check_lookups(table, ids) -> None:
-    """`RoutingTable.entry` against a scan of the pool listed entry by entry
-    (`pool_entries`), or of the members while no pool is built: each id in
-    `ids` the scan finds is found as the identical object when the table
-    holds it, and otherwise reads as a fresh entry and raises KeyError, as
-    does an id the scan does not find. A pool holds every member as the
-    identical object."""
-    pool = table.jump_pool
-    if pool is None:
-        scanned = table.members
-    else:
-        scanned = pool_entries(pool)
-        held = {pool.ids[i]: e for i, e in pool.held.items()}
-        assert all(held[m.candidate] is m for m in table.members), table.owner
-    for c in ids:
-        found = [e for e in scanned if e.candidate == c]
-        if found and (pool is None or held.get(c) is found[0]):
-            assert table.entry(c) is found[0], (table.owner, c)
-            continue
-        if found:
-            assert found[0] == CandidateEntry(c, pool.mu), (table.owner, c)
-        with pytest.raises(KeyError):
-            table.entry(c)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(cfg=scenarios())
-def test_table_lookups_match_a_scan_of_the_pool_or_the_members(cfg):
-    """The slow twin of `RoutingTable.entry` after a DMRF run, over every id
-    and two that name no node. (Drawn scenarios build pools: see the
-    sink-pool test above.)"""
-    sim = Simulation(deployed(cfg), dataclasses.replace(cfg, protocol=DMRF))
-    sim.run()
-    ids = [-1, *sim.topo.ids(), cfg.node_count]
-    for table in sim.protocol.tables.values():
-        check_lookups(table, ids)
-
-
 def check_run(sim: CheckedSimulation, cfg) -> None:
     result = sim.run()
     sim.check()
@@ -503,10 +469,11 @@ class TwinDrawSimulation(Simulation):
     Before the draw the pool is listed entry by entry, and the draw as first
     written (`reference_jump_target`) runs on that list with a copy of the
     run's generator. The run's own draw must pick the same target and leave
-    the generator in the same state; then every pool id and a few others
-    must look up as a scan of the listed pool finds them. `mixed` counts the
-    draws over a pool holding an entry that is not cached NORMAL or whose
-    `suc` is not 1.0."""
+    the generator in the same state. Then the drawn entry must be the one a
+    scan of the table finds, and the pool must hold every member as the
+    identical object, so a frame or an outcome updates one entry whichever
+    list it came from. `mixed` counts the draws over a pool holding an
+    entry that is not cached NORMAL or whose `suc` is not 1.0."""
 
     def __init__(self, topo, cfg) -> None:
         super().__init__(topo, dataclasses.replace(cfg, protocol=DMRF))
@@ -523,7 +490,11 @@ class TwinDrawSimulation(Simulation):
             decision = jump(table, rng)
             assert (decision.next if type(decision) is Jump else None) == expected, table.owner
             assert rng.getstate() == twin_rng.getstate(), table.owner
-            check_lookups(table, [-1, *table.jump_pool.ids, table.owner])
+            if type(decision) is Jump:
+                assert decision.entry is held_entry(table, decision.next), table.owner
+            pool = table.jump_pool
+            held = {pool.ids[i]: e for i, e in pool.held.items()}
+            assert all(held.get(m.candidate) is m for m in table.members), table.owner
             self.mixed += any(e.cached_state is not STATE_NORMAL or e.suc != 1.0
                               for e in table.jump_pool.held.values())
             return decision
@@ -570,17 +541,19 @@ def test_a_control_frame_to_a_relay_dead_mid_run_fails_the_receiver_check():
 
     class Killing(CheckedSimulation):
         def _on_arrival(self, sender_id, now):
-            receiver = self.nodes[sender_id].pending[1].next
+            decision = self.nodes[sender_id].pending[1]
+            receiver = decision.next
             super()._on_arrival(sender_id, now)
             if not frames and sender_id != self.topo.source and receiver in self._live:
-                frames.append((FeedbackMessage(kind=STATE_CONG), receiver, sender_id))
+                frames.append((FeedbackMessage(kind=STATE_CONG), decision.entry, sender_id))
                 self._live.discard(sender_id)
-                self.protocol._notify_congestion(self.tables[receiver], sender_id, now)
+                self.protocol._notify_congestion(
+                    self.tables[receiver], sender_id, decision.entry, now)
 
     sim = Killing(deployed(cfg), cfg)
     with pytest.raises(AssertionError) as failure:
         sim.run()
-    [(_msg, _receiver, victim)] = frames
+    [(_msg, _entry, victim)] = frames
     assert sim.nodes[victim].tx > 0
     assert str(failure.value).startswith(repr(frames[0]))
 

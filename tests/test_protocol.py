@@ -38,7 +38,6 @@ from dmrfsim.protocol import (
     JumpPool,
     RoutingTable,
     choose_jump_target,
-    jump_probabilities,
 )
 from dmrfsim.topology import Topology, UNREACHABLE
 from reference import (
@@ -48,6 +47,7 @@ from reference import (
     classify_rate,
     compute_lambda,
     compute_thresholds,
+    held_entry,
     pin_rate_continuity,
     pool_entries,
     record_reports,
@@ -167,32 +167,6 @@ def test_rate_continuity_pins_low_high_swings_to_medium():
 # jump probabilities
 
 
-def test_jump_probabilities_normalize_success_ratios():
-    a = CandidateEntry(candidate=1, suc=0.75)
-    b = CandidateEntry(candidate=2, suc=0.5)
-    p_a, p_b = jump_probabilities([a, b])
-    assert p_a == pytest.approx(0.6)
-    assert p_b == pytest.approx(0.4)
-
-
-def test_jump_probabilities_uniform_when_all_zero():
-    entries = [CandidateEntry(candidate=i, suc=0.0) for i in range(4)]
-    assert all(p == pytest.approx(0.25) for p in jump_probabilities(entries))
-
-
-@pytest.mark.parametrize("sucs", [[0.75, 0.5], [0.0, 0.0, 0.0], [1.0]])
-def test_jump_probabilities_returns_a_list_that_reads_twice(sucs):
-    """The shares are a list, not a lazy iterator: acceptance criterion 8
-    sums them and then checks each one, and a second pass over an exhausted
-    iterator would check nothing."""
-    entries = [CandidateEntry(candidate=i, suc=s) for i, s in enumerate(sucs)]
-    shares = jump_probabilities(entries)
-    assert type(shares) is list and len(shares) == len(entries)
-    # criterion 8's two passes: the sum, then each share
-    assert sum(shares) == pytest.approx(1.0)
-    assert all(0.0 <= p <= 1.0 for p in shares)
-
-
 def held_pool(*entries):
     """A jump pool whose every candidate is held: `entries`, in id order."""
     return JumpPool([e.candidate for e in entries], dict(enumerate(entries)), MU)
@@ -228,7 +202,7 @@ def test_choose_jump_target_past_a_float_shortfall_takes_the_last_viable():
     pool = JumpPool(list(range(11)), {10: CandidateEntry(candidate=10, cached_state=STATE_FAULTY)},
                     MU)
     entries = pool_entries(pool)
-    assert list(itertools.accumulate(jump_probabilities(entries[:10])))[-1] == 1 - 2.0**-53
+    assert list(itertools.accumulate(reference_shares(entries[:10])))[-1] == 1 - 2.0**-53
     drawn = choose_jump_target(pool, FixedRng([1 - 2.0**-53]))
     # the untouched candidate 9 gets its entry at the draw, held from then on
     # (at position 9: here each id is its position)
@@ -240,15 +214,14 @@ def test_choose_jump_target_past_a_float_shortfall_takes_the_last_viable():
 def test_an_untouched_candidate_reads_as_a_fresh_entry():
     """Only the members are held when a pool is built; every other candidate
     lists as `CandidateEntry(id, mu)`, cached NORMAL with `suc` 1.0, and
-    has no entry for `RoutingTable.entry` to find until it is drawn."""
+    the table holds no entry for it until it is drawn."""
     proto, table = two_candidate_table()
     proto.ensure_jump_entries(table)
     assert table.jump_pool.ids == [1, 2, 3]
     assert pool_entries(table.jump_pool)[2] == CandidateEntry(3, MU)
-    with pytest.raises(KeyError):
-        table.entry(3)
+    assert held_entry(table, 3) is None
     # three equal shares: 0.99 picks the last
-    assert choose_jump_target(table.jump_pool, FixedRng([0.99])) is table.entry(3)
+    assert choose_jump_target(table.jump_pool, FixedRng([0.99])) is held_entry(table, 3)
 
 
 class PinnedRandom(random.Random):
@@ -291,8 +264,8 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     """The pick and the generator state after it equal the reference draw
     over the pool listed entry by entry, on pools of held entries in mixed
     cached states, zero, subnormal and all-zero success mass, untouched
-    candidates (None), single entries and none; the shares equal
-    jump_probabilities. A pick with no held entry gets a fresh one."""
+    candidates (None), single entries and none. A pick with no held entry
+    gets a fresh one."""
 
     def subject():
         # odd ids, so that an id is no position in the pool
@@ -308,7 +281,6 @@ def test_choose_jump_target_matches_normalize_then_accumulate(
     # could part, so some draws are pinned onto them or one ulp below
     viable = [e for e in pool_entries(subject()) if e.cached_state not in KNOWN_BAD]
     shares = reference_shares(viable)
-    assert jump_probabilities(viable) == shares
     edges = list(itertools.accumulate(shares))
     value = {
         "draw": None,
@@ -348,7 +320,7 @@ def test_build_tables_initializes_fcs_entries():
     assert set(tables) == {0, 1}  # the sink keeps no table
     t0 = tables[0]
     assert [e.candidate for e in t0.members] == [1]
-    assert t0.entry(1).delay_est == MU
+    assert held_entry(t0, 1).delay_est == MU
     assert t0.needed_time == pytest.approx(2 * MU)
     assert t0.state is STATE_NORMAL
 
@@ -373,11 +345,9 @@ def test_jump_entries_take_strictly_closer_nodes_in_tx_range():
     pool = table.jump_pool
     assert [e.candidate for e in pool_entries(pool)] == [1, 2, 3]
     # the one member, 1, is held as itself; 2 and 3 hold no entry yet
-    assert all(table.entry(pool.ids[i]) is e for i, e in pool.held.items())
+    assert all(held_entry(table, pool.ids[i]) is e for i, e in pool.held.items())
     assert [pool.ids[i] for i in pool.held] == [e.candidate for e in table.members] == [1]
-    for c in (2, 3):
-        with pytest.raises(KeyError):
-            table.entry(c)
+    assert held_entry(table, 2) is held_entry(table, 3) is None
     # materialization is idempotent
     proto.ensure_jump_entries(table)
     assert table.jump_pool is pool
@@ -413,7 +383,7 @@ def probe_all(proto, table, replies, now=0.0, states=None):
 def test_three_missed_probes_mark_faulty():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     probe_all(proto, table, replies=set())
     probe_all(proto, table, replies=set())
     assert entry.cached_state is STATE_NORMAL
@@ -424,7 +394,7 @@ def test_three_missed_probes_mark_faulty():
 def test_reply_resets_confidence_and_heals_faulty_cache():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     for _ in range(3):
         probe_all(proto, table, replies=set())
     assert entry.cached_state is STATE_FAULTY
@@ -436,7 +406,7 @@ def test_reply_resets_confidence_and_heals_faulty_cache():
 def test_misses_count_up_to_faulty_at_the_default_three():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL)
     seen = []
     for _ in range(3):
@@ -449,7 +419,7 @@ def test_misses_count_up_to_faulty_at_the_default_three():
 
 def test_misses_past_the_limit_stay_faulty_until_an_acknowledgment():
     proto, table = two_candidate_table(misses_to_faulty=4)
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     for i in range(10):
         proto.on_forward_result(table, entry, False, now=float(i))
     assert (entry.misses, entry.cached_state) == (10, STATE_FAULTY)
@@ -458,7 +428,7 @@ def test_misses_past_the_limit_stay_faulty_until_an_acknowledgment():
 
 
 def _misses_until_faulty(proto, table, miss):
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     for count in range(1, 101):
         miss(proto, table, float(count))
         assert entry.misses == count
@@ -471,14 +441,14 @@ def _misses_until_faulty(proto, table, miss):
 MISSES = {
     "probe": lambda proto, table, now: probe_all(proto, table, set(), now),
     "forward": lambda proto, table, now: proto.on_forward_result(
-        table, table.entry(1), False, now),
-    "jump": lambda proto, table, now: proto.on_jump_result(table, table.entry(1), False, now),
+        table, held_entry(table, 1), False, now),
+    "jump": lambda proto, table, now: proto.on_jump_result(table, held_entry(table, 1), False, now),
 }
 ANSWERS = {
     "probe reply": lambda proto, table, now: probe_all(proto, table, {1, 2}, now),
     "forward ack": lambda proto, table, now: proto.on_forward_result(
-        table, table.entry(1), True, now),
-    "jump ack": lambda proto, table, now: proto.on_jump_result(table, table.entry(1), True, now),
+        table, held_entry(table, 1), True, now),
+    "jump ack": lambda proto, table, now: proto.on_jump_result(table, held_entry(table, 1), True, now),
 }
 
 
@@ -489,7 +459,7 @@ def test_misses_to_faulty_comes_from_config(misses):
     for name, miss in MISSES.items():
         for answer_name, answer in ANSWERS.items():
             proto, table = two_candidate_table(misses_to_faulty=misses)
-            entry = table.entry(1)
+            entry = held_entry(table, 1)
             assert _misses_until_faulty(proto, table, miss) == misses, name
             answer(proto, table, 200.0)
             assert (entry.misses, entry.cached_state) == (0, STATE_NORMAL), answer_name
@@ -501,16 +471,16 @@ def test_probe_reply_state_report_overrides_cache():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
     probe_all(proto, table, replies={1}, states={1: STATE_CONG})
-    assert table.entry(1).cached_state is STATE_CONG
+    assert held_entry(table, 1).cached_state is STATE_CONG
     probe_all(proto, table, replies={1}, states={1: STATE_NORMAL})
-    assert table.entry(1).cached_state is STATE_NORMAL
+    assert held_entry(table, 1).cached_state is STATE_NORMAL
 
 
 def test_probe_delay_samples_blend_into_estimate():
     proto, _ = grid_protocol([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     table = proto.build_tables()[0]
-    proto.detect_faulty([table], [table.entry(1)], [2.0], [STATE_NORMAL], [])
-    assert table.entry(1).delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
+    proto.detect_faulty([table], [held_entry(table, 1)], [2.0], [STATE_NORMAL], [])
+    assert held_entry(table, 1).delay_est == pytest.approx(0.7 * MU + 0.3 * 2.0)
 
 
 @pytest.mark.parametrize(
@@ -702,28 +672,28 @@ def two_candidate_table(**kwargs):
 def test_state_derivation_cascades():
     proto, table = two_candidate_table()
     reports = record_reports(proto)
-    table.entry(1).cached_state = STATE_FAULTY
-    table.entry(2).cached_state = STATE_JFAULTY
+    held_entry(table, 1).cached_state = STATE_FAULTY
+    held_entry(table, 2).cached_state = STATE_JFAULTY
     table.dirty = True
     proto.reevaluate(table, now=1.0)
     assert table.state is STATE_JFAULTY
     assert [f.kind for f in reports] == [STATE_FAULTY]
 
     # one candidate heals: back to NORMAL
-    table.entry(1).cached_state = STATE_NORMAL
+    held_entry(table, 1).cached_state = STATE_NORMAL
     table.dirty = True
     proto.reevaluate(table, now=2.0)
     assert table.state is STATE_NORMAL
     assert [f.kind for f in reports] == [STATE_FAULTY, STATE_NORMAL]
 
-    table.entry(1).cached_state = STATE_CONG
-    table.entry(2).cached_state = STATE_JCONG
+    held_entry(table, 1).cached_state = STATE_CONG
+    held_entry(table, 2).cached_state = STATE_JCONG
     table.dirty = True
     proto.reevaluate(table, now=3.0)
     assert table.state is STATE_JCONG
 
-    table.entry(1).cached_state = STATE_VOID
-    table.entry(2).cached_state = STATE_VOID
+    held_entry(table, 1).cached_state = STATE_VOID
+    held_entry(table, 2).cached_state = STATE_VOID
     table.dirty = True
     proto.reevaluate(table, now=4.0)
     assert table.state is STATE_VOID
@@ -731,8 +701,8 @@ def test_state_derivation_cascades():
 
 def test_void_outranks_other_derivations():
     proto, table = two_candidate_table()
-    table.entry(1).cached_state = STATE_VOID
-    table.entry(2).cached_state = STATE_VOID
+    held_entry(table, 1).cached_state = STATE_VOID
+    held_entry(table, 2).cached_state = STATE_VOID
     table.own_congested = True
     table.dirty = True
     proto.reevaluate(table, now=1.0)
@@ -745,8 +715,8 @@ def test_own_congestion_yields_to_whole_set_conditions():
     table.dirty = True
     proto.reevaluate(table, now=1.0)
     assert table.state is STATE_CONG
-    table.entry(1).cached_state = STATE_FAULTY
-    table.entry(2).cached_state = STATE_FAULTY
+    held_entry(table, 1).cached_state = STATE_FAULTY
+    held_entry(table, 2).cached_state = STATE_FAULTY
     table.dirty = True
     proto.reevaluate(table, now=2.0)
     assert table.state is STATE_JFAULTY
@@ -755,15 +725,15 @@ def test_own_congestion_yields_to_whole_set_conditions():
 def test_illegal_direct_cong_entry_decomposes_through_normal():
     proto, table = two_candidate_table()
     # drive to JFAULTY
-    table.entry(1).cached_state = STATE_FAULTY
-    table.entry(2).cached_state = STATE_FAULTY
+    held_entry(table, 1).cached_state = STATE_FAULTY
+    held_entry(table, 2).cached_state = STATE_FAULTY
     table.dirty = True
     proto.reevaluate(table, now=1.0)
     assert table.state is STATE_JFAULTY
     # candidates heal while the node's own buffer is hot: the path to CONG
     # passes through NORMAL, emitting RECOVER then CONG
-    table.entry(1).cached_state = STATE_NORMAL
-    table.entry(2).cached_state = STATE_NORMAL
+    held_entry(table, 1).cached_state = STATE_NORMAL
+    held_entry(table, 2).cached_state = STATE_NORMAL
     table.own_congested = True
     table.dirty = True
     reports = record_reports(proto)
@@ -805,12 +775,12 @@ def test_select_forwards_least_used_then_slowest():
 def test_select_skips_candidates_cached_bad():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    table.entry(1).cached_state = STATE_CONG
+    held_entry(table, 1).cached_state = STATE_CONG
     for _ in range(4):
         d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
         assert isinstance(d, Forward)
         assert d.next == 2
-    assert [table.entry(c).tx_count for c in (1, 2)] == [0, 4]
+    assert [held_entry(table, c).tx_count for c in (1, 2)] == [0, 4]
 
 
 @st.composite
@@ -895,8 +865,8 @@ def test_select_forward_target_and_rate_match_the_defining_keys(case):
 def test_select_jumps_when_all_candidates_are_bad():
     proto, table = two_candidate_table()
     packet = make_packet(0, now=0.0, lifetime=100.0)
-    table.entry(1).cached_state = STATE_CONG
-    table.entry(2).cached_state = STATE_FAULTY
+    held_entry(table, 1).cached_state = STATE_CONG
+    held_entry(table, 2).cached_state = STATE_FAULTY
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d, Jump)
 
@@ -943,7 +913,7 @@ def test_low_slack_packets_get_high_rate():
 def test_forward_failures_erode_confidence():
     proto, table = two_candidate_table()
     reports = record_reports(proto)
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     proto.on_forward_result(table, entry, False, now=1.0)
     proto.on_forward_result(table, entry, False, now=2.0)
     assert entry.cached_state is STATE_NORMAL and reports == []
@@ -958,7 +928,7 @@ def test_jump_success_ratio_arithmetic():
     proto, table = two_candidate_table()
     reports = record_reports(proto)
     proto.ensure_jump_entries(table)
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     for i in range(3):
         proto.on_jump_result(table, entry, True, now=float(i))
     assert (entry.successes, entry.attempts) == (3, 3)
@@ -981,7 +951,7 @@ def test_a_forward_result_updates_the_member_its_forward_carried(acked):
     d = proto.select_next_hop(table, packet, now=0.0, rng=random.Random(1))
     assert isinstance(d, Forward)
     entry = d.entry
-    assert entry is table.entry(d.next)
+    assert entry is held_entry(table, d.next)
     entries = pool_entries(table.jump_pool)
     assert any(e is entry for e in table.members) and any(e is entry for e in entries)
     entry.misses = 1
@@ -998,7 +968,7 @@ def test_a_jump_result_updates_the_pool_entry_that_was_drawn(acked):
     packet = make_packet(0, now=0.0, lifetime=0.5)
     d = proto.select_next_hop(table, packet, now=0.0, rng=FixedRng([0.99]))
     assert isinstance(d, Jump) and d.next == 3
-    assert d.entry is pool_entries(table.jump_pool)[-1] and d.entry is table.entry(3)
+    assert d.entry is pool_entries(table.jump_pool)[-1] and d.entry is held_entry(table, 3)
     proto.on_jump_result(table, d.entry, acked, now=1.0)
     assert (d.entry.attempts, d.entry.successes) == (1, int(acked))
     assert [e.attempts for e in pool_entries(table.jump_pool)] == [0, 0, 1]
@@ -1007,11 +977,11 @@ def test_a_jump_result_updates_the_pool_entry_that_was_drawn(acked):
 def test_first_jump_failure_zeroes_the_candidate():
     proto, table = two_candidate_table()
     proto.ensure_jump_entries(table)
-    proto.on_jump_result(table, table.entry(1), False, now=0.0)
-    assert table.entry(1).suc == 0.0
+    proto.on_jump_result(table, held_entry(table, 1), False, now=0.0)
+    assert held_entry(table, 1).suc == 0.0
     # and the pool's probability mass moves away from it
     entries = pool_entries(table.jump_pool)
-    shares = dict(zip([e.candidate for e in entries], jump_probabilities(entries)))
+    shares = dict(zip([e.candidate for e in entries], reference_shares(entries)))
     assert shares[1] == 0.0
     assert sum(p for c, p in shares.items() if c != 1) == pytest.approx(1.0)
 
@@ -1026,9 +996,9 @@ def test_feedback_caches_subject_state_by_kind():
     # a report's kind is the state it reports, cached as it arrives
     for kind in (STATE_FAULTY, STATE_CONG, STATE_VOID, STATE_NORMAL):
         msg = FeedbackMessage(kind=kind)
-        proto.on_feedback(table, msg, from_node=1, now=1.0, rng=random.Random(1))
+        proto.on_feedback(table, msg, held_entry(table, 1), now=1.0, rng=random.Random(1))
         assert FB_JUMP_FAIL not in [f.kind for f in reports]
-        assert table.entry(1).cached_state is kind
+        assert held_entry(table, 1).cached_state is kind
 
 
 def test_feedback_drives_derived_state():
@@ -1036,7 +1006,8 @@ def test_feedback_drives_derived_state():
     reports = record_reports(proto)
     for sender in (1, 2):
         msg = FeedbackMessage(kind=STATE_CONG)
-        proto.on_feedback(table, msg, from_node=sender, now=1.0, rng=random.Random(1))
+        proto.on_feedback(table, msg, held_entry(table, sender), now=1.0,
+                          rng=random.Random(1))
         # the first report leaves one member uncongested: no state change
         assert len(reports) == sender - 1
     assert table.state is STATE_JCONG
@@ -1047,10 +1018,10 @@ def test_jump_fail_feedback_scales_suc_and_reforwards():
     proto, table = two_candidate_table()
     reports = record_reports(proto)
     proto.ensure_jump_entries(table)
-    entry = table.entry(1)
+    entry = held_entry(table, 1)
     entry.suc = 0.8
     msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=3)
-    proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
+    proto.on_feedback(table, msg, entry, now=1.0, rng=FixedRng([0.25]))
     assert entry.suc == pytest.approx(0.8 * 0.25)
     assert [(f.kind, f.hop_limit) for f in reports] == [(FB_JUMP_FAIL, 2)]
 
@@ -1059,5 +1030,5 @@ def test_jump_fail_feedback_stops_at_hop_limit():
     proto, table = two_candidate_table()
     reports = record_reports(proto)
     msg = FeedbackMessage(kind=FB_JUMP_FAIL, hop_limit=1)
-    proto.on_feedback(table, msg, from_node=1, now=1.0, rng=FixedRng([0.25]))
+    proto.on_feedback(table, msg, held_entry(table, 1), now=1.0, rng=FixedRng([0.25]))
     assert reports == []
